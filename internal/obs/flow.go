@@ -1,12 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/netip"
 	"sort"
-	"strings"
 )
 
 // Flow-record export reasons, NetFlow-style: why the exporter closed
@@ -203,55 +200,71 @@ func (b *FlowBuffer) Stats() FlowStats {
 const FlowCSVHeader = "start_us,end_us,proto,src,dst,packets,bytes,tcp_flags,label,reason"
 
 // WriteCSV renders the dataset as CSV, one record per line, in export
-// order.
+// order. Fields are written verbatim, endpoints as ip:port.
 func (b *FlowBuffer) WriteCSV(w io.Writer) error {
-	var sb strings.Builder
-	sb.WriteString(FlowCSVHeader)
-	sb.WriteByte('\n')
-	if b != nil {
-		for i := range b.recs {
-			r := &b.recs[i]
-			fmt.Fprintf(&sb, "%d,%d,%s,%s,%s,%d,%d,%d,%s,%s\n",
-				r.StartUS, r.EndUS, r.Proto, r.Src, r.Dst,
-				r.Packets, r.Bytes, r.TCPFlags, r.Label, r.Reason)
-		}
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-// flowJSON fixes the JSONL field order.
-type flowJSON struct {
-	StartUS  int64  `json:"start_us"`
-	EndUS    int64  `json:"end_us"`
-	Proto    string `json:"proto"`
-	Src      string `json:"src"`
-	Dst      string `json:"dst"`
-	Packets  uint64 `json:"packets"`
-	Bytes    uint64 `json:"bytes"`
-	TCPFlags uint8  `json:"tcp_flags"`
-	Label    string `json:"label"`
-	Reason   string `json:"reason"`
-}
-
-// WriteJSONL renders the dataset as JSON Lines, one record per line,
-// in export order.
-func (b *FlowBuffer) WriteJSONL(w io.Writer) error {
-	if b == nil {
-		return nil
-	}
-	enc := json.NewEncoder(w)
-	for i := range b.recs {
-		r := &b.recs[i]
-		row := flowJSON{
-			StartUS: r.StartUS, EndUS: r.EndUS, Proto: r.Proto,
-			Src: r.Src.String(), Dst: r.Dst.String(),
-			Packets: r.Packets, Bytes: r.Bytes, TCPFlags: r.TCPFlags,
-			Label: r.Label, Reason: r.Reason,
-		}
-		if err := enc.Encode(row); err != nil {
+	e := newEnc(w)
+	e.raw(FlowCSVHeader + "\n")
+	recs := b.Records()
+	for i := range recs {
+		r := &recs[i]
+		e.int(r.StartUS)
+		e.raw(",")
+		e.int(r.EndUS)
+		e.raw(",")
+		e.raw(r.Proto)
+		e.raw(",")
+		e.addrPort(r.Src)
+		e.raw(",")
+		e.addrPort(r.Dst)
+		e.raw(",")
+		e.uint(r.Packets)
+		e.raw(",")
+		e.uint(r.Bytes)
+		e.raw(",")
+		e.uint(uint64(r.TCPFlags))
+		e.raw(",")
+		e.raw(r.Label)
+		e.raw(",")
+		e.raw(r.Reason)
+		e.raw("\n")
+		if err := e.endRecord(); err != nil {
 			return err
 		}
 	}
-	return nil
+	return e.flush()
+}
+
+// WriteJSONL renders the dataset as JSON Lines, one record per line,
+// in export order, with the CSV's columns as keys in the CSV's order.
+func (b *FlowBuffer) WriteJSONL(w io.Writer) error {
+	e := newEnc(w)
+	recs := b.Records()
+	for i := range recs {
+		r := &recs[i]
+		e.raw(`{"start_us":`)
+		e.int(r.StartUS)
+		e.raw(`,"end_us":`)
+		e.int(r.EndUS)
+		e.raw(`,"proto":`)
+		e.str(r.Proto)
+		e.raw(`,"src":`)
+		e.jsonAddrPort(r.Src)
+		e.raw(`,"dst":`)
+		e.jsonAddrPort(r.Dst)
+		e.raw(`,"packets":`)
+		e.uint(r.Packets)
+		e.raw(`,"bytes":`)
+		e.uint(r.Bytes)
+		e.raw(`,"tcp_flags":`)
+		e.uint(uint64(r.TCPFlags))
+		e.raw(`,"label":`)
+		e.str(r.Label)
+		e.raw(`,"reason":`)
+		e.str(r.Reason)
+		e.raw("}\n")
+		if err := e.endRecord(); err != nil {
+			return err
+		}
+	}
+	return e.flush()
 }

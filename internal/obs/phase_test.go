@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"ddosim/internal/sim"
@@ -47,9 +50,22 @@ func TestRecordSpanClampsAndSequences(t *testing.T) {
 	if sp[0].End != sp[0].Start {
 		t.Fatalf("end not clamped: %+v", sp[0])
 	}
-	// Recorded after the event, so it must merge after it.
-	recs := tr.merged()
-	if len(recs) != 2 || recs[0].Type != "event" || recs[1].Type != "span" {
-		t.Fatalf("merge order: %+v", recs)
+	// Recorded after the event, so it must be exported after it.
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var types []string
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		var rec struct {
+			Type string `json:"type"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		types = append(types, rec.Type)
+	}
+	if got := strings.Join(types, ","); got != "event,span" {
+		t.Fatalf("export order %s, want event,span:\n%s", got, buf.String())
 	}
 }

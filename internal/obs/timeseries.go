@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"ddosim/internal/sim"
 )
@@ -103,58 +100,55 @@ func (w *Windows) Rows() int {
 	return len(w.rows)
 }
 
-// fmtFloat renders a float compactly and deterministically.
-func fmtFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
 // WriteCSV renders the time series as CSV with a window_start_s column
-// followed by the registered columns.
+// followed by the registered columns. Numbers take the shortest form
+// that round-trips.
 func (w *Windows) WriteCSV(out io.Writer) error {
-	var sb strings.Builder
-	sb.WriteString("window_start_s")
-	if w != nil {
-		for _, c := range w.cols {
-			sb.WriteByte(',')
-			sb.WriteString(c.name)
+	e := newEnc(out)
+	e.raw("window_start_s")
+	if w == nil {
+		e.raw("\n")
+		return e.flush()
+	}
+	for _, c := range w.cols {
+		e.raw(",")
+		e.raw(c.name)
+	}
+	e.raw("\n")
+	for i, row := range w.rows {
+		e.float(w.times[i].Seconds())
+		for _, v := range row {
+			e.raw(",")
+			e.float(v)
+		}
+		e.raw("\n")
+		if err := e.endRecord(); err != nil {
+			return err
 		}
 	}
-	sb.WriteByte('\n')
-	if w != nil {
-		for i, row := range w.rows {
-			sb.WriteString(fmtFloat(w.times[i].Seconds()))
-			for _, v := range row {
-				sb.WriteByte(',')
-				sb.WriteString(fmtFloat(v))
-			}
-			sb.WriteByte('\n')
-		}
-	}
-	_, err := io.WriteString(out, sb.String())
-	return err
+	return e.flush()
 }
 
 // WriteJSONL renders the time series as JSON Lines, one window per
-// line, with keys in registration order (written manually — Go's JSON
-// encoder would not preserve map order).
+// line, with keys in registration order.
 func (w *Windows) WriteJSONL(out io.Writer) error {
 	if w == nil {
 		return nil
 	}
-	var sb strings.Builder
+	e := newEnc(out)
 	for i, row := range w.rows {
-		sb.Reset()
-		sb.WriteString(`{"t_s":`)
-		sb.WriteString(fmtFloat(w.times[i].Seconds()))
+		e.raw(`{"t_s":`)
+		e.float(w.times[i].Seconds())
 		for j, v := range row {
-			sb.WriteByte(',')
-			fmt.Fprintf(&sb, "%q:", w.cols[j].name)
-			sb.WriteString(fmtFloat(v))
+			e.raw(",")
+			e.quote(w.cols[j].name)
+			e.raw(":")
+			e.float(v)
 		}
-		sb.WriteString("}\n")
-		if _, err := io.WriteString(out, sb.String()); err != nil {
+		e.raw("}\n")
+		if err := e.endRecord(); err != nil {
 			return err
 		}
 	}
-	return nil
+	return e.flush()
 }

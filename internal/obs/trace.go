@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 
@@ -317,147 +315,145 @@ func MergeTracers(parts ...*Tracer) *Tracer {
 	return m
 }
 
-// record is the unified JSONL row: spans carry end_us, events do not.
-type record struct {
-	Type  string            `json:"type"` // "span" | "event"
-	Cat   string            `json:"cat"`
-	Name  string            `json:"name"`
-	AtUS  int64             `json:"ts_us"`
-	EndUS *int64            `json:"end_us,omitempty"`
-	Args  map[string]string `json:"args,omitempty"`
-}
-
-func argMap(args []KV) map[string]string {
-	if len(args) == 0 {
-		return nil
-	}
-	m := make(map[string]string, len(args))
-	for _, kv := range args {
-		m[kv.K] = kv.V
-	}
-	return m
-}
-
 func micros(t sim.Time) int64 { return int64(t / sim.Microsecond) }
 
-// merged returns spans and events interleaved in record (seq) order,
-// which for a single-threaded simulation is chronological by begin
-// time. The order — and therefore every exported byte — is a pure
-// function of the run.
-func (t *Tracer) merged() []record {
-	out := make([]record, 0, len(t.spans)+len(t.events))
+// walk visits spans and events interleaved in record (seq) order, which
+// for a single-threaded simulation is chronological by begin time, and
+// stops at the first error. The order — and therefore every exported
+// byte — is a pure function of the run.
+func (t *Tracer) walk(span func(*Span) error, event func(*Event) error) error {
 	si, ei := 0, 0
 	for si < len(t.spans) || ei < len(t.events) {
+		var err error
 		if ei >= len(t.events) || (si < len(t.spans) && t.spans[si].seq < t.events[ei].seq) {
-			sp := t.spans[si]
-			end := micros(sp.End)
-			out = append(out, record{
-				Type: "span", Cat: sp.Cat, Name: sp.Name,
-				AtUS: micros(sp.Start), EndUS: &end, Args: argMap(sp.Args),
-			})
+			err = span(&t.spans[si])
 			si++
-			continue
+		} else {
+			err = event(&t.events[ei])
+			ei++
 		}
-		ev := t.events[ei]
-		out = append(out, record{
-			Type: "event", Cat: ev.Cat, Name: ev.Name,
-			AtUS: micros(ev.At), Args: argMap(ev.Args),
-		})
-		ei++
-	}
-	return out
-}
-
-// WriteJSONL writes one JSON object per line, spans and events
-// interleaved in record order. encoding/json sorts map keys, so the
-// output is byte-deterministic.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	enc := json.NewEncoder(w)
-	for _, r := range t.merged() {
-		if err := enc.Encode(r); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// chromeEvent is one entry of the Chrome trace_event format
-// (catapult "JSON Array Format"): spans become "X" complete events,
-// point events become "i" instants. Timestamps are microseconds of
-// simulated time.
-type chromeEvent struct {
-	Name  string            `json:"name"`
-	Cat   string            `json:"cat"`
-	Phase string            `json:"ph"`
-	TS    int64             `json:"ts"`
-	Dur   *int64            `json:"dur,omitempty"`
-	PID   int               `json:"pid"`
-	TID   int               `json:"tid"`
-	Scope string            `json:"s,omitempty"`
-	Args  map[string]string `json:"args,omitempty"`
+// WriteJSONL writes one JSON object per line, spans and events
+// interleaved in record order. A line holds "type" ("span" or "event"),
+// "cat", "name" and "ts_us"; a span adds "end_us"; an annotated entry
+// ends with "args", its keys sorted.
+func (t *Tracer) WriteJSONL(w io.Writer) error {
+	if t == nil {
+		return nil
+	}
+	e := newEnc(w)
+	head := func(typ, cat, name string, at sim.Time) {
+		e.raw(`{"type":"`)
+		e.raw(typ)
+		e.raw(`","cat":`)
+		e.str(cat)
+		e.raw(`,"name":`)
+		e.str(name)
+		e.raw(`,"ts_us":`)
+		e.int(micros(at))
+	}
+	err := t.walk(func(sp *Span) error {
+		head("span", sp.Cat, sp.Name, sp.Start)
+		e.raw(`,"end_us":`)
+		e.int(micros(sp.End))
+		e.args(sp.Args)
+		e.raw("}\n")
+		return e.endRecord()
+	}, func(ev *Event) error {
+		head("event", ev.Cat, ev.Name, ev.At)
+		e.args(ev.Args)
+		e.raw("}\n")
+		return e.endRecord()
+	})
+	if err != nil {
+		return err
+	}
+	return e.flush()
 }
 
-// WriteChromeTrace writes the run as Chrome trace_event JSON, loadable
-// in chrome://tracing and Perfetto. Each category gets its own track
-// (tid), assigned in sorted category order for determinism.
+// WriteChromeTrace writes the run as Chrome trace_event JSON (catapult
+// "JSON Array Format"), loadable in chrome://tracing and Perfetto: spans
+// become "X" complete events with a "dur", point events become "i"
+// instants of thread scope, and timestamps are microseconds of simulated
+// time. Each category gets its own track (tid), assigned in sorted
+// category order for determinism.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	if t == nil {
 		_, err := io.WriteString(w, "[]\n")
 		return err
 	}
-	cats := make(map[string]bool)
-	for _, sp := range t.spans {
-		cats[sp.Cat] = true
-	}
-	for _, ev := range t.events {
-		cats[ev.Cat] = true
-	}
-	sorted := make([]string, 0, len(cats))
-	for c := range cats {
-		sorted = append(sorted, c)
-	}
-	sort.Strings(sorted)
-	tid := make(map[string]int, len(sorted))
-	for i, c := range sorted {
-		tid[c] = i + 1
-	}
-
-	out := make([]chromeEvent, 0, len(t.spans)+len(t.events))
-	for _, r := range t.merged() {
-		ce := chromeEvent{
-			Name: r.Name, Cat: r.Cat, TS: r.AtUS,
-			PID: 1, TID: tid[r.Cat], Args: r.Args,
+	tid := t.tracks()
+	e := newEnc(w)
+	e.raw("[\n")
+	n := 0
+	head := func(name, cat, ph string, at sim.Time) {
+		if n > 0 {
+			e.raw(",\n")
 		}
-		if r.Type == "span" {
-			dur := *r.EndUS - r.AtUS
-			ce.Phase = "X"
-			ce.Dur = &dur
-		} else {
-			ce.Phase = "i"
-			ce.Scope = "t"
-		}
-		out = append(out, ce)
+		n++
+		e.raw(`{"name":`)
+		e.str(name)
+		e.raw(`,"cat":`)
+		e.str(cat)
+		e.raw(`,"ph":"`)
+		e.raw(ph)
+		e.raw(`","ts":`)
+		e.int(micros(at))
 	}
-
-	if _, err := io.WriteString(w, "[\n"); err != nil {
+	err := t.walk(func(sp *Span) error {
+		head(sp.Name, sp.Cat, "X", sp.Start)
+		e.raw(`,"dur":`)
+		e.int(micros(sp.End) - micros(sp.Start))
+		e.raw(`,"pid":1,"tid":`)
+		e.int(int64(tid[sp.Cat]))
+		e.args(sp.Args)
+		e.raw("}")
+		return e.endRecord()
+	}, func(ev *Event) error {
+		head(ev.Name, ev.Cat, "i", ev.At)
+		e.raw(`,"pid":1,"tid":`)
+		e.int(int64(tid[ev.Cat]))
+		e.raw(`,"s":"t"`)
+		e.args(ev.Args)
+		e.raw("}")
+		return e.endRecord()
+	})
+	if err != nil {
 		return err
 	}
-	for i, ce := range out {
-		b, err := json.Marshal(ce)
-		if err != nil {
-			return err
-		}
-		sep := ",\n"
-		if i == len(out)-1 {
-			sep = "\n"
-		}
-		if _, err := fmt.Fprintf(w, "%s%s", b, sep); err != nil {
-			return err
+	if n > 0 {
+		e.raw("\n")
+	}
+	e.raw("]\n")
+	return e.flush()
+}
+
+// tracks numbers the recorded categories from 1 in sorted order: each
+// category's Chrome track.
+func (t *Tracer) tracks() map[string]int {
+	tid := make(map[string]int)
+	var cats []string
+	add := func(cat string) {
+		if _, ok := tid[cat]; !ok {
+			tid[cat] = 0
+			cats = append(cats, cat)
 		}
 	}
-	_, err := io.WriteString(w, "]\n")
-	return err
+	for i := range t.spans {
+		add(t.spans[i].Cat)
+	}
+	for i := range t.events {
+		add(t.events[i].Cat)
+	}
+	sort.Strings(cats)
+	for i, cat := range cats {
+		tid[cat] = i + 1
+	}
+	return tid
 }
