@@ -11,6 +11,7 @@ import (
 	"ddosim/internal/churn"
 	"ddosim/internal/core"
 	"ddosim/internal/faults"
+	"ddosim/internal/netsim"
 	"ddosim/internal/report"
 	"ddosim/internal/sim"
 )
@@ -213,10 +214,6 @@ func TestFaultFreeArtifactsMatchPrePRGolden(t *testing.T) {
 		goldenFlows  = "13cffc1ccdc455f2ec8b12ca56fd588684f5153b82e273c457192c0c3dc55097"
 		goldenTS     = "1c32e115904f53dafff0228742b7945e99f4f41ef1b06541762a29653fb9161f"
 	)
-	hash := func(b []byte) string {
-		sum := sha256.Sum256(b)
-		return hex.EncodeToString(sum[:])
-	}
 	a := runOnce(t, 1234)
 	for _, g := range []struct {
 		name, want string
@@ -228,10 +225,67 @@ func TestFaultFreeArtifactsMatchPrePRGolden(t *testing.T) {
 		{"flow CSV", goldenFlows, a.flows},
 		{"time-series CSV", goldenTS, a.ts},
 	} {
-		if got := hash(g.got); got != g.want {
+		if got := sha256Hex(g.got); got != g.want {
 			t.Errorf("%s hash = %s, want %s", g.name, got, g.want)
 		}
 	}
+}
+
+// runCongested drives the trace's heavy paths on a small fleet. The
+// TServer downlink is cut to 1 Mbps, so the flood congests the hub and
+// every drop records an annotated queue-drop event. Faults at intensity
+// 0.6 add fault events and fault spans opened with BeginSpan and closed
+// by EndSpan or, at the horizon, CloseOpenSpans.
+func runCongested(t *testing.T, shards int) artifacts {
+	t.Helper()
+	cfg := core.DefaultConfig(10)
+	cfg.Seed = 1234
+	cfg.Shards = shards
+	cfg.TServerDownlink = 1 * netsim.Mbps
+	cfg.SimDuration = 150 * sim.Second
+	cfg.AttackDuration = 30
+	cfg.RecruitTimeout = 90 * sim.Second
+	cfg.Faults = faults.AtIntensity(0.6)
+	a, _, _ := runCfg(t, cfg)
+	return a
+}
+
+// TestCongestedFaultTraceMatchesGolden pins the trace bytes of the
+// paths the fault-free golden scenario never takes: thousands of
+// annotated queue drops, fault spans ended explicitly and at the
+// horizon, and, at Shards: 2, the merge of the per-shard trace buffers.
+func TestCongestedFaultTraceMatchesGolden(t *testing.T) {
+	for _, g := range []struct {
+		shards        int
+		jsonl, chrome string
+	}{
+		{0, "000170253b55f963cc7863bcbd1b480c0d8dbd6fb930f80327453de87c0c4d38",
+			"32be16253c422762b183385c5a40ac7202f7465c96e9696782c9fcf2acb27df1"},
+		{2, "aa079a04607cdfc600c9357dde9731ccae6886f393a8953881d439fa9215fc63",
+			"00f6da86515928ee6dee5581f23eb1a5901287240d993320df4cdb03c24a1aae"},
+	} {
+		a := runCongested(t, g.shards)
+		for _, want := range []string{
+			`{"type":"event","cat":"net","name":"queue-drop"`,
+			`{"type":"span","cat":"fault"`,
+			`{"type":"event","cat":"fault"`,
+		} {
+			if !bytes.Contains(a.jsonl, []byte(want)) {
+				t.Errorf("shards=%d: trace holds no %s record; the scenario no longer covers it", g.shards, want)
+			}
+		}
+		if got := sha256Hex(a.jsonl); got != g.jsonl {
+			t.Errorf("shards=%d: trace JSONL hash = %s, want %s", g.shards, got, g.jsonl)
+		}
+		if got := sha256Hex(a.chrome); got != g.chrome {
+			t.Errorf("shards=%d: Chrome trace hash = %s, want %s", g.shards, got, g.chrome)
+		}
+	}
+}
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // TestFaultScenarioByteIdenticalArtifacts extends the determinism

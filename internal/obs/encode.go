@@ -61,21 +61,23 @@ func (e *enc) float(v float64) { e.buf = strconv.AppendFloat(e.buf, v, 'g', -1, 
 // quote appends s Go-quoted, as fmt's %q renders it.
 func (e *enc) quote(s string) { e.buf = strconv.AppendQuote(e.buf, s) }
 
-// str appends s as a JSON string, byte for byte as encoding/json renders
-// it. Printable ASCII outside encoding/json's HTML-safe escapes (<, >,
-// &) is copied between quotes; any other string is rare enough in a run's
-// artifacts to go through json.Marshal itself.
-func (e *enc) str(s string) {
+// str appends s as a JSON string.
+func (e *enc) str(s string) { e.buf = appendJSONString(e.buf, s) }
+
+// appendJSONString appends s as a JSON string, byte for byte as
+// encoding/json renders it. Printable ASCII outside encoding/json's
+// HTML-safe escapes (<, >, &) is copied between quotes; any other string
+// is rare enough in a run's artifacts to go through json.Marshal itself.
+func appendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			b, _ := json.Marshal(s) // a string always marshals
-			e.buf = append(e.buf, b...)
-			return
+			m, _ := json.Marshal(s) // a string always marshals
+			return append(b, m...)
 		}
 	}
-	e.buf = append(e.buf, '"')
-	e.buf = append(e.buf, s...)
-	e.buf = append(e.buf, '"')
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // addrPort appends p as fmt's %s renders it. That is AppendTo's text,
@@ -101,42 +103,69 @@ func (e *enc) jsonAddrPort(p netip.AddrPort) {
 	e.raw(`"`)
 }
 
-// args appends `,"args":{...}` for a non-empty annotation list, the way
-// encoding/json renders the map[string]string the list stands for: keys
-// in byte order, a repeated key keeping its last value. The tracer's
-// slice is left as recorded; the sort runs over indices, on the stack
-// for the handful of annotations an entry carries.
-func (e *enc) args(kvs []KV) {
-	if len(kvs) == 0 {
+// jsonStrs is a tracer's string table JSON-encoded for one export. Each
+// distinct string is scanned and escaped once; a record that names it
+// copies the bytes. String id i encodes as blob[off[i]:off[i+1]].
+type jsonStrs struct {
+	strs []string
+	blob []byte
+	off  []uint32
+}
+
+func encodeStrs(strs []string) *jsonStrs {
+	js := &jsonStrs{strs: strs, off: make([]uint32, 1, len(strs)+1)}
+	for _, s := range strs {
+		js.blob = appendJSONString(js.blob, s)
+		js.off = append(js.off, uint32(len(js.blob)))
+	}
+	return js
+}
+
+// id appends the JSON encoding of string id.
+func (e *enc) id(js *jsonStrs, id uint32) {
+	e.buf = append(e.buf, js.blob[js.off[id]:js.off[id+1]]...)
+}
+
+// args appends `,"args":{...}` for a non-empty list of (key id, value
+// id) pairs, the way encoding/json renders the map[string]string the
+// list stands for: keys in byte order, a repeated key keeping its last
+// value. The tracer's arena is left as recorded; the sort runs over
+// indices, on the stack for the handful of annotations an entry
+// carries. The table holds each string once, so equal keys have equal
+// ids.
+func (e *enc) args(js *jsonStrs, pairs []uint32) {
+	n := len(pairs) / 2
+	if n == 0 {
 		return
 	}
 	var small [8]int
 	idx := small[:0]
-	if len(kvs) > len(small) {
-		idx = make([]int, 0, len(kvs))
+	if n > len(small) {
+		idx = make([]int, 0, n)
 	}
+	key := func(i int) string { return js.strs[pairs[2*i]] }
 	// Stable insertion sort: equal keys keep record order.
-	for i := range kvs {
+	for i := 0; i < n; i++ {
 		idx = append(idx, i)
 		j := len(idx) - 1
-		for ; j > 0 && kvs[idx[j-1]].K > kvs[i].K; j-- {
+		for ; j > 0 && key(idx[j-1]) > key(i); j-- {
 			idx[j] = idx[j-1]
 		}
 		idx[j] = i
 	}
 	e.raw(`,"args":{`)
 	first := true
-	for n, i := range idx {
-		if n+1 < len(idx) && kvs[idx[n+1]].K == kvs[i].K {
+	for m, i := range idx {
+		if m+1 < n && pairs[2*idx[m+1]] == pairs[2*i] {
 			continue // a later value for this key wins
 		}
 		if !first {
 			e.raw(",")
 		}
 		first = false
-		e.str(kvs[i].K)
+		e.id(js, pairs[2*i])
 		e.raw(":")
-		e.str(kvs[i].V)
+		e.id(js, pairs[2*i+1])
 	}
 	e.raw("}")
 }

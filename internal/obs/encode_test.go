@@ -145,7 +145,10 @@ func endpoint(s string) netip.AddrPort {
 
 // FuzzTraceExport holds every trace, flow and time-series writer to the
 // bytes of the reference encoding below, for fuzzed categories, names,
-// annotations with repeated keys, and endpoints.
+// annotations with repeated keys, and endpoints. One string recurs as
+// category, name, key and value across events and spans, one span is
+// left for CloseOpenSpans, and a merge of two stamped tracers is held to
+// a reference merge.
 func FuzzTraceExport(f *testing.F) {
 	f.Add("phase", "deploy", "devs", "3", "10.0.0.2:4000", "10.0.0.1:9999")
 	f.Fuzz(func(t *testing.T, cat, name, key, val, src, dst string) {
@@ -156,6 +159,10 @@ func FuzzTraceExport(f *testing.F) {
 		tr.RecordSpan(4*sim.Second, 3*sim.Second, val, key)
 		tr.EndSpan(id, 5*sim.Second)
 		tr.Event(6*sim.Second, CatNet, key, KV{name, cat})
+		tr.BeginSpan(6*sim.Second, cat, cat, KV{cat, cat}, KV{key, cat}) // left open
+		tr.Event(7*sim.Second, cat, cat, KV{cat, cat})
+		tr.RecordSpan(7*sim.Second, 8*sim.Second, key, cat, KV{cat, key}, KV{cat, cat})
+		tr.CloseOpenSpans(9 * sim.Second)
 
 		fb := &FlowBuffer{}
 		fb.ExportFlows([]FlowRecord{
@@ -170,15 +177,22 @@ func FuzzTraceExport(f *testing.F) {
 		w.Sample(sim.Second)
 		w.Sample(2 * sim.Second)
 
+		merged, mergedRef := mergeFixture(cat, name, key, val)
+
 		want := map[string][]byte{
-			"Tracer.WriteChromeTrace": refChromeTrace(tr),
-			"Tracer.WriteJSONL":       refTraceJSONL(tr),
+			"Tracer.WriteChromeTrace": refChromeTrace(refRecords(tr)),
+			"Tracer.WriteJSONL":       refTraceJSONL(refRecords(tr)),
 			"FlowBuffer.WriteCSV":     refFlowCSV(fb),
 			"FlowBuffer.WriteJSONL":   refFlowJSONL(fb),
 			"Windows.WriteCSV":        refWindowsCSV(w),
 			"Windows.WriteJSONL":      refWindowsJSONL(w),
+			"merged WriteChromeTrace": refChromeTrace(mergedRef),
+			"merged WriteJSONL":       refTraceJSONL(mergedRef),
 		}
-		for _, wr := range exportWriters(tr, fb, w) {
+		writers := append(exportWriters(tr, fb, w),
+			namedWriter{"merged WriteChromeTrace", merged.WriteChromeTrace},
+			namedWriter{"merged WriteJSONL", merged.WriteJSONL})
+		for _, wr := range writers {
 			var buf bytes.Buffer
 			if err := wr.write(&buf); err != nil {
 				t.Fatal(err)
@@ -188,6 +202,65 @@ func FuzzTraceExport(f *testing.F) {
 			}
 		}
 	})
+}
+
+// mergeFixture records the same strings into two stamped tracers in
+// opposite orders, as two shards of one run would, and merges them. It
+// returns the merged tracer and the reference merge: both tracers'
+// records, stably sorted by (time, LP, per-LP emission sequence).
+func mergeFixture(cat, name, key, val string) (*Tracer, []refRecord) {
+	type keyed struct {
+		lp  uint32
+		seq uint64
+		rec refRecord
+	}
+	var lp uint32 // the emitting LP of the next record
+	var next [3]uint64
+	var stamps [2][]keyed
+	parts := [2]*Tracer{NewTracer(), NewTracer()}
+	for i, p := range parts {
+		p.SetStamper(func() (uint32, uint64) {
+			next[lp]++
+			stamps[i] = append(stamps[i], keyed{lp: lp, seq: next[lp]})
+			return lp, next[lp]
+		})
+	}
+	a, b := parts[0], parts[1]
+	lp = 1
+	a.Event(sim.Second, cat, name, KV{key, val})
+	span := a.BeginSpan(2*sim.Second, cat, cat, KV{name, key})
+	lp = 2
+	b.Event(sim.Second, name, cat, KV{val, key}, KV{key, name}) // same instant as a's event, later LP
+	b.RecordSpan(0, 2*sim.Second, key, val, KV{cat, cat})
+	lp = 1
+	a.RecordSpan(0, 3*sim.Second, val, key, KV{cat, val}) // same start as b's span, earlier LP
+	lp = 0
+	b.Event(2*sim.Second, key, key, KV{val, val}, KV{val, cat})
+	a.EndSpan(span, 4*sim.Second)
+
+	var all []keyed
+	for i, p := range parts {
+		for j, r := range refRecords(p) {
+			k := stamps[i][j]
+			k.rec = r
+			all = append(all, k)
+		}
+	}
+	sort.SliceStable(all, func(i, j int) bool {
+		x, y := all[i], all[j]
+		if x.rec.AtUS != y.rec.AtUS {
+			return x.rec.AtUS < y.rec.AtUS
+		}
+		if x.lp != y.lp {
+			return x.lp < y.lp
+		}
+		return x.seq < y.seq
+	})
+	ref := make([]refRecord, len(all))
+	for i, k := range all {
+		ref[i] = k.rec
+	}
+	return MergeTracers(a, nil, b), ref
 }
 
 // The reference encoding: the writers as they were before the append
@@ -213,34 +286,34 @@ func refArgMap(args []KV) map[string]string {
 	return m
 }
 
-func refMerged(t *Tracer) []refRecord {
+// refRecords reads a tracer's records, in order, into the reference
+// shape.
+func refRecords(t *Tracer) []refRecord {
 	var out []refRecord
-	si, ei := 0, 0
-	for si < len(t.spans) || ei < len(t.events) {
-		if ei >= len(t.events) || (si < len(t.spans) && t.spans[si].seq < t.events[ei].seq) {
-			sp := t.spans[si]
-			end := micros(sp.End)
-			out = append(out, refRecord{
-				Type: "span", Cat: sp.Cat, Name: sp.Name,
-				AtUS: micros(sp.Start), EndUS: &end, Args: refArgMap(sp.Args),
-			})
-			si++
-			continue
+	for i := range t.recs {
+		r := &t.recs[i]
+		var args []KV
+		ids := t.argIDs(r)
+		for j := 0; j < len(ids); j += 2 {
+			args = append(args, KV{t.strs[ids[j]], t.strs[ids[j+1]]})
 		}
-		ev := t.events[ei]
-		out = append(out, refRecord{
-			Type: "event", Cat: ev.Cat, Name: ev.Name,
-			AtUS: micros(ev.At), Args: refArgMap(ev.Args),
-		})
-		ei++
+		rec := refRecord{
+			Type: "event", Cat: t.strs[r.cat], Name: t.strs[r.name],
+			AtUS: micros(r.start), Args: refArgMap(args),
+		}
+		if r.flags&recSpan != 0 {
+			end := micros(r.end)
+			rec.Type, rec.EndUS = "span", &end
+		}
+		out = append(out, rec)
 	}
 	return out
 }
 
-func refTraceJSONL(t *Tracer) []byte {
+func refTraceJSONL(recs []refRecord) []byte {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	for _, r := range refMerged(t) {
+	for _, r := range recs {
 		if err := enc.Encode(r); err != nil {
 			panic(err)
 		}
@@ -260,10 +333,10 @@ type refChromeEvent struct {
 	Args  map[string]string `json:"args,omitempty"`
 }
 
-func refChromeTrace(t *Tracer) []byte {
+func refChromeTrace(recs []refRecord) []byte {
 	var cats []string
 	seen := make(map[string]bool)
-	for _, r := range refMerged(t) {
+	for _, r := range recs {
 		if !seen[r.Cat] {
 			seen[r.Cat] = true
 			cats = append(cats, r.Cat)
@@ -276,7 +349,6 @@ func refChromeTrace(t *Tracer) []byte {
 	}
 	var buf bytes.Buffer
 	buf.WriteString("[\n")
-	recs := refMerged(t)
 	for i, r := range recs {
 		ce := refChromeEvent{
 			Name: r.Name, Cat: r.Cat, TS: r.AtUS,

@@ -98,8 +98,8 @@ func (o *Obs) Summarize() Summary {
 		return s
 	}
 	if o.Trace != nil {
-		s.TraceSpans = len(o.Trace.spans)
-		s.TraceEvents = len(o.Trace.events)
+		s.TraceSpans = len(o.Trace.recs) - o.Trace.nevents
+		s.TraceEvents = o.Trace.nevents
 		s.TraceDropped = o.Trace.Dropped()
 	}
 	if o.Prof != nil {

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"io"
-	"sort"
+	"math"
+	"slices"
 
 	"ddosim/internal/sim"
 )
@@ -23,7 +25,8 @@ type KV struct {
 	K, V string
 }
 
-// SpanID identifies an open span so it can be ended.
+// SpanID identifies a span so it can be ended: the index of the span's
+// record in its tracer.
 type SpanID int
 
 // Span is a named interval of simulated time (a run phase, a churn
@@ -35,16 +38,6 @@ type Span struct {
 	Start sim.Time
 	End   sim.Time
 	Args  []KV
-
-	seq  uint64
-	open bool
-
-	// Sharded-mode merge stamp: the emitting logical process and its
-	// private emission sequence (see Tracer.SetStamper). Zero in the
-	// legacy kernel; never serialized, so legacy artifacts are
-	// unchanged.
-	lp    uint32
-	lpSeq uint64
 }
 
 // Event is a point occurrence at one simulated instant.
@@ -53,41 +46,71 @@ type Event struct {
 	Cat  string
 	Name string
 	Args []KV
-
-	seq uint64
-
-	// Sharded-mode merge stamp (see Span).
-	lp    uint32
-	lpSeq uint64
 }
 
 // DefaultMaxEvents caps recorded point events so a pathological run
-// cannot exhaust memory; spans are never dropped (their count is
-// bounded by phases and epochs). The cap is deterministic: the same
-// run drops the same events.
+// cannot exhaust memory. The cap is deterministic: the same run drops
+// the same events. Spans are not capped, and their count grows with the
+// fleet: besides the run phases and churn epochs, every bot records its
+// kill-chain stages and every fault window is a span, so a 10k-device
+// run records about 20k spans.
 const DefaultMaxEvents = 1 << 20
+
+// record is one span or point event. A tracer stores its records in
+// emission order, and that order is the export order. A record holds no
+// pointers, so the garbage collector never scans the trace: cat and name
+// are ids in the tracer's string table, and the annotations are nargs
+// (key id, value id) pairs at args[argOff:].
+type record struct {
+	start, end sim.Time // an event's end is its start
+	cat, name  uint32
+	argOff     uint32
+	nargs      uint16
+	flags      uint16
+}
+
+const (
+	recSpan uint16 = 1 << iota // the record is a span, not a point event
+	recOpen                    // the span has not ended yet
+)
+
+// stamp is a sharded run's merge key for one record after its time: the
+// emitting logical process and that process's emission sequence.
+type stamp struct {
+	lp  uint32
+	seq uint64
+}
 
 // Tracer records spans and events for one run. It is not safe for
 // concurrent use — the simulation kernel is single-threaded, and so is
 // the tracer. All methods are nil-safe so instrumented code can carry
 // an optional tracer without guards.
 type Tracer struct {
-	spans   []Span
-	events  []Event
-	seq     uint64
+	recs []record
+	args []uint32 // annotation arena: (key id, value id) pairs
+
+	// The string table: each distinct category, name, key and value is
+	// stored once, and records refer to it by id.
+	strs []string
+	ids  map[string]uint32
+
+	nevents int
 	max     int
 	dropped uint64
 
 	// stamper supplies the (LP, per-LP emission sequence) merge stamp
-	// for sharded runs; nil in the legacy kernel. The stamp is a
-	// partition-independent total order within one LP, so per-shard
-	// tracers merge deterministically (see MergeTracers).
+	// for sharded runs; nil in the classic kernel, which stores no
+	// stamps. The stamp is a partition-independent total order within
+	// one LP, so per-shard tracers merge deterministically (see
+	// MergeTracers). stamps[i] is record i's stamp; records past the
+	// end of stamps carry the zero stamp.
 	stamper func() (lp uint32, seq uint64)
+	stamps  []stamp
 }
 
 // NewTracer returns an empty tracer with the default event cap.
 func NewTracer() *Tracer {
-	return &Tracer{max: DefaultMaxEvents}
+	return &Tracer{max: DefaultMaxEvents, ids: make(map[string]uint32)}
 }
 
 // SetMaxEvents overrides the point-event cap; n <= 0 removes it.
@@ -105,28 +128,55 @@ func (t *Tracer) SetStamper(fn func() (lp uint32, seq uint64)) {
 	if t == nil {
 		return
 	}
+	t.stamps = append(t.stamps, make([]stamp, len(t.recs)-len(t.stamps))...)
 	t.stamper = fn
 }
 
-func (t *Tracer) stamp() (uint32, uint64) {
-	if t.stamper == nil {
-		return 0, 0
+// intern returns s's id in the string table, adding s on first sight.
+func (t *Tracer) intern(s string) uint32 {
+	if id, ok := t.ids[s]; ok {
+		return id
 	}
-	return t.stamper()
+	id := uint32(len(t.strs))
+	t.strs = append(t.strs, s) //simlint:allow allocfree(first sight of a string only: a run's drops name one category, name and pair of keys, a few reasons and one node name per node)
+	t.ids[s] = id              //simlint:allow allocfree(first sight of a string only: a run's drops name one category, name and pair of keys, a few reasons and one node name per node)
+	return id
+}
+
+// add appends r with its strings interned and its annotations copied
+// into the arena, stamps it in a sharded run, and returns its index.
+// args is only read, so a caller's variadic array stays on its stack.
+func (t *Tracer) add(r record, cat, name string, args []KV) int {
+	if len(args) > math.MaxUint16 {
+		panic("obs: a trace entry carries more than 65535 annotations")
+	}
+	r.cat, r.name = t.intern(cat), t.intern(name)
+	r.argOff, r.nargs = uint32(len(t.args)), uint16(len(args))
+	for _, kv := range args {
+		k, v := t.intern(kv.K), t.intern(kv.V)
+		t.args = append(t.args, k, v) //simlint:allow allocfree(amortized arena growth, pointer-free; untraced runs return at the nil-receiver guard)
+	}
+	if t.stamper != nil {
+		lp, seq := t.stamper()
+		t.stamps = append(t.stamps, stamp{lp, seq}) //simlint:allow allocfree(amortized growth, sharded runs only)
+	}
+	t.recs = append(t.recs, r) //simlint:allow allocfree(amortized record growth, pointer-free; untraced runs return at the nil-receiver guard)
+	return len(t.recs) - 1
 }
 
 // Event records a point event at simulated instant at.
+//
+//simlint:hotpath
 func (t *Tracer) Event(at sim.Time, cat, name string, args ...KV) {
 	if t == nil {
 		return
 	}
-	if t.max > 0 && len(t.events) >= t.max {
+	if t.max > 0 && t.nevents >= t.max {
 		t.dropped++
 		return
 	}
-	t.seq++
-	lp, lpSeq := t.stamp()
-	t.events = append(t.events, Event{At: at, Cat: cat, Name: name, Args: args, seq: t.seq, lp: lp, lpSeq: lpSeq}) //simlint:allow allocfree(trace buffer growth happens only when tracing is armed; untraced runs return at the nil-receiver guard above)
+	t.nevents++
+	t.add(record{start: at, end: at}, cat, name, args)
 }
 
 // BeginSpan opens a span at simulated instant at and returns its id.
@@ -134,29 +184,22 @@ func (t *Tracer) BeginSpan(at sim.Time, cat, name string, args ...KV) SpanID {
 	if t == nil {
 		return -1
 	}
-	t.seq++
-	id := SpanID(len(t.spans))
-	lp, lpSeq := t.stamp()
-	t.spans = append(t.spans, Span{
-		ID: id, Cat: cat, Name: name, Start: at, End: at, Args: args,
-		seq: t.seq, open: true, lp: lp, lpSeq: lpSeq,
-	})
-	return id
+	return SpanID(t.add(record{start: at, end: at, flags: recSpan | recOpen}, cat, name, args))
 }
 
 // EndSpan closes a span at simulated instant at. Ending an unknown or
 // already-closed span is a no-op.
 func (t *Tracer) EndSpan(id SpanID, at sim.Time) {
-	if t == nil || id < 0 || int(id) >= len(t.spans) {
+	if t == nil || id < 0 || int(id) >= len(t.recs) {
 		return
 	}
-	sp := &t.spans[id]
-	if !sp.open {
+	r := &t.recs[id]
+	if r.flags&recOpen == 0 {
 		return
 	}
-	sp.open = false
-	if at > sp.Start {
-		sp.End = at
+	r.flags &^= recOpen
+	if at > r.start {
+		r.end = at
 	}
 }
 
@@ -173,12 +216,7 @@ func (t *Tracer) RecordSpan(start, end sim.Time, cat, name string, args ...KV) {
 	if end < start {
 		end = start
 	}
-	t.seq++
-	lp, lpSeq := t.stamp()
-	t.spans = append(t.spans, Span{
-		ID: SpanID(len(t.spans)), Cat: cat, Name: name,
-		Start: start, End: end, Args: args, seq: t.seq, lp: lp, lpSeq: lpSeq,
-	})
+	t.add(record{start: start, end: end, flags: recSpan}, cat, name, args)
 }
 
 // CloseOpenSpans ends every still-open span at the given instant —
@@ -188,10 +226,41 @@ func (t *Tracer) CloseOpenSpans(at sim.Time) {
 	if t == nil {
 		return
 	}
-	for i := range t.spans {
-		if t.spans[i].open {
-			t.EndSpan(SpanID(i), at)
+	for i := range t.recs {
+		t.EndSpan(SpanID(i), at)
+	}
+}
+
+// argIDs returns r's (key id, value id) pairs.
+func (t *Tracer) argIDs(r *record) []uint32 {
+	return t.args[r.argOff : r.argOff+2*uint32(r.nargs)]
+}
+
+// snapshot calls each for every record of one kind (recSpan or 0), in
+// record order, with its annotations rebuilt. All of their Args share
+// one backing array, allocated once.
+func (t *Tracer) snapshot(kind uint16, each func(i int, r *record, args []KV)) {
+	n := 0
+	for i := range t.recs {
+		if t.recs[i].flags&recSpan == kind {
+			n += int(t.recs[i].nargs)
 		}
+	}
+	kvs := make([]KV, n)
+	for i := range t.recs {
+		r := &t.recs[i]
+		if r.flags&recSpan != kind {
+			continue
+		}
+		var args []KV
+		if r.nargs > 0 {
+			args, kvs = kvs[:r.nargs:r.nargs], kvs[r.nargs:]
+			ids := t.argIDs(r)
+			for j := range args {
+				args[j] = KV{t.strs[ids[2*j]], t.strs[ids[2*j+1]]}
+			}
+		}
+		each(i, r, args)
 	}
 }
 
@@ -200,8 +269,11 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
+	out := make([]Span, 0, len(t.recs)-t.nevents)
+	t.snapshot(recSpan, func(i int, r *record, args []KV) {
+		out = append(out, Span{ID: SpanID(i), Cat: t.strs[r.cat], Name: t.strs[r.name],
+			Start: r.start, End: r.end, Args: args})
+	})
 	return out
 }
 
@@ -210,8 +282,10 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
+	out := make([]Event, 0, t.nevents)
+	t.snapshot(0, func(_ int, r *record, args []KV) {
+		out = append(out, Event{At: r.start, Cat: t.strs[r.cat], Name: t.strs[r.name], Args: args})
+	})
 	return out
 }
 
@@ -230,8 +304,9 @@ func (t *Tracer) CountEvents(cat, name string) int {
 		return 0
 	}
 	n := 0
-	for _, e := range t.events {
-		if (cat == "" || e.Cat == cat) && (name == "" || e.Name == name) {
+	for i := range t.recs {
+		r := &t.recs[i]
+		if r.flags&recSpan == 0 && (cat == "" || t.strs[r.cat] == cat) && (name == "" || t.strs[r.name] == name) {
 			n++
 		}
 	}
@@ -241,103 +316,61 @@ func (t *Tracer) CountEvents(cat, name string) int {
 // MergeTracers combines per-shard tracers into one, ordered by the
 // partition-independent key (time, emitting LP, per-LP emission
 // sequence) — the same merge the sharded kernel applies to mailbox
-// messages. Spans order by their start time. The inputs must have been
+// messages. A span's time is its start. The inputs must have been
 // stamped (SetStamper); within one LP the emission sequence is a total
 // order, so the merged stream is a pure function of the run,
-// independent of the shard count. The merged tracer carries fresh
-// interleave sequence numbers and span IDs; input tracers are left
-// untouched and the sum of their drop counts is preserved.
+// independent of the shard count. Records with equal keys keep their
+// input order. The merged tracer carries its own string table and span
+// IDs and no stamps; input tracers are left untouched and the sum of
+// their drop counts is preserved.
 func MergeTracers(parts ...*Tracer) *Tracer {
 	m := NewTracer()
 	m.max = 0 // inputs already enforced their caps
+	type entry struct {
+		r record
+		s stamp
+	}
+	n := 0
+	for _, p := range parts {
+		if p != nil {
+			n += len(p.recs)
+		}
+	}
+	all := make([]entry, 0, n)
 	for _, p := range parts {
 		if p == nil {
 			continue
 		}
-		m.spans = append(m.spans, p.spans...)
-		m.events = append(m.events, p.events...)
+		ids := make([]uint32, len(p.strs))
+		for i, s := range p.strs {
+			ids[i] = m.intern(s)
+		}
+		for i, r := range p.recs {
+			argOff := uint32(len(m.args))
+			for _, id := range p.argIDs(&r) {
+				m.args = append(m.args, ids[id])
+			}
+			r.cat, r.name, r.argOff = ids[r.cat], ids[r.name], argOff
+			var s stamp
+			if i < len(p.stamps) {
+				s = p.stamps[i]
+			}
+			all = append(all, entry{r, s})
+		}
+		m.nevents += p.nevents
 		m.dropped += p.dropped
 	}
-	sort.SliceStable(m.spans, func(i, j int) bool {
-		a, b := &m.spans[i], &m.spans[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.lp != b.lp {
-			return a.lp < b.lp
-		}
-		return a.lpSeq < b.lpSeq
+	slices.SortStableFunc(all, func(a, b entry) int {
+		return cmp.Or(cmp.Compare(a.r.start, b.r.start), cmp.Compare(a.s.lp, b.s.lp), cmp.Compare(a.s.seq, b.s.seq))
 	})
-	sort.SliceStable(m.events, func(i, j int) bool {
-		a, b := &m.events[i], &m.events[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.lp != b.lp {
-			return a.lp < b.lp
-		}
-		return a.lpSeq < b.lpSeq
-	})
-	// Re-sequence the interleave: a span at (t, lp, n) precedes an
-	// event at (t, lp, m) iff n < m; ties across LPs break low-LP
-	// first, events of the same position after spans (a span's begin
-	// stamp was drawn before any same-position event's).
-	si, ei := 0, 0
-	var seq uint64
-	spanFirst := func() bool {
-		if si >= len(m.spans) {
-			return false
-		}
-		if ei >= len(m.events) {
-			return true
-		}
-		sp, ev := &m.spans[si], &m.events[ei]
-		if sp.Start != ev.At {
-			return sp.Start < ev.At
-		}
-		if sp.lp != ev.lp {
-			return sp.lp < ev.lp
-		}
-		return sp.lpSeq < ev.lpSeq
+	m.recs = make([]record, len(all))
+	for i, e := range all {
+		m.recs[i] = e.r
 	}
-	for si < len(m.spans) || ei < len(m.events) {
-		seq++
-		if spanFirst() {
-			m.spans[si].seq = seq
-			m.spans[si].ID = SpanID(si)
-			si++
-		} else {
-			m.events[ei].seq = seq
-			ei++
-		}
-	}
-	m.seq = seq
 	return m
 }
 
 func micros(t sim.Time) int64 { return int64(t / sim.Microsecond) }
-
-// walk visits spans and events interleaved in record (seq) order, which
-// for a single-threaded simulation is chronological by begin time, and
-// stops at the first error. The order — and therefore every exported
-// byte — is a pure function of the run.
-func (t *Tracer) walk(span func(*Span) error, event func(*Event) error) error {
-	si, ei := 0, 0
-	for si < len(t.spans) || ei < len(t.events) {
-		var err error
-		if ei >= len(t.events) || (si < len(t.spans) && t.spans[si].seq < t.events[ei].seq) {
-			err = span(&t.spans[si])
-			si++
-		} else {
-			err = event(&t.events[ei])
-			ei++
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // WriteJSONL writes one JSON object per line, spans and events
 // interleaved in record order. A line holds "type" ("span" or "event"),
@@ -348,31 +381,28 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	e := newEnc(w)
-	head := func(typ, cat, name string, at sim.Time) {
-		e.raw(`{"type":"`)
-		e.raw(typ)
-		e.raw(`","cat":`)
-		e.str(cat)
+	js := encodeStrs(t.strs)
+	for i := range t.recs {
+		r := &t.recs[i]
+		if r.flags&recSpan != 0 {
+			e.raw(`{"type":"span","cat":`)
+		} else {
+			e.raw(`{"type":"event","cat":`)
+		}
+		e.id(js, r.cat)
 		e.raw(`,"name":`)
-		e.str(name)
+		e.id(js, r.name)
 		e.raw(`,"ts_us":`)
-		e.int(micros(at))
-	}
-	err := t.walk(func(sp *Span) error {
-		head("span", sp.Cat, sp.Name, sp.Start)
-		e.raw(`,"end_us":`)
-		e.int(micros(sp.End))
-		e.args(sp.Args)
+		e.int(micros(r.start))
+		if r.flags&recSpan != 0 {
+			e.raw(`,"end_us":`)
+			e.int(micros(r.end))
+		}
+		e.args(js, t.argIDs(r))
 		e.raw("}\n")
-		return e.endRecord()
-	}, func(ev *Event) error {
-		head("event", ev.Cat, ev.Name, ev.At)
-		e.args(ev.Args)
-		e.raw("}\n")
-		return e.endRecord()
-	})
-	if err != nil {
-		return err
+		if err := e.endRecord(); err != nil {
+			return err
+		}
 	}
 	return e.flush()
 }
@@ -390,44 +420,38 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	tid := t.tracks()
 	e := newEnc(w)
+	js := encodeStrs(t.strs)
 	e.raw("[\n")
-	n := 0
-	head := func(name, cat, ph string, at sim.Time) {
-		if n > 0 {
+	for i := range t.recs {
+		r := &t.recs[i]
+		if i > 0 {
 			e.raw(",\n")
 		}
-		n++
 		e.raw(`{"name":`)
-		e.str(name)
+		e.id(js, r.name)
 		e.raw(`,"cat":`)
-		e.str(cat)
-		e.raw(`,"ph":"`)
-		e.raw(ph)
-		e.raw(`","ts":`)
-		e.int(micros(at))
-	}
-	err := t.walk(func(sp *Span) error {
-		head(sp.Name, sp.Cat, "X", sp.Start)
-		e.raw(`,"dur":`)
-		e.int(micros(sp.End) - micros(sp.Start))
-		e.raw(`,"pid":1,"tid":`)
-		e.int(int64(tid[sp.Cat]))
-		e.args(sp.Args)
+		e.id(js, r.cat)
+		if r.flags&recSpan != 0 {
+			e.raw(`,"ph":"X","ts":`)
+			e.int(micros(r.start))
+			e.raw(`,"dur":`)
+			e.int(micros(r.end) - micros(r.start))
+			e.raw(`,"pid":1,"tid":`)
+			e.int(int64(tid[r.cat]))
+		} else {
+			e.raw(`,"ph":"i","ts":`)
+			e.int(micros(r.start))
+			e.raw(`,"pid":1,"tid":`)
+			e.int(int64(tid[r.cat]))
+			e.raw(`,"s":"t"`)
+		}
+		e.args(js, t.argIDs(r))
 		e.raw("}")
-		return e.endRecord()
-	}, func(ev *Event) error {
-		head(ev.Name, ev.Cat, "i", ev.At)
-		e.raw(`,"pid":1,"tid":`)
-		e.int(int64(tid[ev.Cat]))
-		e.raw(`,"s":"t"`)
-		e.args(ev.Args)
-		e.raw("}")
-		return e.endRecord()
-	})
-	if err != nil {
-		return err
+		if err := e.endRecord(); err != nil {
+			return err
+		}
 	}
-	if n > 0 {
+	if len(t.recs) > 0 {
 		e.raw("\n")
 	}
 	e.raw("]\n")
@@ -435,25 +459,19 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 }
 
 // tracks numbers the recorded categories from 1 in sorted order: each
-// category's Chrome track.
-func (t *Tracer) tracks() map[string]int {
-	tid := make(map[string]int)
-	var cats []string
-	add := func(cat string) {
-		if _, ok := tid[cat]; !ok {
-			tid[cat] = 0
-			cats = append(cats, cat)
+// category's Chrome track, indexed by string id.
+func (t *Tracer) tracks() []int {
+	tid := make([]int, len(t.strs))
+	var cats []uint32
+	for i := range t.recs {
+		if c := t.recs[i].cat; tid[c] == 0 {
+			tid[c] = -1 // seen; numbered below
+			cats = append(cats, c)
 		}
 	}
-	for i := range t.spans {
-		add(t.spans[i].Cat)
-	}
-	for i := range t.events {
-		add(t.events[i].Cat)
-	}
-	sort.Strings(cats)
-	for i, cat := range cats {
-		tid[cat] = i + 1
+	slices.SortFunc(cats, func(a, b uint32) int { return cmp.Compare(t.strs[a], t.strs[b]) })
+	for i, c := range cats {
+		tid[c] = i + 1
 	}
 	return tid
 }

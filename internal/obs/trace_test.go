@@ -6,8 +6,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ddosim/internal/sim"
 )
@@ -88,9 +90,99 @@ func TestTracerEventCap(t *testing.T) {
 		t.Errorf("dropped = %d, want 2", got)
 	}
 	// Spans are never capped.
-	if id := tr.BeginSpan(0, CatPhase, "deploy"); id != 0 {
-		t.Errorf("span id = %d, want 0", id)
+	id := tr.BeginSpan(0, CatPhase, "deploy")
+	tr.EndSpan(id, sim.Second)
+	if sp := tr.Spans(); len(sp) != 1 || sp[0].ID != id || sp[0].End != sim.Second {
+		t.Errorf("spans past the event cap = %+v, want one deploy span with id %d ending at 1s", sp, id)
 	}
+}
+
+// TestMergeTracers checks what the merge carries besides the order
+// FuzzTraceExport pins: event counts and drops, spans that are still
+// open, and the zero stamp of records made before a stamper was
+// installed.
+func TestMergeTracers(t *testing.T) {
+	stamper := func(lp uint32) func() (uint32, uint64) {
+		var seq uint64
+		return func() (uint32, uint64) { seq++; return lp, seq }
+	}
+	a := NewTracer()
+	a.SetMaxEvents(2)
+	a.Event(2*sim.Second, CatNet, "early") // unstamped: sorts first at 2s
+	a.SetStamper(stamper(1))
+	a.Event(sim.Second, CatNet, "stamped")
+	a.Event(sim.Second, CatNet, "capped")
+	b := NewTracer()
+	b.SetStamper(stamper(0))
+	b.Event(2*sim.Second, CatNet, "late")
+	b.BeginSpan(3*sim.Second, CatPhase, "attack")
+
+	m := MergeTracers(a, b)
+	var names []string
+	for _, ev := range m.Events() {
+		names = append(names, ev.Name)
+	}
+	if got := strings.Join(names, ","); got != "stamped,early,late" {
+		t.Errorf("merged events %s, want stamped,early,late", got)
+	}
+	if m.Dropped() != 1 || m.CountEvents(CatNet, "") != 3 {
+		t.Errorf("merged dropped %d, net events %d; want 1 and 3", m.Dropped(), m.CountEvents(CatNet, ""))
+	}
+	m.CloseOpenSpans(5 * sim.Second)
+	if sp := m.Spans(); len(sp) != 1 || sp[0].Name != "attack" || sp[0].End != 5*sim.Second {
+		t.Errorf("merged spans %+v, want the open attack span closed at 5s", sp)
+	}
+	if s := (&Obs{Trace: m}).Summarize(); s.TraceSpans != 1 || s.TraceEvents != 3 || s.TraceDropped != 1 {
+		t.Errorf("merged summary %+v, want 1 span, 3 events, 1 dropped", s)
+	}
+}
+
+// TestQueueDropEventAllocFree holds the drop path to its allocation
+// contract. Once a drop's strings are interned and the arenas have
+// grown, recording another drop allocates nothing, and the trace storage
+// holds no pointer for the garbage collector to scan.
+func TestQueueDropEventAllocFree(t *testing.T) {
+	tr := NewTracer()
+	tr.SetMaxEvents(0)
+	node := "router"
+	drop := func() {
+		tr.Event(sim.Second, CatNet, "queue-drop", KV{"node", node}, KV{"reason", "drop-tail"})
+	}
+	for i := 0; i < 10000; i++ {
+		drop()
+	}
+	if got := testing.AllocsPerRun(10000, drop); got > 0.01 {
+		t.Errorf("a queue drop averages %v allocations, want at most 0.01", got)
+	}
+	for _, v := range []any{record{}, stamp{}} {
+		if f := pointerField(reflect.TypeOf(v)); f != "" {
+			t.Errorf("%T holds a pointer in %s; the trace storage must be pointer-free", v, f)
+		}
+	}
+	if n := unsafe.Sizeof(record{}); n > 32 {
+		t.Errorf("record is %d bytes, want at most 32", n)
+	}
+}
+
+// pointerField names the first part of typ that holds a pointer, or
+// returns "" when typ is pointer-free.
+func pointerField(typ reflect.Type) string {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p := pointerField(f.Type); p != "" {
+				return f.Name + "." + p
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerField(typ.Elem())
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.Slice, reflect.String:
+		return typ.Kind().String()
+	}
+	return ""
 }
 
 func TestTracerNilSafe(t *testing.T) {
