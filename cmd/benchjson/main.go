@@ -44,8 +44,6 @@ func main() {
 type killChainRow struct {
 	Devs            int     `json:"devs"`
 	Seed            int64   `json:"seed"`
-	Queue           string  `json:"queue"`
-	Shards          int     `json:"shards"`
 	WallMS          float64 `json:"wall_ms"`
 	SimSeconds      float64 `json:"sim_seconds"`
 	EventsProcessed uint64  `json:"events_processed"`
@@ -62,7 +60,6 @@ type killChainRow struct {
 // event chain with no simulation payload.
 type schedRow struct {
 	Events         int     `json:"events"`
-	Queue          string  `json:"queue"`
 	WallMS         float64 `json:"wall_ms"`
 	EventsPerSec   float64 `json:"events_per_wall_sec"`
 	NSPerEvent     float64 `json:"ns_per_event"`
@@ -74,7 +71,6 @@ type schedRow struct {
 type floodRow struct {
 	Packets         int     `json:"packets"`
 	FlowsEnabled    bool    `json:"flows_enabled"`
-	Shards          int     `json:"shards"`
 	WallMS          float64 `json:"wall_ms"`
 	NSPerPacket     float64 `json:"ns_per_packet"`
 	AllocsPerPacket float64 `json:"allocs_per_packet"`
@@ -89,44 +85,32 @@ type suite struct {
 
 func run() error {
 	var (
-		outDir     = flag.String("out", ".", "directory to write BENCH_*.json into")
-		devsList   = flag.String("devs", "10,30,50", "comma-separated fleet sizes for the kill-chain suite")
-		seeds      = flag.Int("seeds", 1, "seeds per fleet size")
-		shardsList = flag.String("shards", "0,1,2,4,8", "comma-separated shard counts for the kill-chain scaling curve (0 = classic kernel)")
-		megaDevs   = flag.Int("mega-devs", 0, "when > 0, append one reduced-horizon kill-chain row at this fleet size per shard count (classic + max shards)")
+		outDir   = flag.String("out", ".", "directory to write BENCH_*.json into")
+		devsList = flag.String("devs", "10,30,50", "comma-separated fleet sizes for the kill-chain suite")
+		seeds    = flag.Int("seeds", 1, "seeds per fleet size")
+		megaDevs = flag.Int("mega-devs", 0, "when > 0, append one reduced-horizon kill-chain row at this fleet size")
 	)
 	flag.Parse()
 
-	parseInts := func(list, name string) ([]int, error) {
-		var out []int
-		for _, s := range strings.Split(list, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return nil, fmt.Errorf("bad -%s entry %q: %w", name, s, err)
-			}
-			out = append(out, n)
+	var devCounts []int
+	for _, s := range strings.Split(*devsList, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil {
+			return fmt.Errorf("bad -devs entry %q: %w", s, err)
 		}
-		return out, nil
-	}
-	devCounts, err := parseInts(*devsList, "devs")
-	if err != nil {
-		return err
-	}
-	shardCounts, err := parseInts(*shardsList, "shards")
-	if err != nil {
-		return err
+		devCounts = append(devCounts, n)
 	}
 
-	kill, err := benchKillChain(devCounts, *seeds, shardCounts)
+	kill, err := benchKillChain(devCounts, *seeds)
 	if err != nil {
 		return err
 	}
 	if *megaDevs > 0 {
-		mega, err := benchMegaKillChain(*megaDevs, shardCounts)
+		mega, err := benchMegaKillChain(*megaDevs)
 		if err != nil {
 			return err
 		}
-		kill = append(kill, mega...)
+		kill = append(kill, mega)
 	}
 	if err := writeSuite(*outDir, "BENCH_killchain.json", "killchain", kill); err != nil {
 		return err
@@ -136,14 +120,12 @@ func run() error {
 	}
 	// The flood suite writes its own before/after pair: _before pins
 	// the send path without flow accounting, the main file carries both
-	// variants (and the sharded mailbox path) so the overhead is a
-	// one-file diff.
-	off, on := benchFlood(false, 0), benchFlood(true, 0)
-	offSh, onSh := benchFlood(false, 2), benchFlood(true, 2)
+	// variants so the overhead is a one-file diff.
+	off, on := benchFlood(false), benchFlood(true)
 	if err := writeSuite(*outDir, "BENCH_flood_before.json", "flood", []floodRow{off}); err != nil {
 		return err
 	}
-	if err := writeSuite(*outDir, "BENCH_flood.json", "flood", []floodRow{off, on, offSh, onSh}); err != nil {
+	if err := writeSuite(*outDir, "BENCH_flood.json", "flood", []floodRow{off, on}); err != nil {
 		return err
 	}
 	// The lint suite analyzes the module's own source, so it only runs
@@ -246,13 +228,8 @@ func benchLint() (before, after []lintRow, err error) {
 // benchFlood measures the UDP flood send path — the hot loop behind
 // every attack experiment — with and without flow accounting. One
 // continuous src→dst stream, one padded datagram per 100 µs of sim
-// time, mirroring internal/netsim's BenchmarkUDPFloodPath. With
-// shards > 0 the same stream runs on the sharded kernel with src and
-// dst on different shards, so every datagram crosses the mailbox.
-func benchFlood(withFlows bool, shards int) floodRow {
-	if shards > 0 {
-		return benchFloodSharded(withFlows, shards)
-	}
+// time, mirroring internal/netsim's BenchmarkUDPFloodPath.
+func benchFlood(withFlows bool) floodRow {
 	const warmup, packets = 1_000, 200_000
 	sched := sim.NewScheduler(1)
 	w := netsim.New(sched)
@@ -306,81 +283,6 @@ func benchFlood(withFlows bool, shards int) floodRow {
 	return row
 }
 
-// benchFloodSharded is benchFlood on the sharded kernel: the sender is
-// a self-rescheduling event on src's shard (a ShardSet runs once, so
-// the stream is driven from inside the kernel rather than by stepping
-// the scheduler), and the router sits on dst's shard so the uplink hop
-// crosses shards. The whole run is timed; there is no separate warmup
-// segment, which washes out over 200k packets.
-func benchFloodSharded(withFlows bool, shards int) floodRow {
-	const packets = 200_000
-	const lookahead = sim.Millisecond // the link delay below
-	set := sim.NewShardSet(1, shards, lookahead, sim.QueueHeap)
-	w := netsim.New(set.CtlSched())
-	w.EnableSharding(set)
-
-	dstShard := 1 % shards
-	w.SetNextLP(set.NewLP(dstShard))
-	star := netsim.NewStar(w)
-	w.SetNextLP(set.NewLP(0))
-	src := star.AttachHost("src", 100*netsim.Mbps, lookahead, 64)
-	w.SetNextLP(set.NewLP(dstShard))
-	dst := star.AttachHost("dst", 100*netsim.Mbps, lookahead, 64)
-	var buf obs.FlowBuffer
-	if withFlows {
-		w.EnableFlows(netsim.FlowConfig{Sink: &buf})
-	}
-
-	var sock *netsim.UDPSocket
-	set.WithLP(dst.LP(), func() {
-		if _, err := dst.BindUDP(80, nil); err != nil {
-			panic(err)
-		}
-	})
-	set.WithLP(src.LP(), func() {
-		var err error
-		sock, err = src.BindUDP(0, nil)
-		if err != nil {
-			panic(err)
-		}
-		target := netip.AddrPortFrom(dst.Addr4(), 80)
-		sent := 0
-		var tick func()
-		tick = func() {
-			sock.SendPadded(target, nil, 512)
-			sent++
-			if sent < packets {
-				src.Sched().Schedule(100*sim.Microsecond, tick)
-			}
-		}
-		src.Sched().Schedule(0, tick)
-	})
-
-	start := time.Now()
-	mallocs0 := mallocCount()
-	// 100 µs per send, plus slack for the last packets to drain.
-	if err := set.Run(sim.Time(packets)*100*sim.Microsecond + sim.Second); err != nil {
-		panic(err)
-	}
-	mallocs := mallocCount() - mallocs0
-	wall := time.Since(start)
-
-	row := floodRow{
-		Packets:         packets,
-		FlowsEnabled:    withFlows,
-		Shards:          shards,
-		WallMS:          float64(wall.Microseconds()) / 1000,
-		NSPerPacket:     float64(wall.Nanoseconds()) / float64(packets),
-		AllocsPerPacket: float64(mallocs) / float64(packets),
-	}
-	if withFlows {
-		w.StopFlows()
-		w.FlushFlows(set.Now())
-		row.FlowsExported = w.FlowTableStatsTotal().Exported
-	}
-	return row
-}
-
 // runKillChain times one complete build-exploit-infect-flood-measure
 // cycle for a prepared config, reading the kernel cost breakdown from
 // the run's own profiler and the allocation rate from the runtime's
@@ -403,8 +305,6 @@ func runKillChain(cfg ddosim.Config) (killChainRow, error) {
 	row := killChainRow{
 		Devs:            cfg.NumDevs,
 		Seed:            cfg.Seed,
-		Queue:           string(cfg.SchedQueue),
-		Shards:          cfg.Shards,
 		WallMS:          float64(wall.Microseconds()) / 1000,
 		SimSeconds:      cfg.SimDuration.Seconds(),
 		EventsProcessed: sum.EventsDelivered,
@@ -423,80 +323,50 @@ func runKillChain(cfg ddosim.Config) (killChainRow, error) {
 	return row, nil
 }
 
-// benchKillChain sweeps the kill chain over (devs, seed, queue backend,
-// shard count). Shard count 0 is the classic single-queue kernel;
-// counts >= 1 run the sharded parallel kernel, whose artifacts are
-// byte-identical across the curve — only the wall-clock columns move.
-func benchKillChain(devCounts []int, seeds int, shardCounts []int) ([]killChainRow, error) {
+// benchKillChain sweeps the kill chain over (devs, seed).
+func benchKillChain(devCounts []int, seeds int) ([]killChainRow, error) {
 	var rows []killChainRow
 	for _, devs := range devCounts {
 		for seed := int64(1); seed <= int64(seeds); seed++ {
-			for _, queue := range []ddosim.QueueKind{ddosim.QueueHeap, ddosim.QueueCalendar} {
-				for _, shards := range shardCounts {
-					cfg := ddosim.DefaultConfig(devs)
-					cfg.Seed = seed
-					cfg.SchedQueue = queue
-					cfg.Shards = shards
-					cfg.SimDuration = 300 * ddosim.Second
-					cfg.AttackDuration = 30
-					cfg.RecruitTimeout = 60 * ddosim.Second
+			cfg := ddosim.DefaultConfig(devs)
+			cfg.Seed = seed
+			cfg.SimDuration = 300 * ddosim.Second
+			cfg.AttackDuration = 30
+			cfg.RecruitTimeout = 60 * ddosim.Second
 
-					row, err := runKillChain(cfg)
-					if err != nil {
-						return nil, err
-					}
-					rows = append(rows, row)
-				}
+			row, err := runKillChain(cfg)
+			if err != nil {
+				return nil, err
 			}
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
 }
 
 // benchMegaKillChain is the large-fleet variant: one reduced-horizon
-// run per kernel (classic, and the largest sharded count from the
-// curve) at fleets where the full 300 s horizon would take hours. The
+// run at fleets where the full 300 s horizon would take hours. The
 // horizon is cut to 60 s with a 30 s recruit timeout — the attack
 // order fires at the timeout regardless of recruitment progress, so
 // the row still exercises the complete kill chain — and the
 // time-series window is widened so windowed telemetry stays bounded.
-func benchMegaKillChain(devs int, shardCounts []int) ([]killChainRow, error) {
-	maxShards := 0
-	for _, s := range shardCounts {
-		if s > maxShards {
-			maxShards = s
-		}
+func benchMegaKillChain(devs int) (killChainRow, error) {
+	cfg := ddosim.DefaultConfig(devs)
+	cfg.Seed = 1
+	cfg.SimDuration = 60 * ddosim.Second
+	cfg.AttackDuration = 10
+	cfg.RecruitTimeout = 30 * ddosim.Second
+	cfg.WindowSize = 5 * ddosim.Second
+	if devs >= 100_000 {
+		// Event volume is ~devs × horizon; at these fleets the 60 s
+		// horizon costs hours on one core. 20 s still covers boot,
+		// recruit-timeout attack order, and a 5 s flood window.
+		cfg.SimDuration = 20 * ddosim.Second
+		cfg.RecruitTimeout = 10 * ddosim.Second
+		cfg.AttackDuration = 5
+		cfg.WindowSize = 10 * ddosim.Second
 	}
-	kernels := []int{0}
-	if maxShards > 0 {
-		kernels = append(kernels, maxShards)
-	}
-	var rows []killChainRow
-	for _, shards := range kernels {
-		cfg := ddosim.DefaultConfig(devs)
-		cfg.Seed = 1
-		cfg.Shards = shards
-		cfg.SimDuration = 60 * ddosim.Second
-		cfg.AttackDuration = 10
-		cfg.RecruitTimeout = 30 * ddosim.Second
-		cfg.WindowSize = 5 * ddosim.Second
-		if devs >= 100_000 {
-			// Event volume is ~devs × horizon; at these fleets the 60 s
-			// horizon costs hours on one core. 20 s still covers boot,
-			// recruit-timeout attack order, and a 5 s flood window.
-			cfg.SimDuration = 20 * ddosim.Second
-			cfg.RecruitTimeout = 10 * ddosim.Second
-			cfg.AttackDuration = 5
-			cfg.WindowSize = 10 * ddosim.Second
-		}
-
-		row, err := runKillChain(cfg)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return runKillChain(cfg)
 }
 
 // mallocCount reads the runtime's cumulative heap-allocation counter.
@@ -512,36 +382,33 @@ func mallocCount() uint64 {
 func benchScheduler() []schedRow {
 	var rows []schedRow
 	for _, events := range []int{100_000, 1_000_000} {
-		for _, queue := range []sim.QueueKind{sim.QueueHeap, sim.QueueCalendar} {
-			sched := sim.NewSchedulerQueue(1, queue)
-			left := events
-			var tick func()
-			tick = func() {
-				left--
-				if left > 0 {
-					sched.Schedule(sim.Microsecond, tick)
-				}
+		sched := sim.NewScheduler(1)
+		left := events
+		var tick func()
+		tick = func() {
+			left--
+			if left > 0 {
+				sched.Schedule(sim.Microsecond, tick)
 			}
-			sched.Schedule(0, tick)
-			start := time.Now()
-			mallocs0 := mallocCount()
-			if err := sched.RunAll(); err != nil {
-				continue
-			}
-			mallocs := mallocCount() - mallocs0
-			wall := time.Since(start)
-			row := schedRow{
-				Events:         events,
-				Queue:          string(queue),
-				WallMS:         float64(wall.Microseconds()) / 1000,
-				AllocsPerEvent: float64(mallocs) / float64(events),
-			}
-			if secs := wall.Seconds(); secs > 0 {
-				row.EventsPerSec = float64(events) / secs
-				row.NSPerEvent = float64(wall.Nanoseconds()) / float64(events)
-			}
-			rows = append(rows, row)
 		}
+		sched.Schedule(0, tick)
+		start := time.Now()
+		mallocs0 := mallocCount()
+		if err := sched.RunAll(); err != nil {
+			continue
+		}
+		mallocs := mallocCount() - mallocs0
+		wall := time.Since(start)
+		row := schedRow{
+			Events:         events,
+			WallMS:         float64(wall.Microseconds()) / 1000,
+			AllocsPerEvent: float64(mallocs) / float64(events),
+		}
+		if secs := wall.Seconds(); secs > 0 {
+			row.EventsPerSec = float64(events) / secs
+			row.NSPerEvent = float64(wall.Nanoseconds()) / float64(events)
+		}
+		rows = append(rows, row)
 	}
 	return rows
 }

@@ -55,21 +55,6 @@ type ChurnMode = churn.Mode
 // Time is a point or span of simulated time in nanoseconds.
 type Time = sim.Time
 
-// QueueKind selects the event-queue backend for Config.SchedQueue.
-// Backends are byte-identical on the same seed; the choice only
-// affects speed. Config.Shards (>= 1) similarly selects the sharded
-// parallel kernel — one logical-process shard per scheduler, conservative
-// lookahead synchronization — whose artifacts are byte-identical across
-// shard counts for the same seed; 0 keeps the classic single-queue
-// kernel and its legacy artifact family.
-type QueueKind = sim.QueueKind
-
-// Event-queue backends, mirroring NS-3's scheduler family.
-const (
-	QueueHeap     = sim.QueueHeap
-	QueueCalendar = sim.QueueCalendar
-)
-
 // DataRate is a link rate in bits per second.
 type DataRate = netsim.DataRate
 
@@ -171,10 +156,6 @@ func Run(cfg Config) (*Results, error) {
 // ParseChurnMode converts a CLI string (none|static|dynamic) into a
 // ChurnMode.
 func ParseChurnMode(s string) (ChurnMode, error) { return churn.ParseMode(s) }
-
-// ParseQueueKind converts a CLI string (heap|calendar; empty means
-// heap) into a QueueKind.
-func ParseQueueKind(s string) (QueueKind, error) { return sim.ParseQueueKind(s) }
 
 // ParseFaultSpec converts a CLI fault specification — semicolon-
 // separated clauses like "flap:period=60s,down=5s;loss:rate=0.9" or

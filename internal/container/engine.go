@@ -37,9 +37,9 @@ type Engine struct {
 	factories  map[string]BehaviorFactory
 
 	stats EngineStats
-	// procsSpawned is kept apart from stats and updated atomically:
-	// spawns happen on shard workers (loader infections, daemon
-	// respawns) concurrently under the sharded kernel.
+	// procsSpawned is kept apart from stats and updated atomically,
+	// so a reader on another goroutine may load it while a run is in
+	// progress.
 	procsSpawned atomic.Int64
 
 	ctrShellExecs *obs.Counter

@@ -71,10 +71,7 @@ func (p *Process) Container() *Container { return p.container }
 func (p *Process) Node() *netsim.Node { return p.container.node }
 
 // Sched reports the scheduler driving this process — the container's
-// network attachment's scheduler. In a single-scheduler run this is
-// the engine scheduler; under the sharded kernel it is the shard the
-// container's node lives on, which keeps every timer and callback a
-// process registers on its own partition.
+// network attachment's scheduler.
 func (p *Process) Sched() *sim.Scheduler { return p.container.node.Sched() }
 
 // RNG reports the deterministic random source.

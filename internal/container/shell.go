@@ -54,8 +54,7 @@ func (c *Container) runShellDepth(script string, onDone func(error), depth int) 
 		return
 	}
 	// Begin asynchronously so callers never observe re-entrant
-	// completion. Scheduled on the container's own node scheduler so a
-	// script started by a Dev-side exploit stays on the Dev's shard.
+	// completion.
 	c.node.Sched().ScheduleSrc(0, "container.shell", job.step)
 }
 

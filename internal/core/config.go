@@ -182,24 +182,6 @@ type Config struct {
 	// produces the paper's Fig. 2 churn gap.
 	CNCReplayAttack bool
 
-	// Shards selects the parallel event kernel: 0 (default) runs the
-	// classic single-scheduler path, byte-identical to every earlier
-	// release; N >= 1 partitions the topology into N logical-process
-	// shards synchronized conservatively with the link propagation
-	// delay as lookahead. Within the sharded family the artifacts are
-	// byte-identical for any shard count — partitioning is a pure
-	// performance knob — but the family differs from the Shards=0
-	// artifacts (see DESIGN.md §6g for why the two schedules cannot
-	// coincide).
-	Shards int
-
-	// SchedQueue selects the event-queue backend (sim.QueueHeap or
-	// sim.QueueCalendar, mirroring NS-3's scheduler family). Empty
-	// selects the heap. Backends are observationally identical — the
-	// same seed yields byte-identical artifacts on either — so this is
-	// purely a performance knob.
-	SchedQueue sim.QueueKind
-
 	// FlowActiveTimeout and FlowIdleTimeout tune the NetFlow-style
 	// flow exporter: a flow is checkpointed after ActiveTimeout of
 	// continuous activity and closed after IdleTimeout of silence.
@@ -271,12 +253,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: CanaryFraction %v outside [0,1]", c.CanaryFraction)
 	case c.AttackMethod != "" && !mirai.KnownMethod(c.AttackMethod):
 		return fmt.Errorf("core: unknown attack method %q", c.AttackMethod)
-	case c.SchedQueue != "" && c.SchedQueue != sim.QueueHeap && c.SchedQueue != sim.QueueCalendar:
-		return fmt.Errorf("core: unknown scheduler queue %q", c.SchedQueue)
 	case c.FlowActiveTimeout < 0 || c.FlowIdleTimeout < 0 || c.WindowSize < 0:
 		return fmt.Errorf("core: negative telemetry interval")
-	case c.Shards < 0:
-		return fmt.Errorf("core: Shards must be non-negative, got %d", c.Shards)
 	case c.Botnet != "" && c.Botnet != BotnetMirai && c.Botnet != BotnetP2P:
 		return fmt.Errorf("core: unknown botnet family %q (mirai|p2p)", c.Botnet)
 	case c.CommandWave < 0 || c.P2PPollPeriod < 0:
@@ -285,17 +263,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: p2p botnet supports only the memory-error vector (no scanner module)")
 	case c.Botnet == BotnetP2P && c.CommandWave > 0:
 		return fmt.Errorf("core: CommandWave is a mirai knob; p2p republishes records instead")
-	}
-	if c.Shards > 0 {
-		// The shard kernel uses LinkDelay as the conservative lookahead;
-		// the flow sweeper runs every second and must land on epoch
-		// barriers.
-		if c.LinkDelay <= 0 {
-			return fmt.Errorf("core: Shards=%d needs a positive LinkDelay lookahead", c.Shards)
-		}
-		if sim.Second%c.LinkDelay != 0 {
-			return fmt.Errorf("core: Shards=%d needs LinkDelay dividing 1s (flow-sweep alignment), got %v", c.Shards, c.LinkDelay)
-		}
 	}
 	if c.Vector == VectorCredentials && c.NumDevs > 200 {
 		// Scanners sweep 10.0.0.0/24; the paper's fleets stay within

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"io"
 	"testing"
 
@@ -52,25 +51,14 @@ func (a artifacts) equal(t *testing.T, b artifacts, what string) {
 // replaced with a deterministic counter so the report's observability
 // summary is seed-determined too.
 func runOnce(t *testing.T, seed int64) artifacts {
-	return runOnceQueue(t, seed, "")
+	return runOnceFaults(t, seed, faults.Config{})
 }
 
-func runOnceQueue(t *testing.T, seed int64, queue sim.QueueKind) artifacts {
-	return runOnceFaults(t, seed, queue, faults.Config{})
-}
-
-func runOnceFaults(t *testing.T, seed int64, queue sim.QueueKind, fc faults.Config) artifacts {
-	return runOnceShards(t, seed, queue, 0, fc)
-}
-
-// runOnceShards is the fully parameterized scenario driver: queue
-// backend, shard count (0 = classic kernel), and fault scenario.
-func runOnceShards(t *testing.T, seed int64, queue sim.QueueKind, shards int, fc faults.Config) artifacts {
+// runOnceFaults is runOnce under a fault scenario.
+func runOnceFaults(t *testing.T, seed int64, fc faults.Config) artifacts {
 	t.Helper()
 	cfg := core.DefaultConfig(10)
 	cfg.Seed = seed
-	cfg.SchedQueue = queue
-	cfg.Shards = shards
 	cfg.Churn = churn.Dynamic
 	cfg.SimDuration = 300 * sim.Second
 	cfg.AttackDuration = 30
@@ -119,6 +107,28 @@ func runCfg(t *testing.T, cfg core.Config) (artifacts, *core.Simulation, *core.R
 	return out, s, r
 }
 
+// goldenHashes holds the SHA-256 of each artifact of one pinned run.
+type goldenHashes struct{ rep, jsonl, chrome, flows, ts string }
+
+// matchGolden reports every artifact whose hash differs from want.
+func (a artifacts) matchGolden(t *testing.T, what string, want goldenHashes) {
+	t.Helper()
+	for _, g := range []struct {
+		name, want string
+		got        []byte
+	}{
+		{"report JSON", want.rep, a.rep},
+		{"trace JSONL", want.jsonl, a.jsonl},
+		{"Chrome trace", want.chrome, a.chrome},
+		{"flow CSV", want.flows, a.flows},
+		{"time-series CSV", want.ts, a.ts},
+	} {
+		if got := sha256Hex(g.got); got != g.want {
+			t.Errorf("%s: %s hash = %s, want %s", what, g.name, got, g.want)
+		}
+	}
+}
+
 // TestSameSeedByteIdenticalArtifacts is the executable form of the
 // invariant simlint's analyzers guard statically: two runs with the
 // same seed must serialize byte-identical report JSON and trace
@@ -140,64 +150,6 @@ func TestSameSeedByteIdenticalArtifacts(t *testing.T) {
 	}
 }
 
-// TestQueueBackendsByteIdenticalArtifacts pins the scheduler-backend
-// contract: the heap and calendar queues implement the same (time, seq)
-// total order, so swapping them must not move a single byte in any
-// exported artifact. This is what makes SchedQueue a pure performance
-// knob.
-func TestQueueBackendsByteIdenticalArtifacts(t *testing.T) {
-	aH := runOnceQueue(t, 1234, sim.QueueHeap)
-	aC := runOnceQueue(t, 1234, sim.QueueCalendar)
-	aH.equal(t, aC, "heap vs calendar")
-
-	// The same contract must hold inside the sharded family: per-shard
-	// schedulers on different backends, any shard count, same bytes.
-	for _, n := range []int{1, 4} {
-		sH := runOnceShards(t, 1234, sim.QueueHeap, n, faults.Config{})
-		sC := runOnceShards(t, 1234, sim.QueueCalendar, n, faults.Config{})
-		sH.equal(t, sC, fmt.Sprintf("heap vs calendar, %d shards", n))
-	}
-}
-
-// TestShardCountInvariantArtifacts is the sharded kernel's core
-// determinism claim: within the sharded family, the shard count is a
-// pure deployment knob — every exported artifact (report, both trace
-// exports, flow CSV, time-series CSV) is byte-identical at S=1, 2, 4,
-// and 8 for the same seed. Per-LP RNG streams, the uniform mailbox
-// path, and the (At, SrcLP, SrcSeq) merge order are what make this
-// hold; any leak of shard topology into event order lands here as a
-// byte diff.
-func TestShardCountInvariantArtifacts(t *testing.T) {
-	base := runOnceShards(t, 1234, "", 1, faults.Config{})
-	for _, n := range []int{2, 4, 8} {
-		a := runOnceShards(t, 1234, "", n, faults.Config{})
-		base.equal(t, a, fmt.Sprintf("shards=1 vs shards=%d", n))
-	}
-
-	// Same-seed reproducibility within one shard count (goroutine
-	// scheduling must not be observable), and seed sensitivity.
-	again := runOnceShards(t, 1234, "", 4, faults.Config{})
-	base.equal(t, again, "shards=4 repeat")
-	other := runOnceShards(t, 99, "", 4, faults.Config{})
-	if bytes.Equal(base.rep, other.rep) {
-		t.Error("different seeds produced identical sharded report JSON; scenario is not seed-sensitive")
-	}
-}
-
-// TestShardCountInvariantUnderFaults drives the harsh fault scenario
-// through the sharded kernel: the injector's barrier-context mutations
-// (link flaps, loss bursts, degradation, process crashes, C&C and sink
-// outages) must leave artifacts byte-identical across shard counts.
-func TestShardCountInvariantUnderFaults(t *testing.T) {
-	fc := faults.AtIntensity(0.8)
-	a1 := runOnceShards(t, 1234, "", 1, fc)
-	a4 := runOnceShards(t, 1234, "", 4, fc)
-	a1.equal(t, a4, "fault scenario, shards=1 vs shards=4")
-	if !bytes.Contains(a1.rep, []byte(`"faults"`)) {
-		t.Error("sharded fault scenario left no stats in the report")
-	}
-}
-
 // TestFaultFreeArtifactsMatchPrePRGolden pins the zero-cost guarantee
 // of the fault-injection subsystem: with a zero Faults config, every
 // artifact of the runOnce scenario is byte-identical across commits.
@@ -207,28 +159,13 @@ func TestShardCountInvariantUnderFaults(t *testing.T) {
 // bytes, re-capture the hashes — but a diff caused by a faults-related
 // change means the zero-value path is no longer free.
 func TestFaultFreeArtifactsMatchPrePRGolden(t *testing.T) {
-	const (
-		goldenReport = "bfd35824d86665d66a2145b6052faef9c8833758048903ecea465807b2415a88"
-		goldenJSONL  = "63dfc99c88bce61e51a4a581ced89300e09bf0d2375d66542737a950586ee8fa"
-		goldenChrome = "9c795ed86b9d15cf7b320a8ec225b19648f5e7c0005981f8eb4f9e2c8e009f8a"
-		goldenFlows  = "13cffc1ccdc455f2ec8b12ca56fd588684f5153b82e273c457192c0c3dc55097"
-		goldenTS     = "1c32e115904f53dafff0228742b7945e99f4f41ef1b06541762a29653fb9161f"
-	)
-	a := runOnce(t, 1234)
-	for _, g := range []struct {
-		name, want string
-		got        []byte
-	}{
-		{"report JSON", goldenReport, a.rep},
-		{"trace JSONL", goldenJSONL, a.jsonl},
-		{"Chrome trace", goldenChrome, a.chrome},
-		{"flow CSV", goldenFlows, a.flows},
-		{"time-series CSV", goldenTS, a.ts},
-	} {
-		if got := sha256Hex(g.got); got != g.want {
-			t.Errorf("%s hash = %s, want %s", g.name, got, g.want)
-		}
-	}
+	runOnce(t, 1234).matchGolden(t, "fault-free", goldenHashes{
+		rep:    "bfd35824d86665d66a2145b6052faef9c8833758048903ecea465807b2415a88",
+		jsonl:  "63dfc99c88bce61e51a4a581ced89300e09bf0d2375d66542737a950586ee8fa",
+		chrome: "9c795ed86b9d15cf7b320a8ec225b19648f5e7c0005981f8eb4f9e2c8e009f8a",
+		flows:  "13cffc1ccdc455f2ec8b12ca56fd588684f5153b82e273c457192c0c3dc55097",
+		ts:     "1c32e115904f53dafff0228742b7945e99f4f41ef1b06541762a29653fb9161f",
+	})
 }
 
 // runCongested drives the trace's heavy paths on a small fleet. The
@@ -236,11 +173,10 @@ func TestFaultFreeArtifactsMatchPrePRGolden(t *testing.T) {
 // every drop records an annotated queue-drop event. Faults at intensity
 // 0.6 add fault events and fault spans opened with BeginSpan and closed
 // by EndSpan or, at the horizon, CloseOpenSpans.
-func runCongested(t *testing.T, shards int) artifacts {
+func runCongested(t *testing.T) artifacts {
 	t.Helper()
 	cfg := core.DefaultConfig(10)
 	cfg.Seed = 1234
-	cfg.Shards = shards
 	cfg.TServerDownlink = 1 * netsim.Mbps
 	cfg.SimDuration = 150 * sim.Second
 	cfg.AttackDuration = 30
@@ -250,37 +186,28 @@ func runCongested(t *testing.T, shards int) artifacts {
 	return a
 }
 
-// TestCongestedFaultTraceMatchesGolden pins the trace bytes of the
-// paths the fault-free golden scenario never takes: thousands of
-// annotated queue drops, fault spans ended explicitly and at the
-// horizon, and, at Shards: 2, the merge of the per-shard trace buffers.
+// TestCongestedFaultTraceMatchesGolden pins the bytes of the paths the
+// fault-free golden scenario never takes: thousands of annotated queue
+// drops, fault spans ended explicitly and at the horizon, and the
+// report, flow and time-series records of a congested, faulted run.
 func TestCongestedFaultTraceMatchesGolden(t *testing.T) {
-	for _, g := range []struct {
-		shards        int
-		jsonl, chrome string
-	}{
-		{0, "000170253b55f963cc7863bcbd1b480c0d8dbd6fb930f80327453de87c0c4d38",
-			"32be16253c422762b183385c5a40ac7202f7465c96e9696782c9fcf2acb27df1"},
-		{2, "aa079a04607cdfc600c9357dde9731ccae6886f393a8953881d439fa9215fc63",
-			"00f6da86515928ee6dee5581f23eb1a5901287240d993320df4cdb03c24a1aae"},
+	a := runCongested(t)
+	for _, want := range []string{
+		`{"type":"event","cat":"net","name":"queue-drop"`,
+		`{"type":"span","cat":"fault"`,
+		`{"type":"event","cat":"fault"`,
 	} {
-		a := runCongested(t, g.shards)
-		for _, want := range []string{
-			`{"type":"event","cat":"net","name":"queue-drop"`,
-			`{"type":"span","cat":"fault"`,
-			`{"type":"event","cat":"fault"`,
-		} {
-			if !bytes.Contains(a.jsonl, []byte(want)) {
-				t.Errorf("shards=%d: trace holds no %s record; the scenario no longer covers it", g.shards, want)
-			}
-		}
-		if got := sha256Hex(a.jsonl); got != g.jsonl {
-			t.Errorf("shards=%d: trace JSONL hash = %s, want %s", g.shards, got, g.jsonl)
-		}
-		if got := sha256Hex(a.chrome); got != g.chrome {
-			t.Errorf("shards=%d: Chrome trace hash = %s, want %s", g.shards, got, g.chrome)
+		if !bytes.Contains(a.jsonl, []byte(want)) {
+			t.Errorf("trace holds no %s record; the scenario no longer covers it", want)
 		}
 	}
+	a.matchGolden(t, "congested faults", goldenHashes{
+		rep:    "5e141d935580c21b7e6643721dc6678d6f726d2da033427a3f726ff59ec8bac0",
+		jsonl:  "000170253b55f963cc7863bcbd1b480c0d8dbd6fb930f80327453de87c0c4d38",
+		chrome: "32be16253c422762b183385c5a40ac7202f7465c96e9696782c9fcf2acb27df1",
+		flows:  "a07eadae23b3023272cb3373fc49713ca2943ab2d58db3d89a09215929acd096",
+		ts:     "4145f39ee79e2141dbdd0a76c8eef2a3d5089743d922fcb07e8f47d5fb465774",
+	})
 }
 
 func sha256Hex(b []byte) string {
@@ -294,8 +221,8 @@ func sha256Hex(b []byte) string {
 // serialize byte-identically — and the scenario must actually inject.
 func TestFaultScenarioByteIdenticalArtifacts(t *testing.T) {
 	fc := faults.AtIntensity(0.8)
-	a1 := runOnceFaults(t, 1234, "", fc)
-	a2 := runOnceFaults(t, 1234, "", fc)
+	a1 := runOnceFaults(t, 1234, fc)
+	a2 := runOnceFaults(t, 1234, fc)
 	a1.equal(t, a2, "same-seed fault runs")
 
 	if !bytes.Contains(a1.rep, []byte(`"faults"`)) {

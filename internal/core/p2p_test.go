@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"ddosim/internal/churn"
@@ -14,10 +13,9 @@ import (
 // p2pConfig is the shared scenario for the P2P-family tests: a small
 // fleet recruited over the memory-error vector that joins the Kademlia
 // overlay and pulls the attack order from signed records.
-func p2pConfig(seed int64, shards int) core.Config {
+func p2pConfig(seed int64) core.Config {
 	cfg := core.DefaultConfig(10)
 	cfg.Seed = seed
-	cfg.Shards = shards
 	cfg.Botnet = core.BotnetP2P
 	cfg.Churn = churn.Dynamic
 	cfg.SimDuration = 300 * sim.Second
@@ -32,7 +30,7 @@ func p2pConfig(seed int64, shards int) core.Config {
 // checks the family-specific surfaces (no C&C, seeder census, DHT
 // control traffic labeled apart from the attack traffic).
 func TestP2PRunEndToEnd(t *testing.T) {
-	a, s, r := runCfg(t, p2pConfig(1, 0))
+	a, s, r := runCfg(t, p2pConfig(1))
 
 	if s.CNC() != nil {
 		t.Error("p2p run built a centralized C&C")
@@ -73,26 +71,34 @@ func TestP2PRunEndToEnd(t *testing.T) {
 // iteration must keep same-seed runs byte-identical, and the overlay
 // must actually be seed-sensitive.
 func TestP2PSameSeedByteIdenticalArtifacts(t *testing.T) {
-	a1, _, _ := runCfg(t, p2pConfig(1234, 0))
-	a2, _, _ := runCfg(t, p2pConfig(1234, 0))
+	a1, _, _ := runCfg(t, p2pConfig(1234))
+	a2, _, _ := runCfg(t, p2pConfig(1234))
 	a1.equal(t, a2, "same-seed p2p runs")
 
-	a3, _, _ := runCfg(t, p2pConfig(99, 0))
+	a3, _, _ := runCfg(t, p2pConfig(99))
 	if bytes.Equal(a1.rep, a3.rep) {
 		t.Error("different seeds produced identical p2p report JSON")
 	}
 }
 
-// TestP2PShardCountInvariantArtifacts pins the sharded-kernel claim
-// for the new family: DHT lookups, record polls, and replica pushes
-// all cross shards as ordinary wire traffic, so the shard count stays
-// a pure deployment knob.
-func TestP2PShardCountInvariantArtifacts(t *testing.T) {
-	base, _, _ := runCfg(t, p2pConfig(1234, 1))
-	for _, n := range []int{2, 4} {
-		a, _, _ := runCfg(t, p2pConfig(1234, n))
-		base.equal(t, a, fmt.Sprintf("p2p shards=1 vs shards=%d", n))
+// TestP2PFaultArtifactsMatchGolden pins every artifact of the p2p
+// family under dynamic churn and a half-strength fault scenario: the
+// seeder, the overlay's churn, and the fault injector's process
+// crashes and respawns all feed the hashed bytes.
+func TestP2PFaultArtifactsMatchGolden(t *testing.T) {
+	cfg := p2pConfig(1234)
+	cfg.Faults = faults.AtIntensity(0.5)
+	a, _, r := runCfg(t, cfg)
+	if r.Faults == nil || r.Faults.ProcCrashes == 0 || r.Faults.ProcRestarts == 0 {
+		t.Errorf("fault stats %+v; the scenario no longer crashes and respawns processes", r.Faults)
 	}
+	a.matchGolden(t, "p2p faults", goldenHashes{
+		rep:    "201e4a06e4dca358be566fb0640684c9fcd306305d0375db95103433cfa13e68",
+		jsonl:  "7f8870c80cf5e4be16e763a7bb17b9c13ade0f6b95a5c27384dcfe4227a8507f",
+		chrome: "eb5e27340ae22e640285d40d8b39cf4f523d86c36957a43daafe648fcd74817c",
+		flows:  "ef4e6d0575fdfee232acd46cfaa3e5a0d272308b4564a44b46d318e857d5080c",
+		ts:     "3f885b30c78233a30d7a8c96142e9350bebee9970405d593bae1f74b4d26b5f9",
+	})
 }
 
 // TestP2PTakedownContrast is the executable form of the family
@@ -146,7 +152,7 @@ func TestP2PTakedownContrast(t *testing.T) {
 		t.Errorf("takedown did not fire exactly once: %+v", mr.Faults)
 	}
 
-	pcfg := p2pConfig(1, 0)
+	pcfg := p2pConfig(1)
 	pcfg.Churn = churn.None
 	pcfg.AttackDuration = 60
 	pcfg.Faults = fc

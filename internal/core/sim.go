@@ -64,14 +64,8 @@ func (d *Dev) Rate() netsim.DataRate { return d.rate }
 
 // Simulation is one fully-built DDoSim instance.
 type Simulation struct {
-	cfg   Config
-	sched *sim.Scheduler
-	// set is the sharded parallel kernel (nil on the classic
-	// single-scheduler path). When present, sched is its control-plane
-	// scheduler: everything core schedules directly — churn, faults,
-	// the recruitment watcher, window sampling — runs at epoch barriers
-	// with the shard workers parked.
-	set      *sim.ShardSet
+	cfg      Config
+	sched    *sim.Scheduler
 	net      *netsim.Network
 	star     *netsim.Star
 	engine   *container.Engine
@@ -134,40 +128,10 @@ func New(cfg Config) (*Simulation, error) {
 		infectedDevs:   make(map[string]bool),
 		registeredEver: make(map[netip.Addr]bool),
 	}
-	if cfg.Shards > 0 {
-		s.set = sim.NewShardSet(cfg.Seed, cfg.Shards, cfg.LinkDelay, cfg.SchedQueue)
-		s.sched = s.set.CtlSched()
-		// The scheduler profiler hook stays off: a per-event callback
-		// into one shared profiler would race across shard workers.
-		// The main tracer instead stamps every record with its logical
-		// process and emission sequence so assemble() can merge the
-		// per-shard buffers into one deterministic stream.
-		ctl := s.set.CtlLP()
-		s.obs.Trace.SetStamper(func() (uint32, uint64) {
-			if lp := s.set.CtlSched().CurLP(); lp != nil {
-				return lp.Idx(), lp.NextEmit()
-			}
-			if lp := s.set.Shard(0).Sched().CurLP(); lp != nil {
-				return lp.Idx(), lp.NextEmit()
-			}
-			// Setup/assemble code outside any event, and control events
-			// scheduled without an owner: attribute to the control LP.
-			return ctl.Idx(), ctl.NextEmit()
-		})
-	} else {
-		s.sched = sim.NewSchedulerQueue(cfg.Seed, cfg.SchedQueue)
-		s.sched.SetHook(s.obs.SchedulerHook())
-	}
+	s.sched = sim.NewScheduler(cfg.Seed)
+	s.sched.SetHook(s.obs.SchedulerHook())
 	s.net = netsim.New(s.sched)
-	if s.set != nil {
-		s.net.EnableSharding(s.set)
-	}
 	s.net.Observe(s.obs)
-	// The hub entities — star router, TServer, attacker — live on shard
-	// 0; Devs spread over the remaining shards (all on 0 when there is
-	// only one). LP allocation order is fixed regardless of the shard
-	// count: the merge order of cross-shard messages keys on it.
-	s.primeLP(0)
 	s.star = netsim.NewStar(s.net)
 	s.engine = container.NewEngine(s.sched, s.star)
 	s.engine.Observe(s.obs)
@@ -210,102 +174,16 @@ func New(cfg Config) (*Simulation, error) {
 	return s, nil
 }
 
-// primeLP allocates a logical process on the given shard and primes
-// the network to bind the next created node to it. Returns nil on the
-// classic path.
-func (s *Simulation) primeLP(shard int) *sim.LP {
-	if s.set == nil {
-		return nil
-	}
-	lp := s.set.NewLP(shard)
-	s.net.SetNextLP(lp)
-	return lp
-}
-
-// devShardFor spreads the fleet over the non-hub shards (the hub —
-// router, TServer, attacker — keeps shard 0 to itself when it can).
-func (s *Simulation) devShardFor(i int) int {
-	if s.set == nil {
-		return 0
-	}
-	n := s.set.NumShards()
-	if n == 1 {
-		return 0
-	}
-	return 1 + i%(n-1)
-}
-
-// atkLP is the attacker hub's logical process (nil on the classic
-// path).
-func (s *Simulation) atkLP() *sim.LP {
-	if s.set == nil {
-		return nil
-	}
-	return s.attacker.Container.Node().LP()
-}
-
-// devLP is the logical process a Dev's node lives on (nil on the
-// classic path).
-func (s *Simulation) devLP(d *Dev) *sim.LP {
-	if s.set == nil {
-		return nil
-	}
-	return d.container.Node().LP()
-}
-
-// withLP runs fn attributed to lp — events it schedules and random
-// draws it makes belong to lp's stream — or plainly on the classic
-// path (lp nil).
-func (s *Simulation) withLP(lp *sim.LP, fn func()) {
-	if lp == nil {
-		fn()
-		return
-	}
-	s.set.WithLP(lp, fn)
-}
-
-// hubNow reads the current time from the attacker hub's shard — the
-// correct clock inside CNC/loader callbacks, which execute on that
-// shard's worker while the control clock lags at the previous barrier.
-func (s *Simulation) hubNow() sim.Time {
-	if s.set != nil {
-		return s.attacker.Container.Node().Sched().Now()
-	}
-	return s.sched.Now()
-}
-
-// pending reports outstanding events across the whole kernel.
-func (s *Simulation) pending() int {
-	if s.set != nil {
-		return s.set.Pending()
-	}
-	return s.sched.Pending()
-}
-
-// processed reports events executed across the whole kernel.
-func (s *Simulation) processed() uint64 {
-	if s.set != nil {
-		return s.set.Processed()
-	}
-	return s.sched.Processed()
-}
-
 // setupTelemetry attaches the flow exporter (with ground-truth label
 // rules) and registers the windowed time-series columns. Runs after
 // deployment because the label rules need the attacker's addresses.
 func (s *Simulation) setupTelemetry() {
-	fcfg := netsim.FlowConfig{
+	s.flowBuf = &obs.FlowBuffer{}
+	s.net.EnableFlows(netsim.FlowConfig{
 		ActiveTimeout: s.cfg.FlowActiveTimeout,
 		IdleTimeout:   s.cfg.FlowIdleTimeout,
-	}
-	if s.set == nil {
-		// Classic path: one table, records stream into flowBuf as they
-		// export. Sharded runs keep per-shard tables with private sinks;
-		// assemble() merges them into flowBuf in canonical order.
-		s.flowBuf = &obs.FlowBuffer{}
-		fcfg.Sink = s.flowBuf
-	}
-	s.net.EnableFlows(fcfg)
+		Sink:          s.flowBuf,
+	})
 	atk := s.attacker.Container.Node()
 	// Rule order matters: the C&C listens on port 23 — the telnet port —
 	// so the exact-endpoint C&C rule must precede the generic telnet
@@ -334,7 +212,7 @@ func (s *Simulation) setupTelemetry() {
 	w.DeltaColumn("net_tx_bytes", func() float64 { return float64(s.net.Stats().TxBytes) })
 	w.DeltaColumn("net_drops", func() float64 { return float64(s.net.Stats().Drops) })
 	w.DeltaColumn("sink_rx_bytes", func() float64 { return float64(s.sink.Series().TotalBytes()) })
-	w.Column("queue_depth", func() float64 { return float64(s.pending()) })
+	w.Column("queue_depth", func() float64 { return float64(s.sched.Pending()) })
 	// Mean command→first-flood-packet latency over the window; reading
 	// drains the accumulator (documented side effect — Windows calls
 	// each reader exactly once per Sample).
@@ -369,13 +247,10 @@ func (s *Simulation) setupFaults() error {
 		inj.AddProcTarget(faults.ProcTarget{
 			Name: dev.name,
 			Crash: func(rng *rand.Rand) (string, bool) {
-				// Runs on the control plane — at an epoch barrier under
-				// the sharded kernel, with every worker parked, so the
-				// cross-partition process kill is race-free. withLP
-				// attributes any events the teardown schedules to the
-				// victim Dev's own logical process.
+				// Killing a process on the victim Dev is a control-plane
+				// mutation of partition state; Barrier marks it so.
 				what, ok := "", false
-				s.withLP(s.devLP(dev), func() {
+				s.sched.Barrier(func() {
 					procs := dev.container.Procs()
 					if len(procs) == 0 {
 						return
@@ -401,9 +276,7 @@ func (s *Simulation) setupFaults() error {
 				if dev.respawn == nil {
 					return false
 				}
-				ok := false
-				s.withLP(s.devLP(dev), func() { ok = dev.respawn() })
-				return ok
+				return dev.respawn()
 			},
 		})
 	}
@@ -415,7 +288,7 @@ func (s *Simulation) setupFaults() error {
 			if p == nil {
 				return "", false
 			}
-			s.withLP(s.atkLP(), func() { atkC.Kill(p.PID()) })
+			atkC.Kill(p.PID())
 			return "cnc", true
 		},
 		Restart: func(string) bool {
@@ -424,8 +297,7 @@ func (s *Simulation) setupFaults() error {
 			}
 			// Re-exec the C&C binary; the attacker's factory rebinds
 			// s.attacker.CNC to the fresh instance.
-			var err error
-			s.withLP(s.atkLP(), func() { _, err = atkC.ExecFile("/usr/bin/cnc", nil) })
+			_, err := atkC.ExecFile("/usr/bin/cnc", nil)
 			return err == nil
 		},
 	}
@@ -449,15 +321,14 @@ func (s *Simulation) setupFaults() error {
 				if p == nil {
 					return "", false
 				}
-				s.withLP(s.atkLP(), func() { atkC.Kill(p.PID()) })
+				atkC.Kill(p.PID())
 				return "p2p-seed", true
 			},
 			Restart: func(string) bool {
 				if findSeed() != nil {
 					return false
 				}
-				var err error
-				s.withLP(s.atkLP(), func() { _, err = atkC.ExecFile("/usr/bin/p2p-seed", nil) })
+				_, err := atkC.ExecFile("/usr/bin/p2p-seed", nil)
 				return err == nil
 			},
 		}
@@ -482,9 +353,10 @@ func (s *Simulation) Faults() *faults.Injector { return s.faults }
 // it).
 func (s *Simulation) Sched() *sim.Scheduler { return s.sched }
 
-// ShardSet exposes the sharded parallel kernel, or nil on the classic
-// single-scheduler path.
-func (s *Simulation) ShardSet() *sim.ShardSet { return s.set }
+// ShardSet always returns nil: there is one event kernel. It remains
+// only because cmd/bench still calls it; the next change to the
+// benchmark removes the call and this method.
+func (s *Simulation) ShardSet() any { return nil }
 
 // Network exposes the simulated network.
 func (s *Simulation) Network() *netsim.Network { return s.net }
@@ -545,31 +417,21 @@ func (s *Simulation) deployAttacker() error {
 		DHCPv6Period: s.cfg.DHCPv6Period,
 		Obs:          s.obs,
 		Bot: mirai.BotConfig{
-			PayloadBytes: s.cfg.PayloadBytes,
-			StartJitter:  jitter,
-			// Bots start their floods on their Dev's shard; the
-			// bookkeeping mutates run-wide state, so under the sharded
-			// kernel it travels to the control plane as a timestamped
-			// message and executes at the next barrier with the
-			// originating instant preserved.
-			OnAttackStart: s.attackStartHook(),
+			PayloadBytes:  s.cfg.PayloadBytes,
+			StartJitter:   jitter,
+			OnAttackStart: s.noteFloodStart,
 		},
 		CNC: mirai.CNCConfig{
 			ReplayAttackCommand: s.cfg.CNCReplayAttack,
-			// Registration callbacks execute on the attacker hub's
-			// shard; run-wide state they touch is only otherwise
-			// written at barriers, so plain calls stay race-free.
-			// Timestamps come from the hub clock, not the lagging
-			// control clock.
 			OnBotRegistered: func(addr netip.Addr, arch string) {
 				if !s.registeredEver[addr] {
 					s.registeredEver[addr] = true
 					s.results.BotsRegistered++
 				}
-				s.timeline.Record(s.hubNow(), EventBotJoined, s.devName(addr))
+				s.timeline.Record(s.sched.Now(), EventBotJoined, s.devName(addr))
 			},
 			OnBotLost: func(addr netip.Addr) {
-				s.timeline.Record(s.hubNow(), EventBotLost, s.devName(addr))
+				s.timeline.Record(s.sched.Now(), EventBotLost, s.devName(addr))
 			},
 		},
 	}
@@ -585,15 +447,13 @@ func (s *Simulation) deployAttacker() error {
 			Key: priv,
 			// The seeder's census is the family's recruitment signal:
 			// first contact from a peer is the moment it joined the
-			// overlay, the counterpart of a C&C registration. The hook
-			// executes on the attacker hub's shard, like the CNC hooks
-			// above.
+			// overlay, the counterpart of a C&C registration.
 			OnContact: func(addr netip.Addr) {
 				if !s.registeredEver[addr] {
 					s.registeredEver[addr] = true
 					s.results.BotsRegistered++
 				}
-				s.timeline.Record(s.hubNow(), EventBotJoined, s.devName(addr))
+				s.timeline.Record(s.sched.Now(), EventBotJoined, s.devName(addr))
 			},
 		}
 		atkCfg.P2PBot = p2pbot.BotConfig{
@@ -601,7 +461,7 @@ func (s *Simulation) deployAttacker() error {
 			PollPeriod:    s.cfg.P2PPollPeriod,
 			PayloadBytes:  s.cfg.PayloadBytes,
 			StartJitter:   jitter,
-			OnAttackStart: s.attackStartHook(),
+			OnAttackStart: s.noteFloodStart,
 		}
 	}
 	if s.cfg.Vector == VectorCredentials {
@@ -616,32 +476,20 @@ func (s *Simulation) deployAttacker() error {
 			Skip:    []netip.Addr{s.tserver.Addr4()},
 		}
 	}
-	if s.set != nil {
-		// The conservative kernel needs every link latency at or above
-		// the lookahead; the attacker's default 1 ms uplink would
-		// undercut a 2 ms epoch. Classic runs keep the default so the
-		// legacy artifact family is untouched.
-		atkCfg.LinkDelay = s.cfg.LinkDelay
-	}
-	atkLP := s.primeLP(0)
-	var atk *attacker.Attacker
-	var err error
-	s.withLP(atkLP, func() { atk, err = attacker.Deploy(s.engine, atkCfg) })
+	atk, err := attacker.Deploy(s.engine, atkCfg)
 	if err != nil {
 		return err
 	}
 	s.attacker = atk
 
 	if s.cfg.Vector == VectorCredentials {
-		// Loader callbacks execute on the attacker hub's shard, like
-		// the CNC registration hooks above.
 		s.loader = mirai.NewLoader(mirai.LoaderConfig{
 			InfectionCommand: exploit.InfectionCommand(atk.ScriptURL()),
 			OnReport: func(victim netip.Addr) {
 				if _, seen := s.firstReport[victim]; seen {
 					return
 				}
-				now := s.hubNow()
+				now := s.sched.Now()
 				s.firstReport[victim] = now
 				// Scan phase: run start → a scanner first cracked the
 				// victim and reported it.
@@ -654,7 +502,7 @@ func (s *Simulation) deployAttacker() error {
 					return
 				}
 				if !s.infectedDevs[dev.name] {
-					now := s.hubNow()
+					now := s.sched.Now()
 					s.infectedDevs[dev.name] = true
 					s.results.Infected++
 					s.obs.Metrics.Counter("infections_total", "Devs recruited into the botnet").Inc()
@@ -670,38 +518,14 @@ func (s *Simulation) deployAttacker() error {
 				}
 			},
 		})
-		s.withLP(atkLP, func() {
-			atk.Container.Spawn(s.loader)
-			atk.Container.Spawn(mirai.SeedScannerBehavior(atk.BotTemplate.Scan, s.cfg.SeedCount))
-		})
+		atk.Container.Spawn(s.loader)
+		atk.Container.Spawn(mirai.SeedScannerBehavior(atk.BotTemplate.Scan, s.cfg.SeedCount))
 	}
 	return nil
 }
 
-// attackStartHook builds the per-bot flood-start callback both bot
-// families share: inline on the classic path, a timestamped message to
-// the control plane under the sharded kernel (the bookkeeping mutates
-// run-wide state).
-func (s *Simulation) attackStartHook() func(addr netip.Addr) {
-	return func(addr netip.Addr) {
-		if s.set == nil {
-			s.noteFloodStart(addr)
-			return
-		}
-		dev, ok := s.devByAddr[addr]
-		if !ok {
-			return
-		}
-		lp := dev.container.Node().LP()
-		lp.SendFunc(s.set.CtlLP(), lp.Shard().Sched().Now(),
-			func(sim.Time) { s.noteFloodStart(addr) })
-	}
-}
-
 // botCount reads the active family's recruitment census: live C&C
 // registrations for mirai, distinct overlay peers ever heard for p2p.
-// Reads happen on the control plane (at epoch barriers under the
-// sharded kernel), the same discipline as every other hub-state read.
 func (s *Simulation) botCount() int {
 	if s.attacker.Seeder != nil {
 		return s.attacker.Seeder.Contacts
@@ -712,9 +536,8 @@ func (s *Simulation) botCount() int {
 	return 0
 }
 
-// noteFloodStart is the flood-start bookkeeping: on the classic path
-// it runs inline from the bot; sharded it runs as a control event at
-// the barrier after the start, with Now() equal to the start instant.
+// noteFloodStart is the flood-start bookkeeping both bot families run
+// when a bot starts flooding.
 func (s *Simulation) noteFloodStart(addr netip.Addr) {
 	now := s.sched.Now()
 	s.timeline.Record(now, EventFloodStart, s.devName(addr))
@@ -739,13 +562,10 @@ func (s *Simulation) devName(addr netip.Addr) string {
 func (s *Simulation) deployTServer() error {
 	// TServer is an NS-3-style node, not a container (§II-C): modest
 	// uplink, a downlink wide enough to be the shared bottleneck.
-	lp := s.primeLP(0)
+	s.tserver = s.star.AttachHostAsym("tserver",
+		10*netsim.Mbps, s.cfg.TServerDownlink, s.cfg.LinkDelay, netsim.DefaultQueueLimit)
 	var err error
-	s.withLP(lp, func() {
-		s.tserver = s.star.AttachHostAsym("tserver",
-			10*netsim.Mbps, s.cfg.TServerDownlink, s.cfg.LinkDelay, netsim.DefaultQueueLimit)
-		s.sink, err = netsim.InstallSink(s.tserver, s.cfg.AttackPort)
-	})
+	s.sink, err = netsim.InstallSink(s.tserver, s.cfg.AttackPort)
 	if err != nil {
 		return fmt.Errorf("core: tserver sink: %w", err)
 	}
@@ -785,33 +605,25 @@ func (s *Simulation) deployTelnetDevs() error {
 			cred = telnetd.MiraiDictionary[rng.Intn(len(telnetd.MiraiDictionary))]
 			s.results.WeakCredDevs++
 		}
-		lp := s.primeLP(s.devShardFor(i))
-		var c *container.Container
-		var err error
-		s.withLP(lp, func() {
-			c, err = s.engine.Create(img.Ref(), name, container.LinkConfig{
-				Rate: rate, Delay: s.cfg.LinkDelay, QueueLimit: s.cfg.DevQueueLimit,
-			})
-			if err != nil {
-				return
-			}
-			dev := &Dev{name: name, binary: BinaryTelnetd, rate: rate, container: c}
-			s.devs = append(s.devs, dev)
-			s.devByAddr[c.Node().Addr4()] = dev
-			if err = c.Start(); err != nil {
-				return
-			}
-			c.Spawn(telnetd.New(telnetd.Config{Cred: cred}))
-			dev.respawn = func() bool {
-				if c.FindByTCPPort(23) != nil {
-					return false
-				}
-				c.Spawn(telnetd.New(telnetd.Config{Cred: cred}))
-				return true
-			}
+		c, err := s.engine.Create(img.Ref(), name, container.LinkConfig{
+			Rate: rate, Delay: s.cfg.LinkDelay, QueueLimit: s.cfg.DevQueueLimit,
 		})
 		if err != nil {
 			return fmt.Errorf("core: dev %s: %w", name, err)
+		}
+		dev := &Dev{name: name, binary: BinaryTelnetd, rate: rate, container: c}
+		s.devs = append(s.devs, dev)
+		s.devByAddr[c.Node().Addr4()] = dev
+		if err := c.Start(); err != nil {
+			return fmt.Errorf("core: dev %s: %w", name, err)
+		}
+		c.Spawn(telnetd.New(telnetd.Config{Cred: cred}))
+		dev.respawn = func() bool {
+			if c.FindByTCPPort(23) != nil {
+				return false
+			}
+			c.Spawn(telnetd.New(telnetd.Config{Cred: cred}))
+			return true
 		}
 	}
 	return nil
@@ -861,58 +673,50 @@ func (s *Simulation) deployVulnDaemonDevs() error {
 		if bin == BinaryDnsmasq {
 			ref = dnsmasqImg.Ref()
 		}
-		lp := s.primeLP(s.devShardFor(i))
-		var c *container.Container
-		var err error
-		s.withLP(lp, func() {
-			c, err = s.engine.Create(ref, name, container.LinkConfig{
-				Rate: rate, Delay: s.cfg.LinkDelay, QueueLimit: s.cfg.DevQueueLimit,
-			})
-			if err != nil {
-				return
-			}
-			dev := &Dev{name: name, binary: bin, prot: prot, rate: rate, container: c}
-			s.devs = append(s.devs, dev)
-			s.devByAddr[c.Node().Addr4()] = dev
-
-			if err = c.Start(); err != nil {
-				return
-			}
-			if s.cfg.RemoveCurl {
-				c.RemoveCommand("curl")
-				c.RemoveCommand("wget")
-			}
-			outcome := s.routeOutcome(dev, s.outcomeHook(dev))
-			switch bin {
-			case BinaryConnman:
-				// §V-C: Devs are manually pointed at the malicious DNS
-				// server.
-				c.FS().Write("/etc/resolv.conf",
-					[]byte("nameserver "+s.attacker.Container.Node().Addr4().String()+"\n"))
-				spawn := func() {
-					c.Spawn(connman.New(connman.Config{
-						Protections: prot,
-						QueryPeriod: s.cfg.ConnmanQueryPeriod,
-						Program:     connmanProg,
-						OnOutcome:   outcome,
-					}))
-				}
-				spawn()
-				dev.respawn = daemonRespawn(c, imagecat.BinConnman, spawn)
-			case BinaryDnsmasq:
-				spawn := func() {
-					c.Spawn(dnsmasq.New(dnsmasq.Config{
-						Protections: prot,
-						Program:     dnsmasqProg,
-						OnOutcome:   outcome,
-					}))
-				}
-				spawn()
-				dev.respawn = daemonRespawn(c, imagecat.BinDnsmasq, spawn)
-			}
+		c, err := s.engine.Create(ref, name, container.LinkConfig{
+			Rate: rate, Delay: s.cfg.LinkDelay, QueueLimit: s.cfg.DevQueueLimit,
 		})
 		if err != nil {
 			return fmt.Errorf("core: dev %s: %w", name, err)
+		}
+		dev := &Dev{name: name, binary: bin, prot: prot, rate: rate, container: c}
+		s.devs = append(s.devs, dev)
+		s.devByAddr[c.Node().Addr4()] = dev
+
+		if err := c.Start(); err != nil {
+			return fmt.Errorf("core: dev %s: %w", name, err)
+		}
+		if s.cfg.RemoveCurl {
+			c.RemoveCommand("curl")
+			c.RemoveCommand("wget")
+		}
+		outcome := s.outcomeHook(dev)
+		switch bin {
+		case BinaryConnman:
+			// §V-C: Devs are manually pointed at the malicious DNS
+			// server.
+			c.FS().Write("/etc/resolv.conf",
+				[]byte("nameserver "+s.attacker.Container.Node().Addr4().String()+"\n"))
+			spawn := func() {
+				c.Spawn(connman.New(connman.Config{
+					Protections: prot,
+					QueryPeriod: s.cfg.ConnmanQueryPeriod,
+					Program:     connmanProg,
+					OnOutcome:   outcome,
+				}))
+			}
+			spawn()
+			dev.respawn = daemonRespawn(c, imagecat.BinConnman, spawn)
+		case BinaryDnsmasq:
+			spawn := func() {
+				c.Spawn(dnsmasq.New(dnsmasq.Config{
+					Protections: prot,
+					Program:     dnsmasqProg,
+					OnOutcome:   outcome,
+				}))
+			}
+			spawn()
+			dev.respawn = daemonRespawn(c, imagecat.BinDnsmasq, spawn)
 		}
 	}
 	return nil
@@ -929,23 +733,6 @@ func daemonRespawn(c *container.Container, title string, spawn func()) func() bo
 		}
 		spawn()
 		return true
-	}
-}
-
-// routeOutcome adapts a Dev's exploit-outcome hook for the sharded
-// kernel: the daemon parses payloads on its own shard, but the hook
-// mutates run-wide state (results, timeline, trace), so it rides a
-// control message to the next barrier. The control clock equals the
-// message timestamp when it runs, so every Now() read inside the hook
-// still sees the originating instant.
-func (s *Simulation) routeOutcome(dev *Dev, inner func(procvm.HijackOutcome)) func(procvm.HijackOutcome) {
-	if s.set == nil {
-		return inner
-	}
-	ctl := s.set.CtlLP()
-	return func(out procvm.HijackOutcome) {
-		lp := dev.container.Node().LP()
-		lp.SendFunc(ctl, lp.Shard().Sched().Now(), func(sim.Time) { inner(out) })
 	}
 }
 
@@ -997,7 +784,7 @@ func (s *Simulation) snapshot() resources.Snapshot {
 	return resources.Snapshot{
 		ContainerBytes:  s.engine.TotalMemBytes(),
 		TxFrames:        st.TxFrames,
-		EventsProcessed: s.processed(),
+		EventsProcessed: s.sched.Processed(),
 		PeakQueued:      st.PeakQueued,
 	}
 }
@@ -1032,7 +819,7 @@ func (s *Simulation) Run() (*Results, error) {
 	// the per-second sampler of the scheduler queue-depth gauge.
 	queueDepth := s.obs.Metrics.Gauge("sim_queue_depth", "scheduler events pending right now")
 	watcher := sim.NewTicker(s.sched, sim.Second, func() {
-		queueDepth.Set(float64(s.pending()))
+		queueDepth.Set(float64(s.sched.Pending()))
 		if s.attackIssued {
 			return
 		}
@@ -1052,11 +839,7 @@ func (s *Simulation) Run() (*Results, error) {
 	windowTicker.Source = "obs.windows"
 	windowTicker.Start()
 
-	if s.set != nil {
-		if err := s.set.Run(s.cfg.SimDuration); err != nil {
-			return nil, fmt.Errorf("core: run: %w", err)
-		}
-	} else if err := s.sched.Run(s.cfg.SimDuration); err != nil {
+	if err := s.sched.Run(s.cfg.SimDuration); err != nil {
 		return nil, fmt.Errorf("core: run: %w", err)
 	}
 	watcher.Stop()
@@ -1097,9 +880,6 @@ func (s *Simulation) issueAttack() {
 	// from everything else.
 	s.net.AddFlowLabelRule(netsim.FlowLabelRule{
 		Endpoint: netip.AddrPortFrom(target, s.cfg.AttackPort), Label: "attack"})
-	// issueAttack runs on the control plane; under the sharded kernel
-	// the command traffic must be attributed to the attacker hub's
-	// logical process.
 	var n int
 	if s.attacker.Seeder != nil {
 		// P2P: sign one record with the campaign's absolute end and
@@ -1108,11 +888,9 @@ func (s *Simulation) issueAttack() {
 		// record goes out — unlike mirai there is no per-bot delivery
 		// count to report.
 		end := now + sim.Time(s.cfg.AttackDuration)*sim.Second
-		s.withLP(s.atkLP(), func() {
-			n = s.attacker.Seeder.Contacts
-			s.attacker.Seeder.PublishAttack(method,
-				netip.AddrPortFrom(target, s.cfg.AttackPort), end)
-		})
+		n = s.attacker.Seeder.Contacts
+		s.attacker.Seeder.PublishAttack(method,
+			netip.AddrPortFrom(target, s.cfg.AttackPort), end)
 	} else {
 		dur := s.cfg.AttackDuration
 		if s.cfg.CommandWave > 0 {
@@ -1122,13 +900,11 @@ func (s *Simulation) issueAttack() {
 			// centralized dependence the takedown contrast measures.
 			dur = s.waveSecs(s.cfg.AttackDuration)
 		}
-		s.withLP(s.atkLP(), func() {
-			n = s.attacker.CNC.LaunchAttack(mirai.AttackCommand{
-				Method:   method,
-				Target:   target,
-				Port:     s.cfg.AttackPort,
-				Duration: dur,
-			})
+		n = s.attacker.CNC.LaunchAttack(mirai.AttackCommand{
+			Method:   method,
+			Target:   target,
+			Port:     s.cfg.AttackPort,
+			Duration: dur,
 		})
 		if s.cfg.CommandWave > 0 {
 			s.scheduleCommandWaves(method, target, now+sim.Time(s.cfg.AttackDuration)*sim.Second)
@@ -1183,13 +959,11 @@ func (s *Simulation) scheduleCommandWaves(method string, target netip.Addr, end 
 		if remaining <= 0 {
 			return
 		}
-		s.withLP(s.atkLP(), func() {
-			s.attacker.CNC.LaunchAttack(mirai.AttackCommand{
-				Method:   method,
-				Target:   target,
-				Port:     s.cfg.AttackPort,
-				Duration: s.waveSecs(remaining),
-			})
+		s.attacker.CNC.LaunchAttack(mirai.AttackCommand{
+			Method:   method,
+			Target:   target,
+			Port:     s.cfg.AttackPort,
+			Duration: s.waveSecs(remaining),
 		})
 		s.sched.ScheduleSrc(s.cfg.CommandWave, "core.cmdwave", wave)
 	}
@@ -1203,16 +977,6 @@ func (s *Simulation) assemble() {
 	// still-open flow so the dataset accounts each offered packet.
 	s.windows.Sample(s.sched.Now())
 	s.net.FlushFlows(s.sched.Now())
-	if s.set != nil {
-		// Merge the per-shard export buffers into the canonical
-		// dataset: records sort by flow identity, independent of which
-		// partition exported them.
-		s.flowBuf = s.net.FlowDataset()
-		if s.flowBuf == nil {
-			s.flowBuf = &obs.FlowBuffer{}
-		}
-		s.net.SyncGauges()
-	}
 	r.Flows = s.flowBuf.Stats()
 	r.NetStats = s.net.Stats()
 	r.ChurnDepartures = s.churnCtl.Departures()
@@ -1225,20 +989,15 @@ func (s *Simulation) assemble() {
 		r.Faults = &st
 	}
 
-	// Seal the observability layer: close dangling phase spans, merge
-	// the per-shard trace buffers into one deterministic stream, mirror
+	// Seal the observability layer: close dangling phase spans, mirror
 	// the kernel counters into the registry, and condense a summary.
 	s.obs.Trace.CloseOpenSpans(s.sched.Now())
-	if s.set != nil {
-		s.obs.Trace = obs.MergeTracers(
-			append([]*obs.Tracer{s.obs.Trace}, s.net.ShardTracers()...)...)
-	}
 	r.Phases = obs.SummarizePhases(s.obs.Trace.Spans(), obs.CatKillChain, faults.CatFault)
 	reg := s.obs.Metrics
 	reg.Gauge("sim_events_processed", "scheduler events executed this run").
-		Set(float64(s.processed()))
+		Set(float64(s.sched.Processed()))
 	reg.Gauge("sim_queue_depth", "scheduler events pending right now").
-		Set(float64(s.pending()))
+		Set(float64(s.sched.Pending()))
 	if r.AttackIssuedAt > 0 {
 		reg.Gauge("infections_per_sec", "mean infections per second up to the attack order").
 			Set(float64(r.Infected) / r.AttackIssuedAt.Seconds())
@@ -1246,13 +1005,6 @@ func (s *Simulation) assemble() {
 	reg.Gauge("sink_rx_bytes_total", "attack bytes TServer's sink logged").
 		Set(float64(r.SinkBytes))
 	r.Obs = s.obs.Summarize()
-	if s.set != nil {
-		// The profiler hooks only the control scheduler in sharded mode
-		// (a shared hook on worker schedulers would race); the kernel's
-		// own counter covers every shard and is partition-invariant —
-		// each logical event executes exactly once wherever its LP lives.
-		r.Obs.EventsDelivered = s.processed()
-	}
 
 	if s.attackIssued {
 		from := int64(r.AttackIssuedAt / sim.Second)

@@ -9,9 +9,8 @@ import (
 
 // Host is what a DHT node needs from its runtime; *container.Process
 // satisfies it, and tests provide a bare-node shim. Everything a node
-// does runs on its host's own scheduler (its own LP under the sharded
-// kernel) — the package never touches another node's state except
-// through the wire.
+// does runs on its host's scheduler — the package never touches
+// another node's state except through the wire.
 type Host interface {
 	Sched() *sim.Scheduler
 	Alive() bool

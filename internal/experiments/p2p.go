@@ -15,7 +15,7 @@ const p2pTakedownSecs = 30
 
 // p2pPostGraceSecs skips the drain right after the takedown before the
 // post-takedown rate is averaged: in-flight heartbeat orders keep the
-// centralized flood alive for up to one command wave, and the sharded
+// centralized flood alive for up to one command wave, and the
 // teardown of the C&C uplink takes a TCP timeout to propagate.
 const p2pPostGraceSecs = 15
 

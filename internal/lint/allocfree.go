@@ -84,7 +84,6 @@ func DefaultAllocConfig() *AllocConfig {
 	return &AllocConfig{
 		Roots: map[string]bool{
 			simpkg + ".Scheduler.ScheduleAtSrc": true,
-			simpkg + ".Scheduler.scheduleMsg":   true,
 			simpkg + ".Scheduler.run":           true,
 		},
 		AllocFree: map[string]bool{

@@ -1,10 +1,10 @@
 package lint
 
 // confine.go is the shard-confinement engine behind the shardconfine
-// and crossnode analyzers — the static proof obligation in front of
-// ROADMAP item 1 (the sharded parallel event kernel). The sharding
-// design only preserves byte-identical-same-seed if every event
-// handler touches nothing but the state of its own partition, with
+// and crossnode analyzers. It was the static proof obligation in
+// front of a sharded parallel event kernel, since deleted; it still
+// checks the partition model that kernel needed: every event handler
+// touches nothing but the state of its own partition, with
 // cross-partition interaction confined to the timestamped message
 // path (Node.SendPacket / NetDevice.Send / the link's in-flight
 // queue). This engine classifies, for every function reachable from a
@@ -25,13 +25,13 @@ package lint
 //   - global: package-level variables, which no partition owns.
 //
 // Mutating a foreign tracked value (Node, NetDevice, Dev, Container —
-// the data-race surface of the sharded kernel) or writing a global is
+// the state a partitioned kernel would race on) or writing a global is
 // reported: crossnode for values the handler acquired itself
 // (registry/neighbor/control-plane step), shardconfine for globals
 // and for foreign state that entered the handler from outside
 // (captures, parameters). Calls into the sanctioned boundary APIs are
 // never findings; they are recorded in the inventory as the message-
-// path crossings the sharding PR will keep.
+// path crossings.
 //
 // Like the ownership engine, anything the classifier cannot model
 // widens toward silence — a missed finding is recoverable (the
@@ -71,10 +71,10 @@ type ConfineConfig struct {
 	// are inventoried, never reported.
 	Boundaries map[string]bool
 	// Barriers: functions that run their func-literal argument in
-	// barrier context — at an epoch barrier (or during single-threaded
-	// setup) with every shard worker parked. Mutations inside such a
-	// literal are the sanctioned barrier idiom: they are inventoried
-	// with class "barrier" instead of reported. A callback armed
+	// barrier context, marking it as a control-plane mutation of
+	// partition state. Mutations inside such a literal are the
+	// sanctioned barrier idiom: they are inventoried with class
+	// "barrier" instead of reported. A callback armed
 	// *inside* a barrier body (Schedule*, an escaping closure) runs
 	// later, outside the barrier, and is analyzed as a normal handler.
 	Barriers map[string]bool
@@ -129,22 +129,11 @@ func DefaultConfineConfig() *ConfineConfig {
 			netsim + ".UDPSocket.SendTo":     true,
 			netsim + ".UDPSocket.SendPadded": true,
 			netsim + ".TCPConn.Send":         true,
-			// The sharded kernel's mailbox: a timestamped message to
-			// another LP (or to the control plane) is *the* sanctioned
-			// cross-partition effect, whatever chain produced the LP.
-			simpkg + ".LP.Send":     true,
-			simpkg + ".LP.SendFunc": true,
 		},
 		Barriers: map[string]bool{
-			// ShardSet.WithLP attributes setup-/barrier-time work to an
-			// LP; Scheduler.Barrier is the ctl-side marker for a
-			// control-plane handler mutating partition state with the
-			// world stopped (it panics on a worker-shard scheduler).
-			// core's withLP is the Simulation-level wrapper over
-			// ShardSet.WithLP (a plain call on the classic kernel).
-			simpkg + ".ShardSet.WithLP":   true,
+			// Scheduler.Barrier marks a control-plane handler mutating
+			// partition state.
 			simpkg + ".Scheduler.Barrier": true,
-			core + ".Simulation.withLP":   true,
 		},
 		Mutators: map[string]bool{
 			netsim + ".Node.AddAddr":            true,
@@ -907,8 +896,8 @@ func (eng *confEngine) reportUnit(u *confUnit) {
 		}
 		seen[key] = true
 		if barrier {
-			// Sanctioned barrier idiom: the mutation happens with every
-			// shard worker parked. Inventory it for the audit trail,
+			// Sanctioned barrier idiom: a marked control-plane
+			// mutation. Inventory it for the audit trail,
 			// keep the analyzer that would have fired, don't report.
 			eng.addInventory(u, pos, analyzer, "barrier", subject, detail)
 			return

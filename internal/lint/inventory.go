@@ -8,8 +8,7 @@ package lint
 // blockers, "allowed" rows are audited suppressions to re-review,
 // "boundary" rows are the sanctioned message-path crossings the
 // partitioned kernel carries as timestamped messages, and "barrier"
-// rows are control-plane mutations that execute with every shard
-// worker parked (ShardSet.WithLP / Scheduler.Barrier bodies). The
+// rows are control-plane mutations inside Scheduler.Barrier bodies. The
 // allocation-reachability engine (allocfree.go) contributes rows of
 // its own: "hotpath" rows name the declared allocation-free roots
 // (seeded or //simlint:hotpath), and its violation/allowed rows are
@@ -32,8 +31,8 @@ type InventoryEntry struct {
 	// Class: "violation" (surfaces as a diagnostic), "allowed"
 	// (suppressed by an audited //simlint:allow), "boundary" (a
 	// sanctioned message-path call), "barrier" (a partition
-	// mutation inside a ShardSet.WithLP / Scheduler.Barrier body —
-	// world-stopped, sanctioned), or "hotpath" (a declared
+	// mutation inside a Scheduler.Barrier body — sanctioned), or
+	// "hotpath" (a declared
 	// allocation-free root of the allocfree engine).
 	Class string `json:"class"`
 	// Subject is the state touched: a type for partition state, a

@@ -2,12 +2,11 @@ package lint
 
 // reach.go is the handler-reachability half of the shard-confinement
 // engine (confine.go): it decides which functions can execute at
-// event time — on the single-threaded scheduler loop today, on a
-// partition shard once the kernel goes parallel — and records, for
-// each one, the chain of calls that makes it reachable. The chain is
-// what turns a finding from "this line writes shared state" into a
-// work item: it names the scheduled callback the sharding PR has to
-// re-route through the message path.
+// event time — on the scheduler loop — and records, for each one,
+// the chain of calls that makes it reachable. The chain is what
+// turns a finding from "this line writes shared state" into a work
+// item: it names the scheduled callback that has to be re-routed
+// through the message path.
 //
 // Handler roots are discovered syntactically, then closed over the
 // call graph:
@@ -22,9 +21,9 @@ package lint
 //     standard-library callees (sort.Slice and friends) are exempt —
 //     the stdlib never schedules simulator events, it only calls back
 //     synchronously. Literals handed to a ConfineConfig.Barriers
-//     runner (ShardSet.WithLP, Scheduler.Barrier) are likewise
-//     synchronous, but their bodies are remembered as barrier context:
-//     mutations inside them are the sanctioned world-stopped idiom;
+//     runner (Scheduler.Barrier) are likewise synchronous, but their
+//     bodies are remembered as barrier context: mutations inside them
+//     are the sanctioned control-plane idiom;
 //   - every function a reachable unit calls, including interface
 //     calls resolved by class-hierarchy analysis over the named types
 //     of the run, and every literal nested inside a reachable body.
@@ -58,8 +57,7 @@ type confUnit struct {
 	rootWhy string // how the unit became a handler root
 
 	// barrier marks a literal handed to a ConfineConfig.Barriers
-	// runner: its body executes at an epoch barrier (or during
-	// single-threaded setup) with every shard worker parked, so its
+	// runner: its body is a marked control-plane mutation, so its
 	// cross-partition mutations are inventoried, not reported.
 	barrier bool
 
@@ -72,7 +70,7 @@ type confUnit struct {
 // context: it is, or is lexically inside, a barrier-runner literal,
 // with no handler-root boundary in between. A root in the lexical
 // chain cuts the context — a callback armed inside a barrier body is
-// scheduled work that runs later, with the shards live again.
+// scheduled work that runs later, outside the barrier.
 func (u *confUnit) inBarrier() bool {
 	for cur := u; cur != nil; cur = cur.encl {
 		if cur.barrier {

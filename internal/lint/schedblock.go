@@ -8,13 +8,10 @@ import (
 
 // SchedBlock inspects function literals passed to the simulation
 // kernel's scheduling entry points (sim.Scheduler.Schedule*,
-// sim.NewTicker) and to the sharded kernel's mailbox and barrier
-// idioms (sim.LP.SendFunc, sim.Scheduler.Barrier, sim.ShardSet.WithLP,
-// sim.ShardSet.AddTask). Those callbacks execute on an event loop —
-// a shard worker's, the control scheduler's, or the coordinator's
-// barrier phase: a channel operation or lock wait inside one
-// deadlocks the entire simulation, and a spawned goroutine races the
-// kernel state the loop exists to serialize.
+// sim.NewTicker) and to sim.Scheduler.Barrier. Those callbacks
+// execute on the event loop: a channel operation or lock wait inside
+// one deadlocks the entire simulation, and a spawned goroutine races
+// the kernel state the loop exists to serialize.
 type SchedBlock struct {
 	// SimPkg is the import path of the scheduler package.
 	SimPkg string
@@ -42,7 +39,7 @@ func (s *SchedBlock) Run(pass *Pass) {
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != s.SimPkg {
 				return true
 			}
-			if !isSchedulingEntry(fn) && !isKernelCallbackEntry(fn) {
+			if !isSchedulingEntry(fn) && fn.Name() != "Barrier" {
 				return true
 			}
 			for _, arg := range call.Args {
@@ -61,20 +58,6 @@ func isSchedulingEntry(fn *types.Func) bool {
 		return true
 	}
 	return len(name) >= len("Schedule") && name[:len("Schedule")] == "Schedule"
-}
-
-// isKernelCallbackEntry matches the sharded kernel's other
-// callback-taking entry points: the mailbox (a SendFunc closure is
-// delivered on the destination LP's event loop), the barrier runners
-// (a WithLP/Barrier body runs on the coordinator with every worker
-// parked), and barrier tasks. All of them must stay non-blocking for
-// the same reason scheduled callbacks must.
-func isKernelCallbackEntry(fn *types.Func) bool {
-	switch fn.Name() {
-	case "SendFunc", "Barrier", "WithLP", "AddTask":
-		return true
-	}
-	return false
 }
 
 func (s *SchedBlock) checkCallback(pass *Pass, entry string, lit *ast.FuncLit) {

@@ -5,18 +5,18 @@ package netsim
 // Release build: the shard-confinement sanitizer compiles away. The
 // enter/exit stamps and every mutator's confineCheck are empty
 // functions the compiler inlines to nothing, so the delivery hot path
-// keeps its release-build shape, and the per-partition owner cell is a
+// keeps its release-build shape, and the Network's owner cell is a
 // zero-size field.
 //
 // Build with -tags simdebug to arm the sanitizer (confine_on.go):
-// packet deliveries stamp their owning node on their shard's cell, and
+// packet deliveries stamp their owning node on the Network's cell, and
 // any Node/NetDevice administrative mutation against a different node
-// panics with both node names, both shard ids, and the mutation site.
+// panics with both node names and the mutation site.
 // The shardconfine/crossnode static analyzers (internal/lint) catch
 // the same access class at compile time; the sanitizer cross-validates
 // it at runtime.
 
-// confCell is the per-partition ambient-owner slot; empty here.
+// confCell is the ambient-owner slot; empty here.
 type confCell struct{}
 
 func confineEnter(*Node) *Node { return nil }

@@ -7,23 +7,17 @@ package netsim
 // internal/lint the same way the pool sanitizer (sanitize_on.go)
 // cross-validates pktown.
 //
-// "Which partition is executing" is a per-shard ambient fact: while a
-// node's IP input path (handleReceive) or loopback delivery runs, that
-// node owns its shard's handler slot. Every administrative mutator of
-// Node and NetDevice state checks the target node's cell — mutating a
-// *different* node's tracked state from inside a delivery is exactly
-// the access that is a data race under the sharded kernel, and it
-// panics here with both node names, both shard ids, and the call site.
+// "Which partition is executing" is an ambient fact: while a node's IP
+// input path (handleReceive) or loopback delivery runs, that node owns
+// the network's handler slot. Every administrative mutator of Node and
+// NetDevice state checks that slot — mutating a *different* node's
+// tracked state from inside a delivery breaks the partition model the
+// analyzers prove, and it panics here with both node names and the
+// call site.
 //
-// The owner slot lives in a confCell: one per shard context in sharded
-// mode (so each worker goroutine reads and writes only its own cell —
-// the sanitizer itself must not race), one on the Network in legacy
-// mode. A same-shard foreign mutation is caught deterministically; a
-// cross-shard one reads the victim shard's cell, which the race
-// detector (-race CI job) then flags on top of any panic here.
-// Control-plane code (churn, faults, supervisors) runs at epoch
-// barriers with the world stopped: every cell's owner is nil there, so
-// its cross-partition writes are sanctioned, replacing the
+// The owner slot is the Network's confCell. Control-plane code (churn,
+// faults, supervisors) runs outside any delivery: the owner is nil
+// there, so its cross-partition writes are sanctioned, replacing the
 // //simlint:allow inventory the analyzers used to carry.
 
 import (
@@ -37,26 +31,17 @@ import (
 // packet delivery.
 type confCell struct{ owner *Node }
 
-// confCellOf returns the cell guarding n's state.
-func confCellOf(n *Node) *confCell {
-	if n.ctx != nil {
-		return &n.ctx.conf
-	}
-	return &n.net.conf
-}
-
-// confineEnter stamps n as the executing partition on its own shard,
-// returning the previous owner for nested deliveries (forwarding,
-// loopback).
+// confineEnter stamps n as the executing partition, returning the
+// previous owner for nested deliveries (forwarding, loopback).
 func confineEnter(n *Node) *Node {
-	cell := confCellOf(n)
+	cell := &n.net.conf
 	prev := cell.owner
 	cell.owner = n
 	return prev
 }
 
-// confineExit restores the previous ambient owner of n's shard.
-func confineExit(n *Node, prev *Node) { confCellOf(n).owner = prev }
+// confineExit restores the previous ambient owner.
+func confineExit(n *Node, prev *Node) { n.net.conf.owner = prev }
 
 // confSite reports the first caller frame outside the confinement
 // machinery and the netsim mutators — the application-level line that
@@ -81,26 +66,17 @@ func confSite() string {
 	}
 }
 
-// confShard renders a node's shard for the violation message.
-func confShard(n *Node) string {
-	if n.shardID < 0 {
-		return "unsharded"
-	}
-	return fmt.Sprintf("shard %d", n.shardID)
-}
-
 // confineCheck panics when a handler owned by one node mutates the
-// tracked state of another: the cross-partition write the sharded
-// kernel cannot allow outside the message path.
+// tracked state of another: the cross-partition write the partition
+// model allows only through the message path.
 func (n *Node) confineCheck(op string) {
 	if n == nil {
 		return
 	}
-	cell := confCellOf(n)
-	if cell.owner != nil && cell.owner != n {
+	if owner := n.net.conf.owner; owner != nil && owner != n {
 		panic(fmt.Sprintf(
-			"netsim: shard-confinement violation: %s on foreign node %q (%s) inside a handler owned by node %q (%s) at %s",
-			op, n.name, confShard(n), cell.owner.name, confShard(cell.owner), confSite()))
+			"netsim: shard-confinement violation: %s on foreign node %q inside a handler owned by node %q at %s",
+			op, n.name, owner.name, confSite()))
 	}
 }
 

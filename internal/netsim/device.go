@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-
-	"ddosim/internal/sim"
-)
+import "ddosim/internal/sim"
 
 // DeviceStats aggregates per-device counters. The resource model and
 // the defense feature extractor both read these.
@@ -66,11 +62,6 @@ const DefaultQueueLimit = 100
 func Connect(a, b *Node, rate DataRate, delay sim.Time, queueLimit int) (*NetDevice, *NetDevice) {
 	if queueLimit <= 0 {
 		queueLimit = DefaultQueueLimit
-	}
-	if set := a.net.set; set != nil && delay < set.Lookahead() {
-		// The conservative kernel's safety argument needs every
-		// cross-LP latency to be at least the epoch width.
-		panic(fmt.Sprintf("netsim: Connect(%s, %s): link delay %v below the shard lookahead %v", a.name, b.name, delay, set.Lookahead()))
 	}
 	da := &NetDevice{node: a, sched: a.sched, rate: rate, delay: delay, queueLimit: queueLimit, up: true}
 	db := &NetDevice{node: b, sched: b.sched, rate: rate, delay: delay, queueLimit: queueLimit, up: true}
@@ -209,24 +200,9 @@ func (d *NetDevice) finishTx() {
 	d.stats.TxPackets++
 	d.stats.TxBytes += uint64(size)
 	d.node.countTx(size, pkt.Proto)
-	if lp := d.node.lp; lp != nil {
-		// Sharded mode: the propagating frame becomes a timestamped
-		// mailbox message to the peer's LP. Ownership transfers into
-		// the mailbox; the peer's shard receives (and retires) it.
-		// delay >= lookahead (checked at Connect) keeps the delivery
-		// time at or beyond the sender's epoch end.
-		lp.Send(d.peer.node.lp, d.sched.Now()+d.delay, d.peer, pkt, nil)
-	} else {
-		d.inflight.push(pkt)
-		d.sched.ScheduleSrc(d.delay, "net.prop", d.propFn)
-	}
+	d.inflight.push(pkt)
+	d.sched.ScheduleSrc(d.delay, "net.prop", d.propFn)
 	d.transmitNext()
-}
-
-// HandleMsg implements sim.MsgHandler: a frame propagated across the
-// shard mailbox arrives at this (receiving) device.
-func (d *NetDevice) HandleMsg(_ sim.Time, a, _ any) {
-	d.receive(a.(*Packet))
 }
 
 // arriveProp delivers the oldest in-flight frame to the peer. Matching

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"net/netip"
 
 	"ddosim/internal/obs"
@@ -144,45 +143,16 @@ func newFlowTable(sched *sim.Scheduler, cfg FlowConfig) *FlowTable {
 	}
 }
 
-// EnableFlows attaches flow accounting to the network. Legacy mode
-// runs one table with its expiry sweeper on the network's scheduler
-// and returns it. Sharded mode builds one table per shard — each fed
-// only by its own shard's originating nodes, each exporting into a
-// private per-shard buffer (cfg.Sink is ignored; read the merged
-// dataset via FlowDataset) — swept by a single control-plane ticker at
-// barriers so expiry timing is a global, partition-independent
-// schedule; it returns nil (per-table access is meaningless there —
-// use the Network-level flow methods). Calling EnableFlows again
-// replaces the previous accounting (stopped and flushed).
+// EnableFlows attaches flow accounting to the network: one table,
+// with its expiry sweeper on the network's scheduler, which it
+// returns. Calling EnableFlows again replaces the previous accounting
+// (stopped and flushed).
 func (w *Network) EnableFlows(cfg FlowConfig) *FlowTable {
 	if w.flows != nil {
 		w.flows.Stop()
 		w.flows.FlushAll(w.sched.Now())
 	}
 	cfg.normalize()
-	if w.set != nil {
-		w.StopFlows()
-		w.FlushFlows(w.set.Now())
-		if cfg.SweepPeriod%w.set.Lookahead() != 0 {
-			panic(fmt.Sprintf("netsim: flow sweep period %v must be a multiple of the shard lookahead %v", cfg.SweepPeriod, w.set.Lookahead()))
-		}
-		cfg.Sink = nil
-		for i, c := range w.ctxs {
-			c.flowBuf = &obs.FlowBuffer{}
-			shardCfg := cfg
-			shardCfg.Sink = c.flowBuf
-			c.flows = newFlowTable(w.set.Shard(i).Sched(), shardCfg)
-		}
-		w.flowSweeper = sim.NewTicker(w.set.CtlSched(), cfg.SweepPeriod, func() {
-			now := w.set.CtlSched().Now()
-			for _, c := range w.ctxs {
-				c.flows.sweepAt(now)
-			}
-		})
-		w.flowSweeper.Source = "net.flows"
-		w.flowSweeper.Start()
-		return nil
-	}
 	ft := newFlowTable(w.sched, cfg)
 	ft.sweeper = sim.NewTicker(w.sched, cfg.SweepPeriod, ft.sweep)
 	ft.sweeper.Source = "net.flows"
@@ -192,91 +162,29 @@ func (w *Network) EnableFlows(cfg FlowConfig) *FlowTable {
 }
 
 // Flows returns the network's flow table, or nil when flow accounting
-// is disabled or sharded (per-shard tables are internal; use the
-// Network-level flow methods).
+// is disabled.
 func (w *Network) Flows() *FlowTable { return w.flows }
 
-// flowTable returns the table accounting this node's originated
-// packets, or nil.
-func (n *Node) flowTable() *FlowTable {
-	if n.ctx != nil {
-		return n.ctx.flows
-	}
-	return n.net.flows
-}
-
-// AddFlowLabelRule appends a ground-truth labeling rule to every
-// active flow table (the single legacy table, or all per-shard
-// tables). No-op when flow accounting is disabled.
+// AddFlowLabelRule appends a ground-truth labeling rule to the flow
+// table. No-op when flow accounting is disabled.
 func (w *Network) AddFlowLabelRule(r FlowLabelRule) {
 	if w.flows != nil {
 		w.flows.AddLabelRule(r)
 	}
-	for _, c := range w.ctxs {
-		if c.flows != nil {
-			c.flows.AddLabelRule(r)
-		}
-	}
 }
 
-// StopFlows halts flow expiry (the legacy sweeper or the sharded
-// control-plane sweeper). Pending flows stay until FlushFlows.
+// StopFlows halts flow expiry. Pending flows stay until FlushFlows.
 func (w *Network) StopFlows() {
 	if w.flows != nil {
 		w.flows.Stop()
 	}
-	if w.flowSweeper != nil {
-		w.flowSweeper.Stop()
-		w.flowSweeper = nil
-	}
 }
 
-// FlushFlows closes every live flow in every active table with reason
-// "final". Sharded mode calls this after the run (or at a barrier).
+// FlushFlows closes every live flow with reason "final".
 func (w *Network) FlushFlows(now sim.Time) {
 	if w.flows != nil {
 		w.flows.FlushAll(now)
 	}
-	for _, c := range w.ctxs {
-		if c.flows != nil {
-			c.flows.FlushAll(now)
-		}
-	}
-}
-
-// FlowDataset merges the per-shard flow buffers into one
-// deterministically-ordered dataset (sharded mode; see
-// obs.MergeFlowBuffers). Nil when flow accounting is disabled or the
-// network is not sharded — the legacy table exports into the caller's
-// own cfg.Sink instead.
-func (w *Network) FlowDataset() *obs.FlowBuffer {
-	if w.set == nil || len(w.ctxs) == 0 || w.ctxs[0].flowBuf == nil {
-		return nil
-	}
-	parts := make([]*obs.FlowBuffer, len(w.ctxs))
-	for i, c := range w.ctxs {
-		parts[i] = c.flowBuf
-	}
-	return obs.MergeFlowBuffers(parts...)
-}
-
-// FlowTableStatsTotal sums the activity counters over every active
-// table. Each counter is a sum of per-flow facts, so the total is
-// partition-independent.
-func (w *Network) FlowTableStatsTotal() FlowTableStats {
-	var st FlowTableStats
-	if w.flows != nil {
-		st = w.flows.Stats()
-	}
-	for _, c := range w.ctxs {
-		if c.flows != nil {
-			s := c.flows.Stats()
-			st.Created += s.Created
-			st.Exported += s.Exported
-			st.Evicted += s.Evicted
-		}
-	}
-	return st
 }
 
 // AddLabelRule appends a ground-truth labeling rule. Rules apply to
@@ -422,15 +330,11 @@ func (ft *FlowTable) flush() {
 	ft.batch = ft.batch[:0]
 }
 
-// sweep is the periodic expiry pass at the table's own clock. Runs on
-// the event kernel via the table's ticker (legacy mode).
-func (ft *FlowTable) sweep() { ft.sweepAt(ft.sched.Now()) }
-
-// sweepAt compacts the creation-order list (reclaiming dead slots) and
-// closes idle flows as of now. Sharded mode drives this from the
-// control-plane ticker at barriers, one global schedule for all
-// per-shard tables.
-func (ft *FlowTable) sweepAt(now sim.Time) {
+// sweep is the periodic expiry pass, run by the table's ticker: it
+// compacts the creation-order list (reclaiming dead slots) and closes
+// idle flows as of the table's clock.
+func (ft *FlowTable) sweep() {
+	now := ft.sched.Now()
 	live := ft.order[:0]
 	for _, i := range ft.order[ft.orderHead:] {
 		e := &ft.entries[i]

@@ -41,15 +41,11 @@ type Network struct {
 	pp pktPool
 
 	// Flow accounting (optional; see EnableFlows).
-	flows       *FlowTable
-	flowSweeper *sim.Ticker // sharded mode: the single control-plane sweeper
+	flows *FlowTable
 
-	// Sharded-mode bindings (see shard.go). conf is the legacy-mode
-	// confinement cell; sharded nodes use their shard context's.
-	set    *sim.ShardSet
-	ctxs   []*netShard
-	nextLP *sim.LP
-	conf   confCell
+	// conf is the simdebug confinement sanitizer's owner cell (see
+	// confine_on.go); zero-size in release builds.
+	conf confCell
 
 	// Observability (optional; see Observe). The counters are cached
 	// here so the per-frame hot path skips the registry map lookups.
@@ -81,9 +77,6 @@ func (w *Network) Sched() *sim.Scheduler { return w.sched }
 // call with nil to detach.
 func (w *Network) Observe(o *obs.Obs) {
 	w.trace = o.Tracer()
-	if w.set != nil && w.trace != nil {
-		w.initShardTracers()
-	}
 	reg := o.Registry()
 	if reg == nil {
 		w.ctrTxFrames, w.ctrTxBytes, w.ctrDrops = nil, nil, nil
@@ -102,35 +95,8 @@ func (w *Network) Observe(o *obs.Obs) {
 	w.gaugePeak = reg.Gauge("net_queue_depth_peak", "peak frames buffered anywhere in the network")
 }
 
-// Stats returns a copy of the aggregate counters. Sharded mode sums
-// the per-shard partial aggregates; safe at barriers and after the
-// run. Two fields change meaning there, in partition-independent ways:
-// PacketUIDs counts per-node id issuance, and PeakQueued is the sum of
-// per-device queue high-water marks (an upper bound on the legacy
-// global-instant peak, which cannot be tracked without cross-shard
-// coordination on the hot path).
-func (w *Network) Stats() NetworkStats {
-	if w.set == nil {
-		return w.stats
-	}
-	st := w.stats // NodesBuilt and other build-time counters
-	for _, c := range w.ctxs {
-		st.TxFrames += c.stats.TxFrames
-		st.TxBytes += c.stats.TxBytes
-		st.Drops += c.stats.Drops
-		st.QueuedNow += c.stats.QueuedNow
-		if c.stats.MaxFrameLen > st.MaxFrameLen {
-			st.MaxFrameLen = c.stats.MaxFrameLen
-		}
-	}
-	for _, n := range w.nodes {
-		st.PacketUIDs += n.uidSeq
-		for _, d := range n.devs {
-			st.PeakQueued += d.stats.PeakQueue
-		}
-	}
-	return st
-}
+// Stats returns a copy of the aggregate counters.
+func (w *Network) Stats() NetworkStats { return w.stats }
 
 // Nodes returns the nodes in creation order. The returned slice is a
 // copy.
@@ -152,15 +118,10 @@ func (w *Network) NewNode(name string) *Node {
 		name:      name,
 		net:       w,
 		sched:     w.sched,
-		shardID:   -1,
-		idx:       len(w.nodes),
 		addrs:     make(map[netip.Addr]bool),
 		routes:    make(map[netip.Addr]*NetDevice),
 		multicast: make(map[netip.Addr]bool),
 		udpPorts:  make(map[uint16]*UDPSocket),
-	}
-	if w.set != nil {
-		w.bindShard(n)
 	}
 	n.tcp = newTCPHost(n)
 	w.nodes = append(w.nodes, n)
@@ -239,14 +200,8 @@ func (s *Star) RouterDeviceFor(host *Node) *NetDevice {
 	return nil
 }
 
-// NextUID issues a unique packet id from the network-wide counter —
-// legacy mode only; sharded nodes issue from their own namespace
-// (Node.NextUID) so id assignment never depends on cross-shard
-// interleaving.
+// NextUID issues a unique packet id from the network-wide counter.
 func (w *Network) NextUID() uint64 {
-	if w.set != nil {
-		panic("netsim: Network.NextUID in sharded mode; issue from a Node")
-	}
 	w.stats.PacketUIDs++
 	return w.stats.PacketUIDs
 }

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"sort"
 
+	"ddosim/internal/obs"
 	"ddosim/internal/sim"
 )
 
@@ -20,16 +21,6 @@ type Node struct {
 	name  string
 	net   *Network
 	sched *sim.Scheduler
-
-	// Sharded-mode identity (see shard.go): the node's logical
-	// process, its shard, its creation index (UID namespace), its
-	// per-node UID sequence, and its shard context. ctx is nil in
-	// legacy mode; shardID is -1 there.
-	lp      *sim.LP
-	ctx     *netShard
-	shardID int
-	idx     int
-	uidSeq  uint64
 
 	devs   []*NetDevice
 	addrs  map[netip.Addr]bool
@@ -175,7 +166,7 @@ func (n *Node) attach(d *NetDevice) {
 //simlint:hotpath
 func (n *Node) SendPacket(pkt *Packet) {
 	pkt.sanCheck("Node.SendPacket")
-	if ft := n.flowTable(); ft != nil {
+	if ft := n.net.flows; ft != nil {
 		// Flow accounting happens at origination so records describe
 		// offered load; see flow.go.
 		ft.record(pkt, n.sched.Now())
@@ -299,3 +290,51 @@ func (n *Node) deliverLocal(pkt *Packet) {
 
 // String implements fmt.Stringer.
 func (n *Node) String() string { return n.name }
+
+// NextUID issues a unique packet id from the network-wide counter.
+func (n *Node) NextUID() uint64 { return n.net.NextUID() }
+
+// countTx tallies one transmitted frame. The obs counters are atomic,
+// so an exporter on another goroutine may read them mid-run.
+func (n *Node) countTx(frameLen int, proto Protocol) {
+	w := n.net
+	st := &w.stats
+	st.TxFrames++
+	st.TxBytes += uint64(frameLen)
+	if frameLen > st.MaxFrameLen {
+		st.MaxFrameLen = frameLen
+	}
+	w.ctrTxFrames.Inc()
+	w.ctrTxBytes.Add(uint64(frameLen))
+	if int(proto) < len(w.ctrTxByProto) {
+		w.ctrTxByProto[proto].Add(uint64(frameLen))
+	}
+}
+
+// countDrop tallies one dropped frame at this node, both in the
+// aggregate stats and — when observability is attached — as a counter
+// increment and a trace point event identifying where the drop
+// happened.
+func (n *Node) countDrop(reason string) {
+	n.net.stats.Drops++
+	n.net.ctrDrops.Inc()
+	if tr := n.net.trace; tr != nil {
+		// Guarded even though Tracer is nil-safe, so an untraced flood
+		// run skips building the annotations.
+		//simlint:allow allocfree(the variadic KV array stays on this stack: Tracer.Event copies the annotations into its arena and keeps no reference, pinned by TestQueueDropEventAllocFree)
+		tr.Event(n.sched.Now(), obs.CatNet, "queue-drop",
+			obs.KV{K: "node", V: n.name}, obs.KV{K: "reason", V: reason})
+	}
+}
+
+// addQueued adjusts the buffered-frame count, tracks the network-wide
+// peak, and mirrors both into gauges.
+func (n *Node) addQueued(delta int) {
+	st := &n.net.stats
+	st.QueuedNow += delta
+	if st.QueuedNow > st.PeakQueued {
+		st.PeakQueued = st.QueuedNow
+	}
+	n.net.gaugeQueued.Set(float64(st.QueuedNow))
+	n.net.gaugePeak.Set(float64(st.PeakQueued))
+}

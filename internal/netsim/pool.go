@@ -4,14 +4,8 @@ package netsim
 // one datagram per event for the whole attack window. Recycling the
 // Packet structs through a free list makes the steady-state flood path
 // allocation-free. See the ownership rules on Packet.
-//
-// Legacy (single-threaded) mode keeps one free list on the Network.
-// Sharded mode keeps one free list per shard context (netShard), owned
-// by that shard's worker goroutine: a node always allocates from its
-// own shard's pool, and a packet retires into the pool of whichever
-// shard it died on. Structs therefore migrate between pools with
-// cross-shard traffic — harmless, because recycled packets are zeroed
-// and pooling is unobservable by design.
+// The free list lives on the Network; every node allocates from and
+// retires to it.
 
 // packetPoolCap bounds the free list so a burst (a deep drop-tail queue
 // draining at once) cannot pin an unbounded number of dead structs.
@@ -83,27 +77,9 @@ type PoolStats struct {
 	Free int
 }
 
-// PoolStats returns the packet free-list counters, summed over the
-// per-shard pools in sharded mode. Note the reused/allocated split is
-// partition-dependent there (structs migrate between pools), so
-// sharded-mode reports must not serialize it.
+// PoolStats returns the packet free-list counters.
 func (w *Network) PoolStats() PoolStats {
-	st := PoolStats{Reused: w.pp.reused, Allocated: w.pp.allocs, Free: len(w.pp.free)}
-	for _, c := range w.ctxs {
-		st.Reused += c.pp.reused
-		st.Allocated += c.pp.allocs
-		st.Free += len(c.pp.free)
-	}
-	return st
-}
-
-// pool returns the free list this node allocates from and retires to:
-// its shard context's in sharded mode, the network-wide one otherwise.
-func (n *Node) pool() *pktPool {
-	if n.ctx != nil {
-		return &n.ctx.pp
-	}
-	return &n.net.pp
+	return PoolStats{Reused: w.pp.reused, Allocated: w.pp.allocs, Free: len(w.pp.free)}
 }
 
 // AllocPacket returns a zeroed packet, recycled when possible. The
@@ -120,31 +96,19 @@ func (n *Node) AllocPacket() *Packet { return n.getPacket() }
 // analyzer statically and the simdebug sanitizer at runtime).
 func (n *Node) ReleasePacket(p *Packet) { n.putPacket(p) }
 
-func (n *Node) getPacket() *Packet        { return n.pool().get() }
-func (n *Node) putPacket(p *Packet)       { n.pool().put(p) }
-func (n *Node) clonePacket(p *Packet) *Packet { return n.pool().clone(p) }
+func (n *Node) getPacket() *Packet            { return n.net.pp.get() }
+func (n *Node) putPacket(p *Packet)           { n.net.pp.put(p) }
+func (n *Node) clonePacket(p *Packet) *Packet { return n.net.pp.clone(p) }
 
-// AllocPacket is the network-wide allocator, valid only in legacy mode
-// — sharded allocations must come from a node so they draw on the
-// owning shard's pool (Node.AllocPacket).
-func (w *Network) AllocPacket() *Packet {
-	if w.set != nil {
-		panic("netsim: Network.AllocPacket in sharded mode; allocate from a Node")
-	}
-	return w.getPacket()
-}
+// AllocPacket is the network-wide allocator (see Node.AllocPacket).
+func (w *Network) AllocPacket() *Packet { return w.getPacket() }
 
-// ReleasePacket is the network-wide undo of AllocPacket (legacy mode
-// only; see Node.ReleasePacket).
-func (w *Network) ReleasePacket(p *Packet) {
-	if w.set != nil {
-		panic("netsim: Network.ReleasePacket in sharded mode; release through a Node")
-	}
-	w.putPacket(p)
-}
+// ReleasePacket is the network-wide undo of AllocPacket (see
+// Node.ReleasePacket).
+func (w *Network) ReleasePacket(p *Packet) { w.putPacket(p) }
 
-func (w *Network) getPacket() *Packet        { return w.pp.get() }
-func (w *Network) putPacket(p *Packet)       { w.pp.put(p) }
+func (w *Network) getPacket() *Packet            { return w.pp.get() }
+func (w *Network) putPacket(p *Packet)           { w.pp.put(p) }
 func (w *Network) clonePacket(p *Packet) *Packet { return w.pp.clone(p) }
 
 // pktRing is a growable FIFO of packets backed by a circular buffer —

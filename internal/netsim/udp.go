@@ -78,7 +78,7 @@ func (s *UDPSocket) SendPadded(dst netip.AddrPort, payload []byte, pad int) {
 	}
 	src := s.localAddrFor(dst.Addr())
 	pkt := s.node.getPacket()
-	pkt.UID = s.node.nextUID()
+	pkt.UID = s.node.NextUID()
 	pkt.Proto = ProtoUDP
 	pkt.Src = netip.AddrPortFrom(src, s.port)
 	pkt.Dst = dst

@@ -146,9 +146,8 @@ func endpoint(s string) netip.AddrPort {
 // FuzzTraceExport holds every trace, flow and time-series writer to the
 // bytes of the reference encoding below, for fuzzed categories, names,
 // annotations with repeated keys, and endpoints. One string recurs as
-// category, name, key and value across events and spans, one span is
-// left for CloseOpenSpans, and a merge of two stamped tracers is held to
-// a reference merge.
+// category, name, key and value across events and spans, and one span
+// is left for CloseOpenSpans.
 func FuzzTraceExport(f *testing.F) {
 	f.Add("phase", "deploy", "devs", "3", "10.0.0.2:4000", "10.0.0.1:9999")
 	f.Fuzz(func(t *testing.T, cat, name, key, val, src, dst string) {
@@ -177,8 +176,6 @@ func FuzzTraceExport(f *testing.F) {
 		w.Sample(sim.Second)
 		w.Sample(2 * sim.Second)
 
-		merged, mergedRef := mergeFixture(cat, name, key, val)
-
 		want := map[string][]byte{
 			"Tracer.WriteChromeTrace": refChromeTrace(refRecords(tr)),
 			"Tracer.WriteJSONL":       refTraceJSONL(refRecords(tr)),
@@ -186,13 +183,8 @@ func FuzzTraceExport(f *testing.F) {
 			"FlowBuffer.WriteJSONL":   refFlowJSONL(fb),
 			"Windows.WriteCSV":        refWindowsCSV(w),
 			"Windows.WriteJSONL":      refWindowsJSONL(w),
-			"merged WriteChromeTrace": refChromeTrace(mergedRef),
-			"merged WriteJSONL":       refTraceJSONL(mergedRef),
 		}
-		writers := append(exportWriters(tr, fb, w),
-			namedWriter{"merged WriteChromeTrace", merged.WriteChromeTrace},
-			namedWriter{"merged WriteJSONL", merged.WriteJSONL})
-		for _, wr := range writers {
+		for _, wr := range exportWriters(tr, fb, w) {
 			var buf bytes.Buffer
 			if err := wr.write(&buf); err != nil {
 				t.Fatal(err)
@@ -202,65 +194,6 @@ func FuzzTraceExport(f *testing.F) {
 			}
 		}
 	})
-}
-
-// mergeFixture records the same strings into two stamped tracers in
-// opposite orders, as two shards of one run would, and merges them. It
-// returns the merged tracer and the reference merge: both tracers'
-// records, stably sorted by (time, LP, per-LP emission sequence).
-func mergeFixture(cat, name, key, val string) (*Tracer, []refRecord) {
-	type keyed struct {
-		lp  uint32
-		seq uint64
-		rec refRecord
-	}
-	var lp uint32 // the emitting LP of the next record
-	var next [3]uint64
-	var stamps [2][]keyed
-	parts := [2]*Tracer{NewTracer(), NewTracer()}
-	for i, p := range parts {
-		p.SetStamper(func() (uint32, uint64) {
-			next[lp]++
-			stamps[i] = append(stamps[i], keyed{lp: lp, seq: next[lp]})
-			return lp, next[lp]
-		})
-	}
-	a, b := parts[0], parts[1]
-	lp = 1
-	a.Event(sim.Second, cat, name, KV{key, val})
-	span := a.BeginSpan(2*sim.Second, cat, cat, KV{name, key})
-	lp = 2
-	b.Event(sim.Second, name, cat, KV{val, key}, KV{key, name}) // same instant as a's event, later LP
-	b.RecordSpan(0, 2*sim.Second, key, val, KV{cat, cat})
-	lp = 1
-	a.RecordSpan(0, 3*sim.Second, val, key, KV{cat, val}) // same start as b's span, earlier LP
-	lp = 0
-	b.Event(2*sim.Second, key, key, KV{val, val}, KV{val, cat})
-	a.EndSpan(span, 4*sim.Second)
-
-	var all []keyed
-	for i, p := range parts {
-		for j, r := range refRecords(p) {
-			k := stamps[i][j]
-			k.rec = r
-			all = append(all, k)
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		x, y := all[i], all[j]
-		if x.rec.AtUS != y.rec.AtUS {
-			return x.rec.AtUS < y.rec.AtUS
-		}
-		if x.lp != y.lp {
-			return x.lp < y.lp
-		}
-		return x.seq < y.seq
-	})
-	ref := make([]refRecord, len(all))
-	for i, k := range all {
-		ref[i] = k.rec
-	}
-	return MergeTracers(a, nil, b), ref
 }
 
 // The reference encoding: the writers as they were before the append

@@ -93,64 +93,6 @@ func (b *FlowBuffer) Records() []FlowRecord {
 	return b.recs
 }
 
-// flowLess is a total order over flow records: interval first, then
-// the flow identity and accounting fields. Total means ties are
-// impossible for distinct records, so a sort under it is a pure
-// function of the record *set* — the property MergeFlowBuffers needs.
-func flowLess(a, b *FlowRecord) bool {
-	if a.StartUS != b.StartUS {
-		return a.StartUS < b.StartUS
-	}
-	if a.EndUS != b.EndUS {
-		return a.EndUS < b.EndUS
-	}
-	if a.Proto != b.Proto {
-		return a.Proto < b.Proto
-	}
-	if c := a.Src.Addr().Compare(b.Src.Addr()); c != 0 {
-		return c < 0
-	}
-	if a.Src.Port() != b.Src.Port() {
-		return a.Src.Port() < b.Src.Port()
-	}
-	if c := a.Dst.Addr().Compare(b.Dst.Addr()); c != 0 {
-		return c < 0
-	}
-	if a.Dst.Port() != b.Dst.Port() {
-		return a.Dst.Port() < b.Dst.Port()
-	}
-	if a.Packets != b.Packets {
-		return a.Packets < b.Packets
-	}
-	if a.Bytes != b.Bytes {
-		return a.Bytes < b.Bytes
-	}
-	if a.TCPFlags != b.TCPFlags {
-		return a.TCPFlags < b.TCPFlags
-	}
-	if a.Label != b.Label {
-		return a.Label < b.Label
-	}
-	return a.Reason < b.Reason
-}
-
-// MergeFlowBuffers combines per-shard flow datasets into one buffer
-// ordered by the total flow comparator, so the merged artifact is
-// independent of how flows were partitioned across shards. Inputs are
-// left untouched; batch counts are summed.
-func MergeFlowBuffers(parts ...*FlowBuffer) *FlowBuffer {
-	m := &FlowBuffer{}
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		m.recs = append(m.recs, p.recs...)
-		m.batches += p.batches
-	}
-	sort.SliceStable(m.recs, func(i, j int) bool { return flowLess(&m.recs[i], &m.recs[j]) })
-	return m
-}
-
 // FlowStats condenses a flow dataset for reports.
 type FlowStats struct {
 	Flows   int             `json:"flows"`

@@ -74,13 +74,6 @@ const (
 	recOpen                    // the span has not ended yet
 )
 
-// stamp is a sharded run's merge key for one record after its time: the
-// emitting logical process and that process's emission sequence.
-type stamp struct {
-	lp  uint32
-	seq uint64
-}
-
 // Tracer records spans and events for one run. It is not safe for
 // concurrent use — the simulation kernel is single-threaded, and so is
 // the tracer. All methods are nil-safe so instrumented code can carry
@@ -97,15 +90,6 @@ type Tracer struct {
 	nevents int
 	max     int
 	dropped uint64
-
-	// stamper supplies the (LP, per-LP emission sequence) merge stamp
-	// for sharded runs; nil in the classic kernel, which stores no
-	// stamps. The stamp is a partition-independent total order within
-	// one LP, so per-shard tracers merge deterministically (see
-	// MergeTracers). stamps[i] is record i's stamp; records past the
-	// end of stamps carry the zero stamp.
-	stamper func() (lp uint32, seq uint64)
-	stamps  []stamp
 }
 
 // NewTracer returns an empty tracer with the default event cap.
@@ -121,17 +105,6 @@ func (t *Tracer) SetMaxEvents(n int) {
 	t.max = n
 }
 
-// SetStamper installs the sharded-mode emission stamper. Every
-// subsequent span or event records the stamp the hook returns at
-// emission time; MergeTracers orders entries by (time, stamp).
-func (t *Tracer) SetStamper(fn func() (lp uint32, seq uint64)) {
-	if t == nil {
-		return
-	}
-	t.stamps = append(t.stamps, make([]stamp, len(t.recs)-len(t.stamps))...)
-	t.stamper = fn
-}
-
 // intern returns s's id in the string table, adding s on first sight.
 func (t *Tracer) intern(s string) uint32 {
 	if id, ok := t.ids[s]; ok {
@@ -144,7 +117,7 @@ func (t *Tracer) intern(s string) uint32 {
 }
 
 // add appends r with its strings interned and its annotations copied
-// into the arena, stamps it in a sharded run, and returns its index.
+// into the arena, and returns its index.
 // args is only read, so a caller's variadic array stays on its stack.
 func (t *Tracer) add(r record, cat, name string, args []KV) int {
 	if len(args) > math.MaxUint16 {
@@ -155,10 +128,6 @@ func (t *Tracer) add(r record, cat, name string, args []KV) int {
 	for _, kv := range args {
 		k, v := t.intern(kv.K), t.intern(kv.V)
 		t.args = append(t.args, k, v) //simlint:allow allocfree(amortized arena growth, pointer-free; untraced runs return at the nil-receiver guard)
-	}
-	if t.stamper != nil {
-		lp, seq := t.stamper()
-		t.stamps = append(t.stamps, stamp{lp, seq}) //simlint:allow allocfree(amortized growth, sharded runs only)
 	}
 	t.recs = append(t.recs, r) //simlint:allow allocfree(amortized record growth, pointer-free; untraced runs return at the nil-receiver guard)
 	return len(t.recs) - 1
@@ -311,63 +280,6 @@ func (t *Tracer) CountEvents(cat, name string) int {
 		}
 	}
 	return n
-}
-
-// MergeTracers combines per-shard tracers into one, ordered by the
-// partition-independent key (time, emitting LP, per-LP emission
-// sequence) — the same merge the sharded kernel applies to mailbox
-// messages. A span's time is its start. The inputs must have been
-// stamped (SetStamper); within one LP the emission sequence is a total
-// order, so the merged stream is a pure function of the run,
-// independent of the shard count. Records with equal keys keep their
-// input order. The merged tracer carries its own string table and span
-// IDs and no stamps; input tracers are left untouched and the sum of
-// their drop counts is preserved.
-func MergeTracers(parts ...*Tracer) *Tracer {
-	m := NewTracer()
-	m.max = 0 // inputs already enforced their caps
-	type entry struct {
-		r record
-		s stamp
-	}
-	n := 0
-	for _, p := range parts {
-		if p != nil {
-			n += len(p.recs)
-		}
-	}
-	all := make([]entry, 0, n)
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		ids := make([]uint32, len(p.strs))
-		for i, s := range p.strs {
-			ids[i] = m.intern(s)
-		}
-		for i, r := range p.recs {
-			argOff := uint32(len(m.args))
-			for _, id := range p.argIDs(&r) {
-				m.args = append(m.args, ids[id])
-			}
-			r.cat, r.name, r.argOff = ids[r.cat], ids[r.name], argOff
-			var s stamp
-			if i < len(p.stamps) {
-				s = p.stamps[i]
-			}
-			all = append(all, entry{r, s})
-		}
-		m.nevents += p.nevents
-		m.dropped += p.dropped
-	}
-	slices.SortStableFunc(all, func(a, b entry) int {
-		return cmp.Or(cmp.Compare(a.r.start, b.r.start), cmp.Compare(a.s.lp, b.s.lp), cmp.Compare(a.s.seq, b.s.seq))
-	})
-	m.recs = make([]record, len(all))
-	for i, e := range all {
-		m.recs[i] = e.r
-	}
-	return m
 }
 
 func micros(t sim.Time) int64 { return int64(t / sim.Microsecond) }

@@ -97,46 +97,6 @@ func TestTracerEventCap(t *testing.T) {
 	}
 }
 
-// TestMergeTracers checks what the merge carries besides the order
-// FuzzTraceExport pins: event counts and drops, spans that are still
-// open, and the zero stamp of records made before a stamper was
-// installed.
-func TestMergeTracers(t *testing.T) {
-	stamper := func(lp uint32) func() (uint32, uint64) {
-		var seq uint64
-		return func() (uint32, uint64) { seq++; return lp, seq }
-	}
-	a := NewTracer()
-	a.SetMaxEvents(2)
-	a.Event(2*sim.Second, CatNet, "early") // unstamped: sorts first at 2s
-	a.SetStamper(stamper(1))
-	a.Event(sim.Second, CatNet, "stamped")
-	a.Event(sim.Second, CatNet, "capped")
-	b := NewTracer()
-	b.SetStamper(stamper(0))
-	b.Event(2*sim.Second, CatNet, "late")
-	b.BeginSpan(3*sim.Second, CatPhase, "attack")
-
-	m := MergeTracers(a, b)
-	var names []string
-	for _, ev := range m.Events() {
-		names = append(names, ev.Name)
-	}
-	if got := strings.Join(names, ","); got != "stamped,early,late" {
-		t.Errorf("merged events %s, want stamped,early,late", got)
-	}
-	if m.Dropped() != 1 || m.CountEvents(CatNet, "") != 3 {
-		t.Errorf("merged dropped %d, net events %d; want 1 and 3", m.Dropped(), m.CountEvents(CatNet, ""))
-	}
-	m.CloseOpenSpans(5 * sim.Second)
-	if sp := m.Spans(); len(sp) != 1 || sp[0].Name != "attack" || sp[0].End != 5*sim.Second {
-		t.Errorf("merged spans %+v, want the open attack span closed at 5s", sp)
-	}
-	if s := (&Obs{Trace: m}).Summarize(); s.TraceSpans != 1 || s.TraceEvents != 3 || s.TraceDropped != 1 {
-		t.Errorf("merged summary %+v, want 1 span, 3 events, 1 dropped", s)
-	}
-}
-
 // TestQueueDropEventAllocFree holds the drop path to its allocation
 // contract. Once a drop's strings are interned and the arenas have
 // grown, recording another drop allocates nothing, and the trace storage
@@ -154,10 +114,8 @@ func TestQueueDropEventAllocFree(t *testing.T) {
 	if got := testing.AllocsPerRun(10000, drop); got > 0.01 {
 		t.Errorf("a queue drop averages %v allocations, want at most 0.01", got)
 	}
-	for _, v := range []any{record{}, stamp{}} {
-		if f := pointerField(reflect.TypeOf(v)); f != "" {
-			t.Errorf("%T holds a pointer in %s; the trace storage must be pointer-free", v, f)
-		}
+	if f := pointerField(reflect.TypeOf(record{})); f != "" {
+		t.Errorf("record holds a pointer in %s; the trace storage must be pointer-free", f)
 	}
 	if n := unsafe.Sizeof(record{}); n > 32 {
 		t.Errorf("record is %d bytes, want at most 32", n)

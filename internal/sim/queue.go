@@ -1,11 +1,9 @@
 package sim
 
-import "fmt"
-
-// Item is one scheduler queue entry. Items are plain values: the queue
-// backends store them in slices, never behind per-event pointers, so
-// the steady-state event loop performs no heap allocation. Ref packs
-// the scheduler's (slot, generation) handle and is opaque to queues.
+// Item is one scheduler queue entry. Items are plain values stored in
+// the heap's slice, never behind per-event pointers, so the
+// steady-state event loop performs no heap allocation. Ref packs the
+// scheduler's (slot, generation) handle and is opaque to the queue.
 type Item struct {
 	At  Time
 	Seq uint64
@@ -14,9 +12,8 @@ type Item struct {
 
 // itemLess orders items by (time, insertion sequence): the same
 // FIFO-within-timestamp total order NS-3's schedulers guarantee. The
-// order is total — Seq is unique — so every Queue backend pops the
-// exact same sequence, which is what makes backends interchangeable
-// under the byte-identical determinism harness.
+// order is total — Seq is unique — so the pop sequence is a pure
+// function of the pushed items, whatever the heap's internal layout.
 func itemLess(a, b Item) bool {
 	if a.At != b.At {
 		return a.At < b.At
@@ -24,71 +21,14 @@ func itemLess(a, b Item) bool {
 	return a.Seq < b.Seq
 }
 
-// Queue is a pluggable priority-queue backend for the Scheduler,
-// mirroring NS-3's scheduler family (ListScheduler, MapScheduler,
-// HeapScheduler, CalendarScheduler). Implementations must pop items in
-// exactly itemLess order and must not retain popped Items.
-//
-// A Queue is single-threaded, like the Scheduler that owns it.
-type Queue interface {
-	// Push inserts an item.
-	Push(Item)
-	// Pop removes and returns the minimum item, in itemLess order.
-	Pop() (Item, bool)
-	// Peek returns the minimum item without removing it.
-	Peek() (Item, bool)
-	// Len reports how many items are queued, including entries whose
-	// events were cancelled but not yet swept.
-	Len() int
-}
-
-// QueueKind names a built-in Queue backend for configs and flags.
-type QueueKind string
-
-// Built-in queue backends.
-const (
-	// QueueHeap is a slice-backed 4-ary min-heap — the default. A
-	// 4-ary heap halves tree depth versus the binary container/heap
-	// and keeps children in one cache line.
-	QueueHeap QueueKind = "heap"
-	// QueueCalendar is a calendar queue, the analogue of NS-3's
-	// CalendarScheduler: amortized O(1) push/pop when event times are
-	// roughly uniform, at the cost of a day-width heuristic.
-	QueueCalendar QueueKind = "calendar"
-)
-
-// ParseQueueKind converts a CLI/config string into a QueueKind. The
-// empty string selects the default heap backend.
-func ParseQueueKind(s string) (QueueKind, error) {
-	switch QueueKind(s) {
-	case "", QueueHeap:
-		return QueueHeap, nil
-	case QueueCalendar:
-		return QueueCalendar, nil
-	}
-	return "", fmt.Errorf("sim: unknown queue kind %q (heap|calendar)", s)
-}
-
-// NewQueue constructs a built-in backend. An empty kind selects the
-// heap.
-func NewQueue(kind QueueKind) Queue {
-	switch kind {
-	case "", QueueHeap:
-		return newHeapQueue()
-	case QueueCalendar:
-		return newCalendarQueue()
-	}
-	panic(fmt.Sprintf("sim: unknown queue kind %q", kind))
-}
-
-// heapQueue is a slice-backed 4-ary min-heap of value items. Compared
-// with container/heap it avoids the interface boxing, the per-push
-// allocation, and half the levels.
+// heapQueue is the scheduler's event queue: a slice-backed 4-ary
+// min-heap of value items. Compared with container/heap it avoids the
+// interface boxing, the per-push allocation, and half the levels, and
+// it keeps a node's children in one cache line. It pops in exactly
+// itemLess order and retains no popped Item.
 type heapQueue struct {
 	a []Item
 }
-
-func newHeapQueue() *heapQueue { return &heapQueue{} }
 
 func (q *heapQueue) Len() int { return len(q.a) }
 

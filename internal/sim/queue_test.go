@@ -4,54 +4,55 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
-var queueKinds = []QueueKind{QueueHeap, QueueCalendar}
+// refQueue is the heap's test oracle: an unordered slice whose Pop
+// scans for the itemLess minimum. It is too slow for the kernel but
+// obviously correct.
+type refQueue []Item
 
-func TestParseQueueKind(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want QueueKind
-		ok   bool
-	}{
-		{"", QueueHeap, true},
-		{"heap", QueueHeap, true},
-		{"calendar", QueueCalendar, true},
-		{"list", "", false},
-		{"HEAP", "", false},
-	} {
-		got, err := ParseQueueKind(tc.in)
-		if tc.ok && (err != nil || got != tc.want) {
-			t.Errorf("ParseQueueKind(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-		if !tc.ok && err == nil {
-			t.Errorf("ParseQueueKind(%q) accepted", tc.in)
+func (q *refQueue) Push(it Item) { *q = append(*q, it) }
+
+func (q *refQueue) Pop() (Item, bool) {
+	if len(*q) == 0 {
+		return Item{}, false
+	}
+	best := 0
+	for i, it := range *q {
+		if itemLess(it, (*q)[best]) {
+			best = i
 		}
 	}
+	it := (*q)[best]
+	*q = append((*q)[:best], (*q)[best+1:]...)
+	return it, true
 }
 
 // TestQueueBackendsPopIdenticalOrder: any interleaving of pushes and
-// pops yields the exact same item sequence from every backend — the
-// property that makes backends swappable without changing a run.
+// pops yields the exact same item sequence from the heap as from the
+// reference queue, and that sequence is itemLess-sorted.
 func TestQueueBackendsPopIdenticalOrder(t *testing.T) {
 	f := func(ops []uint32) bool {
-		qs := make([]Queue, len(queueKinds))
-		for i, k := range queueKinds {
-			qs[i] = NewQueue(k)
-		}
+		var heap heapQueue
+		var ref refQueue
 		seq := uint64(0)
 		lastAt := Time(0)
-		var popped [][]Item
-		popped = make([][]Item, len(qs))
+		var popped []Item
+		pop := func() bool {
+			it, ok := heap.Pop()
+			want, wantOK := ref.Pop()
+			if !ok || !wantOK || it != want {
+				return false
+			}
+			popped = append(popped, it)
+			lastAt = it.At
+			return true
+		}
 		for _, op := range ops {
-			if op%4 == 0 && qs[0].Len() > 0 {
-				for i, q := range qs {
-					it, ok := q.Pop()
-					if !ok {
-						return false
-					}
-					popped[i] = append(popped[i], it)
-					lastAt = it.At
+			if op%4 == 0 && heap.Len() > 0 {
+				if !pop() {
+					return false
 				}
 				continue
 			}
@@ -59,32 +60,20 @@ func TestQueueBackendsPopIdenticalOrder(t *testing.T) {
 			// Times never precede the latest pop, mirroring the
 			// scheduler's clamp-to-now rule.
 			it := Item{At: lastAt + Time(op%977), Seq: seq, Ref: uint64(op)}
-			for _, q := range qs {
-				q.Push(it)
-			}
+			heap.Push(it)
+			ref.Push(it)
 		}
-		for qs[0].Len() > 0 {
-			for i, q := range qs {
-				it, ok := q.Pop()
-				if !ok {
-					return false
-				}
-				popped[i] = append(popped[i], it)
-			}
-		}
-		for i := 1; i < len(popped); i++ {
-			if len(popped[i]) != len(popped[0]) {
+		for heap.Len() > 0 {
+			if !pop() {
 				return false
 			}
-			for j := range popped[0] {
-				if popped[i][j] != popped[0][j] {
-					return false
-				}
-			}
 		}
-		// And the shared sequence must be itemLess-sorted.
-		for j := 1; j < len(popped[0]); j++ {
-			if itemLess(popped[0][j], popped[0][j-1]) {
+		if len(ref) != 0 {
+			return false
+		}
+		// The heap's own check, independent of the reference.
+		for j := 1; j < len(popped); j++ {
+			if itemLess(popped[j], popped[j-1]) {
 				return false
 			}
 		}
@@ -95,35 +84,13 @@ func TestQueueBackendsPopIdenticalOrder(t *testing.T) {
 	}
 }
 
-// TestCalendarFarFutureAndTies exercises the calendar queue's two slow
-// paths: a year-scan miss (every event more than a year of buckets
-// away) and many ties sharing one bucket.
-func TestCalendarFarFutureAndTies(t *testing.T) {
-	q := NewQueue(QueueCalendar)
-	q.Push(Item{At: 1 << 40, Seq: 1})
-	q.Push(Item{At: 1 << 50, Seq: 2})
-	if it, _ := q.Peek(); it.Seq != 1 {
-		t.Fatalf("far-future Peek = %+v, want Seq 1", it)
-	}
-	for s := uint64(3); s < 40; s++ {
-		q.Push(Item{At: 1 << 40, Seq: s})
-	}
-	wantSeqs := append([]uint64{1}, func() []uint64 {
-		var v []uint64
-		for s := uint64(3); s < 40; s++ {
-			v = append(v, s)
-		}
-		return v
-	}()...)
-	wantSeqs = append(wantSeqs, 2)
-	for i, want := range wantSeqs {
-		it, ok := q.Pop()
-		if !ok || it.Seq != want {
-			t.Fatalf("pop %d = %+v, ok=%v, want Seq %d", i, it, ok, want)
-		}
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("pop from empty calendar succeeded")
+// TestSlotSize pins the per-event slot at 32 bytes: a callback, a
+// source label, a generation stamp and a live flag. Every scheduled
+// event holds one slot until it fires, so growth here is paid on the
+// whole pending set.
+func TestSlotSize(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n != 32 {
+		t.Fatalf("unsafe.Sizeof(slot{}) = %d, want 32", n)
 	}
 }
 
@@ -181,32 +148,30 @@ func TestQueueLenPendingInvariant(t *testing.T) {
 }
 
 // TestCompactionPreservesOrder: a sweep in the middle of a workload
-// must not reorder survivors, on either backend.
+// must not reorder survivors.
 func TestCompactionPreservesOrder(t *testing.T) {
-	for _, kind := range queueKinds {
-		s := NewSchedulerQueue(9, kind)
-		const n = 300
-		var order []int
-		ids := make([]EventID, n)
-		for i := 0; i < n; i++ {
-			i := i
-			ids[i] = s.Schedule(Time(n-i)*Millisecond, func() { order = append(order, i) })
-		}
-		for i := 0; i < n; i += 2 { // cancel every even id → sweep triggers
-			s.Cancel(ids[i])
-		}
-		if err := s.RunAll(); err != nil {
-			t.Fatalf("[%s] RunAll: %v", kind, err)
-		}
-		if len(order) != n/2 {
-			t.Fatalf("[%s] ran %d, want %d", kind, len(order), n/2)
-		}
-		// Delay was (n-i) ms, so survivors (odd i) must run in
-		// descending-i order.
-		for j := 1; j < len(order); j++ {
-			if order[j] >= order[j-1] {
-				t.Fatalf("[%s] order[%d..] = %d,%d not descending", kind, j-1, order[j-1], order[j])
-			}
+	s := NewScheduler(9)
+	const n = 300
+	var order []int
+	ids := make([]EventID, n)
+	for i := 0; i < n; i++ {
+		i := i
+		ids[i] = s.Schedule(Time(n-i)*Millisecond, func() { order = append(order, i) })
+	}
+	for i := 0; i < n; i += 2 { // cancel every even id → sweep triggers
+		s.Cancel(ids[i])
+	}
+	if err := s.RunAll(); err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	if len(order) != n/2 {
+		t.Fatalf("ran %d, want %d", len(order), n/2)
+	}
+	// Delay was (n-i) ms, so survivors (odd i) must run in
+	// descending-i order.
+	for j := 1; j < len(order); j++ {
+		if order[j] >= order[j-1] {
+			t.Fatalf("order[%d..] = %d,%d not descending", j-1, order[j-1], order[j])
 		}
 	}
 }
@@ -266,83 +231,37 @@ func TestCancelFiredAndReusedIDs(t *testing.T) {
 }
 
 // TestPropertyFIFOWithinTimestamp: events sharing a timestamp run in
-// schedule order, on every backend.
+// schedule order.
 func TestPropertyFIFOWithinTimestamp(t *testing.T) {
-	for _, kind := range queueKinds {
-		kind := kind
-		f := func(slots []uint8) bool {
-			s := NewSchedulerQueue(3, kind)
-			var got []int
-			for i, slot := range slots {
-				i := i
-				// Few distinct timestamps → many ties.
-				s.Schedule(Time(slot%5)*Second, func() { got = append(got, i) })
-			}
-			if err := s.RunAll(); err != nil {
+	f := func(slots []uint8) bool {
+		s := NewScheduler(3)
+		var got []int
+		for i, slot := range slots {
+			i := i
+			// Few distinct timestamps → many ties.
+			s.Schedule(Time(slot%5)*Second, func() { got = append(got, i) })
+		}
+		if err := s.RunAll(); err != nil {
+			return false
+		}
+		if len(got) != len(slots) {
+			return false
+		}
+		// Expected order: stable sort by timestamp = for equal
+		// timestamps, ascending schedule index.
+		seen := make(map[uint8][]int)
+		for _, i := range got {
+			b := slots[i] % 5
+			ns := seen[b]
+			if len(ns) > 0 && ns[len(ns)-1] > i {
 				return false
 			}
-			if len(got) != len(slots) {
-				return false
-			}
-			// Expected order: stable sort by timestamp = for equal
-			// timestamps, ascending schedule index.
-			seen := make(map[uint8][]int)
-			for _, i := range got {
-				b := slots[i] % 5
-				ns := seen[b]
-				if len(ns) > 0 && ns[len(ns)-1] > i {
-					return false
-				}
-				seen[b] = append(ns, i)
-			}
-			return true
+			seen[b] = append(ns, i)
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-			t.Fatalf("[%s] %v", kind, err)
-		}
+		return true
 	}
-}
-
-// TestBackendsIdenticalRuns drives a randomized schedule/cancel/nested
-// workload on both backends and requires identical execution traces —
-// the in-package version of the cross-backend artifact test in
-// internal/core.
-func TestBackendsIdenticalRuns(t *testing.T) {
-	run := func(kind QueueKind) []Time {
-		s := NewSchedulerQueue(11, kind)
-		var trace []Time
-		var ids []EventID
-		var step func()
-		n := 0
-		step = func() {
-			trace = append(trace, s.Now())
-			n++
-			if n > 2000 {
-				return
-			}
-			r := s.RNG()
-			for i := 0; i < 1+r.Intn(3); i++ {
-				ids = append(ids, s.Schedule(Time(r.Intn(5000))*Microsecond, step))
-			}
-			if len(ids) > 0 && r.Intn(3) == 0 {
-				s.Cancel(ids[r.Intn(len(ids))])
-			}
-		}
-		s.Schedule(0, step)
-		if err := s.Run(3 * Second); err != nil {
-			t.Fatalf("[%s] Run: %v", kind, err)
-		}
-		return trace
-	}
-	heap := run(QueueHeap)
-	cal := run(QueueCalendar)
-	if len(heap) != len(cal) {
-		t.Fatalf("trace lengths differ: heap %d, calendar %d", len(heap), len(cal))
-	}
-	for i := range heap {
-		if heap[i] != cal[i] {
-			t.Fatalf("traces diverge at event %d: heap %v, calendar %v", i, heap[i], cal[i])
-		}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -352,52 +271,40 @@ func TestBackendsIdenticalRuns(t *testing.T) {
 func nop() {}
 
 func BenchmarkSchedule(b *testing.B) {
-	for _, kind := range queueKinds {
-		b.Run(string(kind), func(b *testing.B) {
-			s := NewSchedulerQueue(1, kind)
-			rng := rand.New(rand.NewSource(2))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Schedule(Time(rng.Intn(1000))*Microsecond, nop)
-			}
-		})
+	s := NewScheduler(1)
+	rng := rand.New(rand.NewSource(2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Schedule(Time(rng.Intn(1000))*Microsecond, nop)
 	}
 }
 
 func BenchmarkScheduleCancel(b *testing.B) {
-	for _, kind := range queueKinds {
-		b.Run(string(kind), func(b *testing.B) {
-			s := NewSchedulerQueue(1, kind)
-			rng := rand.New(rand.NewSource(2))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := s.Schedule(Time(rng.Intn(1000))*Microsecond, nop)
-				s.Cancel(id)
-			}
-		})
+	s := NewScheduler(1)
+	rng := rand.New(rand.NewSource(2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := s.Schedule(Time(rng.Intn(1000))*Microsecond, nop)
+		s.Cancel(id)
 	}
 }
 
 func BenchmarkRunDrain(b *testing.B) {
-	for _, kind := range queueKinds {
-		b.Run(string(kind), func(b *testing.B) {
-			s := NewSchedulerQueue(1, kind)
-			rng := rand.New(rand.NewSource(2))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Schedule(Time(rng.Intn(1000))*Microsecond, nop)
-				if i%1024 == 1023 {
-					if err := s.RunAll(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
+	s := NewScheduler(1)
+	rng := rand.New(rand.NewSource(2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Schedule(Time(rng.Intn(1000))*Microsecond, nop)
+		if i%1024 == 1023 {
 			if err := s.RunAll(); err != nil {
 				b.Fatal(err)
 			}
-		})
+		}
+	}
+	if err := s.RunAll(); err != nil {
+		b.Fatal(err)
 	}
 }

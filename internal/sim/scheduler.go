@@ -24,15 +24,6 @@ type slot struct {
 	src  string
 	gen  uint32
 	live bool
-
-	// Sharded-mode extensions. lp attributes the event to a logical
-	// process (nil in the legacy single-threaded kernel); h/a/b hold a
-	// mailbox message's handler triple when fn is nil, so barrier
-	// insertion of cross-shard packets allocates no closures.
-	lp *LP
-	h  MsgHandler
-	a  any
-	b  any
 }
 
 func packRef(idx uint32, gen uint32) uint64 { return uint64(idx)<<32 | uint64(gen) }
@@ -51,14 +42,13 @@ const compactMin = 64
 // randomness flows through the seeded RNG it owns.
 //
 // The steady-state hot path is allocation-free: events are value
-// entries in a slice-backed queue, callbacks live in a recycled slot
-// table, and cancellation is a generation-stamp bump — no per-event
-// heap object, no live-event map.
+// entries in a 4-ary heap, callbacks live in a recycled slot table,
+// and cancellation is a generation-stamp bump — no per-event heap
+// object, no live-event map.
 //
-// The zero value is not usable; construct with NewScheduler,
-// NewSchedulerQueue, or NewSchedulerWith.
+// The zero value is not usable; construct with NewScheduler.
 type Scheduler struct {
-	q       Queue
+	q       heapQueue
 	slots   []slot
 	free    []uint32
 	scratch []Item // reused by compact
@@ -71,83 +61,28 @@ type Scheduler struct {
 	stopped   bool
 	processed uint64
 	hook      func(at Time, src string, pending int)
-
-	// curLP is the logical process currently executing (sharded mode
-	// only; always nil in the legacy kernel). Events inherit it at
-	// schedule time, RNG() resolves through it, and the observability
-	// layer reads it to stamp emissions.
-	curLP *LP
-
-	// worker marks a scheduler owned by a worker shard of a ShardSet.
-	// Barrier refuses to run on one: barrier operations belong to the
-	// control plane (or the legacy single-threaded kernel).
-	worker bool
 }
 
-// NewScheduler returns a scheduler on the default heap backend whose
-// random source is seeded with seed. Two schedulers built with the
-// same seed drive identical runs.
+// NewScheduler returns a scheduler whose random source is seeded with
+// seed. Two schedulers built with the same seed drive identical runs.
 func NewScheduler(seed int64) *Scheduler {
-	return NewSchedulerQueue(seed, QueueHeap)
-}
-
-// NewSchedulerQueue is NewScheduler with an explicit queue backend.
-// An empty kind selects the heap. Backends are observationally
-// identical: the same seed yields the same run byte-for-byte on any
-// of them.
-func NewSchedulerQueue(seed int64, kind QueueKind) *Scheduler {
-	return NewSchedulerWith(seed, NewQueue(kind))
-}
-
-// NewSchedulerWith builds a scheduler around a caller-supplied Queue
-// implementation — the extension point for experimenting with new
-// backends without touching the kernel.
-func NewSchedulerWith(seed int64, q Queue) *Scheduler {
-	if q == nil {
-		panic("sim: NewSchedulerWith with nil queue")
-	}
-	return &Scheduler{
-		q:   q,
-		rng: rand.New(rand.NewSource(seed)),
-	}
+	return &Scheduler{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now reports the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// RNG exposes the current deterministic random source. In the legacy
-// kernel this is the scheduler's single global stream; in sharded
-// mode it is the private stream of the logical process currently
-// executing, so draw sequences are independent of the shard count.
-// All model components must draw randomness from here, never from
-// package-level rand, to keep runs reproducible.
-func (s *Scheduler) RNG() *rand.Rand {
-	if s.curLP != nil {
-		return s.curLP.rng
-	}
-	return s.rng
-}
+// RNG exposes the run's deterministic random source. All model
+// components must draw randomness from here, never from package-level
+// rand, to keep runs reproducible.
+func (s *Scheduler) RNG() *rand.Rand { return s.rng }
 
-// CurLP reports the logical process currently executing, or nil in
-// the legacy single-threaded kernel (and during unattributed phases).
-func (s *Scheduler) CurLP() *LP { return s.curLP }
-
-// Barrier runs fn in control-plane barrier context. On the legacy
-// kernel this is a plain call: there is one thread and one partition.
-// On the sharded kernel it is meaningful only on the control
-// scheduler, whose events execute at epoch barriers with every shard
-// worker parked — so fn may touch partition-owned state on any shard
-// directly. Barrier is the ctl-side counterpart of ShardSet.WithLP:
-// the explicit, auditable form of a control-plane→partition mutation
-// (simlint inventories each Barrier body as a "barrier" crossing
-// instead of reporting it). Calling it on a worker shard's scheduler
-// panics — worker handlers must use the message path.
-func (s *Scheduler) Barrier(fn func()) {
-	if s.worker {
-		panic("sim: Barrier on a worker-shard scheduler; cross-partition effects from shard handlers must use the message path")
-	}
-	fn()
-}
+// Barrier runs fn as a control-plane mutation of partition-owned
+// state. It is a plain call — the kernel is single-threaded — kept as
+// the explicit, auditable marker for such mutations: simlint
+// inventories each Barrier body as a "barrier" crossing instead of
+// reporting it.
+func (s *Scheduler) Barrier(fn func()) { fn() }
 
 // Processed reports how many events have executed so far. The resource
 // model uses this as a proxy for simulator workload (Table I).
@@ -156,8 +91,8 @@ func (s *Scheduler) Processed() uint64 { return s.processed }
 // Pending reports how many events are queued and not cancelled.
 func (s *Scheduler) Pending() int { return s.pending }
 
-// QueueLen reports the number of entries physically inside the queue
-// backend, which may exceed Pending by the number of cancelled entries
+// QueueLen reports the number of entries physically inside the queue,
+// which may exceed Pending by the number of cancelled entries
 // not yet swept. The invariant QueueLen() == Pending()+stale is
 // bounded: a compaction sweep runs whenever stale entries outnumber
 // live ones (and exceed a small floor), so QueueLen never drifts past
@@ -220,52 +155,10 @@ func (s *Scheduler) ScheduleAtSrc(at Time, src string, fn func()) EventID {
 	}
 	sl := &s.slots[idx]
 	sl.fn, sl.src, sl.live = fn, src, true
-	sl.lp = s.curLP // events run as the LP that scheduled them
 	s.pending++
 	ref := packRef(idx, sl.gen)
 	s.q.Push(Item{At: at, Seq: s.seq, Ref: ref})
 	return EventID(ref)
-}
-
-// scheduleMsg queues a mailbox message's handler triple at absolute
-// time at, attributed to (and executing as) LP dst. It is the
-// barrier-insertion path of the sharded runtime: storing the handler
-// and its two operands directly in the slot avoids a closure
-// allocation per cross-shard packet.
-func (s *Scheduler) scheduleMsg(at Time, dst *LP, h MsgHandler, a, b any) {
-	if at < s.now {
-		at = s.now
-	}
-	s.seq++
-	var idx uint32
-	if n := len(s.free); n > 0 {
-		idx = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		s.slots = append(s.slots, slot{gen: 1}) //simlint:allow allocfree(slab growth only when the free list is empty; steady state pops recycled slots and never allocates)
-		idx = uint32(len(s.slots) - 1)
-	}
-	sl := &s.slots[idx]
-	sl.fn, sl.src, sl.live = nil, "sim.msg", true
-	sl.lp, sl.h, sl.a, sl.b = dst, h, a, b
-	s.pending++
-	s.q.Push(Item{At: at, Seq: s.seq, Ref: packRef(idx, sl.gen)})
-}
-
-// NextEventTime reports the timestamp of the earliest live pending
-// event, sweeping any cancelled entries off the top. The shard
-// coordinator uses it between epochs to skip empty stretches of the
-// epoch grid.
-func (s *Scheduler) NextEventTime() (Time, bool) {
-	for s.q.Len() > 0 {
-		it, _ := s.q.Peek()
-		if s.refLive(it.Ref) {
-			return it.At, true
-		}
-		s.q.Pop()
-		s.stale--
-	}
-	return 0, false
 }
 
 // Cancel removes a scheduled event. Cancelling an event that already ran
@@ -297,7 +190,6 @@ func (s *Scheduler) Cancel(id EventID) bool {
 // entries), and the slot returns to the free list.
 func (s *Scheduler) releaseSlot(idx uint32, sl *slot) {
 	sl.fn, sl.src, sl.live = nil, "", false
-	sl.lp, sl.h, sl.a, sl.b = nil, nil, nil, nil
 	sl.gen++
 	if sl.gen == 0 {
 		sl.gen = 1
@@ -360,8 +252,6 @@ func (s *Scheduler) RunAll() error {
 
 func (s *Scheduler) run(until Time) error {
 	s.stopped = false
-	//simlint:allow allocfree(the deferred reset closure is built once per Run invocation, not per event)
-	defer func() { s.curLP = nil }() // no attribution leaks out of the loop
 	for s.q.Len() > 0 {
 		if s.stopped {
 			return ErrStopped
@@ -381,7 +271,6 @@ func (s *Scheduler) run(until Time) error {
 		}
 		s.q.Pop()
 		fn, src := sl.fn, sl.src
-		lp, h, a, b := sl.lp, sl.h, sl.a, sl.b
 		s.releaseSlot(idx, sl)
 		s.pending--
 		s.now = it.At
@@ -389,12 +278,7 @@ func (s *Scheduler) run(until Time) error {
 		if s.hook != nil {
 			s.hook(it.At, src, s.pending)
 		}
-		s.curLP = lp
-		if fn != nil {
-			fn()
-		} else {
-			h.HandleMsg(it.At, a, b)
-		}
+		fn()
 	}
 	return nil
 }
