@@ -1,8 +1,10 @@
 package dht
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"ddosim/internal/container"
@@ -51,12 +53,13 @@ func TestRandomIDInBucketLandsInBucket(t *testing.T) {
 	}
 }
 
-func TestProtoRoundTrip(t *testing.T) {
+// protoMessages holds one well-formed message of every type.
+func protoMessages() []*Message {
 	sender := DeriveID([]byte("s"))
 	key := Key("cmd")
 	c1 := Contact{ID: DeriveID([]byte("c1")), Addr: netip.MustParseAddrPort("10.0.0.1:6881")}
 	c2 := Contact{ID: DeriveID([]byte("c2")), Addr: netip.MustParseAddrPort("[2001:db8::2]:6881")}
-	msgs := []*Message{
+	return []*Message{
 		{Type: tPing, RPC: 7, Sender: sender},
 		{Type: tPong, RPC: 7, Sender: sender},
 		{Type: tFindNode, RPC: 9, Sender: sender, Target: key},
@@ -66,20 +69,23 @@ func TestProtoRoundTrip(t *testing.T) {
 		{Type: tValue, RPC: 12, Sender: sender, Key: key, Seq: 42, Value: []byte("attack-record")},
 		{Type: tStoreOK, RPC: 11, Sender: sender, Key: key},
 	}
-	for _, m := range msgs {
+}
+
+// sameMessage reports whether two messages carry the same fields.
+func sameMessage(a, b *Message) bool {
+	return a.Type == b.Type && a.RPC == b.RPC && a.Sender == b.Sender &&
+		a.Target == b.Target && a.Key == b.Key && a.Seq == b.Seq &&
+		bytes.Equal(a.Value, b.Value) && slices.Equal(a.Contacts, b.Contacts)
+}
+
+func TestProtoRoundTrip(t *testing.T) {
+	for _, m := range protoMessages() {
 		got, err := Decode(m.Encode())
 		if err != nil {
 			t.Fatalf("type %d: %v", m.Type, err)
 		}
-		if got.Type != m.Type || got.RPC != m.RPC || got.Sender != m.Sender ||
-			got.Target != m.Target || got.Key != m.Key || got.Seq != m.Seq ||
-			string(got.Value) != string(m.Value) || len(got.Contacts) != len(m.Contacts) {
+		if !sameMessage(got, m) {
 			t.Fatalf("type %d: round trip mismatch: %+v vs %+v", m.Type, got, m)
-		}
-		for i := range got.Contacts {
-			if got.Contacts[i] != m.Contacts[i] {
-				t.Fatalf("type %d: contact %d mismatch", m.Type, i)
-			}
 		}
 	}
 	if _, err := Decode([]byte{1, 2}); err == nil {
@@ -88,6 +94,43 @@ func TestProtoRoundTrip(t *testing.T) {
 	if _, err := Decode((&Message{Type: 99}).Encode()); err == nil {
 		t.Fatal("unknown type must fail to decode")
 	}
+}
+
+// FuzzDecode feeds Decode hostile datagrams, as an overlay peer may
+// send: it must never panic, and any message it accepts must re-encode
+// to bytes that decode to an equal message and re-encode identically.
+func FuzzDecode(f *testing.F) {
+	for _, m := range protoMessages() {
+		b := m.Encode()
+		f.Add(b)
+		f.Add(b[:len(b)-1])
+		f.Add(append(slices.Clip(b), 0xff, 0x00, 0x10))
+	}
+	// A contact count larger than the contacts that follow, and a value
+	// length larger than the value.
+	nodes := protoMessages()[4].Encode()
+	nodes[headerLen] = 0xff
+	f.Add(nodes)
+	store := protoMessages()[5].Encode()
+	store[headerLen+IDBytes+8], store[headerLen+IDBytes+9] = 0xff, 0xff
+	f.Add(store)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Decode(data)
+		if err != nil {
+			return
+		}
+		enc := m.Encode()
+		again, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-encoding of an accepted message does not decode: %v", err)
+		}
+		if !sameMessage(again, m) {
+			t.Fatalf("round trip changed the message: %+v vs %+v", again, m)
+		}
+		if !bytes.Equal(again.Encode(), enc) {
+			t.Fatal("re-encoding is not stable")
+		}
+	})
 }
 
 func TestTableLRUAndEviction(t *testing.T) {

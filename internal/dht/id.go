@@ -82,6 +82,24 @@ func (d Distance) Less(o Distance) bool {
 	return false
 }
 
+// bit reports whether bit i of d is set, counting from the least
+// significant bit as bucket indices do.
+func (d Distance) bit(i int) bool {
+	p := IDBits - 1 - i
+	return d[p/8]&(0x80>>(p%8)) != 0
+}
+
+// top reports the index of d's highest set bit, counting from the
+// least significant bit, or -1 when d is zero.
+func (d Distance) top() int {
+	for i, b := range d {
+		if b != 0 {
+			return IDBits - 1 - (i*8 + bits.LeadingZeros8(b))
+		}
+	}
+	return -1
+}
+
 // IsZero reports whether the distance is zero (identical IDs).
 func (d Distance) IsZero() bool {
 	for _, b := range d {
@@ -98,13 +116,7 @@ func (d Distance) IsZero() bool {
 // single ID differing only in the last bit. Returns -1 for identical
 // IDs, which never occupy a bucket.
 func BucketIndex(a, b ID) int {
-	d := a.XOR(b)
-	for i, byt := range d {
-		if byt != 0 {
-			return IDBits - 1 - (i*8 + bits.LeadingZeros8(byt))
-		}
-	}
-	return -1
+	return a.XOR(b).top()
 }
 
 // RandomIDInBucket builds an ID whose distance from self falls in

@@ -323,6 +323,7 @@ const (
 
 type lookupEntry struct {
 	c     Contact
+	d     Distance // c.ID.XOR(target), computed once on insert
 	state int
 }
 
@@ -352,7 +353,9 @@ func (n *Node) newLookup(target ID, wantValue bool, seed []Contact, onDone func(
 }
 
 // add inserts a contact into the shortlist unless present, keeping the
-// list sorted by distance (ID tiebreak).
+// list sorted by distance (ID tiebreak). The order is total and a
+// duplicate compares equal to its twin, so the scan meets any
+// duplicate before the insertion point.
 func (l *lookup) add(c Contact) {
 	if c.ID == l.n.id {
 		return
@@ -360,25 +363,17 @@ func (l *lookup) add(c Contact) {
 	d := c.ID.XOR(l.target)
 	pos := len(l.entries)
 	for i, e := range l.entries {
-		ed := e.c.ID.XOR(l.target)
 		if e.c.ID == c.ID {
 			return
 		}
-		if d.Less(ed) || (d == ed && string(c.ID[:]) < string(e.c.ID[:])) {
+		if closer(d, c.ID, e.d, e.c.ID) {
 			pos = i
 			break
 		}
 	}
-	// The duplicate scan must cover the whole list, not just the prefix
-	// before the insertion point.
-	for _, e := range l.entries[pos:] {
-		if e.c.ID == c.ID {
-			return
-		}
-	}
 	l.entries = append(l.entries, nil)
 	copy(l.entries[pos+1:], l.entries[pos:])
-	l.entries[pos] = &lookupEntry{c: c}
+	l.entries[pos] = &lookupEntry{c: c, d: d}
 }
 
 // step launches queries and checks termination.

@@ -1,6 +1,9 @@
 package dht
 
-import "sort"
+import (
+	"bytes"
+	"slices"
+)
 
 // Table is the Kademlia routing table: IDBits k-buckets of contacts,
 // bucket i holding peers whose distance from self has its highest set
@@ -14,6 +17,7 @@ type Table struct {
 	self    ID
 	k       int
 	buckets [IDBits][]Contact
+	used    []uint8 // indices of the non-empty buckets, ascending
 	size    int
 }
 
@@ -57,6 +61,10 @@ func (t *Table) Seen(c Contact) (SeenResult, Contact) {
 		}
 	}
 	if len(b) < t.k {
+		if len(b) == 0 {
+			i, _ := slices.BinarySearch(t.used, uint8(idx))
+			t.used = slices.Insert(t.used, i, uint8(idx))
+		}
 		t.buckets[idx] = append(b, c)
 		t.size++
 		return SeenAdded, Contact{}
@@ -92,6 +100,10 @@ func (t *Table) Remove(id ID) {
 		if b[i].ID == id {
 			t.buckets[idx] = append(b[:i], b[i+1:]...)
 			t.size--
+			if len(b) == 1 {
+				u, _ := slices.BinarySearch(t.used, uint8(idx))
+				t.used = slices.Delete(t.used, u, u+1)
+			}
 			return
 		}
 	}
@@ -99,15 +111,63 @@ func (t *Table) Remove(id ID) {
 
 // Closest returns up to n contacts sorted by XOR distance to target
 // (ties broken by ID bytes — a total order, so the result is
-// deterministic regardless of insertion history).
+// deterministic regardless of insertion history). It computes each
+// visited contact's distance once, keeps the n best in a sorted
+// window, and allocates only the result.
+//
+// Each bucket holds a disjoint range of distances from target, so the
+// scan visits the non-empty buckets nearest range first and stops at
+// the first one that leaves the window full. With x = self XOR target
+// and j its highest set bit: bucket j is nearest (distances below
+// 2^j); the buckets below j all lie in [2^j, 2^(j+1)), where one whose
+// bit of x is set is nearer than every bucket below it and one whose
+// bit is clear is farther; each bucket i above j lies in
+// [2^i, 2^(i+1)).
 func (t *Table) Closest(target ID, n int) []Contact {
-	out := make([]Contact, 0, t.size)
-	for i := range t.buckets {
-		out = append(out, t.buckets[i]...)
+	n = min(n, t.size)
+	out := make([]Contact, 0, n)
+	if n == 0 {
+		return out
 	}
-	sortByDistance(out, target)
-	if len(out) > n {
-		out = out[:n]
+	// The window's distances, parallel to out; on the stack for every
+	// n a node asks for (K+1, for any K up to 15).
+	var dbuf [16]Distance
+	ds := dbuf[:]
+	if n > len(dbuf) {
+		ds = make([]Distance, n)
+	}
+	// full merges bucket i into the window and reports whether the
+	// window is full.
+	full := func(i uint8) bool {
+		out = nearest(out, ds, target, t.buckets[i])
+		return len(out) == n
+	}
+	x := t.self.XOR(target)
+	below, above := []uint8(nil), t.used
+	if j := x.top(); j >= 0 { // j < 0: target is self, every bucket is above
+		p, hit := slices.BinarySearch(t.used, uint8(j))
+		below, above = t.used[:p], t.used[p:]
+		if hit {
+			if full(uint8(j)) {
+				return out
+			}
+			above = above[1:]
+		}
+	}
+	for k := len(below) - 1; k >= 0; k-- {
+		if i := below[k]; x.bit(int(i)) && full(i) {
+			return out
+		}
+	}
+	for _, i := range below {
+		if !x.bit(int(i)) && full(i) {
+			return out
+		}
+	}
+	for _, i := range above {
+		if full(i) {
+			return out
+		}
 	}
 	return out
 }
@@ -115,12 +175,35 @@ func (t *Table) Closest(target ID, n int) []Contact {
 // BucketLen reports the occupancy of bucket idx (refresh targeting).
 func (t *Table) BucketLen(idx int) int { return len(t.buckets[idx]) }
 
-func sortByDistance(cs []Contact, target ID) {
-	sort.Slice(cs, func(i, j int) bool {
-		di, dj := cs[i].ID.XOR(target), cs[j].ID.XOR(target)
-		if di != dj {
-			return di.Less(dj)
+// nearest offers every contact of bucket to out, the sorted window of
+// the cap(out) contacts nearest target seen so far (ds[i] is out[i]'s
+// distance), and returns the window.
+func nearest(out []Contact, ds []Distance, target ID, bucket []Contact) []Contact {
+	for _, c := range bucket {
+		d := c.ID.XOR(target)
+		pos := len(out)
+		if pos < cap(out) {
+			out = append(out, c)
+		} else if closer(d, c.ID, ds[pos-1], out[pos-1].ID) {
+			pos-- // evict the farthest
+		} else {
+			continue
 		}
-		return string(cs[i].ID[:]) < string(cs[j].ID[:])
-	})
+		for ; pos > 0 && closer(d, c.ID, ds[pos-1], out[pos-1].ID); pos-- {
+			out[pos], ds[pos] = out[pos-1], ds[pos-1]
+		}
+		out[pos], ds[pos] = c, d
+	}
+	return out
+}
+
+// closer reports whether the entry (da, a) sorts before (db, b): by
+// XOR distance to the common target, then by ID bytes. Equal distances
+// to one target mean equal IDs, so the tiebreak only makes the order
+// total on paper; Closest and the lookup shortlist share it.
+func closer(da Distance, a ID, db Distance, b ID) bool {
+	if c := bytes.Compare(da[:], db[:]); c != 0 {
+		return c < 0
+	}
+	return bytes.Compare(a[:], b[:]) < 0
 }

@@ -1,8 +1,11 @@
 package procvm
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Perm is a bitset of region permissions.
@@ -30,29 +33,34 @@ func (p Perm) String() string {
 	return string(b)
 }
 
-// Lazy backing: regions larger than the chunk size hold a sparse
-// chunk table instead of one eager allocation, and a chunk
-// materializes only when first written. A fleet of processes maps
-// megabytes of text and stack per process, but the exploit path
-// touches a few hundred bytes of stack and the text bytes are never
-// written at all — eager backing made address spaces the dominant
-// memory cost of large-fleet runs.
+// Sparse backing: a region holds only the 4 KiB pages that have been
+// written, in a short list sorted by page index, and untouched bytes
+// read as zeros. A fleet of processes maps megabytes of text and stack
+// per process, but the exploit path writes a few hundred bytes of one
+// stack page and never writes text, so Map allocates no backing and an
+// exploited process holds one page.
 const (
-	lazyChunkShift = 16 // 64 KiB chunks
-	lazyChunkSize  = 1 << lazyChunkShift
+	pageShift = 12
+	pageSize  = 1 << pageShift
 )
 
-// zeroChunk is the read source for unmaterialized chunks.
-var zeroChunk [lazyChunkSize]byte
+// zeroPage is the read source for unwritten pages.
+var zeroPage [pageSize]byte
+
+// page is one written page: its index within the region (offset >>
+// pageShift) and its bytes.
+type page struct {
+	idx  uint64
+	data *[pageSize]byte
+}
 
 // Region is one contiguous mapping in an address space.
 type Region struct {
-	Name string
-	Base uint64
-	Size uint64
-	Perm Perm
-	data   []byte   // eager backing (regions <= one chunk)
-	chunks [][]byte // sparse backing (larger regions); nil entry = all zeros
+	Name  string
+	Base  uint64
+	Size  uint64
+	Perm  Perm
+	pages []page // written pages, sorted by idx
 }
 
 // Contains reports whether addr falls inside the region.
@@ -77,39 +85,40 @@ func (as *AddressSpace) Map(name string, base, size uint64, perm Perm) *Region {
 		}
 	}
 	reg := &Region{Name: name, Base: base, Size: size, Perm: perm}
-	if size > lazyChunkSize {
-		reg.chunks = make([][]byte, (size+lazyChunkSize-1)>>lazyChunkShift)
-	} else {
-		reg.data = make([]byte, size)
-	}
 	as.regions = append(as.regions, reg)
 	return reg
 }
 
-// chunkLen reports the byte length of chunk ci (the last chunk of a
-// region may be short).
-func (r *Region) chunkLen(ci uint64) uint64 {
-	start := ci << lazyChunkShift
-	if rem := r.Size - start; rem < lazyChunkSize {
-		return rem
-	}
-	return lazyChunkSize
+// find reports where page idx sits in the sorted page list, or where it
+// would be inserted.
+func (r *Region) find(idx uint64) (int, bool) {
+	return slices.BinarySearchFunc(r.pages, idx, func(p page, idx uint64) int {
+		return cmp.Compare(p.idx, idx)
+	})
 }
 
-// writeAt copies b into the region starting at off, materializing
-// lazy chunks as it goes, and reports how many bytes fit.
-func (r *Region) writeAt(off uint64, b []byte) int {
-	if r.data != nil {
-		return copy(r.data[off:], b)
+// span returns the bytes from off to the end of off's page, cut at the
+// region's end. An unwritten page reads from zeroPage, or, for a
+// write, is created first.
+func (r *Region) span(off uint64, write bool) []byte {
+	idx, po := off>>pageShift, off&(pageSize-1)
+	lim := min(pageSize, r.Size-(off-po))
+	i, ok := r.find(idx)
+	if !ok {
+		if !write {
+			return zeroPage[po:lim]
+		}
+		r.pages = slices.Insert(r.pages, i, page{idx: idx, data: new([pageSize]byte)})
 	}
+	return r.pages[i].data[po:lim]
+}
+
+// writeAt copies b into the region starting at off, creating pages as
+// it goes, and reports how many bytes fit before the region's end.
+func (r *Region) writeAt(off uint64, b []byte) int {
 	total := 0
 	for len(b) > 0 && off < r.Size {
-		ci := off >> lazyChunkShift
-		co := off & (lazyChunkSize - 1)
-		if r.chunks[ci] == nil {
-			r.chunks[ci] = make([]byte, r.chunkLen(ci))
-		}
-		n := copy(r.chunks[ci][co:], b)
+		n := copy(r.span(off, true), b)
 		total += n
 		b = b[n:]
 		off += uint64(n)
@@ -117,29 +126,17 @@ func (r *Region) writeAt(off uint64, b []byte) int {
 	return total
 }
 
-// appendRead appends n bytes starting at off to dst; unmaterialized
-// chunks read as zeros.
-func (r *Region) appendRead(dst []byte, off uint64, n int) []byte {
-	if r.data != nil {
-		return append(dst, r.data[off:off+uint64(n)]...)
+// readAt copies bytes starting at off into dst and reports how many
+// fit before the region's end.
+func (r *Region) readAt(off uint64, dst []byte) int {
+	total := 0
+	for len(dst) > 0 && off < r.Size {
+		n := copy(dst, r.span(off, false))
+		total += n
+		dst = dst[n:]
+		off += uint64(n)
 	}
-	for n > 0 {
-		ci := off >> lazyChunkShift
-		co := off & (lazyChunkSize - 1)
-		avail := r.chunkLen(ci) - co
-		take := uint64(n)
-		if take > avail {
-			take = avail
-		}
-		src := zeroChunk[:lazyChunkSize]
-		if c := r.chunks[ci]; c != nil {
-			src = c
-		}
-		dst = append(dst, src[co:co+take]...)
-		n -= int(take)
-		off += take
-	}
-	return dst
+	return total
 }
 
 // RegionAt returns the region containing addr, or nil.
@@ -181,35 +178,48 @@ func (as *AddressSpace) Write(addr uint64, b []byte) *Fault {
 
 // Read copies n bytes starting at addr, enforcing read permission.
 func (as *AddressSpace) Read(addr uint64, n int) ([]byte, *Fault) {
-	out := make([]byte, 0, n)
-	for n > 0 {
-		r := as.RegionAt(addr)
-		if r == nil {
-			return nil, &Fault{Kind: FaultUnmapped, Addr: addr}
-		}
-		if r.Perm&PermRead == 0 {
-			return nil, &Fault{Kind: FaultPerm, Addr: addr}
-		}
-		off := addr - r.Base
-		avail := int(r.Size - off)
-		take := n
-		if take > avail {
-			take = avail
-		}
-		out = r.appendRead(out, off, take)
-		n -= take
-		addr += uint64(take)
+	out := make([]byte, n)
+	if f := as.readInto(addr, out); f != nil {
+		return nil, f
 	}
 	return out, nil
 }
 
+// readInto fills dst from memory starting at addr, enforcing read
+// permission.
+func (as *AddressSpace) readInto(addr uint64, dst []byte) *Fault {
+	for len(dst) > 0 {
+		r, f := as.readable(addr)
+		if f != nil {
+			return f
+		}
+		n := r.readAt(addr-r.Base, dst)
+		dst = dst[n:]
+		addr += uint64(n)
+	}
+	return nil
+}
+
+// readable returns the region holding addr, or the fault reading it
+// raises.
+func (as *AddressSpace) readable(addr uint64) (*Region, *Fault) {
+	r := as.RegionAt(addr)
+	if r == nil {
+		return nil, &Fault{Kind: FaultUnmapped, Addr: addr}
+	}
+	if r.Perm&PermRead == 0 {
+		return nil, &Fault{Kind: FaultPerm, Addr: addr}
+	}
+	return r, nil
+}
+
 // ReadU64 reads a little-endian 64-bit word.
 func (as *AddressSpace) ReadU64(addr uint64) (uint64, *Fault) {
-	b, f := as.Read(addr, 8)
-	if f != nil {
+	var b [8]byte
+	if f := as.readInto(addr, b[:]); f != nil {
 		return 0, f
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // WriteU64 writes a little-endian 64-bit word.
@@ -219,18 +229,28 @@ func (as *AddressSpace) WriteU64(addr, v uint64) *Fault {
 	return as.Write(addr, b[:])
 }
 
-// ReadCString reads a NUL-terminated string of at most max bytes.
+// ReadCString reads a NUL-terminated string of at most max bytes,
+// copying straight from each page up to the NUL. A fault at a byte
+// before the NUL (and within max) is the read's fault.
 func (as *AddressSpace) ReadCString(addr uint64, max int) (string, *Fault) {
 	var out []byte
-	for i := 0; i < max; i++ {
-		b, f := as.Read(addr+uint64(i), 1)
+	for max > 0 {
+		r, f := as.readable(addr)
 		if f != nil {
 			return "", f
 		}
-		if b[0] == 0 {
-			return string(out), nil
+		off := addr - r.Base
+		for max > 0 && off < r.Size {
+			b := r.span(off, false)
+			b = b[:min(len(b), max)]
+			if i := bytes.IndexByte(b, 0); i >= 0 {
+				return string(append(out, b[:i]...)), nil
+			}
+			out = append(out, b...)
+			max -= len(b)
+			off += uint64(len(b))
 		}
-		out = append(out, b[0])
+		addr = r.Base + off
 	}
 	return string(out), nil
 }
