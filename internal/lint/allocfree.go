@@ -83,6 +83,7 @@ func DefaultAllocConfig() *AllocConfig {
 	)
 	return &AllocConfig{
 		Roots: map[string]bool{
+			simpkg + ".Scheduler.ScheduleSrc":   true,
 			simpkg + ".Scheduler.ScheduleAtSrc": true,
 			simpkg + ".Scheduler.run":           true,
 		},

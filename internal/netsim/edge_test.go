@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"math/rand"
 	"net/netip"
 	"strings"
 	"testing"
@@ -68,6 +70,45 @@ func TestAccessors(t *testing.T) {
 	pkt := &Packet{Proto: ProtoUDP, Src: netip.MustParseAddrPort("10.0.0.1:1"), Dst: netip.MustParseAddrPort("10.0.0.2:2")}
 	if pkt.String() == "" {
 		t.Fatal("Packet.String")
+	}
+}
+
+// TestAddrCacheTracksMinimum: Addr4 and Addr6 report each family's
+// lowest address whatever order the addresses were added in, and a
+// family the node lacks reads as the invalid Addr.
+func TestAddrCacheTracksMinimum(t *testing.T) {
+	w := New(sim.NewScheduler(1))
+	v4only := w.NewNode("v4only")
+	v4only.AddAddr(netip.MustParseAddr("10.0.0.9"))
+	if v4only.Addr4() != netip.MustParseAddr("10.0.0.9") || v4only.Addr6().IsValid() {
+		t.Fatalf("v4-only node: Addr4 = %v, Addr6 = %v", v4only.Addr4(), v4only.Addr6())
+	}
+
+	addrs := []netip.Addr{
+		netip.MustParseAddr("10.0.3.1"), netip.MustParseAddr("10.0.0.7"),
+		netip.MustParseAddr("192.168.1.1"), netip.MustParseAddr("10.0.0.200"),
+		netip.MustParseAddr("fd00::9"), netip.MustParseAddr("fd00::1:2"),
+		netip.MustParseAddr("fc00::5"), netip.MustParseAddr("fe80::1"),
+		netip.MustParseAddr("::ffff:10.0.0.1"), // v4-mapped counts as v6
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		n := w.NewNode(fmt.Sprintf("n%d", trial))
+		for _, i := range rng.Perm(len(addrs)) {
+			n.AddAddr(addrs[i])
+			n.AddAddr(addrs[i]) // re-adding changes nothing
+		}
+		var min4, min6 netip.Addr
+		for _, a := range n.Addrs() { // sorted ascending
+			if a.Is6() && !min6.IsValid() {
+				min6 = a
+			} else if !a.Is6() && !min4.IsValid() {
+				min4 = a
+			}
+		}
+		if n.Addr4() != min4 || n.Addr6() != min6 {
+			t.Fatalf("trial %d: Addr4 = %v, Addr6 = %v, want %v, %v", trial, n.Addr4(), n.Addr6(), min4, min6)
+		}
 	}
 }
 

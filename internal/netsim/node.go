@@ -24,6 +24,8 @@ type Node struct {
 
 	devs   []*NetDevice
 	addrs  map[netip.Addr]bool
+	addr4  netip.Addr // lowest IPv4 address in addrs
+	addr6  netip.Addr // lowest IPv6 address in addrs
 	routes map[netip.Addr]*NetDevice
 	defDev *NetDevice
 
@@ -66,6 +68,13 @@ func (n *Node) SetForwarding(on bool) {
 func (n *Node) AddAddr(a netip.Addr) {
 	n.confineCheck("Node.AddAddr")
 	n.addrs[a] = true
+	low := &n.addr4
+	if a.Is6() {
+		low = &n.addr6
+	}
+	if !low.IsValid() || a.Less(*low) {
+		*low = a
+	}
 }
 
 // HasAddr reports whether the node owns address a.
@@ -82,23 +91,10 @@ func (n *Node) Addrs() []netip.Addr {
 }
 
 // Addr4 returns the node's first IPv4 address, or the zero Addr.
-func (n *Node) Addr4() netip.Addr { return n.firstAddr(false) }
+func (n *Node) Addr4() netip.Addr { return n.addr4 }
 
 // Addr6 returns the node's first IPv6 address, or the zero Addr.
-func (n *Node) Addr6() netip.Addr { return n.firstAddr(true) }
-
-func (n *Node) firstAddr(v6 bool) netip.Addr {
-	var best netip.Addr
-	for a := range n.addrs { //simlint:allow maporder(order-independent min reduction over pure netip.Addr comparisons)
-		if a.Is6() != v6 {
-			continue
-		}
-		if !best.IsValid() || a.Less(best) {
-			best = a
-		}
-	}
-	return best
-}
+func (n *Node) Addr6() netip.Addr { return n.addr6 }
 
 // AddRoute installs a host route: packets destined to dst leave via dev.
 func (n *Node) AddRoute(dst netip.Addr, dev *NetDevice) {

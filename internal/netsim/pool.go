@@ -114,7 +114,8 @@ func (w *Network) clonePacket(p *Packet) *Packet { return w.pp.clone(p) }
 // pktRing is a growable FIFO of packets backed by a circular buffer —
 // the storage for a device's egress queue and in-flight window. Push
 // and pop are O(1) and steady-state allocation-free; the buffer only
-// grows, up to the high-water mark of its queue.
+// grows, up to the high-water mark of its queue. Its capacity is zero
+// or a power of two, so indices wrap with a mask.
 type pktRing struct {
 	buf  []*Packet
 	head int
@@ -127,7 +128,7 @@ func (r *pktRing) push(p *Packet) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = p
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
 	r.n++
 }
 
@@ -138,7 +139,7 @@ func (r *pktRing) grow() {
 	}
 	nb := make([]*Packet, size) //simlint:allow allocfree(ring doubling is amortized O(1) per enqueue and the ring never shrinks, so a warmed queue stops growing)
 	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)%len(r.buf)]
+		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
 	r.buf, r.head = nb, 0
 }
@@ -148,7 +149,7 @@ func (r *pktRing) peek() *Packet { return r.buf[r.head] }
 func (r *pktRing) pop() *Packet {
 	p := r.buf[r.head]
 	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return p
 }

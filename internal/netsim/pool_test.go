@@ -73,16 +73,25 @@ func TestSetTCPCloneFixup(t *testing.T) {
 	}
 }
 
-// TestPktRingFIFO exercises the ring through growth and wrap-around.
+// TestPktRingFIFO exercises the ring through growth and wrap-around:
+// pushing 7 and popping 5 per round leaves the head mid-buffer, so the
+// ring wraps and then grows while wrapped. Indices wrap with a mask,
+// so the capacity must stay a power of two.
 func TestPktRingFIFO(t *testing.T) {
 	var r pktRing
 	mk := func(uid uint64) *Packet { return &Packet{UID: uid} }
 	next := uint64(0)
 	out := uint64(0)
+	grewWrapped := false
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 7; i++ {
 			next++
+			wrapped, size := r.head+r.n > len(r.buf), len(r.buf)
 			r.push(mk(next))
+			if len(r.buf)&(len(r.buf)-1) != 0 {
+				t.Fatalf("capacity %d is not a power of two", len(r.buf))
+			}
+			grewWrapped = grewWrapped || (wrapped && len(r.buf) > size)
 		}
 		for i := 0; i < 5; i++ {
 			out++
@@ -99,5 +108,8 @@ func TestPktRingFIFO(t *testing.T) {
 	}
 	if out != next {
 		t.Fatalf("drained %d, pushed %d", out, next)
+	}
+	if !grewWrapped {
+		t.Fatal("the ring never grew while wrapped")
 	}
 }

@@ -89,3 +89,49 @@ func (q *heapQueue) Pop() (Item, bool) {
 	}
 	return top, true
 }
+
+// maxLanes caps the FIFO lanes kept beside the heap. Every pop compares
+// each non-empty lane head with the heap top, so a lane only pays for
+// itself while its delay is common; four measured fastest on the flood
+// workloads, and more were slower (DESIGN.md §6b).
+const maxLanes = 4
+
+// lane is a FIFO ring of items that were all scheduled with one
+// relative delay. The clock never goes back and Seq only grows, so
+// items arrive already in itemLess order and the head is the lane's
+// minimum. The capacity is zero or a power of two, so indices wrap
+// with a mask.
+type lane struct {
+	delay Time
+	buf   []Item
+	head  int
+	n     int
+}
+
+func (l *lane) push(it Item) {
+	if l.n == len(l.buf) {
+		l.grow()
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = it
+	l.n++
+}
+
+// grow doubles a full ring, unrolling it to start at index 0.
+func (l *lane) grow() {
+	size := 2 * len(l.buf)
+	if size < 8 {
+		size = 8
+	}
+	nb := make([]Item, size) //simlint:allow allocfree(lane doubling is amortized O(1) per event and the ring never shrinks, so a warmed lane stops growing)
+	k := copy(nb, l.buf[l.head:])
+	copy(nb[k:], l.buf[:l.head])
+	l.buf, l.head = nb, 0
+}
+
+// peek returns the head item; the lane must be non-empty.
+func (l *lane) peek() Item { return l.buf[l.head] }
+
+func (l *lane) pop() {
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+}

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -97,82 +99,117 @@ func TestSlotSize(t *testing.T) {
 // TestQueueLenPendingInvariant pins the drift fix: cancelled-but-
 // unpopped entries are visible in QueueLen but never in Pending, and a
 // compaction sweep bounds the gap once stale entries outnumber live
-// ones.
+// ones — whether the tombstones sit in the heap, in the lanes, or in
+// both.
 func TestQueueLenPendingInvariant(t *testing.T) {
-	s := NewScheduler(1)
-	const n = 100
-	ids := make([]EventID, n)
-	for i := 0; i < n; i++ {
-		ids[i] = s.Schedule(Time(i)*Millisecond, func() {})
-	}
-	if s.Pending() != n || s.QueueLen() != n {
-		t.Fatalf("after schedule: Pending=%d QueueLen=%d, want %d/%d", s.Pending(), s.QueueLen(), n, n)
-	}
-	// Cancel 40: stale (40) stays below live (60), so no sweep runs and
-	// the gap must be visible.
-	for i := 0; i < 40; i++ {
-		if !s.Cancel(ids[i]) {
-			t.Fatalf("Cancel(%d) failed", i)
-		}
-	}
-	if s.Pending() != 60 {
-		t.Fatalf("Pending = %d, want 60", s.Pending())
-	}
-	if s.QueueLen() != 100 {
-		t.Fatalf("QueueLen = %d, want 100 (stale entries not yet swept)", s.QueueLen())
-	}
-	// Cancel 25 more. The sweep fires at the 64th cancel (stale 64 >
-	// live 36, and at the compactMin floor), leaving the 65th as the
-	// only stale entry afterwards.
-	for i := 40; i < 65; i++ {
-		if !s.Cancel(ids[i]) {
-			t.Fatalf("Cancel(%d) failed", i)
-		}
-	}
-	if s.Pending() != 35 {
-		t.Fatalf("Pending = %d, want 35", s.Pending())
-	}
-	if s.QueueLen() != 36 {
-		t.Fatalf("QueueLen = %d, want 36 (compaction at 64th cancel + 1 stale)", s.QueueLen())
-	}
-	// The survivors still run, and both counters drain to zero.
-	if err := s.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	if s.Pending() != 0 || s.QueueLen() != 0 {
-		t.Fatalf("after drain: Pending=%d QueueLen=%d", s.Pending(), s.QueueLen())
-	}
-	if got := s.Processed(); got != 35 {
-		t.Fatalf("Processed = %d, want 35", got)
+	for _, tc := range []struct {
+		name     string
+		schedule func(s *Scheduler, i int) EventID
+		heap     bool // entries wait in the heap
+		lanes    bool // entries wait in lanes
+	}{
+		{"heap", func(s *Scheduler, i int) EventID { return s.ScheduleAt(Time(i)*Millisecond, func() {}) }, true, false},
+		{"lanes", func(s *Scheduler, i int) EventID { return s.Schedule(Time(i%maxLanes+1)*Millisecond, func() {}) }, false, true},
+		{"mixed", func(s *Scheduler, i int) EventID { return s.Schedule(Time(i)*Millisecond, func() {}) }, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewScheduler(1)
+			const n = 100
+			ids := make([]EventID, n)
+			for i := 0; i < n; i++ {
+				ids[i] = tc.schedule(s, i)
+			}
+			if s.Pending() != n || s.QueueLen() != n {
+				t.Fatalf("after schedule: Pending=%d QueueLen=%d, want %d/%d", s.Pending(), s.QueueLen(), n, n)
+			}
+			if inHeap := s.q.Len(); (inHeap > 0) != tc.heap || (inHeap < n) != tc.lanes {
+				t.Fatalf("%d of %d entries in the heap", inHeap, n)
+			}
+			// Cancel 40: stale (40) stays below live (60), so no sweep
+			// runs and the gap must be visible.
+			for i := 0; i < 40; i++ {
+				if !s.Cancel(ids[i]) {
+					t.Fatalf("Cancel(%d) failed", i)
+				}
+			}
+			if s.Pending() != 60 {
+				t.Fatalf("Pending = %d, want 60", s.Pending())
+			}
+			if s.QueueLen() != 100 {
+				t.Fatalf("QueueLen = %d, want 100 (stale entries not yet swept)", s.QueueLen())
+			}
+			// Cancel 25 more. The sweep fires at the 64th cancel (stale
+			// 64 > live 36, and at the compactMin floor), leaving the
+			// 65th as the only stale entry afterwards.
+			for i := 40; i < 65; i++ {
+				if !s.Cancel(ids[i]) {
+					t.Fatalf("Cancel(%d) failed", i)
+				}
+			}
+			if s.Pending() != 35 {
+				t.Fatalf("Pending = %d, want 35", s.Pending())
+			}
+			if s.QueueLen() != 36 {
+				t.Fatalf("QueueLen = %d, want 36 (compaction at 64th cancel + 1 stale)", s.QueueLen())
+			}
+			// The survivors still run, and both counters drain to zero.
+			if err := s.RunAll(); err != nil {
+				t.Fatalf("RunAll: %v", err)
+			}
+			if s.Pending() != 0 || s.QueueLen() != 0 {
+				t.Fatalf("after drain: Pending=%d QueueLen=%d", s.Pending(), s.QueueLen())
+			}
+			if got := s.Processed(); got != 35 {
+				t.Fatalf("Processed = %d, want 35", got)
+			}
+		})
 	}
 }
 
 // TestCompactionPreservesOrder: a sweep in the middle of a workload
-// must not reorder survivors.
+// must not reorder survivors, whether they wait in the heap or in
+// lanes interleaved with tombstones.
 func TestCompactionPreservesOrder(t *testing.T) {
-	s := NewScheduler(9)
 	const n = 300
-	var order []int
-	ids := make([]EventID, n)
-	for i := 0; i < n; i++ {
-		i := i
-		ids[i] = s.Schedule(Time(n-i)*Millisecond, func() { order = append(order, i) })
-	}
-	for i := 0; i < n; i += 2 { // cancel every even id → sweep triggers
-		s.Cancel(ids[i])
-	}
-	if err := s.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	if len(order) != n/2 {
-		t.Fatalf("ran %d, want %d", len(order), n/2)
-	}
-	// Delay was (n-i) ms, so survivors (odd i) must run in
-	// descending-i order.
-	for j := 1; j < len(order); j++ {
-		if order[j] >= order[j-1] {
-			t.Fatalf("order[%d..] = %d,%d not descending", j-1, order[j-1], order[j])
-		}
+	// Two of every three events are cancelled, enough to trigger a
+	// sweep, and survivors sit between tombstones.
+	cancel := func(i int) bool { return i%3 != 0 }
+	for _, tc := range []struct {
+		name  string
+		delay func(i int) Time
+	}{
+		// Distinct delays: four claim lanes, the rest wait in the heap.
+		{"heap", func(i int) Time { return Time(n-i) * Millisecond }},
+		// Four delays, all in lanes.
+		{"lanes", func(i int) Time { return Time(i%maxLanes+1) * Millisecond }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewScheduler(9)
+			var order, want []int
+			ids := make([]EventID, n)
+			for i := 0; i < n; i++ {
+				i := i
+				ids[i] = s.Schedule(tc.delay(i), func() { order = append(order, i) })
+			}
+			for i := 0; i < n; i++ {
+				if cancel(i) {
+					s.Cancel(ids[i])
+				} else {
+					want = append(want, i)
+				}
+			}
+			if s.QueueLen() >= n {
+				t.Fatalf("QueueLen = %d: no sweep ran", s.QueueLen())
+			}
+			if err := s.RunAll(); err != nil {
+				t.Fatalf("RunAll: %v", err)
+			}
+			// Survivors run by (delay, schedule order).
+			sort.SliceStable(want, func(a, b int) bool { return tc.delay(want[a]) < tc.delay(want[b]) })
+			if !reflect.DeepEqual(order, want) {
+				t.Fatalf("ran %v,\nwant %v", order, want)
+			}
+		})
 	}
 }
 

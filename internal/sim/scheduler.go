@@ -42,13 +42,14 @@ const compactMin = 64
 // randomness flows through the seeded RNG it owns.
 //
 // The steady-state hot path is allocation-free: events are value
-// entries in a 4-ary heap, callbacks live in a recycled slot table,
-// and cancellation is a generation-stamp bump — no per-event heap
-// object, no live-event map.
+// entries in a 4-ary heap or in one of up to maxLanes FIFO lanes,
+// callbacks live in a recycled slot table, and cancellation is a
+// generation-stamp bump — no per-event heap object, no live-event map.
 //
 // The zero value is not usable; construct with NewScheduler.
 type Scheduler struct {
 	q       heapQueue
+	lanes   [maxLanes]lane
 	slots   []slot
 	free    []uint32
 	scratch []Item // reused by compact
@@ -56,7 +57,7 @@ type Scheduler struct {
 	now       Time
 	seq       uint64
 	pending   int // scheduled and not cancelled
-	stale     int // cancelled entries still inside q
+	stale     int // cancelled entries still inside q or a lane
 	rng       *rand.Rand
 	stopped   bool
 	processed uint64
@@ -91,13 +92,19 @@ func (s *Scheduler) Processed() uint64 { return s.processed }
 // Pending reports how many events are queued and not cancelled.
 func (s *Scheduler) Pending() int { return s.pending }
 
-// QueueLen reports the number of entries physically inside the queue,
-// which may exceed Pending by the number of cancelled entries
-// not yet swept. The invariant QueueLen() == Pending()+stale is
+// QueueLen reports the number of entries physically inside the heap
+// and the lanes, which may exceed Pending by the number of cancelled
+// entries not yet swept. The invariant QueueLen() == Pending()+stale is
 // bounded: a compaction sweep runs whenever stale entries outnumber
 // live ones (and exceed a small floor), so QueueLen never drifts past
 // roughly twice Pending.
-func (s *Scheduler) QueueLen() int { return s.q.Len() }
+func (s *Scheduler) QueueLen() int {
+	n := s.q.Len()
+	for i := range s.lanes {
+		n += s.lanes[i].n
+	}
+	return n
+}
 
 // SetHook installs an observer invoked once per executed event with
 // the event's time, its source label, and the queue depth after the
@@ -123,11 +130,42 @@ func (s *Scheduler) Schedule(delay Time, fn func()) EventID {
 // ScheduleSrc is Schedule with a source label attributing the event to
 // a subsystem (e.g. "net.tx", "churn.epoch") for the profiler's
 // per-source breakdown.
+//
+// An event with a positive delay goes to the FIFO lane for that delay,
+// claiming an empty lane if none holds it yet, and to the heap only
+// when every lane holds another delay. The run loop pops the itemLess
+// minimum of the heap top and the lane heads, so where an event waits
+// never changes when it runs.
 func (s *Scheduler) ScheduleSrc(delay Time, src string, fn func()) EventID {
-	if delay < 0 {
-		delay = 0
+	if delay <= 0 {
+		return s.ScheduleAtSrc(s.now, src, fn)
 	}
-	return s.ScheduleAtSrc(s.now+delay, src, fn)
+	l := s.laneFor(delay)
+	if l == nil {
+		return s.ScheduleAtSrc(s.now+delay, src, fn)
+	}
+	it := s.newItem(s.now+delay, src, fn)
+	l.push(it)
+	return EventID(it.Ref)
+}
+
+// laneFor returns the lane holding delay d, else an empty lane claimed
+// for d, else nil.
+func (s *Scheduler) laneFor(d Time) *lane {
+	var free *lane
+	for i := range s.lanes {
+		l := &s.lanes[i]
+		if l.delay == d {
+			return l
+		}
+		if free == nil && l.n == 0 {
+			free = l
+		}
+	}
+	if free != nil {
+		free.delay = d
+	}
+	return free
 }
 
 // ScheduleAt queues fn to run at absolute time at. Times in the past are
@@ -138,11 +176,19 @@ func (s *Scheduler) ScheduleAt(at Time, fn func()) EventID {
 
 // ScheduleAtSrc is ScheduleAt with a source label.
 func (s *Scheduler) ScheduleAtSrc(at Time, src string, fn func()) EventID {
-	if fn == nil {
-		panic("sim: ScheduleAt with nil fn")
-	}
 	if at < s.now {
 		at = s.now
+	}
+	it := s.newItem(at, src, fn)
+	s.q.Push(it)
+	return EventID(it.Ref)
+}
+
+// newItem stores fn in a slot and returns the queue entry for it,
+// stamped with the next sequence number.
+func (s *Scheduler) newItem(at Time, src string, fn func()) Item {
+	if fn == nil {
+		panic("sim: ScheduleAt with nil fn")
 	}
 	s.seq++
 	var idx uint32
@@ -156,9 +202,7 @@ func (s *Scheduler) ScheduleAtSrc(at Time, src string, fn func()) EventID {
 	sl := &s.slots[idx]
 	sl.fn, sl.src, sl.live = fn, src, true
 	s.pending++
-	ref := packRef(idx, sl.gen)
-	s.q.Push(Item{At: at, Seq: s.seq, Ref: ref})
-	return EventID(ref)
+	return Item{At: at, Seq: s.seq, Ref: packRef(idx, sl.gen)}
 }
 
 // Cancel removes a scheduled event. Cancelling an event that already ran
@@ -205,10 +249,11 @@ func (s *Scheduler) refLive(ref uint64) bool {
 	return sl.live && sl.gen == gen
 }
 
-// compact sweeps cancelled entries out of the queue: everything is
-// drained (in order) into a scratch slice, live entries are re-pushed
-// with their original sequence numbers, so relative order — and
-// therefore the run — is unchanged.
+// compact sweeps cancelled entries out of the heap and the lanes. The
+// heap is drained (in order) into a scratch slice and its live entries
+// are re-pushed with their original sequence numbers; each lane keeps
+// its live entries in place, in order. Relative order — and therefore
+// the run — is unchanged.
 func (s *Scheduler) compact() {
 	s.scratch = s.scratch[:0]
 	for {
@@ -222,6 +267,19 @@ func (s *Scheduler) compact() {
 	}
 	for _, it := range s.scratch {
 		s.q.Push(it)
+	}
+	for i := range s.lanes {
+		l := &s.lanes[i]
+		mask := len(l.buf) - 1
+		kept := 0
+		for j := 0; j < l.n; j++ {
+			it := l.buf[(l.head+j)&mask]
+			if s.refLive(it.Ref) {
+				l.buf[(l.head+kept)&mask] = it
+				kept++
+			}
+		}
+		l.n = kept
 	}
 	s.stale = 0
 }
@@ -252,24 +310,37 @@ func (s *Scheduler) RunAll() error {
 
 func (s *Scheduler) run(until Time) error {
 	s.stopped = false
-	for s.q.Len() > 0 {
-		if s.stopped {
-			return ErrStopped
+	for {
+		// The next event is the itemLess minimum of the heap top and
+		// the lane heads; from is its lane, or -1 for the heap.
+		it, ok := s.q.Peek()
+		from := -1
+		for i := range s.lanes {
+			l := &s.lanes[i]
+			if l.n > 0 && (!ok || itemLess(l.peek(), it)) {
+				it, ok, from = l.peek(), true, i
+			}
 		}
-		it, _ := s.q.Peek()
+		if !ok {
+			return nil
+		}
 		idx, gen := unpackRef(it.Ref)
 		sl := &s.slots[idx]
-		if !sl.live || sl.gen != gen {
-			// Cancelled entry surfacing at the top: discard lazily,
-			// regardless of horizon.
+		live := sl.live && sl.gen == gen
+		// A cancelled entry at the front is discarded lazily,
+		// regardless of horizon.
+		if live && it.At > until {
+			return nil
+		}
+		if from < 0 {
 			s.q.Pop()
+		} else {
+			s.lanes[from].pop()
+		}
+		if !live {
 			s.stale--
 			continue
 		}
-		if it.At > until {
-			break
-		}
-		s.q.Pop()
 		fn, src := sl.fn, sl.src
 		s.releaseSlot(idx, sl)
 		s.pending--
@@ -279,6 +350,8 @@ func (s *Scheduler) run(until Time) error {
 			s.hook(it.At, src, s.pending)
 		}
 		fn()
+		if s.stopped {
+			return ErrStopped
+		}
 	}
-	return nil
 }

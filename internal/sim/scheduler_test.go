@@ -423,15 +423,33 @@ func TestTickerIdempotentStartStopAndRunning(t *testing.T) {
 	}
 }
 
+// TestRunStopsMidHorizon: a Stop returns ErrStopped and leaves the
+// clock at the stopping event, also when that event was the last one
+// pending.
 func TestRunStopsMidHorizon(t *testing.T) {
-	s := NewScheduler(1)
-	s.Schedule(Second, s.Stop)
-	s.Schedule(2*Second, func() {})
-	if err := s.Run(10 * Second); !errors.Is(err, ErrStopped) {
-		t.Fatalf("Run err = %v", err)
-	}
-	if s.Now() != Second {
-		t.Fatalf("clock advanced to %v after Stop", s.Now())
+	for _, tc := range []struct {
+		name  string
+		run   func(s *Scheduler) error
+		later bool // another event is queued after the stopping one
+	}{
+		{"Run", func(s *Scheduler) error { return s.Run(10 * Second) }, true},
+		{"Run/last event", func(s *Scheduler) error { return s.Run(10 * Second) }, false},
+		{"RunAll", (*Scheduler).RunAll, true},
+		{"RunAll/last event", (*Scheduler).RunAll, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewScheduler(1)
+			s.Schedule(Second, s.Stop)
+			if tc.later {
+				s.Schedule(2*Second, func() {})
+			}
+			if err := tc.run(s); !errors.Is(err, ErrStopped) {
+				t.Fatalf("err = %v, want ErrStopped", err)
+			}
+			if s.Now() != Second {
+				t.Fatalf("clock advanced to %v after Stop", s.Now())
+			}
+		})
 	}
 }
 
