@@ -8,7 +8,7 @@
 //
 // Examples:
 //
-//	benchjson                 # write BENCH_killchain.json, BENCH_scheduler.json, BENCH_flood.json, BENCH_lint.json (+ _before pairs)
+//	benchjson                 # write BENCH_killchain.json, BENCH_scheduler.json, BENCH_flood.json (+ BENCH_flood_before.json), BENCH_lint.json
 //	benchjson -out results/   # write them elsewhere
 //	benchjson -devs 10,50,100 -seeds 3
 package main
@@ -130,15 +130,11 @@ func run() error {
 	}
 	// The lint suite analyzes the module's own source, so it only runs
 	// when benchjson is invoked from inside the repo; elsewhere the
-	// other suites still work. Like the flood suite it writes a
-	// before/after pair: _before times the suite without allocfree
-	// (the previous analyzer set), the main file carries the full
-	// suite plus one timing row per analyzer.
-	if lintBefore, lintAfter, err := benchLint(); err != nil {
+	// other suites still work. The file carries the full suite plus
+	// one timing row per analyzer.
+	if rows, err := benchLint(); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: skipping lint suite: %v\n", err)
-	} else if err := writeSuite(*outDir, "BENCH_lint_before.json", "lint", lintBefore); err != nil {
-		return err
-	} else if err := writeSuite(*outDir, "BENCH_lint.json", "lint", lintAfter); err != nil {
+	} else if err := writeSuite(*outDir, "BENCH_lint.json", "lint", rows); err != nil {
 		return err
 	}
 	return nil
@@ -146,12 +142,12 @@ func run() error {
 
 // lintRow is one static-analysis measurement: the cost of loading and
 // type-checking the module vs the cost of the analyzers themselves
-// (the reachability engines — shard-confinement and
-// allocation-reachability — dominate the latter). A row with an empty
-// Analyzer times a whole suite; a named row times that analyzer run
-// standalone on a fresh engine, so engine-backed siblings (pktown and
-// stalecapture, shardconfine and crossnode) each carry their shared
-// engine's full cost rather than splitting it.
+// (the interprocedural engines — ownership and allocation
+// reachability — dominate the latter). A row with an empty Analyzer
+// times the whole suite; a named row times that analyzer run
+// standalone on a fresh engine, so the engine-backed siblings pktown
+// and stalecapture each carry their shared engine's full cost rather
+// than splitting it.
 type lintRow struct {
 	Analyzer      string  `json:"analyzer,omitempty"`
 	Packages      int     `json:"packages,omitempty"`
@@ -165,18 +161,16 @@ type lintRow struct {
 
 // benchLint runs the default suite over the whole module — the same
 // work `go run ./cmd/simlint ./...` does in CI — plus the inventory
-// build and one standalone timing per analyzer. The before slice
-// times the suite with allocfree removed, pinning what the new
-// analyzer costs on top of the previous set.
-func benchLint() (before, after []lintRow, err error) {
+// build and one standalone timing per analyzer.
+func benchLint() ([]lintRow, error) {
 	l, err := lint.NewLoader(".")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	start := time.Now()
 	pkgs, err := l.LoadAll(".")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	loadMS := float64(time.Since(start).Microseconds()) / 1000
 
@@ -192,7 +186,7 @@ func benchLint() (before, after []lintRow, err error) {
 	inv := lint.BuildInventory(pkgs)
 	inventoryMS := float64(time.Since(start).Microseconds()) / 1000
 
-	after = []lintRow{{
+	rows := []lintRow{{
 		Packages:      len(pkgs),
 		Analyzers:     len(full),
 		Diags:         nDiags,
@@ -205,24 +199,9 @@ func benchLint() (before, after []lintRow, err error) {
 	// engine Prepares never subsidize a later row.
 	for i, a := range full {
 		n, ms := measure([]lint.Analyzer{lint.DefaultSuite()[i]})
-		after = append(after, lintRow{Analyzer: a.Name(), Analyzers: 1, Diags: n, AnalyzeMS: ms})
+		rows = append(rows, lintRow{Analyzer: a.Name(), Analyzers: 1, Diags: n, AnalyzeMS: ms})
 	}
-
-	var legacy []lint.Analyzer
-	for _, a := range lint.DefaultSuite() {
-		if a.Name() != "allocfree" {
-			legacy = append(legacy, a)
-		}
-	}
-	n, ms := measure(legacy)
-	before = []lintRow{{
-		Packages:  len(pkgs),
-		Analyzers: len(legacy),
-		Diags:     n,
-		LoadMS:    loadMS,
-		AnalyzeMS: ms,
-	}}
-	return before, after, nil
+	return rows, nil
 }
 
 // benchFlood measures the UDP flood send path — the hot loop behind

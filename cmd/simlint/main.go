@@ -11,14 +11,14 @@
 // to a comma-separated subset of the suite (see -list for names; the
 // listing is generated from the registered suite, so it cannot drift
 // from the analyzers that actually run). -unused-allows additionally
-// reports every //simlint:allow annotation that suppressed nothing —
-// the stale-suppression audit; it requires the full suite, since a
-// subset run cannot judge annotations it never exercised. -inventory
-// writes the analysis inventory — every shared-state site reachable
-// from a scheduler callback and every allocation site reachable from
-// a declared hot path (//simlint:hotpath or a seeded root), classed
-// as violation, allowed, boundary, barrier, or hotpath, with its
-// reachability chain — as JSON to the given path ("-" for stdout).
+// reports every //simlint:allow annotation that suppressed nothing or
+// names no analyzer of the suite — the stale-suppression audit; it
+// requires the full suite, since a subset run cannot judge
+// annotations it never exercised. -inventory writes the allocation
+// inventory — every declared hot path (//simlint:hotpath or a seeded
+// root) and every allocation site reachable from one, classed as
+// hotpath, violation, or allowed, with its reachability chain — as
+// JSON to the given path ("-" for stdout).
 // Diagnostics print as "file:line:col analyzer: message" with paths
 // relative to the module root, in a stable total order —
 // (file, line, col, analyzer, message) — in both text and -json
@@ -48,7 +48,7 @@ func run() int {
 	list := flag.Bool("list", false, "list the analyzers in the suite and exit")
 	analyzer := flag.String("analyzer", "", "comma-separated analyzer names to run (default: the whole suite)")
 	unusedAllows := flag.Bool("unused-allows", false, "also report //simlint:allow annotations that suppress nothing (full suite only)")
-	inventory := flag.String("inventory", "", "write the shard-confinement access inventory as JSON to this path (\"-\" for stdout)")
+	inventory := flag.String("inventory", "", "write the hot-path allocation inventory as JSON to this path (\"-\" for stdout)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"usage: simlint [-json] [-list] [-analyzer a,b] [-unused-allows] [-inventory out.json] [pattern ...]\n\n"+
@@ -98,14 +98,22 @@ func run() int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	// Overlapping patterns name some packages twice; the loader returns
+	// the same *Package each time, and each must be analyzed once.
 	var pkgs []*lint.Package
+	seen := make(map[*lint.Package]bool)
 	for _, pat := range patterns {
 		loaded, err := load(loader, cwd, pat)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "simlint:", err)
 			return 2
 		}
-		pkgs = append(pkgs, loaded...)
+		for _, pkg := range loaded {
+			if !seen[pkg] {
+				seen[pkg] = true
+				pkgs = append(pkgs, pkg)
+			}
+		}
 	}
 
 	if *inventory != "" {

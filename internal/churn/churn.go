@@ -284,7 +284,7 @@ func (c *Controller) scheduleSessionEnd(dev Device) {
 			return
 		}
 		online := !dev.Online()
-		c.sched.Barrier(func() { dev.SetOnline(online) })
+		dev.SetOnline(online)
 		if online {
 			c.rejoins++
 		} else {
@@ -306,11 +306,11 @@ func (c *Controller) evaluate(rejoin bool) {
 		leave := rng.Float64() < p
 		switch {
 		case leave && dev.Online():
-			c.sched.Barrier(func() { dev.SetOnline(false) })
+			dev.SetOnline(false)
 			c.departures++
 			c.notify(dev, false)
 		case !leave && !dev.Online() && rejoin:
-			c.sched.Barrier(func() { dev.SetOnline(true) })
+			dev.SetOnline(true)
 			c.rejoins++
 			c.notify(dev, true)
 		}

@@ -247,30 +247,25 @@ func (s *Simulation) setupFaults() error {
 		inj.AddProcTarget(faults.ProcTarget{
 			Name: dev.name,
 			Crash: func(rng *rand.Rand) (string, bool) {
-				// Killing a process on the victim Dev is a control-plane
-				// mutation of partition state; Barrier marks it so.
-				what, ok := "", false
-				s.sched.Barrier(func() {
-					procs := dev.container.Procs()
-					if len(procs) == 0 {
-						return
+				procs := dev.container.Procs()
+				if len(procs) == 0 {
+					return "", false
+				}
+				p := procs[rng.Intn(len(procs))]
+				what := p.Title()
+				if p.Tag("malware") != "" {
+					// A crashed bot stays dead until the botnet itself
+					// re-recruits the device: the loader forgets the
+					// victim so a scanner re-report can re-infect it.
+					// That recovery loop is what the resilience
+					// experiment measures.
+					what = "bot"
+					if s.loader != nil {
+						s.loader.Forget(dev.container.Node().Addr4())
 					}
-					p := procs[rng.Intn(len(procs))]
-					what, ok = p.Title(), true
-					if p.Tag("malware") != "" {
-						// A crashed bot stays dead until the botnet itself
-						// re-recruits the device: the loader forgets the
-						// victim so a scanner re-report can re-infect it.
-						// That recovery loop is what the resilience
-						// experiment measures.
-						what = "bot"
-						if s.loader != nil {
-							s.loader.Forget(dev.container.Node().Addr4())
-						}
-					}
-					dev.container.Kill(p.PID())
-				})
-				return what, ok
+				}
+				dev.container.Kill(p.PID())
+				return what, true
 			},
 			Restart: func(string) bool {
 				if dev.respawn == nil {

@@ -7,8 +7,8 @@
 // command records replicated across the overlay itself.
 //
 // Determinism contract: a DHT node's entire state is node-local and
-// every peer interaction is a datagram over netsim, so the package is
-// shard-confinement clean by construction. RPC ids come from a
+// every peer interaction is a datagram over netsim, so no node reads
+// or writes another's state directly. RPC ids come from a
 // per-node counter, shortlists and bucket scans are sorted slices, and
 // the only map lookups are direct-keyed — no map iteration anywhere.
 package dht

@@ -382,7 +382,7 @@ func (inj *Injector) flap(lt *linkTarget) {
 		return
 	}
 	lt.flapped = true
-	inj.sched.Barrier(func() { lt.dev.SetUp(false) })
+	lt.dev.SetUp(false)
 	inj.stats.LinkFlaps++
 	span := inj.trace.BeginSpan(inj.sched.Now(), CatFault, "link-flap", obs.KV{K: "target", V: lt.name})
 	inj.emit(EventLinkDown, lt.name, "flap")
@@ -392,7 +392,7 @@ func (inj *Injector) flap(lt *linkTarget) {
 		// Restore only if nothing else (churn) brought the link up in
 		// the meantime.
 		if !lt.dev.IsUp() {
-			inj.sched.Barrier(func() { lt.dev.SetUp(true) })
+			lt.dev.SetUp(true)
 			inj.emit(EventLinkUp, lt.name, "")
 		}
 	})
@@ -405,14 +405,14 @@ func (inj *Injector) burst(lt *linkTarget) {
 		return
 	}
 	lt.bursting = true
-	inj.sched.Barrier(func() { lt.dev.SetLossRate(inj.cfg.BurstLoss) })
+	lt.dev.SetLossRate(inj.cfg.BurstLoss)
 	inj.stats.LossBursts++
 	span := inj.trace.BeginSpan(inj.sched.Now(), CatFault, "loss-burst",
 		obs.KV{K: "target", V: lt.name}, obs.KV{K: "loss", V: fmt.Sprintf("%.3f", inj.cfg.BurstLoss)})
 	inj.emit(EventBurstStart, lt.name, "burst")
 	inj.after(inj.exp(inj.cfg.BurstMean), func() {
 		lt.bursting = false
-		inj.sched.Barrier(func() { lt.dev.SetLossRate(0) })
+		lt.dev.SetLossRate(0)
 		inj.trace.EndSpan(span, inj.sched.Now())
 		inj.emit(EventBurstEnd, lt.name, "")
 		inj.after(inj.exp(inj.cfg.BurstGap), func() { inj.burst(lt) })
@@ -436,26 +436,22 @@ func (inj *Injector) degrade(lt *linkTarget) {
 	if newRate < netsim.DataRate(1) {
 		newRate = 1
 	}
-	inj.sched.Barrier(func() {
-		lt.dev.SetRate(newRate)
-		if inj.cfg.DegradeQueueFactor < 1 {
-			q := int(float64(lt.origQueue) * inj.cfg.DegradeQueueFactor)
-			if q < 1 {
-				q = 1
-			}
-			lt.dev.SetQueueLimit(q)
+	lt.dev.SetRate(newRate)
+	if inj.cfg.DegradeQueueFactor < 1 {
+		q := int(float64(lt.origQueue) * inj.cfg.DegradeQueueFactor)
+		if q < 1 {
+			q = 1
 		}
-	})
+		lt.dev.SetQueueLimit(q)
+	}
 	inj.stats.DegradeWindows++
 	span := inj.trace.BeginSpan(inj.sched.Now(), CatFault, "degrade",
 		obs.KV{K: "target", V: lt.name}, obs.KV{K: "factor", V: fmt.Sprintf("%.2f", inj.cfg.DegradeFactor)})
 	inj.emit(EventDegradeOn, lt.name, "degrade")
 	inj.after(inj.cfg.DegradeDown, func() {
 		lt.degraded = false
-		inj.sched.Barrier(func() {
-			lt.dev.SetRate(lt.origRate)
-			lt.dev.SetQueueLimit(lt.origQueue)
-		})
+		lt.dev.SetRate(lt.origRate)
+		lt.dev.SetQueueLimit(lt.origQueue)
 		inj.trace.EndSpan(span, inj.sched.Now())
 		inj.emit(EventDegradeOff, lt.name, "")
 		reschedule()
@@ -496,7 +492,7 @@ func (inj *Injector) cncOutage() {
 		return
 	}
 	lt.flapped = true
-	inj.sched.Barrier(func() { lt.dev.SetUp(false) })
+	lt.dev.SetUp(false)
 	inj.stats.CNCOutages++
 	span := inj.trace.BeginSpan(inj.sched.Now(), CatFault, "cnc-outage", obs.KV{K: "target", V: lt.name})
 	inj.emit(EventCNCDown, lt.name, "cnc")
@@ -504,7 +500,7 @@ func (inj *Injector) cncOutage() {
 		lt.flapped = false
 		inj.trace.EndSpan(span, inj.sched.Now())
 		if !lt.dev.IsUp() {
-			inj.sched.Barrier(func() { lt.dev.SetUp(true) })
+			lt.dev.SetUp(true)
 			inj.emit(EventCNCUp, lt.name, "")
 		}
 	})
@@ -533,7 +529,7 @@ func (inj *Injector) takedown() {
 	if lt := inj.cncLink; lt != nil {
 		lt.flapped = true
 		if lt.dev.IsUp() {
-			inj.sched.Barrier(func() { lt.dev.SetUp(false) })
+			lt.dev.SetUp(false)
 		}
 	}
 	inj.stats.CNCTakedowns++

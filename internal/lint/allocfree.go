@@ -6,9 +6,9 @@ package lint
 // flow-export paths at 0 allocs/op — is enforced dynamically by
 // testing.AllocsPerRun pins on a handful of hand-picked paths; this
 // engine makes the same contract a static property of the whole call
-// graph. It reuses the reach machinery of the shard-confinement
-// engine (reach.go: call graph with CHA interface dispatch, BFS with
-// discovery-parent chains) with its own root set:
+// graph. It closes reachability over the call graph of reach.go (CHA
+// interface dispatch, BFS with discovery-parent chains) from two
+// kinds of root:
 //
 //   - seeded hot-path roots (AllocConfig.Roots, by funcKey): the
 //     scheduler's enqueue and run loop;
@@ -21,10 +21,9 @@ package lint
 // return, and struct-literal-field sites, capturing closures and
 // bound method values, string↔[]byte conversions, map writes,
 // variadic argument slices, string concatenation, and calls into
-// allocating stdlib packages (fmt and friends). Each
-// finding carries the reachability chain from its root, the same
-// provenance rendering shardconfine uses, so a report is a work item
-// — it names the hot entry point the allocation rides on.
+// allocating stdlib packages (fmt and friends). Each finding carries
+// the reachability chain from its root, so a report is a work item —
+// it names the hot entry point the allocation rides on.
 //
 // Two escape hatches keep the sanctioned amortized-allocation idiom
 // expressible. Seeded alloc-free functions (AllocConfig.AllocFree:
@@ -105,19 +104,32 @@ type allocSummary struct {
 	why       string
 }
 
-// allocEngine runs the analysis once per Prepare over the whole run.
-// It owns a private confEngine for the graph machinery (units, CHA
-// callees, BFS, inventory); findings replay per package through the
+// allocEngine runs the analysis once per Prepare over the whole run:
+// it builds the call graph (reach.go), sweeps the reached units and
+// records the inventory; findings replay per package through the
 // usual Pass filter.
 type allocEngine struct {
 	cfg      *AllocConfig
-	g        *confEngine
 	prepared bool
 
-	edges      map[*confUnit][]calleeEdge
-	ownSites   map[*confUnit][]allocSite
-	summaries  map[*confUnit]*allocSummary
-	sanctioned map[*confUnit]bool
+	units      []*allocUnit
+	byFn       map[*types.Func]*allocUnit
+	byLit      map[*ast.FuncLit]*allocUnit
+	namedTypes []*types.Named
+
+	edges      map[*allocUnit][]*allocUnit
+	ownSites   map[*allocUnit][]allocSite
+	summaries  map[*allocUnit]*allocSummary
+	sanctioned map[*allocUnit]bool
+
+	findings  map[*Package][]allocFinding
+	inventory []InventoryEntry
+}
+
+// allocFinding is one stored diagnostic, replayed through a Pass.
+type allocFinding struct {
+	pos token.Pos
+	msg string
 }
 
 // allocSite is one allocation a unit performs directly.
@@ -127,21 +139,23 @@ type allocSite struct {
 	what string // human description for the diagnostic
 }
 
-func newAllocEngine(cfg *AllocConfig, conf *ConfineConfig) *allocEngine {
+func newAllocEngine(cfg *AllocConfig) *allocEngine {
 	return &allocEngine{
 		cfg:        cfg,
-		g:          newConfEngine(conf),
-		edges:      make(map[*confUnit][]calleeEdge),
-		ownSites:   make(map[*confUnit][]allocSite),
-		summaries:  make(map[*confUnit]*allocSummary),
-		sanctioned: make(map[*confUnit]bool),
+		byFn:       make(map[*types.Func]*allocUnit),
+		byLit:      make(map[*ast.FuncLit]*allocUnit),
+		edges:      make(map[*allocUnit][]*allocUnit),
+		ownSites:   make(map[*allocUnit][]allocSite),
+		summaries:  make(map[*allocUnit]*allocSummary),
+		sanctioned: make(map[*allocUnit]bool),
+		findings:   make(map[*Package][]allocFinding),
 	}
 }
 
 // NewAllocFree returns the allocfree analyzer with DDoSim's hot-path
 // contract baked in.
 func NewAllocFree() Analyzer {
-	return &allocAnalyzer{eng: newAllocEngine(DefaultAllocConfig(), DefaultConfineConfig())}
+	return &allocAnalyzer{eng: newAllocEngine(DefaultAllocConfig())}
 }
 
 type allocAnalyzer struct {
@@ -156,10 +170,7 @@ func (a *allocAnalyzer) Doc() string {
 func (a *allocAnalyzer) Prepare(pkgs []*Package) { a.eng.prepare(pkgs) }
 
 func (a *allocAnalyzer) Run(pass *Pass) {
-	for _, f := range a.eng.g.findings[pass.Pkg] {
-		if f.analyzer != "allocfree" {
-			continue
-		}
+	for _, f := range a.eng.findings[pass.Pkg] {
 		pass.Reportf("allocfree", f.pos, "%s", f.msg)
 	}
 }
@@ -173,28 +184,27 @@ func (eng *allocEngine) prepare(pkgs []*Package) {
 		return
 	}
 	eng.prepared = true
-	g := eng.g
-	g.collectNamedTypes(pkgs)
+	eng.collectNamedTypes(pkgs)
 	for _, pkg := range pkgs {
-		g.units = append(g.units, g.collectConfUnits(pkg)...)
+		eng.units = append(eng.units, eng.collectUnits(pkg)...)
 	}
 	eng.markHotRoots(pkgs)
 	// Sanctioned pooled constructors: pre-marking them reached keeps
 	// the BFS from descending into their refill bodies and from
 	// sweeping them.
-	for _, u := range g.units {
+	for _, u := range eng.units {
 		if u.fn != nil && eng.cfg.AllocFree[funcKey(u.fn)] {
 			u.reached = true
 			eng.sanctioned[u] = true
 		}
 	}
-	for _, u := range g.units {
-		eng.edges[u] = g.callees(u)
+	for _, u := range eng.units {
+		eng.edges[u] = eng.callees(u)
 		eng.ownSites[u] = eng.sites(u)
 	}
-	g.propagate()
+	eng.propagate()
 	eng.computeAllocSummaries()
-	for _, u := range g.units {
+	for _, u := range eng.units {
 		if u.reached && !eng.sanctioned[u] {
 			eng.sweep(u)
 		}
@@ -206,12 +216,11 @@ func (eng *allocEngine) prepare(pkgs []*Package) {
 // hotpath directive that is not part of a function declaration's doc
 // comment is itself a finding: a floating annotation roots nothing.
 func (eng *allocEngine) markHotRoots(pkgs []*Package) {
-	g := eng.g
-	for _, u := range g.units {
+	for _, u := range eng.units {
 		if u.fn != nil && eng.cfg.Roots[funcKey(u.fn)] {
 			u.root = true
 			u.rootWhy = "seeded hot path"
-			g.addInventory(u, u.fn.Pos(), "allocfree", "hotpath", u.desc, "seeded root")
+			eng.addInventory(u, u.fn.Pos(), "hotpath", u.desc, "seeded root")
 		}
 	}
 	for _, pkg := range pkgs {
@@ -231,10 +240,10 @@ func (eng *allocEngine) markHotRoots(pkgs []*Package) {
 					if fn == nil {
 						continue
 					}
-					if u := g.byFn[fn]; u != nil && !u.root {
+					if u := eng.byFn[fn]; u != nil && !u.root {
 						u.root = true
 						u.rootWhy = "declared hot path (//simlint:hotpath)"
-						g.addInventory(u, decl.Name.Pos(), "allocfree", "hotpath", u.desc, "//simlint:hotpath")
+						eng.addInventory(u, decl.Name.Pos(), "hotpath", u.desc, "//simlint:hotpath")
 					}
 				}
 				return true
@@ -242,10 +251,9 @@ func (eng *allocEngine) markHotRoots(pkgs []*Package) {
 			for _, group := range file.Comments {
 				for _, c := range group.List {
 					if hotpathRe.MatchString(c.Text) && !consumed[c] {
-						g.findings[pkg] = append(g.findings[pkg], confFinding{
-							analyzer: "allocfree",
-							pos:      c.Pos(),
-							msg:      "simlint:hotpath must be part of a function declaration's doc comment; a floating directive roots nothing",
+						eng.findings[pkg] = append(eng.findings[pkg], allocFinding{
+							pos: c.Pos(),
+							msg: "simlint:hotpath must be part of a function declaration's doc comment; a floating directive roots nothing",
 						})
 					}
 				}
@@ -260,7 +268,7 @@ func (eng *allocEngine) markHotRoots(pkgs []*Package) {
 // callers, which is what lets getPacket-style constructors summarize
 // as alloc-free at steady state.
 func (eng *allocEngine) computeAllocSummaries() {
-	for _, u := range eng.g.units {
+	for _, u := range eng.units {
 		s := &allocSummary{}
 		if !eng.sanctioned[u] && len(eng.ownSites[u]) > 0 {
 			s.allocates = true
@@ -270,15 +278,15 @@ func (eng *allocEngine) computeAllocSummaries() {
 	}
 	for {
 		changed := false
-		for _, u := range eng.g.units {
+		for _, u := range eng.units {
 			s := eng.summaries[u]
 			if s.allocates || eng.sanctioned[u] {
 				continue
 			}
-			for _, e := range eng.edges[u] {
-				if cs := eng.summaries[e.to]; cs != nil && cs.allocates && !eng.sanctioned[e.to] {
+			for _, to := range eng.edges[u] {
+				if cs := eng.summaries[to]; cs != nil && cs.allocates && !eng.sanctioned[to] {
 					s.allocates = true
-					s.why = "calls " + e.to.desc + " (" + cs.why + ")"
+					s.why = "calls " + to.desc + " (" + cs.why + ")"
 					changed = true
 					break
 				}
@@ -293,7 +301,7 @@ func (eng *allocEngine) computeAllocSummaries() {
 // summaryFor reports the allocSummary of the unit with the given
 // funcKey, for tests and tooling.
 func (eng *allocEngine) summaryFor(key string) (*allocSummary, bool) {
-	for _, u := range eng.g.units {
+	for _, u := range eng.units {
 		if u.fn != nil && funcKey(u.fn) == key {
 			return eng.summaries[u], true
 		}
@@ -303,14 +311,13 @@ func (eng *allocEngine) summaryFor(key string) (*allocSummary, bool) {
 
 // sweep emits one finding (and inventory row) per allocation site of
 // a reached unit, chained back to its hot root.
-func (eng *allocEngine) sweep(u *confUnit) {
+func (eng *allocEngine) sweep(u *allocUnit) {
 	for _, s := range eng.ownSites[u] {
-		eng.g.findings[u.pkg] = append(eng.g.findings[u.pkg], confFinding{
-			analyzer: "allocfree",
-			pos:      s.pos,
-			msg:      fmt.Sprintf("hot-path allocation: %s (reached via %s)", s.what, u.chain()),
+		eng.findings[u.pkg] = append(eng.findings[u.pkg], allocFinding{
+			pos: s.pos,
+			msg: fmt.Sprintf("hot-path allocation: %s (reached via %s)", s.what, u.chain()),
 		})
-		eng.g.addInventory(u, s.pos, "allocfree", "violation", s.kind, s.what)
+		eng.addInventory(u, s.pos, "violation", s.kind, s.what)
 	}
 }
 
@@ -320,7 +327,7 @@ type posRange struct{ lo, hi token.Pos }
 // sites classifies every allocation a unit performs directly,
 // excluding nested literal bodies (their own units) and panic
 // arguments (terminal paths).
-func (eng *allocEngine) sites(u *confUnit) []allocSite {
+func (eng *allocEngine) sites(u *allocUnit) []allocSite {
 	info := u.pkg.Info
 	var exempt []posRange
 	ast.Inspect(u.body, func(n ast.Node) bool {
@@ -423,7 +430,7 @@ func (eng *allocEngine) sites(u *confUnit) []allocSite {
 // builtins (new/make/append), string↔[]byte conversions, calls into
 // allocating stdlib packages, boxing of concrete arguments into
 // interface parameters, and the variadic argument slice.
-func (eng *allocEngine) callSites(u *confUnit, call *ast.CallExpr, add func(token.Pos, string, string)) {
+func (eng *allocEngine) callSites(u *allocUnit, call *ast.CallExpr, add func(token.Pos, string, string)) {
 	info := u.pkg.Info
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, builtin := info.Uses[id].(*types.Builtin); builtin {
@@ -449,7 +456,7 @@ func (eng *allocEngine) callSites(u *confUnit, call *ast.CallExpr, add func(toke
 		}
 		return
 	}
-	if fn := eng.g.funcFor(u.pkg, call); fn != nil && fn.Pkg() != nil && !eng.g.inModule(fn.Pkg().Path()) {
+	if fn := funcFor(u.pkg, call); fn != nil && fn.Pkg() != nil {
 		path := fn.Pkg().Path()
 		for _, prefix := range eng.cfg.AllocPkgs {
 			if path == prefix || strings.HasPrefix(path, prefix+"/") {
@@ -485,7 +492,7 @@ func (eng *allocEngine) callSites(u *confUnit, call *ast.CallExpr, add func(toke
 
 // assignSites classifies map writes and interface boxing on the two
 // sides of an assignment.
-func (eng *allocEngine) assignSites(u *confUnit, n *ast.AssignStmt, add func(token.Pos, string, string)) {
+func (eng *allocEngine) assignSites(u *allocUnit, n *ast.AssignStmt, add func(token.Pos, string, string)) {
 	info := u.pkg.Info
 	for _, lhs := range n.Lhs {
 		if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && isMapIndex(info, idx) {
@@ -506,7 +513,7 @@ func (eng *allocEngine) assignSites(u *confUnit, n *ast.AssignStmt, add func(tok
 // structLitSites reports boxing performed inside a struct composite
 // literal: a concrete value stored into an interface-typed field
 // allocates exactly as an interface assignment does.
-func (eng *allocEngine) structLitSites(u *confUnit, lit *ast.CompositeLit, st *types.Struct, add func(token.Pos, string, string)) {
+func (eng *allocEngine) structLitSites(u *allocUnit, lit *ast.CompositeLit, st *types.Struct, add func(token.Pos, string, string)) {
 	fieldByName := func(name string) *types.Var {
 		for i := 0; i < st.NumFields(); i++ {
 			if st.Field(i).Name() == name {
@@ -537,7 +544,7 @@ func (eng *allocEngine) structLitSites(u *confUnit, lit *ast.CompositeLit, st *t
 // valueSite reports the allocation performed by storing expr into a
 // destination of type target (nil when unknown): interface boxing, or
 // the closure allocated by evaluating a bound method value.
-func (eng *allocEngine) valueSite(u *confUnit, expr ast.Expr, target types.Type, role string, add func(token.Pos, string, string)) {
+func (eng *allocEngine) valueSite(u *allocUnit, expr ast.Expr, target types.Type, role string, add func(token.Pos, string, string)) {
 	info := u.pkg.Info
 	if fn, ok := methodValue(info, expr); ok {
 		add(expr.Pos(), "methodvalue", fmt.Sprintf(
@@ -574,7 +581,7 @@ func methodValue(info *types.Info, expr ast.Expr) (*types.Func, bool) {
 // non-package-level variable declared outside the literal. A literal
 // that captures nothing compiles to a static closure and does not
 // allocate per evaluation.
-func (eng *allocEngine) captures(u *confUnit, lit *ast.FuncLit) []string {
+func (eng *allocEngine) captures(u *allocUnit, lit *ast.FuncLit) []string {
 	var names []string
 	seen := make(map[*types.Var]bool)
 	ast.Inspect(lit, func(n ast.Node) bool {
@@ -666,4 +673,21 @@ func isMapIndex(info *types.Info, idx *ast.IndexExpr) bool {
 	}
 	_, ok := t.Underlying().(*types.Map)
 	return ok
+}
+
+func isIdentName(e ast.Expr, name string) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && id.Name == name
+}
+
+// isPkgLevel reports whether v is a package-level variable.
+func isPkgLevel(v *types.Var) bool {
+	return v != nil && !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
+}
+
+func typeStr(t types.Type) string {
+	if t == nil {
+		return "<unknown>"
+	}
+	return types.TypeString(t, func(p *types.Package) string { return p.Name() })
 }

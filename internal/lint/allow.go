@@ -22,7 +22,9 @@ import (
 // Each annotation also tracks whether it suppressed anything: with
 // RunOpts.UnusedAllows, an annotation naming an analyzer that ran but
 // reported nothing under it becomes a diagnostic of its own, so stale
-// suppressions cannot linger after the code they excused is gone.
+// suppressions cannot linger after the code they excused is gone. So
+// does a name that is no analyzer of the suite at all — misspelt, or
+// left behind by a deleted analyzer — since nothing could ever use it.
 var allowRe = regexp.MustCompile(`^//simlint:allow\s+([a-z][a-z0-9]*(?:\s*,\s*[a-z][a-z0-9]*)*)\s*\((.*)\)\s*$`)
 
 // Hot-path annotation grammar:
@@ -131,19 +133,26 @@ func collectAllows(pkg *Package, diags *[]Diagnostic) allowIndex {
 }
 
 // reportUnused emits a diagnostic for every annotation naming an
-// analyzer that ran but had nothing to suppress. Analyzers outside
+// analyzer that ran but had nothing to suppress, and for every name
+// outside known, the analyzers that exist. Known analyzers outside
 // the run set are skipped: a subset run must not condemn annotations
 // it never exercised.
-func (idx allowIndex) reportUnused(ran map[string]bool, diags *[]Diagnostic) {
+func (idx allowIndex) reportUnused(ran, known map[string]bool, diags *[]Diagnostic) {
 	for _, e := range idx.entries {
 		for name := range e.analyzers {
-			if !ran[name] || e.used[name] {
+			var msg string
+			switch {
+			case !known[name]:
+				msg = "simlint:allow names unknown analyzer " + name + "; remove the stale annotation"
+			case ran[name] && !e.used[name]:
+				msg = "unused simlint:allow " + name + ": no finding suppressed; remove the stale annotation"
+			default:
 				continue
 			}
 			*diags = append(*diags, Diagnostic{
 				File: e.file, Line: e.line, Col: e.col,
 				Analyzer: "allow",
-				Message:  "unused simlint:allow " + name + ": no finding suppressed; remove the stale annotation",
+				Message:  msg,
 			})
 		}
 	}

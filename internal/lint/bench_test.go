@@ -5,9 +5,9 @@ import "testing"
 // BenchmarkSimlintRepo measures the full-tree analysis cost CI pays
 // on every push: the module is loaded and type-checked once (that
 // cost is go/parser+go/types, not ours), then each iteration runs the
-// complete default suite — including the shard-confinement
-// reachability engine, which rebuilds its call graph and provenance
-// summaries from scratch because analyzers are stateful per run.
+// complete default suite — including the ownership and allocfree
+// engines, which rebuild their summaries and call graph from scratch
+// because analyzers are stateful per run.
 func BenchmarkSimlintRepo(b *testing.B) {
 	l, err := NewLoader(".")
 	if err != nil {

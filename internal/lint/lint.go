@@ -75,19 +75,7 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
 
 // FuncFor resolves a call's callee to a *types.Func, or nil when the
 // callee is a builtin, a type conversion, or a function value.
-func (p *Pass) FuncFor(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		if f, ok := p.Pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
-	case *ast.Ident:
-		if f, ok := p.Pkg.Info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
-}
+func (p *Pass) FuncFor(call *ast.CallExpr) *types.Func { return funcFor(p.Pkg, call) }
 
 // Reportf records a diagnostic at pos unless an allow annotation for
 // the analyzer covers that line.
@@ -117,8 +105,9 @@ type Preparer interface {
 // analyzer suite.
 type RunOpts struct {
 	// UnusedAllows reports every //simlint:allow annotation naming an
-	// analyzer from the run set that suppressed nothing — the stale-
-	// suppression audit CI runs with the full suite.
+	// analyzer from the run set that suppressed nothing, or naming no
+	// analyzer of DefaultSuite at all — the stale-suppression audit CI
+	// runs with the full suite.
 	UnusedAllows bool
 }
 
@@ -140,6 +129,13 @@ func RunWith(pkgs []*Package, analyzers []Analyzer, opts RunOpts) []Diagnostic {
 	for _, a := range analyzers {
 		ran[a.Name()] = true
 	}
+	var known map[string]bool
+	if opts.UnusedAllows {
+		known = make(map[string]bool)
+		for _, a := range append(DefaultSuite(), analyzers...) {
+			known[a.Name()] = true
+		}
+	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		allows := collectAllows(pkg, &diags)
@@ -148,7 +144,7 @@ func RunWith(pkgs []*Package, analyzers []Analyzer, opts RunOpts) []Diagnostic {
 			a.Run(pass)
 		}
 		if opts.UnusedAllows {
-			allows.reportUnused(ran, &diags)
+			allows.reportUnused(ran, known, &diags)
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -170,11 +166,10 @@ func RunWith(pkgs []*Package, analyzers []Analyzer, opts RunOpts) []Diagnostic {
 	return diags
 }
 
-// DefaultSuite returns the nine analyzers with DDoSim's repo policy
+// DefaultSuite returns the seven analyzers with DDoSim's repo policy
 // baked in.
 func DefaultSuite() []Analyzer {
 	pktown, stalecapture := NewOwnership()
-	shardconfine, crossnode := NewShardConfinement()
 	return []Analyzer{
 		NewWallclock(),
 		NewGlobalRand(),
@@ -182,8 +177,6 @@ func DefaultSuite() []Analyzer {
 		NewSchedBlock(),
 		pktown,
 		stalecapture,
-		shardconfine,
-		crossnode,
 		NewAllocFree(),
 	}
 }

@@ -202,72 +202,54 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
-// confinementSuite returns a fresh shardconfine/crossnode pair; the
-// two share one reachability engine, so they must be run together.
-func confinementSuite() []Analyzer {
-	shard, cross := NewShardConfinement()
-	return []Analyzer{shard, cross}
-}
-
-// TestShardConfine covers the shardconfine fixture: a package-level
-// write in a method-value handler, a captured foreign-node mutation,
-// and the audited-allow escape hatch staying quiet.
-func TestShardConfine(t *testing.T) {
-	l := newTestLoader(t)
-	pkg := loadFixture(t, l, "shardconfine/confined")
-	checkGolden(t, "shardconfine", []*Package{pkg}, confinementSuite())
-}
-
-// TestCrossNode covers the crossnode fixture: registry-lookup,
-// control-plane-state, and neighbor-pointer crossings.
-func TestCrossNode(t *testing.T) {
-	l := newTestLoader(t)
-	pkg := loadFixture(t, l, "crossnode/crossmut")
-	checkGolden(t, "crossnode", []*Package{pkg}, confinementSuite())
-}
-
-// TestConfineForeign pins the deliberate foreign-node mutation — the
-// same code internal/netsim/confine_test.go executes under -tags
-// simdebug — to its exact file:line, mirroring TestPktOwnUAF's
-// one-bug-two-catchers contract.
-func TestConfineForeign(t *testing.T) {
-	l := newTestLoader(t)
-	pkg := loadFixture(t, l, "confine/foreign")
-	diags := Run([]*Package{pkg}, confinementSuite())
-	checkGolden(t, "confine_foreign", []*Package{pkg}, confinementSuite())
-	if len(diags) != 1 || diags[0].Analyzer != "shardconfine" ||
-		diags[0].File != "internal/lint/testdata/confine/foreign/foreign.go" {
-		t.Fatalf("want exactly one shardconfine finding in foreign.go, got %v", diags)
-	}
-}
-
-// TestUnusedAllows covers the -unused-allows audit: the stale
-// annotation is reported, the live suppression is not.
+// TestUnusedAllows covers the -unused-allows audit of names: an
+// annotation naming an analyzer that does not exist is reported even
+// though that analyzer is in no run set, and only under the audit.
 func TestUnusedAllows(t *testing.T) {
 	l := newTestLoader(t)
 	pkg := loadFixture(t, l, "allowlist/unused")
-	diags := RunWith([]*Package{pkg}, confinementSuite(), RunOpts{UnusedAllows: true})
+	if diags := Run([]*Package{pkg}, allocfreeSuite()); len(diags) != 0 {
+		t.Fatalf("the annotation is well-formed; want no diagnostic without the audit, got %v", diags)
+	}
+	diags := RunWith([]*Package{pkg}, allocfreeSuite(), RunOpts{UnusedAllows: true})
 	if len(diags) != 1 {
-		t.Fatalf("want exactly one diagnostic (the stale allow), got %v", diags)
+		t.Fatalf("want exactly one diagnostic (the unknown analyzer name), got %v", diags)
 	}
 	d := diags[0]
-	if d.Analyzer != "allow" || !strings.Contains(d.Message, "unused simlint:allow shardconfine") {
-		t.Fatalf("want an unused-allow report for the stale annotation, got %v", d)
+	if d.Analyzer != "allow" || !strings.Contains(d.Message, "unknown analyzer shardconfine") {
+		t.Fatalf("want an unknown-analyzer report for the annotation, got %v", d)
 	}
-	if d.File != "internal/lint/testdata/allowlist/unused/unused.go" || d.Line != 22 {
-		t.Fatalf("unused-allow report at wrong site: %v", d)
+	if d.File != "internal/lint/testdata/allowlist/unused/unused.go" || d.Line != 11 {
+		t.Fatalf("unknown-analyzer report at wrong site: %v", d)
+	}
+
+	// Known analyzers outside the run set stay unaudited: an
+	// allocfree-only run over the multi fixture reports its unknown
+	// ipv6check2 name, not its pktown,stalecapture annotation.
+	multi := loadFixture(t, l, "allowlist/multi")
+	var unknown []Diagnostic
+	for _, d := range RunWith([]*Package{multi}, allocfreeSuite(), RunOpts{UnusedAllows: true}) {
+		if strings.Contains(d.Message, "unused simlint:allow") {
+			t.Errorf("subset run audited an analyzer it did not run: %v", d)
+		}
+		if strings.Contains(d.Message, "unknown analyzer") {
+			unknown = append(unknown, d)
+		}
+	}
+	if len(unknown) != 1 || !strings.Contains(unknown[0].Message, "ipv6check2") || unknown[0].Line != 20 {
+		t.Errorf("want one unknown-analyzer report for ipv6check2 at multi.go:20, got %v", unknown)
 	}
 }
 
 // TestInventory exercises the machine-readable artifact: suppressed
 // findings come back reclassified as "allowed", surviving ones as
-// "violation", and the rows are totally ordered.
+// "violation", hot roots as "hotpath", and the rows are totally
+// ordered.
 func TestInventory(t *testing.T) {
 	l := newTestLoader(t)
 	pkgs := []*Package{
-		loadFixture(t, l, "shardconfine/confined"),
-		loadFixture(t, l, "crossnode/crossmut"),
 		loadFixture(t, l, "allocfree/hotalloc"),
+		loadFixture(t, l, "allowlist/unusedalloc"),
 	}
 	inv := BuildInventory(pkgs)
 	var violations, allowed, hotpaths int
@@ -279,7 +261,6 @@ func TestInventory(t *testing.T) {
 			allowed++
 		case "hotpath":
 			hotpaths++
-		case "boundary", "barrier":
 		default:
 			t.Errorf("unknown inventory class %q in %+v", e.Class, e)
 		}
@@ -287,14 +268,14 @@ func TestInventory(t *testing.T) {
 			t.Errorf("inventory row missing position or chain: %+v", e)
 		}
 	}
-	if violations < 4 {
-		t.Errorf("want the fixtures' violations in the inventory, got %d rows: %+v", violations, inv)
+	if violations != 1 {
+		t.Errorf("want hotalloc's one surviving allocation as a violation, got %d rows: %+v", violations, inv)
 	}
 	if allowed != 1 {
-		t.Errorf("want exactly the Audited suppression as allowed, got %d", allowed)
+		t.Errorf("want exactly unusedalloc's live suppression as allowed, got %d", allowed)
 	}
-	if hotpaths != 2 {
-		t.Errorf("want the fixture's two //simlint:hotpath roots as hotpath rows, got %d", hotpaths)
+	if hotpaths != 3 {
+		t.Errorf("want the fixtures' three //simlint:hotpath roots as hotpath rows, got %d", hotpaths)
 	}
 	for i := 1; i < len(inv); i++ {
 		a, b := inv[i-1], inv[i]
@@ -367,7 +348,7 @@ func TestAllocSummaryFixpoint(t *testing.T) {
 	l := newTestLoader(t)
 	pkg := loadFixture(t, l, "allocfree/hotalloc")
 
-	eng := newAllocEngine(DefaultAllocConfig(), DefaultConfineConfig())
+	eng := newAllocEngine(DefaultAllocConfig())
 	eng.prepare([]*Package{pkg})
 	for _, key := range []string{pkgpath + ".Pool.Get", pkgpath + ".FromPool", pkgpath + ".Pump"} {
 		if s, ok := eng.summaryFor(key); !ok || !s.allocates {
@@ -380,7 +361,7 @@ func TestAllocSummaryFixpoint(t *testing.T) {
 
 	cfg := DefaultAllocConfig()
 	cfg.AllocFree[pkgpath+".Pool.Get"] = true
-	sanctioned := newAllocEngine(cfg, DefaultConfineConfig())
+	sanctioned := newAllocEngine(cfg)
 	sanctioned.prepare([]*Package{pkg})
 	if s, ok := sanctioned.summaryFor(pkgpath + ".Pool.Get"); !ok || s.allocates {
 		t.Errorf("sanctioned Pool.Get: want pinned alloc-free summary, got %+v (found=%v)", s, ok)

@@ -76,8 +76,8 @@ func DefaultOwnConfig() *OwnConfig {
 			netsim + ".Network.getPacket":   true,
 			netsim + ".Network.clonePacket": true,
 			netsim + ".Packet.Clone":        true,
-			// Node-level pool surface: under the sharded kernel packets
-			// come from the node's shard-local pool, not the network's.
+			// Node-level pool surface: the same network-wide pool,
+			// reached through the node that sends or receives.
 			netsim + ".Node.AllocPacket": true,
 			netsim + ".Node.getPacket":   true,
 			netsim + ".Node.clonePacket": true,

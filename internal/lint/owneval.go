@@ -407,21 +407,6 @@ func (ev *ownEval) handoff(e ast.Expr, how string) {
 
 // ---- calls --------------------------------------------------------------
 
-// funcFor mirrors Pass.FuncFor for this unit's package.
-func (ev *ownEval) funcFor(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		if f, ok := ev.u.pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
-	case *ast.Ident:
-		if f, ok := ev.u.pkg.Info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
-}
-
 // callResults evaluates a call's effects and returns the state of
 // each pooled result (by result index; 0 for untracked results).
 func (ev *ownEval) callResults(c *ast.CallExpr) []stateMask {
@@ -442,7 +427,7 @@ func (ev *ownEval) callResults(c *ast.CallExpr) []stateMask {
 		}
 	}
 
-	fn := ev.funcFor(c)
+	fn := funcFor(ev.u.pkg, c)
 
 	// Scheduling entries: function literal arguments outlive this
 	// frame — the heart of the stalecapture analyzer.
@@ -607,7 +592,7 @@ func (ev *ownEval) builtinCall(name string, c *ast.CallExpr) []stateMask {
 }
 
 func (ev *ownEval) deferCall(c *ast.CallExpr) {
-	fn := ev.funcFor(c)
+	fn := funcFor(ev.u.pkg, c)
 	if fn != nil && ev.eng.cfg.Releases[funcKey(fn)] {
 		// defer release: runs on every exit path, so the deferred
 		// variable is exempt from the exit leak check. The release

@@ -8,10 +8,10 @@ import (
 
 // SchedBlock inspects function literals passed to the simulation
 // kernel's scheduling entry points (sim.Scheduler.Schedule*,
-// sim.NewTicker) and to sim.Scheduler.Barrier. Those callbacks
-// execute on the event loop: a channel operation or lock wait inside
-// one deadlocks the entire simulation, and a spawned goroutine races
-// the kernel state the loop exists to serialize.
+// sim.NewTicker). Those callbacks execute on the event loop: a
+// channel operation or lock wait inside one deadlocks the entire
+// simulation, and a spawned goroutine races the kernel state the loop
+// exists to serialize.
 type SchedBlock struct {
 	// SimPkg is the import path of the scheduler package.
 	SimPkg string
@@ -39,7 +39,7 @@ func (s *SchedBlock) Run(pass *Pass) {
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != s.SimPkg {
 				return true
 			}
-			if !isSchedulingEntry(fn) && fn.Name() != "Barrier" {
+			if !isSchedulingEntry(fn) {
 				return true
 			}
 			for _, arg := range call.Args {

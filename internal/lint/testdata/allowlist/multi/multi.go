@@ -15,7 +15,7 @@ func CommaList(w *netsim.Network) int {
 }
 
 // DigitsInName: analyzer names may contain digits (but not start with
-// one); an unknown name is inert, not malformed.
+// one); an unknown name is not malformed (-unused-allows reports it).
 func DigitsInName() {
 	//simlint:allow ipv6check2(digits in analyzer names parse)
 	_ = 0

@@ -1,25 +1,13 @@
-// Package unused exercises the -unused-allows audit: one annotation
-// that suppresses a real finding (live) and one on a clean line
-// (stale, reported by RunOpts.UnusedAllows).
+// Package unused carries an allow annotation naming shardconfine, an
+// analyzer that no longer exists: no run set can contain it, so the
+// -unused-allows audit must report the name itself.
 package unused
-
-import "ddosim/internal/sim"
 
 var hits int
 
-// Live schedules a handler whose global write is suppressed by an
-// audited allow — the annotation is used.
-func Live(sched *sim.Scheduler) {
-	sched.Schedule(sim.Second, func() {
-		//simlint:allow shardconfine(test fixture: live suppression)
-		hits++
-	})
-}
-
-// Stale carries an allow on a line with nothing to suppress.
-func Stale(sched *sim.Scheduler) {
-	sched.Schedule(sim.Second, func() {
-		//simlint:allow shardconfine(test fixture: nothing here to suppress)
-		_ = sched.Now()
-	})
+// Bump keeps a suppression whose analyzer is gone; nothing can ever
+// use it.
+func Bump() {
+	//simlint:allow shardconfine(test fixture: names an analyzer that no longer exists)
+	hits++
 }

@@ -94,7 +94,6 @@ func (d *NetDevice) Rate() DataRate { return d.rate }
 // SetRate changes the egress serialization rate. Takes effect for the
 // next dequeued frame.
 func (d *NetDevice) SetRate(r DataRate) {
-	d.confineCheck("NetDevice.SetRate")
 	d.rate = r
 }
 
@@ -104,7 +103,6 @@ func (d *NetDevice) QueueLimit() int { return d.queueLimit }
 // SetQueueLimit changes the drop-tail depth. Takes effect for the next
 // enqueue; frames already queued above the new limit are not evicted.
 func (d *NetDevice) SetQueueLimit(n int) {
-	d.confineCheck("NetDevice.SetQueueLimit")
 	if n <= 0 {
 		n = DefaultQueueLimit
 	}
@@ -127,7 +125,6 @@ func (d *NetDevice) IsUp() bool { return d.up }
 // a Dev. Frames already propagating on the wire still arrive (and are
 // dropped by the peer if it is down too).
 func (d *NetDevice) SetUp(up bool) {
-	d.confineCheck("NetDevice.SetUp")
 	if d.up == up {
 		return
 	}
@@ -221,7 +218,6 @@ func (d *NetDevice) arriveProp() {
 // tearing the link down the way SetUp(false) would, and without
 // perturbing the per-frame RNG draw sequence for any p < 1.
 func (d *NetDevice) SetLossRate(p float64) {
-	d.confineCheck("NetDevice.SetLossRate")
 	if p < 0 || p > 1 {
 		panic("netsim: loss rate must be in [0,1]")
 	}

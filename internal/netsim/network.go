@@ -43,10 +43,6 @@ type Network struct {
 	// Flow accounting (optional; see EnableFlows).
 	flows *FlowTable
 
-	// conf is the simdebug confinement sanitizer's owner cell (see
-	// confine_on.go); zero-size in release builds.
-	conf confCell
-
 	// Observability (optional; see Observe). The counters are cached
 	// here so the per-frame hot path skips the registry map lookups.
 	trace        *obs.Tracer

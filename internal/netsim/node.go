@@ -59,14 +59,12 @@ func (n *Node) Network() *Network { return n.net }
 
 // SetForwarding enables IP forwarding, turning the node into a router.
 func (n *Node) SetForwarding(on bool) {
-	n.confineCheck("Node.SetForwarding")
 	n.forward = on
 }
 
 // AddAddr assigns an address to the node. Nodes may hold both IPv4 and
 // IPv6 addresses (DDoSim is dual-stack; the Dnsmasq exploit needs v6).
 func (n *Node) AddAddr(a netip.Addr) {
-	n.confineCheck("Node.AddAddr")
 	n.addrs[a] = true
 	low := &n.addr4
 	if a.Is6() {
@@ -98,14 +96,12 @@ func (n *Node) Addr6() netip.Addr { return n.addr6 }
 
 // AddRoute installs a host route: packets destined to dst leave via dev.
 func (n *Node) AddRoute(dst netip.Addr, dev *NetDevice) {
-	n.confineCheck("Node.AddRoute")
 	n.routes[dst] = dev
 }
 
 // SetDefaultDevice installs the device used when no host route matches —
 // the single uplink of a leaf host.
 func (n *Node) SetDefaultDevice(dev *NetDevice) {
-	n.confineCheck("Node.SetDefaultDevice")
 	n.defDev = dev
 }
 
@@ -115,7 +111,6 @@ func (n *Node) DefaultDevice() *NetDevice { return n.defDev }
 // JoinMulticast subscribes the node to group (e.g. ff02::1:2, the
 // All-DHCP-Relay-Agents-and-Servers group Dnsmasq listens on).
 func (n *Node) JoinMulticast(group netip.Addr) {
-	n.confineCheck("Node.JoinMulticast")
 	if !group.IsMulticast() {
 		panic(fmt.Sprintf("netsim: JoinMulticast(%s): not a multicast address", group))
 	}
@@ -124,20 +119,17 @@ func (n *Node) JoinMulticast(group netip.Addr) {
 
 // LeaveMulticast unsubscribes the node from group.
 func (n *Node) LeaveMulticast(group netip.Addr) {
-	n.confineCheck("Node.LeaveMulticast")
 	delete(n.multicast, group)
 }
 
 // AddTap registers an observer for locally-delivered packets.
 func (n *Node) AddTap(tap PacketTap) {
-	n.confineCheck("Node.AddTap")
 	n.taps = append(n.taps, tap)
 }
 
 // SetFilter installs (or, with nil, removes) the node's ingress
 // filter.
 func (n *Node) SetFilter(f IngressFilter) {
-	n.confineCheck("Node.SetFilter")
 	n.filter = f
 }
 
@@ -178,8 +170,6 @@ func (n *Node) SendPacket(pkt *Packet) {
 		// egresses through dev.Send below and never takes this branch.
 		//simlint:allow stalecapture,allocfree(SendPacket owns pkt and transfers it into the uncancellable loopback event, which releases it; self-addressed traffic only, off the device-tx flood path)
 		n.sched.Schedule(sim.Microsecond, func() {
-			prev := confineEnter(n)
-			defer confineExit(n, prev)
 			n.deliverLocal(pkt)
 			n.putPacket(pkt)
 		})
@@ -203,17 +193,10 @@ func (n *Node) lookupRoute(dst netip.Addr) *NetDevice {
 
 // handleReceive is the node's IP input path. It owns pkt: the packet is
 // either handed on to an egress device (forwarding) or freed here after
-// its terminal delivery or drop. While it runs, this node is the
-// executing partition for the simdebug confinement sanitizer.
+// its terminal delivery or drop.
 //
 //simlint:hotpath
 func (n *Node) handleReceive(in *NetDevice, pkt *Packet) {
-	prev := confineEnter(n)
-	defer confineExit(n, prev)
-	n.receiveIP(in, pkt)
-}
-
-func (n *Node) receiveIP(in *NetDevice, pkt *Packet) {
 	dst := pkt.Dst.Addr()
 	switch {
 	case dst.IsMulticast():

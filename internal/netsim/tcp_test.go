@@ -253,11 +253,9 @@ func TestTCPPeerDeathTimesOut(t *testing.T) {
 			return
 		}
 		c.SetCloseHandler(func(err error) { closed, closeErr = true, err })
-		// Kill the server's link (churn) from a control-plane event —
-		// not from inside the client's handler, where the confinement
-		// sanitizer would rightly flag the foreign-node mutation —
-		// then try to send: the data is never acked and the connection
-		// must time out.
+		// Kill the server's link (churn) from a scheduled event, then
+		// try to send: the data is never acked and the connection must
+		// time out.
 		sched.Schedule(0, func() {
 			server.DefaultDevice().SetUp(false)
 			if err := c.Send([]byte("are you there?")); err != nil {
@@ -290,9 +288,7 @@ func TestTCPRetransmitSurvivesTransientOutage(t *testing.T) {
 			return
 		}
 		// Brief outage right as data goes out: retransmission recovers.
-		// The outage toggles run as control-plane events, not inside
-		// the client's handler (the confinement sanitizer would flag
-		// the foreign-node mutation there).
+		// The outage toggles run as scheduled events, as churn's do.
 		sched.Schedule(0, func() {
 			server.DefaultDevice().SetUp(false)
 			if err := c.Send([]byte("persistent")); err != nil {

@@ -78,13 +78,6 @@ func (s *Scheduler) Now() Time { return s.now }
 // rand, to keep runs reproducible.
 func (s *Scheduler) RNG() *rand.Rand { return s.rng }
 
-// Barrier runs fn as a control-plane mutation of partition-owned
-// state. It is a plain call — the kernel is single-threaded — kept as
-// the explicit, auditable marker for such mutations: simlint
-// inventories each Barrier body as a "barrier" crossing instead of
-// reporting it.
-func (s *Scheduler) Barrier(fn func()) { fn() }
-
 // Processed reports how many events have executed so far. The resource
 // model uses this as a proxy for simulator workload (Table I).
 func (s *Scheduler) Processed() uint64 { return s.processed }
