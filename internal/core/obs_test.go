@@ -118,26 +118,33 @@ func TestTraceCoversKillChain(t *testing.T) {
 }
 
 func TestSchedulerAccountingMatchesTrace(t *testing.T) {
-	// Every event the scheduler processed must have passed through the
-	// profiler hook, and the registry gauge snapshots the same number.
-	s, _ := runTraced(t, 3)
+	// The kernel's per-source counts must account for every event it
+	// processed, the summary and the registry gauge must report the
+	// same number, and the profiler hook must have seen the run.
+	s, r := runTraced(t, 3)
 	processed := s.sched.Processed()
 	if processed == 0 {
 		t.Fatal("run processed no events")
 	}
-	if got := s.Obs().Prof.TotalEvents(); got != processed {
-		t.Errorf("profiler saw %d events, scheduler processed %d", got, processed)
+	if r.Obs.EventsDelivered != processed {
+		t.Errorf("summary delivered %d events, scheduler processed %d", r.Obs.EventsDelivered, processed)
 	}
 	if got := s.Obs().Metrics.GaugeValue("sim_events_processed"); uint64(got) != processed {
 		t.Errorf("sim_events_processed gauge = %v, scheduler processed %d", got, processed)
 	}
-	// The per-source breakdown must account for every delivery.
 	var bySource uint64
-	for _, n := range s.Obs().Prof.BySource() {
+	for _, n := range s.sched.EventsBySource() {
 		bySource += n
 	}
 	if bySource != processed {
 		t.Errorf("per-source counts sum to %d, want %d", bySource, processed)
+	}
+	var sampled uint64
+	for _, smp := range s.Obs().Prof.Samples() {
+		sampled += smp.Events
+	}
+	if sampled == 0 || sampled > processed {
+		t.Errorf("profiler sampled %d events of %d processed", sampled, processed)
 	}
 }
 

@@ -26,6 +26,13 @@ import (
 	"ddosim/internal/sim"
 )
 
+// Sources labelling the run's own scheduler events.
+var (
+	srcWatcher = sim.NewSource("core.watcher")
+	srcWindows = sim.NewSource("obs.windows")
+	srcCmdWave = sim.NewSource("core.cmdwave")
+)
+
 // Dev is one simulated IoT device: a container running a vulnerable
 // daemon over a 100–500 kbps link.
 type Dev struct {
@@ -824,14 +831,14 @@ func (s *Simulation) Run() (*Results, error) {
 			s.issueAttack()
 		}
 	})
-	watcher.Source = "core.watcher"
+	watcher.Source = srcWatcher
 	watcher.Start()
 
 	// Windowed time-series sampler: one row per WindowSize of sim time.
 	windowTicker := sim.NewTicker(s.sched, s.cfg.WindowSize, func() {
 		s.windows.Sample(s.sched.Now())
 	})
-	windowTicker.Source = "obs.windows"
+	windowTicker.Source = srcWindows
 	windowTicker.Start()
 
 	if err := s.sched.Run(s.cfg.SimDuration); err != nil {
@@ -960,9 +967,9 @@ func (s *Simulation) scheduleCommandWaves(method string, target netip.Addr, end 
 			Port:     s.cfg.AttackPort,
 			Duration: s.waveSecs(remaining),
 		})
-		s.sched.ScheduleSrc(s.cfg.CommandWave, "core.cmdwave", wave)
+		s.sched.ScheduleSrc(s.cfg.CommandWave, srcCmdWave, wave)
 	}
-	s.sched.ScheduleSrc(s.cfg.CommandWave, "core.cmdwave", wave)
+	s.sched.ScheduleSrc(s.cfg.CommandWave, srcCmdWave, wave)
 }
 
 func (s *Simulation) assemble() {
@@ -985,10 +992,20 @@ func (s *Simulation) assemble() {
 	}
 
 	// Seal the observability layer: close dangling phase spans, mirror
-	// the kernel counters into the registry, and condense a summary.
+	// the kernel and wire counters into the registry, and condense a
+	// summary. The wire counters are published here, once, because the
+	// per-frame path keeps them only in NetworkStats.
 	s.obs.Trace.CloseOpenSpans(s.sched.Now())
 	r.Phases = obs.SummarizePhases(s.obs.Trace.Spans(), obs.CatKillChain, faults.CatFault)
 	reg := s.obs.Metrics
+	st := r.NetStats
+	reg.Counter("net_tx_frames_total", "frames transmitted on any link").Add(st.TxFrames)
+	reg.Counter("net_tx_bytes_total", "bytes transmitted on any link").Add(st.TxBytes)
+	reg.Counter("net_tx_bytes_udp_total", "bytes transmitted in UDP frames").Add(st.TxBytesUDP)
+	reg.Counter("net_tx_bytes_tcp_total", "bytes transmitted in TCP frames").Add(st.TxBytesTCP)
+	reg.Counter("net_queue_drops_total", "frames dropped at any queue (drop-tail or loss)").Add(st.Drops)
+	reg.Gauge("net_queue_depth", "frames buffered anywhere in the network right now").Set(float64(st.QueuedNow))
+	reg.Gauge("net_queue_depth_peak", "peak frames buffered anywhere in the network").Set(float64(st.PeakQueued))
 	reg.Gauge("sim_events_processed", "scheduler events executed this run").
 		Set(float64(s.sched.Processed()))
 	reg.Gauge("sim_queue_depth", "scheduler events pending right now").
@@ -999,7 +1016,7 @@ func (s *Simulation) assemble() {
 	}
 	reg.Gauge("sink_rx_bytes_total", "attack bytes TServer's sink logged").
 		Set(float64(r.SinkBytes))
-	r.Obs = s.obs.Summarize()
+	r.Obs = s.obs.Summarize(s.sched)
 
 	if s.attackIssued {
 		from := int64(r.AttackIssuedAt / sim.Second)

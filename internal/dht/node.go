@@ -7,6 +7,12 @@ import (
 	"ddosim/internal/sim"
 )
 
+// Sources labelling the overlay node's scheduler events.
+var (
+	srcRefresh = sim.NewSource("dht.refresh")
+	srcTimeout = sim.NewSource("dht.timeout")
+)
+
 // Host is what a DHT node needs from its runtime; *container.Process
 // satisfies it, and tests provide a bare-node shim. Everything a node
 // does runs on its host's scheduler — the package never touches
@@ -132,7 +138,7 @@ func (n *Node) Start(addr netip.Addr) error {
 	n.id = NodeID(n.addr)
 	n.table = NewTable(n.id, n.cfg.K)
 	n.refreshTicker = n.host.NewTicker(n.cfg.RefreshPeriod, n.refreshTick)
-	n.refreshTicker.Source = "dht.refresh"
+	n.refreshTicker.Source = srcRefresh
 	n.refreshTicker.Start()
 	return nil
 }
@@ -196,7 +202,7 @@ func (n *Node) send(dst netip.AddrPort, m *Message, onReply func(*Message), onTi
 	m.RPC = n.nextRPC()
 	m.Sender = n.id
 	p := &pending{onReply: onReply, onTimeout: onTimeout}
-	p.timer = n.host.Sched().ScheduleSrc(n.cfg.RPCTimeout, "dht.timeout", func() {
+	p.timer = n.host.Sched().ScheduleSrc(n.cfg.RPCTimeout, srcTimeout, func() {
 		delete(n.pendingRPC, m.RPC)
 		n.RPCsTimedOut++
 		if p.onTimeout != nil {

@@ -46,6 +46,9 @@ import (
 	"ddosim/internal/sim"
 )
 
+// srcFaults labels fault injections and recoveries.
+var srcFaults = sim.NewSource("faults")
+
 // Flap scheduling modes.
 const (
 	FlapRandom   = "random"   // exponential inter-arrival (default)
@@ -347,7 +350,7 @@ func (inj *Injector) exp(mean sim.Time) sim.Time {
 
 // after schedules fn under the injector's stop guard.
 func (inj *Injector) after(d sim.Time, fn func()) {
-	inj.sched.ScheduleSrc(d, "faults", func() {
+	inj.sched.ScheduleSrc(d, srcFaults, func() {
 		if inj.stopped {
 			return
 		}

@@ -18,7 +18,7 @@ func bad(s *sim.Scheduler, ch chan int, mu *sync.Mutex) {
 		mu.Lock()
 		defer mu.Unlock()
 	})
-	s.ScheduleSrc(sim.Second, "fixture", func() {
+	s.ScheduleSrc(sim.Second, fixture, func() {
 		go func() {}()
 	})
 	sim.NewTicker(s, sim.Second, func() {
@@ -35,3 +35,7 @@ func good(s *sim.Scheduler, counter *int) {
 	ready := make(chan struct{})
 	close(ready)
 }
+
+// fixture labels the fixture's events; declared last so the findings
+// above keep their positions.
+var fixture = sim.NewSource("fixture")

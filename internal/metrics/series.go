@@ -15,9 +15,11 @@ import (
 
 // Series buckets a byte count per simulated second, the structure
 // TServer logs in the paper ("the received data rate at TServer during
-// one second").
+// one second"). The buckets are a dense slice covering every second
+// from the first to the last one recorded, so recording into a second
+// already covered is an index, not a hash.
 type Series struct {
-	buckets map[int64]uint64
+	buckets []uint64 // buckets[i] is second first+i
 	first   int64
 	last    int64
 	total   uint64
@@ -25,25 +27,39 @@ type Series struct {
 }
 
 // NewSeries returns an empty per-second series.
-func NewSeries() *Series {
-	return &Series{buckets: make(map[int64]uint64)}
-}
+func NewSeries() *Series { return &Series{} }
 
 // Add records n bytes received at time at.
+//
+//simlint:hotpath
 func (s *Series) Add(at sim.Time, n int) {
 	if n < 0 {
 		panic("metrics: negative byte count")
 	}
 	sec := int64(at / sim.Second)
-	s.buckets[sec] += uint64(n)
+	if !s.any || sec < s.first || sec > s.last {
+		s.cover(sec)
+	}
+	s.buckets[sec-s.first] += uint64(n)
 	s.total += uint64(n)
-	if !s.any || sec < s.first {
-		s.first = sec
-	}
-	if !s.any || sec > s.last {
+}
+
+// cover extends the buckets to include second sec.
+func (s *Series) cover(sec int64) {
+	switch {
+	case !s.any:
+		s.first, s.last, s.any = sec, sec, true
+		s.buckets = append(s.buckets[:0], 0) //simlint:allow allocfree(first second of the series only)
+	case sec > s.last:
+		//simlint:allow allocfree(once per new last second: the slice grows by amortized doubling as the run's clock advances)
+		s.buckets = append(s.buckets, make([]uint64, sec-s.last)...)
 		s.last = sec
+	default: // sec < s.first: a second earlier than any recorded
+		//simlint:allow allocfree(out-of-order seconds only; a sink records in clock order and never takes this branch)
+		grown := make([]uint64, s.last-sec+1)
+		copy(grown[s.first-sec:], s.buckets)
+		s.buckets, s.first = grown, sec
 	}
-	s.any = true
 }
 
 // TotalBytes reports the sum over all buckets.
@@ -57,13 +73,18 @@ func (s *Series) Empty() bool { return !s.any }
 func (s *Series) Bounds() (first, last int64) { return s.first, s.last }
 
 // BytesAt reports the bytes recorded for one second.
-func (s *Series) BytesAt(sec int64) uint64 { return s.buckets[sec] }
+func (s *Series) BytesAt(sec int64) uint64 {
+	if !s.any || sec < s.first || sec > s.last {
+		return 0
+	}
+	return s.buckets[sec-s.first]
+}
 
 // BytesIn sums the bytes recorded in seconds [from, to).
 func (s *Series) BytesIn(from, to int64) uint64 {
 	var sum uint64
 	for sec := from; sec < to; sec++ {
-		sum += s.buckets[sec]
+		sum += s.BytesAt(sec)
 	}
 	return sum
 }
@@ -73,7 +94,7 @@ func (s *Series) BytesIn(from, to int64) uint64 {
 func (s *Series) KbpsSeries(from, to int64) []float64 {
 	out := make([]float64, 0, to-from)
 	for sec := from; sec < to; sec++ {
-		out = append(out, float64(s.buckets[sec])*8/1000)
+		out = append(out, float64(s.BytesAt(sec))*8/1000)
 	}
 	return out
 }

@@ -160,3 +160,74 @@ func TestTimeline(t *testing.T) {
 		t.Fatalf("Events = %d", len(tl.Events()))
 	}
 }
+
+// TestPropertySeriesMatchesMapModel checks the dense Series against a
+// map of second to bytes: seconds arrive out of order and far apart,
+// and every read — inside the bounds, in gaps, and outside them —
+// agrees with the model, which reads 0 for any second never recorded.
+func TestPropertySeriesMatchesMapModel(t *testing.T) {
+	type add struct {
+		Sec   int32
+		Bytes uint16
+	}
+	f := func(adds []add, spread uint8) bool {
+		s := NewSeries()
+		model := map[int64]uint64{}
+		var total uint64
+		var first, last int64
+		for i, a := range adds {
+			// Scale seconds so some runs stay within a few seconds and
+			// others jump up to ~10^5 apart, in either direction.
+			sec := int64(a.Sec) % (1 + int64(spread)*400)
+			at := sim.Time(sec)*sim.Second + sim.Time(i%7)*100*sim.Millisecond
+			if sec < 0 {
+				at = sim.Time(sec) * sim.Second // whole seconds: truncation stays exact
+			}
+			s.Add(at, int(a.Bytes))
+			model[sec] += uint64(a.Bytes)
+			total += uint64(a.Bytes)
+			if i == 0 || sec < first {
+				first = sec
+			}
+			if i == 0 || sec > last {
+				last = sec
+			}
+		}
+		if s.Empty() != (len(adds) == 0) || s.TotalBytes() != total {
+			return false
+		}
+		if len(adds) == 0 {
+			return s.BytesAt(0) == 0 && s.BytesIn(-5, 5) == 0
+		}
+		if f, l := s.Bounds(); f != first || l != last {
+			return false
+		}
+		probes := []int64{first - 3, first - 1, last + 1, last + 1000}
+		for sec := range model {
+			probes = append(probes, sec, sec-1, sec+1)
+		}
+		for _, sec := range probes {
+			if s.BytesAt(sec) != model[sec] {
+				return false
+			}
+		}
+		lo, hi := first-2, first+50
+		var want uint64
+		for sec := lo; sec < hi; sec++ {
+			want += model[sec]
+		}
+		if s.BytesIn(lo, hi) != want {
+			return false
+		}
+		kbps := s.KbpsSeries(lo, hi)
+		for i, v := range kbps {
+			if v != float64(model[lo+int64(i)])*8/1000 {
+				return false
+			}
+		}
+		return len(kbps) == int(hi-lo)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

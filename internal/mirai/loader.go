@@ -10,6 +10,12 @@ import (
 	"ddosim/internal/sim"
 )
 
+// Sources labelling the loader's retry timers.
+var (
+	srcReload = sim.NewSource("loader.reload")
+	srcRetry  = sim.NewSource("loader.retry")
+)
+
 // Loader retry defaults: a failed load is re-dialed with capped
 // exponential backoff (10 s, 20 s, 40 s, … capped at 160 s) before
 // falling back to waiting for a scanner to re-report the victim.
@@ -134,7 +140,7 @@ func (l *Loader) Forget(victim netip.Addr) {
 	st := &pendingLoad{user: cred.user, pass: cred.pass}
 	l.pending[victim] = st
 	l.Reloads++
-	l.p.Sched().ScheduleSrc(l.cfg.RetryBase, "loader.reload", func() {
+	l.p.Sched().ScheduleSrc(l.cfg.RetryBase, srcReload, func() {
 		if !l.p.Alive() || l.pending[victim] != st {
 			return
 		}
@@ -190,7 +196,7 @@ func (l *Loader) fail(victim netip.Addr) {
 		delay = l.cfg.RetryCap
 	}
 	l.Retries++
-	l.p.Sched().ScheduleSrc(delay, "loader.retry", func() {
+	l.p.Sched().ScheduleSrc(delay, srcRetry, func() {
 		if !l.p.Alive() || l.pending[victim] != st {
 			return
 		}

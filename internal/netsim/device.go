@@ -2,6 +2,12 @@ package netsim
 
 import "ddosim/internal/sim"
 
+// Sources labelling a device's transmit and propagation events.
+var (
+	srcTx   = sim.NewSource("net.tx")
+	srcProp = sim.NewSource("net.prop")
+)
+
 // DeviceStats aggregates per-device counters. The resource model and
 // the defense feature extractor both read these.
 type DeviceStats struct {
@@ -178,7 +184,7 @@ func (d *NetDevice) transmitNext() {
 	}
 	d.transmitting = true
 	txTime := d.rate.TxTime(d.queue.peek().Size())
-	d.txEvent = d.sched.ScheduleSrc(txTime, "net.tx", d.txFn)
+	d.txEvent = d.sched.ScheduleSrc(txTime, srcTx, d.txFn)
 }
 
 // finishTx completes serialization of the head frame: it leaves the
@@ -198,7 +204,7 @@ func (d *NetDevice) finishTx() {
 	d.stats.TxBytes += uint64(size)
 	d.node.countTx(size, pkt.Proto)
 	d.inflight.push(pkt)
-	d.sched.ScheduleSrc(d.delay, "net.prop", d.propFn)
+	d.sched.ScheduleSrc(d.delay, srcProp, d.propFn)
 	d.transmitNext()
 }
 

@@ -7,6 +7,9 @@ import (
 	"ddosim/internal/sim"
 )
 
+// srcFlows labels the flow table's expiry sweeps.
+var srcFlows = sim.NewSource("net.flows")
+
 // Flow accounting: a NetFlow-v5-style exporter on the packet hot path.
 //
 // Every locally-originated packet (Node.SendPacket) is accounted to a
@@ -24,9 +27,10 @@ import (
 // The table is allocation-free in steady state: entries live in a
 // flat slice recycled through a free list, the batch slice is reused
 // across flushes, and the only hot-path map operation is a lookup on
-// a comparable key. Expiry is driven by the event kernel (a sweep
-// ticker), so export timing — and therefore every exported byte — is
-// a pure function of the run.
+// a comparable key — usually skipped, because each node remembers the
+// entry its last packet went to (see record). Expiry is driven by the
+// event kernel (a sweep ticker), so export timing — and therefore
+// every exported byte — is a pure function of the run.
 
 // The table shares FlowKey (trace.go) with FlowMonitor: both identify
 // a unidirectional flow by (proto, src, dst). FlowKey is comparable,
@@ -155,7 +159,7 @@ func (w *Network) EnableFlows(cfg FlowConfig) *FlowTable {
 	cfg.normalize()
 	ft := newFlowTable(w.sched, cfg)
 	ft.sweeper = sim.NewTicker(w.sched, cfg.SweepPeriod, ft.sweep)
-	ft.sweeper.Source = "net.flows"
+	ft.sweeper.Source = srcFlows
 	ft.sweeper.Start()
 	w.flows = ft
 	return ft
@@ -224,15 +228,29 @@ func (ft *FlowTable) labelFor(k FlowKey) string {
 	return "benign"
 }
 
-// record accounts one originated packet. This is the hot path: for an
-// established flow it is a map lookup plus a handful of field updates,
-// with no allocation; only a never-seen flow key pays the slab/index
-// inserts below, bounded by MaxFlows.
+// record accounts one packet originated by a node whose flow hint is
+// *hint. This is the hot path: for an established flow it is a key
+// comparison (or, when the hint misses, a map lookup) plus a handful
+// of field updates, with no allocation; only a never-seen flow key
+// pays the slab/index inserts below, bounded by MaxFlows.
+//
+// The hint is the index of the entry the node's previous packet went
+// to. It is trusted only when that entry is live and holds this
+// packet's key: the slot may since have been recycled by a sweep,
+// evicted, or belong to a table EnableFlows replaced, and then the
+// key check fails and the index map decides. A live entry with the
+// key is the key's only entry, so a hit is always the right flow.
 //
 //simlint:hotpath
-func (ft *FlowTable) record(pkt *Packet, now sim.Time) {
+func (ft *FlowTable) record(pkt *Packet, now sim.Time, hint *int32) {
 	k := FlowKey{Src: pkt.Src, Dst: pkt.Dst, Proto: pkt.Proto}
-	if i, ok := ft.idx[k]; ok {
+	i := *hint
+	ok := int(i) < len(ft.entries) && ft.entries[i].live && ft.entries[i].key == k
+	if !ok {
+		i, ok = ft.idx[k]
+	}
+	if ok {
+		*hint = i
 		e := &ft.entries[i]
 		if now-e.start >= ft.cfg.ActiveTimeout {
 			// Checkpoint: export the elapsed interval and restart the
@@ -254,7 +272,6 @@ func (ft *FlowTable) record(pkt *Packet, now sim.Time) {
 	if len(ft.idx) >= ft.cfg.MaxFlows {
 		ft.evictOldest()
 	}
-	var i int32
 	if n := len(ft.freeList); n > 0 {
 		i = ft.freeList[n-1]
 		ft.freeList = ft.freeList[:n-1]
@@ -275,6 +292,7 @@ func (ft *FlowTable) record(pkt *Packet, now sim.Time) {
 	ft.idx[k] = i //simlint:allow allocfree(index insert and order append run once per new flow key, bounded by MaxFlows; the established-flow path above returns before them)
 	ft.order = append(ft.order, i)
 	ft.stats.Created++
+	*hint = i
 }
 
 // evictOldest closes the oldest live flow to make room. The slot is

@@ -9,12 +9,14 @@ import (
 )
 
 // NetworkStats aggregates network-wide counters that feed the Table I
-// resource model: total frames transmitted, total bytes on the wire,
-// queue drops, and the peak number of frames buffered anywhere in the
-// network at one instant.
+// resource model: total frames transmitted, total bytes on the wire
+// (and the UDP and TCP shares of them), queue drops, and the peak
+// number of frames buffered anywhere in the network at one instant.
 type NetworkStats struct {
 	TxFrames    uint64
 	TxBytes     uint64
+	TxBytesUDP  uint64
+	TxBytesTCP  uint64
 	Drops       uint64
 	QueuedNow   int
 	PeakQueued  int
@@ -43,15 +45,8 @@ type Network struct {
 	// Flow accounting (optional; see EnableFlows).
 	flows *FlowTable
 
-	// Observability (optional; see Observe). The counters are cached
-	// here so the per-frame hot path skips the registry map lookups.
-	trace        *obs.Tracer
-	ctrTxFrames  *obs.Counter
-	ctrTxBytes   *obs.Counter
-	ctrTxByProto [ProtoTCP + 1]*obs.Counter
-	ctrDrops     *obs.Counter
-	gaugeQueued  *obs.Gauge
-	gaugePeak    *obs.Gauge
+	// Queue-drop tracing (optional; see Observe).
+	trace *obs.Tracer
 }
 
 // New creates an empty network driven by sched.
@@ -67,28 +62,14 @@ func New(sched *sim.Scheduler) *Network {
 // Sched exposes the network's scheduler.
 func (w *Network) Sched() *sim.Scheduler { return w.sched }
 
-// Observe attaches the observability bundle: queue drops become trace
-// events, and the wire-level counters (frames, bytes per flow class,
-// drops, queue depth) are mirrored into the metrics registry. Safe to
-// call with nil to detach.
+// Observe attaches the observability bundle's tracer: queue drops
+// become trace events. The wire-level counters (frames, bytes per
+// protocol, drops, queue depth) stay in Stats, off the registry, so
+// the per-frame path touches no atomics; whoever owns the run
+// publishes them to the registry when it ends. Safe to call with nil
+// to detach.
 func (w *Network) Observe(o *obs.Obs) {
 	w.trace = o.Tracer()
-	reg := o.Registry()
-	if reg == nil {
-		w.ctrTxFrames, w.ctrTxBytes, w.ctrDrops = nil, nil, nil
-		w.gaugeQueued, w.gaugePeak = nil, nil
-		for i := range w.ctrTxByProto {
-			w.ctrTxByProto[i] = nil
-		}
-		return
-	}
-	w.ctrTxFrames = reg.Counter("net_tx_frames_total", "frames transmitted on any link")
-	w.ctrTxBytes = reg.Counter("net_tx_bytes_total", "bytes transmitted on any link")
-	w.ctrTxByProto[ProtoUDP] = reg.Counter("net_tx_bytes_udp_total", "bytes transmitted in UDP frames")
-	w.ctrTxByProto[ProtoTCP] = reg.Counter("net_tx_bytes_tcp_total", "bytes transmitted in TCP frames")
-	w.ctrDrops = reg.Counter("net_queue_drops_total", "frames dropped at any queue (drop-tail or loss)")
-	w.gaugeQueued = reg.Gauge("net_queue_depth", "frames buffered anywhere in the network right now")
-	w.gaugePeak = reg.Gauge("net_queue_depth_peak", "peak frames buffered anywhere in the network")
 }
 
 // Stats returns a copy of the aggregate counters.
@@ -111,13 +92,11 @@ func (w *Network) NewNode(name string) *Node {
 		panic(fmt.Sprintf("netsim: duplicate node name %q", name))
 	}
 	n := &Node{
-		name:      name,
-		net:       w,
-		sched:     w.sched,
-		addrs:     make(map[netip.Addr]bool),
-		routes:    make(map[netip.Addr]*NetDevice),
-		multicast: make(map[netip.Addr]bool),
-		udpPorts:  make(map[uint16]*UDPSocket),
+		name:   name,
+		id:     uint32(len(w.nodes) + 1),
+		net:    w,
+		sched:  w.sched,
+		routes: make(map[netip.Addr]*NetDevice),
 	}
 	n.tcp = newTCPHost(n)
 	w.nodes = append(w.nodes, n)

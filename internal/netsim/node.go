@@ -3,7 +3,7 @@ package netsim
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"ddosim/internal/obs"
 	"ddosim/internal/sim"
@@ -17,23 +17,35 @@ type PacketTap func(at sim.Time, pkt *Packet)
 // ns3::Node. A node owns devices, local addresses, a host-route table
 // (sufficient for DDoSim's star topology), transport demultiplexers,
 // and optional applications.
+//
+// The address, multicast-group and UDP-socket tables are short slices
+// searched linearly — a host holds two addresses and one to three
+// sockets — so the per-packet path hashes nothing. Removing an entry
+// clears the vacated slot (slices.Delete), so nothing removed, such as
+// a closed socket and the handler closure it holds, stays reachable
+// from the backing array.
 type Node struct {
 	name  string
+	id    uint32 // 1 + position in Network.nodes; stamped on packets it originates
 	net   *Network
 	sched *sim.Scheduler
 
 	devs   []*NetDevice
-	addrs  map[netip.Addr]bool
+	addrs  []netip.Addr
 	addr4  netip.Addr // lowest IPv4 address in addrs
 	addr6  netip.Addr // lowest IPv6 address in addrs
 	routes map[netip.Addr]*NetDevice
 	defDev *NetDevice
 
 	forward   bool
-	multicast map[netip.Addr]bool
+	multicast []netip.Addr
 
-	udpPorts map[uint16]*UDPSocket
+	udpPorts []*UDPSocket
 	tcp      *tcpHost
+
+	// flowHint is the flow-table entry this node's last originated
+	// packet was accounted to; see FlowTable.record.
+	flowHint int32
 
 	taps   []PacketTap
 	filter IngressFilter
@@ -65,7 +77,10 @@ func (n *Node) SetForwarding(on bool) {
 // AddAddr assigns an address to the node. Nodes may hold both IPv4 and
 // IPv6 addresses (DDoSim is dual-stack; the Dnsmasq exploit needs v6).
 func (n *Node) AddAddr(a netip.Addr) {
-	n.addrs[a] = true
+	if n.HasAddr(a) {
+		return
+	}
+	n.addrs = append(n.addrs, a)
 	low := &n.addr4
 	if a.Is6() {
 		low = &n.addr6
@@ -76,15 +91,12 @@ func (n *Node) AddAddr(a netip.Addr) {
 }
 
 // HasAddr reports whether the node owns address a.
-func (n *Node) HasAddr(a netip.Addr) bool { return n.addrs[a] }
+func (n *Node) HasAddr(a netip.Addr) bool { return slices.Contains(n.addrs, a) }
 
 // Addrs returns the node's addresses in sorted order.
 func (n *Node) Addrs() []netip.Addr {
-	out := make([]netip.Addr, 0, len(n.addrs))
-	for a := range n.addrs { //simlint:allow maporder(collect-then-sort: addresses are sorted before return)
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	out := append(make([]netip.Addr, 0, len(n.addrs)), n.addrs...)
+	slices.SortFunc(out, netip.Addr.Compare)
 	return out
 }
 
@@ -114,12 +126,16 @@ func (n *Node) JoinMulticast(group netip.Addr) {
 	if !group.IsMulticast() {
 		panic(fmt.Sprintf("netsim: JoinMulticast(%s): not a multicast address", group))
 	}
-	n.multicast[group] = true
+	if !slices.Contains(n.multicast, group) {
+		n.multicast = append(n.multicast, group)
+	}
 }
 
 // LeaveMulticast unsubscribes the node from group.
 func (n *Node) LeaveMulticast(group netip.Addr) {
-	delete(n.multicast, group)
+	if i := slices.Index(n.multicast, group); i >= 0 {
+		n.multicast = slices.Delete(n.multicast, i, i+1)
+	}
 }
 
 // AddTap registers an observer for locally-delivered packets.
@@ -154,13 +170,14 @@ func (n *Node) attach(d *NetDevice) {
 //simlint:hotpath
 func (n *Node) SendPacket(pkt *Packet) {
 	pkt.sanCheck("Node.SendPacket")
+	pkt.origin = n.id
 	if ft := n.net.flows; ft != nil {
 		// Flow accounting happens at origination so records describe
 		// offered load; see flow.go.
-		ft.record(pkt, n.sched.Now())
+		ft.record(pkt, n.sched.Now(), &n.flowHint)
 	}
 	dst := pkt.Dst.Addr()
-	if n.addrs[dst] {
+	if n.HasAddr(dst) {
 		// Loopback: deliver after a negligible local delay to keep
 		// event ordering sane. SendPacket owns pkt by contract (not a
 		// borrow as the analyzer must assume for parameters), the event
@@ -200,14 +217,14 @@ func (n *Node) handleReceive(in *NetDevice, pkt *Packet) {
 	dst := pkt.Dst.Addr()
 	switch {
 	case dst.IsMulticast():
-		if n.multicast[dst] {
+		if slices.Contains(n.multicast, dst) {
 			n.deliverLocal(pkt)
 		}
 		if n.forward {
 			n.floodMulticast(in, pkt)
 		}
 		n.putPacket(pkt)
-	case n.addrs[dst]:
+	case n.HasAddr(dst):
 		n.deliverLocal(pkt)
 		n.putPacket(pkt)
 	case n.forward:
@@ -254,7 +271,7 @@ func (n *Node) deliverLocal(pkt *Packet) {
 	}
 	switch pkt.Proto {
 	case ProtoUDP:
-		sock := n.udpPorts[pkt.Dst.Port()]
+		sock := n.udpSocket(pkt.Dst.Port())
 		if sock == nil {
 			n.localDrops++
 			return
@@ -273,30 +290,27 @@ func (n *Node) String() string { return n.name }
 // NextUID issues a unique packet id from the network-wide counter.
 func (n *Node) NextUID() uint64 { return n.net.NextUID() }
 
-// countTx tallies one transmitted frame. The obs counters are atomic,
-// so an exporter on another goroutine may read them mid-run.
+// countTx tallies one transmitted frame.
 func (n *Node) countTx(frameLen int, proto Protocol) {
-	w := n.net
-	st := &w.stats
+	st := &n.net.stats
 	st.TxFrames++
 	st.TxBytes += uint64(frameLen)
+	switch proto {
+	case ProtoUDP:
+		st.TxBytesUDP += uint64(frameLen)
+	case ProtoTCP:
+		st.TxBytesTCP += uint64(frameLen)
+	}
 	if frameLen > st.MaxFrameLen {
 		st.MaxFrameLen = frameLen
 	}
-	w.ctrTxFrames.Inc()
-	w.ctrTxBytes.Add(uint64(frameLen))
-	if int(proto) < len(w.ctrTxByProto) {
-		w.ctrTxByProto[proto].Add(uint64(frameLen))
-	}
 }
 
-// countDrop tallies one dropped frame at this node, both in the
-// aggregate stats and — when observability is attached — as a counter
-// increment and a trace point event identifying where the drop
-// happened.
+// countDrop tallies one dropped frame at this node in the aggregate
+// stats and — when a tracer is attached — as a trace point event
+// identifying where the drop happened.
 func (n *Node) countDrop(reason string) {
 	n.net.stats.Drops++
-	n.net.ctrDrops.Inc()
 	if tr := n.net.trace; tr != nil {
 		// Guarded even though Tracer is nil-safe, so an untraced flood
 		// run skips building the annotations.
@@ -306,14 +320,12 @@ func (n *Node) countDrop(reason string) {
 	}
 }
 
-// addQueued adjusts the buffered-frame count, tracks the network-wide
-// peak, and mirrors both into gauges.
+// addQueued adjusts the buffered-frame count and tracks the
+// network-wide peak.
 func (n *Node) addQueued(delta int) {
 	st := &n.net.stats
 	st.QueuedNow += delta
 	if st.QueuedNow > st.PeakQueued {
 		st.PeakQueued = st.QueuedNow
 	}
-	n.net.gaugeQueued.Set(float64(st.QueuedNow))
-	n.net.gaugePeak.Set(float64(st.PeakQueued))
 }

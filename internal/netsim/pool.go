@@ -55,7 +55,7 @@ func (pp *pktPool) put(p *Packet) {
 func (pp *pktPool) clone(p *Packet) *Packet {
 	p.sanCheck("clonePacket")
 	cp := pp.get()
-	cp.UID, cp.Proto, cp.Src, cp.Dst, cp.Pad = p.UID, p.Proto, p.Src, p.Dst, p.Pad
+	cp.UID, cp.Proto, cp.origin, cp.Src, cp.Dst, cp.Pad = p.UID, p.Proto, p.origin, p.Src, p.Dst, p.Pad
 	if p.Payload != nil {
 		cp.Payload = make([]byte, len(p.Payload)) //simlint:allow allocfree(clone's contract is a deep payload copy; the flood path sends padded packets with nil Payload and never pays this)
 		copy(cp.Payload, p.Payload)

@@ -11,17 +11,33 @@ import (
 // the TServer node, it observes every packet delivered to the node —
 // UDP floods, TCP SYN/ACK floods, anything — and logs the per-second
 // received volume for later analysis.
+//
+// Its tallies are arrays and slices, so a delivered packet hashes
+// nothing: bytes per protocol in an array indexed by Protocol, and
+// bytes per source address under the packet's origin node
+// (Packet.origin). A node's first source address gets its byOrigin
+// slot; any other address it sends from (its second address family,
+// or a Src that is not its own) is tallied in other. Queries merge
+// the two, so they stay exact for any source address.
 type Sink struct {
 	node   *Node
 	series *metrics.Series
 	sock   *UDPSocket
 
 	rxPackets uint64
-	bySource  map[netip.Addr]uint64
-	byProto   map[Protocol]uint64
+	byOrigin  []srcTally
+	other     []srcTally
+	byProto   [1 << 8]uint64
 
 	suspended bool
 	missed    uint64
+}
+
+// srcTally is the bytes received from one source address. A tally with
+// no bytes is unused: every frame is at least a header long.
+type srcTally struct {
+	addr  netip.Addr
+	bytes uint64
 }
 
 // InstallSink attaches a sink application to node. It additionally
@@ -29,12 +45,7 @@ type Sink struct {
 // rather than counted as local drops; all accounting happens at the
 // node tap, so non-UDP attack traffic is measured too.
 func InstallSink(node *Node, port uint16) (*Sink, error) {
-	s := &Sink{
-		node:     node,
-		series:   metrics.NewSeries(),
-		bySource: make(map[netip.Addr]uint64),
-		byProto:  make(map[Protocol]uint64),
-	}
+	s := &Sink{node: node, series: metrics.NewSeries()}
 	sock, err := node.BindUDP(port, nil)
 	if err != nil {
 		return nil, err
@@ -44,6 +55,7 @@ func InstallSink(node *Node, port uint16) (*Sink, error) {
 	return s, nil
 }
 
+//simlint:hotpath
 func (s *Sink) onPacket(at sim.Time, pkt *Packet) {
 	if s.suspended {
 		s.missed++
@@ -55,9 +67,47 @@ func (s *Sink) onPacket(at sim.Time, pkt *Packet) {
 	// measurable.
 	n := pkt.Size()
 	s.rxPackets++
-	s.bySource[pkt.Src.Addr()] += uint64(n)
+	a := pkt.Src.Addr()
+	if o := int(pkt.origin); o < len(s.byOrigin) && s.byOrigin[o].addr == a {
+		s.byOrigin[o].bytes += uint64(n)
+	} else {
+		s.tally(o, a, uint64(n))
+	}
 	s.byProto[pkt.Proto] += uint64(n)
 	s.series.Add(at, n)
+}
+
+// tally adds n bytes from source address a, sent by origin node o,
+// when a is not the address in o's byOrigin slot: o's first packet,
+// or a packet from an address other than o's first.
+func (s *Sink) tally(o int, a netip.Addr, n uint64) {
+	if o >= len(s.byOrigin) {
+		//simlint:allow allocfree(runs on the first packet from a node with a higher id than any seen; the slice then covers it for the rest of the run)
+		s.byOrigin = append(s.byOrigin, make([]srcTally, o+1-len(s.byOrigin))...)
+	}
+	if t := &s.byOrigin[o]; t.bytes == 0 {
+		t.addr, t.bytes = a, n
+		return
+	}
+	for i := range s.other {
+		if s.other[i].addr == a {
+			s.other[i].bytes += n
+			return
+		}
+	}
+	s.other = append(s.other, srcTally{addr: a, bytes: n}) //simlint:allow allocfree(once per source address that is not its origin's first; floods send from one address per node)
+}
+
+// tallies calls fn for every used source tally.
+func (s *Sink) tallies(fn func(srcTally)) {
+	for _, t := range s.byOrigin {
+		if t.bytes > 0 {
+			fn(t)
+		}
+	}
+	for _, t := range s.other {
+		fn(t)
+	}
 }
 
 // Suspend models a crash of the measurement application: the UDP port
@@ -86,10 +136,22 @@ func (s *Sink) RxPackets() uint64 { return s.rxPackets }
 
 // DistinctSources reports how many distinct source addresses sent
 // traffic to the sink — the number of bots observed attacking.
-func (s *Sink) DistinctSources() int { return len(s.bySource) }
+func (s *Sink) DistinctSources() int {
+	seen := make(map[netip.Addr]bool, len(s.byOrigin))
+	s.tallies(func(t srcTally) { seen[t.addr] = true })
+	return len(seen)
+}
 
 // BytesFrom reports the application bytes received from one source.
-func (s *Sink) BytesFrom(a netip.Addr) uint64 { return s.bySource[a] }
+func (s *Sink) BytesFrom(a netip.Addr) uint64 {
+	var sum uint64
+	s.tallies(func(t srcTally) {
+		if t.addr == a {
+			sum += t.bytes
+		}
+	})
+	return sum
+}
 
 // BytesByProto reports the application bytes received over one
 // transport protocol.

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 )
 
 // DatagramHandler receives a delivered UDP datagram. pad reports how
@@ -32,17 +33,27 @@ func (n *Node) BindUDP(port uint16, h DatagramHandler) (*UDPSocket, error) {
 			return nil, fmt.Errorf("netsim: node %s: no free ephemeral UDP ports", n.name)
 		}
 	}
-	if _, busy := n.udpPorts[port]; busy {
+	if n.udpSocket(port) != nil {
 		return nil, fmt.Errorf("netsim: node %s: UDP port %d already bound", n.name, port)
 	}
 	s := &UDPSocket{node: n, port: port, handler: h}
-	n.udpPorts[port] = s
+	n.udpPorts = append(n.udpPorts, s)
 	return s, nil
+}
+
+// udpSocket returns the socket bound to port, or nil.
+func (n *Node) udpSocket(port uint16) *UDPSocket {
+	for _, s := range n.udpPorts {
+		if s.port == port {
+			return s
+		}
+	}
+	return nil
 }
 
 func (n *Node) ephemeralPort() uint16 {
 	for p := uint16(49152); p != 0; p++ { // wraps to 0 after 65535
-		if _, busy := n.udpPorts[p]; !busy {
+		if n.udpSocket(p) == nil {
 			return p
 		}
 	}
@@ -61,7 +72,12 @@ func (s *UDPSocket) Close() {
 		return
 	}
 	s.closed = true
-	delete(s.node.udpPorts, s.port)
+	n := s.node
+	if i := slices.Index(n.udpPorts, s); i >= 0 {
+		// Delete clears the vacated slot, so the backing array does not
+		// keep the closed socket's handler reachable.
+		n.udpPorts = slices.Delete(n.udpPorts, i, i+1)
+	}
 }
 
 // SendTo transmits payload to dst from this socket's port.

@@ -13,8 +13,9 @@
 //     directly in chrome://tracing or Perfetto.
 //   - Registry: named counters, gauges, and histograms with a
 //     Prometheus-style text dump, replacing scattered one-off counters.
-//   - Profiler: per-event-source counts and wall-clock-per-sim-second
-//     samples hooked into the scheduler's run loop.
+//   - Profiler: wall-clock-per-sim-second samples hooked into the
+//     scheduler's run loop; the per-source event counts it reports
+//     beside them are the kernel's own.
 //
 // Determinism contract: everything the Tracer and Registry emit is a
 // pure function of the simulation (timestamps are sim.Time, never
@@ -77,8 +78,8 @@ type Summary struct {
 	TraceEvents  int    `json:"trace_events"`
 	TraceDropped uint64 `json:"trace_dropped,omitempty"`
 
-	// EventsDelivered is the total scheduler events the profiler
-	// observed; TopSources are the busiest event sources, descending.
+	// EventsDelivered is the total scheduler events run; TopSources
+	// are the busiest event sources, descending.
 	EventsDelivered uint64       `json:"events_delivered"`
 	TopSources      []SourceLoad `json:"top_sources,omitempty"`
 
@@ -90,9 +91,10 @@ type Summary struct {
 	WallNSPerSimSec int64 `json:"wall_ns_per_sim_sec,omitempty"`
 }
 
-// Summarize condenses the bundle. Safe on nil (returns the zero
-// Summary).
-func (o *Obs) Summarize() Summary {
+// Summarize condenses the bundle, reading event counts from the
+// kernel that ran: sched, which may be nil. Safe on nil (returns the
+// zero Summary).
+func (o *Obs) Summarize(sched *sim.Scheduler) Summary {
 	var s Summary
 	if o == nil {
 		return s
@@ -102,12 +104,12 @@ func (o *Obs) Summarize() Summary {
 		s.TraceEvents = o.Trace.nevents
 		s.TraceDropped = o.Trace.Dropped()
 	}
-	if o.Prof != nil {
-		s.EventsDelivered = o.Prof.TotalEvents()
-		s.TopSources = o.Prof.TopSources(5)
-		s.PeakPending = o.Prof.PeakPending()
-		s.WallNSPerSimSec = o.Prof.MeanWallNSPerSimSec()
+	if sched != nil {
+		s.EventsDelivered = sched.Processed()
+		s.TopSources = TopSources(sched, 5)
+		s.PeakPending = sched.PeakPending()
 	}
+	s.WallNSPerSimSec = o.Prof.MeanWallNSPerSimSec()
 	return s
 }
 

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"ddosim/internal/sim"
@@ -23,18 +21,14 @@ type SecSample struct {
 	WallNS int64  `json:"wall_ns"`
 }
 
-// Profiler measures the discrete-event kernel itself: per-event-source
-// delivery counts and wall-clock time per simulated second. Hook it
-// into the scheduler with sim.Scheduler.SetHook (core does this
-// automatically). Unlike the Tracer, the Profiler reads the wall clock
-// — once per simulated-second boundary, never per event — so its
-// samples are not deterministic and are kept out of trace and metrics
-// dumps.
+// Profiler measures the wall-clock cost of the discrete-event kernel:
+// time per simulated second. Hook it into the scheduler with
+// sim.Scheduler.SetHook (core does this automatically); the kernel
+// itself counts events per source (see TopSources). Unlike the Tracer,
+// the Profiler reads the wall clock — once per simulated-second
+// boundary, never per event — so its samples are not deterministic and
+// are kept out of trace and metrics dumps.
 type Profiler struct {
-	bySource    map[string]uint64
-	total       uint64
-	peakPending int
-
 	clock     func() int64 // wall nanoseconds; injectable for tests
 	curSec    int64
 	secStart  int64 // wall ns at entry to curSec
@@ -45,10 +39,7 @@ type Profiler struct {
 
 // NewProfiler returns a profiler using the real wall clock.
 func NewProfiler() *Profiler {
-	return &Profiler{
-		bySource: make(map[string]uint64),
-		clock:    func() int64 { return time.Now().UnixNano() },
-	}
+	return &Profiler{clock: func() int64 { return time.Now().UnixNano() }}
 }
 
 // SetClock replaces the wall-clock source (tests).
@@ -60,21 +51,13 @@ func (p *Profiler) SetClock(clock func() int64) {
 }
 
 // OnEvent records one delivered scheduler event. It matches the
-// sim.Scheduler hook signature. The wall clock is only read when at
-// crosses into a new simulated second.
-func (p *Profiler) OnEvent(at sim.Time, src string, pending int) {
+// sim.Scheduler hook signature; the source and queue depth are the
+// kernel's to count. The wall clock is only read when at crosses into
+// a new simulated second.
+func (p *Profiler) OnEvent(at sim.Time, _ string, _ int) {
 	if p == nil {
 		return
 	}
-	if src == "" {
-		src = "unlabeled"
-	}
-	p.bySource[src]++
-	p.total++
-	if pending > p.peakPending {
-		p.peakPending = pending
-	}
-
 	sec := int64(at / sim.Second)
 	if !p.started {
 		p.started = true
@@ -94,34 +77,6 @@ func (p *Profiler) OnEvent(at sim.Time, src string, pending int) {
 	p.secEvents = 1
 }
 
-// TotalEvents reports how many events the profiler observed.
-func (p *Profiler) TotalEvents() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.total
-}
-
-// PeakPending reports the deepest scheduler queue observed.
-func (p *Profiler) PeakPending() int {
-	if p == nil {
-		return 0
-	}
-	return p.peakPending
-}
-
-// BySource returns a copy of the per-source delivery counts.
-func (p *Profiler) BySource() map[string]uint64 {
-	if p == nil {
-		return nil
-	}
-	out := make(map[string]uint64, len(p.bySource))
-	for k, v := range p.bySource {
-		out[k] = v
-	}
-	return out
-}
-
 // Samples returns the closed per-second samples (the second in
 // progress is not included).
 func (p *Profiler) Samples() []SecSample {
@@ -133,15 +88,23 @@ func (p *Profiler) Samples() []SecSample {
 	return out
 }
 
-// TopSources returns the n busiest event sources, descending by count
-// with name as the tiebreak.
-func (p *Profiler) TopSources(n int) []SourceLoad {
-	if p == nil {
+// TopSources returns the n busiest event sources the scheduler has
+// delivered, descending by count with name as the tiebreak. The zero
+// Source is reported as "unlabeled".
+func TopSources(sched *sim.Scheduler, n int) []SourceLoad {
+	if sched == nil {
 		return nil
 	}
-	all := make([]SourceLoad, 0, len(p.bySource))
-	for s, c := range p.bySource {
-		all = append(all, SourceLoad{Source: s, Events: c})
+	var all []SourceLoad
+	for id, c := range sched.EventsBySource() {
+		if c == 0 {
+			continue
+		}
+		name := sim.Source(id).String()
+		if name == "" {
+			name = "unlabeled"
+		}
+		all = append(all, SourceLoad{Source: name, Events: c})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Events != all[j].Events {
@@ -166,20 +129,4 @@ func (p *Profiler) MeanWallNSPerSimSec() int64 {
 		sum += s.WallNS
 	}
 	return sum / int64(len(p.samples))
-}
-
-// String renders a short profile report: totals and the top sources.
-func (p *Profiler) String() string {
-	if p == nil {
-		return "profiler: off"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "events delivered: %d (peak pending %d)\n", p.total, p.peakPending)
-	if mean := p.MeanWallNSPerSimSec(); mean > 0 {
-		fmt.Fprintf(&b, "wall per sim-second: %s\n", time.Duration(mean))
-	}
-	for _, s := range p.TopSources(8) {
-		fmt.Fprintf(&b, "  %-20s %d\n", s.Source, s.Events)
-	}
-	return b.String()
 }

@@ -8,24 +8,39 @@ import (
 )
 
 func TestProfilerAccounting(t *testing.T) {
+	// The kernel counts events per source and keeps the peak queue
+	// depth; the profiler, hooked in, samples wall time per second.
+	sched := sim.NewScheduler(1)
 	p := NewProfiler()
 	var wall int64
 	p.SetClock(func() int64 { wall += 1000; return wall })
+	sched.SetHook(p.OnEvent)
 
-	p.OnEvent(0, "net.tx", 3)
-	p.OnEvent(500*sim.Millisecond, "net.tx", 9)
-	p.OnEvent(900*sim.Millisecond, "", 2) // unlabeled
-	p.OnEvent(1500*sim.Millisecond, "churn.epoch", 1)
-	p.OnEvent(2100*sim.Millisecond, "net.tx", 0)
+	tx, epoch := sim.NewSource("net.tx"), sim.NewSource("churn.epoch")
+	for _, e := range []struct {
+		at  sim.Time
+		src sim.Source
+	}{
+		{0, tx},
+		{500 * sim.Millisecond, tx},
+		{900 * sim.Millisecond, 0}, // unlabeled
+		{1500 * sim.Millisecond, epoch},
+		{2100 * sim.Millisecond, tx},
+	} {
+		sched.ScheduleAtSrc(e.at, e.src, func() {})
+	}
+	if err := sched.RunAll(); err != nil {
+		t.Fatal(err)
+	}
 
-	if got := p.TotalEvents(); got != 5 {
+	if got := sched.Processed(); got != 5 {
 		t.Errorf("total = %d, want 5", got)
 	}
-	if got := p.PeakPending(); got != 9 {
-		t.Errorf("peak pending = %d, want 9", got)
+	if got := sched.PeakPending(); got != 4 { // after the first pop
+		t.Errorf("peak pending = %d, want 4", got)
 	}
-	by := p.BySource()
-	if by["net.tx"] != 3 || by["churn.epoch"] != 1 || by["unlabeled"] != 1 {
+	by := sched.EventsBySource()
+	if by[tx] != 3 || by[epoch] != 1 || by[0] != 1 {
 		t.Errorf("by source = %v", by)
 	}
 
@@ -43,13 +58,17 @@ func TestProfilerAccounting(t *testing.T) {
 		t.Errorf("mean wall/sim-sec = %d, want 1000", got)
 	}
 
-	top := p.TopSources(2)
+	top := TopSources(sched, 2)
 	if len(top) != 2 || top[0].Source != "net.tx" || top[0].Events != 3 {
 		t.Errorf("top sources = %v", top)
 	}
 	// Ties break by name: churn.epoch before unlabeled.
 	if top[1].Source != "churn.epoch" {
 		t.Errorf("tiebreak = %q, want churn.epoch", top[1].Source)
+	}
+	// The zero Source keeps its report name.
+	if all := TopSources(sched, 5); len(all) != 3 || all[2] != (SourceLoad{Source: "unlabeled", Events: 1}) {
+		t.Errorf("all sources = %v", all)
 	}
 }
 
@@ -73,23 +92,17 @@ func TestProfilerNilSafe(t *testing.T) {
 	var p *Profiler
 	p.OnEvent(0, "x", 1)
 	p.SetClock(func() int64 { return 0 })
-	if p.TotalEvents() != 0 || p.PeakPending() != 0 {
-		t.Error("nil profiler accumulated")
-	}
-	if p.BySource() != nil || p.Samples() != nil || p.TopSources(3) != nil {
+	if p.Samples() != nil || TopSources(nil, 3) != nil {
 		t.Error("nil profiler returned data")
 	}
 	if p.MeanWallNSPerSimSec() != 0 {
 		t.Error("nil profiler reported wall time")
 	}
-	if p.String() != "profiler: off" {
-		t.Errorf("nil String = %q", p.String())
-	}
 }
 
 func TestObsSummarizeAndHook(t *testing.T) {
 	var o *Obs
-	if s := o.Summarize(); !reflect.DeepEqual(s, Summary{}) {
+	if s := o.Summarize(sim.NewScheduler(1)); !reflect.DeepEqual(s, Summary{}) {
 		t.Errorf("nil Summarize = %+v", s)
 	}
 	if o.SchedulerHook() != nil {
@@ -106,16 +119,28 @@ func TestObsSummarizeAndHook(t *testing.T) {
 	if hook == nil {
 		t.Fatal("no hook from live Obs")
 	}
-	hook(0, "net.tx", 4)
-	hook(0, "net.tx", 2)
-	s := live.Summarize()
+	sched := sim.NewScheduler(1)
+	sched.SetHook(hook)
+	tx := sim.NewSource("net.tx")
+	sched.ScheduleSrc(0, tx, func() {})
+	sched.ScheduleSrc(0, tx, func() {})
+	for i := 0; i < 4; i++ {
+		sched.Schedule(sim.Second, func() {})
+	}
+	if err := sched.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	s := live.Summarize(sched)
 	if s.TraceSpans != 1 || s.TraceEvents != 1 {
 		t.Errorf("summary trace counts = %+v", s)
 	}
-	if s.EventsDelivered != 2 || s.PeakPending != 4 {
-		t.Errorf("summary profiler counts = %+v", s)
+	if s.EventsDelivered != 2 || s.PeakPending != 5 {
+		t.Errorf("summary kernel counts = %+v", s)
 	}
 	if len(s.TopSources) != 1 || s.TopSources[0] != (SourceLoad{Source: "net.tx", Events: 2}) {
 		t.Errorf("summary top sources = %v", s.TopSources)
+	}
+	if s := live.Summarize(nil); s.EventsDelivered != 0 || s.TopSources != nil || s.TraceEvents != 1 {
+		t.Errorf("summary without a kernel = %+v", s)
 	}
 }

@@ -11,6 +11,9 @@ import (
 	"ddosim/internal/sim"
 )
 
+// srcPoll labels a bot's overlay polls.
+var srcPoll = sim.NewSource("p2p.poll")
+
 // BotConfig is baked into the P2P bot binary.
 type BotConfig struct {
 	// Bootstrap lists overlay entry endpoints (the seeder, typically).
@@ -126,7 +129,7 @@ func (b *Bot) Start(p *container.Process) {
 			return
 		}
 		b.poll = p.NewTicker(b.cfg.PollPeriod, b.pollOnce)
-		b.poll.Source = "p2p.poll"
+		b.poll.Source = srcPoll
 		b.poll.StartImmediate()
 	})
 }

@@ -9,6 +9,9 @@ import (
 	"ddosim/internal/sim"
 )
 
+// srcRepublish labels the seeder's republish ticks.
+var srcRepublish = sim.NewSource("p2p.republish")
+
 // SeederConfig configures the botmaster's overlay presence.
 type SeederConfig struct {
 	// Key signs command records.
@@ -92,7 +95,7 @@ func (s *Seeder) Start(p *container.Process) {
 		s.node.Join(s.cfg.Bootstrap, nil)
 	}
 	s.repub = p.NewTicker(s.cfg.RepublishPeriod, s.republish)
-	s.repub.Source = "p2p.republish"
+	s.repub.Source = srcRepublish
 	s.repub.Start()
 }
 

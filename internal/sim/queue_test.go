@@ -86,13 +86,13 @@ func TestQueueBackendsPopIdenticalOrder(t *testing.T) {
 	}
 }
 
-// TestSlotSize pins the per-event slot at 32 bytes: a callback, a
-// source label, a generation stamp and a live flag. Every scheduled
+// TestSlotSize pins the per-event slot at 16 bytes: a callback, a
+// generation stamp, a one-byte Source and a live flag. Every scheduled
 // event holds one slot until it fires, so growth here is paid on the
 // whole pending set.
 func TestSlotSize(t *testing.T) {
-	if n := unsafe.Sizeof(slot{}); n != 32 {
-		t.Fatalf("unsafe.Sizeof(slot{}) = %d, want 32", n)
+	if n := unsafe.Sizeof(slot{}); n != 16 {
+		t.Fatalf("unsafe.Sizeof(slot{}) = %d, want 16", n)
 	}
 }
 

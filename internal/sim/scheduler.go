@@ -21,8 +21,8 @@ type EventID uint64
 // stale EventIDs, which is what lets Cancel run in O(1) with no map.
 type slot struct {
 	fn   func()
-	src  string
 	gen  uint32
+	src  Source
 	live bool
 }
 
@@ -43,8 +43,9 @@ const compactMin = 64
 //
 // The steady-state hot path is allocation-free: events are value
 // entries in a 4-ary heap or in one of up to maxLanes FIFO lanes,
-// callbacks live in a recycled slot table, and cancellation is a
-// generation-stamp bump — no per-event heap object, no live-event map.
+// callbacks live in a recycled slot table, cancellation is a
+// generation-stamp bump, and delivered events are counted per Source
+// in a fixed array — no per-event heap object, no map.
 //
 // The zero value is not usable; construct with NewScheduler.
 type Scheduler struct {
@@ -61,6 +62,8 @@ type Scheduler struct {
 	rng       *rand.Rand
 	stopped   bool
 	processed uint64
+	peak      int                // most events pending after a pop
+	delivered [maxSources]uint64 // events run, by source
 	hook      func(at Time, src string, pending int)
 }
 
@@ -85,6 +88,22 @@ func (s *Scheduler) Processed() uint64 { return s.processed }
 // Pending reports how many events are queued and not cancelled.
 func (s *Scheduler) Pending() int { return s.pending }
 
+// PeakPending reports the deepest the queue has been just after an
+// event was taken off it to run: the highest pending count any
+// delivered event saw.
+func (s *Scheduler) PeakPending() int { return s.peak }
+
+// EventsBySource reports how many events of each source have run,
+// indexed by Source, up to the highest source registered so far.
+func (s *Scheduler) EventsBySource() []uint64 {
+	sources.mu.Lock()
+	n := len(sources.ids)
+	sources.mu.Unlock()
+	out := make([]uint64, n)
+	copy(out, s.delivered[:n])
+	return out
+}
+
 // QueueLen reports the number of entries physically inside the heap
 // and the lanes, which may exceed Pending by the number of cancelled
 // entries not yet swept. The invariant QueueLen() == Pending()+stale is
@@ -100,9 +119,9 @@ func (s *Scheduler) QueueLen() int {
 }
 
 // SetHook installs an observer invoked once per executed event with
-// the event's time, its source label, and the queue depth after the
-// pop. A nil hook disables observation. The observability layer's
-// scheduler profiler attaches here.
+// the event's time, the name its Source was registered under, and the
+// queue depth after the pop. A nil hook disables observation. The
+// observability layer's scheduler profiler attaches here.
 func (s *Scheduler) SetHook(hook func(at Time, src string, pending int)) {
 	s.hook = hook
 }
@@ -117,19 +136,19 @@ func (s *Scheduler) SetHook(hook func(at Time, src string, pending int)) {
 // ownership into the callback (which then releases or forwards it).
 // The stalecapture analyzer enforces this statically.
 func (s *Scheduler) Schedule(delay Time, fn func()) EventID {
-	return s.ScheduleSrc(delay, "", fn)
+	return s.ScheduleSrc(delay, 0, fn)
 }
 
-// ScheduleSrc is Schedule with a source label attributing the event to
-// a subsystem (e.g. "net.tx", "churn.epoch") for the profiler's
-// per-source breakdown.
+// ScheduleSrc is Schedule with a Source attributing the event to a
+// subsystem (e.g. "net.tx", "churn.epoch") for the kernel's per-source
+// event counts.
 //
 // An event with a positive delay goes to the FIFO lane for that delay,
 // claiming an empty lane if none holds it yet, and to the heap only
 // when every lane holds another delay. The run loop pops the itemLess
 // minimum of the heap top and the lane heads, so where an event waits
 // never changes when it runs.
-func (s *Scheduler) ScheduleSrc(delay Time, src string, fn func()) EventID {
+func (s *Scheduler) ScheduleSrc(delay Time, src Source, fn func()) EventID {
 	if delay <= 0 {
 		return s.ScheduleAtSrc(s.now, src, fn)
 	}
@@ -164,11 +183,11 @@ func (s *Scheduler) laneFor(d Time) *lane {
 // ScheduleAt queues fn to run at absolute time at. Times in the past are
 // clamped to the current instant.
 func (s *Scheduler) ScheduleAt(at Time, fn func()) EventID {
-	return s.ScheduleAtSrc(at, "", fn)
+	return s.ScheduleAtSrc(at, 0, fn)
 }
 
-// ScheduleAtSrc is ScheduleAt with a source label.
-func (s *Scheduler) ScheduleAtSrc(at Time, src string, fn func()) EventID {
+// ScheduleAtSrc is ScheduleAt with a Source.
+func (s *Scheduler) ScheduleAtSrc(at Time, src Source, fn func()) EventID {
 	if at < s.now {
 		at = s.now
 	}
@@ -179,7 +198,7 @@ func (s *Scheduler) ScheduleAtSrc(at Time, src string, fn func()) EventID {
 
 // newItem stores fn in a slot and returns the queue entry for it,
 // stamped with the next sequence number.
-func (s *Scheduler) newItem(at Time, src string, fn func()) Item {
+func (s *Scheduler) newItem(at Time, src Source, fn func()) Item {
 	if fn == nil {
 		panic("sim: ScheduleAt with nil fn")
 	}
@@ -226,7 +245,7 @@ func (s *Scheduler) Cancel(id EventID) bool {
 // generation advances (invalidating outstanding ids and queue
 // entries), and the slot returns to the free list.
 func (s *Scheduler) releaseSlot(idx uint32, sl *slot) {
-	sl.fn, sl.src, sl.live = nil, "", false
+	sl.fn, sl.live = nil, false
 	sl.gen++
 	if sl.gen == 0 {
 		sl.gen = 1
@@ -339,8 +358,12 @@ func (s *Scheduler) run(until Time) error {
 		s.pending--
 		s.now = it.At
 		s.processed++
+		s.delivered[src]++
+		if s.pending > s.peak {
+			s.peak = s.pending
+		}
 		if s.hook != nil {
-			s.hook(it.At, src, s.pending)
+			s.hook(it.At, sources.names[src], s.pending)
 		}
 		fn()
 		if s.stopped {

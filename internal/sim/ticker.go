@@ -10,9 +10,9 @@ type Ticker struct {
 	pending EventID
 	running bool
 
-	// Source labels the ticker's events for the scheduler profiler's
-	// per-source breakdown. Optional; set before Start.
-	Source string
+	// Source labels the ticker's events for the kernel's per-source
+	// event counts. Optional; set before Start.
+	Source Source
 }
 
 // NewTicker creates a ticker bound to sched that fires fn every period.
