@@ -10,8 +10,8 @@ package lint
 // interface dispatch, BFS with discovery-parent chains) from two
 // kinds of root:
 //
-//   - seeded hot-path roots (AllocConfig.Roots, by funcKey): the
-//     scheduler's enqueue and run loop;
+//   - seeded hot-path roots (allocRoots, by funcKey): the scheduler's
+//     enqueue and run loop;
 //   - declared hot-path roots: any function whose doc comment carries
 //     the //simlint:hotpath directive (grammar in allow.go).
 //
@@ -26,15 +26,13 @@ package lint
 // it names the hot entry point the allocation rides on.
 //
 // Two escape hatches keep the sanctioned amortized-allocation idiom
-// expressible. Seeded alloc-free functions (AllocConfig.AllocFree:
-// the pooled packet constructor/destructor) are trusted at their
-// interface — their free-list refills are amortized O(1) — so the
-// BFS does not descend into them and the allocSummary fixpoint
-// (mirroring the ownership engine's ownSummary) reports them, and
-// every pooled constructor built on them, as alloc-free at steady
-// state. Everything else cold-but-reachable (slab growth in the
-// scheduler, flow-table inserts, guarded trace events) must carry an
-// audited //simlint:allow allocfree(reason) annotation, which the
+// expressible. The sanctioned pooled constructor and destructor
+// (sanctionedAllocs) are trusted at their interface — their free-list
+// refills are amortized O(1) — so they are pre-marked reached: the BFS
+// neither descends into them nor sweeps them. Everything else
+// cold-but-reachable (slab growth in the scheduler, flow-table
+// inserts, guarded trace events) must carry an audited
+// //simlint:allow allocfree(reason) annotation, which the
 // -unused-allows audit keeps honest and the -inventory artifact
 // records as "allowed" rows alongside the "hotpath" root rows.
 //
@@ -55,72 +53,39 @@ import (
 	"strings"
 )
 
-// AllocConfig seeds the allocation-reachability engine. Function keys
-// are "pkgpath.Recv.Name" (funcKey).
-type AllocConfig struct {
-	// Roots: seeded hot-path roots — functions whose bodies (and
-	// transitive callees) must not allocate, before any annotation.
-	Roots map[string]bool
-	// AllocFree: sanctioned pooled constructors. Their bodies are not
-	// swept (the free-list refill inside is the amortized-allocation
-	// idiom) and their allocSummary is pinned alloc-free, so callers
-	// building on the pool summarize as alloc-free too.
-	AllocFree map[string]bool
-	// AllocPkgs: import-path prefixes of stdlib packages whose calls
-	// are reported as allocating outright (fmt.Sprintf and friends
-	// allocate regardless of arguments).
-	AllocPkgs []string
-}
-
-// DefaultAllocConfig matches DDoSim's hot-path contract: the
-// scheduler's enqueue and run loop are seeded roots, the pooled
-// packet path is the sanctioned constructor.
-func DefaultAllocConfig() *AllocConfig {
-	const (
-		simpkg = "ddosim/internal/sim"
-		netsim = "ddosim/internal/netsim"
-	)
-	return &AllocConfig{
-		Roots: map[string]bool{
-			simpkg + ".Scheduler.ScheduleSrc":   true,
-			simpkg + ".Scheduler.ScheduleAtSrc": true,
-			simpkg + ".Scheduler.run":           true,
-		},
-		AllocFree: map[string]bool{
-			netsim + ".pktPool.get": true,
-			netsim + ".pktPool.put": true,
-		},
-		AllocPkgs: []string{"fmt", "strings", "strconv", "bytes", "errors", "sort", "log"},
+// The hot-path contract, by funcKey ("pkgpath.Recv.Name").
+var (
+	// allocRoots are the seeded hot-path roots: the scheduler's enqueue
+	// and run loop, whose bodies (and transitive callees) must not
+	// allocate before any annotation.
+	allocRoots = map[string]bool{
+		simPkg + ".Scheduler.ScheduleSrc":   true,
+		simPkg + ".Scheduler.ScheduleAtSrc": true,
+		simPkg + ".Scheduler.run":           true,
 	}
-}
+	// sanctionedAllocs are the pooled packet constructor and destructor.
+	// The BFS neither descends into nor sweeps them: the free-list
+	// refill inside is the amortized-allocation idiom.
+	sanctionedAllocs = map[string]bool{
+		netsimPkg + ".pktPool.get": true,
+		netsimPkg + ".pktPool.put": true,
+	}
+	// allocPkgs are the import-path prefixes of stdlib packages whose
+	// calls are reported as allocating outright (fmt.Sprintf and friends
+	// allocate regardless of arguments).
+	allocPkgs = []string{"fmt", "strings", "strconv", "bytes", "errors", "sort", "log"}
+)
 
-// allocSummary is the interprocedural allocation fact for one unit:
-// whether any execution of it can allocate, and — when it can — the
-// first site (or callee) that makes it so. Mirrors the ownership
-// engine's summary fixpoint: facts start optimistic (alloc-free) and
-// monotonically flip to allocating until the graph stabilizes.
-type allocSummary struct {
-	allocates bool
-	why       string
-}
-
-// allocEngine runs the analysis once per Prepare over the whole run:
-// it builds the call graph (reach.go), sweeps the reached units and
-// records the inventory; findings replay per package through the
-// usual Pass filter.
+// allocEngine is the allocfree analyzer. Prepare runs the analysis
+// once over the whole run: it builds the unit table (reach.go), closes
+// reachability from the hot roots, sweeps the reached units and
+// records the inventory; Run replays the findings per package through
+// the usual Pass filter.
 type allocEngine struct {
-	cfg      *AllocConfig
-	prepared bool
-
-	units      []*allocUnit
-	byFn       map[*types.Func]*allocUnit
-	byLit      map[*ast.FuncLit]*allocUnit
+	prepared   bool
+	byFn       map[*types.Func]*unit
+	byLit      map[*ast.FuncLit]*unit
 	namedTypes []*types.Named
-
-	edges      map[*allocUnit][]*allocUnit
-	ownSites   map[*allocUnit][]allocSite
-	summaries  map[*allocUnit]*allocSummary
-	sanctioned map[*allocUnit]bool
 
 	findings  map[*Package][]allocFinding
 	inventory []InventoryEntry
@@ -139,88 +104,66 @@ type allocSite struct {
 	what string // human description for the diagnostic
 }
 
-func newAllocEngine(cfg *AllocConfig) *allocEngine {
-	return &allocEngine{
-		cfg:        cfg,
-		byFn:       make(map[*types.Func]*allocUnit),
-		byLit:      make(map[*ast.FuncLit]*allocUnit),
-		edges:      make(map[*allocUnit][]*allocUnit),
-		ownSites:   make(map[*allocUnit][]allocSite),
-		summaries:  make(map[*allocUnit]*allocSummary),
-		sanctioned: make(map[*allocUnit]bool),
-		findings:   make(map[*Package][]allocFinding),
-	}
-}
-
 // NewAllocFree returns the allocfree analyzer with DDoSim's hot-path
 // contract baked in.
 func NewAllocFree() Analyzer {
-	return &allocAnalyzer{eng: newAllocEngine(DefaultAllocConfig())}
+	return &allocEngine{
+		byFn:     make(map[*types.Func]*unit),
+		byLit:    make(map[*ast.FuncLit]*unit),
+		findings: make(map[*Package][]allocFinding),
+	}
 }
 
-type allocAnalyzer struct {
-	eng *allocEngine
-}
-
-func (a *allocAnalyzer) Name() string { return "allocfree" }
-func (a *allocAnalyzer) Doc() string {
+func (eng *allocEngine) Name() string { return "allocfree" }
+func (eng *allocEngine) Doc() string {
 	return "forbid allocation sites reachable from a declared hot path (//simlint:hotpath or seeded roots)"
 }
 
-func (a *allocAnalyzer) Prepare(pkgs []*Package) { a.eng.prepare(pkgs) }
-
-func (a *allocAnalyzer) Run(pass *Pass) {
-	for _, f := range a.eng.findings[pass.Pkg] {
+func (eng *allocEngine) Run(pass *Pass) {
+	for _, f := range eng.findings[pass.Pkg] {
 		pass.Reportf("allocfree", f.pos, "%s", f.msg)
 	}
 }
 
-// prepare builds the graph, marks hot roots (seeds + annotations),
-// closes reachability without descending into sanctioned pooled
-// constructors, runs the allocSummary fixpoint, and sweeps every
-// reached unit for allocation sites. Idempotent.
-func (eng *allocEngine) prepare(pkgs []*Package) {
+// Prepare builds the unit table, marks hot roots (seeds and
+// annotations), pre-marks the sanctioned pooled constructors reached,
+// and closes reachability, sweeping every unit it reaches for
+// allocation sites. Idempotent.
+func (eng *allocEngine) Prepare(pkgs []*Package) {
 	if eng.prepared {
 		return
 	}
 	eng.prepared = true
 	eng.collectNamedTypes(pkgs)
-	for _, pkg := range pkgs {
-		eng.units = append(eng.units, eng.collectUnits(pkg)...)
-	}
-	eng.markHotRoots(pkgs)
-	// Sanctioned pooled constructors: pre-marking them reached keeps
-	// the BFS from descending into their refill bodies and from
-	// sweeping them.
-	for _, u := range eng.units {
-		if u.fn != nil && eng.cfg.AllocFree[funcKey(u.fn)] {
-			u.reached = true
-			eng.sanctioned[u] = true
+	units := collectUnits(pkgs)
+	for _, u := range units {
+		if u.fn != nil {
+			eng.byFn[u.fn] = u
+		} else {
+			eng.byLit[u.lit] = u
 		}
 	}
-	for _, u := range eng.units {
-		eng.edges[u] = eng.callees(u)
-		eng.ownSites[u] = eng.sites(u)
-	}
-	eng.propagate()
-	eng.computeAllocSummaries()
-	for _, u := range eng.units {
-		if u.reached && !eng.sanctioned[u] {
-			eng.sweep(u)
-		}
-	}
+	eng.markHotRoots(pkgs, units)
+	eng.propagate(units)
 }
 
 // markHotRoots marks seeded roots and //simlint:hotpath-annotated
-// declarations, emitting one "hotpath" inventory row per root. A
-// hotpath directive that is not part of a function declaration's doc
-// comment is itself a finding: a floating annotation roots nothing.
-func (eng *allocEngine) markHotRoots(pkgs []*Package) {
-	for _, u := range eng.units {
-		if u.fn != nil && eng.cfg.Roots[funcKey(u.fn)] {
+// declarations, emitting one "hotpath" inventory row per root, and
+// pre-marks the sanctioned pooled constructors reached. A hotpath
+// directive that is not part of a function declaration's doc comment
+// is itself a finding: a floating annotation roots nothing.
+func (eng *allocEngine) markHotRoots(pkgs []*Package, units []*unit) {
+	for _, u := range units {
+		if u.fn == nil {
+			continue
+		}
+		switch key := funcKey(u.fn); {
+		case allocRoots[key]:
 			u.root = true
 			u.rootWhy = "seeded hot path"
 			eng.addInventory(u, u.fn.Pos(), "hotpath", u.desc, "seeded root")
+		case sanctionedAllocs[key]:
+			u.reached = true
 		}
 	}
 	for _, pkg := range pkgs {
@@ -262,57 +205,10 @@ func (eng *allocEngine) markHotRoots(pkgs []*Package) {
 	}
 }
 
-// computeAllocSummaries derives, to a fixpoint over the cached call
-// graph, whether each unit can allocate. Seeded alloc-free units are
-// pinned: the pool's amortized refill does not count against its
-// callers, which is what lets getPacket-style constructors summarize
-// as alloc-free at steady state.
-func (eng *allocEngine) computeAllocSummaries() {
-	for _, u := range eng.units {
-		s := &allocSummary{}
-		if !eng.sanctioned[u] && len(eng.ownSites[u]) > 0 {
-			s.allocates = true
-			s.why = eng.ownSites[u][0].what
-		}
-		eng.summaries[u] = s
-	}
-	for {
-		changed := false
-		for _, u := range eng.units {
-			s := eng.summaries[u]
-			if s.allocates || eng.sanctioned[u] {
-				continue
-			}
-			for _, to := range eng.edges[u] {
-				if cs := eng.summaries[to]; cs != nil && cs.allocates && !eng.sanctioned[to] {
-					s.allocates = true
-					s.why = "calls " + to.desc + " (" + cs.why + ")"
-					changed = true
-					break
-				}
-			}
-		}
-		if !changed {
-			return
-		}
-	}
-}
-
-// summaryFor reports the allocSummary of the unit with the given
-// funcKey, for tests and tooling.
-func (eng *allocEngine) summaryFor(key string) (*allocSummary, bool) {
-	for _, u := range eng.units {
-		if u.fn != nil && funcKey(u.fn) == key {
-			return eng.summaries[u], true
-		}
-	}
-	return nil, false
-}
-
 // sweep emits one finding (and inventory row) per allocation site of
 // a reached unit, chained back to its hot root.
-func (eng *allocEngine) sweep(u *allocUnit) {
-	for _, s := range eng.ownSites[u] {
+func (eng *allocEngine) sweep(u *unit) {
+	for _, s := range eng.sites(u) {
 		eng.findings[u.pkg] = append(eng.findings[u.pkg], allocFinding{
 			pos: s.pos,
 			msg: fmt.Sprintf("hot-path allocation: %s (reached via %s)", s.what, u.chain()),
@@ -327,7 +223,7 @@ type posRange struct{ lo, hi token.Pos }
 // sites classifies every allocation a unit performs directly,
 // excluding nested literal bodies (their own units) and panic
 // arguments (terminal paths).
-func (eng *allocEngine) sites(u *allocUnit) []allocSite {
+func (eng *allocEngine) sites(u *unit) []allocSite {
 	info := u.pkg.Info
 	var exempt []posRange
 	ast.Inspect(u.body, func(n ast.Node) bool {
@@ -371,9 +267,13 @@ func (eng *allocEngine) sites(u *allocUnit) []allocSite {
 			if n == u.lit {
 				return true
 			}
-			if vars := eng.captures(u, n); len(vars) > 0 {
+			if vars := capturedVars(u.pkg, n); len(vars) > 0 {
+				names := make([]string, len(vars))
+				for i, v := range vars {
+					names[i] = v.Name()
+				}
 				add(n.Pos(), "closure", fmt.Sprintf(
-					"func literal captures %s; every evaluation allocates a closure", strings.Join(vars, ", ")))
+					"func literal captures %s; every evaluation allocates a closure", strings.Join(names, ", ")))
 			}
 			return false // nested literal bodies are their own units
 		case *ast.CallExpr:
@@ -430,7 +330,7 @@ func (eng *allocEngine) sites(u *allocUnit) []allocSite {
 // builtins (new/make/append), string↔[]byte conversions, calls into
 // allocating stdlib packages, boxing of concrete arguments into
 // interface parameters, and the variadic argument slice.
-func (eng *allocEngine) callSites(u *allocUnit, call *ast.CallExpr, add func(token.Pos, string, string)) {
+func (eng *allocEngine) callSites(u *unit, call *ast.CallExpr, add func(token.Pos, string, string)) {
 	info := u.pkg.Info
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, builtin := info.Uses[id].(*types.Builtin); builtin {
@@ -458,7 +358,7 @@ func (eng *allocEngine) callSites(u *allocUnit, call *ast.CallExpr, add func(tok
 	}
 	if fn := funcFor(u.pkg, call); fn != nil && fn.Pkg() != nil {
 		path := fn.Pkg().Path()
-		for _, prefix := range eng.cfg.AllocPkgs {
+		for _, prefix := range allocPkgs {
 			if path == prefix || strings.HasPrefix(path, prefix+"/") {
 				add(call.Pos(), "extcall", fmt.Sprintf("call to %s.%s allocates", path, fn.Name()))
 				break
@@ -492,7 +392,7 @@ func (eng *allocEngine) callSites(u *allocUnit, call *ast.CallExpr, add func(tok
 
 // assignSites classifies map writes and interface boxing on the two
 // sides of an assignment.
-func (eng *allocEngine) assignSites(u *allocUnit, n *ast.AssignStmt, add func(token.Pos, string, string)) {
+func (eng *allocEngine) assignSites(u *unit, n *ast.AssignStmt, add func(token.Pos, string, string)) {
 	info := u.pkg.Info
 	for _, lhs := range n.Lhs {
 		if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && isMapIndex(info, idx) {
@@ -513,7 +413,7 @@ func (eng *allocEngine) assignSites(u *allocUnit, n *ast.AssignStmt, add func(to
 // structLitSites reports boxing performed inside a struct composite
 // literal: a concrete value stored into an interface-typed field
 // allocates exactly as an interface assignment does.
-func (eng *allocEngine) structLitSites(u *allocUnit, lit *ast.CompositeLit, st *types.Struct, add func(token.Pos, string, string)) {
+func (eng *allocEngine) structLitSites(u *unit, lit *ast.CompositeLit, st *types.Struct, add func(token.Pos, string, string)) {
 	fieldByName := func(name string) *types.Var {
 		for i := 0; i < st.NumFields(); i++ {
 			if st.Field(i).Name() == name {
@@ -544,7 +444,7 @@ func (eng *allocEngine) structLitSites(u *allocUnit, lit *ast.CompositeLit, st *
 // valueSite reports the allocation performed by storing expr into a
 // destination of type target (nil when unknown): interface boxing, or
 // the closure allocated by evaluating a bound method value.
-func (eng *allocEngine) valueSite(u *allocUnit, expr ast.Expr, target types.Type, role string, add func(token.Pos, string, string)) {
+func (eng *allocEngine) valueSite(u *unit, expr ast.Expr, target types.Type, role string, add func(token.Pos, string, string)) {
 	info := u.pkg.Info
 	if fn, ok := methodValue(info, expr); ok {
 		add(expr.Pos(), "methodvalue", fmt.Sprintf(
@@ -575,32 +475,6 @@ func methodValue(info *types.Info, expr ast.Expr) (*types.Func, bool) {
 		return fn, true
 	}
 	return nil, false
-}
-
-// captures lists the variables a nested literal closes over: any
-// non-package-level variable declared outside the literal. A literal
-// that captures nothing compiles to a static closure and does not
-// allocate per evaluation.
-func (eng *allocEngine) captures(u *allocUnit, lit *ast.FuncLit) []string {
-	var names []string
-	seen := make(map[*types.Var]bool)
-	ast.Inspect(lit, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, _ := u.pkg.Info.Uses[id].(*types.Var)
-		if v == nil || v.IsField() || isPkgLevel(v) || seen[v] {
-			return true
-		}
-		if v.Pos() >= lit.Pos() && v.Pos() < lit.End() {
-			return true // declared inside the literal (params, locals)
-		}
-		seen[v] = true
-		names = append(names, v.Name())
-		return true
-	})
-	return names
 }
 
 // boxes reports whether assigning/passing expr into target performs

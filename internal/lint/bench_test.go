@@ -5,9 +5,11 @@ import "testing"
 // BenchmarkSimlintRepo measures the full-tree analysis cost CI pays
 // on every push: the module is loaded and type-checked once (that
 // cost is go/parser+go/types, not ours), then each iteration runs the
-// complete default suite — including the ownership and allocfree
-// engines, which rebuild their summaries and call graph from scratch
-// because analyzers are stateful per run.
+// complete default suite from scratch, because analyzers are stateful
+// per run. Both interprocedural engines collect the unit table anew:
+// the ownership engine builds a CFG per unit and runs its summary
+// fixpoint over all of them, while allocfree computes call edges and
+// allocation sites only for the units its BFS reaches.
 func BenchmarkSimlintRepo(b *testing.B) {
 	l, err := NewLoader(".")
 	if err != nil {

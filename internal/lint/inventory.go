@@ -10,6 +10,7 @@ package lint
 import (
 	"go/token"
 	"sort"
+	"strconv"
 )
 
 // InventoryEntry is one hot-path root or one allocation site
@@ -34,7 +35,7 @@ type InventoryEntry struct {
 }
 
 // addInventory records one site against u's package positions.
-func (eng *allocEngine) addInventory(u *allocUnit, pos token.Pos, class, subject, detail string) {
+func (eng *allocEngine) addInventory(u *unit, pos token.Pos, class, subject, detail string) {
 	position := u.pkg.Fset.Position(pos)
 	eng.inventory = append(eng.inventory, InventoryEntry{
 		File:     u.pkg.relPath(position.Filename),
@@ -63,7 +64,7 @@ func BuildInventory(pkgs []*Package) []InventoryEntry {
 		surviving[invKey(d.File, d.Line, d.Col, d.Analyzer)] = true
 	}
 	// A fresh non-nil slice, so an empty inventory marshals as [].
-	entries := append([]InventoryEntry{}, allocfree.(*allocAnalyzer).eng.inventory...)
+	entries := append([]InventoryEntry{}, allocfree.(*allocEngine).inventory...)
 	for i := range entries {
 		e := &entries[i]
 		if e.Class == "violation" && !surviving[invKey(e.File, e.Line, e.Col, e.Analyzer)] {
@@ -93,19 +94,5 @@ func BuildInventory(pkgs []*Package) []InventoryEntry {
 }
 
 func invKey(file string, line, col int, analyzer string) string {
-	return file + "\x00" + itoa(line) + "\x00" + itoa(col) + "\x00" + analyzer
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return file + "\x00" + strconv.Itoa(line) + "\x00" + strconv.Itoa(col) + "\x00" + analyzer
 }

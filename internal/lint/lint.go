@@ -166,6 +166,13 @@ func RunWith(pkgs []*Package, analyzers []Analyzer, opts RunOpts) []Diagnostic {
 	return diags
 }
 
+// The packages whose contracts the ownership and allocfree tables
+// encode: the event kernel and the pooled packet path.
+const (
+	simPkg    = "ddosim/internal/sim"
+	netsimPkg = "ddosim/internal/netsim"
+)
+
 // DefaultSuite returns the seven analyzers with DDoSim's repo policy
 // baked in.
 func DefaultSuite() []Analyzer {

@@ -132,6 +132,15 @@ func TestPktOwnUAF(t *testing.T) {
 	}
 }
 
+// TestPktOwnInLiteral pins ownership findings inside scheduled
+// function literals: a leak names the literal by its enclosing
+// function, and a use after release is caught in the literal's body.
+func TestPktOwnInLiteral(t *testing.T) {
+	l := newTestLoader(t)
+	pkg := loadFixture(t, l, "pktown/inlit")
+	checkGolden(t, "pktown_inlit", []*Package{pkg}, ownershipSuite())
+}
+
 func TestStaleCapture(t *testing.T) {
 	l := newTestLoader(t)
 	pkg := loadFixture(t, l, "stalecapture/stalefix")
@@ -335,38 +344,5 @@ func TestUnusedAllocAllows(t *testing.T) {
 	}
 	if d.File != "internal/lint/testdata/allowlist/unusedalloc/unusedalloc.go" || d.Line != 19 {
 		t.Fatalf("unused-allow report at wrong site: %v", d)
-	}
-}
-
-// TestAllocSummaryFixpoint exercises the interprocedural allocSummary
-// lattice directly: own sites seed allocating facts, the fixpoint
-// propagates them through in-module calls, and seeding a pooled
-// constructor in AllocConfig.AllocFree pins it — and everything built
-// on it — alloc-free.
-func TestAllocSummaryFixpoint(t *testing.T) {
-	const pkgpath = "ddosim/internal/lint/testdata/allocfree/hotalloc"
-	l := newTestLoader(t)
-	pkg := loadFixture(t, l, "allocfree/hotalloc")
-
-	eng := newAllocEngine(DefaultAllocConfig())
-	eng.prepare([]*Package{pkg})
-	for _, key := range []string{pkgpath + ".Pool.Get", pkgpath + ".FromPool", pkgpath + ".Pump"} {
-		if s, ok := eng.summaryFor(key); !ok || !s.allocates {
-			t.Errorf("%s: want allocating summary, got %+v (found=%v)", key, s, ok)
-		}
-	}
-	if s, ok := eng.summaryFor(pkgpath + ".BoundPump.Tick"); !ok || s.allocates {
-		t.Errorf("BoundPump.Tick: want alloc-free summary, got %+v (found=%v)", s, ok)
-	}
-
-	cfg := DefaultAllocConfig()
-	cfg.AllocFree[pkgpath+".Pool.Get"] = true
-	sanctioned := newAllocEngine(cfg)
-	sanctioned.prepare([]*Package{pkg})
-	if s, ok := sanctioned.summaryFor(pkgpath + ".Pool.Get"); !ok || s.allocates {
-		t.Errorf("sanctioned Pool.Get: want pinned alloc-free summary, got %+v (found=%v)", s, ok)
-	}
-	if s, ok := sanctioned.summaryFor(pkgpath + ".FromPool"); !ok || s.allocates {
-		t.Errorf("FromPool over the sanctioned pool: want alloc-free summary, got %+v (found=%v)", s, ok)
 	}
 }

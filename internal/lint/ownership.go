@@ -3,10 +3,14 @@ package lint
 // ownership.go is the flow-sensitive dataflow engine behind the
 // pktown and stalecapture analyzers. It tracks where the single
 // ownership of each pooled *netsim.Packet is at every program point,
-// per function, over the CFGs built by cfg.go, and summarizes each
-// function's effect on its pooled parameters so facts propagate
-// interprocedurally across the send path — RacerD-style compositional
-// summaries rather than whole-program abstract interpretation.
+// per unit of reach.go's unit table, over the CFGs built by cfg.go,
+// and summarizes each function's effect on its pooled parameters so
+// facts propagate interprocedurally across the send path — RacerD-style
+// compositional summaries rather than whole-program abstract
+// interpretation. The ownSummary fixpoint is lint's only summary
+// fixpoint. It looks summaries up by static callee at each call site
+// and treats interface and function-value calls as borrows, so it
+// needs no call-graph edges.
 //
 // The fact for a variable is a *set* of ownership states (a bitmask),
 // joined by union at control-flow merges: the analysis answers "may
@@ -20,7 +24,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
 )
@@ -47,54 +50,40 @@ const (
 	stUnknown
 )
 
-// OwnConfig seeds the engine with the pool's primitive operations by
-// function key ("pkgpath.Recv.Name"). Seeds take precedence over
-// derived summaries so fixtures analyzed without the netsim package
-// in the run still see the real transfer semantics.
-type OwnConfig struct {
-	// PoolTypes names the pooled struct types ("pkgpath.Name");
+// The packet pool's contract, by function key ("pkgpath.Recv.Name").
+// The seeds take precedence over derived summaries, so fixtures
+// analyzed without the netsim package in the run still see the real
+// transfer semantics.
+var (
+	// poolTypes names the pooled struct types ("pkgpath.Name");
 	// pointers to these are tracked.
-	PoolTypes map[string]bool
-	// Allocs return a fresh owned packet.
-	Allocs map[string]bool
-	// Releases return their pooled argument to the free list.
-	Releases map[string]bool
-	// Consumes take ownership of their pooled argument (terminal send).
-	Consumes map[string]bool
-	// SchedPkg is the scheduler package; function literals passed to
-	// its Schedule*/NewTicker entries outlive the current frame.
-	SchedPkg string
-}
-
-// DefaultOwnConfig matches internal/netsim's packet pool contract.
-func DefaultOwnConfig() *OwnConfig {
-	const netsim = "ddosim/internal/netsim"
-	return &OwnConfig{
-		PoolTypes: map[string]bool{netsim + ".Packet": true},
-		Allocs: map[string]bool{
-			netsim + ".Network.AllocPacket": true,
-			netsim + ".Network.getPacket":   true,
-			netsim + ".Network.clonePacket": true,
-			netsim + ".Packet.Clone":        true,
-			// Node-level pool surface: the same network-wide pool,
-			// reached through the node that sends or receives.
-			netsim + ".Node.AllocPacket": true,
-			netsim + ".Node.getPacket":   true,
-			netsim + ".Node.clonePacket": true,
-		},
-		Releases: map[string]bool{
-			netsim + ".Network.ReleasePacket": true,
-			netsim + ".Network.putPacket":     true,
-			netsim + ".Node.ReleasePacket":    true,
-			netsim + ".Node.putPacket":        true,
-		},
-		Consumes: map[string]bool{
-			netsim + ".Node.SendPacket": true,
-			netsim + ".NetDevice.Send":  true,
-		},
-		SchedPkg: "ddosim/internal/sim",
+	poolTypes = map[string]bool{netsimPkg + ".Packet": true}
+	// ownAllocs return a fresh owned packet.
+	ownAllocs = map[string]bool{
+		netsimPkg + ".Network.AllocPacket": true,
+		netsimPkg + ".Network.getPacket":   true,
+		netsimPkg + ".Network.clonePacket": true,
+		netsimPkg + ".Packet.Clone":        true,
+		// Node-level pool surface: the same network-wide pool, reached
+		// through the node that sends or receives.
+		netsimPkg + ".Node.AllocPacket": true,
+		netsimPkg + ".Node.getPacket":   true,
+		netsimPkg + ".Node.clonePacket": true,
 	}
-}
+	// ownReleases return their pooled argument to the free list.
+	ownReleases = map[string]bool{
+		netsimPkg + ".Network.ReleasePacket": true,
+		netsimPkg + ".Network.putPacket":     true,
+		netsimPkg + ".Node.ReleasePacket":    true,
+		netsimPkg + ".Node.putPacket":        true,
+	}
+	// ownConsumes take ownership of their pooled argument (terminal
+	// send).
+	ownConsumes = map[string]bool{
+		netsimPkg + ".Node.SendPacket": true,
+		netsimPkg + ".NetDevice.Send":  true,
+	}
+)
 
 // ownKind discriminates the engine's findings; the two analyzers
 // split them between pktown and stalecapture.
@@ -157,51 +146,76 @@ func (s *ownSummary) union(o *ownSummary) bool {
 	return changed
 }
 
-// ownUnit is one analysis unit: a declared function or a function
-// literal (literals are units of their own because the evaluator does
-// not descend into them — it models only the capture).
-type ownUnit struct {
-	pkg      *Package
-	fn       *types.Func // nil for function literals
-	desc     string      // for diagnostics: "Node.SendPacket", "function literal"
-	sig      *types.Signature
-	recv     *types.Var
-	body     *ast.BlockStmt
-	lit      *ast.FuncLit
-	g        *cfg
-	captured []*types.Var // pooled vars a literal captures from its enclosing frame
-}
-
 // ownEngine runs the whole-run analysis once (Prepare) and replays
 // the stored findings through each package's Pass so allow
 // annotations and diagnostic ordering work exactly like every other
 // analyzer.
 type ownEngine struct {
-	cfg       *OwnConfig
 	prepared  bool
 	summaries map[*types.Func]*ownSummary
 	findings  map[*Package][]ownFinding
 }
 
-func newOwnEngine(cfg *OwnConfig) *ownEngine {
-	return &ownEngine{
-		cfg:       cfg,
+// ownAnalyzer is pktown or stalecapture: one view of the shared
+// engine's findings, selected by ownKind.analyzer.
+type ownAnalyzer struct {
+	eng       *ownEngine
+	name, doc string
+}
+
+// NewOwnership returns the pktown and stalecapture analyzers over one
+// shared ownership engine, so the whole-run dataflow fixpoint happens
+// once.
+//
+// pktown is the static half of the pooled-packet lifetime tooling:
+// use-after-release, double-release, release-after-hand-off, and pool
+// leaks, cross-validated at runtime by the simdebug sanitizer in
+// internal/netsim.
+//
+// stalecapture flags scheduler callbacks (sim.Schedule*/NewTicker
+// function-literal arguments) that capture pooled values whose
+// lifetime ends before the event can fire under the slot/generation
+// kernel: borrowed packets (including range-loop variables over
+// packet containers) whose borrow expires when the scheduling frame
+// returns, packets already released or handed off at capture time,
+// and owned packets released while a pending callback still holds
+// them.
+func NewOwnership() (pktown, stalecapture Analyzer) {
+	eng := &ownEngine{
 		summaries: make(map[*types.Func]*ownSummary),
 		findings:  make(map[*Package][]ownFinding),
 	}
+	return &ownAnalyzer{eng, "pktown", "use-after-release, double-release, and leaks of pooled *netsim.Packet values"},
+		&ownAnalyzer{eng, "stalecapture", "scheduler callbacks capturing pooled values whose lifetime ends before the event fires"}
 }
 
-// Prepare computes summaries for every function in pkgs to a
-// fixpoint, then runs one reporting sweep. Idempotent: the second
-// analyzer sharing the engine is a no-op.
+func (a *ownAnalyzer) Name() string { return a.name }
+func (a *ownAnalyzer) Doc() string  { return a.doc }
+
+// Prepare is idempotent across the shared engine.
+func (a *ownAnalyzer) Prepare(pkgs []*Package) { a.eng.Prepare(pkgs) }
+
+// Run replays the engine's findings of this analyzer's kinds through
+// the pass's allow filter.
+func (a *ownAnalyzer) Run(pass *Pass) {
+	for _, f := range a.eng.findings[pass.Pkg] {
+		if f.kind.analyzer() == a.name {
+			pass.Reportf(a.name, f.pos, "%s", f.msg)
+		}
+	}
+}
+
+// Prepare builds a CFG for every unit in pkgs, computes the function
+// summaries to a fixpoint, then runs one reporting sweep. Idempotent:
+// the second analyzer sharing the engine is a no-op.
 func (eng *ownEngine) Prepare(pkgs []*Package) {
 	if eng.prepared {
 		return
 	}
 	eng.prepared = true
-	var units []*ownUnit
-	for _, pkg := range pkgs {
-		units = append(units, eng.collectUnits(pkg)...)
+	units := collectUnits(pkgs)
+	for _, u := range units {
+		u.g = buildCFG(u.body)
 	}
 	// Summary fixpoint. Summaries only grow (union), so this
 	// terminates; the iteration bound is a safety net for pathological
@@ -227,99 +241,23 @@ func (eng *ownEngine) Prepare(pkgs []*Package) {
 	}
 	// Reporting sweep with the final summaries.
 	for _, u := range units {
-		seen := make(map[string]bool)
+		seen := make(map[ownFinding]bool)
 		eng.analyzeUnit(u, func(f ownFinding) {
-			key := fmt.Sprintf("%d/%d/%s", f.pos, f.kind, f.msg)
-			if seen[key] {
+			if seen[f] {
 				return
 			}
-			seen[key] = true
+			seen[f] = true
 			eng.findings[u.pkg] = append(eng.findings[u.pkg], f)
 		})
 	}
-}
-
-// report replays the stored findings for one package through a Pass.
-func (eng *ownEngine) report(pass *Pass, analyzer string) {
-	for _, f := range eng.findings[pass.Pkg] {
-		if f.kind.analyzer() != analyzer {
-			continue
-		}
-		pass.Reportf(analyzer, f.pos, "%s", f.msg)
-	}
-}
-
-// collectUnits finds every function declaration and literal in pkg.
-func (eng *ownEngine) collectUnits(pkg *Package) []*ownUnit {
-	var units []*ownUnit
-	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body == nil {
-					return true
-				}
-				fn, _ := pkg.Info.Defs[n.Name].(*types.Func)
-				if fn == nil {
-					return true
-				}
-				sig := fn.Type().(*types.Signature)
-				u := &ownUnit{
-					pkg: pkg, fn: fn, sig: sig, recv: sig.Recv(),
-					body: n.Body, desc: funcDesc(fn),
-					g: buildCFG(n.Body),
-				}
-				units = append(units, u)
-			case *ast.FuncLit:
-				sig, _ := pkg.Info.TypeOf(n).(*types.Signature)
-				if sig == nil {
-					return true
-				}
-				u := &ownUnit{
-					pkg: pkg, sig: sig, body: n.Body, lit: n,
-					desc:     "function literal",
-					g:        buildCFG(n.Body),
-					captured: eng.capturedPooled(pkg, n),
-				}
-				units = append(units, u)
-			}
-			return true
-		})
-	}
-	return units
-}
-
-// capturedPooled lists the pooled function-scoped variables a literal
-// references but does not declare — the variables whose lifetime the
-// stalecapture analyzer reasons about.
-func (eng *ownEngine) capturedPooled(pkg *Package, lit *ast.FuncLit) []*types.Var {
-	seen := make(map[*types.Var]bool)
-	var out []*types.Var
-	ast.Inspect(lit, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := pkg.Info.Uses[id].(*types.Var)
-		if !ok || seen[v] || !eng.isTrackable(pkg, v) {
-			return true
-		}
-		if v.Pos() >= lit.Pos() && v.Pos() < lit.End() {
-			return true // declared inside the literal
-		}
-		seen[v] = true
-		out = append(out, v)
-		return true
-	})
-	return out
 }
 
 // isTrackable reports whether v is a function-scoped pooled pointer —
 // the only thing the engine keeps facts for. Package-level variables
 // and struct fields are shared state; they widen to unknown at the
 // point of use instead.
-func (eng *ownEngine) isTrackable(pkg *Package, v *types.Var) bool {
-	if v == nil || v.IsField() || !eng.isPooledPtr(v.Type()) {
+func isTrackable(pkg *Package, v *types.Var) bool {
+	if v == nil || v.IsField() || !isPooledPtr(v.Type()) {
 		return false
 	}
 	if v.Parent() == nil || v.Parent() == pkg.Types.Scope() {
@@ -328,8 +266,8 @@ func (eng *ownEngine) isTrackable(pkg *Package, v *types.Var) bool {
 	return true
 }
 
-// isPooledPtr reports whether t is *T for a configured pool type.
-func (eng *ownEngine) isPooledPtr(t types.Type) bool {
+// isPooledPtr reports whether t is *T for a type in poolTypes.
+func isPooledPtr(t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
 		return false
@@ -338,10 +276,10 @@ func (eng *ownEngine) isPooledPtr(t types.Type) bool {
 	if !ok || named.Obj().Pkg() == nil {
 		return false
 	}
-	return eng.cfg.PoolTypes[named.Obj().Pkg().Path()+"."+named.Obj().Name()]
+	return poolTypes[named.Obj().Pkg().Path()+"."+named.Obj().Name()]
 }
 
-// funcKey renders fn as "pkgpath.Recv.Name" for config lookups.
+// funcKey renders fn as "pkgpath.Recv.Name" for the contract tables.
 func funcKey(fn *types.Func) string {
 	if fn.Pkg() == nil {
 		return fn.Name()
@@ -376,14 +314,6 @@ func funcDesc(fn *types.Func) string {
 // ownFacts maps each tracked variable to its current state set.
 type ownFacts map[*types.Var]stateMask
 
-func (f ownFacts) clone() ownFacts {
-	c := make(ownFacts, len(f))
-	for v, m := range f {
-		c[v] = m
-	}
-	return c
-}
-
 func factsEqual(a, b ownFacts) bool {
 	if len(a) != len(b) {
 		return false
@@ -398,7 +328,7 @@ func factsEqual(a, b ownFacts) bool {
 
 // analyzeUnit runs the dataflow fixpoint over u's CFG and returns its
 // summary. With emit non-nil it also performs the reporting walk.
-func (eng *ownEngine) analyzeUnit(u *ownUnit, emit func(ownFinding)) *ownSummary {
+func (eng *ownEngine) analyzeUnit(u *unit, emit func(ownFinding)) *ownSummary {
 	preds := u.g.preds()
 	init := eng.initFacts(u)
 	outs := make(map[*cfgBlock]ownFacts)
@@ -474,17 +404,17 @@ func (eng *ownEngine) analyzeUnit(u *ownUnit, emit func(ownFinding)) *ownSummary
 		}
 	}
 	sum := &ownSummary{params: make(map[int]stateMask), results: make(map[int]stateMask)}
-	if u.recv != nil && eng.isTrackable(u.pkg, u.recv) {
-		sum.recv = exit[u.recv]
+	if recv := u.sig.Recv(); recv != nil && isTrackable(u.pkg, recv) {
+		sum.recv = exit[recv]
 	}
 	for i := 0; i < u.sig.Params().Len(); i++ {
 		p := u.sig.Params().At(i)
-		if eng.isTrackable(u.pkg, p) {
+		if isTrackable(u.pkg, p) {
 			sum.params[i] = exit[p]
 		}
 	}
 	for i := 0; i < u.sig.Results().Len(); i++ {
-		if eng.isPooledPtr(u.sig.Results().At(i).Type()) {
+		if isPooledPtr(u.sig.Results().At(i).Type()) {
 			sum.results[i] = ev.retMasks[i]
 		}
 	}
@@ -496,18 +426,22 @@ func (eng *ownEngine) analyzeUnit(u *ownUnit, emit func(ownFinding)) *ownSummary
 // (from the literal's own point of view the enclosing frame owns
 // them — the enclosing frame's walk separately decides whether the
 // capture itself is legal).
-func (eng *ownEngine) initFacts(u *ownUnit) ownFacts {
+func (eng *ownEngine) initFacts(u *unit) ownFacts {
 	init := make(ownFacts)
-	if u.recv != nil && eng.isTrackable(u.pkg, u.recv) {
-		init[u.recv] = stBorrowed
+	if recv := u.sig.Recv(); recv != nil && isTrackable(u.pkg, recv) {
+		init[recv] = stBorrowed
 	}
 	for i := 0; i < u.sig.Params().Len(); i++ {
-		if p := u.sig.Params().At(i); eng.isTrackable(u.pkg, p) {
+		if p := u.sig.Params().At(i); isTrackable(u.pkg, p) {
 			init[p] = stBorrowed
 		}
 	}
-	for _, v := range u.captured {
-		init[v] = stBorrowed
+	if u.lit != nil {
+		for _, v := range capturedVars(u.pkg, u.lit) {
+			if isTrackable(u.pkg, v) {
+				init[v] = stBorrowed
+			}
+		}
 	}
 	return init
 }

@@ -13,7 +13,7 @@ import (
 )
 
 type ownEval struct {
-	u   *ownUnit
+	u   *unit
 	eng *ownEngine
 
 	// facts is the state being transformed; swapped per block by the
@@ -62,7 +62,7 @@ func (ev *ownEval) trackedVar(e ast.Expr) *types.Var {
 		obj = ev.u.pkg.Info.Defs[id]
 	}
 	v, ok := obj.(*types.Var)
-	if !ok || !ev.eng.isTrackable(ev.u.pkg, v) {
+	if !ok || !isTrackable(ev.u.pkg, v) {
 		return nil
 	}
 	return v
@@ -151,7 +151,7 @@ func (ev *ownEval) bind(lhs, rhs []ast.Expr, tok token.Token, pos token.Pos) {
 		} else {
 			ev.expr(rhs[0])
 			for i, l := range lhs {
-				if t := ev.u.pkg.Info.TypeOf(l); t != nil && ev.eng.isPooledPtr(t) {
+				if t := ev.u.pkg.Info.TypeOf(l); t != nil && isPooledPtr(t) {
 					masks[i] = stUnknown
 				}
 			}
@@ -222,13 +222,13 @@ func (ev *ownEval) rhsMask(r ast.Expr) stateMask {
 		return 0
 	case *ast.TypeAssertExpr:
 		ev.expr(r.X)
-		if t := ev.u.pkg.Info.TypeOf(r); t != nil && ev.eng.isPooledPtr(t) {
+		if t := ev.u.pkg.Info.TypeOf(r); t != nil && isPooledPtr(t) {
 			return stUnknown
 		}
 		return 0
 	default:
 		ev.expr(r)
-		if t := ev.u.pkg.Info.TypeOf(r); t != nil && ev.eng.isPooledPtr(t) {
+		if t := ev.u.pkg.Info.TypeOf(r); t != nil && isPooledPtr(t) {
 			// A pooled pointer from a source the engine cannot model
 			// (field read, map/slice element, channel receive).
 			return stUnknown
@@ -257,7 +257,7 @@ func (ev *ownEval) ret(s *ast.ReturnStmt) {
 				continue
 			}
 			ev.expr(res)
-			if t := ev.u.pkg.Info.TypeOf(res); t != nil && ev.eng.isPooledPtr(t) && ev.retMasks != nil {
+			if t := ev.u.pkg.Info.TypeOf(res); t != nil && isPooledPtr(t) && ev.retMasks != nil {
 				ev.retMasks[i] |= stUnknown
 			}
 			continue
@@ -431,7 +431,7 @@ func (ev *ownEval) callResults(c *ast.CallExpr) []stateMask {
 
 	// Scheduling entries: function literal arguments outlive this
 	// frame — the heart of the stalecapture analyzer.
-	if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == ev.eng.cfg.SchedPkg && isSchedulingEntry(fn) {
+	if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == simPkg && isSchedulingEntry(fn) {
 		for _, a := range c.Args {
 			if lit, ok := ast.Unparen(a).(*ast.FuncLit); ok {
 				ev.capture(lit, true, fn.Name())
@@ -458,9 +458,9 @@ func (ev *ownEval) callResults(c *ast.CallExpr) []stateMask {
 	var sum *ownSummary
 	if fn != nil {
 		key := funcKey(fn)
-		seededAlloc = ev.eng.cfg.Allocs[key]
-		seededRelease = ev.eng.cfg.Releases[key]
-		seededConsume = ev.eng.cfg.Consumes[key]
+		seededAlloc = ownAllocs[key]
+		seededRelease = ownReleases[key]
+		seededConsume = ownConsumes[key]
 		sum = ev.eng.summaries[fn]
 	}
 
@@ -551,7 +551,7 @@ func (ev *ownEval) callResults(c *ast.CallExpr) []stateMask {
 	}
 	res := make([]stateMask, sig.Results().Len())
 	for i := range res {
-		if !ev.eng.isPooledPtr(sig.Results().At(i).Type()) {
+		if !isPooledPtr(sig.Results().At(i).Type()) {
 			continue
 		}
 		switch {
@@ -593,7 +593,7 @@ func (ev *ownEval) builtinCall(name string, c *ast.CallExpr) []stateMask {
 
 func (ev *ownEval) deferCall(c *ast.CallExpr) {
 	fn := funcFor(ev.u.pkg, c)
-	if fn != nil && ev.eng.cfg.Releases[funcKey(fn)] {
+	if fn != nil && ownReleases[funcKey(fn)] {
 		// defer release: runs on every exit path, so the deferred
 		// variable is exempt from the exit leak check. The release
 		// effect itself is not applied mid-function — the packet stays
@@ -635,10 +635,10 @@ func (ev *ownEval) goCall(c *ast.CallExpr) {
 // frame returns, under the slot/generation kernel — so capturing
 // anything this frame merely borrows is a lifetime bug.
 func (ev *ownEval) capture(lit *ast.FuncLit, scheduled bool, entry string) {
-	for _, v := range ev.eng.capturedPooled(ev.u.pkg, lit) {
+	for _, v := range capturedVars(ev.u.pkg, lit) {
 		mask := ev.facts[v]
 		if mask == 0 {
-			continue // untracked here (e.g. a non-pooled-origin packet)
+			continue // untracked here (not pooled, or a non-pooled-origin packet)
 		}
 		if !scheduled {
 			// Plain closure: invocation time unknown; stop tracking
@@ -711,9 +711,6 @@ func applySummary(cur, exit stateMask) stateMask {
 func mapResultMask(m stateMask) stateMask {
 	if m&stOwned != 0 && m&(stBorrowed|stUnknown|stHandedOff|stReleased) == 0 {
 		return stOwned
-	}
-	if m == 0 {
-		return stUnknown
 	}
 	return stUnknown
 }

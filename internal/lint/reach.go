@@ -1,44 +1,54 @@
 package lint
 
-// reach.go is the call-graph half of the allocfree engine
-// (allocfree.go): it splits the run into analysis units, links them
-// by call and containment edges, and closes reachability from the hot
-// roots, recording for each reached unit the chain of calls that
-// makes it run. The chain is what turns a finding from "this line
-// allocates" into a work item: it names the hot entry point the
-// allocation rides on.
+// reach.go holds the unit type and collector both interprocedural
+// engines share, and the call-graph half of the allocfree engine
+// (allocfree.go).
+// collectUnits splits the run into analysis units, one per function
+// declaration and function literal. allocfree links them by call and
+// containment edges and closes reachability from the hot roots,
+// recording for each reached unit the chain of calls that makes it
+// run. The chain is what turns a finding from "this line allocates"
+// into a work item: it names the hot entry point the allocation rides
+// on. The ownership engine (ownership.go) builds a CFG per unit and
+// looks up callee summaries by static callee instead; it uses no
+// edges.
 //
 // The edges of a unit are every function it calls, including
 // interface calls resolved by class-hierarchy analysis over the named
-// types of the run, and every literal nested inside its body.
+// types of the run, and every literal nested inside its body. A unit's
+// edges are computed when the BFS first dequeues it, so unreached
+// units cost nothing beyond their collection.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"strings"
 )
 
-// allocUnit is one analysis unit of the allocfree engine: a declared
-// function or a function literal.
-type allocUnit struct {
+// unit is one analysis unit: a declared function or a function
+// literal. The trailing fields are per-engine state; each engine
+// collects its own units.
+type unit struct {
 	pkg  *Package
 	fn   *types.Func // nil for literals
 	lit  *ast.FuncLit
 	body *ast.BlockStmt
 	sig  *types.Signature
-	desc string
+	desc string // for diagnostics: "Node.SendPacket", "literal in Node.SendPacket"
 
+	// allocfree: hot-root marking and BFS discovery.
 	root    bool
 	rootWhy string // how the unit became a hot root
-
 	reached bool
-	from    *allocUnit // BFS discovery parent
+	from    *unit // BFS discovery parent
+
+	// ownership: the unit's control-flow graph.
+	g *cfg
 }
 
 // chain renders the discovery path root → … → u for diagnostics and
 // the inventory, capped so messages stay readable.
-func (u *allocUnit) chain() string {
+func (u *unit) chain() string {
 	var parts []string
 	for cur := u; cur != nil; cur = cur.from {
 		parts = append(parts, cur.desc)
@@ -56,57 +66,79 @@ func (u *allocUnit) chain() string {
 	return strings.Join(parts, " → ")
 }
 
-// collectUnits walks pkg and builds a unit per function declaration
-// and literal; a literal's description names its enclosing unit.
-func (eng *allocEngine) collectUnits(pkg *Package) []*allocUnit {
-	var units []*allocUnit
-	for _, file := range pkg.Files {
-		var stack []*allocUnit
-		var walk func(n ast.Node) bool
-		walk = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body == nil {
+// collectUnits walks pkgs in pre-order and builds a unit per function
+// declaration and literal; a literal's description names its
+// enclosing unit.
+func collectUnits(pkgs []*Package) []*unit {
+	var units []*unit
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			var stack []*unit
+			var walk func(n ast.Node) bool
+			walk = func(n ast.Node) bool {
+				var u *unit
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if n.Body == nil {
+						return true
+					}
+					fn, _ := pkg.Info.Defs[n.Name].(*types.Func)
+					if fn == nil {
+						return true
+					}
+					u = &unit{
+						pkg: pkg, fn: fn, sig: fn.Type().(*types.Signature),
+						body: n.Body, desc: funcDesc(fn),
+					}
+				case *ast.FuncLit:
+					sig, _ := pkg.Info.TypeOf(n).(*types.Signature)
+					if sig == nil {
+						return true
+					}
+					u = &unit{pkg: pkg, lit: n, sig: sig, body: n.Body, desc: "function literal"}
+					if len(stack) > 0 {
+						u.desc = "literal in " + stack[len(stack)-1].desc
+					}
+				default:
 					return true
-				}
-				fn, _ := pkg.Info.Defs[n.Name].(*types.Func)
-				if fn == nil {
-					return true
-				}
-				u := &allocUnit{
-					pkg: pkg, fn: fn, sig: fn.Type().(*types.Signature),
-					body: n.Body, desc: funcDesc(fn),
 				}
 				units = append(units, u)
-				eng.byFn[fn] = u
 				stack = append(stack, u)
-				ast.Inspect(n.Body, walk)
-				stack = stack[:len(stack)-1]
-				return false
-			case *ast.FuncLit:
-				sig, _ := pkg.Info.TypeOf(n).(*types.Signature)
-				if sig == nil {
-					return true
-				}
-				u := &allocUnit{
-					pkg: pkg, lit: n, sig: sig, body: n.Body,
-					desc: "function literal",
-				}
-				if len(stack) > 0 {
-					u.desc = fmt.Sprintf("literal in %s", stack[len(stack)-1].desc)
-				}
-				units = append(units, u)
-				eng.byLit[n] = u
-				stack = append(stack, u)
-				ast.Inspect(n.Body, walk)
+				ast.Inspect(u.body, walk)
 				stack = stack[:len(stack)-1]
 				return false
 			}
-			return true
+			ast.Inspect(file, walk)
 		}
-		ast.Inspect(file, walk)
 	}
 	return units
+}
+
+// capturedVars lists, in first-use order, the variables lit references
+// but does not declare: every variable other than a struct field or a
+// package-level variable. Each engine filters the list: allocfree
+// reports any capture as a closure allocation, the ownership engine
+// keeps the pooled pointers it tracks.
+func capturedVars(pkg *Package, lit *ast.FuncLit) []*types.Var {
+	var out []*types.Var
+	seen := make(map[*types.Var]bool)
+	ast.Inspect(lit, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		v, _ := pkg.Info.Uses[id].(*types.Var)
+		if v == nil || v.IsField() || isPkgLevel(v) || seen[v] {
+			return true
+		}
+		if v.Pos() >= lit.Pos() && v.Pos() < lit.End() {
+			return true // declared inside the literal (params, locals)
+		}
+		seen[v] = true
+		out = append(out, v)
+		return true
+	})
+	return out
 }
 
 // funcFor resolves a call's callee to a *types.Func, or nil when the
@@ -129,8 +161,8 @@ func funcFor(pkg *Package, call *ast.CallExpr) *types.Func {
 // interface calls resolved by CHA, and nested literals (which run at
 // most as late as their enclosing unit, or escape and are rooted by
 // their own annotation).
-func (eng *allocEngine) callees(u *allocUnit) []*allocUnit {
-	var out []*allocUnit
+func (eng *allocEngine) callees(u *unit) []*unit {
+	var out []*unit
 	ast.Inspect(u.body, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok && lit != u.lit {
 			if cu := eng.byLit[lit]; cu != nil {
@@ -153,9 +185,9 @@ func (eng *allocEngine) callees(u *allocUnit) []*allocUnit {
 // resolve maps a called *types.Func to concrete units: itself when it
 // has a body in the run, or — for interface methods — every concrete
 // method of a named type in the run that implements the interface.
-func (eng *allocEngine) resolve(fn *types.Func) []*allocUnit {
+func (eng *allocEngine) resolve(fn *types.Func) []*unit {
 	if u := eng.byFn[fn]; u != nil {
-		return []*allocUnit{u}
+		return []*unit{u}
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
@@ -165,7 +197,7 @@ func (eng *allocEngine) resolve(fn *types.Func) []*allocUnit {
 	if !ok {
 		return nil
 	}
-	var out []*allocUnit
+	var out []*unit
 	for _, named := range eng.namedTypes {
 		if !implementsIface(named, iface) {
 			continue
@@ -212,12 +244,14 @@ func (eng *allocEngine) collectNamedTypes(pkgs []*Package) {
 	}
 }
 
-// propagate closes reachability: BFS from the roots over the cached
-// call and containment edges, recording discovery parents for chain
-// rendering.
-func (eng *allocEngine) propagate() {
-	var queue []*allocUnit
-	for _, u := range eng.units {
+// propagate closes reachability: BFS from the roots over call and
+// containment edges, recording discovery parents for chain rendering,
+// and sweeps each unit as it is dequeued. Units already marked reached
+// before the BFS (the sanctioned pooled constructors) are neither
+// descended into nor swept.
+func (eng *allocEngine) propagate(units []*unit) {
+	var queue []*unit
+	for _, u := range units {
 		if u.root {
 			u.reached = true
 			queue = append(queue, u)
@@ -226,7 +260,8 @@ func (eng *allocEngine) propagate() {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, to := range eng.edges[u] {
+		eng.sweep(u)
+		for _, to := range eng.callees(u) {
 			if to.reached {
 				continue
 			}

@@ -58,23 +58,3 @@ func (p *BoundPump) Start() {
 
 // Done reports whether the pump has drained its budget.
 func (p *BoundPump) Done() bool { return p.budget <= 0 }
-
-// Pool mimics the pooled-constructor idiom: the refill inside Get
-// allocates, but seeding it via AllocConfig.AllocFree pins its
-// summary alloc-free — the amortized refill does not count against
-// callers. TestAllocSummaryFixpoint exercises both configurations.
-type Pool struct{ free [][]byte }
-
-// Get pops a buffer from the free list, refilling when empty.
-func (p *Pool) Get() []byte {
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free = p.free[:n-1]
-		return b
-	}
-	return make([]byte, 64)
-}
-
-// FromPool builds on Get: with Get sanctioned it summarizes
-// alloc-free, without it the fixpoint propagates Get's make upward.
-func FromPool(p *Pool) []byte { return p.Get() }
