@@ -73,9 +73,19 @@ func runOnceFaults(t *testing.T, seed int64, fc faults.Config) artifacts {
 // determinism scenarios above and the P2P-family ones in p2p_test.go.
 func runCfg(t *testing.T, cfg core.Config) (artifacts, *core.Simulation, *core.Results) {
 	t.Helper()
-	s, err := core.New(cfg)
+	a, s, r, err := runArtifacts(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return a, s, r
+}
+
+// runArtifacts is runCfg returning its error, for runs on goroutines
+// other than the test's.
+func runArtifacts(cfg core.Config) (artifacts, *core.Simulation, *core.Results, error) {
+	s, err := core.New(cfg)
+	if err != nil {
+		return artifacts{}, nil, nil, err
 	}
 	var fakeNanos int64
 	s.Obs().Prof.SetClock(func() int64 {
@@ -84,7 +94,7 @@ func runCfg(t *testing.T, cfg core.Config) (artifacts, *core.Simulation, *core.R
 	})
 	r, err := s.Run()
 	if err != nil {
-		t.Fatal(err)
+		return artifacts{}, nil, nil, err
 	}
 
 	var out artifacts
@@ -100,11 +110,11 @@ func runCfg(t *testing.T, cfg core.Config) (artifacts, *core.Simulation, *core.R
 	} {
 		var buf bytes.Buffer
 		if err := w.write(&buf); err != nil {
-			t.Fatal(err)
+			return artifacts{}, nil, nil, err
 		}
 		*w.dst = buf.Bytes()
 	}
-	return out, s, r
+	return out, s, r, nil
 }
 
 // goldenHashes holds the SHA-256 of each artifact of one pinned run.

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 
 	"ddosim/internal/churn"
@@ -79,6 +81,39 @@ func TestP2PSameSeedByteIdenticalArtifacts(t *testing.T) {
 	if bytes.Equal(a1.rep, a3.rep) {
 		t.Error("different seeds produced identical p2p report JSON")
 	}
+}
+
+// TestP2PConcurrentRunsByteIdentical runs two same-seed p2p
+// simulations, faults included, on two goroutines at once, as the
+// experiment pool does. Their artifacts must match each other and a
+// sequential run; under -race it flags any state the P2P family shares
+// across runs.
+func TestP2PConcurrentRunsByteIdentical(t *testing.T) {
+	cfg := func() core.Config {
+		c := p2pConfig(1234)
+		c.Faults = faults.AtIntensity(0.5)
+		return c
+	}
+	want, _, _ := runCfg(t, cfg())
+
+	var got [2]artifacts
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _, _, errs[i] = runArtifacts(cfg())
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		want.equal(t, got[i], fmt.Sprintf("sequential vs concurrent run %d", i))
+	}
+	got[0].equal(t, got[1], "two concurrent runs")
 }
 
 // TestP2PFaultArtifactsMatchGolden pins every artifact of the p2p

@@ -47,6 +47,7 @@ type Bot struct {
 	node    *dht.Node
 	flood   *mirai.Flooder
 	poll    *sim.Ticker
+	check   *recordCheck
 	cmdKey  dht.ID
 	lastSeq uint64
 	joined  bool
@@ -58,18 +59,26 @@ type Bot struct {
 
 var _ container.Behavior = (*Bot)(nil)
 
-// NewBot creates the behaviour.
+// NewBot creates the behaviour, with a record check of its own.
 func NewBot(cfg BotConfig) *Bot {
+	return newBot(cfg, &recordCheck{pub: cfg.PubKey})
+}
+
+func newBot(cfg BotConfig, check *recordCheck) *Bot {
 	if cfg.PollPeriod <= 0 {
 		cfg.PollPeriod = 30 * sim.Second
 	}
-	return &Bot{cfg: cfg, cmdKey: dht.Key(CommandChannel)}
+	return &Bot{cfg: cfg, check: check, cmdKey: dht.Key(CommandChannel)}
 }
 
-// BotFactory adapts NewBot to the binary registry; the attacker
-// registers it in place of the Mirai bot when Config.Botnet is "p2p".
+// BotFactory adapts the bot to the binary registry; the attacker
+// registers it in place of the Mirai bot when Config.Botnet is "p2p",
+// once per run. Every bot it builds shares one record check, so the
+// fleet verifies each distinct record once per run rather than once
+// per poll or replica push.
 func BotFactory(cfg BotConfig) container.BehaviorFactory {
-	return func(args []string) container.Behavior { return NewBot(cfg) }
+	check := &recordCheck{pub: cfg.PubKey}
+	return func(args []string) container.Behavior { return newBot(cfg, check) }
 }
 
 // Name implements container.Behavior.
@@ -159,7 +168,7 @@ func (b *Bot) pollOnce() {
 
 // handleRecord authenticates a record and acts on fresh ones.
 func (b *Bot) handleRecord(value []byte) {
-	rec, err := DecodeRecord(b.cfg.PubKey, value)
+	rec, err := b.check.decode(value)
 	if err != nil {
 		b.p.Logf("p2pbot: rejecting record: %v", err)
 		return

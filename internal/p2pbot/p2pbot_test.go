@@ -1,11 +1,15 @@
 package p2pbot
 
 import (
+	"bytes"
+	"crypto/ed25519"
 	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"ddosim/internal/container"
+	"ddosim/internal/dht"
 	"ddosim/internal/mirai"
 	"ddosim/internal/netsim"
 	"ddosim/internal/sim"
@@ -79,6 +83,7 @@ type botnet struct {
 	bots   []*Bot
 	botCs  []*container.Container
 	victim netip.AddrPort
+	priv   ed25519.PrivateKey
 }
 
 func (bn *botnet) runFor(t *testing.T, d sim.Time) {
@@ -112,6 +117,7 @@ func newBotnet(t *testing.T, seedVal int64, nBots int) *botnet {
 
 	keySeed, _ := testKey()
 	pub, priv := DeriveKey(keySeed)
+	bn.priv = priv
 
 	bn.seedC = mk("seed", 100*netsim.Mbps)
 	bn.seeder = NewSeeder(SeederConfig{Key: priv, RepublishPeriod: 10 * sim.Second})
@@ -121,9 +127,11 @@ func newBotnet(t *testing.T, seedVal int64, nBots int) *botnet {
 	victimC := mk("victim", 100*netsim.Mbps)
 	bn.victim = netip.AddrPortFrom(victimC.Node().Addr4(), 80)
 
+	// One factory for the fleet, as the attacker registers it.
+	factory := BotFactory(BotConfig{Bootstrap: boot, PubKey: pub, PollPeriod: 10 * sim.Second})
 	for i := 0; i < nBots; i++ {
 		c := mk(fmt.Sprintf("bot-%d", i), 1*netsim.Mbps)
-		bot := NewBot(BotConfig{Bootstrap: boot, PubKey: pub, PollPeriod: 10 * sim.Second})
+		bot := factory(nil).(*Bot)
 		// Stagger infection like the exploit campaign would.
 		delay := sim.Time(i) * 200 * sim.Millisecond
 		sched.Schedule(delay, func() { c.Spawn(bot) })
@@ -272,5 +280,133 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	a, b := sig(), sig()
 	if a != b {
 		t.Fatalf("same-seed runs diverged:\n%s\n%s", a, b)
+	}
+}
+
+// ---------------------------------------------------------------------
+// The verification contract: a bot acts only on record bytes that
+// passed ed25519.Verify under the channel key in this run, and bytes
+// equal to the last ones that passed are not checked again.
+
+// TestFactoryBotsVerifyRecordOnce delivers one record to a fleet many
+// times, by poll and by STORE push, and expects one DecodeRecord call.
+func TestFactoryBotsVerifyRecordOnce(t *testing.T) {
+	bn := newBotnet(t, 21, 10)
+	bn.runFor(t, 30*sim.Second)
+
+	check := bn.bots[0].check
+	pushes := 0
+	for i, b := range bn.bots {
+		if b.check != check {
+			t.Fatalf("bot %d has a record check of its own", i)
+		}
+		onStore := b.Node().OnStore
+		b.Node().OnStore = func(key dht.ID, value []byte, seq uint64) {
+			if key == b.cmdKey {
+				pushes++
+			}
+			onStore(key, value, seq)
+		}
+	}
+
+	bn.seeder.PublishAttack(mirai.MethodUDPPlain, bn.victim, bn.sched.Now()+5*sim.Minute)
+	bn.runFor(t, 60*sim.Second)
+
+	if got := bn.attackers(); got != len(bn.bots) {
+		t.Fatalf("%d/%d bots attacking", got, len(bn.bots))
+	}
+	deliveries := check.hits + check.verified
+	if pushes == 0 || deliveries-pushes < 2*len(bn.bots) {
+		t.Fatalf("%d deliveries (%d by push); want pushes and several polls per bot", deliveries, pushes)
+	}
+	if check.verified != 1 {
+		t.Fatalf("%d deliveries of one record ran DecodeRecord %d times, want 1", deliveries, check.verified)
+	}
+}
+
+// TestForgedSameSeqRecordRejected flips one signature bit of the
+// record the memo holds: same Seq, other bytes. Every bot that gets it
+// verifies it again, rejects it, logs the rejection and does not act.
+func TestForgedSameSeqRecordRejected(t *testing.T) {
+	bn := newBotnet(t, 21, 3)
+	bn.runFor(t, 30*sim.Second)
+
+	rec := &Record{Seq: 1, Method: mirai.MethodUDPPlain, Target: bn.victim, Until: bn.sched.Now() + 5*sim.Minute}
+	good := rec.Encode(bn.priv)
+	forged := append([]byte(nil), good...)
+	forged[len(forged)-1] ^= 0x01
+
+	bn.bots[0].handleRecord(good)
+	check := bn.bots[0].check
+	if check.verified != 1 || bn.bots[0].CommandsSeen != 1 {
+		t.Fatalf("valid record: verified %d, commands seen %d", check.verified, bn.bots[0].CommandsSeen)
+	}
+	for i, b := range bn.bots {
+		b.handleRecord(forged)
+		if check.verified != 2+i {
+			t.Fatalf("bot %d: forged record not verified (%d DecodeRecord calls)", i, check.verified)
+		}
+		logged := false
+		for _, line := range bn.botCs[i].Logs() {
+			logged = logged || strings.Contains(line, "rejecting record: p2pbot: bad record signature")
+		}
+		if !logged {
+			t.Fatalf("bot %d did not log the rejection: %q", i, bn.botCs[i].Logs())
+		}
+	}
+	bn.runFor(t, sim.Second)
+	if bn.bots[0].CommandsSeen != 1 || bn.bots[1].CommandsSeen != 0 || bn.attackers() != 1 {
+		t.Fatalf("a bot acted on the forged record: seen %d/%d/%d, %d attacking",
+			bn.bots[0].CommandsSeen, bn.bots[1].CommandsSeen, bn.bots[2].CommandsSeen, bn.attackers())
+	}
+
+	// The memo still holds the valid bytes: no new verification.
+	bn.bots[1].handleRecord(good)
+	if check.verified != 1+len(bn.bots) || bn.bots[1].CommandsSeen != 1 {
+		t.Fatalf("valid record after the forgery: verified %d, commands seen %d", check.verified, bn.bots[1].CommandsSeen)
+	}
+}
+
+// TestRecordCheckCopiesAcceptedBytes mutates the caller's buffer after
+// acceptance; the memo must keep the bytes that passed.
+func TestRecordCheckCopiesAcceptedBytes(t *testing.T) {
+	seed, _ := testKey()
+	pub, priv := DeriveKey(seed)
+	rec := Record{Seq: 5, Method: mirai.MethodSYN, Target: netip.MustParseAddrPort("10.0.9.9:80"), Until: 60 * sim.Second}
+	data := rec.Encode(priv)
+	buf := append([]byte(nil), data...)
+
+	c := &recordCheck{pub: pub}
+	if got, err := c.decode(buf); err != nil || got != rec {
+		t.Fatalf("decode = %+v, %v", got, err)
+	}
+	buf[0] ^= 0xff
+	if !bytes.Equal(c.data, data) {
+		t.Fatal("mutating the caller's buffer changed the memo")
+	}
+	if _, err := c.decode(buf); err == nil {
+		t.Fatal("the mutated buffer passed")
+	}
+	if got, err := c.decode(data); err != nil || got != rec || c.verified != 2 || c.hits != 1 {
+		t.Fatalf("original bytes after mutation: %+v, %v, verified %d, hits %d", got, err, c.verified, c.hits)
+	}
+}
+
+// TestFactoriesDoNotShareRecordCheck: one check per factory (per run),
+// and one per directly built bot.
+func TestFactoriesDoNotShareRecordCheck(t *testing.T) {
+	seed, _ := testKey()
+	pub, _ := DeriveKey(seed)
+	cfg := BotConfig{PubKey: pub}
+	f1, f2 := BotFactory(cfg), BotFactory(cfg)
+	a, b, c := f1(nil).(*Bot), f1(nil).(*Bot), f2(nil).(*Bot)
+	if a.check != b.check {
+		t.Error("bots from one factory do not share a record check")
+	}
+	if a.check == c.check {
+		t.Error("bots from two factories share a record check")
+	}
+	if d, e := NewBot(cfg), NewBot(cfg); d.check == e.check || d.check == a.check {
+		t.Error("NewBot reuses a record check")
 	}
 }

@@ -7,6 +7,7 @@
 package p2pbot
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"fmt"
@@ -98,4 +99,37 @@ func DecodeRecord(pub ed25519.PublicKey, data []byte) (*Record, error) {
 func DeriveKey(seed [ed25519.SeedSize]byte) (ed25519.PublicKey, ed25519.PrivateKey) {
 	priv := ed25519.NewKeyFromSeed(seed[:])
 	return priv.Public().(ed25519.PublicKey), priv
+}
+
+// recordCheck authenticates command records for every bot of one run.
+// It remembers the last record bytes that passed DecodeRecord: equal
+// bytes are the same record under the same key, so they skip
+// ed25519.Verify and yield the cached Record. Any other bytes, forged
+// ones included, still go through DecodeRecord. A run is one
+// goroutine, so a check needs no lock; it must never be shared across
+// runs.
+type recordCheck struct {
+	pub  ed25519.PublicKey
+	data []byte // private copy of the last bytes that passed
+	rec  Record
+
+	// Counters for tests: memo hits, and DecodeRecord calls.
+	hits, verified int
+}
+
+// decode returns what DecodeRecord(c.pub, data) would, verifying only
+// bytes that differ from the last ones that passed.
+func (c *recordCheck) decode(data []byte) (Record, error) {
+	if len(c.data) > 0 && bytes.Equal(data, c.data) {
+		c.hits++
+		return c.rec, nil
+	}
+	c.verified++
+	r, err := DecodeRecord(c.pub, data)
+	if err != nil {
+		return Record{}, err
+	}
+	c.data = append(c.data[:0], data...)
+	c.rec = *r
+	return c.rec, nil
 }
