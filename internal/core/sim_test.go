@@ -1,6 +1,7 @@
 package core
 
 import (
+	"net/netip"
 	"testing"
 
 	"ddosim/internal/churn"
@@ -352,7 +353,7 @@ func TestMixedProtectionsStillFullRecruitment(t *testing.T) {
 
 func TestTServerSaturation(t *testing.T) {
 	// With a deliberately narrow TServer downlink the received rate
-	// caps near the link rate and drops appear — the Fig. 2 mechanism.
+	// caps at the link rate and drops appear — the Fig. 2 mechanism.
 	cfg := smallConfig(20)
 	cfg.TServerDownlink = 1 * netsim.Mbps // offered ~6 Mbps
 	s, err := New(cfg)
@@ -363,11 +364,30 @@ func TestTServerSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.DReceivedKbps > 1100 {
-		t.Fatalf("D_received %.1f kbps exceeds a 1 Mbps bottleneck", r.DReceivedKbps)
+	// The sink counts wire bytes, so once the downlink is backlogged
+	// each second holds ⌊C/8f⌋ or ⌈C/8f⌉ whole frames of f bytes.
+	frame := (&netsim.Packet{
+		Proto: netsim.ProtoUDP,
+		Dst:   netip.AddrPortFrom(s.TServer().Addr4(), 80),
+		Pad:   cfg.PayloadBytes,
+	}).Size()
+	kbps := func(bytes int64) float64 { return float64(bytes) * 8 / 1000 }
+	perSec := int64(cfg.TServerDownlink) / 8 / int64(frame)
+	lo, hi := kbps(perSec*int64(frame)), kbps((perSec+1)*int64(frame))
+	if len(r.PerSecondKbps) != cfg.AttackDuration {
+		t.Fatalf("%d per-second samples, want %d", len(r.PerSecondKbps), cfg.AttackDuration)
 	}
-	if r.DReceivedKbps < 700 {
-		t.Fatalf("D_received %.1f kbps; bottleneck should be nearly saturated", r.DReceivedKbps)
+	// Seconds 0 and 1 are the bots' jittered ramp.
+	for i, got := range r.PerSecondKbps[2:] {
+		if got != lo && got != hi {
+			t.Fatalf("second %d: %.3f kbps, want %.3f or %.3f (%d or %d frames of %d bytes)",
+				i+2, got, lo, hi, perSec, perSec+1, frame)
+		}
+	}
+	capKbps := float64(cfg.TServerDownlink) / 1000
+	if limit := capKbps + kbps(int64(frame))/float64(cfg.AttackDuration); r.DReceivedKbps > limit {
+		t.Fatalf("D_received %.3f kbps exceeds the %.0f kbps downlink plus one frame per window (%.3f)",
+			r.DReceivedKbps, capKbps, limit)
 	}
 	if r.NetStats.Drops == 0 {
 		t.Fatal("no queue drops under saturation")

@@ -183,6 +183,7 @@ func Decode(b []byte) (*Message, error) {
 }
 
 func readName(b []byte, off int) (string, int, error) {
+	start := off
 	var labels []string
 	for {
 		if off >= len(b) {
@@ -193,13 +194,15 @@ func readName(b []byte, off int) (string, int, error) {
 		case l == 0:
 			return strings.Join(labels, "."), off + 1, nil
 		case l&0xc0 == 0xc0:
-			// Compression pointer: resolve one level (no chains needed
-			// for our traffic).
+			// Compression pointer: it must point before this name's
+			// first byte. Pointing before the pointer is not enough: a
+			// pointer back into its own name reads itself again,
+			// forever.
 			if off+1 >= len(b) {
 				return "", 0, ErrTruncated
 			}
 			ptr := int(binary.BigEndian.Uint16(b[off:off+2]) & 0x3fff)
-			if ptr >= off {
+			if ptr >= start {
 				return "", 0, ErrBadName
 			}
 			suffix, _, err := readName(b, ptr)

@@ -133,6 +133,16 @@ func TestForwardPointerRejected(t *testing.T) {
 	}
 }
 
+func TestPointerLoopRejected(t *testing.T) {
+	// The question name is label "a", then a pointer back to that
+	// label: behind the pointer, yet following it reads the pointer
+	// again.
+	wire := []byte{0, 9, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 'a', 0xc0, 12, 0, 1, 0, 1}
+	if _, err := Decode(wire); err != ErrBadName {
+		t.Fatalf("Decode of a pointer loop: err = %v, want %v", err, ErrBadName)
+	}
+}
+
 func TestStringer(t *testing.T) {
 	q := NewQuery(3, "a.b", TypeA)
 	if q.String() == "" {

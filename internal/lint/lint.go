@@ -5,9 +5,9 @@
 // enforce:
 //
 //   - wallclock: simulation code must read sim.Time, never the wall
-//     clock. time.Now/Since/Sleep and friends are banned outside an
-//     explicit allowlist (the obs profiler's injected clock, the
-//     benchmark driver).
+//     clock. time.Now/Since/Sleep and friends are banned in every
+//     package; the one read the simulator makes (the obs profiler's
+//     default clock) carries an inline //simlint:allow.
 //   - globalrand: all randomness flows through injected seeded
 //     *rand.Rand values. Package-level math/rand functions share
 //     hidden global state across subsystems and break same-seed

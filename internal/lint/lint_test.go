@@ -63,20 +63,6 @@ func TestWallclock(t *testing.T) {
 	checkGolden(t, "wallclock", []*Package{pkg}, []Analyzer{NewWallclock()})
 }
 
-func TestWallclockAllowlist(t *testing.T) {
-	l := newTestLoader(t)
-	pkg := loadFixture(t, l, "wallclock/allowed")
-	w := NewWallclock()
-	w.AllowPkgs[pkg.Path] = true
-	if diags := Run([]*Package{pkg}, []Analyzer{w}); len(diags) != 0 {
-		t.Errorf("allowlisted package produced diagnostics: %v", diags)
-	}
-	// The same package off the allowlist is flagged.
-	if diags := Run([]*Package{pkg}, []Analyzer{NewWallclock()}); len(diags) != 1 {
-		t.Errorf("expected 1 diagnostic without allowlist, got %v", diags)
-	}
-}
-
 func TestGlobalRand(t *testing.T) {
 	l := newTestLoader(t)
 	pkg := loadFixture(t, l, "globalrand/randy")

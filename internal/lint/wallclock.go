@@ -15,21 +15,12 @@ var wallclockFuncs = map[string]bool{
 	"NewTimer": true, "NewTicker": true,
 }
 
-// Wallclock flags wall-clock access outside the allowlisted packages.
-type Wallclock struct {
-	// AllowPkgs maps import paths that may touch the wall clock.
-	AllowPkgs map[string]bool
-}
+// Wallclock flags wall-clock access in every package. An audited
+// read carries an inline //simlint:allow wallclock(reason).
+type Wallclock struct{}
 
-// NewWallclock returns the analyzer with the repo's allowlist: the
-// obs profiler (which measures wall cost per simulated second through
-// an injectable clock) and the benchmark driver.
-func NewWallclock() *Wallclock {
-	return &Wallclock{AllowPkgs: map[string]bool{
-		"ddosim/internal/obs":  true,
-		"ddosim/cmd/benchjson": true,
-	}}
-}
+// NewWallclock returns the analyzer.
+func NewWallclock() *Wallclock { return &Wallclock{} }
 
 func (w *Wallclock) Name() string { return "wallclock" }
 
@@ -38,9 +29,6 @@ func (w *Wallclock) Doc() string {
 }
 
 func (w *Wallclock) Run(pass *Pass) {
-	if w.AllowPkgs[pass.Pkg.Path] {
-		return
-	}
 	for _, file := range pass.Pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)

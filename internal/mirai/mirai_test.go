@@ -520,6 +520,41 @@ func TestParseAttackCommand(t *testing.T) {
 	}
 }
 
+// FuzzParseAttackCommand feeds the bot's command parser arbitrary
+// lines: every line it accepts must Encode to a line that parses to
+// the same command, and that encoding must be stable.
+func FuzzParseAttackCommand(f *testing.F) {
+	for _, seed := range []string{
+		"udpplain 10.3.0.2 80 100\n",
+		"syn 2001:db8::7 443 5",
+		"ack fe80::1%eth0 0 65535\r\n",
+		"  udpplain\t10.0.0.1  007 +30  ",
+		"udpplain 10.0.0.1 80 0",
+		"udpplain 10.0.0.1 99999 10",
+		"synflood 10.0.0.1 80 10",
+		"udpplain 10.0.0.1 80",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		cmd, err := ParseAttackCommand(line)
+		if err != nil {
+			return
+		}
+		enc := cmd.Encode()
+		again, err := ParseAttackCommand(enc)
+		if err != nil {
+			t.Fatalf("Encode of an accepted command %+v gives %q, which does not parse: %v", cmd, enc, err)
+		}
+		if again != cmd {
+			t.Fatalf("round trip changed the command: %+v, then %+v", cmd, again)
+		}
+		if again.Encode() != enc {
+			t.Fatalf("re-encoding is not stable: %q, then %q", enc, again.Encode())
+		}
+	})
+}
+
 func TestLineBuffer(t *testing.T) {
 	var lb lineBuffer
 	if got := lb.feed([]byte("par")); len(got) != 0 {

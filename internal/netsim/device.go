@@ -126,7 +126,8 @@ func (d *NetDevice) Stats() DeviceStats {
 func (d *NetDevice) IsUp() bool { return d.up }
 
 // SetUp brings the device up or down. Bringing a device down cancels
-// the in-progress transmission, flushes its egress queue, and silently
+// the in-progress transmission, flushes its egress queue into
+// DownDrops (the frame being serialized included), and silently
 // discards anything in flight toward it; this is how churn disconnects
 // a Dev. Frames already propagating on the wire still arrive (and are
 // dropped by the peer if it is down too).
@@ -140,6 +141,7 @@ func (d *NetDevice) SetUp(up bool) {
 			d.sched.Cancel(d.txEvent)
 			d.transmitting = false
 		}
+		d.stats.DownDrops += uint64(d.queue.len())
 		d.node.addQueued(-d.queue.len())
 		for d.queue.len() > 0 {
 			d.node.putPacket(d.queue.pop())

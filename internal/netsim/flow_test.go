@@ -284,7 +284,8 @@ func TestUDPFloodPathZeroAllocWithFlows(t *testing.T) {
 }
 
 // BenchmarkUDPFloodPathFlows is BenchmarkUDPFloodPath with flow
-// accounting enabled — the before/after pair cmd/benchjson captures.
+// accounting enabled; the pair's difference is what flow accounting
+// costs per datagram.
 func BenchmarkUDPFloodPathFlows(b *testing.B) {
 	sched, w, star := newStar(b, 1)
 	buf := &obs.FlowBuffer{}

@@ -226,7 +226,7 @@ func TestJoinMulticastRejectsUnicast(t *testing.T) {
 }
 
 func TestQueueDropTail(t *testing.T) {
-	sched, _, star := newStar(t, 1)
+	sched, w, star := newStar(t, 1)
 	// Tiny queue, slow link: burst must overflow.
 	a := star.AttachHost("a", 8*Kbps, sim.Millisecond, 4)
 	b := star.AttachHost("b", 10*Mbps, sim.Millisecond, 0)
@@ -242,16 +242,20 @@ func TestQueueDropTail(t *testing.T) {
 	if err := sched.Run(time100s()); err != nil {
 		t.Fatal(err)
 	}
-	// Queue limit 4 + 1 in flight: roughly 5 delivered, rest dropped.
-	if got >= 20 || got == 0 {
-		t.Fatalf("delivered %d of 20, want partial delivery (drop-tail)", got)
+	// The limit of 4 counts the frame being serialized, so the burst
+	// keeps its first 4 frames and drops the other 16.
+	if got != 4 {
+		t.Fatalf("delivered %d of 20, want 4", got)
 	}
-	drops := a.DefaultDevice().Stats().QueueDrops
-	if drops == 0 {
-		t.Fatal("no queue drops recorded")
+	if drops := a.DefaultDevice().Stats().QueueDrops; drops != 16 {
+		t.Fatalf("QueueDrops = %d, want 16", drops)
 	}
-	if int(drops)+got+a.DefaultDevice().Stats().CurrentLoad < 20-5 {
-		t.Fatalf("drops=%d got=%d do not account for burst", drops, got)
+	st := w.Stats()
+	if st.Drops != 16 {
+		t.Fatalf("NetworkStats.Drops = %d, want 16", st.Drops)
+	}
+	if st.QueuedNow != 0 {
+		t.Fatalf("%d frames still queued", st.QueuedNow)
 	}
 }
 
@@ -325,11 +329,17 @@ func TestDeviceDownFlushesQueue(t *testing.T) {
 	if err := sched.Run(time100s()); err != nil {
 		t.Fatal(err)
 	}
-	if got > 1 {
+	// At 1 kbps the first 542-byte frame needs 4.3 s to serialize, so
+	// the flush at 1 ms takes it and the four queued behind it.
+	if got != 0 {
 		t.Fatalf("flushed queue still delivered %d packets", got)
 	}
-	if load := dev.Stats().CurrentLoad; load != 0 {
-		t.Fatalf("queue not flushed: %d packets remain", load)
+	st := dev.Stats()
+	if st.DownDrops != 5 {
+		t.Fatalf("DownDrops = %d, want all 5 flushed frames", st.DownDrops)
+	}
+	if st.CurrentLoad != 0 {
+		t.Fatalf("queue not flushed: %d packets remain", st.CurrentLoad)
 	}
 }
 

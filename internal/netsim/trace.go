@@ -201,6 +201,8 @@ func (m *FlowMonitor) Flow(key FlowKey) (FlowStats, bool) {
 }
 
 // TopTalkers returns the n flows with the most bytes, descending.
+// Ties go by source, then destination, then protocol, so the order
+// never depends on map iteration.
 func (m *FlowMonitor) TopTalkers(n int) []struct {
 	Key   FlowKey
 	Stats FlowStats
@@ -217,7 +219,14 @@ func (m *FlowMonitor) TopTalkers(n int) []struct {
 		if all[i].Stats.Bytes != all[j].Stats.Bytes {
 			return all[i].Stats.Bytes > all[j].Stats.Bytes
 		}
-		return all[i].Key.Src.String() < all[j].Key.Src.String()
+		a, b := all[i].Key, all[j].Key
+		if as, bs := a.Src.String(), b.Src.String(); as != bs {
+			return as < bs
+		}
+		if c := a.Dst.Compare(b.Dst); c != 0 {
+			return c < 0
+		}
+		return a.Proto < b.Proto
 	})
 	if n > len(all) {
 		n = len(all)

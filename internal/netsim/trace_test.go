@@ -140,6 +140,36 @@ func TestFlowMonitor(t *testing.T) {
 	}
 }
 
+func TestTopTalkersTieOrder(t *testing.T) {
+	// One socket sends the same bytes to four ports: the flows tie on
+	// bytes and on source, so only the destination orders them.
+	sched, _, star := newStar(t, 3)
+	ts := star.AttachHost("tserver", 100*Mbps, sim.Millisecond, 0)
+	mon := InstallFlowMonitor(ts)
+	src := star.AttachHost("src", 10*Mbps, sim.Millisecond, 0)
+	sock, _ := src.BindUDP(0, nil)
+	for port := uint16(12); port >= 9; port-- {
+		if _, err := ts.BindUDP(port, nil); err != nil {
+			t.Fatal(err)
+		}
+		sock.SendPadded(netip.AddrPortFrom(ts.Addr4(), port), nil, 100)
+	}
+	if err := sched.Run(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	for repeat := 0; repeat < 20; repeat++ {
+		top := mon.TopTalkers(4)
+		if len(top) != 4 {
+			t.Fatalf("top talkers = %d, want 4", len(top))
+		}
+		for i, f := range top {
+			if want := uint16(9 + i); f.Key.Dst.Port() != want {
+				t.Fatalf("call %d: top[%d] goes to port %d, want %d", repeat, i, f.Key.Dst.Port(), want)
+			}
+		}
+	}
+}
+
 func TestLossRateDropsFraction(t *testing.T) {
 	sched, _, star := newStar(t, 3)
 	a := star.AttachHost("a", 100*Mbps, sim.Millisecond, 0)

@@ -39,7 +39,7 @@ type Profiler struct {
 
 // NewProfiler returns a profiler using the real wall clock.
 func NewProfiler() *Profiler {
-	return &Profiler{clock: func() int64 { return time.Now().UnixNano() }}
+	return &Profiler{clock: func() int64 { return time.Now().UnixNano() }} //simlint:allow wallclock(per-second wall cost, kept out of the trace and metrics dumps)
 }
 
 // SetClock replaces the wall-clock source (tests).
