@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"encoding/json"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"ddosim/internal/obs"
@@ -244,6 +246,123 @@ func TestFlowTableTCPFlagsAccumulate(t *testing.T) {
 	}
 	if fwd.Proto != "tcp" {
 		t.Fatalf("proto=%q", fwd.Proto)
+	}
+}
+
+// TestFlowExportEdgeEndpoints pins every exported byte of flows whose
+// endpoints are the addresses a node can originate from or to: IPv4,
+// IPv6, IPv4-mapped IPv6 (the same 16 bytes as its IPv4 address), zoned
+// IPv6 (which lookupRoute sends out the default device) and the zero
+// Addr (the source a node without an IPv6 address uses). Flows that
+// differ only in family or zone are distinct flows, and one node sends
+// them all, interleaved, so its flow hint keeps meeting an entry with
+// the packet's ports and address bytes but another family or zone.
+func TestFlowExportEdgeEndpoints(t *testing.T) {
+	sched, w, star := newStar(t, 1)
+	buf := &obs.FlowBuffer{}
+	w.EnableFlows(FlowConfig{Sink: buf, IdleTimeout: 2 * sim.Second})
+	w.AddFlowLabelRule(FlowLabelRule{Endpoint: netip.MustParseAddrPort("192.0.2.3:7777"), Label: "attack"})
+	w.AddFlowLabelRule(FlowLabelRule{Addr: netip.MustParseAddr("fe80::3%eth0"), Label: "cnc"})
+	h := star.AttachHost("h", 100*Mbps, sim.Millisecond, 0)
+
+	ap := netip.MustParseAddrPort
+	zero := netip.AddrPortFrom(netip.Addr{}, 5004)
+	send := func(proto Protocol, src, dst netip.AddrPort, flags TCPFlags) {
+		pkt := w.AllocPacket()
+		pkt.Proto = proto
+		pkt.Src, pkt.Dst = src, dst
+		pkt.Pad = 100
+		if proto == ProtoTCP {
+			pkt.SetTCP(flags, 0, 0)
+		}
+		h.SendPacket(pkt)
+	}
+	v4 := func() { send(ProtoUDP, ap("192.0.2.2:5000"), ap("192.0.2.3:7777"), 0) }
+	mapped := func() { send(ProtoUDP, ap("[::ffff:192.0.2.2]:5000"), ap("[::ffff:192.0.2.3]:7777"), 0) }
+	eth0 := func() { send(ProtoUDP, ap("[fe80::2%eth0]:5003"), ap("[fe80::3%eth0]:546"), 0) }
+	eth1 := func() { send(ProtoUDP, ap("[fe80::2%eth1]:5003"), ap("[fe80::3%eth1]:546"), 0) }
+	noZone := func() { send(ProtoUDP, ap("[fe80::2]:5003"), ap("[fe80::3]:546"), 0) }
+	fromZero := func() { send(ProtoUDP, zero, ap("[2001:db8::3]:547"), 0) }
+
+	runTo := func(at sim.Time) {
+		if err := sched.Run(at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step := func() { runTo(sched.Now() + 250*sim.Microsecond) }
+	v4()
+	mapped()
+	step()
+	v4()
+	mapped()
+	send(ProtoUDP, ap("[2001:db8::2]:5001"), ap("[2001:db8::3]:53"), 0)
+	step()
+	eth0()
+	eth1()
+	noZone()
+	step()
+	eth1()
+	eth0()
+	fromZero()
+	step()
+	send(ProtoTCP, ap("192.0.2.2:5005"), ap("192.0.2.3:80"), FlagSYN)
+	step()
+	send(ProtoTCP, ap("192.0.2.2:5005"), ap("192.0.2.3:80"), FlagACK)
+	runTo(5 * sim.Second) // every flow idles out
+	eth1()
+	fromZero()
+	step()
+	v4()
+	fromZero()
+	runTo(6 * sim.Second)
+	w.Flows().Stop()
+	w.Flows().FlushAll(sched.Now())
+
+	var csv, jsonl strings.Builder
+	if err := buf.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if err := buf.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := json.Marshal(buf.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCSV := `start_us,end_us,proto,src,dst,packets,bytes,tcp_flags,label,reason
+0,250,udp,192.0.2.2:5000,192.0.2.3:7777,2,284,0,attack,idle
+0,250,udp,[::ffff:192.0.2.2]:5000,[::ffff:192.0.2.3]:7777,2,324,0,benign,idle
+250,250,udp,[2001:db8::2]:5001,[2001:db8::3]:53,1,162,0,benign,idle
+500,750,udp,[fe80::2%eth0]:5003,[fe80::3%eth0]:546,2,324,0,cnc,idle
+500,750,udp,[fe80::2%eth1]:5003,[fe80::3%eth1]:546,2,324,0,benign,idle
+500,500,udp,[fe80::2]:5003,[fe80::3]:546,1,162,0,benign,idle
+750,750,udp,invalid AddrPort,[2001:db8::3]:547,1,162,0,benign,idle
+1000,1250,tcp,192.0.2.2:5005,192.0.2.3:80,2,308,3,benign,idle
+5000000,5000000,udp,[fe80::2%eth1]:5003,[fe80::3%eth1]:546,1,162,0,benign,final
+5000000,5000250,udp,invalid AddrPort,[2001:db8::3]:547,2,324,0,benign,final
+5000250,5000250,udp,192.0.2.2:5000,192.0.2.3:7777,1,142,0,attack,final
+`
+	wantJSONL := `{"start_us":0,"end_us":250,"proto":"udp","src":"192.0.2.2:5000","dst":"192.0.2.3:7777","packets":2,"bytes":284,"tcp_flags":0,"label":"attack","reason":"idle"}
+{"start_us":0,"end_us":250,"proto":"udp","src":"[::ffff:192.0.2.2]:5000","dst":"[::ffff:192.0.2.3]:7777","packets":2,"bytes":324,"tcp_flags":0,"label":"benign","reason":"idle"}
+{"start_us":250,"end_us":250,"proto":"udp","src":"[2001:db8::2]:5001","dst":"[2001:db8::3]:53","packets":1,"bytes":162,"tcp_flags":0,"label":"benign","reason":"idle"}
+{"start_us":500,"end_us":750,"proto":"udp","src":"[fe80::2%eth0]:5003","dst":"[fe80::3%eth0]:546","packets":2,"bytes":324,"tcp_flags":0,"label":"cnc","reason":"idle"}
+{"start_us":500,"end_us":750,"proto":"udp","src":"[fe80::2%eth1]:5003","dst":"[fe80::3%eth1]:546","packets":2,"bytes":324,"tcp_flags":0,"label":"benign","reason":"idle"}
+{"start_us":500,"end_us":500,"proto":"udp","src":"[fe80::2]:5003","dst":"[fe80::3]:546","packets":1,"bytes":162,"tcp_flags":0,"label":"benign","reason":"idle"}
+{"start_us":750,"end_us":750,"proto":"udp","src":"invalid AddrPort","dst":"[2001:db8::3]:547","packets":1,"bytes":162,"tcp_flags":0,"label":"benign","reason":"idle"}
+{"start_us":1000,"end_us":1250,"proto":"tcp","src":"192.0.2.2:5005","dst":"192.0.2.3:80","packets":2,"bytes":308,"tcp_flags":3,"label":"benign","reason":"idle"}
+{"start_us":5000000,"end_us":5000000,"proto":"udp","src":"[fe80::2%eth1]:5003","dst":"[fe80::3%eth1]:546","packets":1,"bytes":162,"tcp_flags":0,"label":"benign","reason":"final"}
+{"start_us":5000000,"end_us":5000250,"proto":"udp","src":"invalid AddrPort","dst":"[2001:db8::3]:547","packets":2,"bytes":324,"tcp_flags":0,"label":"benign","reason":"final"}
+{"start_us":5000250,"end_us":5000250,"proto":"udp","src":"192.0.2.2:5000","dst":"192.0.2.3:7777","packets":1,"bytes":142,"tcp_flags":0,"label":"attack","reason":"final"}
+`
+	wantStats := `{"flows":11,"packets":17,"bytes":2678,"labels":[{"label":"attack","flows":2,"packets":3,"bytes":426},{"label":"benign","flows":8,"packets":12,"bytes":1928},{"label":"cnc","flows":1,"packets":2,"bytes":324}]}`
+	if csv.String() != wantCSV {
+		t.Errorf("csv:\n%s\nwant:\n%s", csv.String(), wantCSV)
+	}
+	if jsonl.String() != wantJSONL {
+		t.Errorf("jsonl:\n%s\nwant:\n%s", jsonl.String(), wantJSONL)
+	}
+	if string(stats) != wantStats {
+		t.Errorf("stats:\n%s\nwant:\n%s", stats, wantStats)
 	}
 }
 
