@@ -536,3 +536,20 @@ func TestEngineStats(t *testing.T) {
 		t.Fatal("ByName lookup failed")
 	}
 }
+
+// FuzzParseBinary feeds hostile file contents to ParseBinary, which
+// the shell's exec path runs on every file it is asked to execute. An
+// accepted file must re-encode through BinaryContent to one that
+// parses to the same name and arch.
+func FuzzParseBinary(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		name, arch, ok := ParseBinary(data)
+		if !ok {
+			return
+		}
+		name2, arch2, ok := ParseBinary(BinaryContent(name, arch))
+		if !ok || name2 != name || arch2 != arch {
+			t.Fatalf("ParseBinary(%q) = %q %q, but its re-encoding gives %q %q %v", data, name, arch, name2, arch2, ok)
+		}
+	})
+}

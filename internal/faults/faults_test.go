@@ -80,6 +80,19 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// TestParseSpecNamesFirstUnknownKey: with several unknown keys in one
+// clause, the error names the first of them in clause order, on every
+// call.
+func TestParseSpecNamesFirstUnknownKey(t *testing.T) {
+	const want = `faults: flap: unknown key "foo"`
+	for i := 0; i < 100; i++ {
+		_, err := ParseSpec("flap:period=60s,down=5s,foo=1,bar=2,baz=3")
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: err = %v, want %s", i, err, want)
+		}
+	}
+}
+
 func TestParseSpecIntensityMergesUnderExplicitClauses(t *testing.T) {
 	cfg, err := ParseSpec("intensity=1;flap:period=10s,down=1s")
 	if err != nil {
@@ -321,4 +334,22 @@ func TestStopQuiescesPendingFaults(t *testing.T) {
 	if !devs[0].IsUp() {
 		t.Fatal("link down after Stop")
 	}
+}
+
+// FuzzParseSpec feeds hostile specs to ParseSpec, the -faults flag's
+// parser. It must not panic, and the same spec must give the same
+// Config and the same error text on every call.
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseSpec(spec)
+		for i := 0; i < 3; i++ {
+			cfg2, err2 := ParseSpec(spec)
+			if fmt.Sprint(err2) != fmt.Sprint(err) {
+				t.Fatalf("call %d: error %v, first call %v", i+2, err2, err)
+			}
+			if fmt.Sprintf("%#v", cfg2) != fmt.Sprintf("%#v", cfg) {
+				t.Fatalf("call %d: config %+v, first call %+v", i+2, cfg2, cfg)
+			}
+		}
+	})
 }

@@ -43,11 +43,11 @@ func ParseSpec(spec string) (Config, error) {
 		if !ok {
 			return cfg, fmt.Errorf("faults: clause %q is not kind:key=val,...", clause)
 		}
-		kv, err := parsePairs(rest)
+		kv, keys, err := parsePairs(rest)
 		if err != nil {
 			return cfg, fmt.Errorf("faults: clause %q: %w", clause, err)
 		}
-		if err := applyClause(&cfg, kind, kv); err != nil {
+		if err := applyClause(&cfg, kind, kv, keys); err != nil {
 			return cfg, err
 		}
 	}
@@ -57,19 +57,26 @@ func ParseSpec(spec string) (Config, error) {
 	return cfg, nil
 }
 
-func parsePairs(s string) (map[string]string, error) {
+// parsePairs splits key=val,key=val into a map and the keys in clause
+// order.
+func parsePairs(s string) (map[string]string, []string, error) {
 	kv := make(map[string]string)
+	var keys []string
 	for _, pair := range strings.Split(s, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(pair), "=")
 		if !ok || k == "" || v == "" {
-			return nil, fmt.Errorf("bad key=val pair %q", pair)
+			return nil, nil, fmt.Errorf("bad key=val pair %q", pair)
 		}
 		kv[k] = v
+		keys = append(keys, k)
 	}
-	return kv, nil
+	return kv, keys, nil
 }
 
-func applyClause(cfg *Config, kind string, kv map[string]string) error {
+// applyClause sets cfg's fields from one clause's pairs, deleting each
+// key it consumes from kv. A key left over is unknown; the error names
+// the first in clause order (keys).
+func applyClause(cfg *Config, kind string, kv map[string]string, keys []string) error {
 	dur := func(key string, dst *sim.Time) error {
 		v, ok := kv[key]
 		if !ok {
@@ -122,8 +129,10 @@ func applyClause(cfg *Config, kind string, kv map[string]string) error {
 	if err != nil {
 		return err
 	}
-	for k := range kv {
-		return fmt.Errorf("faults: %s: unknown key %q", kind, k)
+	for _, k := range keys {
+		if _, ok := kv[k]; ok {
+			return fmt.Errorf("faults: %s: unknown key %q", kind, k)
+		}
 	}
 	return nil
 }

@@ -29,6 +29,7 @@ func NewMapOrder() *MapOrder {
 	return &MapOrder{CriticalPkgs: map[string]bool{
 		"sim": true, "netsim": true, "mirai": true, "churn": true,
 		"core": true, "container": true, "attacker": true, "epidemic": true,
+		"faults": true, "dht": true, "p2pbot": true,
 	}}
 }
 

@@ -16,25 +16,22 @@ var srcFlows = sim.NewSource("net.flows")
 // unidirectional flow keyed by (src, dst, proto). Flows expire on an
 // active timeout (long-lived flows are checkpointed so downstream
 // consumers see progress), an idle timeout (silence closes the flow),
-// eviction (table full), or the end-of-run flush. Expired records are
-// batched into an obs.FlowSink.
+// eviction (table full), or the end-of-run flush. Each expired record
+// is appended to the table's obs.FlowBuffer as it closes.
 //
 // Accounting happens at origination, before queueing — records
 // describe offered load, not delivered load, so a flow whose packets
 // die at a faulted link still closes with the full byte/packet count
 // the sender offered. Delivered load is the sink taps' job.
 //
-// The table is allocation-free in steady state: entries live in a
-// flat slice recycled through a free list, the batch slice is reused
-// across flushes, and the only hot-path map operation is a lookup on
-// a comparable key — usually skipped, because each node remembers the
-// entry its last packet went to (see record). Expiry is driven by the
-// event kernel (a sweep ticker), so export timing — and therefore
-// every exported byte — is a pure function of the run.
-
-// The table shares FlowKey (trace.go) with FlowMonitor: both identify
-// a unidirectional flow by (proto, src, dst). FlowKey is comparable,
-// so the hot-path map lookup is alloc-free.
+// The table is allocation-free in steady state and holds no pointers:
+// entries live in a flat slice recycled through a free list, keyed by
+// a flowKey that stores each address as its 16 bytes and a family
+// byte, and the only hot-path map operation is a lookup on that key —
+// usually skipped, because each node remembers the entry its last
+// packet went to (see record). Expiry is driven by the event kernel (a
+// sweep ticker), so export timing — and therefore every exported byte
+// — is a pure function of the run.
 
 // FlowLabelRule assigns a ground-truth label to new flows. A rule
 // matches when every set field does: Endpoint (if valid) must equal
@@ -58,19 +55,17 @@ const (
 	DefaultFlowIdleTimeout   = 15 * sim.Second
 	DefaultFlowSweepPeriod   = 1 * sim.Second
 	DefaultMaxFlows          = 1 << 16
-	DefaultFlowExportBatch   = 64
 )
 
 // FlowConfig tunes the flow table. Zero fields take the defaults
-// above; Sink may be nil (records are then dropped at flush, which
-// still keeps the table bounded).
+// above; Sink may be nil (records are then dropped as they close,
+// which still keeps the table bounded).
 type FlowConfig struct {
 	ActiveTimeout sim.Time
 	IdleTimeout   sim.Time
 	SweepPeriod   sim.Time
 	MaxFlows      int
-	ExportBatch   int
-	Sink          obs.FlowSink
+	Sink          *obs.FlowBuffer
 }
 
 func (c *FlowConfig) normalize() {
@@ -86,38 +81,56 @@ func (c *FlowConfig) normalize() {
 	if c.MaxFlows <= 0 {
 		c.MaxFlows = DefaultMaxFlows
 	}
-	if c.ExportBatch <= 0 {
-		c.ExportBatch = DefaultFlowExportBatch
-	}
+}
+
+// Address families of a flowKey address. An IPv6 address with a zone
+// is famZoned plus the zone's index in the table's zone list.
+const (
+	famNone  uint8 = iota // the zero Addr
+	famV4                 // IPv4
+	famV6                 // IPv6 without a zone, IPv4-mapped included
+	famZoned              // first zoned IPv6 family
+)
+
+// flowKey identifies a flow without pointers: each address as its 16
+// bytes (As16) and a family byte, both ports and the protocol. Unlike
+// FlowKey's netip.AddrPorts, it keeps the index map and the entries
+// out of the garbage collector's scan.
+type flowKey struct {
+	src, dst     [16]byte
+	sport, dport uint16
+	sfam, dfam   uint8
+	proto        Protocol
 }
 
 // flowEntry is one live (or free) slot in the flat entry table.
 type flowEntry struct {
-	key     FlowKey
+	key     flowKey
+	flags   TCPFlags
+	live    bool
+	label   uint32 // 1 + index of the first matching rule; 0 is "benign"
 	start   sim.Time
 	last    sim.Time
 	packets uint64
 	bytes   uint64
-	flags   TCPFlags
-	label   string
-	live    bool
 }
 
 // FlowTableStats counts flow-table activity.
 type FlowTableStats struct {
 	Created  uint64 // flows opened (including post-checkpoint restarts)
-	Exported uint64 // records handed to the sink
+	Exported uint64 // records closed, whether or not a buffer keeps them
 	Evicted  uint64 // flows force-closed by the MaxFlows cap
 }
 
 // FlowTable is the per-network flow accountant. It is not safe for
 // concurrent use; like the rest of the simulator it runs on the
-// event-kernel thread.
+// event-kernel thread. A table tells up to 253 IPv6 zones apart and
+// panics on a packet with a 254th.
 type FlowTable struct {
 	sched *sim.Scheduler
 	cfg   FlowConfig
 
-	idx      map[FlowKey]int32
+	idx      map[flowKey]int32
 	entries  []flowEntry
 	freeList []int32
 
@@ -131,7 +144,9 @@ type FlowTable struct {
 	orderHead int
 
 	rules []FlowLabelRule
-	batch []obs.FlowRecord
+	// zones lists the IPv6 zones the table has seen, in first-seen
+	// order; a zoned address's family byte indexes it.
+	zones []string
 
 	sweeper *sim.Ticker
 	stats   FlowTableStats
@@ -142,8 +157,7 @@ func newFlowTable(sched *sim.Scheduler, cfg FlowConfig) *FlowTable {
 	return &FlowTable{
 		sched: sched,
 		cfg:   cfg,
-		idx:   make(map[FlowKey]int32, cfg.MaxFlows/4),
-		batch: make([]obs.FlowRecord, 0, cfg.ExportBatch),
+		idx:   make(map[flowKey]int32, cfg.MaxFlows/4),
 	}
 }
 
@@ -211,42 +225,123 @@ func (ft *FlowTable) Stop() {
 	}
 }
 
-func (ft *FlowTable) labelFor(k FlowKey) string {
+// labelFor returns the label of a new flow for pkt: 1 + the index of
+// the first rule it matches, or 0 for "benign".
+func (ft *FlowTable) labelFor(pkt *Packet) uint32 {
 	for i := range ft.rules {
 		r := &ft.rules[i]
-		if r.Endpoint.IsValid() && r.Endpoint != k.Src && r.Endpoint != k.Dst {
+		if r.Endpoint.IsValid() && r.Endpoint != pkt.Src && r.Endpoint != pkt.Dst {
 			continue
 		}
-		if r.Addr.IsValid() && r.Addr != k.Src.Addr() && r.Addr != k.Dst.Addr() {
+		if r.Addr.IsValid() && r.Addr != pkt.Src.Addr() && r.Addr != pkt.Dst.Addr() {
 			continue
 		}
-		if r.Port != 0 && r.Port != k.Dst.Port() && r.Port != k.Src.Port() {
+		if r.Port != 0 && r.Port != pkt.Dst.Port() && r.Port != pkt.Src.Port() {
 			continue
 		}
-		return r.Label
+		return uint32(i) + 1
 	}
-	return "benign"
+	return 0
+}
+
+// fam returns a's family byte. A zone seen for the first time gets the
+// next zoned family.
+func (ft *FlowTable) fam(a netip.Addr) uint8 {
+	switch {
+	case a.Is4():
+		return famV4
+	case !a.IsValid():
+		return famNone
+	}
+	z := a.Zone()
+	if z == "" {
+		return famV6
+	}
+	for i, s := range ft.zones {
+		if s == z {
+			return famZoned + uint8(i)
+		}
+	}
+	if len(ft.zones) > 255-int(famZoned) {
+		panic("netsim: a flow table has seen more than 253 IPv6 zones")
+	}
+	ft.zones = append(ft.zones, z) //simlint:allow allocfree(first sight of an IPv6 zone only; IPv4 and unzoned IPv6 return above)
+	return famZoned + uint8(len(ft.zones)-1)
+}
+
+// sameFam reports whether a, whose 16 bytes match, has family fam.
+func (ft *FlowTable) sameFam(fam uint8, a netip.Addr) bool {
+	switch fam {
+	case famV4:
+		return a.Is4()
+	case famV6:
+		return a.Is6() && a.Zone() == ""
+	case famNone:
+		return !a.IsValid()
+	}
+	return a.Zone() == ft.zones[fam-famZoned]
+}
+
+// addr rebuilds the address stored as b and fam.
+func (ft *FlowTable) addr(b *[16]byte, fam uint8) netip.Addr {
+	switch fam {
+	case famV4:
+		return netip.AddrFrom4([4]byte(b[12:]))
+	case famV6:
+		return netip.AddrFrom16(*b)
+	case famNone:
+		return netip.Addr{}
+	}
+	return netip.AddrFrom16(*b).WithZone(ft.zones[fam-famZoned])
+}
+
+// holds reports whether e is pkt's live flow. It compares in place —
+// ports and protocol, then the addresses — so a hint check builds no
+// key. Between two IPv4 addresses only the low 4 of the 16 bytes can
+// differ.
+func (ft *FlowTable) holds(e *flowEntry, pkt *Packet) bool {
+	k := &e.key
+	if !e.live || k.sport != pkt.Src.Port() || k.dport != pkt.Dst.Port() || k.proto != pkt.Proto {
+		return false
+	}
+	src, dst := pkt.Src.Addr(), pkt.Dst.Addr()
+	if k.sfam == famV4 && k.dfam == famV4 {
+		return src.Is4() && dst.Is4() && src.As4() == [4]byte(k.src[12:]) && dst.As4() == [4]byte(k.dst[12:])
+	}
+	return src.As16() == k.src && dst.As16() == k.dst && ft.sameFam(k.sfam, src) && ft.sameFam(k.dfam, dst)
+}
+
+// keyOf builds pkt's flow key.
+func (ft *FlowTable) keyOf(pkt *Packet) flowKey {
+	return flowKey{
+		src: pkt.Src.Addr().As16(), dst: pkt.Dst.Addr().As16(),
+		sport: pkt.Src.Port(), dport: pkt.Dst.Port(),
+		sfam: ft.fam(pkt.Src.Addr()), dfam: ft.fam(pkt.Dst.Addr()),
+		proto: pkt.Proto,
+	}
 }
 
 // record accounts one packet originated by a node whose flow hint is
-// *hint. This is the hot path: for an established flow it is a key
-// comparison (or, when the hint misses, a map lookup) plus a handful
-// of field updates, with no allocation; only a never-seen flow key
-// pays the slab/index inserts below, bounded by MaxFlows.
+// *hint. This is the hot path: for an established flow it is an
+// in-place comparison with the hinted entry (or, when the hint misses,
+// a map lookup) plus a handful of field updates, with no allocation;
+// only a never-seen flow key pays the slab/index inserts below,
+// bounded by MaxFlows.
 //
 // The hint is the index of the entry the node's previous packet went
 // to. It is trusted only when that entry is live and holds this
-// packet's key: the slot may since have been recycled by a sweep,
+// packet's flow: the slot may since have been recycled by a sweep,
 // evicted, or belong to a table EnableFlows replaced, and then the
-// key check fails and the index map decides. A live entry with the
+// comparison fails and the index map decides. A live entry with the
 // key is the key's only entry, so a hit is always the right flow.
 //
 //simlint:hotpath
 func (ft *FlowTable) record(pkt *Packet, now sim.Time, hint *int32) {
-	k := FlowKey{Src: pkt.Src, Dst: pkt.Dst, Proto: pkt.Proto}
 	i := *hint
-	ok := int(i) < len(ft.entries) && ft.entries[i].live && ft.entries[i].key == k
+	ok := int(i) < len(ft.entries) && ft.holds(&ft.entries[i], pkt)
+	var k flowKey
 	if !ok {
+		k = ft.keyOf(pkt)
 		i, ok = ft.idx[k]
 	}
 	if ok {
@@ -287,7 +382,7 @@ func (ft *FlowTable) record(pkt *Packet, now sim.Time, hint *int32) {
 	if pkt.TCP != nil {
 		e.flags = pkt.TCP.Flags
 	}
-	e.label = ft.labelFor(k)
+	e.label = ft.labelFor(pkt)
 	e.live = true
 	ft.idx[k] = i //simlint:allow allocfree(index insert and order append run once per new flow key, bounded by MaxFlows; the established-flow path above returns before them)
 	ft.order = append(ft.order, i)
@@ -308,44 +403,32 @@ func (ft *FlowTable) evictOldest() {
 		ft.export(e, e.last, obs.FlowEvict)
 		delete(ft.idx, e.key)
 		e.live = false
-		e.label = ""
 		ft.stats.Evicted++
 		return
 	}
 }
 
-// export appends one record for entry e ending at end and flushes the
-// batch when full.
+// export appends one record for entry e ending at end to the table's
+// buffer.
 func (ft *FlowTable) export(e *flowEntry, end sim.Time, reason string) {
-	//simlint:allow allocfree(batch is reused across flushes; it grows to the configured batch size once and then appends into spare capacity)
-	ft.batch = append(ft.batch, obs.FlowRecord{
+	ft.stats.Exported++
+	label := "benign"
+	if e.label > 0 {
+		label = ft.rules[e.label-1].Label
+	}
+	k := &e.key
+	ft.cfg.Sink.Add(obs.FlowRecord{
 		StartUS:  int64(e.start / sim.Microsecond),
 		EndUS:    int64(end / sim.Microsecond),
-		Proto:    e.key.Proto.String(),
-		Src:      e.key.Src,
-		Dst:      e.key.Dst,
+		Proto:    k.proto.String(),
+		Src:      netip.AddrPortFrom(ft.addr(&k.src, k.sfam), k.sport),
+		Dst:      netip.AddrPortFrom(ft.addr(&k.dst, k.dfam), k.dport),
 		Packets:  e.packets,
 		Bytes:    e.bytes,
 		TCPFlags: uint8(e.flags),
-		Label:    e.label,
+		Label:    label,
 		Reason:   reason,
 	})
-	ft.stats.Exported++
-	if len(ft.batch) >= ft.cfg.ExportBatch {
-		ft.flush()
-	}
-}
-
-// flush hands the pending batch to the sink and resets it. The batch
-// slice is reused; the sink contract requires it to copy.
-func (ft *FlowTable) flush() {
-	if len(ft.batch) == 0 {
-		return
-	}
-	if ft.cfg.Sink != nil {
-		ft.cfg.Sink.ExportFlows(ft.batch)
-	}
-	ft.batch = ft.batch[:0]
 }
 
 // sweep is the periodic expiry pass, run by the table's ticker: it
@@ -364,7 +447,6 @@ func (ft *FlowTable) sweep() {
 			ft.export(e, e.last, obs.FlowIdle)
 			delete(ft.idx, e.key)
 			e.live = false
-			e.label = ""
 			ft.freeList = append(ft.freeList, i)
 			continue
 		}
@@ -372,11 +454,10 @@ func (ft *FlowTable) sweep() {
 	}
 	ft.order = live
 	ft.orderHead = 0
-	ft.flush()
 }
 
 // FlushAll closes every live flow with reason "final" (ended at its
-// last activity instant), flushes the sink, and empties the table.
+// last activity instant) and empties the table.
 // Called once when a run finishes.
 func (ft *FlowTable) FlushAll(now sim.Time) {
 	for _, i := range ft.order[ft.orderHead:] {
@@ -386,12 +467,10 @@ func (ft *FlowTable) FlushAll(now sim.Time) {
 		}
 		ft.export(e, e.last, obs.FlowFinal)
 		e.live = false
-		e.label = ""
 	}
 	clear(ft.idx)
 	ft.order = ft.order[:0]
 	ft.orderHead = 0
 	ft.freeList = ft.freeList[:0]
 	ft.entries = ft.entries[:0]
-	ft.flush()
 }

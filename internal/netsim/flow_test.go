@@ -3,6 +3,7 @@ package netsim
 import (
 	"encoding/json"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -363,6 +364,45 @@ func TestFlowExportEdgeEndpoints(t *testing.T) {
 	}
 	if string(stats) != wantStats {
 		t.Errorf("stats:\n%s\nwant:\n%s", stats, wantStats)
+	}
+}
+
+// pointerField names the first part of typ that holds a pointer, or
+// returns "" when typ is pointer-free.
+func pointerField(typ reflect.Type) string {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p := pointerField(f.Type); p != "" {
+				return f.Name + "." + p
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerField(typ.Elem())
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.Slice, reflect.String:
+		return typ.Kind().String()
+	}
+	return ""
+}
+
+// TestFlowTableLayout pins the table's pointer-free layout: the
+// garbage collector never scans the entry slab or the index map, and a
+// live flow costs an 80-byte entry plus a 40-byte key in the map.
+func TestFlowTableLayout(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		size uintptr
+	}{{flowKey{}, 40}, {flowEntry{}, 80}} {
+		typ := reflect.TypeOf(c.v)
+		if f := pointerField(typ); f != "" {
+			t.Errorf("%s holds a pointer in %s; the flow table must be pointer-free", typ.Name(), f)
+		}
+		if typ.Size() != c.size {
+			t.Errorf("unsafe.Sizeof(%s{}) = %d, want %d", typ.Name(), typ.Size(), c.size)
+		}
 	}
 }
 

@@ -29,7 +29,12 @@ var (
 	ErrConnTimeout = errors.New("netsim: connection timed out")
 	ErrConnRefused = errors.New("netsim: connection refused")
 	ErrConnClosed  = errors.New("netsim: connection closed")
+	ErrNoFreePort  = errors.New("netsim: no free ephemeral TCP port")
 )
+
+// ephemeralLow is the first local port DialTCP assigns; the range runs
+// to 65535.
+const ephemeralLow = 32768
 
 type connKey struct {
 	local  netip.AddrPort
@@ -45,6 +50,10 @@ type tcpHost struct {
 	// — scanning was both O(n) per dial and a map-iteration order
 	// hazard on the simulation's hot path.
 	localPorts map[netip.AddrPort]int
+	// portFloor[a] is where the search for local address a's lowest
+	// free ephemeral port starts: every port from ephemeralLow up to,
+	// but not including, it is in use.
+	portFloor map[netip.Addr]uint16
 }
 
 func newTCPHost(n *Node) *tcpHost {
@@ -53,6 +62,7 @@ func newTCPHost(n *Node) *tcpHost {
 		listeners:  make(map[uint16]*TCPListener),
 		conns:      make(map[connKey]*TCPConn),
 		localPorts: make(map[netip.AddrPort]int),
+		portFloor:  make(map[netip.Addr]uint16),
 	}
 }
 
@@ -72,6 +82,10 @@ func (h *tcpHost) removeConn(c *TCPConn) {
 	delete(h.conns, c.key)
 	if h.localPorts[c.key.local] <= 1 {
 		delete(h.localPorts, c.key.local)
+		a, p := c.key.local.Addr(), c.key.local.Port()
+		if p >= ephemeralLow && p < h.portFloor[a] {
+			h.portFloor[a] = p //simlint:allow allocfree(overwrites an existing key: an absent address reads 0, which no port is below; once per connection teardown, never per segment)
+		}
 	} else {
 		h.localPorts[c.key.local]-- //simlint:allow allocfree(decrement of an existing key on per-connection teardown; never grows the map and never runs per segment)
 	}
@@ -157,16 +171,25 @@ type TCPConn struct {
 	closedErr error
 }
 
-// DialTCP opens a connection to dst. The callback fires exactly once:
-// with a nil error when established, or with the failure reason.
+// DialTCP opens a connection to dst. The callback fires exactly once,
+// never inside DialTCP: with a nil error when established, or with the
+// failure reason — ErrNoFreePort when every ephemeral port of the
+// node's address is taken.
 func (n *Node) DialTCP(dst netip.AddrPort, cb DialCallback) *TCPConn {
-	local := n.localAddrPortFor(dst.Addr())
+	local, ok := n.localAddrPortFor(dst.Addr())
 	c := &TCPConn{
 		host:   n.tcp,
 		sched:  n.sched,
 		key:    connKey{local: local, remote: dst},
 		state:  stateSynSent,
 		onDial: cb,
+	}
+	if !ok {
+		c.state, c.closedErr, c.onDial = stateClosed, ErrNoFreePort, nil
+		if cb != nil {
+			n.sched.Schedule(0, func() { cb(c, ErrNoFreePort) })
+		}
+		return c
 	}
 	iss := uint32(n.sched.RNG().Int63())
 	c.sndUna, c.sndNxt, c.finAt = iss, iss+1, 0
@@ -176,19 +199,25 @@ func (n *Node) DialTCP(dst netip.AddrPort, cb DialCallback) *TCPConn {
 	return c
 }
 
-func (n *Node) localAddrPortFor(dst netip.Addr) netip.AddrPort {
+// localAddrPortFor picks a dial's local endpoint: the node's address of
+// dst's family and its lowest free port from ephemeralLow to 65535. ok
+// is false when all of them are in use.
+func (n *Node) localAddrPortFor(dst netip.Addr) (ap netip.AddrPort, ok bool) {
 	var a netip.Addr
 	if dst.Is6() {
 		a = n.Addr6()
 	} else {
 		a = n.Addr4()
 	}
-	for p := uint16(32768); ; p++ {
-		candidate := netip.AddrPortFrom(a, p)
-		if n.tcp.localPorts[candidate] == 0 {
-			return candidate
+	h := n.tcp
+	for p := max(int(h.portFloor[a]), ephemeralLow); p <= 65535; p++ {
+		candidate := netip.AddrPortFrom(a, uint16(p))
+		if h.localPorts[candidate] == 0 {
+			h.portFloor[a] = uint16(p)
+			return candidate, true
 		}
 	}
+	return netip.AddrPort{}, false
 }
 
 // LocalAddr reports the connection's local endpoint.

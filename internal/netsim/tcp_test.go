@@ -153,6 +153,37 @@ func TestTCPDialTimeoutWhenPeerDown(t *testing.T) {
 	}
 }
 
+// TestTCPDialFailsWhenEphemeralPortsRunOut: 32,768 dials in SynSent
+// hold every port from 32768 to 65535, lowest first, so the next dial
+// gets no local port; it fails through its callback instead of
+// wrapping into 0–32767.
+func TestTCPDialFailsWhenEphemeralPortsRunOut(t *testing.T) {
+	sched, client, server, _ := tcpPair(t)
+	dst := netip.AddrPortFrom(server.Addr4(), 23)
+	for i := 0; i < 32768; i++ {
+		c := client.DialTCP(dst, nil)
+		if got, want := c.LocalAddr().Port(), uint16(32768+i); got != want {
+			t.Fatalf("dial %d: local port %d, want %d", i, got, want)
+		}
+	}
+	var dialErr error
+	calls := 0
+	c := client.DialTCP(dst, func(_ *TCPConn, err error) { dialErr, calls = err, calls+1 })
+	if calls != 0 {
+		t.Fatal("dial callback ran inside DialTCP")
+	}
+	if err := sched.Run(sched.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 || !errors.Is(dialErr, ErrNoFreePort) {
+		t.Fatalf("dial %d: callback ran %d times with %v, want once with ErrNoFreePort (local %v)",
+			32769, calls, dialErr, c.LocalAddr())
+	}
+	if err := c.Send([]byte("x")); !errors.Is(err, ErrConnClosed) {
+		t.Fatalf("send on the failed dial: %v, want ErrConnClosed", err)
+	}
+}
+
 func TestTCPGracefulClose(t *testing.T) {
 	sched, client, server, _ := tcpPair(t)
 

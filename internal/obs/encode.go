@@ -80,40 +80,29 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// addrPort appends p as fmt's %s renders it. That is AppendTo's text,
-// except for the zero AddrPort, which String spells out and AppendTo
-// leaves empty.
-func (e *enc) addrPort(p netip.AddrPort) {
+// appendAddrPort appends p as fmt's %s renders it. That is AppendTo's
+// text, except for an invalid address, which String spells out and
+// AppendTo leaves empty.
+func appendAddrPort(b []byte, p netip.AddrPort) []byte {
 	if !p.Addr().IsValid() {
-		e.raw("invalid AddrPort")
-		return
+		return append(b, "invalid AddrPort"...)
 	}
-	e.buf = p.AppendTo(e.buf)
+	return p.AppendTo(b)
 }
 
-// jsonAddrPort appends p's %s text as a JSON string. Addresses and ports
-// render as plain ASCII; only an IPv6 zone can need escaping.
-func (e *enc) jsonAddrPort(p netip.AddrPort) {
-	if p.Addr().Zone() != "" {
-		e.str(p.String())
-		return
-	}
-	e.raw(`"`)
-	e.addrPort(p)
-	e.raw(`"`)
-}
-
-// jsonStrs is a tracer's string table JSON-encoded for one export. Each
-// distinct string is scanned and escaped once; a record that names it
-// copies the bytes. String id i encodes as blob[off[i]:off[i+1]].
-type jsonStrs struct {
+// strTable is a table of strings rendered once for one export: each
+// distinct string is scanned and escaped once, and a record that names
+// it copies the bytes. Id i renders as blob[off[i]:off[i+1]]. strs holds
+// the source strings when the table is a tracer's string table.
+type strTable struct {
 	strs []string
 	blob []byte
 	off  []uint32
 }
 
-func encodeStrs(strs []string) *jsonStrs {
-	js := &jsonStrs{strs: strs, off: make([]uint32, 1, len(strs)+1)}
+// encodeStrs JSON-encodes a string table.
+func encodeStrs(strs []string) *strTable {
+	js := &strTable{strs: strs, off: make([]uint32, 1, len(strs)+1)}
 	for _, s := range strs {
 		js.blob = appendJSONString(js.blob, s)
 		js.off = append(js.off, uint32(len(js.blob)))
@@ -121,8 +110,8 @@ func encodeStrs(strs []string) *jsonStrs {
 	return js
 }
 
-// id appends the JSON encoding of string id.
-func (e *enc) id(js *jsonStrs, id uint32) {
+// id appends the rendering of string id.
+func (e *enc) id(js *strTable, id uint32) {
 	e.buf = append(e.buf, js.blob[js.off[id]:js.off[id+1]]...)
 }
 
@@ -133,7 +122,7 @@ func (e *enc) id(js *jsonStrs, id uint32) {
 // indices, on the stack for the handful of annotations an entry
 // carries. The table holds each string once, so equal keys have equal
 // ids.
-func (e *enc) args(js *jsonStrs, pairs []uint32) {
+func (e *enc) args(js *strTable, pairs []uint32) {
 	n := len(pairs) / 2
 	if n == 0 {
 		return

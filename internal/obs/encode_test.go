@@ -43,10 +43,10 @@ func exportFixture(n int) (*Tracer, *FlowBuffer, *Windows) {
 	src := netip.MustParseAddrPort("10.0.3.7:40000")
 	dst := netip.MustParseAddrPort("10.0.0.1:9999")
 	for i := 0; i < n; i++ {
-		fb.ExportFlows([]FlowRecord{{
+		fb.Add(FlowRecord{
 			StartUS: int64(i) * 1000, EndUS: int64(i)*1000 + 999, Proto: "udp",
 			Src: src, Dst: dst, Packets: 12, Bytes: 6000, Label: "attack", Reason: FlowIdle,
-		}})
+		})
 	}
 	w := NewWindows(sim.Second)
 	tx := 0.0
@@ -164,11 +164,9 @@ func FuzzTraceExport(f *testing.F) {
 		tr.CloseOpenSpans(9 * sim.Second)
 
 		fb := &FlowBuffer{}
-		fb.ExportFlows([]FlowRecord{
-			{StartUS: 1, EndUS: 2, Proto: cat, Src: endpoint(src), Dst: endpoint(dst),
-				Packets: 3, Bytes: 4, TCPFlags: 0x12, Label: key, Reason: val},
-			{Proto: name, Src: endpoint(dst), Label: name},
-		})
+		fb.Add(FlowRecord{StartUS: 1, EndUS: 2, Proto: cat, Src: endpoint(src), Dst: endpoint(dst),
+			Packets: 3, Bytes: 4, TCPFlags: 0x12, Label: key, Reason: val})
+		fb.Add(FlowRecord{Proto: name, Src: endpoint(dst), Label: name})
 
 		w := NewWindows(sim.Second)
 		w.Column(name, func() float64 { return 0.25 })
@@ -313,7 +311,7 @@ func refFlowCSV(b *FlowBuffer) []byte {
 	var sb strings.Builder
 	sb.WriteString(FlowCSVHeader)
 	sb.WriteByte('\n')
-	for _, r := range b.recs {
+	for _, r := range b.Records() {
 		fmt.Fprintf(&sb, "%d,%d,%s,%s,%s,%d,%d,%d,%s,%s\n",
 			r.StartUS, r.EndUS, r.Proto, r.Src, r.Dst,
 			r.Packets, r.Bytes, r.TCPFlags, r.Label, r.Reason)
@@ -337,7 +335,7 @@ type refFlowJSON struct {
 func refFlowJSONL(b *FlowBuffer) []byte {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	for _, r := range b.recs {
+	for _, r := range b.Records() {
 		row := refFlowJSON{
 			StartUS: r.StartUS, EndUS: r.EndUS, Proto: r.Proto,
 			Src: r.Src.String(), Dst: r.Dst.String(),

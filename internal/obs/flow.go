@@ -40,57 +40,157 @@ type FlowRecord struct {
 	Reason   string
 }
 
-// FlowSink receives batches of exported flow records. The batch slice
-// is owned by the exporter and reused: implementations must copy what
-// they keep and must not retain the slice.
-type FlowSink interface {
-	ExportFlows(batch []FlowRecord)
+// flowChunk is the number of rows in one chunk of a FlowBuffer.
+const flowChunk = 1024
+
+// flowRow is one stored record. It holds no pointers, so the garbage
+// collector never scans a buffer's rows: the endpoints are ids in the
+// buffer's endpoint table, and proto, label and reason are ids in its
+// string table.
+type flowRow struct {
+	startUS, endUS       int64
+	packets, bytes       uint64
+	src, dst             uint32
+	proto, label, reason uint16
+	flags                uint8
 }
 
-// FlowBuffer is the standard FlowSink: it accumulates copies of every
-// exported record in export order and renders them as a CSV or JSONL
-// dataset artifact. Export order is deterministic, so two same-seed
-// runs write byte-identical artifacts. All methods are nil-safe.
+// flowEndpoint is an endpoint stored without pointers: its address's
+// 16 bytes, its family (4, 6, or 0 for the zero Addr), its port and,
+// for a zoned IPv6 address, the zone's id in the string table.
+type flowEndpoint struct {
+	addr  [16]byte
+	port  uint16
+	zone  uint16
+	fam   uint8
+	zoned bool
+}
+
+// FlowBuffer is the flow dataset of a run: it keeps every exported
+// record in export order and renders them as a CSV or JSONL artifact.
+// Export order is deterministic, so two same-seed runs write
+// byte-identical artifacts. Rows live in fixed-size chunks, so growth
+// never copies the dataset. All methods are nil-safe.
 type FlowBuffer struct {
-	recs    []FlowRecord
-	batches int
+	chunks []*[flowChunk]flowRow
+	n      int
+
+	// The endpoint and string tables: each distinct endpoint and
+	// string is stored once, and rows refer to it by id.
+	eps    []flowEndpoint
+	epIDs  map[flowEndpoint]uint32
+	strs   []string
+	strIDs map[string]uint16
 }
 
-var _ FlowSink = (*FlowBuffer)(nil)
-
-// ExportFlows implements FlowSink by copying the batch.
-func (b *FlowBuffer) ExportFlows(batch []FlowRecord) {
+// Add appends a copy of r. A nil buffer drops it. Add panics if the
+// buffer would hold more than 65,536 distinct strings: protocols,
+// labels, reasons and IPv6 zones together.
+func (b *FlowBuffer) Add(r FlowRecord) {
 	if b == nil {
 		return
 	}
-	b.recs = append(b.recs, batch...) //simlint:allow allocfree(dataset sink: amortized growth once per flushed batch, not per packet; record hits between flushes touch only the flow table)
-	b.batches++
+	if b.n%flowChunk == 0 {
+		b.chunks = append(b.chunks, new([flowChunk]flowRow)) //simlint:allow allocfree(one pointer-free chunk per 1024 exported records, never per packet; growth never copies rows)
+	}
+	b.chunks[b.n/flowChunk][b.n%flowChunk] = flowRow{
+		startUS: r.StartUS, endUS: r.EndUS,
+		packets: r.Packets, bytes: r.Bytes,
+		src: b.endpoint(r.Src), dst: b.endpoint(r.Dst),
+		proto: b.str(r.Proto), label: b.str(r.Label), reason: b.str(r.Reason),
+		flags: r.TCPFlags,
+	}
+	b.n++
 }
+
+// str returns s's id in the string table, adding s on first sight.
+func (b *FlowBuffer) str(s string) uint16 {
+	if id, ok := b.strIDs[s]; ok {
+		return id
+	}
+	if len(b.strs) > 1<<16-1 {
+		panic("obs: a flow buffer holds more than 65536 distinct strings")
+	}
+	if b.strIDs == nil {
+		b.strIDs = make(map[string]uint16) //simlint:allow allocfree(once per buffer)
+	}
+	id := uint16(len(b.strs))
+	b.strs = append(b.strs, s) //simlint:allow allocfree(first sight of a string only: a run names two protocols, a few labels and four reasons)
+	b.strIDs[s] = id           //simlint:allow allocfree(first sight of a string only: a run names two protocols, a few labels and four reasons)
+	return id
+}
+
+// endpoint returns p's id in the endpoint table, adding p on first
+// sight.
+func (b *FlowBuffer) endpoint(p netip.AddrPort) uint32 {
+	a := p.Addr()
+	ep := flowEndpoint{addr: a.As16(), port: p.Port()}
+	switch {
+	case a.Is4():
+		ep.fam = 4
+	case a.Is6():
+		ep.fam = 6
+		if z := a.Zone(); z != "" {
+			ep.zone, ep.zoned = b.str(z), true
+		}
+	}
+	if id, ok := b.epIDs[ep]; ok {
+		return id
+	}
+	if b.epIDs == nil {
+		b.epIDs = make(map[flowEndpoint]uint32) //simlint:allow allocfree(once per buffer)
+	}
+	id := uint32(len(b.eps))
+	b.eps = append(b.eps, ep) //simlint:allow allocfree(first sight of an endpoint only, once per exported record at most, never per packet)
+	b.epIDs[ep] = id          //simlint:allow allocfree(first sight of an endpoint only, once per exported record at most, never per packet)
+	return id
+}
+
+// addrPort rebuilds endpoint ep.
+func (b *FlowBuffer) addrPort(ep *flowEndpoint) netip.AddrPort {
+	var a netip.Addr
+	switch ep.fam {
+	case 4:
+		a = netip.AddrFrom4([4]byte(ep.addr[12:]))
+	case 6:
+		a = netip.AddrFrom16(ep.addr)
+		if ep.zoned {
+			a = a.WithZone(b.strs[ep.zone])
+		}
+	}
+	return netip.AddrPortFrom(a, ep.port)
+}
+
+// row returns the i-th stored row.
+func (b *FlowBuffer) row(i int) *flowRow { return &b.chunks[i/flowChunk][i%flowChunk] }
 
 // Len reports how many records were exported.
 func (b *FlowBuffer) Len() int {
 	if b == nil {
 		return 0
 	}
-	return len(b.recs)
+	return b.n
 }
 
-// Batches reports how many export batches arrived — exporters batch
-// records, so this stays well under Len.
-func (b *FlowBuffer) Batches() int {
-	if b == nil {
-		return 0
-	}
-	return b.batches
-}
-
-// Records returns the accumulated records in export order. The slice
-// is shared; callers must not mutate it.
+// Records returns a copy of the stored records in export order.
 func (b *FlowBuffer) Records() []FlowRecord {
 	if b == nil {
 		return nil
 	}
-	return b.recs
+	eps := make([]netip.AddrPort, len(b.eps))
+	for i := range b.eps {
+		eps[i] = b.addrPort(&b.eps[i])
+	}
+	out := make([]FlowRecord, b.n)
+	for i := range out {
+		r := b.row(i)
+		out[i] = FlowRecord{
+			StartUS: r.startUS, EndUS: r.endUS, Proto: b.strs[r.proto],
+			Src: eps[r.src], Dst: eps[r.dst], Packets: r.packets, Bytes: r.bytes,
+			TCPFlags: r.flags, Label: b.strs[r.label], Reason: b.strs[r.reason],
+		}
+	}
+	return out
 }
 
 // FlowStats condenses a flow dataset for reports.
@@ -116,23 +216,22 @@ func (b *FlowBuffer) Stats() FlowStats {
 	if b == nil {
 		return s
 	}
-	byLabel := make(map[string]*FlowLabelStat)
-	for i := range b.recs {
-		r := &b.recs[i]
+	byLabel := make([]FlowLabelStat, len(b.strs)) // by string id
+	for i := 0; i < b.n; i++ {
+		r := b.row(i)
 		s.Flows++
-		s.Packets += r.Packets
-		s.Bytes += r.Bytes
-		ls := byLabel[r.Label]
-		if ls == nil {
-			ls = &FlowLabelStat{Label: r.Label}
-			byLabel[r.Label] = ls
-		}
+		s.Packets += r.packets
+		s.Bytes += r.bytes
+		ls := &byLabel[r.label]
 		ls.Flows++
-		ls.Packets += r.Packets
-		ls.Bytes += r.Bytes
+		ls.Packets += r.packets
+		ls.Bytes += r.bytes
 	}
-	for _, ls := range byLabel {
-		s.Labels = append(s.Labels, *ls)
+	for id, ls := range byLabel {
+		if ls.Flows > 0 {
+			ls.Label = b.strs[id]
+			s.Labels = append(s.Labels, ls)
+		}
 	}
 	sort.Slice(s.Labels, func(i, j int) bool { return s.Labels[i].Label < s.Labels[j].Label })
 	return s
@@ -141,33 +240,77 @@ func (b *FlowBuffer) Stats() FlowStats {
 // FlowCSVHeader is the first line of the CSV artifact.
 const FlowCSVHeader = "start_us,end_us,proto,src,dst,packets,bytes,tcp_flags,label,reason"
 
+// endpointTexts renders every endpoint's text once for one export, as
+// fmt's %s renders a netip.AddrPort, JSON-quoted when json is set. The
+// text is sized from each endpoint's family up front, so the table
+// never grows while it is built.
+func (b *FlowBuffer) endpointTexts(json bool) *strTable {
+	size := 0
+	for i := range b.eps {
+		ep := &b.eps[i]
+		switch {
+		case ep.fam == 4:
+			size += len("255.255.255.255:65535")
+		case ep.fam == 0:
+			size += len("invalid AddrPort")
+		default: // [v6%zone]:port, each zone byte escaping to at most 6
+			size += len("[ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff%]:65535")
+			if ep.zoned {
+				size += 6 * len(b.strs[ep.zone])
+			}
+		}
+		if json {
+			size += 2
+		}
+	}
+	t := &strTable{blob: make([]byte, 0, size), off: make([]uint32, 1, len(b.eps)+1)}
+	for i := range b.eps {
+		p := b.addrPort(&b.eps[i])
+		switch {
+		case !json:
+			t.blob = appendAddrPort(t.blob, p)
+		case b.eps[i].zoned: // only a zone can need escaping
+			t.blob = appendJSONString(t.blob, p.String())
+		default:
+			t.blob = append(t.blob, '"')
+			t.blob = appendAddrPort(t.blob, p)
+			t.blob = append(t.blob, '"')
+		}
+		t.off = append(t.off, uint32(len(t.blob)))
+	}
+	return t
+}
+
 // WriteCSV renders the dataset as CSV, one record per line, in export
 // order. Fields are written verbatim, endpoints as ip:port.
 func (b *FlowBuffer) WriteCSV(w io.Writer) error {
 	e := newEnc(w)
 	e.raw(FlowCSVHeader + "\n")
-	recs := b.Records()
-	for i := range recs {
-		r := &recs[i]
-		e.int(r.StartUS)
+	if b == nil {
+		return e.flush()
+	}
+	eps := b.endpointTexts(false)
+	for i := 0; i < b.n; i++ {
+		r := b.row(i)
+		e.int(r.startUS)
 		e.raw(",")
-		e.int(r.EndUS)
+		e.int(r.endUS)
 		e.raw(",")
-		e.raw(r.Proto)
+		e.raw(b.strs[r.proto])
 		e.raw(",")
-		e.addrPort(r.Src)
+		e.id(eps, r.src)
 		e.raw(",")
-		e.addrPort(r.Dst)
+		e.id(eps, r.dst)
 		e.raw(",")
-		e.uint(r.Packets)
+		e.uint(r.packets)
 		e.raw(",")
-		e.uint(r.Bytes)
+		e.uint(r.bytes)
 		e.raw(",")
-		e.uint(uint64(r.TCPFlags))
+		e.uint(uint64(r.flags))
 		e.raw(",")
-		e.raw(r.Label)
+		e.raw(b.strs[r.label])
 		e.raw(",")
-		e.raw(r.Reason)
+		e.raw(b.strs[r.reason])
 		e.raw("\n")
 		if err := e.endRecord(); err != nil {
 			return err
@@ -180,29 +323,33 @@ func (b *FlowBuffer) WriteCSV(w io.Writer) error {
 // in export order, with the CSV's columns as keys in the CSV's order.
 func (b *FlowBuffer) WriteJSONL(w io.Writer) error {
 	e := newEnc(w)
-	recs := b.Records()
-	for i := range recs {
-		r := &recs[i]
+	if b == nil {
+		return e.flush()
+	}
+	eps := b.endpointTexts(true)
+	js := encodeStrs(b.strs)
+	for i := 0; i < b.n; i++ {
+		r := b.row(i)
 		e.raw(`{"start_us":`)
-		e.int(r.StartUS)
+		e.int(r.startUS)
 		e.raw(`,"end_us":`)
-		e.int(r.EndUS)
+		e.int(r.endUS)
 		e.raw(`,"proto":`)
-		e.str(r.Proto)
+		e.id(js, uint32(r.proto))
 		e.raw(`,"src":`)
-		e.jsonAddrPort(r.Src)
+		e.id(eps, r.src)
 		e.raw(`,"dst":`)
-		e.jsonAddrPort(r.Dst)
+		e.id(eps, r.dst)
 		e.raw(`,"packets":`)
-		e.uint(r.Packets)
+		e.uint(r.packets)
 		e.raw(`,"bytes":`)
-		e.uint(r.Bytes)
+		e.uint(r.bytes)
 		e.raw(`,"tcp_flags":`)
-		e.uint(uint64(r.TCPFlags))
+		e.uint(uint64(r.flags))
 		e.raw(`,"label":`)
-		e.str(r.Label)
+		e.id(js, uint32(r.label))
 		e.raw(`,"reason":`)
-		e.str(r.Reason)
+		e.id(js, uint32(r.reason))
 		e.raw("}\n")
 		if err := e.endRecord(); err != nil {
 			return err

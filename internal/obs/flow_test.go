@@ -2,6 +2,7 @@ package obs
 
 import (
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -15,28 +16,33 @@ func mkRec(startUS, endUS int64, label string, pkts, bytes uint64) FlowRecord {
 	}
 }
 
+// TestFlowBufferAccumulatesCopies: Add keeps a copy of each record, in
+// order, so a caller may reuse its record value.
 func TestFlowBufferAccumulatesCopies(t *testing.T) {
 	var b FlowBuffer
-	batch := []FlowRecord{mkRec(0, 10, "benign", 1, 100), mkRec(5, 20, "attack", 2, 200)}
-	b.ExportFlows(batch)
-	batch[0].Packets = 99 // sink must have copied
-	b.ExportFlows(batch[:1])
+	r := mkRec(0, 10, "benign", 1, 100)
+	b.Add(r)
+	r.Packets, r.Label = 99, "attack" // the buffer must have copied
+	b.Add(r)
+	b.Add(mkRec(5, 20, "attack", 2, 200))
 
-	if b.Len() != 3 || b.Batches() != 2 {
-		t.Fatalf("len=%d batches=%d, want 3/2", b.Len(), b.Batches())
+	recs := b.Records()
+	if b.Len() != 3 || len(recs) != 3 {
+		t.Fatalf("len=%d records=%d, want 3/3", b.Len(), len(recs))
 	}
-	if b.Records()[0].Packets != 1 {
-		t.Fatalf("buffer aliases the exporter batch: %+v", b.Records()[0])
+	if recs[0] != mkRec(0, 10, "benign", 1, 100) {
+		t.Fatalf("first record changed after Add: %+v", recs[0])
+	}
+	if recs[1].Packets != 99 || recs[1].Label != "attack" || recs[2].StartUS != 5 {
+		t.Fatalf("records out of order: %+v", recs)
 	}
 }
 
 func TestFlowBufferStats(t *testing.T) {
 	var b FlowBuffer
-	b.ExportFlows([]FlowRecord{
-		mkRec(0, 10, "benign", 1, 100),
-		mkRec(0, 10, "attack", 4, 400),
-		mkRec(0, 10, "attack", 6, 600),
-	})
+	b.Add(mkRec(0, 10, "benign", 1, 100))
+	b.Add(mkRec(0, 10, "attack", 4, 400))
+	b.Add(mkRec(0, 10, "attack", 6, 600))
 	s := b.Stats()
 	if s.Flows != 3 || s.Packets != 11 || s.Bytes != 1100 {
 		t.Fatalf("stats %+v", s)
@@ -51,7 +57,7 @@ func TestFlowBufferStats(t *testing.T) {
 
 func TestFlowBufferWriteCSV(t *testing.T) {
 	var b FlowBuffer
-	b.ExportFlows([]FlowRecord{mkRec(1_000_000, 2_000_000, "attack", 3, 300)})
+	b.Add(mkRec(1_000_000, 2_000_000, "attack", 3, 300))
 	var sb strings.Builder
 	if err := b.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
@@ -65,7 +71,7 @@ func TestFlowBufferWriteCSV(t *testing.T) {
 
 func TestFlowBufferWriteJSONL(t *testing.T) {
 	var b FlowBuffer
-	b.ExportFlows([]FlowRecord{mkRec(0, 10, "benign", 1, 64)})
+	b.Add(mkRec(0, 10, "benign", 1, 64))
 	var sb strings.Builder
 	if err := b.WriteJSONL(&sb); err != nil {
 		t.Fatal(err)
@@ -78,8 +84,8 @@ func TestFlowBufferWriteJSONL(t *testing.T) {
 
 func TestFlowBufferNilSafe(t *testing.T) {
 	var b *FlowBuffer
-	b.ExportFlows([]FlowRecord{mkRec(0, 1, "x", 1, 1)})
-	if b.Len() != 0 || b.Batches() != 0 || b.Records() != nil {
+	b.Add(mkRec(0, 1, "x", 1, 1))
+	if b.Len() != 0 || b.Records() != nil {
 		t.Fatal("nil buffer should be inert")
 	}
 	if s := b.Stats(); s.Flows != 0 {
@@ -94,5 +100,24 @@ func TestFlowBufferNilSafe(t *testing.T) {
 	}
 	if err := b.WriteJSONL(&sb); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFlowBufferLayout pins the buffer's pointer-free layout: the
+// garbage collector never scans its rows or its endpoint table, and a
+// record costs a 48-byte row (FlowRecord is 152 bytes with five
+// pointers).
+func TestFlowBufferLayout(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		size uintptr
+	}{{flowRow{}, 48}, {flowEndpoint{}, 22}, {[flowChunk]flowRow{}, 48 * flowChunk}} {
+		typ := reflect.TypeOf(c.v)
+		if f := pointerField(typ); f != "" {
+			t.Errorf("%s holds a pointer in %s; flow storage must be pointer-free", typ, f)
+		}
+		if typ.Size() != c.size {
+			t.Errorf("unsafe.Sizeof(%s{}) = %d, want %d", typ, typ.Size(), c.size)
+		}
 	}
 }

@@ -193,3 +193,21 @@ func TestParseResponseHead(t *testing.T) {
 		t.Fatal("500 not flagged")
 	}
 }
+
+// FuzzParseURL feeds hostile URLs to ParseURL, which parses the URLs
+// in shell commands such as the infection script's download. An
+// accepted URL, rebuilt from its endpoint and path, must parse to the
+// same endpoint and path.
+func FuzzParseURL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, url string) {
+		ap, path, err := ParseURL(url)
+		if err != nil {
+			return
+		}
+		again := "http://" + ap.String() + path
+		ap2, path2, err := ParseURL(again)
+		if err != nil || ap2 != ap || path2 != path {
+			t.Fatalf("ParseURL(%q) = %v %q, but its rebuild %q gives %v %q %v", url, ap, path, again, ap2, path2, err)
+		}
+	})
+}
