@@ -26,12 +26,12 @@ var srcFlows = sim.NewSource("net.flows")
 //
 // The table is allocation-free in steady state and holds no pointers:
 // entries live in a flat slice recycled through a free list, keyed by
-// a flowKey that stores each address as its 16 bytes and a family
-// byte, and the only hot-path map operation is a lookup on that key —
-// usually skipped, because each node remembers the entry its last
-// packet went to (see record). Expiry is driven by the event kernel (a
-// sweep ticker), so export timing — and therefore every exported byte
-// — is a pure function of the run.
+// a flowKey of two packed obs.Endpoints, and the only hot-path map
+// operation is a lookup on that key — usually skipped, because each
+// node remembers the entry its last packet went to (see record).
+// Expiry is driven by the event kernel (a sweep ticker), so export
+// timing — and therefore every exported byte — is a pure function of
+// the run.
 
 // FlowLabelRule assigns a ground-truth label to new flows. A rule
 // matches when every set field does: Endpoint (if valid) must equal
@@ -83,24 +83,13 @@ func (c *FlowConfig) normalize() {
 	}
 }
 
-// Address families of a flowKey address. An IPv6 address with a zone
-// is famZoned plus the zone's index in the table's zone list.
-const (
-	famNone  uint8 = iota // the zero Addr
-	famV4                 // IPv4
-	famV6                 // IPv6 without a zone, IPv4-mapped included
-	famZoned              // first zoned IPv6 family
-)
-
-// flowKey identifies a flow without pointers: each address as its 16
-// bytes (As16) and a family byte, both ports and the protocol. Unlike
-// FlowKey's netip.AddrPorts, it keeps the index map and the entries
-// out of the garbage collector's scan.
+// flowKey identifies a flow without pointers: both endpoints packed
+// by the table's zones, and the protocol. Unlike FlowKey's
+// netip.AddrPorts, it keeps the index map and the entries out of the
+// garbage collector's scan.
 type flowKey struct {
-	src, dst     [16]byte
-	sport, dport uint16
-	sfam, dfam   uint8
-	proto        Protocol
+	src, dst obs.Endpoint
+	proto    Protocol
 }
 
 // flowEntry is one live (or free) slot in the flat entry table.
@@ -124,8 +113,8 @@ type FlowTableStats struct {
 
 // FlowTable is the per-network flow accountant. It is not safe for
 // concurrent use; like the rest of the simulator it runs on the
-// event-kernel thread. A table tells up to 253 IPv6 zones apart and
-// panics on a packet with a 254th.
+// event-kernel thread. It keys flows by endpoints its buffer's Zones
+// pack (see obs.Zones for the limit on IPv6 zones).
 type FlowTable struct {
 	sched *sim.Scheduler
 	cfg   FlowConfig
@@ -144,9 +133,7 @@ type FlowTable struct {
 	orderHead int
 
 	rules []FlowLabelRule
-	// zones lists the IPv6 zones the table has seen, in first-seen
-	// order; a zoned address's family byte indexes it.
-	zones []string
+	zones *obs.Zones
 
 	sweeper *sim.Ticker
 	stats   FlowTableStats
@@ -158,6 +145,7 @@ func newFlowTable(sched *sim.Scheduler, cfg FlowConfig) *FlowTable {
 		sched: sched,
 		cfg:   cfg,
 		idx:   make(map[flowKey]int32, cfg.MaxFlows/4),
+		zones: cfg.Sink.Zones(),
 	}
 }
 
@@ -244,81 +232,9 @@ func (ft *FlowTable) labelFor(pkt *Packet) uint32 {
 	return 0
 }
 
-// fam returns a's family byte. A zone seen for the first time gets the
-// next zoned family.
-func (ft *FlowTable) fam(a netip.Addr) uint8 {
-	switch {
-	case a.Is4():
-		return famV4
-	case !a.IsValid():
-		return famNone
-	}
-	z := a.Zone()
-	if z == "" {
-		return famV6
-	}
-	for i, s := range ft.zones {
-		if s == z {
-			return famZoned + uint8(i)
-		}
-	}
-	if len(ft.zones) > 255-int(famZoned) {
-		panic("netsim: a flow table has seen more than 253 IPv6 zones")
-	}
-	ft.zones = append(ft.zones, z) //simlint:allow allocfree(first sight of an IPv6 zone only; IPv4 and unzoned IPv6 return above)
-	return famZoned + uint8(len(ft.zones)-1)
-}
-
-// sameFam reports whether a, whose 16 bytes match, has family fam.
-func (ft *FlowTable) sameFam(fam uint8, a netip.Addr) bool {
-	switch fam {
-	case famV4:
-		return a.Is4()
-	case famV6:
-		return a.Is6() && a.Zone() == ""
-	case famNone:
-		return !a.IsValid()
-	}
-	return a.Zone() == ft.zones[fam-famZoned]
-}
-
-// addr rebuilds the address stored as b and fam.
-func (ft *FlowTable) addr(b *[16]byte, fam uint8) netip.Addr {
-	switch fam {
-	case famV4:
-		return netip.AddrFrom4([4]byte(b[12:]))
-	case famV6:
-		return netip.AddrFrom16(*b)
-	case famNone:
-		return netip.Addr{}
-	}
-	return netip.AddrFrom16(*b).WithZone(ft.zones[fam-famZoned])
-}
-
-// holds reports whether e is pkt's live flow. It compares in place —
-// ports and protocol, then the addresses — so a hint check builds no
-// key. Between two IPv4 addresses only the low 4 of the 16 bytes can
-// differ.
-func (ft *FlowTable) holds(e *flowEntry, pkt *Packet) bool {
-	k := &e.key
-	if !e.live || k.sport != pkt.Src.Port() || k.dport != pkt.Dst.Port() || k.proto != pkt.Proto {
-		return false
-	}
-	src, dst := pkt.Src.Addr(), pkt.Dst.Addr()
-	if k.sfam == famV4 && k.dfam == famV4 {
-		return src.Is4() && dst.Is4() && src.As4() == [4]byte(k.src[12:]) && dst.As4() == [4]byte(k.dst[12:])
-	}
-	return src.As16() == k.src && dst.As16() == k.dst && ft.sameFam(k.sfam, src) && ft.sameFam(k.dfam, dst)
-}
-
 // keyOf builds pkt's flow key.
 func (ft *FlowTable) keyOf(pkt *Packet) flowKey {
-	return flowKey{
-		src: pkt.Src.Addr().As16(), dst: pkt.Dst.Addr().As16(),
-		sport: pkt.Src.Port(), dport: pkt.Dst.Port(),
-		sfam: ft.fam(pkt.Src.Addr()), dfam: ft.fam(pkt.Dst.Addr()),
-		proto: pkt.Proto,
-	}
+	return flowKey{src: ft.zones.Pack(pkt.Src), dst: ft.zones.Pack(pkt.Dst), proto: pkt.Proto}
 }
 
 // record accounts one packet originated by a node whose flow hint is
@@ -338,7 +254,13 @@ func (ft *FlowTable) keyOf(pkt *Packet) flowKey {
 //simlint:hotpath
 func (ft *FlowTable) record(pkt *Packet, now sim.Time, hint *int32) {
 	i := *hint
-	ok := int(i) < len(ft.entries) && ft.holds(&ft.entries[i], pkt)
+	ok := false
+	if int(i) < len(ft.entries) {
+		// Compare in place — protocol, ports, then addresses — so a
+		// hint hit builds no key.
+		e := &ft.entries[i]
+		ok = e.live && e.key.proto == pkt.Proto && ft.zones.Holds(&e.key.src, &e.key.dst, &pkt.Src, &pkt.Dst)
+	}
 	var k flowKey
 	if !ok {
 		k = ft.keyOf(pkt)
@@ -416,18 +338,11 @@ func (ft *FlowTable) export(e *flowEntry, end sim.Time, reason string) {
 	if e.label > 0 {
 		label = ft.rules[e.label-1].Label
 	}
-	k := &e.key
-	ft.cfg.Sink.Add(obs.FlowRecord{
-		StartUS:  int64(e.start / sim.Microsecond),
-		EndUS:    int64(end / sim.Microsecond),
-		Proto:    k.proto.String(),
-		Src:      netip.AddrPortFrom(ft.addr(&k.src, k.sfam), k.sport),
-		Dst:      netip.AddrPortFrom(ft.addr(&k.dst, k.dfam), k.dport),
-		Packets:  e.packets,
-		Bytes:    e.bytes,
-		TCPFlags: uint8(e.flags),
-		Label:    label,
-		Reason:   reason,
+	ft.cfg.Sink.Add(obs.Flow{
+		StartUS: int64(e.start / sim.Microsecond), EndUS: int64(end / sim.Microsecond),
+		Packets: e.packets, Bytes: e.bytes,
+		Src: e.key.src, Dst: e.key.dst, TCPFlags: uint8(e.flags),
+		Proto: e.key.proto.String(), Label: label, Reason: reason,
 	})
 }
 

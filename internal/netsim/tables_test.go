@@ -131,7 +131,8 @@ func TestFlowHintSlotRecycledBySweep(t *testing.T) {
 	a.SendPadded(x, nil, 64)
 	runTo(t, sched, 5*sim.Second) // a>x goes idle; its slot returns to the free list
 	b.SendPadded(y, nil, 64)      // b>y takes the slot a's hint points at
-	if hint := a.node.flowHint; !w.flows.entries[hint].live || w.flows.entries[hint].key.src != b.node.Addr4().As16() {
+	bSrc := w.flows.zones.Pack(netip.AddrPortFrom(b.node.Addr4(), 5000))
+	if hint := a.node.flowHint; !w.flows.entries[hint].live || w.flows.entries[hint].key.src != bSrc {
 		t.Fatalf("setup: a's hint %d does not point at b's flow", hint)
 	}
 	a.SendPadded(x, nil, 64)

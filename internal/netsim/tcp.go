@@ -50,10 +50,6 @@ type tcpHost struct {
 	// — scanning was both O(n) per dial and a map-iteration order
 	// hazard on the simulation's hot path.
 	localPorts map[netip.AddrPort]int
-	// portFloor[a] is where the search for local address a's lowest
-	// free ephemeral port starts: every port from ephemeralLow up to,
-	// but not including, it is in use.
-	portFloor map[netip.Addr]uint16
 }
 
 func newTCPHost(n *Node) *tcpHost {
@@ -62,7 +58,6 @@ func newTCPHost(n *Node) *tcpHost {
 		listeners:  make(map[uint16]*TCPListener),
 		conns:      make(map[connKey]*TCPConn),
 		localPorts: make(map[netip.AddrPort]int),
-		portFloor:  make(map[netip.Addr]uint16),
 	}
 }
 
@@ -82,10 +77,6 @@ func (h *tcpHost) removeConn(c *TCPConn) {
 	delete(h.conns, c.key)
 	if h.localPorts[c.key.local] <= 1 {
 		delete(h.localPorts, c.key.local)
-		a, p := c.key.local.Addr(), c.key.local.Port()
-		if p >= ephemeralLow && p < h.portFloor[a] {
-			h.portFloor[a] = p //simlint:allow allocfree(overwrites an existing key: an absent address reads 0, which no port is below; once per connection teardown, never per segment)
-		}
 	} else {
 		h.localPorts[c.key.local]-- //simlint:allow allocfree(decrement of an existing key on per-connection teardown; never grows the map and never runs per segment)
 	}
@@ -209,11 +200,9 @@ func (n *Node) localAddrPortFor(dst netip.Addr) (ap netip.AddrPort, ok bool) {
 	} else {
 		a = n.Addr4()
 	}
-	h := n.tcp
-	for p := max(int(h.portFloor[a]), ephemeralLow); p <= 65535; p++ {
+	for p := ephemeralLow; p <= 65535; p++ {
 		candidate := netip.AddrPortFrom(a, uint16(p))
-		if h.localPorts[candidate] == 0 {
-			h.portFloor[a] = uint16(p)
+		if n.tcp.localPorts[candidate] == 0 {
 			return candidate, true
 		}
 	}

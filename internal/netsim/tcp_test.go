@@ -153,18 +153,21 @@ func TestTCPDialTimeoutWhenPeerDown(t *testing.T) {
 	}
 }
 
-// TestTCPDialFailsWhenEphemeralPortsRunOut: 32,768 dials in SynSent
-// hold every port from 32768 to 65535, lowest first, so the next dial
-// gets no local port; it fails through its callback instead of
-// wrapping into 0–32767.
+// TestTCPDialFailsWhenEphemeralPortsRunOut: dials take the lowest
+// free port from 32768 up; with every port to 65535 in use the next
+// dial fails through its callback instead of wrapping into 0–32767,
+// and once a port is freed the next dial takes it.
 func TestTCPDialFailsWhenEphemeralPortsRunOut(t *testing.T) {
 	sched, client, server, _ := tcpPair(t)
 	dst := netip.AddrPortFrom(server.Addr4(), 23)
-	for i := 0; i < 32768; i++ {
+	for i := 0; i < 3; i++ {
 		c := client.DialTCP(dst, nil)
 		if got, want := c.LocalAddr().Port(), uint16(32768+i); got != want {
 			t.Fatalf("dial %d: local port %d, want %d", i, got, want)
 		}
+	}
+	for p := 32768 + 3; p <= 65535; p++ {
+		client.tcp.localPorts[netip.AddrPortFrom(client.Addr4(), uint16(p))] = 1
 	}
 	var dialErr error
 	calls := 0
@@ -176,11 +179,15 @@ func TestTCPDialFailsWhenEphemeralPortsRunOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	if calls != 1 || !errors.Is(dialErr, ErrNoFreePort) {
-		t.Fatalf("dial %d: callback ran %d times with %v, want once with ErrNoFreePort (local %v)",
-			32769, calls, dialErr, c.LocalAddr())
+		t.Fatalf("dial with all ports in use: callback ran %d times with %v, want once with ErrNoFreePort (local %v)",
+			calls, dialErr, c.LocalAddr())
 	}
 	if err := c.Send([]byte("x")); !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("send on the failed dial: %v, want ErrConnClosed", err)
+	}
+	delete(client.tcp.localPorts, netip.AddrPortFrom(client.Addr4(), 40000))
+	if got := client.DialTCP(dst, nil).LocalAddr().Port(); got != 40000 {
+		t.Fatalf("dial after port 40000 was freed: local port %d, want 40000", got)
 	}
 }
 

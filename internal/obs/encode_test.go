@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,7 +44,7 @@ func exportFixture(n int) (*Tracer, *FlowBuffer, *Windows) {
 	src := netip.MustParseAddrPort("10.0.3.7:40000")
 	dst := netip.MustParseAddrPort("10.0.0.1:9999")
 	for i := 0; i < n; i++ {
-		fb.Add(FlowRecord{
+		add(fb, FlowRecord{
 			StartUS: int64(i) * 1000, EndUS: int64(i)*1000 + 999, Proto: "udp",
 			Src: src, Dst: dst, Packets: 12, Bytes: 6000, Label: "attack", Reason: FlowIdle,
 		})
@@ -147,7 +148,9 @@ func endpoint(s string) netip.AddrPort {
 // bytes of the reference encoding below, for fuzzed categories, names,
 // annotations with repeated keys, and endpoints. One string recurs as
 // category, name, key and value across events and spans, and one span
-// is left for CloseOpenSpans.
+// is left for CloseOpenSpans. The flow references render the records
+// as they were added, so a buffer that loses anything of an endpoint
+// or a string fails, and Records must give those records back.
 func FuzzTraceExport(f *testing.F) {
 	f.Add("phase", "deploy", "devs", "3", "10.0.0.2:4000", "10.0.0.1:9999")
 	f.Fuzz(func(t *testing.T, cat, name, key, val, src, dst string) {
@@ -163,10 +166,18 @@ func FuzzTraceExport(f *testing.F) {
 		tr.RecordSpan(7*sim.Second, 8*sim.Second, key, cat, KV{cat, key}, KV{cat, cat})
 		tr.CloseOpenSpans(9 * sim.Second)
 
+		recs := []FlowRecord{
+			{StartUS: 1, EndUS: 2, Proto: cat, Src: endpoint(src), Dst: endpoint(dst),
+				Packets: 3, Bytes: 4, TCPFlags: 0x12, Label: key, Reason: val},
+			{Proto: name, Src: endpoint(dst), Label: name},
+		}
 		fb := &FlowBuffer{}
-		fb.Add(FlowRecord{StartUS: 1, EndUS: 2, Proto: cat, Src: endpoint(src), Dst: endpoint(dst),
-			Packets: 3, Bytes: 4, TCPFlags: 0x12, Label: key, Reason: val})
-		fb.Add(FlowRecord{Proto: name, Src: endpoint(dst), Label: name})
+		for _, r := range recs {
+			add(fb, r)
+		}
+		if got := fb.Records(); !reflect.DeepEqual(got, recs) {
+			t.Errorf("Records() = %+v, want the records added, %+v", got, recs)
+		}
 
 		w := NewWindows(sim.Second)
 		w.Column(name, func() float64 { return 0.25 })
@@ -177,8 +188,8 @@ func FuzzTraceExport(f *testing.F) {
 		want := map[string][]byte{
 			"Tracer.WriteChromeTrace": refChromeTrace(refRecords(tr)),
 			"Tracer.WriteJSONL":       refTraceJSONL(refRecords(tr)),
-			"FlowBuffer.WriteCSV":     refFlowCSV(fb),
-			"FlowBuffer.WriteJSONL":   refFlowJSONL(fb),
+			"FlowBuffer.WriteCSV":     refFlowCSV(recs),
+			"FlowBuffer.WriteJSONL":   refFlowJSONL(recs),
 			"Windows.WriteCSV":        refWindowsCSV(w),
 			"Windows.WriteJSONL":      refWindowsJSONL(w),
 		}
@@ -307,11 +318,11 @@ func refChromeTrace(recs []refRecord) []byte {
 	return buf.Bytes()
 }
 
-func refFlowCSV(b *FlowBuffer) []byte {
+func refFlowCSV(recs []FlowRecord) []byte {
 	var sb strings.Builder
 	sb.WriteString(FlowCSVHeader)
 	sb.WriteByte('\n')
-	for _, r := range b.Records() {
+	for _, r := range recs {
 		fmt.Fprintf(&sb, "%d,%d,%s,%s,%s,%d,%d,%d,%s,%s\n",
 			r.StartUS, r.EndUS, r.Proto, r.Src, r.Dst,
 			r.Packets, r.Bytes, r.TCPFlags, r.Label, r.Reason)
@@ -332,10 +343,10 @@ type refFlowJSON struct {
 	Reason   string `json:"reason"`
 }
 
-func refFlowJSONL(b *FlowBuffer) []byte {
+func refFlowJSONL(recs []FlowRecord) []byte {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	for _, r := range b.Records() {
+	for _, r := range recs {
 		row := refFlowJSON{
 			StartUS: r.StartUS, EndUS: r.EndUS, Proto: r.Proto,
 			Src: r.Src.String(), Dst: r.Dst.String(),

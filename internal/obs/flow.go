@@ -26,7 +26,8 @@ const (
 // time, plus the ground-truth label the simulation assigned when the
 // flow was created ("attack", "cnc", "recruit", "exploit", "benign").
 // Timestamps are microseconds of simulated time, so records are a pure
-// function of the run.
+// function of the run. A FlowBuffer does not store FlowRecords;
+// Records rebuilds them from its rows.
 type FlowRecord struct {
 	StartUS  int64
 	EndUS    int64
@@ -38,6 +39,16 @@ type FlowRecord struct {
 	TCPFlags uint8
 	Label    string
 	Reason   string
+}
+
+// Flow is one closed flow as a flow table hands it to Add: a
+// FlowRecord whose endpoints the buffer's Zones packed.
+type Flow struct {
+	StartUS, EndUS       int64
+	Packets, Bytes       uint64
+	Src, Dst             Endpoint
+	TCPFlags             uint8
+	Proto, Label, Reason string
 }
 
 // flowChunk is the number of rows in one chunk of a FlowBuffer.
@@ -55,17 +66,6 @@ type flowRow struct {
 	flags                uint8
 }
 
-// flowEndpoint is an endpoint stored without pointers: its address's
-// 16 bytes, its family (4, 6, or 0 for the zero Addr), its port and,
-// for a zoned IPv6 address, the zone's id in the string table.
-type flowEndpoint struct {
-	addr  [16]byte
-	port  uint16
-	zone  uint16
-	fam   uint8
-	zoned bool
-}
-
 // FlowBuffer is the flow dataset of a run: it keeps every exported
 // record in export order and renders them as a CSV or JSONL artifact.
 // Export order is deterministic, so two same-seed runs write
@@ -76,17 +76,28 @@ type FlowBuffer struct {
 	n      int
 
 	// The endpoint and string tables: each distinct endpoint and
-	// string is stored once, and rows refer to it by id.
-	eps    []flowEndpoint
-	epIDs  map[flowEndpoint]uint32
+	// string is stored once, and rows refer to it by id. zones packed
+	// the endpoints.
+	zones  Zones
+	eps    []Endpoint
+	epIDs  map[Endpoint]uint32
 	strs   []string
 	strIDs map[string]uint16
 }
 
-// Add appends a copy of r. A nil buffer drops it. Add panics if the
-// buffer would hold more than 65,536 distinct strings: protocols,
-// labels, reasons and IPv6 zones together.
-func (b *FlowBuffer) Add(r FlowRecord) {
+// Zones returns the zones that pack the endpoints handed to Add. A
+// nil buffer keeps nothing, so it returns zones of their own.
+func (b *FlowBuffer) Zones() *Zones {
+	if b == nil {
+		return new(Zones)
+	}
+	return &b.zones
+}
+
+// Add appends f, whose endpoints b.Zones() packed. A nil buffer drops
+// it. Add panics if the buffer would hold more than 65,536 distinct
+// protocols, labels and reasons together.
+func (b *FlowBuffer) Add(f Flow) {
 	if b == nil {
 		return
 	}
@@ -94,11 +105,11 @@ func (b *FlowBuffer) Add(r FlowRecord) {
 		b.chunks = append(b.chunks, new([flowChunk]flowRow)) //simlint:allow allocfree(one pointer-free chunk per 1024 exported records, never per packet; growth never copies rows)
 	}
 	b.chunks[b.n/flowChunk][b.n%flowChunk] = flowRow{
-		startUS: r.StartUS, endUS: r.EndUS,
-		packets: r.Packets, bytes: r.Bytes,
-		src: b.endpoint(r.Src), dst: b.endpoint(r.Dst),
-		proto: b.str(r.Proto), label: b.str(r.Label), reason: b.str(r.Reason),
-		flags: r.TCPFlags,
+		startUS: f.StartUS, endUS: f.EndUS,
+		packets: f.Packets, bytes: f.Bytes,
+		src: b.endpoint(f.Src), dst: b.endpoint(f.Dst),
+		proto: b.str(f.Proto), label: b.str(f.Label), reason: b.str(f.Reason),
+		flags: f.TCPFlags,
 	}
 	b.n++
 }
@@ -120,45 +131,19 @@ func (b *FlowBuffer) str(s string) uint16 {
 	return id
 }
 
-// endpoint returns p's id in the endpoint table, adding p on first
+// endpoint returns ep's id in the endpoint table, adding ep on first
 // sight.
-func (b *FlowBuffer) endpoint(p netip.AddrPort) uint32 {
-	a := p.Addr()
-	ep := flowEndpoint{addr: a.As16(), port: p.Port()}
-	switch {
-	case a.Is4():
-		ep.fam = 4
-	case a.Is6():
-		ep.fam = 6
-		if z := a.Zone(); z != "" {
-			ep.zone, ep.zoned = b.str(z), true
-		}
-	}
+func (b *FlowBuffer) endpoint(ep Endpoint) uint32 {
 	if id, ok := b.epIDs[ep]; ok {
 		return id
 	}
 	if b.epIDs == nil {
-		b.epIDs = make(map[flowEndpoint]uint32) //simlint:allow allocfree(once per buffer)
+		b.epIDs = make(map[Endpoint]uint32) //simlint:allow allocfree(once per buffer)
 	}
 	id := uint32(len(b.eps))
 	b.eps = append(b.eps, ep) //simlint:allow allocfree(first sight of an endpoint only, once per exported record at most, never per packet)
 	b.epIDs[ep] = id          //simlint:allow allocfree(first sight of an endpoint only, once per exported record at most, never per packet)
 	return id
-}
-
-// addrPort rebuilds endpoint ep.
-func (b *FlowBuffer) addrPort(ep *flowEndpoint) netip.AddrPort {
-	var a netip.Addr
-	switch ep.fam {
-	case 4:
-		a = netip.AddrFrom4([4]byte(ep.addr[12:]))
-	case 6:
-		a = netip.AddrFrom16(ep.addr)
-		if ep.zoned {
-			a = a.WithZone(b.strs[ep.zone])
-		}
-	}
-	return netip.AddrPortFrom(a, ep.port)
 }
 
 // row returns the i-th stored row.
@@ -179,7 +164,7 @@ func (b *FlowBuffer) Records() []FlowRecord {
 	}
 	eps := make([]netip.AddrPort, len(b.eps))
 	for i := range b.eps {
-		eps[i] = b.addrPort(&b.eps[i])
+		eps[i] = b.zones.unpack(&b.eps[i])
 	}
 	out := make([]FlowRecord, b.n)
 	for i := range out {
@@ -248,16 +233,14 @@ func (b *FlowBuffer) endpointTexts(json bool) *strTable {
 	size := 0
 	for i := range b.eps {
 		ep := &b.eps[i]
-		switch {
-		case ep.fam == 4:
+		switch ep.fam {
+		case famV4:
 			size += len("255.255.255.255:65535")
-		case ep.fam == 0:
+		case famNone:
 			size += len("invalid AddrPort")
 		default: // [v6%zone]:port, each zone byte escaping to at most 6
 			size += len("[ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff%]:65535")
-			if ep.zoned {
-				size += 6 * len(b.strs[ep.zone])
-			}
+			size += 6 * len(b.zones.zone(ep))
 		}
 		if json {
 			size += 2
@@ -265,11 +248,11 @@ func (b *FlowBuffer) endpointTexts(json bool) *strTable {
 	}
 	t := &strTable{blob: make([]byte, 0, size), off: make([]uint32, 1, len(b.eps)+1)}
 	for i := range b.eps {
-		p := b.addrPort(&b.eps[i])
+		p := b.zones.unpack(&b.eps[i])
 		switch {
 		case !json:
 			t.blob = appendAddrPort(t.blob, p)
-		case b.eps[i].zoned: // only a zone can need escaping
+		case b.eps[i].fam >= famZoned: // only a zone can need escaping
 			t.blob = appendJSONString(t.blob, p.String())
 		default:
 			t.blob = append(t.blob, '"')
