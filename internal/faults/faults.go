@@ -112,11 +112,11 @@ func (c Config) Enabled() bool {
 // Validate checks the scenario for contradictions.
 func (c Config) Validate() error {
 	switch {
-	case c.BurstLoss < 0 || c.BurstLoss > 1:
+	case !inUnit(c.BurstLoss):
 		return fmt.Errorf("faults: BurstLoss %v outside [0,1]", c.BurstLoss)
-	case c.DegradeFactor < 0 || c.DegradeFactor > 1:
+	case !inUnit(c.DegradeFactor):
 		return fmt.Errorf("faults: DegradeFactor %v outside [0,1]", c.DegradeFactor)
-	case c.DegradeQueueFactor < 0 || c.DegradeQueueFactor > 1:
+	case !inUnit(c.DegradeQueueFactor):
 		return fmt.Errorf("faults: DegradeQueueFactor %v outside [0,1]", c.DegradeQueueFactor)
 	case c.FlapMode != "" && c.FlapMode != FlapRandom && c.FlapMode != FlapPeriodic:
 		return fmt.Errorf("faults: unknown FlapMode %q", c.FlapMode)
@@ -131,6 +131,9 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// inUnit reports whether x lies in [0,1]; NaN does not.
+func inUnit(x float64) bool { return x >= 0 && x <= 1 }
 
 // normalized fills defaulted durations.
 func (c Config) normalized() Config {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ddosim/internal/netsim"
@@ -89,6 +90,26 @@ func TestParseSpecNamesFirstUnknownKey(t *testing.T) {
 		_, err := ParseSpec("flap:period=60s,down=5s,foo=1,bar=2,baz=3")
 		if err == nil || err.Error() != want {
 			t.Fatalf("call %d: err = %v, want %s", i, err, want)
+		}
+	}
+}
+
+// TestParseSpecRejectsNaN: NaN compares false against both ends of
+// [0,1], so a range check written as "x < 0 || x > 1" accepts it. Each
+// spec must fail, and the error must name the value.
+func TestParseSpecRejectsNaN(t *testing.T) {
+	for _, spec := range []string{
+		"loss:rate=NaN,burst=5s,gap=30s",
+		"degrade:period=10s,down=1s,factor=NaN",
+		"intensity=NaN",
+	} {
+		cfg, err := ParseSpec(spec)
+		if err == nil {
+			t.Errorf("ParseSpec(%q) = %+v, want an error", spec, cfg)
+			continue
+		}
+		if !strings.Contains(err.Error(), "NaN") {
+			t.Errorf("ParseSpec(%q) error %q does not name the value", spec, err)
 		}
 	}
 }
@@ -337,11 +358,19 @@ func TestStopQuiescesPendingFaults(t *testing.T) {
 }
 
 // FuzzParseSpec feeds hostile specs to ParseSpec, the -faults flag's
-// parser. It must not panic, and the same spec must give the same
-// Config and the same error text on every call.
+// parser. It must not panic, an accepted Config must hold its loss
+// rate and both degradation factors in [0,1], and the same spec must
+// give the same Config and the same error text on every call.
 func FuzzParseSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string) {
 		cfg, err := ParseSpec(spec)
+		if err == nil {
+			for _, x := range []float64{cfg.BurstLoss, cfg.DegradeFactor, cfg.DegradeQueueFactor} {
+				if !(x >= 0 && x <= 1) {
+					t.Fatalf("accepted factor %v outside [0,1]: %+v", x, cfg)
+				}
+			}
+		}
 		for i := 0; i < 3; i++ {
 			cfg2, err2 := ParseSpec(spec)
 			if fmt.Sprint(err2) != fmt.Sprint(err) {
