@@ -117,7 +117,7 @@ func TestFilterDropsCountedOnNode(t *testing.T) {
 	if err := sched2.Run(10 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	if ts.FilterDrops() != 1 {
-		t.Fatalf("FilterDrops = %d", ts.FilterDrops())
+	if want := [netsim.NumDropReasons]uint64{netsim.DropFiltered: 1}; w.Stats().Dropped != want {
+		t.Fatalf("drop ledger %v, want %v", w.Stats().Dropped, want)
 	}
 }

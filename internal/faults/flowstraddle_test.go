@@ -116,7 +116,7 @@ func TestFlowStraddlesLinkFlaps(t *testing.T) {
 	// Drops really happened (the link was down for ~3s out of every
 	// 8s), so delivered load is visibly below offered load — proving
 	// the flow counts are origination-side, not delivery-side.
-	if rig.src.DefaultDevice().Stats().DownDrops == 0 {
+	if rig.src.Network().Stats().Dropped[netsim.DropDown] == 0 {
 		t.Fatal("flaps caused no down-drops; straddling untested")
 	}
 }

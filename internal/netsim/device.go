@@ -8,20 +8,6 @@ var (
 	srcProp = sim.NewSource("net.prop")
 )
 
-// DeviceStats aggregates per-device counters. The resource model and
-// the defense feature extractor both read these.
-type DeviceStats struct {
-	TxPackets   uint64
-	TxBytes     uint64
-	RxPackets   uint64
-	RxBytes     uint64
-	QueueDrops  uint64
-	DownDrops   uint64
-	LossDrops   uint64
-	PeakQueue   int
-	CurrentLoad int
-}
-
 // NetDevice is one endpoint of a full-duplex point-to-point link. It
 // owns a drop-tail egress queue and models serialization delay at its
 // configured rate plus the link's propagation delay — the same
@@ -53,8 +39,6 @@ type NetDevice struct {
 	propFn       func()
 	up           bool
 	lossRate     float64
-
-	stats DeviceStats
 }
 
 // DefaultQueueLimit is the drop-tail queue depth in packets when a link
@@ -115,22 +99,15 @@ func (d *NetDevice) SetQueueLimit(n int) {
 	d.queueLimit = n
 }
 
-// Stats returns a copy of the device counters.
-func (d *NetDevice) Stats() DeviceStats {
-	st := d.stats
-	st.CurrentLoad = d.queue.len()
-	return st
-}
-
 // IsUp reports whether the device is administratively up.
 func (d *NetDevice) IsUp() bool { return d.up }
 
 // SetUp brings the device up or down. Bringing a device down cancels
-// the in-progress transmission, flushes its egress queue into
-// DownDrops (the frame being serialized included), and silently
-// discards anything in flight toward it; this is how churn disconnects
-// a Dev. Frames already propagating on the wire still arrive (and are
-// dropped by the peer if it is down too).
+// the in-progress transmission and drops every frame in its egress
+// queue as DropDown (the frame being serialized included); this is how
+// churn disconnects a Dev. Frames it already put on the wire still
+// reach the peer; frames that arrive while it is down are dropped as
+// DropDown.
 func (d *NetDevice) SetUp(up bool) {
 	if d.up == up {
 		return
@@ -141,9 +118,9 @@ func (d *NetDevice) SetUp(up bool) {
 			d.sched.Cancel(d.txEvent)
 			d.transmitting = false
 		}
-		d.stats.DownDrops += uint64(d.queue.len())
 		d.node.addQueued(-d.queue.len())
 		for d.queue.len() > 0 {
+			d.node.drop(DropDown)
 			d.node.putPacket(d.queue.pop())
 		}
 	}
@@ -155,21 +132,17 @@ func (d *NetDevice) SetUp(up bool) {
 func (d *NetDevice) Send(pkt *Packet) {
 	pkt.sanCheck("NetDevice.Send")
 	if !d.up {
-		d.stats.DownDrops++
+		d.node.drop(DropDown)
 		d.node.putPacket(pkt)
 		return
 	}
 	if d.queue.len() >= d.queueLimit {
-		d.stats.QueueDrops++
-		d.node.countDrop("drop-tail")
+		d.node.drop(DropTail)
 		d.node.putPacket(pkt)
 		return
 	}
 	d.queue.push(pkt)
 	d.node.addQueued(1)
-	if d.queue.len() > d.stats.PeakQueue {
-		d.stats.PeakQueue = d.queue.len()
-	}
 	if !d.transmitting {
 		d.transmitNext()
 	}
@@ -201,10 +174,7 @@ func (d *NetDevice) finishTx() {
 	}
 	pkt := d.queue.pop()
 	d.node.addQueued(-1)
-	size := pkt.Size()
-	d.stats.TxPackets++
-	d.stats.TxBytes += uint64(size)
-	d.node.countTx(size, pkt.Proto)
+	d.node.countTx(pkt.Size(), pkt.Proto)
 	d.inflight.push(pkt)
 	d.sched.ScheduleSrc(d.delay, srcProp, d.propFn)
 	d.transmitNext()
@@ -238,18 +208,15 @@ func (d *NetDevice) LossRate() float64 { return d.lossRate }
 func (d *NetDevice) receive(pkt *Packet) {
 	pkt.sanCheck("NetDevice.receive")
 	if !d.up {
-		d.stats.DownDrops++
+		d.node.drop(DropDown)
 		d.node.putPacket(pkt)
 		return
 	}
 	if d.lossRate > 0 && d.sched.RNG().Float64() < d.lossRate {
-		d.stats.LossDrops++
-		d.node.countDrop("loss")
+		d.node.drop(DropLoss)
 		d.node.putPacket(pkt)
 		return
 	}
-	d.stats.RxPackets++
-	d.stats.RxBytes += uint64(pkt.Size())
 	d.node.handleReceive(d, pkt)
 }
 

@@ -203,17 +203,13 @@ func TestNoRouteAndNoListenerDrops(t *testing.T) {
 	if err := sched.Run(sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	if lone.LocalDrops() != 1 {
-		t.Fatalf("LocalDrops = %d, want 1 (no route)", lone.LocalDrops())
-	}
-	// Loopback to an unbound port also counts as a local drop.
+	wantDropped(t, w, [NumDropReasons]uint64{DropNoRoute: 1})
+	// Loopback to an unbound port finds no listener.
 	sock.SendTo(netip.AddrPortFrom(v4, 1234), []byte("x"))
 	if err := sched.Run(2 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	if lone.LocalDrops() != 2 {
-		t.Fatalf("LocalDrops = %d, want 2", lone.LocalDrops())
-	}
+	wantDropped(t, w, [NumDropReasons]uint64{DropNoRoute: 1, DropNoListener: 1})
 }
 
 func TestLeaveMulticastStopsDelivery(t *testing.T) {

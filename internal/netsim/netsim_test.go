@@ -1,10 +1,13 @@
 package netsim
 
 import (
+	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"ddosim/internal/obs"
 	"ddosim/internal/sim"
 )
 
@@ -247,9 +250,7 @@ func TestQueueDropTail(t *testing.T) {
 	if got != 4 {
 		t.Fatalf("delivered %d of 20, want 4", got)
 	}
-	if drops := a.DefaultDevice().Stats().QueueDrops; drops != 16 {
-		t.Fatalf("QueueDrops = %d, want 16", drops)
-	}
+	wantDropped(t, w, [NumDropReasons]uint64{DropTail: 16})
 	st := w.Stats()
 	if st.Drops != 16 {
 		t.Fatalf("NetworkStats.Drops = %d, want 16", st.Drops)
@@ -260,6 +261,141 @@ func TestQueueDropTail(t *testing.T) {
 }
 
 func time100s() sim.Time { return 100 * sim.Second }
+
+// wantDropped fails t unless w's drop ledger equals want, reason by
+// reason.
+func wantDropped(t *testing.T, w *Network, want [NumDropReasons]uint64) {
+	t.Helper()
+	if got := w.Stats().Dropped; got != want {
+		t.Fatalf("drop ledger%s, want%s", ledgerString(got), ledgerString(want))
+	}
+}
+
+func ledgerString(d [NumDropReasons]uint64) string {
+	var b strings.Builder
+	for r, n := range d {
+		fmt.Fprintf(&b, " %s=%d", DropReason(r), n)
+	}
+	return b.String()
+}
+
+// TestDropLedger makes every drop site on a star drop a known number
+// of frames, one step at a time, and asserts the whole ledger after
+// each step: a drop filed under the wrong reason, counted twice or not
+// counted fails the step that made it. Only drop-tail and loss drops
+// are queue drops, in NetworkStats.Drops and in the trace.
+func TestDropLedger(t *testing.T) {
+	sched, w, star := newStar(t, 1)
+	o := obs.New()
+	w.Observe(o)
+	// src is attached first, so the router's default device leads to
+	// it: the router sends frames for unknown addresses down src's link.
+	src := star.AttachHost("src", 10*Mbps, sim.Millisecond, 0)
+	slow := star.AttachHost("slow", 8*Kbps, sim.Millisecond, 2)
+	lossy := star.AttachHost("lossy", 10*Mbps, sim.Millisecond, 0)
+	down := star.AttachHost("down", 10*Mbps, sim.Millisecond, 0)
+	deaf := star.AttachHost("deaf", 10*Mbps, sim.Millisecond, 0)
+	walled := star.AttachHost("walled", 10*Mbps, sim.Millisecond, 0)
+	lone := w.NewNode("lone") // no device: no route anywhere
+	v4, _ := w.AllocAddrs()
+	lone.AddAddr(v4)
+
+	sock := func(n *Node, port uint16) *UDPSocket {
+		s, err := n.BindUDP(port, func(netip.AddrPort, []byte, int) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	srcSock, slowSock, downSock := sock(src, 9), sock(slow, 9), sock(down, 9)
+	sock(lossy, 9)
+	sock(walled, 9)
+	walled.SetFilter(func(*Packet) bool { return false })
+	to := func(n *Node, port uint16) netip.AddrPort { return netip.AddrPortFrom(n.Addr4(), port) }
+	unknown := netip.MustParseAddrPort("10.99.99.99:9")
+	raw := func(from *Node, dst netip.AddrPort, proto Protocol) {
+		pkt := w.AllocPacket()
+		pkt.Proto = proto
+		pkt.Src, pkt.Dst = netip.AddrPortFrom(from.Addr4(), 9), dst
+		from.SendPacket(pkt)
+	}
+
+	var want [NumDropReasons]uint64
+	steps := []struct {
+		what   string
+		reason DropReason
+		n      uint64
+		send   func()
+	}{
+		{"burst of 5 into a limit-2 queue", DropTail, 3, func() {
+			for i := 0; i < 5; i++ {
+				slowSock.SendPadded(to(src, 9), nil, 1000)
+			}
+		}},
+		{"2 frames to a device at loss 1", DropLoss, 2, func() {
+			lossy.DefaultDevice().SetLossRate(1)
+			srcSock.SendTo(to(lossy, 9), []byte("x"))
+			srcSock.SendTo(to(lossy, 9), []byte("x"))
+		}},
+		{"2 frames arriving at a down device", DropDown, 2, func() {
+			down.DefaultDevice().SetUp(false)
+			srcSock.SendTo(to(down, 9), []byte("x"))
+			srcSock.SendTo(to(down, 9), []byte("x"))
+		}},
+		{"1 frame sent on a down device", DropDown, 1, func() {
+			downSock.SendTo(to(src, 9), []byte("x"))
+		}},
+		{"2 queued frames flushed by SetUp(false)", DropDown, 2, func() {
+			slowSock.SendPadded(to(src, 9), nil, 1000)
+			slowSock.SendPadded(to(src, 9), nil, 1000)
+			slow.DefaultDevice().SetUp(false)
+		}},
+		{"1 frame from a node with no device", DropNoRoute, 1, func() {
+			raw(lone, unknown, ProtoUDP)
+		}},
+		{"1 frame the router would send back out its ingress", DropNoRoute, 1, func() {
+			srcSock.SendTo(unknown, []byte("x"))
+		}},
+		{"1 frame reaching a host it is not addressed to", DropNoRoute, 1, func() {
+			raw(deaf, unknown, ProtoUDP)
+		}},
+		{"2 datagrams to an unbound port", DropNoListener, 2, func() {
+			srcSock.SendTo(to(deaf, 9), []byte("x"))
+			srcSock.SendTo(to(deaf, 10), []byte("x"))
+		}},
+		{"1 TCP frame with no TCP header", DropNoListener, 1, func() {
+			raw(src, to(deaf, 80), ProtoTCP)
+		}},
+		{"1 frame of an unknown protocol", DropNoListener, 1, func() {
+			raw(src, to(deaf, 80), 0)
+		}},
+		{"4 frames the ingress filter rejects", DropFiltered, 4, func() {
+			for i := 0; i < 4; i++ {
+				srcSock.SendTo(to(walled, 9), []byte("x"))
+			}
+		}},
+	}
+	for _, st := range steps {
+		st.send()
+		if err := sched.Run(sched.Now() + 10*sim.Second); err != nil {
+			t.Fatal(err)
+		}
+		want[st.reason] += st.n
+		t.Run(st.what, func(t *testing.T) { wantDropped(t, w, want) })
+	}
+	if st := w.Stats(); st.Drops != want[DropTail]+want[DropLoss] || st.QueuedNow != 0 {
+		t.Fatalf("Drops = %d, QueuedNow = %d; want %d, 0", st.Drops, st.QueuedNow, want[DropTail]+want[DropLoss])
+	}
+	var reasons []string
+	for _, ev := range o.Trace.Events() {
+		if ev.Name == "queue-drop" {
+			reasons = append(reasons, ev.Args[1].V)
+		}
+	}
+	if got := strings.Join(reasons, ","); got != "drop-tail,drop-tail,drop-tail,loss,loss" {
+		t.Fatalf("queue-drop events carry reasons %q", got)
+	}
+}
 
 func TestSerializationDelayOrdering(t *testing.T) {
 	sched, _, star := newStar(t, 1)
@@ -286,7 +422,7 @@ func TestSerializationDelayOrdering(t *testing.T) {
 }
 
 func TestDeviceDownDropsTraffic(t *testing.T) {
-	sched, _, star := newStar(t, 1)
+	sched, w, star := newStar(t, 1)
 	a := star.AttachHost("a", 10*Mbps, sim.Millisecond, 0)
 	b := star.AttachHost("b", 10*Mbps, sim.Millisecond, 0)
 	got := 0
@@ -302,6 +438,7 @@ func TestDeviceDownDropsTraffic(t *testing.T) {
 	if got != 0 {
 		t.Fatal("down device delivered traffic")
 	}
+	wantDropped(t, w, [NumDropReasons]uint64{DropDown: 1})
 	b.DefaultDevice().SetUp(true)
 	sock.SendTo(netip.AddrPortFrom(b.Addr4(), 9), []byte("x"))
 	if err := sched.Run(2 * sim.Second); err != nil {
@@ -313,7 +450,7 @@ func TestDeviceDownDropsTraffic(t *testing.T) {
 }
 
 func TestDeviceDownFlushesQueue(t *testing.T) {
-	sched, _, star := newStar(t, 1)
+	sched, w, star := newStar(t, 1)
 	a := star.AttachHost("a", Kbps, sim.Millisecond, 10)
 	b := star.AttachHost("b", 10*Mbps, sim.Millisecond, 0)
 	got := 0
@@ -334,12 +471,9 @@ func TestDeviceDownFlushesQueue(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("flushed queue still delivered %d packets", got)
 	}
-	st := dev.Stats()
-	if st.DownDrops != 5 {
-		t.Fatalf("DownDrops = %d, want all 5 flushed frames", st.DownDrops)
-	}
-	if st.CurrentLoad != 0 {
-		t.Fatalf("queue not flushed: %d packets remain", st.CurrentLoad)
+	wantDropped(t, w, [NumDropReasons]uint64{DropDown: 5})
+	if n := w.Stats().QueuedNow; n != 0 {
+		t.Fatalf("queue not flushed: %d packets remain", n)
 	}
 }
 

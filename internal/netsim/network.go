@@ -8,15 +8,55 @@ import (
 	"ddosim/internal/sim"
 )
 
+// DropReason says why the network dropped a frame.
+// NetworkStats.Dropped counts every dropped frame under exactly one
+// reason.
+type DropReason uint8
+
+const (
+	// DropTail: the egress queue was full.
+	DropTail DropReason = iota
+	// DropLoss: the receiving device's loss draw (SetLossRate).
+	DropLoss
+	// DropDown: the device was down when the frame was sent or
+	// arrived, or SetUp(false) flushed it from the egress queue.
+	DropDown
+	// DropNoRoute: no device leads toward the destination, or a host
+	// that does not forward received a frame addressed elsewhere.
+	DropNoRoute
+	// DropNoListener: addressed to this node, but no socket takes
+	// it, or it carries no transport header the node handles.
+	DropNoListener
+	// DropFiltered: the node's ingress filter rejected it.
+	DropFiltered
+
+	// NumDropReasons sizes NetworkStats.Dropped.
+	NumDropReasons
+)
+
+var dropReasonNames = [NumDropReasons]string{
+	"drop-tail", "loss", "down", "no-route", "no-listener", "filtered",
+}
+
+// String names the reason; drop-tail and loss drops carry these names
+// in "queue-drop" trace events.
+func (r DropReason) String() string { return dropReasonNames[r] }
+
 // NetworkStats aggregates network-wide counters that feed the Table I
 // resource model: total frames transmitted, total bytes on the wire
-// (and the UDP and TCP shares of them), queue drops, and the peak
-// number of frames buffered anywhere in the network at one instant.
+// (and the UDP and TCP shares of them), dropped frames by reason, and
+// the peak number of frames buffered anywhere in the network at one
+// instant.
 type NetworkStats struct {
-	TxFrames    uint64
-	TxBytes     uint64
-	TxBytesUDP  uint64
-	TxBytesTCP  uint64
+	TxFrames   uint64
+	TxBytes    uint64
+	TxBytesUDP uint64
+	TxBytesTCP uint64
+	// Dropped is the drop ledger, indexed by DropReason.
+	Dropped [NumDropReasons]uint64
+	// Drops is the queue drops, Dropped[DropTail] + Dropped[DropLoss]:
+	// what the net_drops column and net_queue_drops_total report.
+	// Stats fills it from the ledger.
 	Drops       uint64
 	QueuedNow   int
 	PeakQueued  int
@@ -73,7 +113,11 @@ func (w *Network) Observe(o *obs.Obs) {
 }
 
 // Stats returns a copy of the aggregate counters.
-func (w *Network) Stats() NetworkStats { return w.stats }
+func (w *Network) Stats() NetworkStats {
+	st := w.stats
+	st.Drops = st.Dropped[DropTail] + st.Dropped[DropLoss]
+	return st
+}
 
 // Nodes returns the nodes in creation order. The returned slice is a
 // copy.

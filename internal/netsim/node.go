@@ -49,9 +49,6 @@ type Node struct {
 
 	taps   []PacketTap
 	filter IngressFilter
-
-	localDrops  uint64
-	filterDrops uint64
 }
 
 // IngressFilter inspects a packet about to be delivered locally and
@@ -149,13 +146,6 @@ func (n *Node) SetFilter(f IngressFilter) {
 	n.filter = f
 }
 
-// FilterDrops reports packets rejected by the ingress filter.
-func (n *Node) FilterDrops() uint64 { return n.filterDrops }
-
-// LocalDrops reports packets addressed to this node that found no
-// listening socket.
-func (n *Node) LocalDrops() uint64 { return n.localDrops }
-
 func (n *Node) attach(d *NetDevice) {
 	n.devs = append(n.devs, d)
 	if n.defDev == nil {
@@ -194,7 +184,7 @@ func (n *Node) SendPacket(pkt *Packet) {
 	}
 	dev := n.lookupRoute(dst)
 	if dev == nil {
-		n.localDrops++
+		n.drop(DropNoRoute)
 		n.putPacket(pkt)
 		return
 	}
@@ -230,13 +220,13 @@ func (n *Node) handleReceive(in *NetDevice, pkt *Packet) {
 	case n.forward:
 		dev := n.lookupRoute(dst)
 		if dev == nil || dev == in {
-			n.localDrops++
+			n.drop(DropNoRoute)
 			n.putPacket(pkt)
 			return
 		}
 		dev.Send(pkt)
 	default:
-		n.localDrops++
+		n.drop(DropNoRoute)
 		n.putPacket(pkt)
 	}
 }
@@ -263,7 +253,7 @@ func (n *Node) floodMulticast(in *NetDevice, pkt *Packet) {
 func (n *Node) deliverLocal(pkt *Packet) {
 	pkt.sanCheck("Node.deliverLocal")
 	if n.filter != nil && !n.filter(pkt) {
-		n.filterDrops++
+		n.drop(DropFiltered)
 		return
 	}
 	for _, tap := range n.taps {
@@ -273,14 +263,14 @@ func (n *Node) deliverLocal(pkt *Packet) {
 	case ProtoUDP:
 		sock := n.udpSocket(pkt.Dst.Port())
 		if sock == nil {
-			n.localDrops++
+			n.drop(DropNoListener)
 			return
 		}
 		sock.deliver(pkt)
 	case ProtoTCP:
 		n.tcp.deliver(pkt)
 	default:
-		n.localDrops++
+		n.drop(DropNoListener)
 	}
 }
 
@@ -306,17 +296,17 @@ func (n *Node) countTx(frameLen int, proto Protocol) {
 	}
 }
 
-// countDrop tallies one dropped frame at this node in the aggregate
-// stats and — when a tracer is attached — as a trace point event
-// identifying where the drop happened.
-func (n *Node) countDrop(reason string) {
-	n.net.stats.Drops++
-	if tr := n.net.trace; tr != nil {
+// drop files one frame dropped at this node in the network's ledger.
+// A drop-tail or loss drop is also a "queue-drop" trace event naming
+// the node, when a tracer is attached.
+func (n *Node) drop(reason DropReason) {
+	n.net.stats.Dropped[reason]++
+	if tr := n.net.trace; tr != nil && reason <= DropLoss {
 		// Guarded even though Tracer is nil-safe, so an untraced flood
 		// run skips building the annotations.
 		//simlint:allow allocfree(the variadic KV array stays on this stack: Tracer.Event copies the annotations into its arena and keeps no reference, pinned by TestQueueDropEventAllocFree)
 		tr.Event(n.sched.Now(), obs.CatNet, "queue-drop",
-			obs.KV{K: "node", V: n.name}, obs.KV{K: "reason", V: reason})
+			obs.KV{K: "node", V: n.name}, obs.KV{K: "reason", V: reason.String()})
 	}
 }
 

@@ -402,7 +402,7 @@ func (c *TCPConn) teardown(err error) {
 // deliver is the host demultiplexer for inbound TCP segments.
 func (h *tcpHost) deliver(pkt *Packet) {
 	if pkt.TCP == nil {
-		h.node.localDrops++
+		h.node.drop(DropNoListener)
 		return
 	}
 	key := connKey{local: pkt.Dst, remote: pkt.Src}

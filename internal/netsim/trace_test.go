@@ -171,7 +171,7 @@ func TestTopTalkersTieOrder(t *testing.T) {
 }
 
 func TestLossRateDropsFraction(t *testing.T) {
-	sched, _, star := newStar(t, 3)
+	sched, w, star := newStar(t, 3)
 	a := star.AttachHost("a", 100*Mbps, sim.Millisecond, 0)
 	b := star.AttachHost("b", 100*Mbps, sim.Millisecond, 0)
 	b.DefaultDevice().SetLossRate(0.3)
@@ -196,9 +196,7 @@ func TestLossRateDropsFraction(t *testing.T) {
 	if frac < 0.62 || frac > 0.78 {
 		t.Fatalf("delivered fraction %v with 30%% loss", frac)
 	}
-	if b.DefaultDevice().Stats().LossDrops == 0 {
-		t.Fatal("no loss drops recorded")
-	}
+	wantDropped(t, w, [NumDropReasons]uint64{DropLoss: n - uint64(got)})
 	if b.DefaultDevice().LossRate() != 0.3 {
 		t.Fatal("LossRate accessor")
 	}
@@ -238,7 +236,7 @@ func TestLossRateOneDropsEveryFrame(t *testing.T) {
 	// Float64 draws from [0,1) the device still burns exactly one RNG
 	// draw per frame — the sequence seen by every p < 1 consumer is
 	// unchanged.
-	sched, _, star := newStar(t, 3)
+	sched, w, star := newStar(t, 3)
 	a := star.AttachHost("a", 100*Mbps, sim.Millisecond, 0)
 	b := star.AttachHost("b", 100*Mbps, sim.Millisecond, 0)
 	b.DefaultDevice().SetLossRate(1.0)
@@ -260,9 +258,8 @@ func TestLossRateOneDropsEveryFrame(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("%d frames delivered at loss 1.0", got)
 	}
-	if drops := b.DefaultDevice().Stats().LossDrops; drops != n {
-		t.Fatalf("LossDrops = %d, want %d (one draw per frame)", drops, n)
-	}
+	// One draw per frame, and each frame dropped once.
+	wantDropped(t, w, [NumDropReasons]uint64{DropLoss: n})
 }
 
 func TestSetLossRateValidation(t *testing.T) {
