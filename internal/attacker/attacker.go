@@ -273,8 +273,7 @@ type MaliciousDNS struct {
 	// QueriesServed counts exploit responses sent.
 	QueriesServed uint64
 
-	trace     *obs.Tracer
-	ctrServed *obs.Counter
+	trace *obs.Tracer
 }
 
 var _ container.Behavior = (*MaliciousDNS)(nil)
@@ -285,12 +284,8 @@ func NewMaliciousDNS(scriptURL func() string) *MaliciousDNS {
 	return &MaliciousDNS{scriptURL: scriptURL}
 }
 
-// Observe attaches the observability bundle.
-func (m *MaliciousDNS) Observe(o *obs.Obs) {
-	m.trace = o.Tracer()
-	m.ctrServed = o.Registry().Counter("exploit_dns_responses_total",
-		"ROP-carrying DNS responses served (Connman channel)")
-}
+// Observe attaches the observability bundle's tracer.
+func (m *MaliciousDNS) Observe(o *obs.Obs) { m.trace = o.Tracer() }
 
 // Name implements container.Behavior.
 func (m *MaliciousDNS) Name() string { return "evil-dns" }
@@ -322,7 +317,6 @@ func (m *MaliciousDNS) onQuery(src netip.AddrPort, payload []byte, _ int) {
 	resp := dnsmsg.NewResponse(q, dnsmsg.TypeA, 30, chain)
 	m.sock.SendTo(src, resp.Encode())
 	m.QueriesServed++
-	m.ctrServed.Inc()
 	m.trace.Event(m.p.Sched().Now(), obs.CatExploit, "exploit-attempt",
 		obs.KV{K: "channel", V: "dns"}, obs.KV{K: "victim", V: src.Addr().String()})
 }
@@ -338,16 +332,11 @@ type DHCPv6Exploit struct {
 	// MessagesSent counts multicast exploit datagrams.
 	MessagesSent uint64
 
-	trace   *obs.Tracer
-	ctrSent *obs.Counter
+	trace *obs.Tracer
 }
 
-// Observe attaches the observability bundle.
-func (d *DHCPv6Exploit) Observe(o *obs.Obs) {
-	d.trace = o.Tracer()
-	d.ctrSent = o.Registry().Counter("exploit_dhcpv6_messages_total",
-		"crafted RELAY-FORW multicasts sent (Dnsmasq channel)")
-}
+// Observe attaches the observability bundle's tracer.
+func (d *DHCPv6Exploit) Observe(o *obs.Obs) { d.trace = o.Tracer() }
 
 var _ container.Behavior = (*DHCPv6Exploit)(nil)
 
@@ -385,7 +374,6 @@ func (d *DHCPv6Exploit) send() {
 	dst := netip.AddrPortFrom(dhcpv6.AllRelayAgentsAndServers, dhcpv6.ServerPort)
 	d.sock.SendTo(dst, msg.Encode())
 	d.MessagesSent++
-	d.ctrSent.Inc()
 	d.trace.Event(d.p.Sched().Now(), obs.CatExploit, "exploit-attempt",
 		obs.KV{K: "channel", V: "dhcpv6"})
 }

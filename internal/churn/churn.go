@@ -152,8 +152,6 @@ type Controller struct {
 
 	// Observability (optional; see Observe).
 	trace     *obs.Tracer
-	ctrDepart *obs.Counter
-	ctrRejoin *obs.Counter
 	epochSpan obs.SpanID
 	epochOpen bool
 	epochN    int
@@ -208,14 +206,10 @@ func (c *Controller) Hosts() []Host {
 }
 
 // Observe attaches the observability bundle: membership flips become
-// device-up/device-down trace events and counters, and each dynamic
-// re-evaluation period becomes a "churn-epoch" span.
+// device-up/device-down trace events, and each dynamic re-evaluation
+// period becomes a "churn-epoch" span.
 func (c *Controller) Observe(o *obs.Obs) {
 	c.trace = o.Tracer()
-	if reg := o.Registry(); reg != nil {
-		c.ctrDepart = reg.Counter("churn_departures_total", "devices flipped offline by churn")
-		c.ctrRejoin = reg.Counter("churn_rejoins_total", "devices flipped back online by churn")
-	}
 }
 
 // Departures reports how many offline flips occurred.
@@ -326,10 +320,8 @@ func (c *Controller) evaluate(rejoin bool) {
 func (c *Controller) notify(dev Device, online bool) {
 	at := c.sched.Now()
 	if online {
-		c.ctrRejoin.Inc()
 		c.trace.Event(at, obs.CatChurn, "device-up", obs.KV{K: "dev", V: dev.Name()})
 	} else {
-		c.ctrDepart.Inc()
 		c.trace.Event(at, obs.CatChurn, "device-down", obs.KV{K: "dev", V: dev.Name()})
 	}
 	if c.OnChange != nil {

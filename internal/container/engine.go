@@ -5,15 +5,16 @@ import (
 	"sync/atomic"
 
 	"ddosim/internal/netsim"
-	"ddosim/internal/obs"
 	"ddosim/internal/sim"
 )
 
-// EngineStats are the counters the Table I resource model reads.
+// EngineStats are the counters the Table I resource model reads, and
+// the shell scripts run inside containers.
 type EngineStats struct {
 	ContainersBuilt int
 	ImagesBuilt     int
 	ProcsSpawned    int
+	ShellExecs      int
 }
 
 // LinkConfig describes a container's attachment to the simulated
@@ -41,15 +42,6 @@ type Engine struct {
 	// so a reader on another goroutine may load it while a run is in
 	// progress.
 	procsSpawned atomic.Int64
-
-	ctrShellExecs *obs.Counter
-}
-
-// Observe attaches the observability bundle: shell executions inside
-// any container are counted in the registry.
-func (e *Engine) Observe(o *obs.Obs) {
-	e.ctrShellExecs = o.Registry().Counter("container_shell_execs_total",
-		"shell scripts executed inside containers")
 }
 
 // NewEngine creates a runtime attached to the star topology.

@@ -39,7 +39,7 @@ const maxShellDepth = 8
 // RunShell interprets script inside the container. onDone (optional)
 // fires once, with nil on success or the first command error.
 func (c *Container) RunShell(script string, onDone func(error)) {
-	c.engine.ctrShellExecs.Inc()
+	c.engine.stats.ShellExecs++
 	c.runShellDepth(script, onDone, 0)
 }
 

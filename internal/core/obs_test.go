@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ddosim/internal/churn"
+	"ddosim/internal/faults"
 	"ddosim/internal/obs"
 )
 
@@ -150,7 +151,54 @@ func TestSchedulerAccountingMatchesTrace(t *testing.T) {
 
 func TestMetricsAgreeWithResults(t *testing.T) {
 	s, r := runTraced(t, 2)
+	checkMetricsAgree(t, s, r)
+
+	// A faulted run: every faults_* row equals the injector's count.
+	cfg := smallConfig(10)
+	cfg.Seed = 2
+	cfg.Churn = churn.Dynamic
+	cfg.Faults = faults.AtIntensity(0.6)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err = s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	f := r.Faults
+	if f == nil || f.LinkFlaps == 0 || f.LossBursts == 0 || f.ProcCrashes == 0 {
+		t.Fatalf("faulted run injected too little to check: %+v", f)
+	}
+	checkMetricsAgree(t, s, r)
 	reg := s.Obs().Metrics
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"faults_link_flaps_total", f.LinkFlaps},
+		{"faults_loss_bursts_total", f.LossBursts},
+		{"faults_degrade_windows_total", f.DegradeWindows},
+		{"faults_proc_crashes_total", f.ProcCrashes + f.CNCCrashes},
+		{"faults_proc_restarts_total", f.ProcRestarts},
+		{"faults_cnc_outages_total", f.CNCOutages},
+		{"faults_cnc_takedowns_total", f.CNCTakedowns},
+		{"faults_sink_outages_total", f.SinkOutages},
+	} {
+		if got := reg.CounterValue(c.name); got != c.want {
+			t.Errorf("faulted run: %s = %d, the injector counted %d", c.name, got, c.want)
+		}
+	}
+}
+
+// checkMetricsAgree compares each registry row of a finished run with
+// the count it mirrors.
+func checkMetricsAgree(t *testing.T, s *Simulation, r *Results) {
+	t.Helper()
+	reg := s.Obs().Metrics
+	shell := uint64(s.Engine().Stats().ShellExecs)
+	if shell == 0 || s.Attacker().DNS.QueriesServed == 0 || s.Attacker().DHCP.MessagesSent == 0 {
+		t.Fatalf("run ran no shell (%d), served no DNS exploit or sent no DHCPv6 exploit", shell)
+	}
 	checks := []struct {
 		name string
 		got  uint64
@@ -165,10 +213,13 @@ func TestMetricsAgreeWithResults(t *testing.T) {
 		{"net_tx_bytes_total", reg.CounterValue("net_tx_bytes_total"), r.NetStats.TxBytes},
 		{"churn_departures_total", reg.CounterValue("churn_departures_total"), r.ChurnDepartures},
 		{"churn_rejoins_total", reg.CounterValue("churn_rejoins_total"), r.ChurnRejoins},
+		{"container_shell_execs_total", reg.CounterValue("container_shell_execs_total"), shell},
+		{"exploit_dns_responses_total", reg.CounterValue("exploit_dns_responses_total"), s.Attacker().DNS.QueriesServed},
+		{"exploit_dhcpv6_messages_total", reg.CounterValue("exploit_dhcpv6_messages_total"), s.Attacker().DHCP.MessagesSent},
 	}
 	for _, c := range checks {
 		if c.got != c.want {
-			t.Errorf("%s = %d, Results says %d", c.name, c.got, c.want)
+			t.Errorf("%s = %d, the run counted %d", c.name, c.got, c.want)
 		}
 	}
 	if got := reg.GaugeValue("sink_rx_bytes_total"); uint64(got) != r.SinkBytes {

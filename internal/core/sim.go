@@ -141,7 +141,6 @@ func New(cfg Config) (*Simulation, error) {
 	s.net.Observe(s.obs)
 	s.star = netsim.NewStar(s.net)
 	s.engine = container.NewEngine(s.sched, s.star)
-	s.engine.Observe(s.obs)
 
 	// TServer first so the attacker's scanner skip-list can include
 	// it; then the attacker; then the fleet.
@@ -507,7 +506,6 @@ func (s *Simulation) deployAttacker() error {
 					now := s.sched.Now()
 					s.infectedDevs[dev.name] = true
 					s.results.Infected++
-					s.obs.Metrics.Counter("infections_total", "Devs recruited into the botnet").Inc()
 					s.timeline.Record(now, EventLoaded, dev.name)
 					s.obs.Trace.Event(now, obs.CatExploit, "exploit-success",
 						obs.KV{K: "dev", V: dev.name}, obs.KV{K: "channel", V: "loader"})
@@ -739,20 +737,13 @@ func daemonRespawn(c *container.Container, title string, spawn func()) func() bo
 }
 
 func (s *Simulation) outcomeHook(dev *Dev) func(procvm.HijackOutcome) {
-	reg := s.obs.Metrics
-	ctrAttempts := reg.Counter("exploit_attempts_total", "attacker payloads parsed by Dev daemons")
-	ctrHijacked := reg.Counter("exploit_hijacked_total", "payloads that overwrote a return address")
-	ctrInfected := reg.Counter("infections_total", "Devs recruited into the botnet")
-	ctrCrashed := reg.Counter("exploit_crashes_total", "daemons crashed by a payload (defenses held)")
 	return func(out procvm.HijackOutcome) {
 		s.results.ExploitAttempts++
-		ctrAttempts.Inc()
 		if _, ok := s.firstAttempt[dev.name]; !ok {
 			s.firstAttempt[dev.name] = s.sched.Now()
 		}
 		if out.Hijacked {
 			s.results.Hijacked++
-			ctrHijacked.Inc()
 		}
 		switch {
 		case out.ExecutedShell != "":
@@ -760,7 +751,6 @@ func (s *Simulation) outcomeHook(dev *Dev) func(procvm.HijackOutcome) {
 				now := s.sched.Now()
 				s.infectedDevs[dev.name] = true
 				s.results.Infected++
-				ctrInfected.Inc()
 				s.timeline.Record(now, EventExploitHit, dev.name)
 				s.obs.Trace.Event(now, obs.CatExploit, "exploit-success",
 					obs.KV{K: "dev", V: dev.name}, obs.KV{K: "binary", V: string(dev.binary)})
@@ -773,7 +763,6 @@ func (s *Simulation) outcomeHook(dev *Dev) func(procvm.HijackOutcome) {
 			}
 		case out.Crashed():
 			s.results.Crashed++
-			ctrCrashed.Inc()
 			s.timeline.Record(s.sched.Now(), EventExploitCrash, dev.name)
 			s.obs.Trace.Event(s.sched.Now(), obs.CatExploit, "exploit-crash",
 				obs.KV{K: "dev", V: dev.name}, obs.KV{K: "binary", V: string(dev.binary)})
@@ -817,11 +806,8 @@ func (s *Simulation) Run() (*Results, error) {
 	s.recruitSpan = s.obs.Trace.BeginSpan(s.sched.Now(), obs.CatPhase, "recruitment")
 
 	// Recruitment watcher: issue the attack once every online Dev is
-	// a registered bot, or at the recruitment deadline. It doubles as
-	// the per-second sampler of the scheduler queue-depth gauge.
-	queueDepth := s.obs.Metrics.Gauge("sim_queue_depth", "scheduler events pending right now")
+	// a registered bot, or at the recruitment deadline.
 	watcher := sim.NewTicker(s.sched, sim.Second, func() {
-		queueDepth.Set(float64(s.sched.Pending()))
 		if s.attackIssued {
 			return
 		}
@@ -991,19 +977,15 @@ func (s *Simulation) assemble() {
 		r.Faults = &st
 	}
 
-	// Seal the observability layer: close dangling phase spans, mirror
-	// the kernel and wire counters into the registry, and condense a
-	// summary. The wire counters are published here, once, because the
-	// per-frame path keeps them only in NetworkStats.
+	// Seal the observability layer: close dangling phase spans,
+	// publish the run's counts to the registry, and condense a summary.
 	s.obs.Trace.CloseOpenSpans(s.sched.Now())
 	r.Phases = obs.SummarizePhases(s.obs.Trace.Spans(), obs.CatKillChain, faults.CatFault)
 	reg := s.obs.Metrics
 	st := r.NetStats
-	reg.Counter("net_tx_frames_total", "frames transmitted on any link").Add(st.TxFrames)
-	reg.Counter("net_tx_bytes_total", "bytes transmitted on any link").Add(st.TxBytes)
-	reg.Counter("net_tx_bytes_udp_total", "bytes transmitted in UDP frames").Add(st.TxBytesUDP)
-	reg.Counter("net_tx_bytes_tcp_total", "bytes transmitted in TCP frames").Add(st.TxBytesTCP)
-	reg.Counter("net_queue_drops_total", "frames dropped at any queue (drop-tail or loss)").Add(st.Drops)
+	for _, c := range s.counterRows() {
+		reg.Counter(c.name, c.help).Add(c.v)
+	}
 	reg.Gauge("net_queue_depth", "frames buffered anywhere in the network right now").Set(float64(st.QueuedNow))
 	reg.Gauge("net_queue_depth_peak", "peak frames buffered anywhere in the network").Set(float64(st.PeakQueued))
 	reg.Gauge("sim_events_processed", "scheduler events executed this run").
@@ -1030,4 +1012,59 @@ func (s *Simulation) assemble() {
 			CommandedSecs: float64(s.cfg.AttackDuration),
 		})
 	}
+}
+
+// counterRow is one registry counter and the run's own count behind it.
+type counterRow struct {
+	name, help string
+	v          uint64
+}
+
+// counterRows lists the registry counters assemble publishes. Each
+// mirrors a count the run keeps for its whole length, so it is filled
+// once, from that count, after the run; nothing increments a registry
+// counter while the run is going. The cnc_* rows are the exception:
+// the C&C keeps them live (mirai.CNC), because a crashed C&C's
+// replacement starts its own counts from zero and the registry is the
+// one count that spans every instance.
+func (s *Simulation) counterRows() []counterRow {
+	r, st := &s.results, s.results.NetStats
+	rows := []counterRow{
+		{"net_tx_frames_total", "frames transmitted on any link", st.TxFrames},
+		{"net_tx_bytes_total", "bytes transmitted on any link", st.TxBytes},
+		{"net_tx_bytes_udp_total", "bytes transmitted in UDP frames", st.TxBytesUDP},
+		{"net_tx_bytes_tcp_total", "bytes transmitted in TCP frames", st.TxBytesTCP},
+		{"net_queue_drops_total", "frames dropped at any queue (drop-tail or loss)", st.Drops},
+		{"infections_total", "Devs recruited into the botnet", uint64(r.Infected)},
+		{"churn_departures_total", "devices flipped offline by churn", r.ChurnDepartures},
+		{"churn_rejoins_total", "devices flipped back online by churn", r.ChurnRejoins},
+		{"container_shell_execs_total", "shell scripts executed inside containers", uint64(s.engine.Stats().ShellExecs)},
+	}
+	if s.cfg.Vector != VectorCredentials {
+		rows = append(rows,
+			counterRow{"exploit_attempts_total", "attacker payloads parsed by Dev daemons", uint64(r.ExploitAttempts)},
+			counterRow{"exploit_hijacked_total", "payloads that overwrote a return address", uint64(r.Hijacked)},
+			counterRow{"exploit_crashes_total", "daemons crashed by a payload (defenses held)", uint64(r.Crashed)})
+	}
+	// The exploit scripts run once per run; no fault restarts them.
+	if dns := s.attacker.DNS; dns != nil {
+		rows = append(rows, counterRow{"exploit_dns_responses_total",
+			"ROP-carrying DNS responses served (Connman channel)", dns.QueriesServed})
+	}
+	if dhcp := s.attacker.DHCP; dhcp != nil {
+		rows = append(rows, counterRow{"exploit_dhcpv6_messages_total",
+			"crafted RELAY-FORW multicasts sent (Dnsmasq channel)", dhcp.MessagesSent})
+	}
+	if f := r.Faults; f != nil {
+		rows = append(rows,
+			counterRow{"faults_link_flaps_total", "link flaps injected", f.LinkFlaps},
+			counterRow{"faults_loss_bursts_total", "loss bursts injected", f.LossBursts},
+			counterRow{"faults_degrade_windows_total", "degradation windows injected", f.DegradeWindows},
+			counterRow{"faults_proc_crashes_total", "processes crashed", f.ProcCrashes + f.CNCCrashes},
+			counterRow{"faults_proc_restarts_total", "supervisor restarts performed", f.ProcRestarts},
+			counterRow{"faults_cnc_outages_total", "C&C outage windows injected", f.CNCOutages},
+			counterRow{"faults_cnc_takedowns_total", "permanent C&C takedowns injected", f.CNCTakedowns},
+			counterRow{"faults_sink_outages_total", "sink outage windows injected", f.SinkOutages})
+	}
+	return rows
 }

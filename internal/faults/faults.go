@@ -33,8 +33,7 @@
 // constant, the same dedicated-stream pattern core uses for fleet
 // parameters) and scheduled on the sim.Scheduler. Equal seeds therefore
 // give byte-identical fault schedules, and a zero Config injects
-// nothing and registers nothing — artifacts of fault-free runs are
-// untouched byte for byte.
+// nothing — artifacts of fault-free runs are untouched byte for byte.
 package faults
 
 import (
@@ -242,7 +241,6 @@ type Injector struct {
 	sink    func(down bool)
 
 	trace         *obs.Tracer
-	ctr           map[string]*obs.Counter
 	stats         Stats
 	stopped       bool
 	takedownArmed bool
@@ -260,19 +258,6 @@ func New(sched *sim.Scheduler, cfg Config, seed int64, o *obs.Obs) (*Injector, e
 		cfg:   cfg.normalized(),
 		rng:   rand.New(rand.NewSource(seed ^ seedMix)),
 		trace: o.Tracer(),
-		ctr:   make(map[string]*obs.Counter),
-	}
-	if reg := o.Registry(); reg != nil && cfg.Enabled() {
-		// Counters are registered only for an active scenario so a
-		// fault-free run's metrics dump stays byte-identical.
-		inj.ctr["flap"] = reg.Counter("faults_link_flaps_total", "link flaps injected")
-		inj.ctr["burst"] = reg.Counter("faults_loss_bursts_total", "loss bursts injected")
-		inj.ctr["degrade"] = reg.Counter("faults_degrade_windows_total", "degradation windows injected")
-		inj.ctr["crash"] = reg.Counter("faults_proc_crashes_total", "processes crashed")
-		inj.ctr["restart"] = reg.Counter("faults_proc_restarts_total", "supervisor restarts performed")
-		inj.ctr["cnc"] = reg.Counter("faults_cnc_outages_total", "C&C outage windows injected")
-		inj.ctr["takedown"] = reg.Counter("faults_cnc_takedowns_total", "permanent C&C takedowns injected")
-		inj.ctr["sink"] = reg.Counter("faults_sink_outages_total", "sink outage windows injected")
 	}
 	return inj, nil
 }
@@ -327,11 +312,11 @@ func (inj *Injector) Start() {
 	if c.CrashPeriod > 0 {
 		for i := range inj.procs {
 			t := &inj.procs[i]
-			inj.after(inj.exp(c.CrashPeriod), func() { inj.crash(t, c.CrashPeriod, "crash") })
+			inj.after(inj.exp(c.CrashPeriod), func() { inj.crash(t, c.CrashPeriod) })
 		}
 	}
 	if c.CNCCrashPeriod > 0 && inj.cncProc != nil {
-		inj.after(inj.exp(c.CNCCrashPeriod), func() { inj.crash(inj.cncProc, c.CNCCrashPeriod, "crash") })
+		inj.after(inj.exp(c.CNCCrashPeriod), func() { inj.crash(inj.cncProc, c.CNCCrashPeriod) })
 	}
 	if c.CNCOutagePeriod > 0 && inj.cncLink != nil {
 		inj.after(inj.exp(c.CNCOutagePeriod), inj.cncOutage)
@@ -361,10 +346,7 @@ func (inj *Injector) after(d sim.Time, fn func()) {
 	})
 }
 
-func (inj *Injector) emit(kind, actor string, ctr string) {
-	if c := inj.ctr[ctr]; c != nil {
-		c.Inc()
-	}
+func (inj *Injector) emit(kind, actor string) {
 	inj.trace.Event(inj.sched.Now(), CatFault, kind, obs.KV{K: "target", V: actor})
 	if inj.OnEvent != nil {
 		inj.OnEvent(kind, actor)
@@ -391,7 +373,7 @@ func (inj *Injector) flap(lt *linkTarget) {
 	lt.dev.SetUp(false)
 	inj.stats.LinkFlaps++
 	span := inj.trace.BeginSpan(inj.sched.Now(), CatFault, "link-flap", obs.KV{K: "target", V: lt.name})
-	inj.emit(EventLinkDown, lt.name, "flap")
+	inj.emit(EventLinkDown, lt.name)
 	inj.after(inj.cfg.FlapDown, func() {
 		lt.flapped = false
 		inj.trace.EndSpan(span, inj.sched.Now())
@@ -399,7 +381,7 @@ func (inj *Injector) flap(lt *linkTarget) {
 		// the meantime.
 		if !lt.dev.IsUp() {
 			lt.dev.SetUp(true)
-			inj.emit(EventLinkUp, lt.name, "")
+			inj.emit(EventLinkUp, lt.name)
 		}
 	})
 }
@@ -415,12 +397,12 @@ func (inj *Injector) burst(lt *linkTarget) {
 	inj.stats.LossBursts++
 	span := inj.trace.BeginSpan(inj.sched.Now(), CatFault, "loss-burst",
 		obs.KV{K: "target", V: lt.name}, obs.KV{K: "loss", V: fmt.Sprintf("%.3f", inj.cfg.BurstLoss)})
-	inj.emit(EventBurstStart, lt.name, "burst")
+	inj.emit(EventBurstStart, lt.name)
 	inj.after(inj.exp(inj.cfg.BurstMean), func() {
 		lt.bursting = false
 		lt.dev.SetLossRate(0)
 		inj.trace.EndSpan(span, inj.sched.Now())
-		inj.emit(EventBurstEnd, lt.name, "")
+		inj.emit(EventBurstEnd, lt.name)
 		inj.after(inj.exp(inj.cfg.BurstGap), func() { inj.burst(lt) })
 	})
 }
@@ -453,21 +435,21 @@ func (inj *Injector) degrade(lt *linkTarget) {
 	inj.stats.DegradeWindows++
 	span := inj.trace.BeginSpan(inj.sched.Now(), CatFault, "degrade",
 		obs.KV{K: "target", V: lt.name}, obs.KV{K: "factor", V: fmt.Sprintf("%.2f", inj.cfg.DegradeFactor)})
-	inj.emit(EventDegradeOn, lt.name, "degrade")
+	inj.emit(EventDegradeOn, lt.name)
 	inj.after(inj.cfg.DegradeDown, func() {
 		lt.degraded = false
 		lt.dev.SetRate(lt.origRate)
 		lt.dev.SetQueueLimit(lt.origQueue)
 		inj.trace.EndSpan(span, inj.sched.Now())
-		inj.emit(EventDegradeOff, lt.name, "")
+		inj.emit(EventDegradeOff, lt.name)
 		reschedule()
 	})
 }
 
 // crash kills one process in the target and schedules the supervisor
 // restart; the crash process then reschedules itself.
-func (inj *Injector) crash(t *ProcTarget, period sim.Time, ctr string) {
-	defer inj.after(inj.exp(period), func() { inj.crash(t, period, ctr) })
+func (inj *Injector) crash(t *ProcTarget, period sim.Time) {
+	defer inj.after(inj.exp(period), func() { inj.crash(t, period) })
 	what, ok := t.Crash(inj.rng)
 	if !ok {
 		return
@@ -477,7 +459,7 @@ func (inj *Injector) crash(t *ProcTarget, period sim.Time, ctr string) {
 	} else {
 		inj.stats.ProcCrashes++
 	}
-	inj.emit(EventProcCrash, t.Name+"/"+what, ctr)
+	inj.emit(EventProcCrash, t.Name+"/"+what)
 	if t.Restart == nil {
 		return
 	}
@@ -486,7 +468,7 @@ func (inj *Injector) crash(t *ProcTarget, period sim.Time, ctr string) {
 			return
 		}
 		inj.stats.ProcRestarts++
-		inj.emit(EventProcRestart, t.Name+"/"+what, "restart")
+		inj.emit(EventProcRestart, t.Name+"/"+what)
 	})
 }
 
@@ -501,13 +483,13 @@ func (inj *Injector) cncOutage() {
 	lt.dev.SetUp(false)
 	inj.stats.CNCOutages++
 	span := inj.trace.BeginSpan(inj.sched.Now(), CatFault, "cnc-outage", obs.KV{K: "target", V: lt.name})
-	inj.emit(EventCNCDown, lt.name, "cnc")
+	inj.emit(EventCNCDown, lt.name)
 	inj.after(inj.cfg.CNCOutageDown, func() {
 		lt.flapped = false
 		inj.trace.EndSpan(span, inj.sched.Now())
 		if !lt.dev.IsUp() {
 			lt.dev.SetUp(true)
-			inj.emit(EventCNCUp, lt.name, "")
+			inj.emit(EventCNCUp, lt.name)
 		}
 	})
 }
@@ -539,7 +521,7 @@ func (inj *Injector) takedown() {
 		}
 	}
 	inj.stats.CNCTakedowns++
-	inj.emit(EventCNCTakedown, "attacker", "takedown")
+	inj.emit(EventCNCTakedown, "attacker")
 }
 
 // sinkOutage suspends the measurement sink for SinkOutageDown.
@@ -548,10 +530,10 @@ func (inj *Injector) sinkOutage() {
 	inj.sink(true)
 	inj.stats.SinkOutages++
 	span := inj.trace.BeginSpan(inj.sched.Now(), CatFault, "sink-outage", obs.KV{K: "target", V: "tserver"})
-	inj.emit(EventSinkDown, "tserver", "sink")
+	inj.emit(EventSinkDown, "tserver")
 	inj.after(inj.cfg.SinkOutageDown, func() {
 		inj.sink(false)
 		inj.trace.EndSpan(span, inj.sched.Now())
-		inj.emit(EventSinkUp, "tserver", "")
+		inj.emit(EventSinkUp, "tserver")
 	})
 }

@@ -13,8 +13,7 @@ import (
 
 // Counter is a monotonically-increasing uint64 metric. Methods are
 // nil-safe and safe for concurrent use: the simulation kernel is
-// single-threaded, but exporters (Prometheus scrapes, snapshots) may
-// read from other goroutines.
+// single-threaded, but an exporter may read from another goroutine.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -38,8 +37,6 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-func (c *Counter) reset() { c.v.Store(0) }
-
 // Gauge is a settable float64 metric. Methods are nil-safe and safe
 // for concurrent use (the value is an atomically-updated bit pattern).
 type Gauge struct {
@@ -54,20 +51,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add shifts the value by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
 // Value reports the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -76,82 +59,16 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-func (g *Gauge) reset() { g.bits.Store(0) }
-
-// Histogram buckets observations by upper bound, Prometheus-style
-// (cumulative buckets plus +Inf, sum, and count). Methods are nil-safe
-// and safe for concurrent use.
-type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64
-	counts []uint64 // len(bounds)+1; last is +Inf
-	sum    float64
-	total  uint64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
-	h.total++
-	h.mu.Unlock()
-}
-
-// Count reports how many samples were observed.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Sum reports the sum of all samples.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// snapshot returns a consistent (bounds, cumulative-free counts, sum,
-// total) view under the histogram's lock.
-func (h *Histogram) snapshot() (bounds []float64, counts []uint64, sum float64, total uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	counts = make([]uint64, len(h.counts))
-	copy(counts, h.counts)
-	return h.bounds, counts, h.sum, h.total
-}
-
-func (h *Histogram) reset() {
-	h.mu.Lock()
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.sum, h.total = 0, 0
-	h.mu.Unlock()
-}
-
 // Registry holds named metrics. Get-or-create accessors make callers
 // independent of registration order; names follow Prometheus
 // conventions (snake_case, _total suffix on counters). Methods are
 // nil-safe (a nil registry hands out nil metrics, whose methods are
 // no-ops) and safe for concurrent use: the maps are mutex-guarded, and
-// the metric values themselves are atomic or locked.
+// the metric values themselves are atomic.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 	help     map[string]string
 }
 
@@ -160,7 +77,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
 		help:     make(map[string]string),
 	}
 }
@@ -197,26 +113,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use with
-// the given upper bounds (sorted ascending; +Inf is implicit).
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		bs := make([]float64, len(bounds))
-		copy(bs, bounds)
-		sort.Float64s(bs)
-		h = &Histogram{bounds: bs, counts: make([]uint64, len(bs)+1)}
-		r.hists[name] = h
-		r.help[name] = help
-	}
-	return h
-}
-
 // CounterValue reports a counter's value without creating it.
 func (r *Registry) CounterValue(name string) uint64 {
 	if r == nil {
@@ -239,63 +135,6 @@ func (r *Registry) GaugeValue(name string) float64 {
 	return g.Value()
 }
 
-// Reset zeroes every registered metric, keeping registrations (names,
-// help text, histogram bounds) intact. Handles previously returned by
-// the get-or-create accessors remain valid.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.reset()
-	}
-	for _, g := range r.gauges {
-		g.reset()
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
-}
-
-// MetricPoint is one metric's value in a registry snapshot.
-type MetricPoint struct {
-	Name  string
-	Type  string // "counter" | "gauge" | "histogram"
-	Value float64
-	Count uint64 // histogram sample count; 0 otherwise
-}
-
-// Snapshot captures every metric's current value, sorted by name (and,
-// for the pathological case of one name registered as several types,
-// by type) so the result is deterministic.
-func (r *Registry) Snapshot() []MetricPoint {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	out := make([]MetricPoint, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n, c := range r.counters {
-		out = append(out, MetricPoint{Name: n, Type: "counter", Value: float64(c.Value())})
-	}
-	for n, g := range r.gauges {
-		out = append(out, MetricPoint{Name: n, Type: "gauge", Value: g.Value()})
-	}
-	for n, h := range r.hists {
-		_, _, sum, total := h.snapshot()
-		out = append(out, MetricPoint{Name: n, Type: "histogram", Value: sum, Count: total})
-	}
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Type < out[j].Type
-	})
-	return out
-}
-
 func formatFloat(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
 		return strconv.FormatInt(int64(v), 10)
@@ -305,16 +144,15 @@ func formatFloat(v float64) string {
 
 // WritePrometheus dumps every metric in the Prometheus text exposition
 // format, sorted by name so output is deterministic. A name registered
-// as more than one metric type (a misuse, but possible) is emitted
-// exactly once, preferring counter, then gauge, then histogram —
-// previously such a name was dumped once per type, destabilizing the
-// artifact.
+// as both a counter and a gauge (a misuse, but possible) is emitted
+// exactly once, as the counter — previously such a name was dumped once
+// per type, destabilizing the artifact.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	names := make([]string, 0, len(r.counters)+len(r.gauges))
 	seen := make(map[string]bool, cap(names))
 	addName := func(n string) {
 		if !seen[n] {
@@ -328,9 +166,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for n := range r.gauges {
 		addName(n)
 	}
-	for n := range r.hists {
-		addName(n)
-	}
 	sort.Strings(names)
 
 	var b strings.Builder
@@ -338,22 +173,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if help := r.help[n]; help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", n, help)
 		}
-		switch {
-		case r.counters[n] != nil:
-			fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", n, n, r.counters[n].Value())
-		case r.gauges[n] != nil:
+		if c := r.counters[n]; c != nil {
+			fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", n, n, c.Value())
+		} else {
 			fmt.Fprintf(&b, "# TYPE %s gauge\n%s %s\n", n, n, formatFloat(r.gauges[n].Value()))
-		default:
-			bounds, counts, sum, total := r.hists[n].snapshot()
-			fmt.Fprintf(&b, "# TYPE %s histogram\n", n)
-			var cum uint64
-			for i, bound := range bounds {
-				cum += counts[i]
-				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", n, formatFloat(bound), cum)
-			}
-			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", n, total)
-			fmt.Fprintf(&b, "%s_sum %s\n", n, formatFloat(sum))
-			fmt.Fprintf(&b, "%s_count %d\n", n, total)
 		}
 	}
 	r.mu.Unlock()

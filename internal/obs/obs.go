@@ -11,7 +11,7 @@
 //   - Tracer: typed spans and point events keyed to sim.Time,
 //     exportable as JSONL or as Chrome trace_event JSON that opens
 //     directly in chrome://tracing or Perfetto.
-//   - Registry: named counters, gauges, and histograms with a
+//   - Registry: named counters and gauges with a
 //     Prometheus-style text dump, replacing scattered one-off counters.
 //   - Profiler: wall-clock-per-sim-second samples hooked into the
 //     scheduler's run loop; the per-source event counts it reports
