@@ -182,12 +182,6 @@ type Config struct {
 	// produces the paper's Fig. 2 churn gap.
 	CNCReplayAttack bool
 
-	// FlowActiveTimeout and FlowIdleTimeout tune the NetFlow-style
-	// flow exporter: a flow is checkpointed after ActiveTimeout of
-	// continuous activity and closed after IdleTimeout of silence.
-	// Zero selects the netsim defaults (60 s / 15 s).
-	FlowActiveTimeout sim.Time
-	FlowIdleTimeout   sim.Time
 	// WindowSize is the aggregation interval of the windowed
 	// time-series artifact. Zero selects 1 s.
 	WindowSize sim.Time
@@ -221,8 +215,6 @@ func DefaultConfig(numDevs int) Config {
 		WeakCredFraction:   1.0,
 		ScanPeriod:         2 * sim.Second,
 		SeedCount:          1,
-		FlowActiveTimeout:  netsim.DefaultFlowActiveTimeout,
-		FlowIdleTimeout:    netsim.DefaultFlowIdleTimeout,
 		WindowSize:         sim.Second,
 	}
 }
@@ -253,7 +245,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: CanaryFraction %v outside [0,1]", c.CanaryFraction)
 	case c.AttackMethod != "" && !mirai.KnownMethod(c.AttackMethod):
 		return fmt.Errorf("core: unknown attack method %q", c.AttackMethod)
-	case c.FlowActiveTimeout < 0 || c.FlowIdleTimeout < 0 || c.WindowSize < 0:
+	case c.WindowSize < 0:
 		return fmt.Errorf("core: negative telemetry interval")
 	case c.Botnet != "" && c.Botnet != BotnetMirai && c.Botnet != BotnetP2P:
 		return fmt.Errorf("core: unknown botnet family %q (mirai|p2p)", c.Botnet)

@@ -185,11 +185,8 @@ func New(cfg Config) (*Simulation, error) {
 // deployment because the label rules need the attacker's addresses.
 func (s *Simulation) setupTelemetry() {
 	s.flowBuf = &obs.FlowBuffer{}
-	s.net.EnableFlows(netsim.FlowConfig{
-		ActiveTimeout: s.cfg.FlowActiveTimeout,
-		IdleTimeout:   s.cfg.FlowIdleTimeout,
-		Sink:          s.flowBuf,
-	})
+	// Flows take netsim's default active and idle timeouts.
+	s.net.EnableFlows(netsim.FlowConfig{Sink: s.flowBuf})
 	atk := s.attacker.Container.Node()
 	// Rule order matters: the C&C listens on port 23 — the telnet port —
 	// so the exact-endpoint C&C rule must precede the generic telnet
