@@ -8,6 +8,7 @@ import (
 	"ddosim/internal/churn"
 	"ddosim/internal/faults"
 	"ddosim/internal/obs"
+	"ddosim/internal/sim"
 )
 
 // runTraced executes one small seeded run — dynamic churn keeps epoch
@@ -153,11 +154,13 @@ func TestMetricsAgreeWithResults(t *testing.T) {
 	s, r := runTraced(t, 2)
 	checkMetricsAgree(t, s, r)
 
-	// A faulted run: every faults_* row equals the injector's count.
+	// A faulted run with C&C crashes: every faults_* row equals the
+	// injector's count, and the cnc_* rows span the C&C's re-execs.
 	cfg := smallConfig(10)
 	cfg.Seed = 2
 	cfg.Churn = churn.Dynamic
 	cfg.Faults = faults.AtIntensity(0.6)
+	cfg.Faults.CNCCrashPeriod = 60 * sim.Second
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +169,7 @@ func TestMetricsAgreeWithResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := r.Faults
-	if f == nil || f.LinkFlaps == 0 || f.LossBursts == 0 || f.ProcCrashes == 0 {
+	if f == nil || f.LinkFlaps == 0 || f.LossBursts == 0 || f.ProcCrashes == 0 || f.CNCCrashes == 0 {
 		t.Fatalf("faulted run injected too little to check: %+v", f)
 	}
 	checkMetricsAgree(t, s, r)
@@ -187,6 +190,11 @@ func TestMetricsAgreeWithResults(t *testing.T) {
 		if got := reg.CounterValue(c.name); got != c.want {
 			t.Errorf("faulted run: %s = %d, the injector counted %d", c.name, got, c.want)
 		}
+	}
+	// The re-exec'd C&C counts only the registrations since its start;
+	// the registry counts every instance's.
+	if got, live := reg.CounterValue("cnc_registrations_total"), uint64(s.CNC().TotalRegistered); got <= live {
+		t.Errorf("cnc_registrations_total = %d, not above the live C&C's %d", got, live)
 	}
 }
 
