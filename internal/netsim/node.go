@@ -301,7 +301,7 @@ func (n *Node) countTx(frameLen int, proto Protocol) {
 // the node, when a tracer is attached.
 func (n *Node) drop(reason DropReason) {
 	n.net.stats.Dropped[reason]++
-	if tr := n.net.trace; tr != nil && reason <= DropLoss {
+	if tr := n.net.trace; tr != nil && (reason == DropTail || reason == DropLoss) {
 		// Guarded even though Tracer is nil-safe, so an untraced flood
 		// run skips building the annotations.
 		//simlint:allow allocfree(the variadic KV array stays on this stack: Tracer.Event copies the annotations into its arena and keeps no reference, pinned by TestQueueDropEventAllocFree)
