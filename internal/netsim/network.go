@@ -54,7 +54,7 @@ type NetworkStats struct {
 	TxBytesTCP uint64
 	// Dropped is the drop ledger, indexed by DropReason.
 	Dropped [NumDropReasons]uint64
-	// Drops is the queue drops, Dropped[DropTail] + Dropped[DropLoss]:
+	// Drops counts queue drops, Dropped[DropTail] + Dropped[DropLoss]:
 	// what the net_drops column and net_queue_drops_total report.
 	// Stats fills it from the ledger.
 	Drops       uint64
