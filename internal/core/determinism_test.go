@@ -57,6 +57,13 @@ func runOnce(t *testing.T, seed int64) artifacts {
 // runOnceFaults is runOnce under a fault scenario.
 func runOnceFaults(t *testing.T, seed int64, fc faults.Config) artifacts {
 	t.Helper()
+	a, _, _ := runCfg(t, churnConfig(seed, fc))
+	return a
+}
+
+// churnConfig is runOnceFaults' scenario: ten memory-error Devs under
+// dynamic churn recruited into the mirai family.
+func churnConfig(seed int64, fc faults.Config) core.Config {
 	cfg := core.DefaultConfig(10)
 	cfg.Seed = seed
 	cfg.Churn = churn.Dynamic
@@ -64,8 +71,31 @@ func runOnceFaults(t *testing.T, seed int64, fc faults.Config) artifacts {
 	cfg.AttackDuration = 30
 	cfg.RecruitTimeout = 90 * sim.Second
 	cfg.Faults = fc
-	a, _, _ := runCfg(t, cfg)
-	return a
+	return cfg
+}
+
+// credGoldenConfig is a credentials-vector run: a seed scanner, the
+// bots' own telnet scanning and the loader recruit the fleet.
+func credGoldenConfig() core.Config {
+	cfg := core.DefaultConfig(12)
+	cfg.Seed = 7
+	cfg.Vector = core.VectorCredentials
+	cfg.SimDuration = 400 * sim.Second
+	cfg.AttackDuration = 30
+	cfg.RecruitTimeout = 300 * sim.Second
+	cfg.ScanPeriod = sim.Second
+	return cfg
+}
+
+// cncCrashFaults is a fault scenario that also crashes the botmaster's
+// process every 40 s, which faults.AtIntensity alone never does.
+func cncCrashFaults(t *testing.T) faults.Config {
+	t.Helper()
+	fc, err := faults.ParseSpec("intensity=0.6;cnc:crash=40s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fc
 }
 
 // runCfg executes an arbitrary configuration with a deterministic
@@ -218,6 +248,59 @@ func TestCongestedFaultTraceMatchesGolden(t *testing.T) {
 		flows:  "a07eadae23b3023272cb3373fc49713ca2943ab2d58db3d89a09215929acd096",
 		ts:     "4145f39ee79e2141dbdd0a76c8eef2a3d5089743d922fcb07e8f47d5fb465774",
 	})
+}
+
+// TestCredentialArtifactsMatchGolden pins every artifact of a
+// credentials-vector run: scanner reports, the loader's pushes and the
+// infections they make, a path no memory-error golden takes.
+func TestCredentialArtifactsMatchGolden(t *testing.T) {
+	a, _, r := runCfg(t, credGoldenConfig())
+	if r.Timeline.Count(core.EventLoaded) == 0 {
+		t.Error("no Dev was loaded; the scenario no longer covers the loader")
+	}
+	a.matchGolden(t, "credentials", goldenHashes{
+		rep:    "60349bca98f2cbcf9cf217f485863626823ebf7271f1a3859444525e9992199e",
+		jsonl:  "ae2605d8d4f07e6f07feb020433c887bf1e03b38a31c5a31081a1f68d9b32412",
+		chrome: "8868d67ddcabc0608721b8830aa9aeada6a11adc23789bcb28be0005a25e842f",
+		flows:  "03fe995636ec6e2583f62e3602bda2365bc573e56cb5b4a4a5ccf0c7dadc97d4",
+		ts:     "e38997996284337548b2364520471b36322c8f3e26639eb159924487590ce8ed",
+	})
+}
+
+// TestCNCCrashArtifactsMatchGolden pins both families while the
+// botmaster's process crashes and is re-executed: the C&C for mirai,
+// the overlay seeder for p2p, and every registration that follows.
+func TestCNCCrashArtifactsMatchGolden(t *testing.T) {
+	p2p := p2pConfig(1234)
+	p2p.Faults = cncCrashFaults(t)
+	for _, tc := range []struct {
+		family string
+		cfg    core.Config
+		want   goldenHashes
+	}{
+		{"mirai", churnConfig(1234, cncCrashFaults(t)), goldenHashes{
+			rep:    "232bd3a485a824c7c87c2cf3e0b32ca54c54bf41b71f92df8ceb5466b546a2df",
+			jsonl:  "8dc9a01399fcf636005ade4af28a669eb980a1e41b0cf37bcf51f02b472a497a",
+			chrome: "be99a3806aa82a9f862f8d13be9a35d3382f53bd9b9a0d9b9ac5ffb75c2a086b",
+			flows:  "bbea002b352a861610bf5f51987fab3985f76b71cc4aa1e208a1e67416030142",
+			ts:     "7a8ac0c4eb8e8dd057d6aff6dc5db28219573aa81e1acddc82d4829907f57443",
+		}},
+		{"p2p", p2p, goldenHashes{
+			rep:    "9a703761ba1f6b2fe6e5247a580d7171b83677ea3406448199e101eb313185c9",
+			jsonl:  "30bf9e2c717c066a33e57a157d17c54e4f25fd6468450e69473f07abb3cb004a",
+			chrome: "eef114bce22237766e952727c67936a0aebfbaa1acd202b0b85c88335a1d5af1",
+			flows:  "793045f0047e09126e8dfb72cd88840f2dd5b412ca188dacec7d1a147de273b4",
+			ts:     "1a10b3ec1595ac4ca878a50966151735c33e46e5b3e0b6862a4e39adfb1665d9",
+		}},
+	} {
+		t.Run(tc.family, func(t *testing.T) {
+			a, _, r := runCfg(t, tc.cfg)
+			if r.Faults == nil || r.Faults.CNCCrashes == 0 {
+				t.Errorf("fault stats %+v; the scenario no longer crashes the botmaster", r.Faults)
+			}
+			a.matchGolden(t, tc.family+" C&C crashes", tc.want)
+		})
+	}
 }
 
 func sha256Hex(b []byte) string {
