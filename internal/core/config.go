@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 
+	imagecat "ddosim/internal/binaries/image"
 	"ddosim/internal/churn"
 	"ddosim/internal/faults"
 	"ddosim/internal/mirai"
@@ -16,14 +17,15 @@ import (
 	"ddosim/internal/sim"
 )
 
-// DevBinary selects the network-facing daemon a Dev runs.
+// DevBinary selects the network-facing daemon a Dev runs. Its value is
+// the daemon's binary name, which is also its process title.
 type DevBinary string
 
 // Supported Dev binaries.
 const (
-	BinaryConnman DevBinary = "connmand"
-	BinaryDnsmasq DevBinary = "dnsmasq"
-	BinaryTelnetd DevBinary = "telnetd"
+	BinaryConnman DevBinary = imagecat.BinConnman
+	BinaryDnsmasq DevBinary = imagecat.BinDnsmasq
+	BinaryTelnetd DevBinary = imagecat.BinTelnetd
 )
 
 // Botnet family names for Config.Botnet.
@@ -277,6 +279,9 @@ func (c *Config) p2p() bool { return c.Botnet == BotnetP2P }
 
 // binaryFor deterministically assigns a Dev index its daemon.
 func (c *Config) binaryFor(i int) DevBinary {
+	if c.Vector == VectorCredentials {
+		return BinaryTelnetd
+	}
 	connmanDevs := int(float64(c.NumDevs)*c.ConnmanFraction + 0.5)
 	if i < connmanDevs {
 		return BinaryConnman

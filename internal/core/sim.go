@@ -46,6 +46,15 @@ type Dev struct {
 	// Dev's service daemon back after a crash. It reports false (and
 	// does nothing) when the daemon is still (or already) running.
 	respawn func() bool
+
+	// The Dev's kill-chain record. firstPayload is when it first parsed
+	// an attacker payload and firstReport when a scanner first reported
+	// it to the loader, each -1 until then; they anchor the "exploit"
+	// and "load" spans. infected and registered are set the first time
+	// the Dev is infected and the first time its bot joins the botnet,
+	// and stay set.
+	firstPayload, firstReport sim.Time
+	infected, registered      bool
 }
 
 // Name implements churn.Device.
@@ -86,28 +95,25 @@ type Simulation struct {
 	timeline *metrics.Timeline
 	obs      *obs.Obs
 
+	// devByAddr finds the Dev behind an address a callback hands over.
+	// Every such address is a Dev's: the scanners skip the attacker and
+	// TServer, the router holds no address, and only Devs run bots. So
+	// a lookup cannot miss; the callbacks ignore a miss rather than
+	// count a stranger.
 	devByAddr map[netip.Addr]*Dev
 
 	recruitSpan obs.SpanID
 	attackSpan  obs.SpanID
 
-	// Telemetry pipeline: exported flow records, windowed time series,
-	// and the per-bot kill-chain bookkeeping behind the phase spans.
+	// Telemetry pipeline: exported flow records and windowed time series.
 	flowBuf *obs.FlowBuffer
 	windows *obs.Windows
-	// firstAttempt records when each Dev first parsed an attacker
-	// payload; firstReport when the loader first learned of a victim.
-	// They anchor the "exploit" and "load" kill-chain spans.
-	firstAttempt map[string]sim.Time
-	firstReport  map[netip.Addr]sim.Time
 	// winCmdSum/winCmdN accumulate command→flood latencies inside the
 	// current window; the cnc_cmd_latency_s column drains them.
 	winCmdSum float64
 	winCmdN   int
 
-	results        Results
-	infectedDevs   map[string]bool
-	registeredEver map[netip.Addr]bool
+	results Results
 
 	attackIssued bool
 	preSnap      resources.Snapshot
@@ -126,14 +132,10 @@ func New(cfg Config) (*Simulation, error) {
 		cfg.WindowSize = sim.Second
 	}
 	s := &Simulation{
-		cfg:            cfg,
-		timeline:       metrics.NewTimeline(),
-		obs:            obs.New(),
-		devByAddr:      make(map[netip.Addr]*Dev),
-		firstAttempt:   make(map[string]sim.Time),
-		firstReport:    make(map[netip.Addr]sim.Time),
-		infectedDevs:   make(map[string]bool),
-		registeredEver: make(map[netip.Addr]bool),
+		cfg:       cfg,
+		timeline:  metrics.NewTimeline(),
+		obs:       obs.New(),
+		devByAddr: make(map[netip.Addr]*Dev),
 	}
 	s.sched = sim.NewScheduler(cfg.Seed)
 	s.sched.SetHook(s.obs.SchedulerHook())
@@ -278,60 +280,33 @@ func (s *Simulation) setupFaults() error {
 			},
 		})
 	}
-	atkC := s.attacker.Container
-	cncTarget := faults.ProcTarget{
+	// The botmaster's process: the C&C, or the P2P family's seeder.
+	// Crash and restart re-exec its binary, and the attacker's factory
+	// rebinds s.attacker.CNC or .Seeder to the fresh instance; the
+	// takedown scenario kills it for good, the fault whose blast radius
+	// the P2P family shrinks.
+	atkC, title := s.attacker.Container, "cnc"
+	if s.cfg.p2p() {
+		title = "p2p-seed"
+	}
+	inj.SetCNC("attacker", atkC.Node().DefaultDevice(), faults.ProcTarget{
 		Name: "attacker",
 		Crash: func(*rand.Rand) (string, bool) {
-			p := atkC.FindByTCPPort(mirai.CNCPort)
+			p := procTitled(atkC, title)
 			if p == nil {
 				return "", false
 			}
 			atkC.Kill(p.PID())
-			return "cnc", true
+			return title, true
 		},
 		Restart: func(string) bool {
-			if atkC.FindByTCPPort(mirai.CNCPort) != nil {
+			if procTitled(atkC, title) != nil {
 				return false
 			}
-			// Re-exec the C&C binary; the attacker's factory rebinds
-			// s.attacker.CNC to the fresh instance.
-			_, err := atkC.ExecFile("/usr/bin/cnc", nil)
+			_, err := atkC.ExecFile("/usr/bin/"+title, nil)
 			return err == nil
 		},
-	}
-	if s.cfg.p2p() {
-		// The P2P family's "C&C" is the seeder daemon (UDP, so found by
-		// process title, not TCP port). Crash/restart re-exec the seed
-		// binary; the takedown scenario kills it for good — which is
-		// exactly the fault whose blast radius the family shrinks.
-		findSeed := func() *container.Process {
-			for _, p := range atkC.Procs() {
-				if p.Title() == "p2p-seed" {
-					return p
-				}
-			}
-			return nil
-		}
-		cncTarget = faults.ProcTarget{
-			Name: "attacker",
-			Crash: func(*rand.Rand) (string, bool) {
-				p := findSeed()
-				if p == nil {
-					return "", false
-				}
-				atkC.Kill(p.PID())
-				return "p2p-seed", true
-			},
-			Restart: func(string) bool {
-				if findSeed() != nil {
-					return false
-				}
-				_, err := atkC.ExecFile("/usr/bin/p2p-seed", nil)
-				return err == nil
-			},
-		}
-	}
-	inj.SetCNC("attacker", atkC.Node().DefaultDevice(), cncTarget)
+	})
 	inj.SetSink(func(down bool) {
 		if down {
 			s.sink.Suspend()
@@ -421,15 +396,11 @@ func (s *Simulation) deployAttacker() error {
 		},
 		CNC: mirai.CNCConfig{
 			ReplayAttackCommand: s.cfg.CNCReplayAttack,
-			OnBotRegistered: func(addr netip.Addr, arch string) {
-				if !s.registeredEver[addr] {
-					s.registeredEver[addr] = true
-					s.results.BotsRegistered++
-				}
-				s.timeline.Record(s.sched.Now(), EventBotJoined, s.devName(addr))
-			},
+			OnBotRegistered:     func(addr netip.Addr, _ string) { s.noteJoined(addr) },
 			OnBotLost: func(addr netip.Addr) {
-				s.timeline.Record(s.sched.Now(), EventBotLost, s.devName(addr))
+				if dev, ok := s.devByAddr[addr]; ok {
+					s.timeline.Record(s.sched.Now(), EventBotLost, dev.name)
+				}
 			},
 		},
 	}
@@ -446,13 +417,7 @@ func (s *Simulation) deployAttacker() error {
 			// The seeder's census is the family's recruitment signal:
 			// first contact from a peer is the moment it joined the
 			// overlay, the counterpart of a C&C registration.
-			OnContact: func(addr netip.Addr) {
-				if !s.registeredEver[addr] {
-					s.registeredEver[addr] = true
-					s.results.BotsRegistered++
-				}
-				s.timeline.Record(s.sched.Now(), EventBotJoined, s.devName(addr))
-			},
+			OnContact: s.noteJoined,
 		}
 		atkCfg.P2PBot = p2pbot.BotConfig{
 			PubKey:        pub,
@@ -484,34 +449,20 @@ func (s *Simulation) deployAttacker() error {
 		s.loader = mirai.NewLoader(mirai.LoaderConfig{
 			InfectionCommand: exploit.InfectionCommand(atk.ScriptURL()),
 			OnReport: func(victim netip.Addr) {
-				if _, seen := s.firstReport[victim]; seen {
+				dev, ok := s.devByAddr[victim]
+				if !ok || dev.firstReport >= 0 {
 					return
 				}
-				now := s.sched.Now()
-				s.firstReport[victim] = now
+				dev.firstReport = s.sched.Now()
 				// Scan phase: run start → a scanner first cracked the
 				// victim and reported it.
-				s.obs.Trace.RecordSpan(0, now, obs.CatKillChain, "scan",
-					obs.KV{K: "dev", V: s.devName(victim)})
+				s.obs.Trace.RecordSpan(0, dev.firstReport, obs.CatKillChain, "scan",
+					obs.KV{K: "dev", V: dev.name})
 			},
 			OnLoaded: func(victim netip.Addr) {
-				dev, ok := s.devByAddr[victim]
-				if !ok {
-					return
-				}
-				if !s.infectedDevs[dev.name] {
-					now := s.sched.Now()
-					s.infectedDevs[dev.name] = true
-					s.results.Infected++
-					s.timeline.Record(now, EventLoaded, dev.name)
-					s.obs.Trace.Event(now, obs.CatExploit, "exploit-success",
-						obs.KV{K: "dev", V: dev.name}, obs.KV{K: "channel", V: "loader"})
-					if at, ok := s.firstReport[victim]; ok {
-						s.obs.Trace.RecordSpan(at, now, obs.CatKillChain, "load",
-							obs.KV{K: "dev", V: dev.name})
-					}
-					s.obs.Trace.RecordSpan(0, now, obs.CatKillChain, "recruit",
-						obs.KV{K: "dev", V: dev.name})
+				if dev, ok := s.devByAddr[victim]; ok {
+					// Load phase: first report → the loader's push ran.
+					s.infect(dev, EventLoaded, obs.KV{K: "channel", V: "loader"}, "load", dev.firstReport)
 				}
 			},
 		})
@@ -536,24 +487,55 @@ func (s *Simulation) botCount() int {
 // noteFloodStart is the flood-start bookkeeping both bot families run
 // when a bot starts flooding.
 func (s *Simulation) noteFloodStart(addr netip.Addr) {
+	dev, ok := s.devByAddr[addr]
+	if !ok {
+		return
+	}
 	now := s.sched.Now()
-	s.timeline.Record(now, EventFloodStart, s.devName(addr))
-	s.obs.Trace.Event(now, obs.CatCNC, "flood-start",
-		obs.KV{K: "dev", V: s.devName(addr)})
+	s.timeline.Record(now, EventFloodStart, dev.name)
+	s.obs.Trace.Event(now, obs.CatCNC, "flood-start", obs.KV{K: "dev", V: dev.name})
 	if s.attackIssued {
 		at := s.results.AttackIssuedAt
-		s.obs.Trace.RecordSpan(at, now, obs.CatKillChain, "attack",
-			obs.KV{K: "dev", V: s.devName(addr)})
+		s.obs.Trace.RecordSpan(at, now, obs.CatKillChain, "attack", obs.KV{K: "dev", V: dev.name})
 		s.winCmdSum += (now - at).Seconds()
 		s.winCmdN++
 	}
 }
 
-func (s *Simulation) devName(addr netip.Addr) string {
-	if d, ok := s.devByAddr[addr]; ok {
-		return d.name
+// noteJoined is the registration bookkeeping both bot families run: a
+// bot registered with the C&C, or the seeder first heard from a peer.
+// A Dev counts once however often its bot rejoins.
+func (s *Simulation) noteJoined(addr netip.Addr) {
+	dev, ok := s.devByAddr[addr]
+	if !ok {
+		return
 	}
-	return addr.String()
+	if !dev.registered {
+		dev.registered = true
+		s.results.BotsRegistered++
+	}
+	s.timeline.Record(s.sched.Now(), EventBotJoined, dev.name)
+}
+
+// infect is the infection bookkeeping both recruitment vectors run: the
+// exploit's shell ran, or the loader pushed the bot. A Dev counts once
+// however often it is re-infected. kind names the timeline event and
+// how annotates the trace event; the stage span runs from the stage's
+// anchor, when the Dev has one, to now, and "recruit" from the run's
+// start.
+func (s *Simulation) infect(dev *Dev, kind string, how obs.KV, stage string, from sim.Time) {
+	if dev.infected {
+		return
+	}
+	now := s.sched.Now()
+	dev.infected = true
+	s.results.Infected++
+	s.timeline.Record(now, kind, dev.name)
+	s.obs.Trace.Event(now, obs.CatExploit, "exploit-success", obs.KV{K: "dev", V: dev.name}, how)
+	if from >= 0 {
+		s.obs.Trace.RecordSpan(from, now, obs.CatKillChain, stage, obs.KV{K: "dev", V: dev.name})
+	}
+	s.obs.Trace.RecordSpan(0, now, obs.CatKillChain, "recruit", obs.KV{K: "dev", V: dev.name})
 }
 
 func (s *Simulation) deployTServer() error {
@@ -573,191 +555,151 @@ func (s *Simulation) deployTServer() error {
 // otherwise).
 func (s *Simulation) Loader() *mirai.Loader { return s.loader }
 
+// deployDevs builds the fleet: BusyBox-style devices guarded only by a
+// telnet login, a WeakCredFraction of which ship dictionary
+// credentials, under the credentials vector; Connman and Dnsmasq
+// devices otherwise. Dev parameters come from a dedicated stream, drawn
+// in a fixed order (rate, then credential, or protections and canary),
+// so that runs with the same seed but different churn modes get
+// identical fleets — common random numbers make the Fig. 2 churn
+// comparison paired.
 func (s *Simulation) deployDevs() error {
-	if s.cfg.Vector == VectorCredentials {
-		return s.deployTelnetDevs()
-	}
-	return s.deployVulnDaemonDevs()
-}
-
-// deployTelnetDevs builds the credential-vector fleet: BusyBox-style
-// devices guarded only by a login, a WeakCredFraction of which ship
-// dictionary credentials.
-func (s *Simulation) deployTelnetDevs() error {
-	img := &container.Image{
-		Name: "ddosim/dev-busybox", Tag: "1.19", Arch: "x86_64",
-		Files:      map[string][]byte{"/bin/telnetd": container.BinaryContent(imagecat.BinTelnetd, "x86_64")},
-		ExecPaths:  map[string]bool{"/bin/telnetd": true},
-		ExtraBytes: 3 << 20,
-	}
-	s.engine.RegisterImage(img)
+	images := s.registerDevImages()
 	rng := rand.New(rand.NewSource(s.cfg.Seed ^ 0x5eed))
 	for i := 0; i < s.cfg.NumDevs; i++ {
-		name := fmt.Sprintf("dev-%03d", i+1)
-		rate := s.cfg.MinDevRate +
+		dev := &Dev{name: fmt.Sprintf("dev-%03d", i+1), binary: s.cfg.binaryFor(i),
+			firstPayload: -1, firstReport: -1}
+		dev.rate = s.cfg.MinDevRate +
 			netsim.DataRate(rng.Int63n(int64(s.cfg.MaxDevRate-s.cfg.MinDevRate)+1))
-		cred := telnetd.StrongCred
-		weak := rng.Float64() < s.cfg.WeakCredFraction
-		if weak {
-			cred = telnetd.MiraiDictionary[rng.Intn(len(telnetd.MiraiDictionary))]
-			s.results.WeakCredDevs++
+		var cred telnetd.Cred // the zero Cred is telnetd.StrongCred
+		if dev.binary == BinaryTelnetd {
+			if rng.Float64() < s.cfg.WeakCredFraction {
+				cred = telnetd.MiraiDictionary[rng.Intn(len(telnetd.MiraiDictionary))]
+				s.results.WeakCredDevs++
+			}
+		} else {
+			dev.prot = procvm.Protections{WX: true, ASLR: true}
+			if s.cfg.RandomProtections {
+				dev.prot = procvm.Protections{WX: rng.Intn(2) == 0, ASLR: rng.Intn(2) == 0}
+			}
+			if rng.Float64() < s.cfg.CanaryFraction {
+				dev.prot.Canary = true
+				s.results.CanaryDevs++
+			}
 		}
-		c, err := s.engine.Create(img.Ref(), name, container.LinkConfig{
-			Rate: rate, Delay: s.cfg.LinkDelay, QueueLimit: s.cfg.DevQueueLimit,
+
+		c, err := s.engine.Create(images[dev.binary].Ref(), dev.name, container.LinkConfig{
+			Rate: dev.rate, Delay: s.cfg.LinkDelay, QueueLimit: s.cfg.DevQueueLimit,
 		})
 		if err != nil {
-			return fmt.Errorf("core: dev %s: %w", name, err)
+			return fmt.Errorf("core: dev %s: %w", dev.name, err)
 		}
-		dev := &Dev{name: name, binary: BinaryTelnetd, rate: rate, container: c}
+		dev.container = c
 		s.devs = append(s.devs, dev)
 		s.devByAddr[c.Node().Addr4()] = dev
 		if err := c.Start(); err != nil {
-			return fmt.Errorf("core: dev %s: %w", name, err)
+			return fmt.Errorf("core: dev %s: %w", dev.name, err)
 		}
-		c.Spawn(telnetd.New(telnetd.Config{Cred: cred}))
+
+		if s.cfg.RemoveCurl && dev.binary != BinaryTelnetd {
+			c.RemoveCommand("curl")
+			c.RemoveCommand("wget")
+		}
+		// spawn starts the Dev's service daemon, and running reports
+		// whether it still runs, which the fault injector's respawn asks.
+		var spawn func()
+		running := func() bool { return procTitled(c, string(dev.binary)) != nil }
+		switch dev.binary {
+		case BinaryTelnetd:
+			spawn = func() { c.Spawn(telnetd.New(telnetd.Config{Cred: cred})) }
+			// The bot takes port 23 over once it runs, so telnetd is
+			// missing only while nothing holds that port.
+			running = func() bool { return c.FindByTCPPort(23) != nil }
+		case BinaryConnman:
+			// §V-C: Devs are manually pointed at the malicious DNS
+			// server.
+			c.FS().Write("/etc/resolv.conf",
+				[]byte("nameserver "+s.attacker.Container.Node().Addr4().String()+"\n"))
+			spawn = func() {
+				c.Spawn(connman.New(connman.Config{
+					Protections: dev.prot,
+					QueryPeriod: s.cfg.ConnmanQueryPeriod,
+					Program:     c.Image().Program,
+					OnOutcome:   s.outcomeHook(dev),
+				}))
+			}
+		case BinaryDnsmasq:
+			spawn = func() {
+				c.Spawn(dnsmasq.New(dnsmasq.Config{
+					Protections: dev.prot,
+					Program:     c.Image().Program,
+					OnOutcome:   s.outcomeHook(dev),
+				}))
+			}
+		}
+		spawn()
 		dev.respawn = func() bool {
-			if c.FindByTCPPort(23) != nil {
+			if running() {
 				return false
 			}
-			c.Spawn(telnetd.New(telnetd.Config{Cred: cred}))
+			spawn()
 			return true
 		}
 	}
 	return nil
 }
 
-func (s *Simulation) deployVulnDaemonDevs() error {
+// registerDevImages registers the images the fleet boots, keyed by
+// the daemon each holds: the PIE rebuilds of Connman and Dnsmasq when
+// the fleet is hardened.
+func (s *Simulation) registerDevImages() map[DevBinary]*container.Image {
+	images := make(map[DevBinary]*container.Image)
+	add := func(bin DevBinary, path string, img *container.Image) {
+		img.Files = map[string][]byte{path: container.BinaryContent(string(bin), "x86_64")}
+		img.ExecPaths = map[string]bool{path: true}
+		s.engine.RegisterImage(img)
+		images[bin] = img
+	}
+	if s.cfg.Vector == VectorCredentials {
+		add(BinaryTelnetd, "/bin/telnetd", &container.Image{
+			Name: "ddosim/dev-busybox", Tag: "1.19", Arch: "x86_64", ExtraBytes: 3 << 20})
+		return images
+	}
 	connmanProg, dnsmasqProg := imagecat.Connman(), imagecat.Dnsmasq()
 	if s.cfg.Hardened {
 		connmanProg, dnsmasqProg = imagecat.HardenedConnman(), imagecat.HardenedDnsmasq()
 	}
-	connmanImg := &container.Image{
-		Name: "ddosim/dev-connman", Tag: "1.34", Arch: "x86_64",
-		Files:      map[string][]byte{"/usr/sbin/connmand": container.BinaryContent(imagecat.BinConnman, "x86_64")},
-		ExecPaths:  map[string]bool{"/usr/sbin/connmand": true},
-		Program:    connmanProg,
-		ExtraBytes: 4 << 20,
-	}
-	dnsmasqImg := &container.Image{
-		Name: "ddosim/dev-dnsmasq", Tag: "2.77", Arch: "x86_64",
-		Files:      map[string][]byte{"/usr/sbin/dnsmasq": container.BinaryContent(imagecat.BinDnsmasq, "x86_64")},
-		ExecPaths:  map[string]bool{"/usr/sbin/dnsmasq": true},
-		Program:    dnsmasqProg,
-		ExtraBytes: 4 << 20,
-	}
-	s.engine.RegisterImage(connmanImg)
-	s.engine.RegisterImage(dnsmasqImg)
+	add(BinaryConnman, "/usr/sbin/connmand", &container.Image{
+		Name: "ddosim/dev-connman", Tag: "1.34", Arch: "x86_64", Program: connmanProg, ExtraBytes: 4 << 20})
+	add(BinaryDnsmasq, "/usr/sbin/dnsmasq", &container.Image{
+		Name: "ddosim/dev-dnsmasq", Tag: "2.77", Arch: "x86_64", Program: dnsmasqProg, ExtraBytes: 4 << 20})
+	return images
+}
 
-	// Dev parameters come from a dedicated stream so that runs with
-	// the same seed but different churn modes get identical fleets —
-	// common random numbers make the Fig. 2 churn comparison paired.
-	rng := rand.New(rand.NewSource(s.cfg.Seed ^ 0x5eed))
-	for i := 0; i < s.cfg.NumDevs; i++ {
-		name := fmt.Sprintf("dev-%03d", i+1)
-		bin := s.cfg.binaryFor(i)
-		rate := s.cfg.MinDevRate +
-			netsim.DataRate(rng.Int63n(int64(s.cfg.MaxDevRate-s.cfg.MinDevRate)+1))
-		prot := procvm.Protections{WX: true, ASLR: true}
-		if s.cfg.RandomProtections {
-			prot = procvm.Protections{WX: rng.Intn(2) == 0, ASLR: rng.Intn(2) == 0}
-		}
-		if rng.Float64() < s.cfg.CanaryFraction {
-			prot.Canary = true
-			s.results.CanaryDevs++
-		}
-
-		ref := connmanImg.Ref()
-		if bin == BinaryDnsmasq {
-			ref = dnsmasqImg.Ref()
-		}
-		c, err := s.engine.Create(ref, name, container.LinkConfig{
-			Rate: rate, Delay: s.cfg.LinkDelay, QueueLimit: s.cfg.DevQueueLimit,
-		})
-		if err != nil {
-			return fmt.Errorf("core: dev %s: %w", name, err)
-		}
-		dev := &Dev{name: name, binary: bin, prot: prot, rate: rate, container: c}
-		s.devs = append(s.devs, dev)
-		s.devByAddr[c.Node().Addr4()] = dev
-
-		if err := c.Start(); err != nil {
-			return fmt.Errorf("core: dev %s: %w", name, err)
-		}
-		if s.cfg.RemoveCurl {
-			c.RemoveCommand("curl")
-			c.RemoveCommand("wget")
-		}
-		outcome := s.outcomeHook(dev)
-		switch bin {
-		case BinaryConnman:
-			// §V-C: Devs are manually pointed at the malicious DNS
-			// server.
-			c.FS().Write("/etc/resolv.conf",
-				[]byte("nameserver "+s.attacker.Container.Node().Addr4().String()+"\n"))
-			spawn := func() {
-				c.Spawn(connman.New(connman.Config{
-					Protections: prot,
-					QueryPeriod: s.cfg.ConnmanQueryPeriod,
-					Program:     connmanProg,
-					OnOutcome:   outcome,
-				}))
-			}
-			spawn()
-			dev.respawn = daemonRespawn(c, imagecat.BinConnman, spawn)
-		case BinaryDnsmasq:
-			spawn := func() {
-				c.Spawn(dnsmasq.New(dnsmasq.Config{
-					Protections: prot,
-					Program:     dnsmasqProg,
-					OnOutcome:   outcome,
-				}))
-			}
-			spawn()
-			dev.respawn = daemonRespawn(c, imagecat.BinDnsmasq, spawn)
+// procTitled returns c's lowest-pid live process with the given title,
+// or nil.
+func procTitled(c *container.Container, title string) *container.Process {
+	for _, p := range c.Procs() {
+		if p.Title() == title {
+			return p
 		}
 	}
 	return nil
 }
 
-// daemonRespawn builds a supervisor hook that respawns a Dev's service
-// daemon unless a live process with its title is still around.
-func daemonRespawn(c *container.Container, title string, spawn func()) func() bool {
-	return func() bool {
-		for _, p := range c.Procs() {
-			if p.Title() == title {
-				return false
-			}
-		}
-		spawn()
-		return true
-	}
-}
-
 func (s *Simulation) outcomeHook(dev *Dev) func(procvm.HijackOutcome) {
 	return func(out procvm.HijackOutcome) {
 		s.results.ExploitAttempts++
-		if _, ok := s.firstAttempt[dev.name]; !ok {
-			s.firstAttempt[dev.name] = s.sched.Now()
+		if dev.firstPayload < 0 {
+			dev.firstPayload = s.sched.Now()
 		}
 		if out.Hijacked {
 			s.results.Hijacked++
 		}
 		switch {
 		case out.ExecutedShell != "":
-			if !s.infectedDevs[dev.name] {
-				now := s.sched.Now()
-				s.infectedDevs[dev.name] = true
-				s.results.Infected++
-				s.timeline.Record(now, EventExploitHit, dev.name)
-				s.obs.Trace.Event(now, obs.CatExploit, "exploit-success",
-					obs.KV{K: "dev", V: dev.name}, obs.KV{K: "binary", V: string(dev.binary)})
-				// Exploit phase: first payload parsed → shell executed;
-				// recruit covers the whole chain from the run's start.
-				s.obs.Trace.RecordSpan(s.firstAttempt[dev.name], now,
-					obs.CatKillChain, "exploit", obs.KV{K: "dev", V: dev.name})
-				s.obs.Trace.RecordSpan(0, now, obs.CatKillChain, "recruit",
-					obs.KV{K: "dev", V: dev.name})
-			}
+			// Exploit phase: first payload parsed → shell executed.
+			s.infect(dev, EventExploitHit, obs.KV{K: "binary", V: string(dev.binary)}, "exploit", dev.firstPayload)
 		case out.Crashed():
 			s.results.Crashed++
 			s.timeline.Record(s.sched.Now(), EventExploitCrash, dev.name)

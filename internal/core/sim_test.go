@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ddosim/internal/churn"
+	"ddosim/internal/faults"
 	"ddosim/internal/netsim"
 	"ddosim/internal/sim"
 )
@@ -71,6 +72,73 @@ func TestFullKillChain(t *testing.T) {
 	}
 	if r.Summary() == "" {
 		t.Fatal("empty summary")
+	}
+}
+
+// TestDevRecordsAgreeWithResults checks each Dev's kill-chain record
+// against the run's counts, on the scenarios the determinism goldens
+// pin (determinism_test.go, p2p_test.go): as many Devs marked infected
+// as Results.Infected, as many marked registered as BotsRegistered,
+// and no infected Dev that never parsed a payload or was reported.
+func TestDevRecordsAgreeWithResults(t *testing.T) {
+	crash, err := faults.ParseSpec("intensity=0.6;cnc:crash=40s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	churned := func(c *Config) { c.Seed, c.Churn = 1234, churn.Dynamic }
+	p2p := func(c *Config) {
+		churned(c)
+		c.Botnet, c.P2PPollPeriod = BotnetP2P, 10*sim.Second
+	}
+	for _, tc := range []struct {
+		name  string
+		tweak func(*Config)
+	}{
+		{"fault-free", churned},
+		{"congested faults", func(c *Config) {
+			c.Seed, c.TServerDownlink, c.SimDuration = 1234, netsim.Mbps, 150*sim.Second
+			c.Faults = faults.AtIntensity(0.6)
+		}},
+		{"p2p faults", func(c *Config) { p2p(c); c.Faults = faults.AtIntensity(0.5) }},
+		{"mirai C&C crashes", func(c *Config) { churned(c); c.Faults = crash }},
+		{"p2p C&C crashes", func(c *Config) { p2p(c); c.Faults = crash }},
+		{"credentials", func(c *Config) {
+			*c = smallConfig(12)
+			c.Seed, c.Vector, c.ScanPeriod = 7, VectorCredentials, sim.Second
+			c.SimDuration, c.RecruitTimeout = 400*sim.Second, 300*sim.Second
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig(10)
+			tc.tweak(&cfg)
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Infected == 0 {
+				t.Fatal("no Dev infected; the scenario checks nothing")
+			}
+			infected, registered := 0, 0
+			for _, d := range s.devs {
+				if d.infected {
+					infected++
+					if d.firstPayload < 0 && d.firstReport < 0 {
+						t.Errorf("%s infected without a payload or a report", d.name)
+					}
+				}
+				if d.registered {
+					registered++
+				}
+			}
+			if infected != r.Infected || registered != r.BotsRegistered {
+				t.Errorf("Devs marked infected %d, registered %d; Results say %d, %d",
+					infected, registered, r.Infected, r.BotsRegistered)
+			}
+		})
 	}
 }
 
