@@ -84,8 +84,6 @@ type Config struct {
 	// devices.
 	MinDevRate netsim.DataRate
 	MaxDevRate netsim.DataRate
-	// LinkDelay is the one-way propagation delay per link.
-	LinkDelay sim.Time
 	// DevQueueLimit is the per-device drop-tail queue depth.
 	DevQueueLimit int
 	// TServerDownlink is the router→TServer rate — the shared
@@ -101,8 +99,6 @@ type Config struct {
 	SimDuration sim.Time
 	// AttackDuration is the commanded flood length in seconds.
 	AttackDuration int
-	// AttackPort is the TServer UDP port flooded.
-	AttackPort uint16
 	// AttackMethod selects the Mirai flood: udpplain (the paper's
 	// experiment series), syn, or ack.
 	AttackMethod string
@@ -136,10 +132,10 @@ type Config struct {
 	// Zero disables the ramp (ablation).
 	StartJitterPerDev sim.Time
 
-	// ConnmanQueryPeriod and DHCPv6Period pace the two exploit
-	// delivery channels.
+	// ConnmanQueryPeriod paces Connman Devs' DNS queries, the delivery
+	// channel of their exploit. The DHCPv6 channel keeps the attacker's
+	// own period (attacker.Config.DHCPv6Period).
 	ConnmanQueryPeriod sim.Time
-	DHCPv6Period       sim.Time
 
 	// Vector selects the recruitment mechanism. Default
 	// VectorMemoryError (the paper's experiment series).
@@ -151,9 +147,6 @@ type Config struct {
 	WeakCredFraction float64
 	// ScanPeriod (credentials vector only) paces each scanner.
 	ScanPeriod sim.Time
-	// SeedCount (credentials vector only) is how many victims the
-	// attacker's sequential seed scanner plants before stopping.
-	SeedCount int
 
 	// Botnet selects the C&C architecture: BotnetMirai (default when
 	// empty — the centralized family every earlier release ran, so the
@@ -189,6 +182,18 @@ type Config struct {
 	WindowSize sim.Time
 }
 
+// Parameters of the testbed that no configuration varies.
+const (
+	// attackPort is the TServer UDP port flooded.
+	attackPort uint16 = 80
+	// linkDelay is the one-way propagation delay of every Dev link and
+	// of TServer's.
+	linkDelay = 2 * sim.Millisecond
+	// seedCount (credentials vector only) is how many victims the
+	// attacker's sequential seed scanner plants before stopping.
+	seedCount = 1
+)
+
 // DefaultConfig returns the paper's baseline parameters for a fleet of
 // the given size.
 func DefaultConfig(numDevs int) Config {
@@ -198,25 +203,21 @@ func DefaultConfig(numDevs int) Config {
 		ConnmanFraction:    0.5,
 		MinDevRate:         100 * netsim.Kbps,
 		MaxDevRate:         500 * netsim.Kbps,
-		LinkDelay:          2 * sim.Millisecond,
 		DevQueueLimit:      netsim.DefaultQueueLimit,
 		TServerDownlink:    25 * netsim.Mbps,
 		Churn:              churn.None,
 		ChurnEpoch:         churn.DefaultEpoch,
 		SimDuration:        600 * sim.Second,
 		AttackDuration:     100,
-		AttackPort:         80,
 		AttackMethod:       mirai.MethodUDPPlain,
 		RecruitTimeout:     120 * sim.Second,
 		RandomProtections:  true,
 		PayloadBytes:       512,
 		StartJitterPerDev:  150 * sim.Millisecond,
 		ConnmanQueryPeriod: 10 * sim.Second,
-		DHCPv6Period:       5 * sim.Second,
 		Vector:             VectorMemoryError,
 		WeakCredFraction:   1.0,
 		ScanPeriod:         2 * sim.Second,
-		SeedCount:          1,
 		WindowSize:         sim.Second,
 	}
 }

@@ -61,10 +61,9 @@ func TestCredentialVectorEndToEnd(t *testing.T) {
 
 func TestCredentialVectorSelfPropagates(t *testing.T) {
 	// Bot-driven spread: with one seeded victim, later infections
-	// must be reported by *bots*, which means more than SeedCount
+	// must be reported by *bots*, which means more than seedCount
 	// loads despite the seed scanner stopping.
 	cfg := credConfig(10)
-	cfg.SeedCount = 1
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

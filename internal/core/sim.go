@@ -387,8 +387,7 @@ func (s *Simulation) deployAttacker() error {
 		jitter = sim.Time(s.cfg.NumDevs) * s.cfg.StartJitterPerDev
 	}
 	atkCfg := attacker.Config{
-		DHCPv6Period: s.cfg.DHCPv6Period,
-		Obs:          s.obs,
+		Obs: s.obs,
 		Bot: mirai.BotConfig{
 			PayloadBytes:  s.cfg.PayloadBytes,
 			StartJitter:   jitter,
@@ -467,7 +466,7 @@ func (s *Simulation) deployAttacker() error {
 			},
 		})
 		atk.Container.Spawn(s.loader)
-		atk.Container.Spawn(mirai.SeedScannerBehavior(atk.BotTemplate.Scan, s.cfg.SeedCount))
+		atk.Container.Spawn(mirai.SeedScannerBehavior(atk.BotTemplate.Scan, seedCount))
 	}
 	return nil
 }
@@ -542,9 +541,9 @@ func (s *Simulation) deployTServer() error {
 	// TServer is an NS-3-style node, not a container (§II-C): modest
 	// uplink, a downlink wide enough to be the shared bottleneck.
 	s.tserver = s.star.AttachHostAsym("tserver",
-		10*netsim.Mbps, s.cfg.TServerDownlink, s.cfg.LinkDelay, netsim.DefaultQueueLimit)
+		10*netsim.Mbps, s.cfg.TServerDownlink, linkDelay, netsim.DefaultQueueLimit)
 	var err error
-	s.sink, err = netsim.InstallSink(s.tserver, s.cfg.AttackPort)
+	s.sink, err = netsim.InstallSink(s.tserver, attackPort)
 	if err != nil {
 		return fmt.Errorf("core: tserver sink: %w", err)
 	}
@@ -589,7 +588,7 @@ func (s *Simulation) deployDevs() error {
 		}
 
 		c, err := s.engine.Create(images[dev.binary].Ref(), dev.name, container.LinkConfig{
-			Rate: dev.rate, Delay: s.cfg.LinkDelay, QueueLimit: s.cfg.DevQueueLimit,
+			Rate: dev.rate, Delay: linkDelay, QueueLimit: s.cfg.DevQueueLimit,
 		})
 		if err != nil {
 			return fmt.Errorf("core: dev %s: %w", dev.name, err)
@@ -806,7 +805,7 @@ func (s *Simulation) issueAttack() {
 	// target endpoint so the exported dataset separates attack traffic
 	// from everything else.
 	s.net.AddFlowLabelRule(netsim.FlowLabelRule{
-		Endpoint: netip.AddrPortFrom(target, s.cfg.AttackPort), Label: "attack"})
+		Endpoint: netip.AddrPortFrom(target, attackPort), Label: "attack"})
 	var n int
 	if s.attacker.Seeder != nil {
 		// P2P: sign one record with the campaign's absolute end and
@@ -817,7 +816,7 @@ func (s *Simulation) issueAttack() {
 		end := now + sim.Time(s.cfg.AttackDuration)*sim.Second
 		n = s.attacker.Seeder.Contacts
 		s.attacker.Seeder.PublishAttack(method,
-			netip.AddrPortFrom(target, s.cfg.AttackPort), end)
+			netip.AddrPortFrom(target, attackPort), end)
 	} else {
 		dur := s.cfg.AttackDuration
 		if s.cfg.CommandWave > 0 {
@@ -830,7 +829,7 @@ func (s *Simulation) issueAttack() {
 		n = s.attacker.CNC.LaunchAttack(mirai.AttackCommand{
 			Method:   method,
 			Target:   target,
-			Port:     s.cfg.AttackPort,
+			Port:     attackPort,
 			Duration: dur,
 		})
 		if s.cfg.CommandWave > 0 {
@@ -889,7 +888,7 @@ func (s *Simulation) scheduleCommandWaves(method string, target netip.Addr, end 
 		s.attacker.CNC.LaunchAttack(mirai.AttackCommand{
 			Method:   method,
 			Target:   target,
-			Port:     s.cfg.AttackPort,
+			Port:     attackPort,
 			Duration: s.waveSecs(remaining),
 		})
 		s.sched.ScheduleSrc(s.cfg.CommandWave, srcCmdWave, wave)
