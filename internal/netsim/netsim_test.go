@@ -280,16 +280,15 @@ func ledgerString(d [NumDropReasons]uint64) string {
 }
 
 // TestDropLedger makes every drop site on a star drop a known number
-// of frames, one step at a time, and asserts the whole ledger after
-// each step: a drop filed under the wrong reason, counted twice or not
-// counted fails the step that made it. Only drop-tail and loss drops
-// are queue drops, in NetworkStats.Drops and in the trace.
+// of frames, one step at a time, and asserts the whole ledger and the
+// frames transmitted after each step: a drop filed under the wrong
+// reason, counted twice or not counted, or a frame sent further than
+// it should go, fails the step that made it. Only drop-tail and loss
+// drops are queue drops, in NetworkStats.Drops and in the trace.
 func TestDropLedger(t *testing.T) {
 	sched, w, star := newStar(t, 1)
 	o := obs.New()
 	w.Observe(o)
-	// src is attached first, so the router's default device leads to
-	// it: the router sends frames for unknown addresses down src's link.
 	src := star.AttachHost("src", 10*Mbps, sim.Millisecond, 0)
 	slow := star.AttachHost("slow", 8*Kbps, sim.Millisecond, 2)
 	lossy := star.AttachHost("lossy", 10*Mbps, sim.Millisecond, 0)
@@ -312,7 +311,14 @@ func TestDropLedger(t *testing.T) {
 	sock(walled, 9)
 	walled.SetFilter(func(*Packet) bool { return false })
 	to := func(n *Node, port uint16) netip.AddrPort { return netip.AddrPortFrom(n.Addr4(), port) }
+	// No host holds these addresses. The router has no route for
+	// unknown, routes back down src's link, and routes stray down
+	// deaf's.
 	unknown := netip.MustParseAddrPort("10.99.99.99:9")
+	back := netip.MustParseAddrPort("10.99.99.98:9")
+	stray := netip.MustParseAddrPort("10.99.99.97:9")
+	star.Router.AddRoute(back.Addr(), star.RouterDeviceFor(src))
+	star.Router.AddRoute(stray.Addr(), star.RouterDeviceFor(deaf))
 	raw := func(from *Node, dst netip.AddrPort, proto Protocol) {
 		pkt := w.AllocPacket()
 		pkt.Proto = proto
@@ -325,63 +331,74 @@ func TestDropLedger(t *testing.T) {
 		what   string
 		reason DropReason
 		n      uint64
+		tx     uint64 // frames the step puts on a wire
 		send   func()
 	}{
-		{"burst of 5 into a limit-2 queue", DropTail, 3, func() {
+		{"burst of 5 into a limit-2 queue", DropTail, 3, 4, func() {
 			for i := 0; i < 5; i++ {
 				slowSock.SendPadded(to(src, 9), nil, 1000)
 			}
 		}},
-		{"2 frames to a device at loss 1", DropLoss, 2, func() {
+		{"2 frames to a device at loss 1", DropLoss, 2, 4, func() {
 			lossy.DefaultDevice().SetLossRate(1)
 			srcSock.SendTo(to(lossy, 9), []byte("x"))
 			srcSock.SendTo(to(lossy, 9), []byte("x"))
 		}},
-		{"2 frames arriving at a down device", DropDown, 2, func() {
+		{"2 frames arriving at a down device", DropDown, 2, 4, func() {
 			down.DefaultDevice().SetUp(false)
 			srcSock.SendTo(to(down, 9), []byte("x"))
 			srcSock.SendTo(to(down, 9), []byte("x"))
 		}},
-		{"1 frame sent on a down device", DropDown, 1, func() {
+		{"1 frame sent on a down device", DropDown, 1, 0, func() {
 			downSock.SendTo(to(src, 9), []byte("x"))
 		}},
-		{"2 queued frames flushed by SetUp(false)", DropDown, 2, func() {
+		{"2 queued frames flushed by SetUp(false)", DropDown, 2, 0, func() {
 			slowSock.SendPadded(to(src, 9), nil, 1000)
 			slowSock.SendPadded(to(src, 9), nil, 1000)
 			slow.DefaultDevice().SetUp(false)
 		}},
-		{"1 frame from a node with no device", DropNoRoute, 1, func() {
+		{"1 frame from a node with no device", DropNoRoute, 1, 0, func() {
 			raw(lone, unknown, ProtoUDP)
 		}},
-		{"1 frame the router would send back out its ingress", DropNoRoute, 1, func() {
-			srcSock.SendTo(unknown, []byte("x"))
-		}},
-		{"1 frame reaching a host it is not addressed to", DropNoRoute, 1, func() {
+		{"1 frame to an address the router has no route for", DropNoRoute, 1, 1, func() {
 			raw(deaf, unknown, ProtoUDP)
 		}},
-		{"2 datagrams to an unbound port", DropNoListener, 2, func() {
+		{"1 frame the router would send back out its ingress", DropNoRoute, 1, 1, func() {
+			srcSock.SendTo(back, []byte("x"))
+		}},
+		{"1 frame reaching a host it is not addressed to", DropNoRoute, 1, 2, func() {
+			srcSock.SendTo(stray, []byte("x"))
+		}},
+		{"2 datagrams to an unbound port", DropNoListener, 2, 4, func() {
 			srcSock.SendTo(to(deaf, 9), []byte("x"))
 			srcSock.SendTo(to(deaf, 10), []byte("x"))
 		}},
-		{"1 TCP frame with no TCP header", DropNoListener, 1, func() {
+		{"1 TCP frame with no TCP header", DropNoListener, 1, 2, func() {
 			raw(src, to(deaf, 80), ProtoTCP)
 		}},
-		{"1 frame of an unknown protocol", DropNoListener, 1, func() {
+		{"1 frame of an unknown protocol", DropNoListener, 1, 2, func() {
 			raw(src, to(deaf, 80), 0)
 		}},
-		{"4 frames the ingress filter rejects", DropFiltered, 4, func() {
+		{"4 frames the ingress filter rejects", DropFiltered, 4, 8, func() {
 			for i := 0; i < 4; i++ {
 				srcSock.SendTo(to(walled, 9), []byte("x"))
 			}
 		}},
 	}
 	for _, st := range steps {
+		tx := w.Stats().TxFrames
 		st.send()
 		if err := sched.Run(sched.Now() + 10*sim.Second); err != nil {
 			t.Fatal(err)
 		}
 		want[st.reason] += st.n
-		t.Run(st.what, func(t *testing.T) { wantDropped(t, w, want) })
+		tx = w.Stats().TxFrames - tx
+		t.Run(st.what, func(t *testing.T) {
+			wantDropped(t, w, want)
+			if tx != st.tx {
+				t.Fatalf("%d frames transmitted, want %d", tx, st.tx)
+			}
+		})
 	}
 	if st := w.Stats(); st.Drops != want[DropTail]+want[DropLoss] || st.QueuedNow != 0 {
 		t.Fatalf("Drops = %d, QueuedNow = %d; want %d, 0", st.Drops, st.QueuedNow, want[DropTail]+want[DropLoss])

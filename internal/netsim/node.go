@@ -148,9 +148,6 @@ func (n *Node) SetFilter(f IngressFilter) {
 
 func (n *Node) attach(d *NetDevice) {
 	n.devs = append(n.devs, d)
-	if n.defDev == nil {
-		n.defDev = d
-	}
 }
 
 // SendPacket routes a locally-originated packet: delivered in place when
