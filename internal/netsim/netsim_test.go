@@ -319,6 +319,9 @@ func TestDropLedger(t *testing.T) {
 	stray := netip.MustParseAddrPort("10.99.99.97:9")
 	star.Router.AddRoute(back.Addr(), star.RouterDeviceFor(src))
 	star.Router.AddRoute(stray.Addr(), star.RouterDeviceFor(deaf))
+	// slow is the one member of group.
+	group := netip.AddrPortFrom(netip.MustParseAddr("ff02::1:2"), 9)
+	slow.JoinMulticast(group.Addr())
 	raw := func(from *Node, dst netip.AddrPort, proto Protocol) {
 		pkt := w.AllocPacket()
 		pkt.Proto = proto
@@ -334,6 +337,9 @@ func TestDropLedger(t *testing.T) {
 		tx     uint64 // frames the step puts on a wire
 		send   func()
 	}{
+		{"1 multicast frame flooded to 4 hosts not in the group", DropNoRoute, 4, 6, func() {
+			srcSock.SendTo(group, []byte("x"))
+		}},
 		{"burst of 5 into a limit-2 queue", DropTail, 3, 4, func() {
 			for i := 0; i < 5; i++ {
 				slowSock.SendPadded(to(src, 9), nil, 1000)

@@ -22,7 +22,8 @@ const (
 	// arrived, or SetUp(false) flushed it from the egress queue.
 	DropDown
 	// DropNoRoute: no device leads toward the destination, or a host
-	// that does not forward received a frame addressed elsewhere.
+	// that does not forward received a frame addressed elsewhere,
+	// multicast to a group it has not joined included.
 	DropNoRoute
 	// DropNoListener: addressed to this node, but no socket takes
 	// it, or it carries no transport header the node handles.

@@ -204,11 +204,14 @@ func (n *Node) handleReceive(in *NetDevice, pkt *Packet) {
 	dst := pkt.Dst.Addr()
 	switch {
 	case dst.IsMulticast():
-		if slices.Contains(n.multicast, dst) {
+		member := slices.Contains(n.multicast, dst)
+		if member {
 			n.deliverLocal(pkt)
 		}
 		if n.forward {
 			n.floodMulticast(in, pkt)
+		} else if !member {
+			n.drop(DropNoRoute)
 		}
 		n.putPacket(pkt)
 	case n.HasAddr(dst):
