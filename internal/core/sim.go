@@ -519,9 +519,10 @@ func (s *Simulation) noteJoined(addr netip.Addr) {
 // infect is the infection bookkeeping both recruitment vectors run: the
 // exploit's shell ran, or the loader pushed the bot. A Dev counts once
 // however often it is re-infected. kind names the timeline event and
-// how annotates the trace event; the stage span runs from the stage's
-// anchor, when the Dev has one, to now, and "recruit" from the run's
-// start.
+// how annotates the trace event. The stage span runs from the stage's
+// anchor to now, and "recruit" from the run's start. The anchor is
+// always set by then: a Dev parses a payload before its shell runs,
+// and the loader pushes only to a victim a scanner reported.
 func (s *Simulation) infect(dev *Dev, kind string, how obs.KV, stage string, from sim.Time) {
 	if dev.infected {
 		return
@@ -531,9 +532,7 @@ func (s *Simulation) infect(dev *Dev, kind string, how obs.KV, stage string, fro
 	s.results.Infected++
 	s.timeline.Record(now, kind, dev.name)
 	s.obs.Trace.Event(now, obs.CatExploit, "exploit-success", obs.KV{K: "dev", V: dev.name}, how)
-	if from >= 0 {
-		s.obs.Trace.RecordSpan(from, now, obs.CatKillChain, stage, obs.KV{K: "dev", V: dev.name})
-	}
+	s.obs.Trace.RecordSpan(from, now, obs.CatKillChain, stage, obs.KV{K: "dev", V: dev.name})
 	s.obs.Trace.RecordSpan(0, now, obs.CatKillChain, "recruit", obs.KV{K: "dev", V: dev.name})
 }
 
