@@ -49,6 +49,7 @@ const DefaultQueueLimit = 100
 // Connect joins two nodes with a full-duplex link. Each direction
 // serializes at the respective sender's rate and is delayed by delay.
 // It returns the two endpoint devices, attached to a and b in order.
+// Neither becomes its node's default device (SetDefaultDevice).
 func Connect(a, b *Node, rate DataRate, delay sim.Time, queueLimit int) (*NetDevice, *NetDevice) {
 	if queueLimit <= 0 {
 		queueLimit = DefaultQueueLimit
@@ -59,8 +60,8 @@ func Connect(a, b *Node, rate DataRate, delay sim.Time, queueLimit int) (*NetDev
 	db.txFn, db.propFn = db.finishTx, db.arriveProp
 	da.peer = db
 	db.peer = da
-	a.attach(da)
-	b.attach(db)
+	a.devs = append(a.devs, da)
+	b.devs = append(b.devs, db)
 	return da, db
 }
 

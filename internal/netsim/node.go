@@ -146,10 +146,6 @@ func (n *Node) SetFilter(f IngressFilter) {
 	n.filter = f
 }
 
-func (n *Node) attach(d *NetDevice) {
-	n.devs = append(n.devs, d)
-}
-
 // SendPacket routes a locally-originated packet: delivered in place when
 // addressed to this node, otherwise queued on the route's device.
 // SendPacket takes ownership of pkt (see Packet).
