@@ -26,21 +26,6 @@ type Star = netsim.Star
 // Timeline is the run's event log.
 type Timeline = metrics.Timeline
 
-// --- Traffic analysis ---
-
-// Capture is a tcpdump-style packet capture on a node.
-type Capture = netsim.Capture
-
-// FlowMonitor aggregates per-flow statistics on a node.
-type FlowMonitor = netsim.FlowMonitor
-
-// StartCapture installs a packet capture keeping at most max entries
-// (max <= 0 keeps everything).
-func StartCapture(n *Node, max int) *Capture { return netsim.StartCapture(n, max) }
-
-// InstallFlowMonitor attaches a per-flow statistics monitor.
-func InstallFlowMonitor(n *Node) *FlowMonitor { return netsim.InstallFlowMonitor(n) }
-
 // --- Defense testing (§V-A) ---
 
 // TrafficExtractor aggregates per-second traffic features at a node.

@@ -2,15 +2,16 @@ package ddosim_test
 
 import (
 	"net/netip"
+	"sort"
 	"testing"
 
 	"ddosim/ddosim"
 )
 
 // TestUseCaseToolkitEndToEnd drives every §V helper through the
-// public facade on one instrumented run: traffic capture, flow
-// monitoring, feature extraction, detector training, mitigation, and
-// epidemic fitting.
+// public facade on one instrumented run: traffic analysis from the
+// flow dataset and the sink, feature extraction, detector training,
+// and epidemic fitting.
 func TestUseCaseToolkitEndToEnd(t *testing.T) {
 	cfg := smallConfig(15)
 	cfg.AttackDuration = 40
@@ -19,8 +20,6 @@ func TestUseCaseToolkitEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	capture := ddosim.StartCapture(sim.TServer(), 1000)
-	flows := ddosim.InstallFlowMonitor(sim.TServer())
 	extractor := ddosim.NewTrafficExtractor(sim.TServer())
 	dst := netip.AddrPortFrom(sim.TServer().Addr4(), 80)
 	if err := ddosim.InstallBenignClients(sim.Star(), dst, 4, "benign"); err != nil {
@@ -35,16 +34,42 @@ func TestUseCaseToolkitEndToEnd(t *testing.T) {
 		t.Fatalf("infected = %d", r.Infected)
 	}
 
-	// Capture and flows observed the attack.
-	if capture.Total() == 0 {
-		t.Fatal("capture saw nothing")
+	// The flow dataset and the sink observed the attack. A flow that
+	// outlives the active timeout spans several records; sum them.
+	type flowKey struct {
+		proto    string
+		src, dst netip.AddrPort
 	}
-	if flows.FlowCount() < 15 {
-		t.Fatalf("flows = %d", flows.FlowCount())
+	type flow struct {
+		label string
+		bytes uint64
 	}
-	top := flows.TopTalkers(3)
-	if len(top) != 3 || top[0].Stats.Bytes == 0 {
-		t.Fatalf("top talkers = %+v", top)
+	byKey := make(map[flowKey]*flow)
+	var flows []*flow
+	for _, rec := range sim.Flows().Records() {
+		if !sim.TServer().HasAddr(rec.Dst.Addr()) {
+			continue
+		}
+		key := flowKey{rec.Proto, rec.Src, rec.Dst}
+		f := byKey[key]
+		if f == nil {
+			f = &flow{label: rec.Label}
+			byKey[key] = f
+			flows = append(flows, f)
+		}
+		f.bytes += rec.Bytes
+	}
+	if len(flows) < 15 {
+		t.Fatalf("flows into TServer = %d", len(flows))
+	}
+	sort.SliceStable(flows, func(i, j int) bool { return flows[i].bytes > flows[j].bytes })
+	for i, f := range flows[:3] {
+		if f.label != "attack" || f.bytes == 0 {
+			t.Fatalf("top flow %d: %+v", i, *f)
+		}
+	}
+	if sim.Sink().RxPackets() == 0 {
+		t.Fatal("sink saw nothing")
 	}
 
 	// Train and evaluate a detector on extracted windows.

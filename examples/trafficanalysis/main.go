@@ -1,17 +1,21 @@
 // Trafficanalysis: the measurement workflow the paper highlights —
 // "DDoSim enables the extraction of network traffic at any layer"
-// (§V-A). This example instruments TServer with a packet capture and
-// a per-flow monitor during an attack with mixed benign traffic, then
-// prints a Wireshark-style summary: top talkers, per-protocol volume,
-// and a per-second rate table suitable for ML dataset generation.
+// (§V-A). This example runs an attack with mixed benign traffic, then
+// prints a Wireshark-style summary of TServer's traffic from the run's
+// two accountants: the labelled flow dataset, which counts what each
+// sender offered, and TServer's sink, which counts what was delivered.
+// It shows top talkers, per-protocol volume, and a per-second rate
+// table suitable for ML dataset generation.
 package main
 
 import (
 	"fmt"
 	"net/netip"
 	"os"
+	"sort"
 
 	"ddosim/ddosim"
+	"ddosim/internal/netsim"
 )
 
 func main() {
@@ -21,6 +25,19 @@ func main() {
 	}
 }
 
+// flowKey identifies a unidirectional flow, as the flow table keys it.
+type flowKey struct {
+	proto    string
+	src, dst netip.AddrPort
+}
+
+// flow is one flow into TServer, summed across its flow records.
+type flow struct {
+	flowKey
+	label          string
+	packets, bytes uint64
+}
+
 func run() error {
 	cfg := ddosim.DefaultConfig(25)
 	cfg.AttackDuration = 60
@@ -28,10 +45,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-
-	// Instrumentation: capture the last 50k packets, monitor flows.
-	capture := ddosim.StartCapture(sim.TServer(), 50_000)
-	flows := ddosim.InstallFlowMonitor(sim.TServer())
 	if err := ddosim.InstallBenignClients(sim.Star(),
 		netip.AddrPortFrom(sim.TServer().Addr4(), 80), 5, "sensor"); err != nil {
 		return err
@@ -41,21 +54,49 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	sink := sim.Sink()
+
+	// The flow table checkpoints a flow that outlives its active
+	// timeout, so one flow can span several records: sum them. The
+	// label is the one the flow was opened with.
+	var flows []*flow
+	byKey := make(map[flowKey]*flow)
+	for _, r := range sim.Flows().Records() {
+		if !sim.TServer().HasAddr(r.Dst.Addr()) {
+			continue
+		}
+		key := flowKey{proto: r.Proto, src: r.Src, dst: r.Dst}
+		f := byKey[key]
+		if f == nil {
+			f = &flow{flowKey: key, label: r.Label}
+			byKey[key] = f
+			flows = append(flows, f)
+		}
+		f.packets += r.Packets
+		f.bytes += r.Bytes
+	}
+	sort.SliceStable(flows, func(i, j int) bool { return flows[i].bytes > flows[j].bytes })
 
 	fmt.Println("=== Traffic analysis at TServer ===")
 	fmt.Println()
-	fmt.Printf("packets observed:  %d (capture kept %d, rolled %d)\n",
-		capture.Total(), len(capture.Entries()), capture.Dropped())
-	fmt.Printf("distinct flows:    %d\n", flows.FlowCount())
-	fmt.Printf("attack window:     %s for %d s, D_received %.1f kbps\n",
+	fmt.Printf("packets delivered:  %d\n", sink.RxPackets())
+	fmt.Printf("flows into TServer: %d\n", len(flows))
+	fmt.Printf("attack window:      %s for %d s, D_received %.1f kbps\n",
 		results.AttackIssuedAt, cfg.AttackDuration, results.DReceivedKbps)
 	fmt.Println()
 
-	fmt.Println("top talkers (by bytes):")
-	for i, talker := range flows.TopTalkers(8) {
-		fmt.Printf("  %2d. %-22s %-5s %8d pkts %12d bytes %10.1f kbps\n",
-			i+1, talker.Key.Src, talker.Key.Proto,
-			talker.Stats.Packets, talker.Stats.Bytes, talker.Stats.Rate())
+	fmt.Println("delivered volume by protocol (wire bytes):")
+	for _, p := range []netsim.Protocol{netsim.ProtoUDP, netsim.ProtoTCP} {
+		fmt.Printf("  %-5s %12d bytes\n", p, sink.BytesByProto(p))
+	}
+	fmt.Println()
+
+	// Offered bytes come from the flow records, delivered bytes from
+	// the sink's per-source tally; they part where a queue drops.
+	fmt.Println("top talkers (wire bytes offered by the flow, delivered from its source):")
+	for i, f := range flows[:min(8, len(flows))] {
+		fmt.Printf("  %2d. %-22s %-5s %-7s %8d pkts %10d offered %10d delivered\n",
+			i+1, f.src, f.proto, f.label, f.packets, f.bytes, sink.BytesFrom(f.src.Addr()))
 	}
 	fmt.Println()
 
@@ -63,7 +104,7 @@ func run() error {
 	// steady — the labeled windows an ML pipeline would train on.
 	from := int64(results.AttackIssuedAt/ddosim.Second) - 3
 	fmt.Println("per-second received rate around the attack start (kbps):")
-	series := sim.Sink().Series()
+	series := sink.Series()
 	for sec := from; sec < from+12; sec++ {
 		marker := ""
 		if sec == from+3 {
@@ -72,7 +113,7 @@ func run() error {
 		fmt.Printf("  t=%4ds  %10.1f%s\n", sec, series.KbpsSeries(sec, sec+1)[0], marker)
 	}
 	fmt.Println()
-	fmt.Println("The same data is exportable as CSV via `ddosim -out` or the")
-	fmt.Println("internal/report package — the dataset-generation workflow of §V-A.")
+	fmt.Println("The same labelled flow records are exportable as CSV or JSONL via")
+	fmt.Println("`ddosim -flows-out` — the dataset-generation workflow of §V-A.")
 	return nil
 }

@@ -22,7 +22,7 @@ var srcFlows = sim.NewSource("net.flows")
 // Accounting happens at origination, before queueing — records
 // describe offered load, not delivered load, so a flow whose packets
 // die at a faulted link still closes with the full byte/packet count
-// the sender offered. Delivered load is the sink taps' job.
+// the sender offered. Delivered load is the sink's job.
 //
 // The table is allocation-free in steady state and holds no pointers:
 // entries live in a flat slice recycled through a free list, keyed by
@@ -84,7 +84,7 @@ func (c *FlowConfig) normalize() {
 }
 
 // flowKey identifies a flow without pointers: both endpoints packed
-// by the table's zones, and the protocol. Unlike FlowKey's
+// by the table's zones, and the protocol. Unlike a pair of
 // netip.AddrPorts, it keeps the index map and the entries out of the
 // garbage collector's scan.
 type flowKey struct {
