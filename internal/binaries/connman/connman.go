@@ -62,8 +62,7 @@ type Daemon struct {
 
 var _ container.Behavior = (*Daemon)(nil)
 
-// New creates the behaviour; the engine's binary registry calls this
-// through Factory.
+// New creates the behaviour.
 func New(cfg Config) *Daemon {
 	if cfg.QueryPeriod <= 0 {
 		cfg.QueryPeriod = DefaultQueryPeriod
@@ -75,11 +74,6 @@ func New(cfg Config) *Daemon {
 		cfg.Program = image.Connman()
 	}
 	return &Daemon{cfg: cfg}
-}
-
-// Factory adapts New to the container runtime's registry.
-func Factory(cfg Config) container.BehaviorFactory {
-	return func(args []string) container.Behavior { return New(cfg) }
 }
 
 // Name implements container.Behavior.

@@ -261,7 +261,7 @@ func FuzzConnmanResponse(f *testing.F) {
 }
 
 func TestFactoryAndName(t *testing.T) {
-	b := Factory(Config{})(nil)
+	b := New(Config{})
 	if b.Name() != imagecat.BinConnman {
 		t.Fatalf("name = %q", b.Name())
 	}

@@ -196,7 +196,7 @@ func FuzzDnsmasqRelayForw(f *testing.F) {
 }
 
 func TestFactoryAndName(t *testing.T) {
-	b := Factory(Config{})(nil)
+	b := New(Config{})
 	if b.Name() != imagecat.BinDnsmasq {
 		t.Fatalf("name = %q", b.Name())
 	}

@@ -77,11 +77,6 @@ func New(cfg Config) *Daemon {
 	return &Daemon{cfg: cfg}
 }
 
-// Factory adapts New to the binary registry.
-func Factory(cfg Config) container.BehaviorFactory {
-	return func(args []string) container.Behavior { return New(cfg) }
-}
-
 // Name implements container.Behavior.
 func (d *Daemon) Name() string { return image.BinTelnetd }
 

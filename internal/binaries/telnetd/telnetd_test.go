@@ -187,7 +187,7 @@ func TestDictionaryQuality(t *testing.T) {
 }
 
 func TestFactoryAndName(t *testing.T) {
-	b := Factory(Config{})(nil)
+	b := New(Config{})
 	if b.Name() != "telnetd" {
 		t.Fatalf("name = %q", b.Name())
 	}

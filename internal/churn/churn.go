@@ -185,9 +185,6 @@ func (c *Controller) SetEpoch(epoch sim.Time) {
 	c.epoch = epoch
 }
 
-// SetCoefficients overrides the φ values.
-func (c *Controller) SetCoefficients(coeff Coefficients) { c.coeff = coeff }
-
 // SetSessionMeans overrides the session-churn mean online and offline
 // durations.
 func (c *Controller) SetSessionMeans(online, offline sim.Time) {

@@ -66,9 +66,6 @@ func (d *Dev) SetOnline(up bool) { d.container.Node().DefaultDevice().SetUp(up) 
 // Online implements churn.Device.
 func (d *Dev) Online() bool { return d.container.Node().DefaultDevice().IsUp() }
 
-// Binary reports the daemon this Dev runs.
-func (d *Dev) Binary() DevBinary { return d.binary }
-
 // Protections reports the Dev's memory defenses.
 func (d *Dev) Protections() procvm.Protections { return d.prot }
 

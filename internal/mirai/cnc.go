@@ -102,11 +102,6 @@ func NewCNC(cfg CNCConfig) *CNC {
 	return c
 }
 
-// CNCFactory adapts NewCNC to the binary registry.
-func CNCFactory(cfg CNCConfig) container.BehaviorFactory {
-	return func(args []string) container.Behavior { return NewCNC(cfg) }
-}
-
 // Name implements container.Behavior.
 func (c *CNC) Name() string { return "cnc" }
 

@@ -99,11 +99,6 @@ func NewLoader(cfg LoaderConfig) *Loader {
 	}
 }
 
-// LoaderFactory adapts NewLoader to the binary registry.
-func LoaderFactory(cfg LoaderConfig) container.BehaviorFactory {
-	return func(args []string) container.Behavior { return NewLoader(cfg) }
-}
-
 // Name implements container.Behavior.
 func (l *Loader) Name() string { return "scanListen" }
 

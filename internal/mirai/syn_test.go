@@ -48,11 +48,11 @@ func TestFactories(t *testing.T) {
 	if b := BotFactory(BotConfig{})(nil); b.Name() != "mirai" {
 		t.Fatal("BotFactory")
 	}
-	if b := CNCFactory(CNCConfig{})(nil); b.Name() != "cnc" {
-		t.Fatal("CNCFactory")
+	if b := NewCNC(CNCConfig{}); b.Name() != "cnc" {
+		t.Fatal("NewCNC")
 	}
-	if b := LoaderFactory(LoaderConfig{})(nil); b.Name() != "scanListen" {
-		t.Fatal("LoaderFactory")
+	if b := NewLoader(LoaderConfig{}); b.Name() != "scanListen" {
+		t.Fatal("NewLoader")
 	}
 }
 

@@ -183,15 +183,7 @@ func NewStar(w *Network) *Star {
 // rate/delay/queue depth, assigns it one IPv4 and one IPv6 address, and
 // installs routes both ways. It returns the host node.
 func (s *Star) AttachHost(name string, rate DataRate, delay sim.Time, queueLimit int) *Node {
-	h := s.Net.NewNode(name)
-	hostDev, routerDev := Connect(h, s.Router, rate, delay, queueLimit)
-	h.SetDefaultDevice(hostDev)
-	v4, v6 := s.Net.AllocAddrs()
-	h.AddAddr(v4)
-	h.AddAddr(v6)
-	s.Router.AddRoute(v4, routerDev)
-	s.Router.AddRoute(v6, routerDev)
-	return h
+	return s.AttachHostAsym(name, rate, rate, delay, queueLimit)
 }
 
 // AttachHostAsym is AttachHost with distinct uplink (host→router) and

@@ -119,9 +119,6 @@ func (s *Sink) Suspend() { s.suspended = true }
 // Resume restarts logging after a Suspend.
 func (s *Sink) Resume() { s.suspended = false }
 
-// Suspended reports whether the sink is currently down.
-func (s *Sink) Suspended() bool { return s.suspended }
-
 // MissedPackets reports how many packets arrived while suspended.
 func (s *Sink) MissedPackets() uint64 { return s.missed }
 
@@ -142,7 +139,8 @@ func (s *Sink) DistinctSources() int {
 	return len(seen)
 }
 
-// BytesFrom reports the application bytes received from one source.
+// BytesFrom reports the wire bytes received from one source: whole
+// frames, headers included, as Eq. 2 counts them.
 func (s *Sink) BytesFrom(a netip.Addr) uint64 {
 	var sum uint64
 	s.tallies(func(t srcTally) {
@@ -153,6 +151,6 @@ func (s *Sink) BytesFrom(a netip.Addr) uint64 {
 	return sum
 }
 
-// BytesByProto reports the application bytes received over one
-// transport protocol.
+// BytesByProto reports the wire bytes received over one transport
+// protocol: whole frames, headers included, as Eq. 2 counts them.
 func (s *Sink) BytesByProto(p Protocol) uint64 { return s.byProto[p] }

@@ -215,10 +215,6 @@ func (c *TCPConn) LocalAddr() netip.AddrPort { return c.key.local }
 // RemoteAddr reports the connection's remote endpoint.
 func (c *TCPConn) RemoteAddr() netip.AddrPort { return c.key.remote }
 
-// Established reports whether the connection completed its handshake
-// and has not closed.
-func (c *TCPConn) Established() bool { return c.state == stateEstablished }
-
 // SetDataHandler registers the callback invoked with in-order received
 // bytes.
 func (c *TCPConn) SetDataHandler(h func([]byte)) { c.onData = h }

@@ -61,11 +61,6 @@ func NewSeeder(cfg SeederConfig) *Seeder {
 	return &Seeder{cfg: cfg, cmdKey: dht.Key(CommandChannel), seen: make(map[netip.Addr]bool)}
 }
 
-// SeederFactory adapts NewSeeder to the binary registry.
-func SeederFactory(cfg SeederConfig) container.BehaviorFactory {
-	return func(args []string) container.Behavior { return NewSeeder(cfg) }
-}
-
 // Name implements container.Behavior.
 func (s *Seeder) Name() string { return "p2p-seed" }
 
