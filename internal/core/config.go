@@ -121,8 +121,9 @@ type Config struct {
 	// fleet runs canary-less builds (fraction 0).
 	CanaryFraction float64
 	// RemoveCurl strips curl/wget from Dev firmware — the §IV-C
-	// hardening insight. The exploit still hijacks the daemon, but
-	// the infection script cannot fetch the bot.
+	// hardening insight. Under either vector the attacker still gets a
+	// shell (the exploit hijacks the daemon, or the loader logs in),
+	// but the infection command cannot fetch the bot.
 	RemoveCurl bool
 
 	// PayloadBytes is the UDP-PLAIN payload size (Mirai default 512).

@@ -66,19 +66,41 @@ func TestFullCanaryFleetResists(t *testing.T) {
 }
 
 func TestRemoveCurlBlocksInfectionNotHijack(t *testing.T) {
+	// run executes cfg with curl and wget stripped from the Devs and
+	// checks that none was recruited: no bot registered, no attack
+	// traffic, and the failed download in some container's log.
+	run := func(cfg Config) *Results {
+		t.Helper()
+		cfg.RemoveCurl = true
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.BotsRegistered != 0 {
+			t.Fatalf("%v: bots registered = %d despite missing curl", cfg.Vector, r.BotsRegistered)
+		}
+		if r.SinkBytes != 0 {
+			t.Fatalf("%v: attack traffic from bots that could not be downloaded", cfg.Vector)
+		}
+		for _, d := range s.Devs() {
+			for _, line := range d.Container().Logs() {
+				if strings.Contains(line, "not found") {
+					return r
+				}
+			}
+		}
+		t.Fatalf("%v: no 'not found' shell error logged", cfg.Vector)
+		return nil
+	}
+
 	// The §IV-C insight: without curl the ROP chain still hijacks the
 	// daemon (execlp runs), but the infection script cannot download
 	// the bot — recruitment fails downstream of exploitation.
-	cfg := smallConfig(8)
-	cfg.RemoveCurl = true
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(smallConfig(8))
 	if r.Hijacked == 0 {
 		t.Fatal("no hijacks; curl removal must not stop the exploit itself")
 	}
@@ -87,24 +109,10 @@ func TestRemoveCurlBlocksInfectionNotHijack(t *testing.T) {
 		// execlp boundary) ...
 		t.Fatalf("shell executions = %d", r.Infected)
 	}
-	if r.BotsRegistered != 0 {
-		t.Fatalf("bots registered = %d despite missing curl", r.BotsRegistered)
-	}
-	if r.SinkBytes != 0 {
-		t.Fatal("attack traffic from bots that could not be downloaded")
-	}
-	// The failed download is visible in container logs.
-	found := false
-	for _, d := range s.Devs() {
-		for _, line := range d.Container().Logs() {
-			if strings.Contains(line, "not found") {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no 'not found' shell error logged")
-	}
+
+	// The credentials vector's loader logs in and pushes the same
+	// curl|sh, so stripping curl starves the Mirai baseline too.
+	run(credConfig(12))
 }
 
 func TestCanaryValidation(t *testing.T) {

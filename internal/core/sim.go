@@ -596,7 +596,7 @@ func (s *Simulation) deployDevs() error {
 			return fmt.Errorf("core: dev %s: %w", dev.name, err)
 		}
 
-		if s.cfg.RemoveCurl && dev.binary != BinaryTelnetd {
+		if s.cfg.RemoveCurl {
 			c.RemoveCommand("curl")
 			c.RemoveCommand("wget")
 		}
@@ -969,7 +969,7 @@ func (s *Simulation) counterRows() []counterRow {
 		{"net_tx_bytes_udp_total", "bytes transmitted in UDP frames", st.TxBytesUDP},
 		{"net_tx_bytes_tcp_total", "bytes transmitted in TCP frames", st.TxBytesTCP},
 		{"net_queue_drops_total", "frames dropped at any queue (drop-tail or loss)", st.Drops},
-		{"infections_total", "Devs recruited into the botnet", uint64(r.Infected)},
+		{"infections_total", "Devs that ran the infection command, recruited or not", uint64(r.Infected)},
 		{"churn_departures_total", "devices flipped offline by churn", r.ChurnDepartures},
 		{"churn_rejoins_total", "devices flipped back online by churn", r.ChurnRejoins},
 		{"container_shell_execs_total", "shell scripts executed inside containers", uint64(s.engine.Stats().ShellExecs)},
