@@ -92,7 +92,8 @@ func run() error {
 	fmt.Println()
 
 	// Offered bytes come from the flow records, delivered bytes from
-	// the sink's per-source tally; they part where a queue drops.
+	// the sink's per-source tally; they differ by what the network
+	// dropped on the way.
 	fmt.Println("top talkers (wire bytes offered by the flow, delivered from its source):")
 	for i, f := range flows[:min(8, len(flows))] {
 		fmt.Printf("  %2d. %-22s %-5s %-7s %8d pkts %10d offered %10d delivered\n",

@@ -134,7 +134,6 @@ type Device interface {
 type Controller struct {
 	mode    Mode
 	epoch   sim.Time
-	coeff   Coefficients
 	sched   *sim.Scheduler
 	devices []Device
 	hosts   []Host
@@ -163,7 +162,6 @@ func NewController(sched *sim.Scheduler, mode Mode, devices []Device) *Controlle
 	c := &Controller{
 		mode:        mode,
 		epoch:       DefaultEpoch,
-		coeff:       FanCoefficients,
 		sched:       sched,
 		devices:     make([]Device, len(devices)),
 		hosts:       make([]Host, len(devices)),
@@ -299,7 +297,7 @@ func (c *Controller) scheduleSessionEnd(dev Device) {
 func (c *Controller) evaluate(rejoin bool) {
 	rng := c.sched.RNG()
 	for i, dev := range c.devices {
-		p := c.hosts[i].LeavingProbability(c.coeff)
+		p := c.hosts[i].LeavingProbability(FanCoefficients)
 		leave := rng.Float64() < p
 		switch {
 		case leave && dev.Online():
