@@ -88,9 +88,10 @@ func (f *Flooder) LaunchUntil(method string, dst netip.AddrPort, until sim.Time,
 // launch arms the flood: bind/craft by method, supersede any live
 // order, then schedule the first packet after a uniformly-random delay
 // in [0, jitter] drawn from the process RNG (zero jitter starts now).
-// onStart, when non-nil, observes the first-packet instant; untilAt
-// maps the start instant to the order's expiry. Returns false for an
-// unknown method or an unbindable socket.
+// onStart, when non-nil, observes the first-packet instant; a start
+// that lands at or after the order's expiry sends nothing and calls
+// nothing. untilAt maps the start instant to the order's expiry.
+// Returns false for an unknown method or an unbindable socket.
 func (f *Flooder) launch(method string, dst netip.AddrPort, jitter sim.Time, onStart func(), untilAt func(sim.Time) sim.Time) bool {
 	rate := f.p.Node().DefaultDevice().Rate()
 	var wireSize int
@@ -129,6 +130,11 @@ func (f *Flooder) launch(method string, dst netip.AddrPort, jitter sim.Time, onS
 	f.tickFn = func() { f.tick(gen) }
 	f.p.Sched().ScheduleAt(start, func() {
 		if gen != f.gen || !f.p.Alive() {
+			return
+		}
+		if f.p.Sched().Now() >= f.until {
+			// Only LaunchUntil's fixed end can precede the start.
+			f.attacking = false
 			return
 		}
 		f.attacking = true
