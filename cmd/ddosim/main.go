@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"ddosim/ddosim"
@@ -53,7 +52,6 @@ func run() error {
 		canary    = flag.Float64("canary", 0, "fraction of Devs built with a stack protector")
 		noCurl    = flag.Bool("remove-curl", false, "strip curl/wget from Dev firmware (§IV-C insight)")
 		asJSON    = flag.Bool("json", false, "emit JSON (with series and timeline) instead of text")
-		outDir    = flag.String("out", "", "directory to write series.csv and timeline.csv into")
 		timeline  = flag.Bool("timeline", false, "print the full event timeline")
 		spark     = flag.Bool("sparkline", false, "print a sparkline of the per-second rate")
 		traceOut  = flag.String("trace", "", "write the run trace to this file (Chrome trace_event JSON; a .jsonl extension selects JSONL)")
@@ -166,11 +164,6 @@ func run() error {
 	if *asJSON {
 		return report.FromResults(cfg, r, true).WriteJSON(os.Stdout)
 	}
-	if *outDir != "" {
-		if err := writeArtifacts(*outDir, cfg, r); err != nil {
-			return err
-		}
-	}
 	fmt.Printf("DDoSim run: %d devs, %s, %ds attack, seed %d\n\n", *devs, mode, *duration, *seed)
 	fmt.Print(r.Summary())
 	if *spark && len(r.PerSecondKbps) > 0 {
@@ -198,20 +191,4 @@ func writeTo(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func writeArtifacts(dir string, cfg ddosim.Config, r *ddosim.Results) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	series := report.SeriesCSV(r.PerSecondKbps, report.WindowStart(r))
-	if err := os.WriteFile(filepath.Join(dir, "series.csv"), []byte(series), 0o644); err != nil {
-		return err
-	}
-	timeline := report.TimelineCSV(r.Timeline)
-	if err := os.WriteFile(filepath.Join(dir, "timeline.csv"), []byte(timeline), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s and %s\n", filepath.Join(dir, "series.csv"), filepath.Join(dir, "timeline.csv"))
-	return nil
 }

@@ -97,10 +97,3 @@ func FitInfectionBeta(c InfectionCurve, n int, horizonSecs float64) (beta, rmse 
 func SimulateExternalInfection(lambda float64, n int, dt, horizonSecs float64) (times, infected []float64) {
 	return epidemic.SimulateExternal(epidemic.ExternalParams{Lambda: lambda, N: float64(n)}, dt, horizonSecs)
 }
-
-// InfectionCurveFromTimeline extracts the measured infection curve
-// from a run's timeline.
-func InfectionCurveFromTimeline(tl *Timeline) InfectionCurve {
-	times, counts := tl.CumulativeCurve(EventExploitHit)
-	return InfectionCurve{Times: times, Counts: counts}
-}

@@ -89,7 +89,7 @@ func TestUseCaseToolkitEndToEnd(t *testing.T) {
 	}
 
 	// Fit the infection curve.
-	curve := ddosim.InfectionCurveFromTimeline(r.Timeline)
+	curve := r.InfectionCurve()
 	if len(curve.Times) != 15 {
 		t.Fatalf("infection curve has %d points", len(curve.Times))
 	}

@@ -39,7 +39,7 @@ func run() error {
 		return err
 	}
 
-	curve := ddosim.InfectionCurveFromTimeline(results.Timeline)
+	curve := results.InfectionCurve()
 	if len(curve.Times) == 0 {
 		return fmt.Errorf("no infections recorded")
 	}

@@ -148,6 +148,14 @@ func runArtifacts(cfg core.Config) (artifacts, *core.Simulation, *core.Results, 
 }
 
 // goldenHashes holds the SHA-256 of each artifact of one pinned run.
+//
+// Every golden's report, JSONL and Chrome hashes were re-captured once
+// when the kill-chain spans came to be built from each Dev's record at
+// the end of the run: the spans moved to the end of the trace, in fleet
+// order; a register span joined them; the exploit-success and
+// flood-start instants, which restated a span's end, went; and the
+// phase summary gained its register row. Flow and time-series hashes
+// held.
 type goldenHashes struct{ rep, jsonl, chrome, flows, ts string }
 
 // matchGolden reports every artifact whose hash differs from want.
@@ -193,16 +201,18 @@ func TestSameSeedByteIdenticalArtifacts(t *testing.T) {
 // TestFaultFreeArtifactsMatchPrePRGolden pins the zero-cost guarantee
 // of the fault-injection subsystem: with a zero Faults config, every
 // artifact of the runOnce scenario is byte-identical across commits.
-// The hashes were last re-captured when the reconnect path gained
-// per-bot deterministic jitter and capped backoff (every reconnect
-// timestamp moved). If an intentional change elsewhere moves these
+// The flow and time-series hashes were last re-captured when the
+// reconnect path gained per-bot deterministic jitter and capped backoff
+// (every reconnect timestamp moved); the other three when the
+// kill-chain spans moved to the run's end (see goldenHashes). If an
+// intentional change elsewhere moves these
 // bytes, re-capture the hashes — but a diff caused by a faults-related
 // change means the zero-value path is no longer free.
 func TestFaultFreeArtifactsMatchPrePRGolden(t *testing.T) {
 	runOnce(t, 1234).matchGolden(t, "fault-free", goldenHashes{
-		rep:    "bfd35824d86665d66a2145b6052faef9c8833758048903ecea465807b2415a88",
-		jsonl:  "63dfc99c88bce61e51a4a581ced89300e09bf0d2375d66542737a950586ee8fa",
-		chrome: "9c795ed86b9d15cf7b320a8ec225b19648f5e7c0005981f8eb4f9e2c8e009f8a",
+		rep:    "2c6b0f17ef2584e83e7f24238eaff6940306038b097cad8c8928b3807482e1ce",
+		jsonl:  "a2fae552d4562ba13e40fc7187f3dc1825678c896805b347a422936fcf6e1bee",
+		chrome: "78227878a9518260ffd02745ee97d2621eff3e4304e82f4871b1e23c825e9b2f",
 		flows:  "13cffc1ccdc455f2ec8b12ca56fd588684f5153b82e273c457192c0c3dc55097",
 		ts:     "1c32e115904f53dafff0228742b7945e99f4f41ef1b06541762a29653fb9161f",
 	})
@@ -230,6 +240,8 @@ func runCongested(t *testing.T) artifacts {
 // fault-free golden scenario never takes: thousands of annotated queue
 // drops, fault spans ended explicitly and at the horizon, and the
 // report, flow and time-series records of a congested, faulted run.
+// Its report and trace hashes moved with the kill-chain spans (see
+// goldenHashes).
 func TestCongestedFaultTraceMatchesGolden(t *testing.T) {
 	a := runCongested(t)
 	for _, want := range []string{
@@ -242,9 +254,9 @@ func TestCongestedFaultTraceMatchesGolden(t *testing.T) {
 		}
 	}
 	a.matchGolden(t, "congested faults", goldenHashes{
-		rep:    "5e141d935580c21b7e6643721dc6678d6f726d2da033427a3f726ff59ec8bac0",
-		jsonl:  "000170253b55f963cc7863bcbd1b480c0d8dbd6fb930f80327453de87c0c4d38",
-		chrome: "32be16253c422762b183385c5a40ac7202f7465c96e9696782c9fcf2acb27df1",
+		rep:    "b265846faf2c064741a958efe757d599df9d6f88d77f2171ded4832ff88be5ee",
+		jsonl:  "38ec717182d9f84aa61403fb534958881defa76f6a3c7b0976d50e8d5f21ef0d",
+		chrome: "e07316cf3f42cd540fd66a8b46846f4e0ac61ce3f859f9fd8a938bc832807fe4",
 		flows:  "a07eadae23b3023272cb3373fc49713ca2943ab2d58db3d89a09215929acd096",
 		ts:     "4145f39ee79e2141dbdd0a76c8eef2a3d5089743d922fcb07e8f47d5fb465774",
 	})
@@ -258,16 +270,17 @@ func TestCongestedFaultTraceMatchesGolden(t *testing.T) {
 // now die at the router instead of crossing TServer's downlink. The
 // Table I estimates and net_tx_bytes read the frames transmitted, and
 // the scheduler's event counts (queue_depth, the obs summary) fall
-// with them.
+// with them. The report and trace hashes moved again with the
+// kill-chain spans (see goldenHashes).
 func TestCredentialArtifactsMatchGolden(t *testing.T) {
 	a, _, r := runCfg(t, credGoldenConfig())
 	if r.Timeline.Count(core.EventLoaded) == 0 {
 		t.Error("no Dev was loaded; the scenario no longer covers the loader")
 	}
 	a.matchGolden(t, "credentials", goldenHashes{
-		rep:    "815946e49d52b85c4a612440f7a1dd7d7fbd0b37095dba62bc55707263388afe",
-		jsonl:  "ae2605d8d4f07e6f07feb020433c887bf1e03b38a31c5a31081a1f68d9b32412",
-		chrome: "8868d67ddcabc0608721b8830aa9aeada6a11adc23789bcb28be0005a25e842f",
+		rep:    "8cc3097068a7942843f12a64c40e0ac5972ccab4958e8bd4cbcc0144f856c88b",
+		jsonl:  "061eba801d79fd2675f91f9e5c167bd7022504557d228ef8a5e29ba8d9a0f154",
+		chrome: "69aedd29a5151b2b9bcc4527005100ab644918b55e56c9a26092525e59916b2b",
 		flows:  "03fe995636ec6e2583f62e3602bda2365bc573e56cb5b4a4a5ccf0c7dadc97d4",
 		ts:     "887bc4c5ae4b7371417058dd597940f33822b0cb5f8406f00373ad44a4bf3701",
 	})
@@ -276,6 +289,8 @@ func TestCredentialArtifactsMatchGolden(t *testing.T) {
 // TestCNCCrashArtifactsMatchGolden pins both families while the
 // botmaster's process crashes and is re-executed: the C&C for mirai,
 // the overlay seeder for p2p, and every registration that follows.
+// Their report and trace hashes moved with the kill-chain spans (see
+// goldenHashes).
 func TestCNCCrashArtifactsMatchGolden(t *testing.T) {
 	p2p := p2pConfig(1234)
 	p2p.Faults = cncCrashFaults(t)
@@ -285,16 +300,16 @@ func TestCNCCrashArtifactsMatchGolden(t *testing.T) {
 		want   goldenHashes
 	}{
 		{"mirai", churnConfig(1234, cncCrashFaults(t)), goldenHashes{
-			rep:    "232bd3a485a824c7c87c2cf3e0b32ca54c54bf41b71f92df8ceb5466b546a2df",
-			jsonl:  "8dc9a01399fcf636005ade4af28a669eb980a1e41b0cf37bcf51f02b472a497a",
-			chrome: "be99a3806aa82a9f862f8d13be9a35d3382f53bd9b9a0d9b9ac5ffb75c2a086b",
+			rep:    "cbb07504133629bfa598df3982a9a193209c2503dd7e90fd6834c485439256be",
+			jsonl:  "6f08039405b8cf1f0e28402462405d2620813f14c8f683d94427883720b5fb10",
+			chrome: "155a22b7a6fa7c5d4035b123caf99873fdb6c779a6008d81df99a3d00c662e06",
 			flows:  "bbea002b352a861610bf5f51987fab3985f76b71cc4aa1e208a1e67416030142",
 			ts:     "7a8ac0c4eb8e8dd057d6aff6dc5db28219573aa81e1acddc82d4829907f57443",
 		}},
 		{"p2p", p2p, goldenHashes{
-			rep:    "9a703761ba1f6b2fe6e5247a580d7171b83677ea3406448199e101eb313185c9",
-			jsonl:  "30bf9e2c717c066a33e57a157d17c54e4f25fd6468450e69473f07abb3cb004a",
-			chrome: "eef114bce22237766e952727c67936a0aebfbaa1acd202b0b85c88335a1d5af1",
+			rep:    "e4ad2938659371465777451767d3eff94e93250c6c0590510b4ce608bc5a9761",
+			jsonl:  "d5ede3375c0398c28c4a505b4c17fdd5dfb5d72b35c1515292f74b6a690dd221",
+			chrome: "46d4deeeb8c63bffbfadb38f07a4617707a01724b22dc26ab8dee35406bc062d",
 			flows:  "793045f0047e09126e8dfb72cd88840f2dd5b412ca188dacec7d1a147de273b4",
 			ts:     "1a10b3ec1595ac4ca878a50966151735c33e46e5b3e0b6862a4e39adfb1665d9",
 		}},

@@ -110,9 +110,16 @@ func TestTraceCoversKillChain(t *testing.T) {
 		t.Errorf("only %d event categories populated, want >= 3", cats)
 	}
 
-	// Trace events agree with the measured kill chain.
-	if got := tr.CountEvents(obs.CatExploit, "exploit-success"); got != r.Infected {
-		t.Errorf("exploit-success events = %d, infected = %d", got, r.Infected)
+	// Kill-chain spans and trace events agree with the measured kill
+	// chain.
+	recruits := 0
+	for _, sp := range tr.Spans() {
+		if sp.Cat == obs.CatKillChain && sp.Name == "recruit" {
+			recruits++
+		}
+	}
+	if recruits != r.Infected {
+		t.Errorf("recruit spans = %d, infected = %d", recruits, r.Infected)
 	}
 	if got := tr.CountEvents(obs.CatCNC, "attack-command"); got != 1 {
 		t.Errorf("attack-command events = %d, want 1", got)

@@ -119,7 +119,8 @@ func TestP2PConcurrentRunsByteIdentical(t *testing.T) {
 // TestP2PFaultArtifactsMatchGolden pins every artifact of the p2p
 // family under dynamic churn and a half-strength fault scenario: the
 // seeder, the overlay's churn, and the fault injector's process
-// crashes and respawns all feed the hashed bytes.
+// crashes and respawns all feed the hashed bytes. Its report and trace
+// hashes moved with the kill-chain spans (see goldenHashes).
 func TestP2PFaultArtifactsMatchGolden(t *testing.T) {
 	cfg := p2pConfig(1234)
 	cfg.Faults = faults.AtIntensity(0.5)
@@ -128,9 +129,9 @@ func TestP2PFaultArtifactsMatchGolden(t *testing.T) {
 		t.Errorf("fault stats %+v; the scenario no longer crashes and respawns processes", r.Faults)
 	}
 	a.matchGolden(t, "p2p faults", goldenHashes{
-		rep:    "201e4a06e4dca358be566fb0640684c9fcd306305d0375db95103433cfa13e68",
-		jsonl:  "7f8870c80cf5e4be16e763a7bb17b9c13ade0f6b95a5c27384dcfe4227a8507f",
-		chrome: "eb5e27340ae22e640285d40d8b39cf4f523d86c36957a43daafe648fcd74817c",
+		rep:    "72fa6879750b93f7527db5fa3604a240d3c2368865d409cb18a2d16dad62180c",
+		jsonl:  "85b8c3b67e9fbe55f58fe0174f56fd5af4a4145e74a5652e69e7060cc1dd0d32",
+		chrome: "281deabf8851489d5f06f7ed9f853c8414b96dab362a40a8c8d0fac31bb581ec",
 		flows:  "ef4e6d0575fdfee232acd46cfaa3e5a0d272308b4564a44b46d318e857d5080c",
 		ts:     "3f885b30c78233a30d7a8c96142e9350bebee9970405d593bae1f74b4d26b5f9",
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ddosim/internal/epidemic"
 	"ddosim/internal/faults"
 	"ddosim/internal/metrics"
 	"ddosim/internal/netsim"
@@ -19,7 +20,7 @@ const (
 	EventBotJoined    = "bot-registered" // bot completed C&C registration
 	EventBotLost      = "bot-lost"       // C&C dropped a bot
 	EventAttackOrder  = "attack-order"   // C&C broadcast the command
-	EventFloodStart   = "flood-start"    // a bot's first flood packet
+	EventFloodStart   = "flood-start"    // a bot's first flood packet of an order
 	EventChurnOffline = "churn-offline"
 	EventChurnOnline  = "churn-online"
 	// EventLoaded marks a credential-vector infection: the loader
@@ -95,6 +96,10 @@ type Results struct {
 	// Phases summarizes kill-chain (and fault) span latencies: one row
 	// per phase name with count/min/mean/max durations.
 	Phases []obs.PhaseStat
+
+	// infectedAt holds each infected Dev's first infection time, in
+	// time order.
+	infectedAt []sim.Time
 }
 
 // InfectionRate reports the paper's R2 metric: the fraction of
@@ -104,6 +109,17 @@ func (r *Results) InfectionRate() float64 {
 		return 0
 	}
 	return float64(r.Infected) / float64(r.DevsTotal)
+}
+
+// InfectionCurve is the measured cumulative-infections curve the §V-B
+// use case fits epidemic models to: one point per infected Dev, at the
+// instant it was first infected, under either recruitment vector.
+func (r *Results) InfectionCurve() epidemic.Curve {
+	c := epidemic.Curve{Times: make([]float64, len(r.infectedAt)), Counts: make([]int, len(r.infectedAt))}
+	for i, at := range r.infectedAt {
+		c.Times[i], c.Counts[i] = at.Seconds(), i+1
+	}
+	return c
 }
 
 // MeanPhaseSecs reports the mean duration of the named kill-chain

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 
 	"ddosim/internal/attacker"
 	"ddosim/internal/binaries/connman"
@@ -47,14 +48,16 @@ type Dev struct {
 	// does nothing) when the daemon is still (or already) running.
 	respawn func() bool
 
-	// The Dev's kill-chain record. firstPayload is when it first parsed
-	// an attacker payload and firstReport when a scanner first reported
-	// it to the loader, each -1 until then; they anchor the "exploit"
-	// and "load" spans. infected and registered are set the first time
-	// the Dev is infected and the first time its bot joins the botnet,
-	// and stay set.
-	firstPayload, firstReport sim.Time
-	infected, registered      bool
+	// The Dev's kill-chain record, each time -1 until it happens and
+	// then set once. firstPayload is when the Dev first parsed an
+	// attacker payload and firstReport when a scanner first reported it
+	// to the loader; they anchor the "exploit" and "load" spans.
+	// infectedAt is when it was first infected, registeredAt when its
+	// bot first joined the botnet, and floodAt when it first sent a
+	// flood packet after the attack order. recordKillChain builds every
+	// kill-chain view from these when the run ends.
+	firstPayload, firstReport         sim.Time
+	infectedAt, registeredAt, floodAt sim.Time
 }
 
 // Name implements churn.Device.
@@ -445,20 +448,13 @@ func (s *Simulation) deployAttacker() error {
 		s.loader = mirai.NewLoader(mirai.LoaderConfig{
 			InfectionCommand: exploit.InfectionCommand(atk.ScriptURL()),
 			OnReport: func(victim netip.Addr) {
-				dev, ok := s.devByAddr[victim]
-				if !ok || dev.firstReport >= 0 {
-					return
+				if dev, ok := s.devByAddr[victim]; ok && dev.firstReport < 0 {
+					dev.firstReport = s.sched.Now()
 				}
-				dev.firstReport = s.sched.Now()
-				// Scan phase: run start → a scanner first cracked the
-				// victim and reported it.
-				s.obs.Trace.RecordSpan(0, dev.firstReport, obs.CatKillChain, "scan",
-					obs.KV{K: "dev", V: dev.name})
 			},
 			OnLoaded: func(victim netip.Addr) {
 				if dev, ok := s.devByAddr[victim]; ok {
-					// Load phase: first report → the loader's push ran.
-					s.infect(dev, EventLoaded, obs.KV{K: "channel", V: "loader"}, "load", dev.firstReport)
+					s.infect(dev, EventLoaded)
 				}
 			},
 		})
@@ -481,7 +477,8 @@ func (s *Simulation) botCount() int {
 }
 
 // noteFloodStart is the flood-start bookkeeping both bot families run
-// when a bot starts flooding.
+// when a bot sends its first flood packet of an order. floodAt keeps
+// the Dev's first; the command-latency column counts every start.
 func (s *Simulation) noteFloodStart(addr netip.Addr) {
 	dev, ok := s.devByAddr[addr]
 	if !ok {
@@ -489,11 +486,11 @@ func (s *Simulation) noteFloodStart(addr netip.Addr) {
 	}
 	now := s.sched.Now()
 	s.timeline.Record(now, EventFloodStart, dev.name)
-	s.obs.Trace.Event(now, obs.CatCNC, "flood-start", obs.KV{K: "dev", V: dev.name})
 	if s.attackIssued {
-		at := s.results.AttackIssuedAt
-		s.obs.Trace.RecordSpan(at, now, obs.CatKillChain, "attack", obs.KV{K: "dev", V: dev.name})
-		s.winCmdSum += (now - at).Seconds()
+		if dev.floodAt < 0 {
+			dev.floodAt = now
+		}
+		s.winCmdSum += (now - s.results.AttackIssuedAt).Seconds()
 		s.winCmdN++
 	}
 }
@@ -506,8 +503,8 @@ func (s *Simulation) noteJoined(addr netip.Addr) {
 	if !ok {
 		return
 	}
-	if !dev.registered {
-		dev.registered = true
+	if dev.registeredAt < 0 {
+		dev.registeredAt = s.sched.Now()
 		s.results.BotsRegistered++
 	}
 	s.timeline.Record(s.sched.Now(), EventBotJoined, dev.name)
@@ -515,22 +512,14 @@ func (s *Simulation) noteJoined(addr netip.Addr) {
 
 // infect is the infection bookkeeping both recruitment vectors run: the
 // exploit's shell ran, or the loader pushed the bot. A Dev counts once
-// however often it is re-infected. kind names the timeline event and
-// how annotates the trace event. The stage span runs from the stage's
-// anchor to now, and "recruit" from the run's start. The anchor is
-// always set by then: a Dev parses a payload before its shell runs,
-// and the loader pushes only to a victim a scanner reported.
-func (s *Simulation) infect(dev *Dev, kind string, how obs.KV, stage string, from sim.Time) {
-	if dev.infected {
+// however often it is re-infected; kind names the timeline event.
+func (s *Simulation) infect(dev *Dev, kind string) {
+	if dev.infectedAt >= 0 {
 		return
 	}
-	now := s.sched.Now()
-	dev.infected = true
+	dev.infectedAt = s.sched.Now()
 	s.results.Infected++
-	s.timeline.Record(now, kind, dev.name)
-	s.obs.Trace.Event(now, obs.CatExploit, "exploit-success", obs.KV{K: "dev", V: dev.name}, how)
-	s.obs.Trace.RecordSpan(from, now, obs.CatKillChain, stage, obs.KV{K: "dev", V: dev.name})
-	s.obs.Trace.RecordSpan(0, now, obs.CatKillChain, "recruit", obs.KV{K: "dev", V: dev.name})
+	s.timeline.Record(dev.infectedAt, kind, dev.name)
 }
 
 func (s *Simulation) deployTServer() error {
@@ -563,7 +552,7 @@ func (s *Simulation) deployDevs() error {
 	rng := rand.New(rand.NewSource(s.cfg.Seed ^ 0x5eed))
 	for i := 0; i < s.cfg.NumDevs; i++ {
 		dev := &Dev{name: fmt.Sprintf("dev-%03d", i+1), binary: s.cfg.binaryFor(i),
-			firstPayload: -1, firstReport: -1}
+			firstPayload: -1, firstReport: -1, infectedAt: -1, registeredAt: -1, floodAt: -1}
 		dev.rate = s.cfg.MinDevRate +
 			netsim.DataRate(rng.Int63n(int64(s.cfg.MaxDevRate-s.cfg.MinDevRate)+1))
 		var cred telnetd.Cred // the zero Cred is telnetd.StrongCred
@@ -693,8 +682,7 @@ func (s *Simulation) outcomeHook(dev *Dev) func(procvm.HijackOutcome) {
 		}
 		switch {
 		case out.ExecutedShell != "":
-			// Exploit phase: first payload parsed → shell executed.
-			s.infect(dev, EventExploitHit, obs.KV{K: "binary", V: string(dev.binary)}, "exploit", dev.firstPayload)
+			s.infect(dev, EventExploitHit)
 		case out.Crashed():
 			s.results.Crashed++
 			s.timeline.Record(s.sched.Now(), EventExploitCrash, dev.name)
@@ -911,8 +899,10 @@ func (s *Simulation) assemble() {
 		r.Faults = &st
 	}
 
-	// Seal the observability layer: close dangling phase spans,
-	// publish the run's counts to the registry, and condense a summary.
+	// Seal the observability layer: build the kill-chain views, close
+	// dangling phase spans, publish the run's counts to the registry,
+	// and condense a summary.
+	s.recordKillChain()
 	s.obs.Trace.CloseOpenSpans(s.sched.Now())
 	r.Phases = obs.SummarizePhases(s.obs.Trace.Spans(), obs.CatKillChain, faults.CatFault)
 	reg := s.obs.Metrics
@@ -946,6 +936,48 @@ func (s *Simulation) assemble() {
 			CommandedSecs: float64(s.cfg.AttackDuration),
 		})
 	}
+}
+
+// recordKillChain builds each Dev's kill-chain spans from its record,
+// Dev by Dev in fleet order, and collects the infection times the
+// infection curve reads. It is the only place killchain spans are
+// recorded. Each stage runs from its anchor to the Dev's time:
+//   - scan: run start → a scanner first reported the Dev;
+//   - exploit: first payload parsed → shell executed (memory-error
+//     vector), or load: first report → the loader's push ran
+//     (credentials vector);
+//   - recruit: run start → infected;
+//   - register: infected → the bot first joined the botnet;
+//   - attack: the order's issue → the Dev's first flood packet.
+//
+// An anchor is always set by its stage's end: a Dev parses a payload
+// before its shell runs, and the loader pushes only to a victim a
+// scanner reported.
+func (s *Simulation) recordKillChain() {
+	r, tr := &s.results, s.obs.Trace
+	for _, d := range s.devs {
+		dev := obs.KV{K: "dev", V: d.name}
+		if d.firstReport >= 0 {
+			tr.RecordSpan(0, d.firstReport, obs.CatKillChain, "scan", dev)
+		}
+		if d.infectedAt >= 0 {
+			if s.cfg.Vector == VectorCredentials {
+				tr.RecordSpan(d.firstReport, d.infectedAt, obs.CatKillChain, "load", dev)
+			} else {
+				tr.RecordSpan(d.firstPayload, d.infectedAt, obs.CatKillChain, "exploit", dev,
+					obs.KV{K: "binary", V: string(d.binary)})
+			}
+			tr.RecordSpan(0, d.infectedAt, obs.CatKillChain, "recruit", dev)
+			r.infectedAt = append(r.infectedAt, d.infectedAt)
+		}
+		if d.registeredAt >= 0 {
+			tr.RecordSpan(d.infectedAt, d.registeredAt, obs.CatKillChain, "register", dev)
+		}
+		if d.floodAt >= 0 {
+			tr.RecordSpan(r.AttackIssuedAt, d.floodAt, obs.CatKillChain, "attack", dev)
+		}
+	}
+	slices.Sort(r.infectedAt)
 }
 
 // counterRow is one registry counter and the run's own count behind it.

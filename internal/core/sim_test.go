@@ -2,6 +2,7 @@ package core
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"ddosim/internal/churn"
@@ -66,9 +67,14 @@ func TestFullKillChain(t *testing.T) {
 		t.Fatal("file server saw no downloads")
 	}
 	// Both binaries must be represented among infections.
-	hits := r.Timeline.ActorsOf(EventExploitHit)
-	if len(hits) != 12 {
-		t.Fatalf("exploit-hit actors = %d", len(hits))
+	byBinary := map[DevBinary]int{}
+	for _, d := range s.devs {
+		if d.infectedAt >= 0 {
+			byBinary[d.binary]++
+		}
+	}
+	if byBinary[BinaryConnman] == 0 || byBinary[BinaryDnsmasq] == 0 {
+		t.Fatalf("infected Devs by binary = %v; both channels must recruit", byBinary)
 	}
 	if r.Summary() == "" {
 		t.Fatal("empty summary")
@@ -76,10 +82,12 @@ func TestFullKillChain(t *testing.T) {
 }
 
 // TestDevRecordsAgreeWithResults checks each Dev's kill-chain record
-// against the run's counts, on the scenarios the determinism goldens
-// pin (determinism_test.go, p2p_test.go): as many Devs marked infected
-// as Results.Infected, as many marked registered as BotsRegistered,
-// and no infected Dev that never parsed a payload or was reported.
+// against the run's counts and the views built from it, on the
+// scenarios the determinism goldens pin (determinism_test.go,
+// p2p_test.go) and a command-wave run: as many Devs infected as
+// Results.Infected and registered as BotsRegistered; each Dev's times
+// in kill-chain order; one span per Dev and stage; and one
+// infection-curve point per infected Dev.
 func TestDevRecordsAgreeWithResults(t *testing.T) {
 	crash, err := faults.ParseSpec("intensity=0.6;cnc:crash=40s")
 	if err != nil {
@@ -107,6 +115,7 @@ func TestDevRecordsAgreeWithResults(t *testing.T) {
 			c.Seed, c.Vector, c.ScanPeriod = 7, VectorCredentials, sim.Second
 			c.SimDuration, c.RecruitTimeout = 400*sim.Second, 300*sim.Second
 		}},
+		{"command waves", func(c *Config) { churned(c); c.CommandWave = 5 * sim.Second }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallConfig(10)
@@ -122,21 +131,64 @@ func TestDevRecordsAgreeWithResults(t *testing.T) {
 			if r.Infected == 0 {
 				t.Fatal("no Dev infected; the scenario checks nothing")
 			}
-			infected, registered := 0, 0
+			// Each Dev's first flood start in the timeline, which logs
+			// every start, is its floodAt.
+			firstFlood := map[string]sim.Time{}
+			for _, e := range r.Timeline.Events() {
+				if _, ok := firstFlood[e.Actor]; !ok && e.Kind == EventFloodStart {
+					firstFlood[e.Actor] = e.At
+				}
+			}
+			infected, registered, flooding := 0, 0, 0
 			for _, d := range s.devs {
-				if d.infected {
+				if at, ok := firstFlood[d.name]; ok != (d.floodAt >= 0) || ok && at != d.floodAt {
+					t.Errorf("%s: floodAt %v, first flood start logged at %v", d.name, d.floodAt, at)
+				}
+				anchor := d.firstPayload
+				if cfg.Vector == VectorCredentials {
+					anchor = d.firstReport
+				}
+				if d.infectedAt >= 0 {
 					infected++
-					if d.firstPayload < 0 && d.firstReport < 0 {
-						t.Errorf("%s infected without a payload or a report", d.name)
+					if anchor < 0 || anchor > d.infectedAt {
+						t.Errorf("%s infected at %v, its stage anchor at %v", d.name, d.infectedAt, anchor)
 					}
 				}
-				if d.registered {
+				if d.registeredAt >= 0 {
 					registered++
+					if d.infectedAt < 0 || d.registeredAt < d.infectedAt {
+						t.Errorf("%s registered at %v, infected at %v", d.name, d.registeredAt, d.infectedAt)
+					}
+				}
+				if d.floodAt >= 0 {
+					flooding++
+					if r.AttackIssuedAt < 0 || d.floodAt < r.AttackIssuedAt {
+						t.Errorf("%s flooded at %v, the order went out at %v", d.name, d.floodAt, r.AttackIssuedAt)
+					}
 				}
 			}
 			if infected != r.Infected || registered != r.BotsRegistered {
-				t.Errorf("Devs marked infected %d, registered %d; Results say %d, %d",
+				t.Errorf("Devs infected %d, registered %d; Results say %d, %d",
 					infected, registered, r.Infected, r.BotsRegistered)
+			}
+			if flooding == 0 {
+				t.Error("no Dev flooded; the attack stage is unchecked")
+			}
+			if cfg.CommandWave > 0 && r.Timeline.Count(EventFloodStart) <= flooding {
+				t.Errorf("%d flood starts from %d Devs; the waves restarted no flood",
+					r.Timeline.Count(EventFloodStart), flooding)
+			}
+			phase := map[string]int{}
+			for _, p := range r.Phases {
+				phase[p.Phase] = p.Count
+			}
+			if phase["recruit"] != r.Infected || phase["exploit"]+phase["load"] != r.Infected ||
+				phase["register"] != r.BotsRegistered || phase["attack"] != flooding {
+				t.Errorf("phase counts %v; want recruit and exploit+load %d, register %d, attack %d",
+					phase, r.Infected, r.BotsRegistered, flooding)
+			}
+			if c := r.InfectionCurve(); len(c.Times) != r.Infected || !slices.IsSorted(c.Times) {
+				t.Errorf("infection curve %v; want %d points in time order", c.Times, r.Infected)
 			}
 		})
 	}

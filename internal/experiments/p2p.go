@@ -99,7 +99,9 @@ func P2P(opt Options) ([]P2PRow, error) {
 			}
 			rateSum += r.InfectionRate()
 			dSum += r.DReceivedKbps
-			if lat, ok := dissemLatency(r); ok {
+			// Dissemination latency: attack order → each bot's first
+			// flood packet, the attack phase's mean over the fleet.
+			if lat, ok := r.MeanPhaseSecs("attack"); ok {
 				dissemSum += lat
 				dissemRuns++
 			}
@@ -120,34 +122,6 @@ func P2P(opt Options) ([]P2PRow, error) {
 		}
 		return row, nil
 	})
-}
-
-// dissemLatency is the mean attack-order → first-flood-packet latency
-// over the fleet (heartbeat waves re-record flood starts, so only each
-// bot's first counts).
-func dissemLatency(r *core.Results) (float64, bool) {
-	if r.AttackIssuedAt < 0 {
-		return 0, false
-	}
-	first := make(map[string]sim.Time)
-	var order []string
-	for _, e := range r.Timeline.Events() {
-		if e.Kind != core.EventFloodStart || e.At < r.AttackIssuedAt {
-			continue
-		}
-		if _, ok := first[e.Actor]; !ok {
-			first[e.Actor] = e.At
-			order = append(order, e.Actor)
-		}
-	}
-	if len(order) == 0 {
-		return 0, false
-	}
-	var sum float64
-	for _, actor := range order {
-		sum += (first[actor] - r.AttackIssuedAt).Seconds()
-	}
-	return sum / float64(len(order)), true
 }
 
 // takedownSplit averages the per-second received series before the

@@ -1,13 +1,13 @@
 // Package metrics implements DDoSim's measurement layer: per-second
 // received-traffic buckets at TServer, the paper's average received
-// data rate D_received (Eq. 2), and infection/attack timelines used by
-// the experiment harness and the §V use cases.
+// data rate D_received (Eq. 2), and the run's event log, the timeline
+// of infections, registrations, orders, flood starts, churn flips and
+// faults.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"ddosim/internal/sim"
@@ -130,9 +130,11 @@ func (s *Series) Sparkline(from, to int64) string {
 	return b.String()
 }
 
-// Timeline records timestamped labeled events (infections, C&C joins,
-// attack start/stop). The epidemic use case reads infection timelines
-// from here.
+// Timeline records timestamped labeled events (infections, C&C joins
+// and losses, the attack order, flood starts, churn flips, faults). It
+// is the run's one uncapped event log and keeps every repeat: a Dev
+// that rejoins, or a bot that restarts its flood at each command wave,
+// logs each time.
 type Timeline struct {
 	events []TimelineEvent
 }
@@ -189,36 +191,6 @@ func (t *Timeline) LastOf(kind string) (TimelineEvent, bool) {
 		}
 	}
 	return TimelineEvent{}, false
-}
-
-// CumulativeCurve returns, for each event of kind, the pair (seconds
-// since start, cumulative count). This is the infected-device curve the
-// §V-B use case fits an SIR model against.
-func (t *Timeline) CumulativeCurve(kind string) (times []float64, counts []int) {
-	for _, e := range t.events {
-		if e.Kind == kind {
-			times = append(times, e.At.Seconds())
-			counts = append(counts, len(counts)+1)
-		}
-	}
-	return times, counts
-}
-
-// ActorsOf lists the distinct actors of events of the given kind, in
-// sorted order.
-func (t *Timeline) ActorsOf(kind string) []string {
-	set := make(map[string]bool)
-	for _, e := range t.events {
-		if e.Kind == kind {
-			set[e.Actor] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // String renders the timeline compactly for debugging.

@@ -4,8 +4,8 @@ import "sort"
 
 // PhaseStat summarizes the latency distribution of one named phase
 // across all spans that recorded it — e.g. kill-chain stages (scan,
-// exploit, load, recruit, attack) or fault windows (link-flap,
-// cnc-outage).
+// exploit, load, recruit, register, attack) or fault windows
+// (link-flap, cnc-outage).
 type PhaseStat struct {
 	Phase     string  `json:"phase"`
 	Count     int     `json:"count"`

@@ -17,7 +17,7 @@ const (
 	CatCNC       = "cnc"       // C&C registration and commands
 	CatChurn     = "churn"     // device membership flips, epochs
 	CatNet       = "net"       // network-level events (queue drops)
-	CatKillChain = "killchain" // per-bot kill-chain stages: scan, exploit, load, recruit, attack
+	CatKillChain = "killchain" // per-bot kill-chain stages: scan, exploit, load, recruit, register, attack
 )
 
 // KV is one ordered key/value annotation on a span or event.
@@ -53,7 +53,7 @@ type Event struct {
 // the same events. Spans are not capped, and their count grows with the
 // fleet: besides the run phases and churn epochs, every bot records its
 // kill-chain stages and every fault window is a span, so a 10k-device
-// run records about 20k spans.
+// run records about 30k spans.
 const DefaultMaxEvents = 1 << 20
 
 // record is one span or point event. A tracer stores its records in
@@ -174,10 +174,10 @@ func (t *Tracer) EndSpan(id SpanID, at sim.Time) {
 
 // RecordSpan appends an already-closed span covering [start, end].
 // Use it when the interval's endpoints are only known in retrospect —
-// e.g. a kill-chain stage whose start was noted before it was certain
-// a span would be produced. The span is sequenced at record time, so
-// it appears in exports at its completion point; end times before
-// start are clamped to start.
+// e.g. the kill-chain stages, built from each Dev's record when the run
+// ends. The span is sequenced at record time, so it appears in exports
+// after everything recorded before it; end times before start are
+// clamped to start.
 func (t *Tracer) RecordSpan(start, end sim.Time, cat, name string, args ...KV) {
 	if t == nil {
 		return

@@ -1,21 +1,17 @@
-// Package report serializes run results into machine-readable
-// artifacts: a JSON document (configuration echo, headline metrics,
-// full timeline) and CSV exports of the per-second rate series and the
-// event log — the raw material for the figure-plotting and
-// ML-dataset-generation workflows the paper envisions (§V-A).
+// Package report serializes a run's results into one JSON document:
+// configuration echo, headline metrics, the per-second rate series, the
+// full timeline, and the observability, flow and phase summaries — the
+// raw material for the figure-plotting and ML-dataset-generation
+// workflows the paper envisions (§V-A).
 package report
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"strings"
 
 	"ddosim/internal/core"
 	"ddosim/internal/faults"
-	"ddosim/internal/metrics"
 	"ddosim/internal/obs"
-	"ddosim/internal/sim"
 )
 
 // Event is a timeline entry in serializable form.
@@ -127,35 +123,4 @@ func (r Run) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// SeriesCSV renders a per-second rate series, one row per second.
-func SeriesCSV(perSecondKbps []float64, startSec int64) string {
-	var b strings.Builder
-	b.WriteString("second,kbps\n")
-	for i, v := range perSecondKbps {
-		fmt.Fprintf(&b, "%d,%.3f\n", startSec+int64(i), v)
-	}
-	return b.String()
-}
-
-// TimelineCSV renders an event log.
-func TimelineCSV(tl *metrics.Timeline) string {
-	var b strings.Builder
-	b.WriteString("at_s,kind,actor\n")
-	if tl == nil {
-		return b.String()
-	}
-	for _, e := range tl.Events() {
-		fmt.Fprintf(&b, "%.6f,%s,%s\n", e.At.Seconds(), e.Kind, e.Actor)
-	}
-	return b.String()
-}
-
-// WindowStart reports the first second of the measurement window.
-func WindowStart(r *core.Results) int64 {
-	if r.AttackIssuedAt < 0 {
-		return 0
-	}
-	return int64(r.AttackIssuedAt / sim.Second)
 }
