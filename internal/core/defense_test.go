@@ -67,8 +67,8 @@ func TestFullCanaryFleetResists(t *testing.T) {
 
 func TestRemoveCurlBlocksInfectionNotHijack(t *testing.T) {
 	// run executes cfg with curl and wget stripped from the Devs and
-	// checks that none was recruited: no bot registered, no attack
-	// traffic, and the failed download in some container's log.
+	// checks that none was recruited: no bot registered, an R2 of 0, no
+	// attack traffic, and the failed download in some container's log.
 	run := func(cfg Config) *Results {
 		t.Helper()
 		cfg.RemoveCurl = true
@@ -80,8 +80,9 @@ func TestRemoveCurlBlocksInfectionNotHijack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.BotsRegistered != 0 {
-			t.Fatalf("%v: bots registered = %d despite missing curl", cfg.Vector, r.BotsRegistered)
+		if r.BotsRegistered != 0 || r.InfectionRate() != 0 {
+			t.Fatalf("%v: bots registered = %d, R2 = %v despite missing curl",
+				cfg.Vector, r.BotsRegistered, r.InfectionRate())
 		}
 		if r.SinkBytes != 0 {
 			t.Fatalf("%v: attack traffic from bots that could not be downloaded", cfg.Vector)

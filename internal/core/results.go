@@ -103,12 +103,14 @@ type Results struct {
 }
 
 // InfectionRate reports the paper's R2 metric: the fraction of
-// targeted Devs recruited into the botnet.
+// targeted Devs recruited into the botnet, that is, whose bot joined it
+// at least once. A Dev whose infection command ran but could not fetch
+// the bot (§IV-C's missing curl) is infected, not recruited.
 func (r *Results) InfectionRate() float64 {
 	if r.DevsTotal == 0 {
 		return 0
 	}
-	return float64(r.Infected) / float64(r.DevsTotal)
+	return float64(r.BotsRegistered) / float64(r.DevsTotal)
 }
 
 // InfectionCurve is the measured cumulative-infections curve the §V-B
@@ -138,8 +140,8 @@ func (r *Results) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "devices:            %d\n", r.DevsTotal)
 	fmt.Fprintf(&b, "exploit attempts:   %d (hijacked %d, crashed %d)\n", r.ExploitAttempts, r.Hijacked, r.Crashed)
-	fmt.Fprintf(&b, "infected:           %d (%.0f%%)\n", r.Infected, 100*r.InfectionRate())
-	fmt.Fprintf(&b, "bots registered:    %d\n", r.BotsRegistered)
+	fmt.Fprintf(&b, "infected:           %d\n", r.Infected)
+	fmt.Fprintf(&b, "bots registered:    %d (%.0f%%)\n", r.BotsRegistered, 100*r.InfectionRate())
 	fmt.Fprintf(&b, "bots ordered:       %d (at %s)\n", r.BotsAtCommand, r.AttackIssuedAt)
 	fmt.Fprintf(&b, "D_received:         %.1f kbps\n", r.DReceivedKbps)
 	fmt.Fprintf(&b, "attack volume:      %d bytes from %d sources\n", r.SinkBytes, r.DistinctSources)
