@@ -74,15 +74,16 @@ func TestAttackOverIPv6(t *testing.T) {
 	if r.DistinctSources != 10 {
 		t.Fatalf("distinct sources = %d", r.DistinctSources)
 	}
-	// All attack sources must be IPv6.
-	for _, e := range r.Timeline.Events() {
-		_ = e
-	}
-	if got := s.Sink().BytesFrom(s.Devs()[0].Container().Node().Addr6()); got == 0 {
-		t.Fatal("first dev's IPv6 address sent nothing")
-	}
-	if got := s.Sink().BytesFrom(s.Devs()[0].Container().Node().Addr4()); got != 0 {
-		t.Fatalf("IPv4 traffic (%d bytes) during an IPv6 attack", got)
+	// All attack sources must be IPv6: every Dev floods from its IPv6
+	// address and none from its IPv4 one.
+	for _, d := range s.Devs() {
+		node := d.Container().Node()
+		if got := s.Sink().BytesFrom(node.Addr4()); got != 0 {
+			t.Errorf("%s: IPv4 traffic (%d bytes) during an IPv6 attack", d.Name(), got)
+		}
+		if s.Sink().BytesFrom(node.Addr6()) == 0 {
+			t.Errorf("%s: IPv6 address sent nothing", d.Name())
+		}
 	}
 }
 
