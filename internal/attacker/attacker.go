@@ -340,6 +340,9 @@ func (d *DHCPv6Exploit) Observe(o *obs.Obs) { d.trace = o.Tracer() }
 
 var _ container.Behavior = (*DHCPv6Exploit)(nil)
 
+// srcDHCPv6 labels the DHCPv6 exploit's sends.
+var srcDHCPv6 = sim.NewSource("attacker.dhcpv6")
+
 // NewDHCPv6Exploit creates the behaviour.
 func NewDHCPv6Exploit(period sim.Time, scriptURL func() string) *DHCPv6Exploit {
 	return &DHCPv6Exploit{period: period, scriptURL: scriptURL}
@@ -357,7 +360,7 @@ func (d *DHCPv6Exploit) Start(p *container.Process) {
 		return
 	}
 	d.sock = sock
-	t := p.NewTicker(d.period, d.send)
+	t := p.NewTicker(d.period, srcDHCPv6, d.send)
 	t.StartImmediate()
 }
 

@@ -62,6 +62,10 @@ type Daemon struct {
 
 var _ container.Behavior = (*Daemon)(nil)
 
+// srcQuery labels the daemon's DNS queries and the jitter before its
+// first.
+var srcQuery = sim.NewSource("connman.query")
+
 // New creates the behaviour.
 func New(cfg Config) *Daemon {
 	if cfg.QueryPeriod <= 0 {
@@ -101,8 +105,8 @@ func (d *Daemon) Start(p *container.Process) {
 
 	// Jitter the first query so a fleet of Devs does not synchronize.
 	jitter := sim.Time(p.RNG().Int63n(int64(d.cfg.QueryPeriod)))
-	ticker := p.NewTicker(d.cfg.QueryPeriod, d.query)
-	p.Sched().Schedule(jitter, func() {
+	ticker := p.NewTicker(d.cfg.QueryPeriod, srcQuery, d.query)
+	p.Sched().Schedule(jitter, srcQuery, func() {
 		if !p.Alive() {
 			return
 		}

@@ -226,11 +226,10 @@ func (c *Controller) Start() {
 	case Dynamic:
 		c.rollEpoch()
 		c.evaluate(true)
-		c.ticker = sim.NewTicker(c.sched, c.epoch, func() {
+		c.ticker = sim.NewTicker(c.sched, c.epoch, srcEpoch, func() {
 			c.rollEpoch()
 			c.evaluate(true)
 		})
-		c.ticker.Source = srcEpoch
 		c.ticker.Start()
 	case Sessions:
 		for _, dev := range c.devices {
@@ -274,7 +273,7 @@ func (c *Controller) scheduleSessionEnd(dev Device) {
 	if d < sim.Millisecond {
 		d = sim.Millisecond
 	}
-	c.sched.ScheduleSrc(d, srcSession, func() {
+	c.sched.Schedule(d, srcSession, func() {
 		if c.stopped {
 			return
 		}

@@ -117,10 +117,10 @@ func (p *Process) DialTCP(dst netip.AddrPort, cb netsim.DialCallback) *netsim.TC
 	return c
 }
 
-// NewTicker creates a ticker owned by this process; it is stopped on
-// process death.
-func (p *Process) NewTicker(period sim.Time, fn func()) *sim.Ticker {
-	t := sim.NewTicker(p.Sched(), period, fn)
+// NewTicker creates a ticker owned by this process, labelled src; it
+// is stopped on process death.
+func (p *Process) NewTicker(period sim.Time, src sim.Source, fn func()) *sim.Ticker {
+	t := sim.NewTicker(p.Sched(), period, src, fn)
 	p.tickers = append(p.tickers, t)
 	return t
 }

@@ -58,7 +58,7 @@ func (c *Container) runShellDepth(script string, onDone func(error), depth int) 
 	}
 	// Begin asynchronously so callers never observe re-entrant
 	// completion.
-	c.node.Sched().ScheduleSrc(0, srcShell, job.step)
+	c.node.Sched().Schedule(0, srcShell, job.step)
 }
 
 func (j *shellJob) finish(err error) {
@@ -230,5 +230,5 @@ func (j *shellJob) sleep(args []string, next func(error)) {
 			return
 		}
 	}
-	j.c.node.Sched().Schedule(sim.Seconds(secs), func() { next(nil) })
+	j.c.node.Sched().Schedule(sim.Seconds(secs), srcShell, func() { next(nil) })
 }

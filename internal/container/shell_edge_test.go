@@ -9,6 +9,9 @@ import (
 	"ddosim/internal/sim"
 )
 
+// srcTest labels the events this package's tests schedule.
+var srcTest = sim.NewSource("test")
+
 func TestShellRecursionLimit(t *testing.T) {
 	// A script that curls itself: the nested-interpreter depth limit
 	// must stop the loop.
@@ -52,7 +55,7 @@ func TestShellAbortsWhenContainerStops(t *testing.T) {
 	var shellErr error
 	done := false
 	c.RunShell("sleep 30\necho never", func(err error) { done, shellErr = true, err })
-	r.sched.Schedule(5*sim.Second, c.Stop)
+	r.sched.Schedule(5*sim.Second, srcTest, c.Stop)
 	if err := r.sched.Run(2 * sim.Minute); err != nil {
 		t.Fatal(err)
 	}

@@ -47,9 +47,9 @@ func (a artifacts) equal(t *testing.T, b artifacts, what string) {
 
 // runOnce executes a small end-to-end scenario — dynamic churn keeps
 // membership flips, rejoin timers, and C&C reaping all active — and
-// returns every serialized artifact. The profiler's wall clock is
-// replaced with a deterministic counter so the report's observability
-// summary is seed-determined too.
+// returns every serialized artifact. The simulator reads no wall
+// clock, so the report's observability summary is seed-determined
+// too.
 func runOnce(t *testing.T, seed int64) artifacts {
 	return runOnceFaults(t, seed, faults.Config{})
 }
@@ -98,8 +98,8 @@ func cncCrashFaults(t *testing.T) faults.Config {
 	return fc
 }
 
-// runCfg executes an arbitrary configuration with a deterministic
-// profiler clock and serializes every artifact. Shared by the classic
+// runCfg executes an arbitrary configuration and serializes every
+// artifact. Shared by the classic
 // determinism scenarios above and the P2P-family ones in p2p_test.go.
 func runCfg(t *testing.T, cfg core.Config) (artifacts, *core.Simulation, *core.Results) {
 	t.Helper()
@@ -117,11 +117,6 @@ func runArtifacts(cfg core.Config) (artifacts, *core.Simulation, *core.Results, 
 	if err != nil {
 		return artifacts{}, nil, nil, err
 	}
-	var fakeNanos int64
-	s.Obs().Prof.SetClock(func() int64 {
-		fakeNanos += 1_000_000
-		return fakeNanos
-	})
 	r, err := s.Run()
 	if err != nil {
 		return artifacts{}, nil, nil, err
@@ -156,6 +151,13 @@ func runArtifacts(cfg core.Config) (artifacts, *core.Simulation, *core.Results, 
 // flood-start instants, which restated a span's end, went; and the
 // phase summary gained its register row. Flow and time-series hashes
 // held.
+//
+// Every golden's report hash was re-captured once more when every
+// scheduled event came to name its source and the wall-clock profiler
+// was deleted: the obs summary lost wall_ns_per_sim_sec (which a fake
+// clock had fixed at 1000000), and its top_sources list names the
+// sources the "unlabeled" row used to merge (the flood's, on every
+// golden). The trace, flow and time-series hashes held.
 type goldenHashes struct{ rep, jsonl, chrome, flows, ts string }
 
 // matchGolden reports every artifact whose hash differs from want.
@@ -210,7 +212,7 @@ func TestSameSeedByteIdenticalArtifacts(t *testing.T) {
 // change means the zero-value path is no longer free.
 func TestFaultFreeArtifactsMatchPrePRGolden(t *testing.T) {
 	runOnce(t, 1234).matchGolden(t, "fault-free", goldenHashes{
-		rep:    "2c6b0f17ef2584e83e7f24238eaff6940306038b097cad8c8928b3807482e1ce",
+		rep:    "eec8d63f66ebf2182a102f8e57087e417f7f2312e326997a7baa88df1a17c7c8",
 		jsonl:  "a2fae552d4562ba13e40fc7187f3dc1825678c896805b347a422936fcf6e1bee",
 		chrome: "78227878a9518260ffd02745ee97d2621eff3e4304e82f4871b1e23c825e9b2f",
 		flows:  "13cffc1ccdc455f2ec8b12ca56fd588684f5153b82e273c457192c0c3dc55097",
@@ -254,7 +256,7 @@ func TestCongestedFaultTraceMatchesGolden(t *testing.T) {
 		}
 	}
 	a.matchGolden(t, "congested faults", goldenHashes{
-		rep:    "b265846faf2c064741a958efe757d599df9d6f88d77f2171ded4832ff88be5ee",
+		rep:    "c2dd756541694219cfc32ecb659cb314896ffc98136086151b9bf1405afcf0c5",
 		jsonl:  "38ec717182d9f84aa61403fb534958881defa76f6a3c7b0976d50e8d5f21ef0d",
 		chrome: "e07316cf3f42cd540fd66a8b46846f4e0ac61ce3f859f9fd8a938bc832807fe4",
 		flows:  "a07eadae23b3023272cb3373fc49713ca2943ab2d58db3d89a09215929acd096",
@@ -278,7 +280,7 @@ func TestCredentialArtifactsMatchGolden(t *testing.T) {
 		t.Error("no Dev was loaded; the scenario no longer covers the loader")
 	}
 	a.matchGolden(t, "credentials", goldenHashes{
-		rep:    "8cc3097068a7942843f12a64c40e0ac5972ccab4958e8bd4cbcc0144f856c88b",
+		rep:    "98dfe3f2e4338f339f1f1a4659e89c2ac7f9fbbd2e50585b89c953de24cf4cb8",
 		jsonl:  "061eba801d79fd2675f91f9e5c167bd7022504557d228ef8a5e29ba8d9a0f154",
 		chrome: "69aedd29a5151b2b9bcc4527005100ab644918b55e56c9a26092525e59916b2b",
 		flows:  "03fe995636ec6e2583f62e3602bda2365bc573e56cb5b4a4a5ccf0c7dadc97d4",
@@ -300,14 +302,14 @@ func TestCNCCrashArtifactsMatchGolden(t *testing.T) {
 		want   goldenHashes
 	}{
 		{"mirai", churnConfig(1234, cncCrashFaults(t)), goldenHashes{
-			rep:    "cbb07504133629bfa598df3982a9a193209c2503dd7e90fd6834c485439256be",
+			rep:    "5b0ea48b2dc4bbd0e0d27cd023de9523800e406e7b05090270d5a698c736122b",
 			jsonl:  "6f08039405b8cf1f0e28402462405d2620813f14c8f683d94427883720b5fb10",
 			chrome: "155a22b7a6fa7c5d4035b123caf99873fdb6c779a6008d81df99a3d00c662e06",
 			flows:  "bbea002b352a861610bf5f51987fab3985f76b71cc4aa1e208a1e67416030142",
 			ts:     "7a8ac0c4eb8e8dd057d6aff6dc5db28219573aa81e1acddc82d4829907f57443",
 		}},
 		{"p2p", p2p, goldenHashes{
-			rep:    "e4ad2938659371465777451767d3eff94e93250c6c0590510b4ce608bc5a9761",
+			rep:    "b589f2a485bd0768d059b912bda0d736247e61d99fa44b78759b02068692b170",
 			jsonl:  "d5ede3375c0398c28c4a505b4c17fdd5dfb5d72b35c1515292f74b6a690dd221",
 			chrome: "46d4deeeb8c63bffbfadb38f07a4617707a01724b22dc26ab8dee35406bc062d",
 			flows:  "793045f0047e09126e8dfb72cd88840f2dd5b412ca188dacec7d1a147de273b4",

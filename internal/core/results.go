@@ -85,8 +85,8 @@ type Results struct {
 	// fault scenario.
 	Faults *faults.Stats
 
-	// Obs condenses the run's observability data (trace volume,
-	// scheduler load breakdown, wall-clock profile).
+	// Obs condenses the run's observability data (trace volume and
+	// scheduler load breakdown).
 	Obs obs.Summary
 
 	// Flows aggregates the NetFlow-style records exported during the

@@ -32,6 +32,7 @@ var (
 	srcWatcher = sim.NewSource("core.watcher")
 	srcWindows = sim.NewSource("obs.windows")
 	srcCmdWave = sim.NewSource("core.cmdwave")
+	srcAttack  = sim.NewSource("core.attack")
 )
 
 // Dev is one simulated IoT device: a container running a vulnerable
@@ -138,7 +139,6 @@ func New(cfg Config) (*Simulation, error) {
 		devByAddr: make(map[netip.Addr]*Dev),
 	}
 	s.sched = sim.NewScheduler(cfg.Seed)
-	s.sched.SetHook(s.obs.SchedulerHook())
 	s.net = netsim.New(s.sched)
 	s.net.Observe(s.obs)
 	s.star = netsim.NewStar(s.net)
@@ -368,8 +368,8 @@ func (s *Simulation) Devs() []*Dev {
 // Timeline exposes the run's event log.
 func (s *Simulation) Timeline() *metrics.Timeline { return s.timeline }
 
-// Obs exposes the run's observability bundle (tracer, metrics
-// registry, scheduler profiler).
+// Obs exposes the run's observability bundle (tracer and metrics
+// registry).
 func (s *Simulation) Obs() *obs.Obs { return s.obs }
 
 // Flows exposes the buffered flow records exported during the run.
@@ -729,7 +729,7 @@ func (s *Simulation) Run() (*Results, error) {
 
 	// Recruitment watcher: issue the attack once every online Dev is
 	// a registered bot, or at the recruitment deadline.
-	watcher := sim.NewTicker(s.sched, sim.Second, func() {
+	watcher := sim.NewTicker(s.sched, sim.Second, srcWatcher, func() {
 		if s.attackIssued {
 			return
 		}
@@ -739,14 +739,12 @@ func (s *Simulation) Run() (*Results, error) {
 			s.issueAttack()
 		}
 	})
-	watcher.Source = srcWatcher
 	watcher.Start()
 
 	// Windowed time-series sampler: one row per WindowSize of sim time.
-	windowTicker := sim.NewTicker(s.sched, s.cfg.WindowSize, func() {
+	windowTicker := sim.NewTicker(s.sched, s.cfg.WindowSize, srcWindows, func() {
 		s.windows.Sample(s.sched.Now())
 	})
-	windowTicker.Source = srcWindows
 	windowTicker.Start()
 
 	if err := s.sched.Run(s.cfg.SimDuration); err != nil {
@@ -830,7 +828,7 @@ func (s *Simulation) issueAttack() {
 
 	// The attack phase span ends when the commanded flood duration
 	// elapses (individual bots may trail off later due to jitter).
-	s.sched.Schedule(sim.Time(s.cfg.AttackDuration)*sim.Second, func() {
+	s.sched.Schedule(sim.Time(s.cfg.AttackDuration)*sim.Second, srcAttack, func() {
 		s.obs.Trace.EndSpan(s.attackSpan, s.sched.Now())
 	})
 
@@ -838,7 +836,7 @@ func (s *Simulation) issueAttack() {
 	// plus queue-drain grace.
 	jitter := sim.Time(s.cfg.NumDevs) * s.cfg.StartJitterPerDev
 	post := sim.Time(s.cfg.AttackDuration)*sim.Second + jitter + 10*sim.Second
-	s.sched.Schedule(post, func() {
+	s.sched.Schedule(post, srcAttack, func() {
 		if !s.postTaken {
 			s.postSnap = s.snapshot()
 			s.postTaken = true
@@ -875,9 +873,9 @@ func (s *Simulation) scheduleCommandWaves(method string, target netip.Addr, end 
 			Port:     attackPort,
 			Duration: s.waveSecs(remaining),
 		})
-		s.sched.ScheduleSrc(s.cfg.CommandWave, srcCmdWave, wave)
+		s.sched.Schedule(s.cfg.CommandWave, srcCmdWave, wave)
 	}
-	s.sched.ScheduleSrc(s.cfg.CommandWave, srcCmdWave, wave)
+	s.sched.Schedule(s.cfg.CommandWave, srcCmdWave, wave)
 }
 
 func (s *Simulation) assemble() {

@@ -16,6 +16,9 @@ import (
 	"ddosim/internal/sim"
 )
 
+// srcClient labels the benign clients' sends.
+var srcClient = sim.NewSource("defense.client")
+
 // NumFeatures is the dimensionality of a feature vector.
 const NumFeatures = 5
 
@@ -268,7 +271,7 @@ func InstallBenignClients(star *netsim.Star, dst netip.AddrPort, n int, namePref
 		out = append(out, c)
 		period := 500*sim.Millisecond + sim.Time(rng.Int63n(int64(2*sim.Second)))
 		size := 60 + rng.Intn(340)
-		t := sim.NewTicker(sched, period, func() {
+		t := sim.NewTicker(sched, period, srcClient, func() {
 			c.sock.SendPadded(dst, nil, size)
 		})
 		t.StartImmediate()

@@ -9,6 +9,9 @@ import (
 	"ddosim/internal/sim"
 )
 
+// srcTest labels the events this package's tests schedule.
+var srcTest = sim.NewSource("test")
+
 // buildScenario runs benign clients for the whole window and a flood
 // during [attackFrom, attackTo), returning the extractor.
 func buildScenario(t *testing.T, benign, bots int, attackFrom, attackTo int64, horizon sim.Time) *Extractor {
@@ -39,9 +42,9 @@ func buildScenario(t *testing.T, benign, bots int, attackFrom, attackTo int64, h
 				return
 			}
 			sock.SendPadded(dst, nil, 512)
-			sched.Schedule(interval, flood)
+			sched.Schedule(interval, srcTest, flood)
 		}
-		sched.ScheduleAt(sim.Time(attackFrom)*sim.Second, flood)
+		sched.ScheduleAt(sim.Time(attackFrom)*sim.Second, srcTest, flood)
 	}
 	if err := sched.Run(horizon); err != nil {
 		t.Fatal(err)

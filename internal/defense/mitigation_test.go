@@ -31,7 +31,7 @@ func mitigationRig(t *testing.T, limiter bool) (sched *sim.Scheduler, sink *nets
 	benign := star.AttachHost("benign", 2*netsim.Mbps, sim.Millisecond, 0)
 	benignAddr = benign.Addr4()
 	bsock, _ := benign.BindUDP(0, nil)
-	bt := sim.NewTicker(sched, sim.Second, func() { bsock.SendPadded(dst, nil, 200) })
+	bt := sim.NewTicker(sched, sim.Second, srcTest, func() { bsock.SendPadded(dst, nil, 200) })
 	bt.StartImmediate()
 
 	bot := star.AttachHost("bot", 500*netsim.Kbps, sim.Millisecond, 0)
@@ -41,9 +41,9 @@ func mitigationRig(t *testing.T, limiter bool) (sched *sim.Scheduler, sink *nets
 	var flood func()
 	flood = func() {
 		fsock.SendPadded(dst, nil, 512)
-		sched.Schedule(interval, flood)
+		sched.Schedule(interval, srcTest, flood)
 	}
-	sched.Schedule(0, flood)
+	sched.Schedule(0, srcTest, flood)
 	return sched, sink, rl, benignAddr, botAddr
 }
 

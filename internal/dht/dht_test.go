@@ -12,6 +12,9 @@ import (
 	"ddosim/internal/sim"
 )
 
+// srcTest labels the events this package's tests schedule.
+var srcTest = sim.NewSource("test")
+
 // ---------------------------------------------------------------------
 // Pure unit tests
 
@@ -250,7 +253,7 @@ func newOverlay(t *testing.T, seed int64, n int, cfg Config) *overlay {
 	boot := []netip.AddrPort{o.nodes[0].Addr()}
 	for i := 1; i < n; i++ {
 		node := o.nodes[i]
-		sched.Schedule(sim.Time(i)*100*sim.Millisecond, func() {
+		sched.Schedule(sim.Time(i)*100*sim.Millisecond, srcTest, func() {
 			node.Join(boot, nil)
 		})
 	}

@@ -21,7 +21,7 @@ type Host interface {
 	Sched() *sim.Scheduler
 	Alive() bool
 	BindUDP(port uint16, h netsim.DatagramHandler) (*netsim.UDPSocket, error)
-	NewTicker(period sim.Time, fn func()) *sim.Ticker
+	NewTicker(period sim.Time, src sim.Source, fn func()) *sim.Ticker
 	Logf(format string, args ...any)
 }
 
@@ -137,8 +137,7 @@ func (n *Node) Start(addr netip.Addr) error {
 	n.addr = netip.AddrPortFrom(addr, n.cfg.Port)
 	n.id = NodeID(n.addr)
 	n.table = NewTable(n.id, n.cfg.K)
-	n.refreshTicker = n.host.NewTicker(n.cfg.RefreshPeriod, n.refreshTick)
-	n.refreshTicker.Source = srcRefresh
+	n.refreshTicker = n.host.NewTicker(n.cfg.RefreshPeriod, srcRefresh, n.refreshTick)
 	n.refreshTicker.Start()
 	return nil
 }
@@ -202,7 +201,7 @@ func (n *Node) send(dst netip.AddrPort, m *Message, onReply func(*Message), onTi
 	m.RPC = n.nextRPC()
 	m.Sender = n.id
 	p := &pending{onReply: onReply, onTimeout: onTimeout}
-	p.timer = n.host.Sched().ScheduleSrc(n.cfg.RPCTimeout, srcTimeout, func() {
+	p.timer = n.host.Sched().Schedule(n.cfg.RPCTimeout, srcTimeout, func() {
 		delete(n.pendingRPC, m.RPC)
 		n.RPCsTimedOut++
 		if p.onTimeout != nil {

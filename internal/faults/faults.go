@@ -338,7 +338,7 @@ func (inj *Injector) exp(mean sim.Time) sim.Time {
 
 // after schedules fn under the injector's stop guard.
 func (inj *Injector) after(d sim.Time, fn func()) {
-	inj.sched.ScheduleSrc(d, srcFaults, func() {
+	inj.sched.Schedule(d, srcFaults, func() {
 		if inj.stopped {
 			return
 		}

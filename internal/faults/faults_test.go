@@ -11,6 +11,9 @@ import (
 	"ddosim/internal/sim"
 )
 
+// srcTest labels the events this package's tests schedule.
+var srcTest = sim.NewSource("test")
+
 func testLinks(t *testing.T, seed int64, n int) (*sim.Scheduler, []*netsim.NetDevice) {
 	t.Helper()
 	sched := sim.NewScheduler(seed)
@@ -237,7 +240,7 @@ func TestFlapTakesLinkDownAndRestores(t *testing.T) {
 	inj.AddLink("dev-0", devs[0])
 	inj.Start()
 	sawDown := false
-	tick := sim.NewTicker(sched, sim.Second, func() {
+	tick := sim.NewTicker(sched, sim.Second, srcTest, func() {
 		if !devs[0].IsUp() {
 			sawDown = true
 		}
@@ -271,7 +274,7 @@ func TestDegradeRestoresRateAndQueue(t *testing.T) {
 	inj.AddLink("dev-0", devs[0])
 	inj.Start()
 	sawSlow := false
-	tick := sim.NewTicker(sched, sim.Second, func() {
+	tick := sim.NewTicker(sched, sim.Second, srcTest, func() {
 		if devs[0].Rate() < origRate {
 			sawSlow = true
 			if devs[0].QueueLimit() >= origQueue {

@@ -61,9 +61,9 @@ func (r *flowFaultRig) pump(interval, stop sim.Time, pad int) {
 			return
 		}
 		r.sock.SendPadded(r.target, nil, pad)
-		r.sched.Schedule(interval, step)
+		r.sched.Schedule(interval, srcTest, step)
 	}
-	r.sched.Schedule(0, step)
+	r.sched.Schedule(0, srcTest, step)
 }
 
 // drain finishes the run and returns total packets/bytes across all

@@ -20,6 +20,13 @@ import (
 	"ddosim/internal/sim"
 )
 
+// Sources labelling the testbed model's frame arrivals and its channel
+// arbitration.
+var (
+	srcArrival = sim.NewSource("hw.arrival")
+	srcChannel = sim.NewSource("hw.channel")
+)
+
 // Config parameterizes one hardware-testbed run.
 type Config struct {
 	// Seed drives rate sampling, backoff draws, and measurement
@@ -114,11 +121,11 @@ func Run(cfg Config) Result {
 		// Shaped arrivals: one frame every wire-time at the Pi's
 		// traffic-shaper rate. An arrival wakes an idle channel.
 		interval := sim.Time(int64(frameBytes) * 8 * int64(sim.Second) / rate)
-		t := sim.NewTicker(sched, interval, func() {
+		t := sim.NewTicker(sched, interval, srcArrival, func() {
 			st.backlog++
 			if idle {
 				idle = false
-				sched.Schedule(0, arbitrate)
+				sched.Schedule(0, srcChannel, arbitrate)
 			}
 		})
 		t.StartImmediate()
@@ -128,7 +135,7 @@ func Run(cfg Config) Result {
 	arbitrate = func() {
 		now := sched.Now()
 		if now < channelFree {
-			sched.ScheduleAt(channelFree, arbitrate)
+			sched.ScheduleAt(channelFree, srcChannel, arbitrate)
 			return
 		}
 		var contenders []*station
@@ -172,7 +179,7 @@ func Run(cfg Config) Result {
 			}
 		}
 		channelFree = start + airTime
-		sched.ScheduleAt(channelFree, arbitrate)
+		sched.ScheduleAt(channelFree, srcChannel, arbitrate)
 	}
 	horizon := sim.Time(cfg.AttackSecs) * sim.Second
 	if err := sched.Run(horizon); err != nil {

@@ -59,9 +59,9 @@ var (
 	// and run loop, whose bodies (and transitive callees) must not
 	// allocate before any annotation.
 	allocRoots = map[string]bool{
-		simPkg + ".Scheduler.ScheduleSrc":   true,
-		simPkg + ".Scheduler.ScheduleAtSrc": true,
-		simPkg + ".Scheduler.run":           true,
+		simPkg + ".Scheduler.Schedule":   true,
+		simPkg + ".Scheduler.ScheduleAt": true,
+		simPkg + ".Scheduler.run":        true,
 	}
 	// sanctionedAllocs are the pooled packet constructor and destructor.
 	// The BFS neither descends into nor sweeps them: the free-list

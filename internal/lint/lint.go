@@ -6,8 +6,8 @@
 //
 //   - wallclock: simulation code must read sim.Time, never the wall
 //     clock. time.Now/Since/Sleep and friends are banned in every
-//     package; the one read the simulator makes (the obs profiler's
-//     default clock) carries an inline //simlint:allow.
+//     package, and the simulator makes no read; the benchmark's timer
+//     in cmd/bench carries an inline //simlint:allow.
 //   - globalrand: all randomness flows through injected seeded
 //     *rand.Rand values. Package-level math/rand functions share
 //     hidden global state across subsystems and break same-seed

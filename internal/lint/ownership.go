@@ -172,7 +172,7 @@ type ownAnalyzer struct {
 // leaks, cross-validated at runtime by the simdebug sanitizer in
 // internal/netsim.
 //
-// stalecapture flags scheduler callbacks (sim.Schedule*/NewTicker
+// stalecapture flags scheduler callbacks (sim.Schedule/ScheduleAt/NewTicker
 // function-literal arguments) that capture pooled values whose
 // lifetime ends before the event can fire under the slot/generation
 // kernel: borrowed packets (including range-loop variables over

@@ -631,9 +631,9 @@ func (ev *ownEval) goCall(c *ast.CallExpr) {
 // ---- captures -----------------------------------------------------------
 
 // capture models a function literal closing over pooled variables.
-// scheduled literals (Schedule*/NewTicker arguments) run after this
-// frame returns, under the slot/generation kernel — so capturing
-// anything this frame merely borrows is a lifetime bug.
+// scheduled literals (Schedule/ScheduleAt/NewTicker arguments) run
+// after this frame returns, under the slot/generation kernel — so
+// capturing anything this frame merely borrows is a lifetime bug.
 func (ev *ownEval) capture(lit *ast.FuncLit, scheduled bool, entry string) {
 	for _, v := range capturedVars(ev.u.pkg, lit) {
 		mask := ev.facts[v]

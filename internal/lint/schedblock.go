@@ -7,8 +7,8 @@ import (
 )
 
 // SchedBlock inspects function literals passed to the simulation
-// kernel's scheduling entry points (sim.Scheduler.Schedule*,
-// sim.NewTicker). Those callbacks execute on the event loop: a
+// kernel's scheduling entry points (sim.Scheduler.Schedule and
+// ScheduleAt, sim.NewTicker). Those callbacks execute on the event loop: a
 // channel operation or lock wait inside one deadlocks the entire
 // simulation, and a spawned goroutine races the kernel state the loop
 // exists to serialize.
@@ -53,11 +53,11 @@ func (s *SchedBlock) Run(pass *Pass) {
 }
 
 func isSchedulingEntry(fn *types.Func) bool {
-	name := fn.Name()
-	if name == "NewTicker" {
+	switch fn.Name() {
+	case "Schedule", "ScheduleAt", "NewTicker":
 		return true
 	}
-	return len(name) >= len("Schedule") && name[:len("Schedule")] == "Schedule"
+	return false
 }
 
 func (s *SchedBlock) checkCallback(pass *Pass, entry string, lit *ast.FuncLit) {

@@ -11,24 +11,24 @@ import (
 
 // Bad: channel operations, locks, and goroutines inside callbacks.
 func bad(s *sim.Scheduler, ch chan int, mu *sync.Mutex) {
-	s.Schedule(sim.Second, func() {
+	s.Schedule(sim.Second, fixture, func() {
 		ch <- 1
 	})
-	s.ScheduleAt(sim.Second, func() {
+	s.ScheduleAt(sim.Second, fixture, func() {
 		mu.Lock()
 		defer mu.Unlock()
 	})
-	s.ScheduleSrc(sim.Second, fixture, func() {
+	s.Schedule(sim.Second, fixture, func() {
 		go func() {}()
 	})
-	sim.NewTicker(s, sim.Second, func() {
+	sim.NewTicker(s, sim.Second, fixture, func() {
 		<-ch
 	})
 }
 
 // Good: callbacks that stay on the event loop.
 func good(s *sim.Scheduler, counter *int) {
-	s.Schedule(sim.Second, func() {
+	s.Schedule(sim.Second, fixture, func() {
 		*counter++
 	})
 	// Channel use outside a callback is not schedblock's concern.

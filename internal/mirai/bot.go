@@ -9,6 +9,12 @@ import (
 	"ddosim/internal/sim"
 )
 
+// Sources labelling the bot's C&C reconnects and keepalive pings.
+var (
+	srcReconnect = sim.NewSource("bot.reconnect")
+	srcPing      = sim.NewSource("bot.ping")
+)
+
 // BotConfig is baked into the bot binary by the attacker at build
 // time, exactly as Mirai's table.c encodes the C&C endpoint.
 type BotConfig struct {
@@ -198,7 +204,7 @@ func (b *Bot) scheduleReconnect() {
 	}
 	b.Reconnects++
 	b.dialFails++
-	b.p.Sched().Schedule(b.reconnectDelay(), b.dial)
+	b.p.Sched().Schedule(b.reconnectDelay(), srcReconnect, b.dial)
 }
 
 func (b *Bot) onConnected(c *netsim.TCPConn) {
@@ -223,7 +229,7 @@ func (b *Bot) onConnected(c *netsim.TCPConn) {
 	_ = c.Send([]byte("arch " + b.p.Container().Arch() + "\n"))
 
 	if b.ping == nil {
-		b.ping = b.p.NewTicker(b.cfg.PingPeriod, func() {
+		b.ping = b.p.NewTicker(b.cfg.PingPeriod, srcPing, func() {
 			if b.connected {
 				_ = b.conn.Send([]byte("ping\n"))
 			}

@@ -13,6 +13,13 @@ import (
 	"ddosim/internal/sim"
 )
 
+// Sources labelling the C&C's connection sniff deadline and its reaper
+// of silent bots.
+var (
+	srcSniff = sim.NewSource("cnc.sniff")
+	srcReap  = sim.NewSource("cnc.reap")
+)
+
 // CNCConfig parameterizes the command-and-control server.
 type CNCConfig struct {
 	// Port defaults to CNCPort (23).
@@ -111,7 +118,7 @@ func (c *CNC) Start(p *container.Process) {
 	if _, err := p.ListenTCP(c.cfg.Port, c.accept); err != nil {
 		p.Logf("cnc: listen: %v", err)
 	}
-	reaper := p.NewTicker(c.cfg.BotTimeout/3, c.reapSilentBots)
+	reaper := p.NewTicker(c.cfg.BotTimeout/3, srcReap, c.reapSilentBots)
 	reaper.Start()
 }
 
@@ -216,7 +223,7 @@ func (c *CNC) accept(conn *netsim.TCPConn) {
 		}
 	})
 	conn.SetCloseHandler(func(error) {})
-	c.p.Sched().Schedule(sniffTimeout, decide)
+	c.p.Sched().Schedule(sniffTimeout, srcSniff, decide)
 }
 
 // --- Bot side ---

@@ -8,6 +8,9 @@ import (
 	"ddosim/internal/sim"
 )
 
+// srcFlood labels a flood's start and its per-packet ticks.
+var srcFlood = sim.NewSource("flood")
+
 // Flooder is the Mirai attack engine, factored out of the bot behaviour
 // so other botnet families (the Kademlia-DHT bot in internal/p2pbot)
 // launch byte-for-byte the same floods their Mirai siblings do: paced
@@ -128,7 +131,7 @@ func (f *Flooder) launch(method string, dst netip.AddrPort, jitter sim.Time, onS
 	f.until = untilAt(start)
 	gen := f.gen
 	f.tickFn = func() { f.tick(gen) }
-	f.p.Sched().ScheduleAt(start, func() {
+	f.p.Sched().ScheduleAt(start, srcFlood, func() {
 		if gen != f.gen || !f.p.Alive() {
 			return
 		}
@@ -170,7 +173,7 @@ func (f *Flooder) tick(gen int) {
 		f.sendRawTCP(f.dst, netsim.FlagACK)
 	}
 	f.sent++
-	f.p.Sched().Schedule(f.interval, f.tickFn)
+	f.p.Sched().Schedule(f.interval, srcFlood, f.tickFn)
 }
 
 // sendRawTCP injects a crafted header-only segment with a randomized

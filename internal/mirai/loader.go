@@ -135,7 +135,7 @@ func (l *Loader) Forget(victim netip.Addr) {
 	st := &pendingLoad{user: cred.user, pass: cred.pass}
 	l.pending[victim] = st
 	l.Reloads++
-	l.p.Sched().ScheduleSrc(l.cfg.RetryBase, srcReload, func() {
+	l.p.Sched().Schedule(l.cfg.RetryBase, srcReload, func() {
 		if !l.p.Alive() || l.pending[victim] != st {
 			return
 		}
@@ -191,7 +191,7 @@ func (l *Loader) fail(victim netip.Addr) {
 		delay = l.cfg.RetryCap
 	}
 	l.Retries++
-	l.p.Sched().ScheduleSrc(delay, srcRetry, func() {
+	l.p.Sched().Schedule(delay, srcRetry, func() {
 		if !l.p.Alive() || l.pending[victim] != st {
 			return
 		}

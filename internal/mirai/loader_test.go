@@ -11,6 +11,9 @@ import (
 	"ddosim/internal/sim"
 )
 
+// srcTest labels the events this package's tests schedule.
+var srcTest = sim.NewSource("test")
+
 // loaderRig builds an attacker container running just the loader.
 func loaderRig(t *testing.T, cfg LoaderConfig) (*rig, *Loader) {
 	t.Helper()
@@ -91,7 +94,7 @@ func (et *echoTelnet) accept(conn *netsim.TCPConn) {
 					return
 				}
 				et.commands = append(et.commands, line)
-				et.sched.Schedule(et.execDelay, func() {
+				et.sched.Schedule(et.execDelay, srcTest, func() {
 					et.ran++
 					_ = conn.Send([]byte("$ "))
 				})
@@ -157,7 +160,7 @@ func TestLoaderBackoffAloneInfectsOfflineVictim(t *testing.T) {
 	victimAddr := sr.victim.Node().Addr4()
 	sr.victim.Node().DefaultDevice().SetUp(false)
 	sr.loader.onReport("victim " + victimAddr.String() + " root admin")
-	sr.sched.Schedule(2*sim.Minute, func() {
+	sr.sched.Schedule(2*sim.Minute, srcTest, func() {
 		sr.victim.Node().DefaultDevice().SetUp(true)
 	})
 	if err := sr.sched.Run(10 * sim.Minute); err != nil {

@@ -10,6 +10,9 @@ import (
 	"ddosim/internal/sim"
 )
 
+// srcScan labels the scanner's probe ticks.
+var srcScan = sim.NewSource("scanner.probe")
+
 // ScanListenPort is where the loader accepts victim reports, as in
 // Mirai's scanListen utility.
 const ScanListenPort = 48101
@@ -96,7 +99,7 @@ func NewSeedScanner(p *container.Process, cfg ScanConfig, stopAfter int) *Scanne
 
 // Start arms the scan ticker.
 func (s *Scanner) Start() {
-	t := s.p.NewTicker(s.cfg.Period, s.probe)
+	t := s.p.NewTicker(s.cfg.Period, srcScan, s.probe)
 	t.Start()
 }
 

@@ -235,9 +235,9 @@ func TestLoaderRetriesAfterFailedLoad(t *testing.T) {
 		})
 	}
 	report()
-	sr.sched.Schedule(2*sim.Minute, func() {
+	sr.sched.Schedule(2*sim.Minute, srcTest, func() {
 		sr.victim.Node().DefaultDevice().SetUp(true)
-		sr.sched.Schedule(10*sim.Second, report)
+		sr.sched.Schedule(10*sim.Second, srcTest, report)
 	})
 	if err := sr.sched.Run(10 * sim.Minute); err != nil {
 		t.Fatal(err)

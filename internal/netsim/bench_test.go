@@ -33,11 +33,11 @@ func BenchmarkUDPFloodPath(b *testing.B) {
 		}
 		sent++
 		sock.SendPadded(target, nil, 512)
-		sched.Schedule(100*sim.Microsecond, pump)
+		sched.Schedule(100*sim.Microsecond, srcTest, pump)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	sched.Schedule(0, pump)
+	sched.Schedule(0, srcTest, pump)
 	if err := sched.RunAll(); err != nil {
 		b.Fatal(err)
 	}

@@ -2,10 +2,14 @@ package netsim
 
 import "ddosim/internal/sim"
 
-// Sources labelling a device's transmit and propagation events.
+// Sources labelling netsim's events: a device's transmit and
+// propagation, loopback delivery, and TCP's retransmission timer and
+// deferred dial failures.
 var (
-	srcTx   = sim.NewSource("net.tx")
-	srcProp = sim.NewSource("net.prop")
+	srcTx       = sim.NewSource("net.tx")
+	srcProp     = sim.NewSource("net.prop")
+	srcLoopback = sim.NewSource("net.loopback")
+	srcTCP      = sim.NewSource("net.tcp")
 )
 
 // NetDevice is one endpoint of a full-duplex point-to-point link. It
@@ -160,7 +164,7 @@ func (d *NetDevice) transmitNext() {
 	}
 	d.transmitting = true
 	txTime := d.rate.TxTime(d.queue.peek().Size())
-	d.txEvent = d.sched.ScheduleSrc(txTime, srcTx, d.txFn)
+	d.txEvent = d.sched.Schedule(txTime, srcTx, d.txFn)
 }
 
 // finishTx completes serialization of the head frame: it leaves the
@@ -177,7 +181,7 @@ func (d *NetDevice) finishTx() {
 	d.node.addQueued(-1)
 	d.node.countTx(pkt.Size(), pkt.Proto)
 	d.inflight.push(pkt)
-	d.sched.ScheduleSrc(d.delay, srcProp, d.propFn)
+	d.sched.Schedule(d.delay, srcProp, d.propFn)
 	d.transmitNext()
 }
 

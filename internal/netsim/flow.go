@@ -160,8 +160,7 @@ func (w *Network) EnableFlows(cfg FlowConfig) *FlowTable {
 	}
 	cfg.normalize()
 	ft := newFlowTable(w.sched, cfg)
-	ft.sweeper = sim.NewTicker(w.sched, cfg.SweepPeriod, ft.sweep)
-	ft.sweeper.Source = srcFlows
+	ft.sweeper = sim.NewTicker(w.sched, cfg.SweepPeriod, srcFlows, ft.sweep)
 	ft.sweeper.Start()
 	w.flows = ft
 	return ft

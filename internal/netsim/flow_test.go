@@ -468,11 +468,11 @@ func BenchmarkUDPFloodPathFlows(b *testing.B) {
 		}
 		sent++
 		sock.SendPadded(target, nil, 512)
-		sched.Schedule(100*sim.Microsecond, pump)
+		sched.Schedule(100*sim.Microsecond, srcTest, pump)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	sched.Schedule(0, pump)
+	sched.Schedule(0, srcTest, pump)
 	// Run (not RunAll): the flow sweeper re-arms forever, so drain up
 	// to a horizon past the last send instead of exhausting the queue.
 	horizon := sim.Time(int64(b.N+1)) * 100 * sim.Microsecond

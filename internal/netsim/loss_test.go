@@ -23,7 +23,7 @@ func TestLossRateDropsFraction(t *testing.T) {
 	for i := 0; i < n; i++ {
 		// Paced sends so the drop-tail queue never overflows: only
 		// the configured loss should drop packets.
-		sched.ScheduleAt(sim.Time(i)*sim.Millisecond, func() {
+		sched.ScheduleAt(sim.Time(i)*sim.Millisecond, srcTest, func() {
 			sock.SendPadded(dst, nil, 100)
 		})
 	}
@@ -86,7 +86,7 @@ func TestLossRateOneDropsEveryFrame(t *testing.T) {
 	const n = 200
 	dst := netip.AddrPortFrom(b.Addr4(), 9)
 	for i := 0; i < n; i++ {
-		sched.ScheduleAt(sim.Time(i)*sim.Millisecond, func() {
+		sched.ScheduleAt(sim.Time(i)*sim.Millisecond, srcTest, func() {
 			sock.SendPadded(dst, nil, 100)
 		})
 	}

@@ -11,6 +11,9 @@ import (
 	"ddosim/internal/sim"
 )
 
+// srcTest labels the events this package's tests schedule.
+var srcTest = sim.NewSource("test")
+
 func newStar(t testing.TB, seed int64) (*sim.Scheduler, *Network, *Star) {
 	t.Helper()
 	sched := sim.NewScheduler(seed)
@@ -485,7 +488,7 @@ func TestDeviceDownFlushesQueue(t *testing.T) {
 		sock.SendPadded(netip.AddrPortFrom(b.Addr4(), 9), nil, 500)
 	}
 	dev := a.DefaultDevice()
-	sched.Schedule(sim.Millisecond, func() { dev.SetUp(false) })
+	sched.Schedule(sim.Millisecond, srcTest, func() { dev.SetUp(false) })
 	if err := sched.Run(time100s()); err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +586,7 @@ func TestSinkRecordsPerSecond(t *testing.T) {
 	dst := netip.AddrPortFrom(ts.Addr4(), 80)
 	// One 500-byte datagram in second 0, two in second 2.
 	sock.SendPadded(dst, nil, 500)
-	sched.Schedule(2*sim.Second+100*sim.Millisecond, func() {
+	sched.Schedule(2*sim.Second+100*sim.Millisecond, srcTest, func() {
 		sock.SendPadded(dst, nil, 500)
 		sock.SendPadded(dst, nil, 500)
 	})
@@ -626,7 +629,7 @@ func TestSinkAvgReceivedMatchesEq2(t *testing.T) {
 	// 1250 bytes per second for 10 seconds = 10 kbps.
 	for s := 0; s < 10; s++ {
 		at := sim.Time(s)*sim.Second + sim.Millisecond
-		sched.ScheduleAt(at, func() { sock.SendPadded(dst, nil, 1250) })
+		sched.ScheduleAt(at, srcTest, func() { sock.SendPadded(dst, nil, 1250) })
 	}
 	if err := sched.Run(20 * sim.Second); err != nil {
 		t.Fatal(err)

@@ -169,7 +169,7 @@ func (n *Node) SendPacket(pkt *Packet) {
 		// The closure allocation is loopback-only: the flood hot path
 		// egresses through dev.Send below and never takes this branch.
 		//simlint:allow stalecapture,allocfree(SendPacket owns pkt and transfers it into the uncancellable loopback event, which releases it; self-addressed traffic only, off the device-tx flood path)
-		n.sched.Schedule(sim.Microsecond, func() {
+		n.sched.Schedule(sim.Microsecond, srcLoopback, func() {
 			n.deliverLocal(pkt)
 			n.putPacket(pkt)
 		})

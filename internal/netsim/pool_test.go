@@ -23,7 +23,7 @@ func TestPacketPoolRecycles(t *testing.T) {
 	dst := netip.AddrPortFrom(b.Addr4(), 7)
 	for i := 0; i < 200; i++ {
 		at := sim.Time(i) * 10 * sim.Millisecond
-		sched.ScheduleAt(at, func() { sock.SendPadded(dst, nil, 64) })
+		sched.ScheduleAt(at, srcTest, func() { sock.SendPadded(dst, nil, 64) })
 	}
 	if err := sched.RunAll(); err != nil {
 		t.Fatal(err)

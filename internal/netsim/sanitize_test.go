@@ -18,6 +18,9 @@ import (
 	"ddosim/internal/sim"
 )
 
+// srcTest labels the events this package's tests schedule.
+var srcTest = sim.NewSource("test")
+
 // mustPanic runs fn and returns the recovered panic message,
 // failing the test if fn returns normally.
 func mustPanic(t *testing.T, fn func()) string {
@@ -101,7 +104,7 @@ func TestSanitizerCleanTrafficQuiet(t *testing.T) {
 	dst := netip.AddrPortFrom(b.Addr4(), 7)
 	for i := 0; i < 100; i++ {
 		at := sim.Time(i) * sim.Millisecond
-		sched.ScheduleAt(at, func() { sock.SendPadded(dst, nil, 64) })
+		sched.ScheduleAt(at, srcTest, func() { sock.SendPadded(dst, nil, 64) })
 	}
 	if err := sched.RunAll(); err != nil {
 		t.Fatal(err)

@@ -178,7 +178,7 @@ func (n *Node) DialTCP(dst netip.AddrPort, cb DialCallback) *TCPConn {
 	if !ok {
 		c.state, c.closedErr, c.onDial = stateClosed, ErrNoFreePort, nil
 		if cb != nil {
-			n.sched.Schedule(0, func() { cb(c, ErrNoFreePort) })
+			n.sched.Schedule(0, srcTCP, func() { cb(c, ErrNoFreePort) })
 		}
 		return c
 	}
@@ -321,7 +321,7 @@ func (c *TCPConn) armRTO() {
 	}
 	c.rtoArmed = true
 	backoff := sim.Time(1) << uint(c.retries)
-	c.rtoEvent = c.sched.Schedule(tcpRTO*backoff, c.rtoFn)
+	c.rtoEvent = c.sched.Schedule(tcpRTO*backoff, srcTCP, c.rtoFn)
 }
 
 func (c *TCPConn) cancelRTO() {

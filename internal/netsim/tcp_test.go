@@ -265,7 +265,7 @@ func TestTCPAbortResetsPeer(t *testing.T) {
 			return
 		}
 		// Give the server a moment to fully establish, then abort.
-		client.Sched().Schedule(100*sim.Millisecond, c.Abort)
+		client.Sched().Schedule(100*sim.Millisecond, srcTest, c.Abort)
 	})
 	if err := sched.Run(10 * sim.Second); err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ func TestTCPPeerDeathTimesOut(t *testing.T) {
 		// Kill the server's link (churn) from a scheduled event, then
 		// try to send: the data is never acked and the connection must
 		// time out.
-		sched.Schedule(0, func() {
+		sched.Schedule(0, srcTest, func() {
 			server.DefaultDevice().SetUp(false)
 			if err := c.Send([]byte("are you there?")); err != nil {
 				t.Errorf("send: %v", err)
@@ -327,13 +327,13 @@ func TestTCPRetransmitSurvivesTransientOutage(t *testing.T) {
 		}
 		// Brief outage right as data goes out: retransmission recovers.
 		// The outage toggles run as scheduled events, as churn's do.
-		sched.Schedule(0, func() {
+		sched.Schedule(0, srcTest, func() {
 			server.DefaultDevice().SetUp(false)
 			if err := c.Send([]byte("persistent")); err != nil {
 				t.Errorf("send: %v", err)
 			}
 		})
-		client.Sched().Schedule(500*sim.Millisecond, func() {
+		client.Sched().Schedule(500*sim.Millisecond, srcTest, func() {
 			server.DefaultDevice().SetUp(true)
 		})
 	})

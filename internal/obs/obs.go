@@ -1,39 +1,42 @@
 // Package obs is DDoSim's unified observability layer: structured run
-// tracing, a metrics registry, and a scheduler profiler. It plays the
-// role a tracing/metrics stack plays in a production serving system —
-// every phase of a run (deploy, recruitment, attack window, churn
-// epochs) and every notable point event (exploit attempt, C&C command,
-// device up/down, queue drop) is recorded against the simulated clock,
-// so a run can be replayed, diffed, and inspected after the fact.
+// tracing and a metrics registry. It plays the role a tracing/metrics
+// stack plays in a production serving system — every phase of a run
+// (deploy, recruitment, attack window, churn epochs) and every notable
+// point event (exploit attempt, C&C command, device up/down, queue
+// drop) is recorded against the simulated clock, so a run can be
+// replayed, diffed, and inspected after the fact.
 //
-// Three components, bundled by Obs:
+// Two components, bundled by Obs:
 //
 //   - Tracer: typed spans and point events keyed to sim.Time,
 //     exportable as JSONL or as Chrome trace_event JSON that opens
 //     directly in chrome://tracing or Perfetto.
 //   - Registry: named counters and gauges with a
 //     Prometheus-style text dump, replacing scattered one-off counters.
-//   - Profiler: wall-clock-per-sim-second samples hooked into the
-//     scheduler's run loop; the per-source event counts it reports
-//     beside them are the kernel's own.
 //
-// Determinism contract: everything the Tracer and Registry emit is a
-// pure function of the simulation (timestamps are sim.Time, never
-// time.Now), so two runs with the same seed dump byte-identical traces
-// and metrics. Only the Profiler touches the wall clock, and its
-// samples never feed back into trace or metrics output.
+// Where the event loop's work went is the kernel's own account: it
+// counts delivered events per sim.Source, and Summarize reads those
+// counts from the scheduler that ran.
+//
+// Determinism contract: everything obs emits is a pure function of the
+// simulation (timestamps are sim.Time, never time.Now), so two runs
+// with the same seed dump byte-identical traces, metrics and report
+// summaries. No part of it reads the wall clock.
 //
 // All methods are safe on a nil receiver, so instrumented packages can
 // hold an optional *obs.Obs and skip the nil checks at every call site.
 package obs
 
-import "ddosim/internal/sim"
+import (
+	"sort"
 
-// Obs bundles the three observability components for one run.
+	"ddosim/internal/sim"
+)
+
+// Obs bundles the two observability components for one run.
 type Obs struct {
 	Trace   *Tracer
 	Metrics *Registry
-	Prof    *Profiler
 }
 
 // New returns a fully-armed observability bundle.
@@ -41,7 +44,6 @@ func New() *Obs {
 	return &Obs{
 		Trace:   NewTracer(),
 		Metrics: NewRegistry(),
-		Prof:    NewProfiler(),
 	}
 }
 
@@ -61,14 +63,6 @@ func (o *Obs) Registry() *Registry {
 	return o.Metrics
 }
 
-// Profiler returns the profiler, or nil when o is nil.
-func (o *Obs) Profiler() *Profiler {
-	if o == nil {
-		return nil
-	}
-	return o.Prof
-}
-
 // Summary condenses a run's observability data for reports: it is
 // embedded in core.Results and serialized by internal/report.
 type Summary struct {
@@ -85,10 +79,6 @@ type Summary struct {
 
 	// PeakPending is the deepest the scheduler queue got.
 	PeakPending int `json:"peak_pending"`
-
-	// WallNSPerSimSec is the mean wall-clock nanoseconds spent per
-	// simulated second (0 when the profiler saw under one second).
-	WallNSPerSimSec int64 `json:"wall_ns_per_sim_sec,omitempty"`
 }
 
 // Summarize condenses the bundle, reading event counts from the
@@ -109,16 +99,42 @@ func (o *Obs) Summarize(sched *sim.Scheduler) Summary {
 		s.TopSources = TopSources(sched, 5)
 		s.PeakPending = sched.PeakPending()
 	}
-	s.WallNSPerSimSec = o.Prof.MeanWallNSPerSimSec()
 	return s
 }
 
-// SchedulerHook adapts the bundle to sim.Scheduler.SetHook: it feeds
-// the profiler every delivered event. Safe on nil (returns nil, which
-// the scheduler treats as "no hook").
+// SchedulerHook returns nil, the scheduler's "no hook": obs observes
+// no event as it runs. It remains for cmd/bench, which chains it
+// before its own timing hook.
 func (o *Obs) SchedulerHook() func(at sim.Time, src string, pending int) {
-	if o == nil || o.Prof == nil {
+	return nil
+}
+
+// SourceLoad is one event source's share of delivered scheduler events.
+type SourceLoad struct {
+	Source string `json:"source"`
+	Events uint64 `json:"events"`
+}
+
+// TopSources returns the n busiest event sources the scheduler has
+// delivered, descending by count with name as the tiebreak.
+func TopSources(sched *sim.Scheduler, n int) []SourceLoad {
+	if sched == nil {
 		return nil
 	}
-	return o.Prof.OnEvent
+	var all []SourceLoad
+	for id, c := range sched.EventsBySource() {
+		if c > 0 {
+			all = append(all, SourceLoad{Source: sim.Source(id).String(), Events: c})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Events != all[j].Events {
+			return all[i].Events > all[j].Events
+		}
+		return all[i].Source < all[j].Source
+	})
+	if n < len(all) {
+		all = all[:n]
+	}
+	return all
 }

@@ -11,7 +11,8 @@ import (
 	"ddosim/internal/sim"
 )
 
-// srcPoll labels a bot's overlay polls.
+// srcPoll labels a bot's overlay polls and the phase delay before
+// its first.
 var srcPoll = sim.NewSource("p2p.poll")
 
 // BotConfig is baked into the P2P bot binary.
@@ -133,12 +134,11 @@ func (b *Bot) Start(p *container.Process) {
 	})
 	// Desynchronize the fleet's poll phase once per bot; the ticker
 	// then holds the offset forever.
-	b.p.Sched().Schedule(sim.Time(p.RNG().Int63n(int64(b.cfg.PollPeriod))), func() {
+	b.p.Sched().Schedule(sim.Time(p.RNG().Int63n(int64(b.cfg.PollPeriod))), srcPoll, func() {
 		if !p.Alive() {
 			return
 		}
-		b.poll = p.NewTicker(b.cfg.PollPeriod, b.pollOnce)
-		b.poll.Source = srcPoll
+		b.poll = p.NewTicker(b.cfg.PollPeriod, srcPoll, b.pollOnce)
 		b.poll.StartImmediate()
 	})
 }

@@ -15,6 +15,9 @@ import (
 	"ddosim/internal/sim"
 )
 
+// srcTest labels the events this package's tests schedule.
+var srcTest = sim.NewSource("test")
+
 func testKey() ([32]byte, [32]byte) {
 	var seed [32]byte
 	for i := range seed {
@@ -134,7 +137,7 @@ func newBotnet(t *testing.T, seedVal int64, nBots int) *botnet {
 		bot := factory(nil).(*Bot)
 		// Stagger infection like the exploit campaign would.
 		delay := sim.Time(i) * 200 * sim.Millisecond
-		sched.Schedule(delay, func() { c.Spawn(bot) })
+		sched.Schedule(delay, srcTest, func() { c.Spawn(bot) })
 		bn.bots = append(bn.bots, bot)
 		bn.botCs = append(bn.botCs, c)
 	}

@@ -89,8 +89,7 @@ func (s *Seeder) Start(p *container.Process) {
 	if len(s.cfg.Bootstrap) > 0 {
 		s.node.Join(s.cfg.Bootstrap, nil)
 	}
-	s.repub = p.NewTicker(s.cfg.RepublishPeriod, s.republish)
-	s.repub.Source = srcRepublish
+	s.repub = p.NewTicker(s.cfg.RepublishPeriod, srcRepublish, s.republish)
 	s.repub.Start()
 }
 

@@ -62,8 +62,8 @@ type Run struct {
 	PerSecondKbps []float64 `json:"per_second_kbps,omitempty"`
 	Timeline      []Event   `json:"timeline,omitempty"`
 
-	// Obs condenses the run's observability layer: trace volume,
-	// scheduler load by source, and the wall-clock profile.
+	// Obs condenses the run's observability layer: trace volume and
+	// scheduler load by source.
 	Obs obs.Summary `json:"obs"`
 
 	// Flows aggregates the exported flow records by ground-truth label;

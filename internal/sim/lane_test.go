@@ -53,12 +53,12 @@ func TestLaneFIFO(t *testing.T) {
 func TestLaneClaimAndFallback(t *testing.T) {
 	s := NewScheduler(1)
 	for d := Time(1); d <= 4; d++ {
-		s.Schedule(d*Millisecond, nop)
-		s.Schedule(d*Millisecond, nop)
+		s.Schedule(d*Millisecond, srcTest, nop)
+		s.Schedule(d*Millisecond, srcTest, nop)
 	}
-	s.Schedule(5*Millisecond, nop)
-	s.Schedule(0, nop)
-	s.ScheduleAt(Millisecond, nop)
+	s.Schedule(5*Millisecond, srcTest, nop)
+	s.Schedule(0, srcTest, nop)
+	s.ScheduleAt(Millisecond, srcTest, nop)
 	for i := range s.lanes {
 		if l := s.lanes[i]; l.delay != Time(i+1)*Millisecond || l.n != 2 {
 			t.Fatalf("lane %d holds delay %v with %d items, want %v with 2", i, l.delay, l.n, Time(i+1)*Millisecond)
@@ -72,7 +72,7 @@ func TestLaneClaimAndFallback(t *testing.T) {
 	if err := s.Run(Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	s.Schedule(7*Millisecond, nop)
+	s.Schedule(7*Millisecond, srcTest, nop)
 	if l := s.lanes[0]; l.delay != 7*Millisecond || l.n != 1 {
 		t.Fatalf("drained lane holds delay %v with %d items, want 7ms with 1", l.delay, l.n)
 	}
@@ -129,9 +129,9 @@ func (m *refModel) add(abs bool, t Time, child Time, stop bool) {
 	var id EventID
 	at := t
 	if abs {
-		id = s.ScheduleAt(t, fn)
+		id = s.ScheduleAt(t, srcTest, fn)
 	} else {
-		id = s.Schedule(t, fn)
+		id = s.Schedule(t, srcTest, fn)
 		at = s.Now() + max(t, 0)
 		if t > 0 && s.q.Len() > heapLen {
 			m.heapFallbacks++
@@ -339,7 +339,7 @@ func BenchmarkRunDrainRepeatedDelays(b *testing.B) {
 		if i%8 == 7 {
 			d = Time(rng.Intn(1000)) * Microsecond
 		}
-		s.Schedule(d, nop)
+		s.Schedule(d, srcTest, nop)
 		if i%1024 == 1023 {
 			if err := s.RunAll(); err != nil {
 				b.Fatal(err)

@@ -108,9 +108,11 @@ func TestQueueLenPendingInvariant(t *testing.T) {
 		heap     bool // entries wait in the heap
 		lanes    bool // entries wait in lanes
 	}{
-		{"heap", func(s *Scheduler, i int) EventID { return s.ScheduleAt(Time(i)*Millisecond, func() {}) }, true, false},
-		{"lanes", func(s *Scheduler, i int) EventID { return s.Schedule(Time(i%maxLanes+1)*Millisecond, func() {}) }, false, true},
-		{"mixed", func(s *Scheduler, i int) EventID { return s.Schedule(Time(i)*Millisecond, func() {}) }, true, true},
+		{"heap", func(s *Scheduler, i int) EventID { return s.ScheduleAt(Time(i)*Millisecond, srcTest, func() {}) }, true, false},
+		{"lanes", func(s *Scheduler, i int) EventID {
+			return s.Schedule(Time(i%maxLanes+1)*Millisecond, srcTest, func() {})
+		}, false, true},
+		{"mixed", func(s *Scheduler, i int) EventID { return s.Schedule(Time(i)*Millisecond, srcTest, func() {}) }, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewScheduler(1)
@@ -189,7 +191,7 @@ func TestCompactionPreservesOrder(t *testing.T) {
 			ids := make([]EventID, n)
 			for i := 0; i < n; i++ {
 				i := i
-				ids[i] = s.Schedule(tc.delay(i), func() { order = append(order, i) })
+				ids[i] = s.Schedule(tc.delay(i), srcTest, func() { order = append(order, i) })
 			}
 			for i := 0; i < n; i++ {
 				if cancel(i) {
@@ -219,7 +221,7 @@ func TestCompactionPreservesOrder(t *testing.T) {
 func TestCancelFiredAndReusedIDs(t *testing.T) {
 	s := NewScheduler(1)
 
-	fired := s.Schedule(Millisecond, func() {})
+	fired := s.Schedule(Millisecond, srcTest, func() {})
 	if err := s.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +231,7 @@ func TestCancelFiredAndReusedIDs(t *testing.T) {
 
 	// The slot of `fired` is on the free list; this reuses it.
 	ranB := false
-	b := s.Schedule(Millisecond, func() { ranB = true })
+	b := s.Schedule(Millisecond, srcTest, func() { ranB = true })
 	if b == fired {
 		t.Fatal("reused slot issued an identical id (generation did not advance)")
 	}
@@ -242,7 +244,7 @@ func TestCancelFiredAndReusedIDs(t *testing.T) {
 		t.Fatal("Cancel(b) failed")
 	}
 	ranC := false
-	c := s.Schedule(Millisecond, func() { ranC = true })
+	c := s.Schedule(Millisecond, srcTest, func() { ranC = true })
 	if s.Cancel(b) {
 		t.Fatal("doubly-cancelled id reported success after slot reuse")
 	}
@@ -276,7 +278,7 @@ func TestPropertyFIFOWithinTimestamp(t *testing.T) {
 		for i, slot := range slots {
 			i := i
 			// Few distinct timestamps → many ties.
-			s.Schedule(Time(slot%5)*Second, func() { got = append(got, i) })
+			s.Schedule(Time(slot%5)*Second, srcTest, func() { got = append(got, i) })
 		}
 		if err := s.RunAll(); err != nil {
 			return false
@@ -313,7 +315,7 @@ func BenchmarkSchedule(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Schedule(Time(rng.Intn(1000))*Microsecond, nop)
+		s.Schedule(Time(rng.Intn(1000))*Microsecond, srcTest, nop)
 	}
 }
 
@@ -323,7 +325,7 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := s.Schedule(Time(rng.Intn(1000))*Microsecond, nop)
+		id := s.Schedule(Time(rng.Intn(1000))*Microsecond, srcTest, nop)
 		s.Cancel(id)
 	}
 }
@@ -334,7 +336,7 @@ func BenchmarkRunDrain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Schedule(Time(rng.Intn(1000))*Microsecond, nop)
+		s.Schedule(Time(rng.Intn(1000))*Microsecond, srcTest, nop)
 		if i%1024 == 1023 {
 			if err := s.RunAll(); err != nil {
 				b.Fatal(err)

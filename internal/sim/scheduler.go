@@ -121,13 +121,21 @@ func (s *Scheduler) QueueLen() int {
 // SetHook installs an observer invoked once per executed event with
 // the event's time, the name its Source was registered under, and the
 // queue depth after the pop. A nil hook disables observation. The
-// observability layer's scheduler profiler attaches here.
+// simulator installs none; the benchmark's traced round attaches here.
 func (s *Scheduler) SetHook(hook func(at Time, src string, pending int)) {
 	s.hook = hook
 }
 
-// Schedule queues fn to run after delay. A negative delay is treated as
-// zero (run at the current instant, after already-queued events for it).
+// Schedule queues fn to run after delay, attributed to src (e.g.
+// "net.tx", "churn.epoch") in the kernel's per-source event counts. A
+// negative delay is treated as zero (run at the current instant, after
+// already-queued events for it).
+//
+// An event with a positive delay goes to the FIFO lane for that delay,
+// claiming an empty lane if none holds it yet, and to the heap only
+// when every lane holds another delay. The run loop pops the itemLess
+// minimum of the heap top and the lane heads, so where an event waits
+// never changes when it runs.
 //
 // Lifetime contract: fn outlives the scheduling frame, so it must not
 // capture values it merely borrows — in particular a pooled
@@ -135,26 +143,13 @@ func (s *Scheduler) SetHook(hook func(at Time, src string, pending int)) {
 // before the event fires. Capture an owned packet only to transfer
 // ownership into the callback (which then releases or forwards it).
 // The stalecapture analyzer enforces this statically.
-func (s *Scheduler) Schedule(delay Time, fn func()) EventID {
-	return s.ScheduleSrc(delay, 0, fn)
-}
-
-// ScheduleSrc is Schedule with a Source attributing the event to a
-// subsystem (e.g. "net.tx", "churn.epoch") for the kernel's per-source
-// event counts.
-//
-// An event with a positive delay goes to the FIFO lane for that delay,
-// claiming an empty lane if none holds it yet, and to the heap only
-// when every lane holds another delay. The run loop pops the itemLess
-// minimum of the heap top and the lane heads, so where an event waits
-// never changes when it runs.
-func (s *Scheduler) ScheduleSrc(delay Time, src Source, fn func()) EventID {
+func (s *Scheduler) Schedule(delay Time, src Source, fn func()) EventID {
 	if delay <= 0 {
-		return s.ScheduleAtSrc(s.now, src, fn)
+		return s.ScheduleAt(s.now, src, fn)
 	}
 	l := s.laneFor(delay)
 	if l == nil {
-		return s.ScheduleAtSrc(s.now+delay, src, fn)
+		return s.ScheduleAt(s.now+delay, src, fn)
 	}
 	it := s.newItem(s.now+delay, src, fn)
 	l.push(it)
@@ -180,14 +175,9 @@ func (s *Scheduler) laneFor(d Time) *lane {
 	return free
 }
 
-// ScheduleAt queues fn to run at absolute time at. Times in the past are
-// clamped to the current instant.
-func (s *Scheduler) ScheduleAt(at Time, fn func()) EventID {
-	return s.ScheduleAtSrc(at, 0, fn)
-}
-
-// ScheduleAtSrc is ScheduleAt with a Source.
-func (s *Scheduler) ScheduleAtSrc(at Time, src Source, fn func()) EventID {
+// ScheduleAt queues fn to run at absolute time at, attributed to src.
+// Times in the past are clamped to the current instant.
+func (s *Scheduler) ScheduleAt(at Time, src Source, fn func()) EventID {
 	if at < s.now {
 		at = s.now
 	}

@@ -12,9 +12,9 @@ import (
 func TestScheduleOrdering(t *testing.T) {
 	s := NewScheduler(1)
 	var got []int
-	s.Schedule(3*Second, func() { got = append(got, 3) })
-	s.Schedule(1*Second, func() { got = append(got, 1) })
-	s.Schedule(2*Second, func() { got = append(got, 2) })
+	s.Schedule(3*Second, srcTest, func() { got = append(got, 3) })
+	s.Schedule(1*Second, srcTest, func() { got = append(got, 1) })
+	s.Schedule(2*Second, srcTest, func() { got = append(got, 2) })
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
@@ -31,7 +31,7 @@ func TestSameTimeFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.Schedule(Second, func() { got = append(got, i) })
+		s.Schedule(Second, srcTest, func() { got = append(got, i) })
 	}
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
@@ -46,7 +46,7 @@ func TestSameTimeFIFO(t *testing.T) {
 func TestNowAdvances(t *testing.T) {
 	s := NewScheduler(1)
 	var at Time
-	s.Schedule(5*Second, func() { at = s.Now() })
+	s.Schedule(5*Second, srcTest, func() { at = s.Now() })
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
@@ -61,8 +61,8 @@ func TestNowAdvances(t *testing.T) {
 func TestRunHorizon(t *testing.T) {
 	s := NewScheduler(1)
 	ran := 0
-	s.Schedule(1*Second, func() { ran++ })
-	s.Schedule(10*Second, func() { ran++ })
+	s.Schedule(1*Second, srcTest, func() { ran++ })
+	s.Schedule(10*Second, srcTest, func() { ran++ })
 	if err := s.Run(5 * Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -83,8 +83,8 @@ func TestRunHorizon(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	s := NewScheduler(1)
 	var got []Time
-	s.Schedule(Second, func() {
-		s.Schedule(Second, func() { got = append(got, s.Now()) })
+	s.Schedule(Second, srcTest, func() {
+		s.Schedule(Second, srcTest, func() { got = append(got, s.Now()) })
 	})
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
@@ -97,9 +97,9 @@ func TestNestedScheduling(t *testing.T) {
 func TestZeroDelaySelfSchedulesAtCurrentInstant(t *testing.T) {
 	s := NewScheduler(1)
 	n := 0
-	s.Schedule(Second, func() {
-		s.Schedule(0, func() { n++ })
-		s.Schedule(-5, func() { n++ }) // negative clamps to zero
+	s.Schedule(Second, srcTest, func() {
+		s.Schedule(0, srcTest, func() { n++ })
+		s.Schedule(-5, srcTest, func() { n++ }) // negative clamps to zero
 	})
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
@@ -112,7 +112,7 @@ func TestZeroDelaySelfSchedulesAtCurrentInstant(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := NewScheduler(1)
 	ran := false
-	id := s.Schedule(Second, func() { ran = true })
+	id := s.Schedule(Second, srcTest, func() { ran = true })
 	if !s.Cancel(id) {
 		t.Fatal("Cancel of pending event returned false")
 	}
@@ -129,7 +129,7 @@ func TestCancel(t *testing.T) {
 
 func TestCancelAfterRun(t *testing.T) {
 	s := NewScheduler(1)
-	id := s.Schedule(Second, func() {})
+	id := s.Schedule(Second, srcTest, func() {})
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
@@ -141,8 +141,8 @@ func TestCancelAfterRun(t *testing.T) {
 func TestStop(t *testing.T) {
 	s := NewScheduler(1)
 	ran := 0
-	s.Schedule(1*Second, func() { ran++; s.Stop() })
-	s.Schedule(2*Second, func() { ran++ })
+	s.Schedule(1*Second, srcTest, func() { ran++; s.Stop() })
+	s.Schedule(2*Second, srcTest, func() { ran++ })
 	err := s.RunAll()
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("RunAll err = %v, want ErrStopped", err)
@@ -155,8 +155,8 @@ func TestStop(t *testing.T) {
 func TestScheduleAtPastClamps(t *testing.T) {
 	s := NewScheduler(1)
 	var at Time = -1
-	s.Schedule(2*Second, func() {
-		s.ScheduleAt(Second, func() { at = s.Now() })
+	s.Schedule(2*Second, srcTest, func() {
+		s.ScheduleAt(Second, srcTest, func() { at = s.Now() })
 	})
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
@@ -171,7 +171,7 @@ func TestDeterminism(t *testing.T) {
 		s := NewScheduler(seed)
 		var out []float64
 		for i := 0; i < 100; i++ {
-			s.Schedule(Time(i)*Millisecond, func() {
+			s.Schedule(Time(i)*Millisecond, srcTest, func() {
 				out = append(out, s.RNG().Float64())
 			})
 		}
@@ -202,7 +202,7 @@ func TestDeterminism(t *testing.T) {
 func TestProcessedCounter(t *testing.T) {
 	s := NewScheduler(1)
 	for i := 0; i < 7; i++ {
-		s.Schedule(Time(i)*Second, func() {})
+		s.Schedule(Time(i)*Second, srcTest, func() {})
 	}
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
@@ -219,7 +219,7 @@ func TestPropertyTimeOrdering(t *testing.T) {
 		s := NewScheduler(7)
 		var times []Time
 		for _, d := range delays {
-			s.Schedule(Time(d), func() { times = append(times, s.Now()) })
+			s.Schedule(Time(d), srcTest, func() { times = append(times, s.Now()) })
 		}
 		if err := s.RunAll(); err != nil {
 			return false
@@ -244,7 +244,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 		ids := make([]EventID, count)
 		for i := 0; i < count; i++ {
 			i := i
-			ids[i] = s.Schedule(Time(i), func() { ran[i] = true })
+			ids[i] = s.Schedule(Time(i), srcTest, func() { ran[i] = true })
 		}
 		want := 0
 		for i := 0; i < count; i++ {
@@ -276,7 +276,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 func TestTicker(t *testing.T) {
 	s := NewScheduler(1)
 	n := 0
-	tk := NewTicker(s, Second, func() { n++ })
+	tk := NewTicker(s, Second, srcTest, func() { n++ })
 	tk.Start()
 	if err := s.Run(5*Second + Millisecond); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -296,7 +296,7 @@ func TestTicker(t *testing.T) {
 func TestTickerImmediate(t *testing.T) {
 	s := NewScheduler(1)
 	var fires []Time
-	tk := NewTicker(s, Second, func() { fires = append(fires, s.Now()) })
+	tk := NewTicker(s, Second, srcTest, func() { fires = append(fires, s.Now()) })
 	tk.StartImmediate()
 	if err := s.Run(2*Second + Millisecond); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -310,7 +310,7 @@ func TestTickerStopFromCallback(t *testing.T) {
 	s := NewScheduler(1)
 	n := 0
 	var tk *Ticker
-	tk = NewTicker(s, Second, func() {
+	tk = NewTicker(s, Second, srcTest, func() {
 		n++
 		if n == 3 {
 			tk.Stop()
@@ -328,7 +328,7 @@ func TestTickerStopFromCallback(t *testing.T) {
 func TestTickerRestart(t *testing.T) {
 	s := NewScheduler(1)
 	n := 0
-	tk := NewTicker(s, Second, func() { n++ })
+	tk := NewTicker(s, Second, srcTest, func() { n++ })
 	tk.Start()
 	_ = s.Run(2*Second + Millisecond)
 	tk.Stop()
@@ -365,8 +365,8 @@ func TestPendingAndNilFn(t *testing.T) {
 	if s.Pending() != 0 {
 		t.Fatalf("Pending = %d", s.Pending())
 	}
-	id := s.Schedule(Second, func() {})
-	s.Schedule(2*Second, func() {})
+	id := s.Schedule(Second, srcTest, func() {})
+	s.Schedule(2*Second, srcTest, func() {})
 	if s.Pending() != 2 {
 		t.Fatalf("Pending = %d", s.Pending())
 	}
@@ -379,14 +379,14 @@ func TestPendingAndNilFn(t *testing.T) {
 			t.Fatal("nil fn accepted")
 		}
 	}()
-	s.Schedule(Second, nil)
+	s.Schedule(Second, srcTest, nil)
 }
 
 func TestTickerConstructorPanics(t *testing.T) {
 	s := NewScheduler(1)
 	for _, bad := range []func(){
-		func() { NewTicker(s, 0, func() {}) },
-		func() { NewTicker(s, Second, nil) },
+		func() { NewTicker(s, 0, srcTest, func() {}) },
+		func() { NewTicker(s, Second, srcTest, nil) },
 	} {
 		func() {
 			defer func() {
@@ -402,7 +402,7 @@ func TestTickerConstructorPanics(t *testing.T) {
 func TestTickerIdempotentStartStopAndRunning(t *testing.T) {
 	s := NewScheduler(1)
 	n := 0
-	tk := NewTicker(s, Second, func() { n++ })
+	tk := NewTicker(s, Second, srcTest, func() { n++ })
 	if tk.Running() {
 		t.Fatal("fresh ticker running")
 	}
@@ -439,9 +439,9 @@ func TestRunStopsMidHorizon(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewScheduler(1)
-			s.Schedule(Second, s.Stop)
+			s.Schedule(Second, srcTest, s.Stop)
 			if tc.later {
-				s.Schedule(2*Second, func() {})
+				s.Schedule(2*Second, srcTest, func() {})
 			}
 			if err := tc.run(s); !errors.Is(err, ErrStopped) {
 				t.Fatalf("err = %v, want ErrStopped", err)
@@ -458,7 +458,7 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.Schedule(Time(rng.Intn(1000))*Microsecond, func() {})
+		s.Schedule(Time(rng.Intn(1000))*Microsecond, srcTest, func() {})
 	}
 	if err := s.RunAll(); err != nil {
 		b.Fatal(err)

@@ -9,7 +9,9 @@ import (
 // them ("net.tx", "churn.epoch", ...), so the kernel can count the
 // events it delivers per source. A Source is a small integer,
 // registered once by name with NewSource, normally in a package-level
-// var; the zero Source is the unlabelled one, named "".
+// var. Every Schedule, ScheduleAt and NewTicker call names one. The
+// zero Source, named "", is registered by no package, so a run's
+// EventsBySource()[0] reads 0.
 type Source uint8
 
 // maxSources bounds the registry. The kernel counts delivered events

@@ -2,6 +2,9 @@ package sim
 
 import "testing"
 
+// srcTest labels the events this package's tests schedule.
+var srcTest = NewSource("test")
+
 func TestSourceRegistry(t *testing.T) {
 	a := NewSource("test.registry.a")
 	b := NewSource("test.registry.b")
@@ -24,6 +27,7 @@ func TestSourceRegistry(t *testing.T) {
 // peak of the pending count the hook sees — without a hook too.
 func TestKernelCountsBySource(t *testing.T) {
 	src := NewSource("test.kernel.counts")
+	other := NewSource("test.kernel.other")
 	for _, hooked := range []bool{false, true} {
 		s := NewScheduler(1)
 		var names []string
@@ -34,17 +38,16 @@ func TestKernelCountsBySource(t *testing.T) {
 				peak = max(peak, pending)
 			})
 		}
-		s.ScheduleSrc(Millisecond, src, func() {})
-		s.Schedule(2*Millisecond, func() {})
-		tk := NewTicker(s, 3*Millisecond, func() {})
-		tk.Source = src
+		s.Schedule(Millisecond, src, func() {})
+		s.Schedule(2*Millisecond, other, func() {})
+		tk := NewTicker(s, 3*Millisecond, src, func() {})
 		tk.Start()
 		if err := s.Run(10 * Millisecond); err != nil {
 			t.Fatal(err)
 		}
 		by := s.EventsBySource()
-		if by[src] != 4 || by[0] != 1 {
-			t.Errorf("hooked=%v: by source = %v, want 4 of %d and 1 unlabelled", hooked, by, src)
+		if by[src] != 4 || by[other] != 1 || by[0] != 0 {
+			t.Errorf("hooked=%v: by source = %v, want 4 of %d, 1 of %d and none unlabelled", hooked, by, src, other)
 		}
 		var sum uint64
 		for _, n := range by {
@@ -59,7 +62,7 @@ func TestKernelCountsBySource(t *testing.T) {
 			t.Errorf("hooked=%v: peak pending = %d, want 2", hooked, got)
 		}
 		if hooked {
-			want := []string{"test.kernel.counts", "", "test.kernel.counts", "test.kernel.counts", "test.kernel.counts"}
+			want := []string{"test.kernel.counts", "test.kernel.other", "test.kernel.counts", "test.kernel.counts", "test.kernel.counts"}
 			if len(names) != len(want) {
 				t.Fatalf("hook names = %q, want %q", names, want)
 			}
@@ -82,8 +85,8 @@ func TestLabelledRunAllocFree(t *testing.T) {
 	src := NewSource("test.kernel.alloc")
 	s := NewScheduler(1)
 	var fn func()
-	fn = func() { s.ScheduleSrc(Microsecond, src, fn) }
-	s.ScheduleSrc(Microsecond, src, fn)
+	fn = func() { s.Schedule(Microsecond, src, fn) }
+	s.Schedule(Microsecond, src, fn)
 	if err := s.Run(Millisecond); err != nil { // warm the slot table and lane
 		t.Fatal(err)
 	}

@@ -7,28 +7,25 @@ type Ticker struct {
 	sched   *Scheduler
 	period  Time
 	fn      func()
+	src     Source
 	pending EventID
 	running bool
-
-	// Source labels the ticker's events for the kernel's per-source
-	// event counts. Optional; set before Start.
-	Source Source
 }
 
-// NewTicker creates a ticker bound to sched that fires fn every period.
-// The ticker starts stopped; call Start.
+// NewTicker creates a ticker bound to sched that fires fn every period,
+// attributing each tick to src. The ticker starts stopped; call Start.
 //
 // fn is subject to the same lifetime contract as Scheduler.Schedule
 // callbacks — and more so, since it fires repeatedly: it must not
 // capture borrowed pooled values (see stalecapture in internal/lint).
-func NewTicker(sched *Scheduler, period Time, fn func()) *Ticker {
+func NewTicker(sched *Scheduler, period Time, src Source, fn func()) *Ticker {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
 	}
 	if fn == nil {
 		panic("sim: ticker with nil fn")
 	}
-	return &Ticker{sched: sched, period: period, fn: fn}
+	return &Ticker{sched: sched, period: period, src: src, fn: fn}
 }
 
 // Start schedules the first tick one period from now. Starting a running
@@ -48,7 +45,7 @@ func (t *Ticker) StartImmediate() {
 		return
 	}
 	t.running = true
-	t.pending = t.sched.ScheduleSrc(0, t.Source, t.tick)
+	t.pending = t.sched.Schedule(0, t.src, t.tick)
 }
 
 // Stop cancels any pending tick. The ticker may be restarted.
@@ -64,7 +61,7 @@ func (t *Ticker) Stop() {
 func (t *Ticker) Running() bool { return t.running }
 
 func (t *Ticker) arm() {
-	t.pending = t.sched.ScheduleSrc(t.period, t.Source, t.tick)
+	t.pending = t.sched.Schedule(t.period, t.src, t.tick)
 }
 
 func (t *Ticker) tick() {
