@@ -5,14 +5,20 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite golden diagnostic files")
 
-func newTestLoader(t *testing.T) *Loader {
+// sharedLoader is the one Loader of the test binary: the standard
+// library and the module are type-checked once, and every test reads
+// the packages it caches.
+var sharedLoader = sync.OnceValues(func() (*Loader, error) { return NewLoader(".") })
+
+func testLoader(t *testing.T) *Loader {
 	t.Helper()
-	l, err := NewLoader(".")
+	l, err := sharedLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,25 +64,25 @@ func checkGolden(t *testing.T, name string, pkgs []*Package, analyzers []Analyze
 }
 
 func TestWallclock(t *testing.T) {
-	l := newTestLoader(t)
+	l := testLoader(t)
 	pkg := loadFixture(t, l, "wallclock/clocked")
 	checkGolden(t, "wallclock", []*Package{pkg}, []Analyzer{NewWallclock()})
 }
 
 func TestGlobalRand(t *testing.T) {
-	l := newTestLoader(t)
+	l := testLoader(t)
 	pkg := loadFixture(t, l, "globalrand/randy")
 	checkGolden(t, "globalrand", []*Package{pkg}, []Analyzer{NewGlobalRand()})
 }
 
 func TestMapOrder(t *testing.T) {
-	l := newTestLoader(t)
+	l := testLoader(t)
 	pkg := loadFixture(t, l, "maporder/netsim")
 	checkGolden(t, "maporder", []*Package{pkg}, []Analyzer{NewMapOrder()})
 }
 
 func TestMapOrderSkipsNonCriticalPackages(t *testing.T) {
-	l := newTestLoader(t)
+	l := testLoader(t)
 	pkg := loadFixture(t, l, "maporder/netsim")
 	m := &MapOrder{CriticalPkgs: map[string]bool{"someotherpkg": true}}
 	if diags := Run([]*Package{pkg}, []Analyzer{m}); len(diags) != 1 {
@@ -86,7 +92,7 @@ func TestMapOrderSkipsNonCriticalPackages(t *testing.T) {
 }
 
 func TestSchedBlock(t *testing.T) {
-	l := newTestLoader(t)
+	l := testLoader(t)
 	pkg := loadFixture(t, l, "schedblock/schedy")
 	checkGolden(t, "schedblock", []*Package{pkg}, []Analyzer{NewSchedBlock()})
 }
@@ -99,7 +105,7 @@ func ownershipSuite() []Analyzer {
 }
 
 func TestPktOwn(t *testing.T) {
-	l := newTestLoader(t)
+	l := testLoader(t)
 	pkg := loadFixture(t, l, "pktown/pktfix")
 	checkGolden(t, "pktown", []*Package{pkg}, ownershipSuite())
 }
@@ -108,7 +114,7 @@ func TestPktOwn(t *testing.T) {
 // same code internal/netsim/sanitize_test.go executes under -tags
 // simdebug — to its exact file:line.
 func TestPktOwnUAF(t *testing.T) {
-	l := newTestLoader(t)
+	l := testLoader(t)
 	pkg := loadFixture(t, l, "pktown/uaf")
 	diags := Run([]*Package{pkg}, ownershipSuite())
 	checkGolden(t, "pktown_uaf", []*Package{pkg}, ownershipSuite())
@@ -122,13 +128,13 @@ func TestPktOwnUAF(t *testing.T) {
 // function literals: a leak names the literal by its enclosing
 // function, and a use after release is caught in the literal's body.
 func TestPktOwnInLiteral(t *testing.T) {
-	l := newTestLoader(t)
+	l := testLoader(t)
 	pkg := loadFixture(t, l, "pktown/inlit")
 	checkGolden(t, "pktown_inlit", []*Package{pkg}, ownershipSuite())
 }
 
 func TestStaleCapture(t *testing.T) {
-	l := newTestLoader(t)
+	l := testLoader(t)
 	pkg := loadFixture(t, l, "stalecapture/stalefix")
 	checkGolden(t, "stalecapture", []*Package{pkg}, ownershipSuite())
 }
@@ -137,7 +143,7 @@ func TestStaleCapture(t *testing.T) {
 // analyzer lists, digits in names, and malformed-annotation
 // diagnostics.
 func TestAllowMulti(t *testing.T) {
-	l := newTestLoader(t)
+	l := testLoader(t)
 	pkg := loadFixture(t, l, "allowlist/multi")
 	checkGolden(t, "allowmulti", []*Package{pkg}, ownershipSuite())
 }
@@ -146,7 +152,7 @@ func TestAllowMulti(t *testing.T) {
 // (file, line, col, analyzer, message) — the stability contract
 // cmd/simlint documents for both text and -json output.
 func TestRunOrdering(t *testing.T) {
-	l := newTestLoader(t)
+	l := testLoader(t)
 	pkgs := []*Package{
 		loadFixture(t, l, "pktown/pktfix"),
 		loadFixture(t, l, "stalecapture/stalefix"),
@@ -184,7 +190,7 @@ func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")
 	}
-	l := newTestLoader(t)
+	l := testLoader(t)
 	pkgs, err := l.LoadAll(".")
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +207,7 @@ func TestRepoClean(t *testing.T) {
 // annotation naming an analyzer that does not exist is reported even
 // though that analyzer is in no run set, and only under the audit.
 func TestUnusedAllows(t *testing.T) {
-	l := newTestLoader(t)
+	l := testLoader(t)
 	pkg := loadFixture(t, l, "allowlist/unused")
 	if diags := Run([]*Package{pkg}, allocfreeSuite()); len(diags) != 0 {
 		t.Fatalf("the annotation is well-formed; want no diagnostic without the audit, got %v", diags)
@@ -241,7 +247,7 @@ func TestUnusedAllows(t *testing.T) {
 // "violation", hot roots as "hotpath", and the rows are totally
 // ordered.
 func TestInventory(t *testing.T) {
-	l := newTestLoader(t)
+	l := testLoader(t)
 	pkgs := []*Package{
 		loadFixture(t, l, "allocfree/hotalloc"),
 		loadFixture(t, l, "allowlist/unusedalloc"),
@@ -293,7 +299,7 @@ func allocfreeSuite() []Analyzer {
 // TestPktOwnUAF's one-bug-two-catchers contract. The pre-bound
 // BoundPump.Tick in the same fixture must stay silent.
 func TestAllocFreeHotAlloc(t *testing.T) {
-	l := newTestLoader(t)
+	l := testLoader(t)
 	pkg := loadFixture(t, l, "allocfree/hotalloc")
 	diags := Run([]*Package{pkg}, allocfreeSuite())
 	checkGolden(t, "allocfree_hotalloc", []*Package{pkg}, allocfreeSuite())
@@ -309,7 +315,7 @@ func TestAllocFreeHotAlloc(t *testing.T) {
 // directive, and a comma-separated allow list naming allocfree
 // alongside another analyzer suppresses the finding.
 func TestAllocFreeGrammar(t *testing.T) {
-	l := newTestLoader(t)
+	l := testLoader(t)
 	pkg := loadFixture(t, l, "allocfree/hotgrammar")
 	checkGolden(t, "allocfree_grammar", []*Package{pkg}, allocfreeSuite())
 }
@@ -318,7 +324,7 @@ func TestAllocFreeGrammar(t *testing.T) {
 // analyzer: the live suppression on the hot make is consumed, the
 // stale one on the cold path is reported.
 func TestUnusedAllocAllows(t *testing.T) {
-	l := newTestLoader(t)
+	l := testLoader(t)
 	pkg := loadFixture(t, l, "allowlist/unusedalloc")
 	diags := RunWith([]*Package{pkg}, allocfreeSuite(), RunOpts{UnusedAllows: true})
 	if len(diags) != 1 {
