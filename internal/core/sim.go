@@ -110,9 +110,12 @@ type Simulation struct {
 	flowBuf *obs.FlowBuffer
 	windows *obs.Windows
 	// winCmdSum/winCmdN accumulate command→flood latencies inside the
-	// current window; the cnc_cmd_latency_s column drains them.
+	// current window, each measured from orderAt, the latest order's
+	// issue (the attack's, then each command wave's); the
+	// cnc_cmd_latency_s column drains them.
 	winCmdSum float64
 	winCmdN   int
+	orderAt   sim.Time
 
 	results Results
 
@@ -490,7 +493,7 @@ func (s *Simulation) noteFloodStart(addr netip.Addr) {
 		if dev.floodAt < 0 {
 			dev.floodAt = now
 		}
-		s.winCmdSum += (now - s.results.AttackIssuedAt).Seconds()
+		s.winCmdSum += (now - s.orderAt).Seconds()
 		s.winCmdN++
 	}
 }
@@ -770,7 +773,7 @@ func (s *Simulation) issueAttack() {
 	s.attackIssued = true
 	s.preSnap = s.snapshot()
 	now := s.sched.Now()
-	s.results.AttackIssuedAt = now
+	s.results.AttackIssuedAt, s.orderAt = now, now
 	s.obs.Trace.EndSpan(s.recruitSpan, now)
 	method := s.cfg.AttackMethod
 	if method == "" {
@@ -867,6 +870,7 @@ func (s *Simulation) scheduleCommandWaves(method string, target netip.Addr, end 
 		if remaining <= 0 {
 			return
 		}
+		s.orderAt = now
 		s.attacker.CNC.LaunchAttack(mirai.AttackCommand{
 			Method:   method,
 			Target:   target,

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/csv"
 	"net/netip"
 	"slices"
+	"strconv"
 	"testing"
 
 	"ddosim/internal/churn"
@@ -191,6 +194,56 @@ func TestDevRecordsAgreeWithResults(t *testing.T) {
 				t.Errorf("infection curve %v; want %d points in time order", c.Times, r.Infected)
 			}
 		})
+	}
+}
+
+// TestCommandLatencyUnderWaves: cnc_cmd_latency_s measures each flood
+// start from the order that caused it, so under command waves every
+// non-zero window stays below the longest start jitter plus a second
+// of delivery, as it does without waves. Measured from the first
+// order, the later waves read their own age (5–15 s here).
+func TestCommandLatencyUnderWaves(t *testing.T) {
+	cfg := DefaultConfig(12)
+	cfg.Seed = 7
+	cfg.SimDuration = 300 * sim.Second
+	cfg.AttackDuration = 20
+	cfg.CommandWave = 5 * sim.Second
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.Windows().WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := slices.Index(rows[0], "cnc_cmd_latency_s")
+	if col < 0 {
+		t.Fatalf("no cnc_cmd_latency_s column in %v", rows[0])
+	}
+	bound := (sim.Time(cfg.NumDevs)*cfg.StartJitterPerDev + sim.Second).Seconds()
+	measured := 0
+	for _, row := range rows[1:] {
+		v, err := strconv.ParseFloat(row[col], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v == 0 {
+			continue
+		}
+		measured++
+		if v >= bound {
+			t.Errorf("window %s s: command latency %.3f s, want below %.3f s", row[0], v, bound)
+		}
+	}
+	if measured <= 2 {
+		t.Errorf("%d windows measured a command latency; the waves restarted no flood", measured)
 	}
 }
 
