@@ -698,10 +698,9 @@ func (s *Simulation) outcomeHook(dev *Dev) func(procvm.HijackOutcome) {
 func (s *Simulation) snapshot() resources.Snapshot {
 	st := s.net.Stats()
 	return resources.Snapshot{
-		ContainerBytes:  s.engine.TotalMemBytes(),
-		TxFrames:        st.TxFrames,
-		EventsProcessed: s.sched.Processed(),
-		PeakQueued:      st.PeakQueued,
+		ContainerBytes: s.engine.TotalMemBytes(),
+		TxFrames:       st.TxFrames,
+		PeakQueued:     st.PeakQueued,
 	}
 }
 

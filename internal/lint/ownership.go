@@ -62,7 +62,6 @@ var (
 	ownAllocs = map[string]bool{
 		netsimPkg + ".Network.AllocPacket": true,
 		netsimPkg + ".Network.getPacket":   true,
-		netsimPkg + ".Network.clonePacket": true,
 		netsimPkg + ".Packet.Clone":        true,
 		// Node-level pool surface: the same network-wide pool, reached
 		// through the node that sends or receives.

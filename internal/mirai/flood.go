@@ -187,7 +187,6 @@ func (f *Flooder) sendRawTCP(dst netip.AddrPort, flags netsim.TCPFlags) {
 	}
 	rng := f.p.RNG()
 	pkt := node.AllocPacket()
-	pkt.UID = node.NextUID()
 	pkt.Proto = netsim.ProtoTCP
 	pkt.Src = netip.AddrPortFrom(src, uint16(1024+rng.Intn(64000)))
 	pkt.Dst = dst

@@ -58,12 +58,10 @@ type NetworkStats struct {
 	// Drops counts queue drops, Dropped[DropTail] + Dropped[DropLoss]:
 	// what the net_drops column and net_queue_drops_total report.
 	// Stats fills it from the ledger.
-	Drops       uint64
-	QueuedNow   int
-	PeakQueued  int
-	NodesBuilt  int
-	PacketUIDs  uint64
-	MaxFrameLen int
+	Drops      uint64
+	QueuedNow  int
+	PeakQueued int
+	NodesBuilt int
 }
 
 // Network owns a set of nodes and a shared scheduler, allocates
@@ -210,10 +208,4 @@ func (s *Star) RouterDeviceFor(host *Node) *NetDevice {
 		}
 	}
 	return nil
-}
-
-// NextUID issues a unique packet id from the network-wide counter.
-func (w *Network) NextUID() uint64 {
-	w.stats.PacketUIDs++
-	return w.stats.PacketUIDs
 }

@@ -273,9 +273,6 @@ func (n *Node) deliverLocal(pkt *Packet) {
 // String implements fmt.Stringer.
 func (n *Node) String() string { return n.name }
 
-// NextUID issues a unique packet id from the network-wide counter.
-func (n *Node) NextUID() uint64 { return n.net.NextUID() }
-
 // countTx tallies one transmitted frame.
 func (n *Node) countTx(frameLen int, proto Protocol) {
 	st := &n.net.stats
@@ -286,9 +283,6 @@ func (n *Node) countTx(frameLen int, proto Protocol) {
 		st.TxBytesUDP += uint64(frameLen)
 	case ProtoTCP:
 		st.TxBytesTCP += uint64(frameLen)
-	}
-	if frameLen > st.MaxFrameLen {
-		st.MaxFrameLen = frameLen
 	}
 }
 

@@ -73,7 +73,6 @@ type TCPHeader struct {
 // backing arrays are never pooled, so a handler that keeps delivered
 // bytes (exploit payloads, C&C commands) stays correct.
 type Packet struct {
-	UID   uint64
 	Proto Protocol
 	// origin is the id of the node whose SendPacket originated the
 	// packet, 0 when it entered the network another way. The sink

@@ -55,7 +55,7 @@ func (pp *pktPool) put(p *Packet) {
 func (pp *pktPool) clone(p *Packet) *Packet {
 	p.sanCheck("clonePacket")
 	cp := pp.get()
-	cp.UID, cp.Proto, cp.origin, cp.Src, cp.Dst, cp.Pad = p.UID, p.Proto, p.origin, p.Src, p.Dst, p.Pad
+	cp.Proto, cp.origin, cp.Src, cp.Dst, cp.Pad = p.Proto, p.origin, p.Src, p.Dst, p.Pad
 	if p.Payload != nil {
 		cp.Payload = make([]byte, len(p.Payload)) //simlint:allow allocfree(clone's contract is a deep payload copy; the flood path sends padded packets with nil Payload and never pays this)
 		copy(cp.Payload, p.Payload)
@@ -107,9 +107,8 @@ func (w *Network) AllocPacket() *Packet { return w.getPacket() }
 // Node.ReleasePacket).
 func (w *Network) ReleasePacket(p *Packet) { w.putPacket(p) }
 
-func (w *Network) getPacket() *Packet            { return w.pp.get() }
-func (w *Network) putPacket(p *Packet)           { w.pp.put(p) }
-func (w *Network) clonePacket(p *Packet) *Packet { return w.pp.clone(p) }
+func (w *Network) getPacket() *Packet  { return w.pp.get() }
+func (w *Network) putPacket(p *Packet) { w.pp.put(p) }
 
 // pktRing is a growable FIFO of packets backed by a circular buffer —
 // the storage for a device's egress queue and in-flight window. Push

@@ -47,7 +47,7 @@ func TestPooledCloneIsolation(t *testing.T) {
 	p := w.AllocPacket()
 	p.Payload = []byte{1, 2, 3}
 	p.SetTCP(FlagSYN, 7, 8)
-	cp := w.clonePacket(p)
+	cp := w.pp.clone(p)
 	cp.Payload[0] = 99
 	cp.TCP.Seq = 100
 	if p.Payload[0] != 1 || p.TCP.Seq != 7 {
@@ -79,9 +79,8 @@ func TestSetTCPCloneFixup(t *testing.T) {
 // so the capacity must stay a power of two.
 func TestPktRingFIFO(t *testing.T) {
 	var r pktRing
-	mk := func(uid uint64) *Packet { return &Packet{UID: uid} }
-	next := uint64(0)
-	out := uint64(0)
+	mk := func(tag int) *Packet { return &Packet{Pad: tag} }
+	next, out := 0, 0
 	grewWrapped := false
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 7; i++ {
@@ -95,15 +94,15 @@ func TestPktRingFIFO(t *testing.T) {
 		}
 		for i := 0; i < 5; i++ {
 			out++
-			if got := r.pop(); got.UID != out {
-				t.Fatalf("pop = %d, want %d", got.UID, out)
+			if got := r.pop(); got.Pad != out {
+				t.Fatalf("pop = %d, want %d", got.Pad, out)
 			}
 		}
 	}
 	for r.len() > 0 {
 		out++
-		if got := r.pop(); got.UID != out {
-			t.Fatalf("drain pop = %d, want %d", got.UID, out)
+		if got := r.pop(); got.Pad != out {
+			t.Fatalf("drain pop = %d, want %d", got.Pad, out)
 		}
 	}
 	if out != next {

@@ -7,8 +7,8 @@ package netsim
 // in internal/lint. The protocol, AddressSanitizer-style:
 //
 //   - release stamps the packet (generation bump, release site),
-//     zeroes it, then poisons the user-visible scalar fields with
-//     sentinel values so stale readers see garbage deterministically;
+//     zeroes it, then poisons Pad with a sentinel value so stale
+//     readers see garbage deterministically;
 //   - re-allocation from the free list clears the poison and records
 //     the new alloc site;
 //   - every packet touchpoint (Size, SetTCP, Clone, String, the
@@ -37,14 +37,10 @@ type sanState struct {
 	freedAt  string
 }
 
-// Poison patterns written into released packets. The UID sentinel is
-// the classic heap-poison constant; Pad is made hugely negative so
-// any wire-size computation on a stale packet produces an absurd
-// value even if the panic were somehow bypassed.
-const (
-	poisonUID uint64 = 0xdeadbeefdeadbeef
-	poisonPad int    = -0x5eedfeed
-)
+// poisonPad is written into released packets: Pad is made hugely
+// negative so any wire-size computation on a stale packet produces an
+// absurd value even if the panic were somehow bypassed.
+const poisonPad = -0x5eedfeed
 
 // sanSite reports the first interesting caller frame — skipping the
 // sanitizer itself and the pool/packet internals, so the recorded
@@ -79,7 +75,6 @@ func (p *Packet) sanAlloc() {
 // sanUnpoison clears the poison pattern when a packet leaves the free
 // list, restoring the zeroed-struct contract of putPacket.
 func (p *Packet) sanUnpoison() {
-	p.UID = 0
 	p.Pad = 0
 }
 
@@ -96,10 +91,9 @@ func (p *Packet) sanRelease() {
 	p.san.freedAt = sanSite()
 }
 
-// sanPoison writes the sentinel patterns; applied after putPacket has
+// sanPoison writes the sentinel pattern; applied after putPacket has
 // zeroed the struct.
 func (p *Packet) sanPoison() {
-	p.UID = poisonUID
 	p.Pad = poisonPad
 }
 

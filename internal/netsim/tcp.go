@@ -260,7 +260,6 @@ func (c *TCPConn) node() *Node { return c.host.node }
 func (c *TCPConn) sendSegment(flags TCPFlags, seq, ack uint32, payload []byte) {
 	n := c.node()
 	pkt := n.getPacket()
-	pkt.UID = n.NextUID()
 	pkt.Proto = ProtoTCP
 	pkt.Src = c.key.local
 	pkt.Dst = c.key.remote
@@ -421,7 +420,6 @@ func (h *tcpHost) deliver(pkt *Packet) {
 
 func (h *tcpHost) sendRST(in *Packet) {
 	pkt := h.node.getPacket()
-	pkt.UID = h.node.NextUID()
 	pkt.Proto = ProtoTCP
 	pkt.Src = in.Dst
 	pkt.Dst = in.Src

@@ -47,8 +47,6 @@ type Snapshot struct {
 	ContainerBytes int
 	// TxFrames is the cumulative frames transmitted network-wide.
 	TxFrames uint64
-	// EventsProcessed is the scheduler's cumulative event count.
-	EventsProcessed uint64
 	// PeakQueued is the network-wide peak of simultaneously buffered
 	// frames so far.
 	PeakQueued int

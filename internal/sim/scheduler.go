@@ -81,8 +81,7 @@ func (s *Scheduler) Now() Time { return s.now }
 // rand, to keep runs reproducible.
 func (s *Scheduler) RNG() *rand.Rand { return s.rng }
 
-// Processed reports how many events have executed so far. The resource
-// model uses this as a proxy for simulator workload (Table I).
+// Processed reports how many events have executed so far.
 func (s *Scheduler) Processed() uint64 { return s.processed }
 
 // Pending reports how many events are queued and not cancelled.
