@@ -200,8 +200,8 @@ func TestDevRecordsAgreeWithResults(t *testing.T) {
 // TestCommandLatencyUnderWaves: cnc_cmd_latency_s measures each flood
 // start from the order that caused it, so under command waves every
 // non-zero window stays below the longest start jitter plus a second
-// of delivery, as it does without waves. Measured from the first
-// order, the later waves read their own age (5–15 s here).
+// of delivery, as it does without waves. A latency measured from the
+// first order would read each later wave's age (5–15 s here).
 func TestCommandLatencyUnderWaves(t *testing.T) {
 	cfg := DefaultConfig(12)
 	cfg.Seed = 7

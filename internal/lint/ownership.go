@@ -171,14 +171,14 @@ type ownAnalyzer struct {
 // leaks, cross-validated at runtime by the simdebug sanitizer in
 // internal/netsim.
 //
-// stalecapture flags scheduler callbacks (sim.Schedule/ScheduleAt/NewTicker
-// function-literal arguments) that capture pooled values whose
-// lifetime ends before the event can fire under the slot/generation
-// kernel: borrowed packets (including range-loop variables over
-// packet containers) whose borrow expires when the scheduling frame
-// returns, packets already released or handed off at capture time,
-// and owned packets released while a pending callback still holds
-// them.
+// stalecapture flags scheduler callbacks (function-literal arguments
+// of sim.Schedule, ScheduleAt and NewTicker) that capture pooled
+// values whose lifetime ends before the event can fire under the
+// slot/generation kernel: borrowed packets (including range-loop
+// variables over packet containers) whose borrow expires when the
+// scheduling frame returns, packets already released or handed off at
+// capture time, and owned packets released while a pending callback
+// still holds them.
 func NewOwnership() (pktown, stalecapture Analyzer) {
 	eng := &ownEngine{
 		summaries: make(map[*types.Func]*ownSummary),

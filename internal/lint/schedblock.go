@@ -8,10 +8,10 @@ import (
 
 // SchedBlock inspects function literals passed to the simulation
 // kernel's scheduling entry points (sim.Scheduler.Schedule and
-// ScheduleAt, sim.NewTicker). Those callbacks execute on the event loop: a
-// channel operation or lock wait inside one deadlocks the entire
-// simulation, and a spawned goroutine races the kernel state the loop
-// exists to serialize.
+// ScheduleAt, sim.NewTicker). Those callbacks execute on the event
+// loop: a channel operation or lock wait inside one deadlocks the
+// entire simulation, and a spawned goroutine races the kernel state
+// the loop exists to serialize.
 type SchedBlock struct {
 	// SimPkg is the import path of the scheduler package.
 	SimPkg string
