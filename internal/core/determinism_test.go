@@ -23,6 +23,7 @@ type artifacts struct {
 	chrome []byte // Chrome trace_event JSON
 	flows  []byte // labeled flow dataset CSV
 	ts     []byte // windowed time-series CSV
+	prom   []byte // Prometheus metrics dump
 }
 
 // equal compares all artifacts and reports each mismatch through t.
@@ -37,6 +38,7 @@ func (a artifacts) equal(t *testing.T, b artifacts, what string) {
 		{"Chrome trace", a.chrome, b.chrome},
 		{"flow CSV", a.flows, b.flows},
 		{"time-series CSV", a.ts, b.ts},
+		{"Prometheus dump", a.prom, b.prom},
 	}
 	for _, p := range pairs {
 		if !bytes.Equal(p.x1, p.x2) {
@@ -132,6 +134,7 @@ func runArtifacts(cfg core.Config) (artifacts, *core.Simulation, *core.Results, 
 		{&out.chrome, s.Obs().Trace.WriteChromeTrace},
 		{&out.flows, s.Flows().WriteCSV},
 		{&out.ts, s.Windows().WriteCSV},
+		{&out.prom, s.Obs().Registry().WritePrometheus},
 	} {
 		var buf bytes.Buffer
 		if err := w.write(&buf); err != nil {
@@ -158,7 +161,10 @@ func runArtifacts(cfg core.Config) (artifacts, *core.Simulation, *core.Results, 
 // clock had fixed at 1000000), and its top_sources list names the
 // sources the "unlabeled" row used to merge (the flood's, on every
 // golden). The trace, flow and time-series hashes held.
-type goldenHashes struct{ rep, jsonl, chrome, flows, ts string }
+//
+// The Prometheus dump's hash joined every golden later, captured
+// without moving any other byte.
+type goldenHashes struct{ rep, jsonl, chrome, flows, ts, prom string }
 
 // matchGolden reports every artifact whose hash differs from want.
 func (a artifacts) matchGolden(t *testing.T, what string, want goldenHashes) {
@@ -172,6 +178,7 @@ func (a artifacts) matchGolden(t *testing.T, what string, want goldenHashes) {
 		{"Chrome trace", want.chrome, a.chrome},
 		{"flow CSV", want.flows, a.flows},
 		{"time-series CSV", want.ts, a.ts},
+		{"Prometheus dump", want.prom, a.prom},
 	} {
 		if got := sha256Hex(g.got); got != g.want {
 			t.Errorf("%s: %s hash = %s, want %s", what, g.name, got, g.want)
@@ -217,6 +224,7 @@ func TestFaultFreeArtifactsMatchPrePRGolden(t *testing.T) {
 		chrome: "78227878a9518260ffd02745ee97d2621eff3e4304e82f4871b1e23c825e9b2f",
 		flows:  "13cffc1ccdc455f2ec8b12ca56fd588684f5153b82e273c457192c0c3dc55097",
 		ts:     "1c32e115904f53dafff0228742b7945e99f4f41ef1b06541762a29653fb9161f",
+		prom:   "1afd865393c720d5062c7e3d7ca24aa66c25dbefb98b4727a1f27fccbc6f217f",
 	})
 }
 
@@ -261,6 +269,7 @@ func TestCongestedFaultTraceMatchesGolden(t *testing.T) {
 		chrome: "e07316cf3f42cd540fd66a8b46846f4e0ac61ce3f859f9fd8a938bc832807fe4",
 		flows:  "a07eadae23b3023272cb3373fc49713ca2943ab2d58db3d89a09215929acd096",
 		ts:     "4145f39ee79e2141dbdd0a76c8eef2a3d5089743d922fcb07e8f47d5fb465774",
+		prom:   "f462cfbad1d1775d1e9f826dd843208e7f4ac7baf318198e67b7bf8122e1475a",
 	})
 }
 
@@ -285,6 +294,7 @@ func TestCredentialArtifactsMatchGolden(t *testing.T) {
 		chrome: "69aedd29a5151b2b9bcc4527005100ab644918b55e56c9a26092525e59916b2b",
 		flows:  "03fe995636ec6e2583f62e3602bda2365bc573e56cb5b4a4a5ccf0c7dadc97d4",
 		ts:     "887bc4c5ae4b7371417058dd597940f33822b0cb5f8406f00373ad44a4bf3701",
+		prom:   "d03593df962ed8d6d50d4f11c67fc6a3c7df4a82f743f32b73b6e49537458bbf",
 	})
 }
 
@@ -307,6 +317,7 @@ func TestCNCCrashArtifactsMatchGolden(t *testing.T) {
 			chrome: "155a22b7a6fa7c5d4035b123caf99873fdb6c779a6008d81df99a3d00c662e06",
 			flows:  "bbea002b352a861610bf5f51987fab3985f76b71cc4aa1e208a1e67416030142",
 			ts:     "7a8ac0c4eb8e8dd057d6aff6dc5db28219573aa81e1acddc82d4829907f57443",
+			prom:   "d94ef9dca523d4b40da5a94dbc35f20aaa9df233eb1f9c4152b5718ab615c484",
 		}},
 		{"p2p", p2p, goldenHashes{
 			rep:    "b589f2a485bd0768d059b912bda0d736247e61d99fa44b78759b02068692b170",
@@ -314,6 +325,7 @@ func TestCNCCrashArtifactsMatchGolden(t *testing.T) {
 			chrome: "46d4deeeb8c63bffbfadb38f07a4617707a01724b22dc26ab8dee35406bc062d",
 			flows:  "793045f0047e09126e8dfb72cd88840f2dd5b412ca188dacec7d1a147de273b4",
 			ts:     "1a10b3ec1595ac4ca878a50966151735c33e46e5b3e0b6862a4e39adfb1665d9",
+			prom:   "321e86db88ad20e9faec72b1c1c8b6321c4725c9867b83e14564e8ca5096bc95",
 		}},
 	} {
 		t.Run(tc.family, func(t *testing.T) {

@@ -193,6 +193,7 @@ func TestEveryEventLabelled(t *testing.T) {
 func TestMetricsAgreeWithResults(t *testing.T) {
 	s, r := runTraced(t, 2)
 	checkMetricsAgree(t, s, r)
+	checkCNCRows(t, s, r)
 
 	// A faulted run with C&C crashes: every faults_* row equals the
 	// injector's count, and the cnc_* rows span the C&C's re-execs.
@@ -231,10 +232,44 @@ func TestMetricsAgreeWithResults(t *testing.T) {
 			t.Errorf("faulted run: %s = %d, the injector counted %d", c.name, got, c.want)
 		}
 	}
-	// The re-exec'd C&C counts only the registrations since its start;
-	// the registry counts every instance's.
-	if got, live := reg.CounterValue("cnc_registrations_total"), uint64(s.CNC().TotalRegistered); got <= live {
-		t.Errorf("cnc_registrations_total = %d, not above the live C&C's %d", got, live)
+	checkCNCRows(t, s, r)
+
+	// Command waves: every wave is one more attack command.
+	cfg = smallConfig(10)
+	cfg.Seed = 2
+	cfg.Churn = churn.Dynamic
+	cfg.CommandWave = 5 * sim.Second
+	if s, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if r, err = s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s.CNC().AttacksIssued < 2 {
+		t.Fatalf("wave run issued %d commands; the scenario no longer re-commands", s.CNC().AttacksIssued)
+	}
+	checkMetricsAgree(t, s, r)
+	checkCNCRows(t, s, r)
+}
+
+// checkCNCRows compares the cnc_* rows with the facts behind them,
+// which span every C&C instance a run executes: registrations and
+// losses with the timeline's entries, commands with the C&C's trace
+// events.
+func checkCNCRows(t *testing.T, s *Simulation, r *Results) {
+	t.Helper()
+	reg := s.Obs().Metrics
+	for _, c := range []struct {
+		name string
+		want int
+	}{
+		{"cnc_registrations_total", r.Timeline.Count(EventBotJoined)},
+		{"cnc_bots_lost_total", r.Timeline.Count(EventBotLost)},
+		{"cnc_attack_commands_total", s.Obs().Trace.CountEvents(obs.CatCNC, "attack-command")},
+	} {
+		if got := reg.CounterValue(c.name); got != uint64(c.want) {
+			t.Errorf("%s = %d, the run recorded %d", c.name, got, c.want)
+		}
 	}
 }
 

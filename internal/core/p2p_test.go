@@ -134,6 +134,7 @@ func TestP2PFaultArtifactsMatchGolden(t *testing.T) {
 		chrome: "281deabf8851489d5f06f7ed9f853c8414b96dab362a40a8c8d0fac31bb581ec",
 		flows:  "ef4e6d0575fdfee232acd46cfaa3e5a0d272308b4564a44b46d318e857d5080c",
 		ts:     "3f885b30c78233a30d7a8c96142e9350bebee9970405d593bae1f74b4d26b5f9",
+		prom:   "20e6dad3f72c001715a184336857b6012d61b077b78a7353e39698532e763d2d",
 	})
 }
 
