@@ -117,6 +117,12 @@ type Simulation struct {
 	winCmdN   int
 	orderAt   sim.Time
 
+	// cncRegistered, cncLost and cncCommands count the C&C's
+	// registrations, bot losses and attack commands across every
+	// instance a run executes: a crashed C&C's replacement starts its
+	// own counts from zero.
+	cncRegistered, cncLost, cncCommands uint64
+
 	results Results
 
 	attackIssued bool
@@ -398,8 +404,12 @@ func (s *Simulation) deployAttacker() error {
 		},
 		CNC: mirai.CNCConfig{
 			ReplayAttackCommand: s.cfg.CNCReplayAttack,
-			OnBotRegistered:     func(addr netip.Addr, _ string) { s.noteJoined(addr) },
+			OnBotRegistered: func(addr netip.Addr, _ string) {
+				s.cncRegistered++
+				s.noteJoined(addr)
+			},
 			OnBotLost: func(addr netip.Addr) {
+				s.cncLost++
 				if dev, ok := s.devByAddr[addr]; ok {
 					s.timeline.Record(s.sched.Now(), EventBotLost, dev.name)
 				}
@@ -810,6 +820,7 @@ func (s *Simulation) issueAttack() {
 			// centralized dependence the takedown contrast measures.
 			dur = s.waveSecs(s.cfg.AttackDuration)
 		}
+		s.cncCommands++
 		n = s.attacker.CNC.LaunchAttack(mirai.AttackCommand{
 			Method:   method,
 			Target:   target,
@@ -870,6 +881,7 @@ func (s *Simulation) scheduleCommandWaves(method string, target netip.Addr, end 
 			return
 		}
 		s.orderAt = now
+		s.cncCommands++
 		s.attacker.CNC.LaunchAttack(mirai.AttackCommand{
 			Method:   method,
 			Target:   target,
@@ -909,20 +921,17 @@ func (s *Simulation) assemble() {
 	reg := s.obs.Metrics
 	st := r.NetStats
 	for _, c := range s.counterRows() {
-		reg.Counter(c.name, c.help).Add(c.v)
+		reg.Counter(c.name, c.help, c.v)
 	}
-	reg.Gauge("net_queue_depth", "frames buffered anywhere in the network right now").Set(float64(st.QueuedNow))
-	reg.Gauge("net_queue_depth_peak", "peak frames buffered anywhere in the network").Set(float64(st.PeakQueued))
-	reg.Gauge("sim_events_processed", "scheduler events executed this run").
-		Set(float64(s.sched.Processed()))
-	reg.Gauge("sim_queue_depth", "scheduler events pending right now").
-		Set(float64(s.sched.Pending()))
+	reg.Gauge("net_queue_depth", "frames buffered anywhere in the network right now", float64(st.QueuedNow))
+	reg.Gauge("net_queue_depth_peak", "peak frames buffered anywhere in the network", float64(st.PeakQueued))
+	reg.Gauge("sim_events_processed", "scheduler events executed this run", float64(s.sched.Processed()))
+	reg.Gauge("sim_queue_depth", "scheduler events pending right now", float64(s.sched.Pending()))
 	if r.AttackIssuedAt > 0 {
-		reg.Gauge("infections_per_sec", "mean infections per second up to the attack order").
-			Set(float64(r.Infected) / r.AttackIssuedAt.Seconds())
+		reg.Gauge("infections_per_sec", "mean infections per second up to the attack order",
+			float64(r.Infected)/r.AttackIssuedAt.Seconds())
 	}
-	reg.Gauge("sink_rx_bytes_total", "attack bytes TServer's sink logged").
-		Set(float64(r.SinkBytes))
+	reg.Gauge("sink_rx_bytes_total", "attack bytes TServer's sink logged", float64(r.SinkBytes))
 	r.Obs = s.obs.Summarize(s.sched)
 
 	if s.attackIssued {
@@ -988,12 +997,8 @@ type counterRow struct {
 }
 
 // counterRows lists the registry counters assemble publishes. Each
-// mirrors a count the run keeps for its whole length, so it is filled
-// once, from that count, after the run; nothing increments a registry
-// counter while the run is going. The cnc_* rows are the exception:
-// the C&C keeps them live (mirai.CNC), because a crashed C&C's
-// replacement starts its own counts from zero and the registry is the
-// one count that spans every instance.
+// mirrors a count the run keeps for its whole length, so it is
+// published once, from that count, after the run.
 func (s *Simulation) counterRows() []counterRow {
 	r, st := &s.results, s.results.NetStats
 	rows := []counterRow{
@@ -1021,6 +1026,12 @@ func (s *Simulation) counterRows() []counterRow {
 	if dhcp := s.attacker.DHCP; dhcp != nil {
 		rows = append(rows, counterRow{"exploit_dhcpv6_messages_total",
 			"crafted RELAY-FORW multicasts sent (Dnsmasq channel)", dhcp.MessagesSent})
+	}
+	if s.attacker.CNC != nil {
+		rows = append(rows,
+			counterRow{"cnc_registrations_total", "successful bot registrations at the C&C", s.cncRegistered},
+			counterRow{"cnc_bots_lost_total", "bot connections the C&C lost", s.cncLost},
+			counterRow{"cnc_attack_commands_total", "attack commands broadcast by the C&C", s.cncCommands})
 	}
 	if f := r.Faults; f != nil {
 		rows = append(rows,

@@ -46,7 +46,7 @@ type CNCConfig struct {
 	// paper's Fig. 2 churn gap (pinned by a test).
 	ReplayAttackCommand bool
 	// Obs, when set, records registrations, losses, and attack
-	// commands as trace events and metrics.
+	// commands as trace events.
 	Obs *obs.Obs
 }
 
@@ -77,10 +77,7 @@ type CNC struct {
 	lastCmdAt sim.Time
 	haveCmd   bool
 
-	trace         *obs.Tracer
-	ctrRegistered *obs.Counter
-	ctrLost       *obs.Counter
-	ctrCommands   *obs.Counter
+	trace *obs.Tracer
 }
 
 var _ container.Behavior = (*CNC)(nil)
@@ -99,14 +96,7 @@ func NewCNC(cfg CNCConfig) *CNC {
 	if cfg.BotTimeout <= 0 {
 		cfg.BotTimeout = 180 * sim.Second
 	}
-	c := &CNC{cfg: cfg, bots: make(map[*netsim.TCPConn]*BotRecord)}
-	c.trace = cfg.Obs.Tracer()
-	if reg := cfg.Obs.Registry(); reg != nil {
-		c.ctrRegistered = reg.Counter("cnc_registrations_total", "successful bot registrations at the C&C")
-		c.ctrLost = reg.Counter("cnc_bots_lost_total", "bot connections the C&C lost")
-		c.ctrCommands = reg.Counter("cnc_attack_commands_total", "attack commands broadcast by the C&C")
-	}
-	return c
+	return &CNC{cfg: cfg, bots: make(map[*netsim.TCPConn]*BotRecord), trace: cfg.Obs.Tracer()}
 }
 
 // Name implements container.Behavior.
@@ -183,7 +173,6 @@ func (c *CNC) LaunchAttack(cmd AttackCommand) int {
 		}
 	}
 	c.AttacksIssued++
-	c.ctrCommands.Inc()
 	c.trace.Event(c.p.Sched().Now(), obs.CatCNC, "attack-command",
 		obs.KV{K: "method", V: cmd.Method},
 		obs.KV{K: "target", V: cmd.Target.String()},
@@ -247,7 +236,6 @@ func (c *CNC) serveBot(conn *netsim.TCPConn, rest []byte) {
 				}
 				c.bots[conn] = rec
 				c.TotalRegistered++
-				c.ctrRegistered.Inc()
 				c.trace.Event(rec.ConnectedAt, obs.CatCNC, "bot-registered",
 					obs.KV{K: "addr", V: rec.Addr.String()},
 					obs.KV{K: "arch", V: rec.Arch})
@@ -267,7 +255,6 @@ func (c *CNC) serveBot(conn *netsim.TCPConn, rest []byte) {
 	conn.SetCloseHandler(func(error) {
 		if rec, ok := c.bots[conn]; ok {
 			delete(c.bots, conn)
-			c.ctrLost.Inc()
 			c.trace.Event(c.p.Sched().Now(), obs.CatCNC, "bot-lost",
 				obs.KV{K: "addr", V: rec.Addr.String()})
 			if c.cfg.OnBotLost != nil {

@@ -7,40 +7,27 @@ import (
 
 func TestCounterAndGauge(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("frames_total", "frames sent")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Errorf("counter = %d, want 5", got)
-	}
-	if r.Counter("frames_total", "ignored") != c {
-		t.Error("get-or-create returned a different counter")
-	}
+	r.Counter("frames_total", "frames sent", 5)
+	r.Gauge("queue_depth", "queue depth", 7.5)
 	if got := r.CounterValue("frames_total"); got != 5 {
 		t.Errorf("CounterValue = %d, want 5", got)
 	}
-	if got := r.CounterValue("missing"); got != 0 {
-		t.Errorf("missing CounterValue = %d, want 0", got)
+	if got := r.GaugeValue("queue_depth"); got != 7.5 {
+		t.Errorf("GaugeValue = %v, want 7.5", got)
 	}
-
-	g := r.Gauge("queue_depth", "live queue depth")
-	g.Set(7)
-	g.Set(5)
-	if got := g.Value(); got != 5 {
-		t.Errorf("gauge = %v, want 5", got)
-	}
-	if got := r.GaugeValue("queue_depth"); got != 5 {
-		t.Errorf("GaugeValue = %v, want 5", got)
+	// A row reads back only as the kind it was published as.
+	if r.CounterValue("missing") != 0 || r.CounterValue("queue_depth") != 0 || r.GaugeValue("frames_total") != 0 {
+		t.Error("a missing or other-kind row read nonzero")
 	}
 }
 
 func TestWritePrometheusDeterministic(t *testing.T) {
 	build := func() *Registry {
 		r := NewRegistry()
-		// Register in one order, bump in another; the dump sorts.
-		r.Counter("zeta_total", "last alphabetically").Add(3)
-		r.Gauge("alpha_depth", "first alphabetically").Set(1.5)
-		r.Counter("mid_total", "").Inc()
+		// Publish out of name order; the dump sorts.
+		r.Counter("zeta_total", "last alphabetically", 3)
+		r.Gauge("alpha_depth", "first alphabetically", 1.5)
+		r.Counter("mid_total", "", 1)
 		return r
 	}
 	var a, b bytes.Buffer
@@ -66,19 +53,35 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 	}
 }
 
+// TestPublishingANameTwicePanics pins that a name reaches the dump at
+// most once: publishing it again, as either kind, panics.
+func TestPublishingANameTwicePanics(t *testing.T) {
+	for _, again := range []struct {
+		kind    string
+		publish func(*Registry)
+	}{
+		{"counter", func(r *Registry) { r.Counter("dup", "again", 1) }},
+		{"gauge", func(r *Registry) { r.Gauge("dup", "again", 1) }},
+	} {
+		t.Run(again.kind, func(t *testing.T) {
+			r := NewRegistry()
+			r.Counter("dup", "first", 2)
+			defer func() {
+				if recover() == nil {
+					t.Error("publishing dup twice did not panic")
+				}
+			}()
+			again.publish(r)
+		})
+	}
+}
+
+// TestNilRegistryAndMetrics pins the nil-safe table: a nil registry
+// publishes no row and reads every row as zero.
 func TestNilRegistryAndMetrics(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x", "")
-	c.Inc()
-	c.Add(3)
-	if c.Value() != 0 {
-		t.Error("nil counter accumulated")
-	}
-	g := r.Gauge("y", "")
-	g.Set(4)
-	if g.Value() != 0 {
-		t.Error("nil gauge accumulated")
-	}
+	r.Counter("x", "", 3)
+	r.Gauge("y", "", 4)
 	if r.CounterValue("x") != 0 || r.GaugeValue("y") != 0 {
 		t.Error("nil registry reported values")
 	}

@@ -11,8 +11,10 @@
 //   - Tracer: typed spans and point events keyed to sim.Time,
 //     exportable as JSONL or as Chrome trace_event JSON that opens
 //     directly in chrome://tracing or Perfetto.
-//   - Registry: named counters and gauges with a
-//     Prometheus-style text dump, replacing scattered one-off counters.
+//   - Registry: the table of named counters and gauges a run
+//     publishes once, from the counts it kept, when it has ended,
+//     with a Prometheus-style text dump. Nothing updates a metric
+//     while the run is going.
 //
 // Where the event loop's work went is the kernel's own account: it
 // counts delivered events per sim.Source, and Summarize reads those
