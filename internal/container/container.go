@@ -2,7 +2,7 @@ package container
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ddosim/internal/netsim"
 	"ddosim/internal/procvm"
@@ -21,7 +21,7 @@ type Container struct {
 	node   *netsim.Node
 	engine *Engine
 
-	procs           map[int]*Process
+	procs           []*Process // live processes in pid order
 	nextPID         int
 	running         bool
 	logs            []string
@@ -110,11 +110,9 @@ func (c *Container) Spawn(b Behavior) *Process {
 		behavior:  b,
 		container: c,
 		alive:     true,
-		tags:      make(map[string]string),
-		tcpPorts:  make(map[uint16]bool),
 	}
-	c.procs[p.pid] = p
-	c.engine.procsSpawned.Add(1)
+	c.procs = append(c.procs, p)
+	c.engine.stats.ProcsSpawned++
 	b.Start(p)
 	return p
 }
@@ -144,21 +142,15 @@ func (c *Container) ExecFile(path string, args []string) (*Process, error) {
 	return c.Spawn(factory(argv)), nil
 }
 
-// Procs returns the live processes ordered by pid.
-func (c *Container) Procs() []*Process {
-	out := make([]*Process, 0, len(c.procs))
-	for _, p := range c.procs { //simlint:allow maporder(collect-then-sort: slice is pid-sorted before use)
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].pid < out[j].pid })
-	return out
-}
+// Procs returns the live processes ordered by pid (a copy, so the
+// caller may kill processes while ranging over it).
+func (c *Container) Procs() []*Process { return slices.Clone(c.procs) }
 
 // FindByTCPPort returns the live process bound to the given TCP port,
 // or nil. Processes are probed in pid order so the answer is
 // deterministic even if two processes raced for the same port.
 func (c *Container) FindByTCPPort(port uint16) *Process {
-	for _, p := range c.Procs() {
+	for _, p := range c.procs {
 		if p.HasTCPPort(port) {
 			return p
 		}
@@ -168,11 +160,11 @@ func (c *Container) FindByTCPPort(port uint16) *Process {
 
 // Kill terminates a process by pid.
 func (c *Container) Kill(pid int) bool {
-	p, ok := c.procs[pid]
-	if !ok {
+	i := slices.IndexFunc(c.procs, func(p *Process) bool { return p.pid == pid })
+	if i < 0 {
 		return false
 	}
-	c.reap(p)
+	c.reap(c.procs[i])
 	return true
 }
 
@@ -183,7 +175,7 @@ func (c *Container) reap(p *Process) {
 	p.alive = false
 	p.behavior.Stop(p)
 	p.releaseResources()
-	delete(c.procs, p.pid)
+	c.procs = slices.DeleteFunc(c.procs, func(q *Process) bool { return q == p })
 }
 
 // MemBytes estimates the container's resident memory: a per-container

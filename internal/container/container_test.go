@@ -208,8 +208,8 @@ func TestProcessTitleObfuscation(t *testing.T) {
 	if c.Procs()[0].Title() != "dvrHelper" {
 		t.Fatal("title not obfuscated")
 	}
-	p.SetTag("malware", "mirai")
-	if p.Tag("malware") != "mirai" {
+	p.SetMalware("mirai")
+	if p.Malware() != "mirai" {
 		t.Fatal("tag lost")
 	}
 }

@@ -2,7 +2,6 @@ package container
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ddosim/internal/netsim"
 	"ddosim/internal/sim"
@@ -38,10 +37,6 @@ type Engine struct {
 	factories  map[string]BehaviorFactory
 
 	stats EngineStats
-	// procsSpawned is kept apart from stats and updated atomically,
-	// so a reader on another goroutine may load it while a run is in
-	// progress.
-	procsSpawned atomic.Int64
 }
 
 // NewEngine creates a runtime attached to the star topology.
@@ -62,11 +57,7 @@ func (e *Engine) Sched() *sim.Scheduler { return e.sched }
 func (e *Engine) Star() *netsim.Star { return e.star }
 
 // Stats returns a copy of the engine counters.
-func (e *Engine) Stats() EngineStats {
-	st := e.stats
-	st.ProcsSpawned = int(e.procsSpawned.Load())
-	return st
-}
+func (e *Engine) Stats() EngineStats { return e.stats }
 
 // RegisterImage adds an image to the local registry.
 func (e *Engine) RegisterImage(img *Image) {
@@ -108,7 +99,6 @@ func (e *Engine) Create(imageRef, name string, link LinkConfig) (*Container, err
 		fs:     NewFS(),
 		node:   node,
 		engine: e,
-		procs:  make(map[int]*Process),
 	}
 	for _, path := range img.SortedPaths() {
 		c.fs.Write(path, img.Files[path])

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 
 	"ddosim/internal/netsim"
 	"ddosim/internal/sim"
@@ -34,12 +35,12 @@ type Process struct {
 	behavior  Behavior
 	container *Container
 	alive     bool
-	tags      map[string]string
+	malware   string
 
 	listeners  []*netsim.TCPListener
 	udpSocks   []*netsim.UDPSocket
 	conns      []*netsim.TCPConn
-	tcpPorts   map[uint16]bool
+	tcpPorts   []uint16 // every TCP port the process ever bound
 	tickers    []*sim.Ticker
 	exitStatus int
 }
@@ -54,12 +55,13 @@ func (p *Process) Title() string { return p.title }
 // argv[0] overwriting.
 func (p *Process) SetTitle(t string) { p.title = t }
 
-// SetTag attaches metadata (e.g. malware family) visible to other
-// processes in the container — the hook Mirai's rival-killing uses.
-func (p *Process) SetTag(key, value string) { p.tags[key] = value }
+// SetMalware tags the process with its malware family, visible to
+// other processes in the container — the hook Mirai's rival-killing
+// uses. The empty family marks a process that is not malware.
+func (p *Process) SetMalware(family string) { p.malware = family }
 
-// Tag reads metadata.
-func (p *Process) Tag(key string) string { return p.tags[key] }
+// Malware reads the process's malware family ("" for none).
+func (p *Process) Malware() string { return p.malware }
 
 // Alive reports whether the process is running.
 func (p *Process) Alive() bool { return p.alive }
@@ -93,7 +95,7 @@ func (p *Process) ListenTCP(port uint16, accept func(*netsim.TCPConn)) (*netsim.
 		return nil, err
 	}
 	p.listeners = append(p.listeners, l)
-	p.tcpPorts[port] = true
+	p.tcpPorts = append(p.tcpPorts, port)
 	return l, nil
 }
 
@@ -141,7 +143,7 @@ func (p *Process) ActiveTickers() int {
 
 // HasTCPPort reports whether the process ever bound the given TCP
 // port.
-func (p *Process) HasTCPPort(port uint16) bool { return p.tcpPorts[port] }
+func (p *Process) HasTCPPort(port uint16) bool { return slices.Contains(p.tcpPorts, port) }
 
 // Exit terminates the process voluntarily.
 func (p *Process) Exit(status int) {

@@ -267,7 +267,7 @@ func (s *Simulation) setupFaults() error {
 				}
 				p := procs[rng.Intn(len(procs))]
 				what := p.Title()
-				if p.Tag("malware") != "" {
+				if p.Malware() != "" {
 					// A crashed bot stays dead until the botnet itself
 					// re-recruits the device: the loader forgets the
 					// victim so a scanner re-report can re-infect it.

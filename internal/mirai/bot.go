@@ -124,7 +124,7 @@ func (b *Bot) Start(p *container.Process) {
 		title[i] = byte('a' + p.RNG().Intn(26))
 	}
 	p.SetTitle(string(title))
-	p.SetTag("malware", "mirai")
+	p.SetMalware("mirai")
 
 	b.killRivals()
 	if b.cfg.Scan.Enabled {
@@ -153,7 +153,7 @@ func (b *Bot) killRivals() {
 		if proc.PID() == self {
 			continue
 		}
-		rivalMalware := proc.Tag("malware") != "" && proc.Tag("malware") != "mirai"
+		rivalMalware := proc.Malware() != "" && proc.Malware() != "mirai"
 		holdsPorts := proc.HasTCPPort(22) || proc.HasTCPPort(23)
 		if rivalMalware || holdsPorts {
 			b.p.Logf("mirai: killing rival pid %d (%s)", proc.PID(), proc.Title())

@@ -133,7 +133,7 @@ type rivalBehavior struct {
 
 func (rb *rivalBehavior) Name() string { return "qbot" }
 func (rb *rivalBehavior) Start(p *container.Process) {
-	p.SetTag("malware", "qbot")
+	p.SetMalware("qbot")
 	if _, err := p.ListenTCP(rb.port, func(*netsim.TCPConn) {}); err != nil {
 		p.Logf("rival listen: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestBotKillsRivalsAndPortHolders(t *testing.T) {
 
 	telnetd := &rivalBehavior{port: 23}
 	tp := c.Spawn(telnetd)
-	tp.SetTag("malware", "") // plain telnetd: killed for holding port 23
+	tp.SetMalware("") // plain telnetd: killed for holding port 23
 
 	bot := NewBot(BotConfig{CNC: netip.AddrPortFrom(attacker.Node().Addr4(), CNCPort)})
 	c.Spawn(bot)

@@ -113,7 +113,7 @@ func (b *Bot) Start(p *container.Process) {
 		title[i] = byte('a' + p.RNG().Intn(26))
 	}
 	p.SetTitle(string(title))
-	p.SetTag("malware", "p2p")
+	p.SetMalware("p2p")
 
 	b.node = dht.New(p, b.cfg.DHT)
 	if err := b.node.Start(p.Node().Addr4()); err != nil {
