@@ -44,13 +44,6 @@ type Options struct {
 // sim time, for callers that don't otherwise deal in sim.Time.
 func Window(secs float64) sim.Time { return sim.Time(secs * float64(sim.Second)) }
 
-// apply copies the option overrides that live inside the run config.
-func (o Options) apply(cfg *core.Config) {
-	if o.Window > 0 {
-		cfg.WindowSize = o.Window
-	}
-}
-
 func (o Options) seeds() []int64 {
 	if len(o.Seeds) > 0 {
 		return o.Seeds
@@ -100,28 +93,36 @@ func writeArtifact(dir, name string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-func runAveraged(cfg core.Config, label string, opt Options) (float64, *core.Results, error) {
+// run executes cfg under the options' overrides and writes the run's
+// artifacts under <label>-s<seed>.
+func (o Options) run(cfg core.Config, label string) (*core.Simulation, *core.Results, error) {
+	if o.Window > 0 {
+		cfg.WindowSize = o.Window
+	}
+	s, err := core.New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := s.Run()
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, r, o.dumpObs(fmt.Sprintf("%s-s%d", label, cfg.Seed), s)
+}
+
+// runAveraged runs cfg once per seed and averages D_received.
+func runAveraged(cfg core.Config, label string, opt Options) (float64, error) {
 	var sum float64
-	var last *core.Results
 	seeds := opt.seeds()
 	for _, seed := range seeds {
-		c := cfg
-		c.Seed = seed
-		s, err := core.New(c)
+		cfg.Seed = seed
+		_, r, err := opt.run(cfg, label)
 		if err != nil {
-			return 0, nil, err
-		}
-		r, err := s.Run()
-		if err != nil {
-			return 0, nil, err
-		}
-		if err := opt.dumpObs(fmt.Sprintf("%s-s%d", label, seed), s); err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 		sum += r.DReceivedKbps
-		last = r
 	}
-	return sum / float64(len(seeds)), last, nil
+	return sum / float64(len(seeds)), nil
 }
 
 // --- Figure 2 ---
@@ -153,9 +154,8 @@ func Fig2(opt Options) ([]Fig2Row, error) {
 	return parallelMap(len(jobs), func(i int) (Fig2Row, error) {
 		j := jobs[i]
 		cfg := core.DefaultConfig(j.devs)
-		opt.apply(&cfg)
 		cfg.Churn = j.mode
-		avg, _, err := runAveraged(cfg, fmt.Sprintf("fig2-d%d-%s", j.devs, j.mode), opt)
+		avg, err := runAveraged(cfg, fmt.Sprintf("fig2-d%d-%s", j.devs, j.mode), opt)
 		if err != nil {
 			return Fig2Row{}, fmt.Errorf("fig2 devs=%d mode=%v: %w", j.devs, j.mode, err)
 		}
@@ -217,9 +217,8 @@ func Fig3(opt Options) ([]Fig3Row, error) {
 	return parallelMap(len(jobs), func(i int) (Fig3Row, error) {
 		j := jobs[i]
 		cfg := core.DefaultConfig(j.devs)
-		opt.apply(&cfg)
 		cfg.AttackDuration = j.dur
-		avg, _, err := runAveraged(cfg, fmt.Sprintf("fig3-d%d-dur%d", j.devs, j.dur), opt)
+		avg, err := runAveraged(cfg, fmt.Sprintf("fig3-d%d-dur%d", j.devs, j.dur), opt)
 		if err != nil {
 			return Fig3Row{}, fmt.Errorf("fig3 devs=%d dur=%d: %w", j.devs, j.dur, err)
 		}
@@ -285,17 +284,9 @@ func Table1(opt Options) ([]Table1Row, error) {
 	return parallelMap(len(devCounts), func(i int) (Table1Row, error) {
 		devs := devCounts[i]
 		cfg := core.DefaultConfig(devs)
-		opt.apply(&cfg)
 		cfg.Seed = opt.seeds()[0]
-		s, err := core.New(cfg)
+		_, r, err := opt.run(cfg, fmt.Sprintf("table1-d%d", devs))
 		if err != nil {
-			return Table1Row{}, fmt.Errorf("table1 devs=%d: %w", devs, err)
-		}
-		r, err := s.Run()
-		if err != nil {
-			return Table1Row{}, fmt.Errorf("table1 devs=%d: %w", devs, err)
-		}
-		if err := opt.dumpObs(fmt.Sprintf("table1-d%d-s%d", devs, cfg.Seed), s); err != nil {
 			return Table1Row{}, fmt.Errorf("table1 devs=%d: %w", devs, err)
 		}
 		return Table1Row{
@@ -345,26 +336,19 @@ func Fig4(opt Options) ([]Fig4Row, error) {
 		var ddosimSum, hwSum float64
 		for _, seed := range opt.seeds() {
 			cfg := core.DefaultConfig(devs)
-			opt.apply(&cfg)
 			cfg.Seed = seed
-			s, err := core.New(cfg)
+			s, r, err := opt.run(cfg, fmt.Sprintf("fig4-d%d", devs))
 			if err != nil {
 				return Fig4Row{}, fmt.Errorf("fig4 devs=%d: %w", devs, err)
 			}
+			ddosimSum += r.DReceivedKbps
 			// The validation deploys the *same* devices on both
-			// substrates: reuse DDoSim's sampled rates for the Pis.
+			// substrates: reuse DDoSim's sampled rates, which
+			// deployment fixes, for the Pis.
 			rates := make([]int64, 0, devs)
 			for _, d := range s.Devs() {
 				rates = append(rates, int64(d.Rate()))
 			}
-			r, err := s.Run()
-			if err != nil {
-				return Fig4Row{}, fmt.Errorf("fig4 devs=%d: %w", devs, err)
-			}
-			if err := opt.dumpObs(fmt.Sprintf("fig4-d%d-s%d", devs, seed), s); err != nil {
-				return Fig4Row{}, fmt.Errorf("fig4 devs=%d: %w", devs, err)
-			}
-			ddosimSum += r.DReceivedKbps
 
 			hw := hardware.DefaultConfig(devs)
 			hw.Seed = seed

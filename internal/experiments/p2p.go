@@ -70,7 +70,6 @@ func P2P(opt Options) ([]P2PRow, error) {
 		dissemRuns := 0
 		for _, seed := range opt.seeds() {
 			cfg := core.DefaultConfig(devs)
-			opt.apply(&cfg)
 			cfg.Seed = seed
 			cfg.Botnet = j.family
 			cfg.SimDuration = 400 * sim.Second
@@ -85,17 +84,9 @@ func P2P(opt Options) ([]P2PRow, error) {
 			}
 			cfg.Faults = faults.AtIntensity(j.intensity)
 			cfg.Faults.CNCTakedownAfterOrder = p2pTakedownSecs * sim.Second
-			s, err := core.New(cfg)
+			_, r, err := opt.run(cfg, fmt.Sprintf("p2p-%s-x%03d", j.family, int(j.intensity*100)))
 			if err != nil {
 				return P2PRow{}, fmt.Errorf("p2p %s x=%v: %w", j.family, j.intensity, err)
-			}
-			r, err := s.Run()
-			if err != nil {
-				return P2PRow{}, fmt.Errorf("p2p %s x=%v: %w", j.family, j.intensity, err)
-			}
-			label := fmt.Sprintf("p2p-%s-x%03d-s%d", j.family, int(j.intensity*100), seed)
-			if err := opt.dumpObs(label, s); err != nil {
-				return P2PRow{}, err
 			}
 			rateSum += r.InfectionRate()
 			dSum += r.DReceivedKbps

@@ -36,7 +36,6 @@ func Recruitment(opt Options) ([]RecruitRow, error) {
 		timed := 0
 		for _, seed := range opt.seeds() {
 			cfg := core.DefaultConfig(devs)
-			opt.apply(&cfg)
 			cfg.Seed = seed
 			cfg.Vector = vector
 			cfg.WeakCredFraction = frac
@@ -46,15 +45,8 @@ func Recruitment(opt Options) ([]RecruitRow, error) {
 				cfg.RecruitTimeout = 600 * sim.Second
 				cfg.ScanPeriod = sim.Second
 			}
-			s, err := core.New(cfg)
+			_, r, err := opt.run(cfg, fmt.Sprintf("recruit-%s-w%d", vector, int(frac*100)))
 			if err != nil {
-				return RecruitRow{}, err
-			}
-			r, err := s.Run()
-			if err != nil {
-				return RecruitRow{}, err
-			}
-			if err := opt.dumpObs(fmt.Sprintf("recruit-%s-w%d-s%d", vector, int(frac*100), seed), s); err != nil {
 				return RecruitRow{}, err
 			}
 			rateSum += r.InfectionRate()

@@ -40,7 +40,6 @@ func Resilience(opt Options) ([]ResilienceRow, error) {
 		timed := 0
 		for _, seed := range opt.seeds() {
 			cfg := core.DefaultConfig(devs)
-			opt.apply(&cfg)
 			cfg.Seed = seed
 			cfg.Vector = core.VectorCredentials
 			cfg.SimDuration = 900 * sim.Second
@@ -48,16 +47,9 @@ func Resilience(opt Options) ([]ResilienceRow, error) {
 			cfg.ScanPeriod = sim.Second
 			cfg.AttackDuration = 60
 			cfg.Faults = faults.AtIntensity(x)
-			s, err := core.New(cfg)
+			s, r, err := opt.run(cfg, fmt.Sprintf("resilience-x%03d", int(x*100)))
 			if err != nil {
 				return ResilienceRow{}, fmt.Errorf("resilience x=%v: %w", x, err)
-			}
-			r, err := s.Run()
-			if err != nil {
-				return ResilienceRow{}, fmt.Errorf("resilience x=%v: %w", x, err)
-			}
-			if err := opt.dumpObs(fmt.Sprintf("resilience-x%03d-s%d", int(x*100), seed), s); err != nil {
-				return ResilienceRow{}, err
 			}
 			dSum += r.DReceivedKbps
 			rateSum += r.InfectionRate()
