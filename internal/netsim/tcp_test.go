@@ -278,10 +278,18 @@ func TestTCPAbortResetsPeer(t *testing.T) {
 	}
 }
 
+// TestTCPPeerDeathTimesOut kills the server's link as the client
+// sends at t0. The data segment leaves at t0 and again after each
+// backed-off RTO, at t0 + tcpRTO·(2^k − 1) for k = 1…tcpMaxRetries,
+// and the next RTO closes the connection with ErrConnTimeout. Every
+// frame bound for the server dies at its link: the handshake's last
+// ACK, the 1 + tcpMaxRetries data segments, and the tcpMaxRetries
+// SYN-ACK retransmissions of a server that never saw that ACK.
 func TestTCPPeerDeathTimesOut(t *testing.T) {
 	sched, client, server, _ := tcpPair(t)
+	const msg = "are you there?"
 	var closeErr error
-	closed := false
+	t0, closedAt := sim.Time(-1), sim.Time(-1)
 	if _, err := server.ListenTCP(23, func(c *TCPConn) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -290,33 +298,74 @@ func TestTCPPeerDeathTimesOut(t *testing.T) {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		c.SetCloseHandler(func(err error) { closed, closeErr = true, err })
+		c.SetCloseHandler(func(err error) { closedAt, closeErr = sched.Now(), err })
 		// Kill the server's link (churn) from a scheduled event, then
 		// try to send: the data is never acked and the connection must
 		// time out.
 		sched.Schedule(0, srcTest, func() {
+			t0 = sched.Now()
 			server.DefaultDevice().SetUp(false)
-			if err := c.Send([]byte("are you there?")); err != nil {
+			if err := c.Send([]byte(msg)); err != nil {
 				t.Errorf("send: %v", err)
 			}
 		})
 	})
+	for t0 < 0 && sched.Now() < sim.Second {
+		if err := sched.Run(sched.Now() + sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if t0 < 0 {
+		t.Fatal("connection never established")
+	}
+	// A retransmission is on the client's link from the instant it
+	// leaves until it is serialized; the link is idle just before.
+	q := &client.DefaultDevice().queue
+	for k := 1; k <= tcpMaxRetries; k++ {
+		at := t0 + tcpRTO*(1<<k-1)
+		if err := sched.Run(at - 1); err != nil {
+			t.Fatal(err)
+		}
+		if q.len() != 0 {
+			t.Fatalf("retransmission %d: client link busy before t0+%v", k, at-t0)
+		}
+		if err := sched.Run(at); err != nil {
+			t.Fatal(err)
+		}
+		if q.len() != 1 || string(q.peek().Payload) != msg {
+			t.Fatalf("retransmission %d: the data segment did not leave at t0+%v", k, at-t0)
+		}
+	}
 	if err := sched.Run(5 * sim.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if !closed {
+	if closedAt < 0 {
 		t.Fatal("connection to dead peer never timed out")
 	}
 	if !errors.Is(closeErr, ErrConnTimeout) {
 		t.Fatalf("close err = %v, want ErrConnTimeout", closeErr)
 	}
+	if want := t0 + tcpRTO*(1<<(tcpMaxRetries+1)-1); closedAt != want {
+		t.Fatalf("closed at t0+%v, want t0+%v", closedAt-t0, want-t0)
+	}
+	wantDropped(t, client.net, [NumDropReasons]uint64{DropDown: 1 + 1 + 2*tcpMaxRetries})
 }
 
+// TestTCPRetransmitSurvivesTransientOutage takes the server's link
+// down for 500 ms as the client sends at t0. The handshake's last ACK,
+// the data segment and its first retransmission, and one SYN-ACK
+// retransmission die at the down link; the second retransmission, at
+// t0 + 3·tcpRTO, crosses both 1 ms hops and is delivered.
 func TestTCPRetransmitSurvivesTransientOutage(t *testing.T) {
 	sched, client, server, _ := tcpPair(t)
+	const msg = "persistent"
 	var got bytes.Buffer
+	t0, deliveredAt := sim.Time(-1), sim.Time(-1)
 	if _, err := server.ListenTCP(23, func(c *TCPConn) {
-		c.SetDataHandler(func(data []byte) { got.Write(data) })
+		c.SetDataHandler(func(data []byte) {
+			deliveredAt = sched.Now()
+			got.Write(data)
+		})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -328,8 +377,9 @@ func TestTCPRetransmitSurvivesTransientOutage(t *testing.T) {
 		// Brief outage right as data goes out: retransmission recovers.
 		// The outage toggles run as scheduled events, as churn's do.
 		sched.Schedule(0, srcTest, func() {
+			t0 = sched.Now()
 			server.DefaultDevice().SetUp(false)
-			if err := c.Send([]byte("persistent")); err != nil {
+			if err := c.Send([]byte(msg)); err != nil {
 				t.Errorf("send: %v", err)
 			}
 		})
@@ -340,9 +390,16 @@ func TestTCPRetransmitSurvivesTransientOutage(t *testing.T) {
 	if err := sched.Run(sim.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != "persistent" {
+	if got.String() != msg {
 		t.Fatalf("after outage got %q", got.String())
 	}
+	// Both links run at 10 Mbps, so each hop serializes the segment in
+	// the same time.
+	ser := (10 * Mbps).TxTime(etherHeaderBytes + ipv4HeaderBytes + tcpHeaderBytes + len(msg))
+	if want := t0 + 3*tcpRTO + 2*(sim.Millisecond+ser); deliveredAt != want {
+		t.Fatalf("delivered at t0+%v, want t0+%v", deliveredAt-t0, want-t0)
+	}
+	wantDropped(t, client.net, [NumDropReasons]uint64{DropDown: 4})
 }
 
 func TestTCPSendAfterCloseFails(t *testing.T) {
