@@ -273,6 +273,45 @@ func checkCNCRows(t *testing.T, s *Simulation, r *Results) {
 	}
 }
 
+// TestCommandWavesStopAtTakedown: a C&C that a takedown killed sends
+// no further wave. Every attack command precedes the takedown, and
+// cnc_attack_commands_total counts exactly the commands traced.
+func TestCommandWavesStopAtTakedown(t *testing.T) {
+	cfg := smallConfig(12)
+	cfg.Seed = 7
+	cfg.AttackDuration = 60
+	cfg.CommandWave = 10 * sim.Second
+	cfg.Faults = faults.Config{CNCTakedownAfterOrder: 20 * sim.Second}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	takedown := sim.Time(-1)
+	var orders []sim.Time
+	for _, e := range s.Obs().Trace.Events() {
+		switch {
+		case e.Cat == faults.CatFault && e.Name == faults.EventCNCTakedown:
+			takedown = e.At
+		case e.Cat == obs.CatCNC && e.Name == "attack-command":
+			orders = append(orders, e.At)
+		}
+	}
+	if takedown < 0 || len(orders) == 0 {
+		t.Fatalf("takedown at %v, %d attack commands; want both", takedown, len(orders))
+	}
+	for _, at := range orders {
+		if at >= takedown {
+			t.Errorf("attack command at %v, at or after the takedown at %v", at, takedown)
+		}
+	}
+	if got := s.Obs().Metrics.CounterValue("cnc_attack_commands_total"); got != uint64(len(orders)) {
+		t.Errorf("cnc_attack_commands_total = %d, the trace holds %d attack commands", got, len(orders))
+	}
+}
+
 // checkMetricsAgree compares each registry row of a finished run with
 // the count it mirrors.
 func checkMetricsAgree(t *testing.T, s *Simulation, r *Results) {

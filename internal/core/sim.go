@@ -871,7 +871,9 @@ func (s *Simulation) waveSecs(remaining int) int {
 // scheduleCommandWaves re-sends the heartbeat order every CommandWave
 // until the commanded window ends. A bot whose C&C line dropped and
 // came back mid-attack picks the flood up at the next wave; when the
-// C&C dies for good the whole flood starves within one wave.
+// C&C dies for good the whole flood starves within one wave. Only a
+// running C&C sends a wave: while a crash or takedown has killed it the
+// wave is skipped, and the timer keeps going so a restarted C&C resumes.
 func (s *Simulation) scheduleCommandWaves(method string, target netip.Addr, end sim.Time) {
 	var wave func()
 	wave = func() {
@@ -880,14 +882,16 @@ func (s *Simulation) scheduleCommandWaves(method string, target netip.Addr, end 
 		if remaining <= 0 {
 			return
 		}
-		s.orderAt = now
-		s.cncCommands++
-		s.attacker.CNC.LaunchAttack(mirai.AttackCommand{
-			Method:   method,
-			Target:   target,
-			Port:     attackPort,
-			Duration: s.waveSecs(remaining),
-		})
+		if procTitled(s.attacker.Container, "cnc") != nil {
+			s.orderAt = now
+			s.cncCommands++
+			s.attacker.CNC.LaunchAttack(mirai.AttackCommand{
+				Method:   method,
+				Target:   target,
+				Port:     attackPort,
+				Duration: s.waveSecs(remaining),
+			})
+		}
 		s.sched.Schedule(s.cfg.CommandWave, srcCmdWave, wave)
 	}
 	s.sched.Schedule(s.cfg.CommandWave, srcCmdWave, wave)
