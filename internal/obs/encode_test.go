@@ -232,10 +232,10 @@ func refArgMap(args []KV) map[string]string {
 // shape.
 func refRecords(t *Tracer) []refRecord {
 	var out []refRecord
-	for i := range t.recs {
-		r := &t.recs[i]
+	for i := 0; i < t.n; i++ {
+		c, r := t.at(i)
 		var args []KV
-		ids := t.argIDs(r)
+		ids := c.argIDs(r)
 		for j := 0; j < len(ids); j += 2 {
 			args = append(args, KV{t.strs[ids[j]], t.strs[ids[j+1]]})
 		}

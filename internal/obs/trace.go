@@ -60,7 +60,8 @@ const DefaultMaxEvents = 1 << 20
 // emission order, and that order is the export order. A record holds no
 // pointers, so the garbage collector never scans the trace: cat and name
 // are ids in the tracer's string table, and the annotations are nargs
-// (key id, value id) pairs at args[argOff:].
+// (key id, value id) pairs at args[argOff:] in the arena of the record's
+// chunk.
 type record struct {
 	start, end sim.Time // an event's end is its start
 	cat, name  uint32
@@ -74,13 +75,29 @@ const (
 	recOpen                    // the span has not ended yet
 )
 
+// chunkLen is the number of records in one chunk of a tracer: a
+// chunk's array is 32 KiB, one allocator size class.
+const chunkLen = 1024
+
+// chunkArgs is the room a chunk's arena starts with: four ids, two
+// annotations, per record.
+const chunkArgs = 4 * chunkLen
+
+// traceChunk holds chunkLen consecutive records and the arena of their
+// (key id, value id) pairs. Only the arena of the chunk being filled
+// grows, so recording never copies an earlier record or annotation.
+type traceChunk struct {
+	recs *[chunkLen]record
+	args []uint32
+}
+
 // Tracer records spans and events for one run. It is not safe for
 // concurrent use — the simulation kernel is single-threaded, and so is
 // the tracer. All methods are nil-safe so instrumented code can carry
 // an optional tracer without guards.
 type Tracer struct {
-	recs []record
-	args []uint32 // annotation arena: (key id, value id) pairs
+	chunks []traceChunk
+	n      int // records stored; record i is chunks[i/chunkLen].recs[i%chunkLen]
 
 	// The string table: each distinct category, name, key and value is
 	// stored once, and records refer to it by id.
@@ -117,20 +134,25 @@ func (t *Tracer) intern(s string) uint32 {
 }
 
 // add appends r with its strings interned and its annotations copied
-// into the arena, and returns its index.
+// into its chunk's arena, and returns its index.
 // args is only read, so a caller's variadic array stays on its stack.
 func (t *Tracer) add(r record, cat, name string, args []KV) int {
 	if len(args) > math.MaxUint16 {
 		panic("obs: a trace entry carries more than 65535 annotations")
 	}
 	r.cat, r.name = t.intern(cat), t.intern(name)
-	r.argOff, r.nargs = uint32(len(t.args)), uint16(len(args))
+	if t.n%chunkLen == 0 {
+		t.chunks = append(t.chunks, traceChunk{new([chunkLen]record), make([]uint32, 0, chunkArgs)}) //simlint:allow allocfree(one pointer-free chunk per 1024 records, 48 KiB with its arena; growth never copies a record; untraced runs return at the nil-receiver guard)
+	}
+	c := &t.chunks[len(t.chunks)-1]
+	r.argOff, r.nargs = uint32(len(c.args)), uint16(len(args))
 	for _, kv := range args {
 		k, v := t.intern(kv.K), t.intern(kv.V)
-		t.args = append(t.args, k, v) //simlint:allow allocfree(amortized arena growth, pointer-free; untraced runs return at the nil-receiver guard)
+		c.args = append(c.args, k, v) //simlint:allow allocfree(only past two annotations per record on average; grows this chunk's arena alone, pointer-free)
 	}
-	t.recs = append(t.recs, r) //simlint:allow allocfree(amortized record growth, pointer-free; untraced runs return at the nil-receiver guard)
-	return len(t.recs) - 1
+	c.recs[t.n%chunkLen] = r
+	t.n++
+	return t.n - 1
 }
 
 // Event records a point event at simulated instant at.
@@ -159,10 +181,10 @@ func (t *Tracer) BeginSpan(at sim.Time, cat, name string, args ...KV) SpanID {
 // EndSpan closes a span at simulated instant at. Ending an unknown or
 // already-closed span is a no-op.
 func (t *Tracer) EndSpan(id SpanID, at sim.Time) {
-	if t == nil || id < 0 || int(id) >= len(t.recs) {
+	if t == nil || id < 0 || int(id) >= t.n {
 		return
 	}
-	r := &t.recs[id]
+	_, r := t.at(int(id))
 	if r.flags&recOpen == 0 {
 		return
 	}
@@ -195,14 +217,20 @@ func (t *Tracer) CloseOpenSpans(at sim.Time) {
 	if t == nil {
 		return
 	}
-	for i := range t.recs {
+	for i := 0; i < t.n; i++ {
 		t.EndSpan(SpanID(i), at)
 	}
 }
 
-// argIDs returns r's (key id, value id) pairs.
-func (t *Tracer) argIDs(r *record) []uint32 {
-	return t.args[r.argOff : r.argOff+2*uint32(r.nargs)]
+// at returns record i and the chunk that holds it.
+func (t *Tracer) at(i int) (*traceChunk, *record) {
+	c := &t.chunks[i/chunkLen]
+	return c, &c.recs[i%chunkLen]
+}
+
+// argIDs returns the (key id, value id) pairs of r, one of c's records.
+func (c *traceChunk) argIDs(r *record) []uint32 {
+	return c.args[r.argOff : r.argOff+2*uint32(r.nargs)]
 }
 
 // snapshot calls each for every record of one kind (recSpan or 0), in
@@ -210,21 +238,21 @@ func (t *Tracer) argIDs(r *record) []uint32 {
 // one backing array, allocated once.
 func (t *Tracer) snapshot(kind uint16, each func(i int, r *record, args []KV)) {
 	n := 0
-	for i := range t.recs {
-		if t.recs[i].flags&recSpan == kind {
-			n += int(t.recs[i].nargs)
+	for i := 0; i < t.n; i++ {
+		if _, r := t.at(i); r.flags&recSpan == kind {
+			n += int(r.nargs)
 		}
 	}
 	kvs := make([]KV, n)
-	for i := range t.recs {
-		r := &t.recs[i]
+	for i := 0; i < t.n; i++ {
+		c, r := t.at(i)
 		if r.flags&recSpan != kind {
 			continue
 		}
 		var args []KV
 		if r.nargs > 0 {
 			args, kvs = kvs[:r.nargs:r.nargs], kvs[r.nargs:]
-			ids := t.argIDs(r)
+			ids := c.argIDs(r)
 			for j := range args {
 				args[j] = KV{t.strs[ids[2*j]], t.strs[ids[2*j+1]]}
 			}
@@ -238,7 +266,7 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	out := make([]Span, 0, len(t.recs)-t.nevents)
+	out := make([]Span, 0, t.n-t.nevents)
 	t.snapshot(recSpan, func(i int, r *record, args []KV) {
 		out = append(out, Span{ID: SpanID(i), Cat: t.strs[r.cat], Name: t.strs[r.name],
 			Start: r.start, End: r.end, Args: args})
@@ -273,8 +301,8 @@ func (t *Tracer) CountEvents(cat, name string) int {
 		return 0
 	}
 	n := 0
-	for i := range t.recs {
-		r := &t.recs[i]
+	for i := 0; i < t.n; i++ {
+		_, r := t.at(i)
 		if r.flags&recSpan == 0 && (cat == "" || t.strs[r.cat] == cat) && (name == "" || t.strs[r.name] == name) {
 			n++
 		}
@@ -294,8 +322,8 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	}
 	e := newEnc(w)
 	js := encodeStrs(t.strs)
-	for i := range t.recs {
-		r := &t.recs[i]
+	for i := 0; i < t.n; i++ {
+		c, r := t.at(i)
 		if r.flags&recSpan != 0 {
 			e.raw(`{"type":"span","cat":`)
 		} else {
@@ -310,7 +338,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 			e.raw(`,"end_us":`)
 			e.int(micros(r.end))
 		}
-		e.args(js, t.argIDs(r))
+		e.args(js, c.argIDs(r))
 		e.raw("}\n")
 		if err := e.endRecord(); err != nil {
 			return err
@@ -334,8 +362,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	e := newEnc(w)
 	js := encodeStrs(t.strs)
 	e.raw("[\n")
-	for i := range t.recs {
-		r := &t.recs[i]
+	for i := 0; i < t.n; i++ {
+		c, r := t.at(i)
 		if i > 0 {
 			e.raw(",\n")
 		}
@@ -357,13 +385,13 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			e.int(int64(tid[r.cat]))
 			e.raw(`,"s":"t"`)
 		}
-		e.args(js, t.argIDs(r))
+		e.args(js, c.argIDs(r))
 		e.raw("}")
 		if err := e.endRecord(); err != nil {
 			return err
 		}
 	}
-	if len(t.recs) > 0 {
+	if t.n > 0 {
 		e.raw("\n")
 	}
 	e.raw("]\n")
@@ -375,10 +403,10 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 func (t *Tracer) tracks() []int {
 	tid := make([]int, len(t.strs))
 	var cats []uint32
-	for i := range t.recs {
-		if c := t.recs[i].cat; tid[c] == 0 {
-			tid[c] = -1 // seen; numbered below
-			cats = append(cats, c)
+	for i := 0; i < t.n; i++ {
+		if _, r := t.at(i); tid[r.cat] == 0 {
+			tid[r.cat] = -1 // seen; numbered below
+			cats = append(cats, r.cat)
 		}
 	}
 	slices.SortFunc(cats, func(a, b uint32) int { return cmp.Compare(t.strs[a], t.strs[b]) })

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -117,8 +120,203 @@ func TestQueueDropEventAllocFree(t *testing.T) {
 	if f := pointerField(reflect.TypeOf(record{})); f != "" {
 		t.Errorf("record holds a pointer in %s; the trace storage must be pointer-free", f)
 	}
+	if f := pointerField(reflect.TypeOf(traceChunk{}.recs).Elem()); f != "" {
+		t.Errorf("a chunk's record array holds a pointer in %s; the trace storage must be pointer-free", f)
+	}
+	if f := pointerField(reflect.TypeOf(traceChunk{}.args).Elem()); f != "" {
+		t.Errorf("a chunk's arena holds a pointer in %s; the trace storage must be pointer-free", f)
+	}
 	if n := unsafe.Sizeof(record{}); n > 32 {
 		t.Errorf("record is %d bytes, want at most 32", n)
+	}
+}
+
+// TestTraceGrowthAllocatesOnlyWhatItStores holds recording to the
+// memory the trace keeps. A two-annotation drop stores a 32-byte record
+// and four 4-byte ids, 48 bytes, so 100,000 drops may allocate at most
+// 50 bytes each; storage that grows by copying allocates several times
+// that.
+func TestTraceGrowthAllocatesOnlyWhatItStores(t *testing.T) {
+	const n = 100000
+	tr := NewTracer()
+	tr.SetMaxEvents(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		tr.Event(sim.Time(i)*sim.Microsecond, CatNet, "queue-drop", KV{"node", "router"}, KV{"reason", "drop-tail"})
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 50 {
+		t.Errorf("recording %d drops allocated %.1f bytes per drop, want at most 50", n, per)
+	}
+	if got := tr.CountEvents(CatNet, "queue-drop"); got != n {
+		t.Errorf("CountEvents = %d, want %d", got, n)
+	}
+}
+
+// modelEntry is what a test recorded into a tracer, kept beside it.
+type modelEntry struct {
+	span, open bool
+	cat, name  string
+	start, end sim.Time
+	args       []KV
+}
+
+// TestTraceChunkBoundaries checks every reader and writer of the trace
+// against a model of what was recorded, on tracers that end one record
+// short of a chunk, at a chunk boundary, one record past it, and one
+// record into a fourth chunk. Each entry's annotations are its own, so a
+// record read through another chunk's arena shows. A span begun in the
+// first chunk ends in the last, spans left open in several chunks close
+// together, each chunk's last slot holds an entry with 300 annotations,
+// more than the arena starts with, a category first appears past the
+// first chunk, and the event cap falls mid-chunk.
+func TestTraceChunkBoundaries(t *testing.T) {
+	for _, n := range []int{chunkLen - 1, chunkLen, chunkLen + 1, 3*chunkLen + 1} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) { checkChunkedTrace(t, n) })
+	}
+}
+
+func checkChunkedTrace(t *testing.T, n int) {
+	tr := NewTracer()
+	maxEvents := n / 2
+	tr.SetMaxEvents(maxEvents)
+	var model []modelEntry
+	closeModel := func(id SpanID, at sim.Time) {
+		if m := &model[id]; m.open {
+			m.open = false
+			m.end = max(at, m.start)
+		}
+	}
+	end := func(id SpanID, at sim.Time) {
+		tr.EndSpan(id, at)
+		closeModel(id, at)
+	}
+	cats, names := []string{CatNet, CatCNC, CatChurn, "late"}, []string{"a", "b", "c", "d"}
+	var long SpanID
+	var open []SpanID
+	var nevents int
+	var dropped uint64
+	capAt := -1 // the record count when the first event was dropped
+	for k := 0; len(model) < n; k++ {
+		at := sim.Time(k) * sim.Millisecond
+		lastSlot := len(model)%chunkLen == chunkLen-1
+		var args []KV
+		na := k % 5
+		if lastSlot {
+			na = 300
+		}
+		for a := 0; a < na; a++ {
+			args = append(args, KV{fmt.Sprintf("k%d", a), fmt.Sprintf("v%d.%d", k, a)})
+		}
+		e := modelEntry{cat: cats[k%3], name: names[k%len(names)], start: at, end: at, args: args}
+		if len(model) >= chunkLen && k%6 == 1 {
+			e.cat = cats[3]
+		}
+		switch {
+		case lastSlot || k%5 == 2:
+			// Every third span ends before it starts and is clamped.
+			e.span, e.end = true, at+sim.Time(k%3-1)*sim.Second
+			tr.RecordSpan(e.start, e.end, e.cat, e.name, args...)
+			e.end = max(e.end, e.start)
+		case k == 1 || k%7 == 3:
+			e.span, e.open = true, true
+			id := tr.BeginSpan(at, e.cat, e.name, args...)
+			if int(id) != len(model) {
+				t.Fatalf("BeginSpan returned id %d for record %d", id, len(model))
+			}
+			if k == 1 {
+				long = id
+			} else {
+				open = append(open, id)
+			}
+		default:
+			tr.Event(at, e.cat, e.name, args...)
+			if nevents == maxEvents {
+				dropped++
+				if capAt < 0 {
+					capAt = len(model)
+				}
+				continue
+			}
+			nevents++
+		}
+		model = append(model, e)
+		if k%13 == 0 && len(open) > 0 {
+			end(open[0], at)
+			open = open[1:]
+		}
+	}
+	if capAt < 0 || capAt%chunkLen == 0 {
+		t.Fatalf("the event cap fell at record %d, not mid-chunk", capAt)
+	}
+	if n >= chunkLen && len(tr.chunks[0].args) <= chunkArgs {
+		t.Fatalf("the first chunk's arena holds %d ids, not more than the %d it starts with", len(tr.chunks[0].args), chunkArgs)
+	}
+	last := sim.Time(n) * sim.Second
+	end(long, last)
+	tr.CloseOpenSpans(last + sim.Second)
+	for i := range model {
+		closeModel(SpanID(i), last+sim.Second)
+	}
+
+	var refs []refRecord
+	var spans []Span
+	var events []Event
+	counts := make(map[[2]string]int)
+	for i, m := range model {
+		r := refRecord{Type: "event", Cat: m.cat, Name: m.name, AtUS: micros(m.start), Args: refArgMap(m.args)}
+		if m.span {
+			endUS := micros(m.end)
+			r.Type, r.EndUS = "span", &endUS
+			spans = append(spans, Span{ID: SpanID(i), Cat: m.cat, Name: m.name, Start: m.start, End: m.end, Args: m.args})
+		} else {
+			events = append(events, Event{At: m.start, Cat: m.cat, Name: m.name, Args: m.args})
+			for _, c := range []string{"", m.cat} {
+				for _, nm := range []string{"", m.name} {
+					counts[[2]string{c, nm}]++
+				}
+			}
+		}
+		refs = append(refs, r)
+	}
+
+	if got := refRecords(tr); !reflect.DeepEqual(got, refs) {
+		t.Errorf("the stored records differ from those recorded")
+	}
+	for _, wr := range []struct {
+		name  string
+		write func(io.Writer) error
+		want  []byte
+	}{
+		{"WriteChromeTrace", tr.WriteChromeTrace, refChromeTrace(refs)},
+		{"WriteJSONL", tr.WriteJSONL, refTraceJSONL(refs)},
+	} {
+		var buf bytes.Buffer
+		if err := wr.write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), wr.want) {
+			t.Errorf("%s differs from the reference encoding of what was recorded", wr.name)
+		}
+	}
+	if got := tr.Spans(); !reflect.DeepEqual(got, spans) {
+		t.Errorf("Spans() differs from the spans recorded")
+	}
+	if got := tr.Events(); !reflect.DeepEqual(got, events) {
+		t.Errorf("Events() differs from the events recorded")
+	}
+	for _, c := range append([]string{""}, cats...) {
+		for _, nm := range append([]string{""}, names...) {
+			if got, want := tr.CountEvents(c, nm), counts[[2]string{c, nm}]; got != want {
+				t.Errorf("CountEvents(%q, %q) = %d, want %d", c, nm, got, want)
+			}
+		}
+	}
+	sum := (&Obs{Trace: tr}).Summarize(nil)
+	if sum.TraceSpans != len(spans) || sum.TraceEvents != nevents || sum.TraceDropped != dropped {
+		t.Errorf("Summarize = %d spans, %d events, %d dropped; want %d, %d, %d",
+			sum.TraceSpans, sum.TraceEvents, sum.TraceDropped, len(spans), nevents, dropped)
 	}
 }
 
