@@ -38,7 +38,7 @@ func main() {
 func run() error {
 	var (
 		devs      = flag.Int("devs", 50, "number of Dev containers")
-		churnMode = flag.String("churn", "none", "churn mode: none|static|dynamic")
+		churnMode = flag.String("churn", "none", "churn mode: none|static|dynamic|sessions")
 		duration  = flag.Int("duration", 100, "attack duration in seconds")
 		simSecs   = flag.Int("sim", 600, "NS-3 simulation horizon in seconds")
 		seed      = flag.Int64("seed", 1, "random seed")

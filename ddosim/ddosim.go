@@ -153,8 +153,8 @@ func Run(cfg Config) (*Results, error) {
 	return s.Run()
 }
 
-// ParseChurnMode converts a CLI string (none|static|dynamic) into a
-// ChurnMode.
+// ParseChurnMode converts a CLI string (none|static|dynamic|sessions)
+// into a ChurnMode.
 func ParseChurnMode(s string) (ChurnMode, error) { return churn.ParseMode(s) }
 
 // ParseFaultSpec converts a CLI fault specification — semicolon-

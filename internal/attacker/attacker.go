@@ -25,16 +25,17 @@ import (
 	"ddosim/internal/sim"
 )
 
+// The attacker's link to the simulated network (it is not the
+// bottleneck in any experiment), and how often the DHCPv6 exploit
+// script multicasts its RELAY-FORW.
+const (
+	linkRate     = 100 * netsim.Mbps
+	linkDelay    = sim.Millisecond
+	dhcpv6Period = 5 * sim.Second
+)
+
 // Config parameterizes the attacker deployment.
 type Config struct {
-	// LinkRate/LinkDelay attach the attacker to the simulated
-	// network. Defaults: 100 Mbps, 1 ms (the attacker is not the
-	// bottleneck in any experiment).
-	LinkRate  netsim.DataRate
-	LinkDelay sim.Time
-	// DHCPv6Period is how often the exploit script multicasts its
-	// RELAY-FORW. Default 5 s.
-	DHCPv6Period sim.Time
 	// ShellScriptPath is the file-server path of the infection
 	// script. Default "/i.sh".
 	ShellScriptPath string
@@ -105,15 +106,6 @@ func (a *Attacker) SeedAddr() netip.AddrPort {
 // binary behaviour (with the C&C address baked in) so that Devs can
 // execute the downloaded bot.
 func Deploy(engine *container.Engine, cfg Config) (*Attacker, error) {
-	if cfg.LinkRate <= 0 {
-		cfg.LinkRate = 100 * netsim.Mbps
-	}
-	if cfg.LinkDelay <= 0 {
-		cfg.LinkDelay = sim.Millisecond
-	}
-	if cfg.DHCPv6Period <= 0 {
-		cfg.DHCPv6Period = 5 * sim.Second
-	}
 	if cfg.ShellScriptPath == "" {
 		cfg.ShellScriptPath = "/i.sh"
 	}
@@ -171,13 +163,13 @@ func Deploy(engine *container.Engine, cfg Config) (*Attacker, error) {
 		return a.DNS
 	})
 	engine.RegisterBinary("dhcp6-exploit", func(args []string) container.Behavior {
-		a.DHCP = NewDHCPv6Exploit(cfg.DHCPv6Period, func() string { return a.scriptURL })
+		a.DHCP = NewDHCPv6Exploit(func() string { return a.scriptURL })
 		a.DHCP.Observe(cfg.Obs)
 		return a.DHCP
 	})
 
 	c, err := engine.Create(img.Ref(), "attacker", container.LinkConfig{
-		Rate: cfg.LinkRate, Delay: cfg.LinkDelay,
+		Rate: linkRate, Delay: linkDelay,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("attacker: %w", err)
@@ -321,10 +313,9 @@ func (m *MaliciousDNS) onQuery(src netip.AddrPort, payload []byte, _ int) {
 		obs.KV{K: "channel", V: "dns"}, obs.KV{K: "victim", V: src.Addr().String()})
 }
 
-// DHCPv6Exploit periodically multicasts the crafted RELAY-FORW that
-// exploits Dnsmasq, mirroring the paper's Python script.
+// DHCPv6Exploit multicasts the crafted RELAY-FORW that exploits Dnsmasq
+// every dhcpv6Period, mirroring the paper's Python script.
 type DHCPv6Exploit struct {
-	period    sim.Time
 	scriptURL func() string
 	sock      *netsim.UDPSocket
 	p         *container.Process
@@ -344,8 +335,8 @@ var _ container.Behavior = (*DHCPv6Exploit)(nil)
 var srcDHCPv6 = sim.NewSource("attacker.dhcpv6")
 
 // NewDHCPv6Exploit creates the behaviour.
-func NewDHCPv6Exploit(period sim.Time, scriptURL func() string) *DHCPv6Exploit {
-	return &DHCPv6Exploit{period: period, scriptURL: scriptURL}
+func NewDHCPv6Exploit(scriptURL func() string) *DHCPv6Exploit {
+	return &DHCPv6Exploit{scriptURL: scriptURL}
 }
 
 // Name implements container.Behavior.
@@ -360,7 +351,7 @@ func (d *DHCPv6Exploit) Start(p *container.Process) {
 		return
 	}
 	d.sock = sock
-	t := p.NewTicker(d.period, srcDHCPv6, d.send)
+	t := p.NewTicker(dhcpv6Period, srcDHCPv6, d.send)
 	t.StartImmediate()
 }
 

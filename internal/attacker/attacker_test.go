@@ -114,7 +114,7 @@ func TestConnmanEndToEndInfection(t *testing.T) {
 
 func TestDnsmasqEndToEndInfection(t *testing.T) {
 	r := newRig(t)
-	a, err := Deploy(r.engine, Config{DHCPv6Period: 2 * sim.Second})
+	a, err := Deploy(r.engine, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestInfectionScriptShape(t *testing.T) {
 
 func TestHardenedDevResistsBothChannels(t *testing.T) {
 	r := newRig(t)
-	a, err := Deploy(r.engine, Config{DHCPv6Period: 2 * sim.Second})
+	a, err := Deploy(r.engine, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,9 +140,6 @@ type Controller struct {
 	ticker  *sim.Ticker
 	stopped bool
 
-	meanOnline  sim.Time
-	meanOffline sim.Time
-
 	// OnChange observes each membership flip (for timelines).
 	OnChange func(at sim.Time, dev Device, online bool)
 
@@ -160,13 +157,11 @@ type Controller struct {
 // each device's q and e from rng.
 func NewController(sched *sim.Scheduler, mode Mode, devices []Device) *Controller {
 	c := &Controller{
-		mode:        mode,
-		epoch:       DefaultEpoch,
-		sched:       sched,
-		devices:     make([]Device, len(devices)),
-		hosts:       make([]Host, len(devices)),
-		meanOnline:  DefaultMeanOnline,
-		meanOffline: DefaultMeanOffline,
+		mode:    mode,
+		epoch:   DefaultEpoch,
+		sched:   sched,
+		devices: make([]Device, len(devices)),
+		hosts:   make([]Host, len(devices)),
 	}
 	copy(c.devices, devices)
 	for i := range c.hosts {
@@ -181,16 +176,6 @@ func (c *Controller) SetEpoch(epoch sim.Time) {
 		panic("churn: non-positive epoch")
 	}
 	c.epoch = epoch
-}
-
-// SetSessionMeans overrides the session-churn mean online and offline
-// durations.
-func (c *Controller) SetSessionMeans(online, offline sim.Time) {
-	if online <= 0 || offline <= 0 {
-		panic("churn: non-positive session means")
-	}
-	c.meanOnline = online
-	c.meanOffline = offline
 }
 
 // Hosts exposes the drawn per-device churn parameters.
@@ -265,9 +250,9 @@ func (c *Controller) rollEpoch() {
 // scheduleSessionEnd arms the next flip for one device under the
 // Sessions model.
 func (c *Controller) scheduleSessionEnd(dev Device) {
-	mean := c.meanOnline
+	mean := DefaultMeanOnline
 	if !dev.Online() {
-		mean = c.meanOffline
+		mean = DefaultMeanOffline
 	}
 	d := sim.Time(c.sched.RNG().ExpFloat64() * float64(mean))
 	if d < sim.Millisecond {

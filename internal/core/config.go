@@ -135,7 +135,7 @@ type Config struct {
 
 	// ConnmanQueryPeriod paces Connman Devs' DNS queries, the delivery
 	// channel of their exploit. The DHCPv6 channel keeps the attacker's
-	// own period (attacker.Config.DHCPv6Period).
+	// own 5 s period.
 	ConnmanQueryPeriod sim.Time
 
 	// Vector selects the recruitment mechanism. Default
@@ -236,6 +236,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: TServerDownlink must be positive")
 	case c.AttackDuration <= 0:
 		return fmt.Errorf("core: AttackDuration must be positive, got %d", c.AttackDuration)
+	case c.PayloadBytes <= 0:
+		return fmt.Errorf("core: PayloadBytes must be positive, got %d", c.PayloadBytes)
 	case c.SimDuration <= 0:
 		return fmt.Errorf("core: SimDuration must be positive")
 	case c.Churn != churn.None && c.Churn != churn.Static &&
@@ -259,6 +261,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: p2p botnet supports only the memory-error vector (no scanner module)")
 	case c.Botnet == BotnetP2P && c.CommandWave > 0:
 		return fmt.Errorf("core: CommandWave is a mirai knob; p2p republishes records instead")
+	case c.Botnet == BotnetP2P && c.CNCReplayAttack:
+		return fmt.Errorf("core: CNCReplayAttack is a mirai knob; p2p has no C&C to replay orders")
 	}
 	if c.Vector == VectorCredentials && c.NumDevs > 200 {
 		// Scanners sweep 10.0.0.0/24; the paper's fleets stay within

@@ -196,8 +196,7 @@ func New(cfg Config) (*Simulation, error) {
 // deployment because the label rules need the attacker's addresses.
 func (s *Simulation) setupTelemetry() {
 	s.flowBuf = &obs.FlowBuffer{}
-	// Flows take netsim's default active and idle timeouts.
-	s.net.EnableFlows(netsim.FlowConfig{Sink: s.flowBuf})
+	s.net.EnableFlows(s.flowBuf)
 	atk := s.attacker.Container.Node()
 	// Rule order matters: the C&C listens on port 23 — the telnet port —
 	// so the exact-endpoint C&C rule must precede the generic telnet

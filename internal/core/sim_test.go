@@ -379,6 +379,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.MaxDevRate = c.MinDevRate - 1 },
 		func(c *Config) { c.TServerDownlink = 0 },
 		func(c *Config) { c.AttackDuration = 0 },
+		func(c *Config) { c.PayloadBytes = 0 },
+		func(c *Config) { c.PayloadBytes = -7 },
+		func(c *Config) { c.Botnet, c.CNCReplayAttack = BotnetP2P, true },
 		func(c *Config) { c.SimDuration = 0 },
 		func(c *Config) { c.Churn = churn.Mode(42) },
 		func(c *Config) { c.SimDuration = 50 * sim.Second }, // too short

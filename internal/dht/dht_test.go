@@ -196,13 +196,12 @@ func TestTableLRUAndEviction(t *testing.T) {
 
 // dhtDaemon hosts a Node inside a container process.
 type dhtDaemon struct {
-	cfg  Config
 	node *Node
 }
 
 func (d *dhtDaemon) Name() string { return "dhtd" }
 func (d *dhtDaemon) Start(p *container.Process) {
-	d.node = New(p, d.cfg)
+	d.node = New(p, Config{})
 	if err := d.node.Start(p.Node().Addr4()); err != nil {
 		panic(err)
 	}
@@ -223,7 +222,7 @@ func (o *overlay) runFor(t *testing.T, d sim.Time) {
 	}
 }
 
-func newOverlay(t *testing.T, seed int64, n int, cfg Config) *overlay {
+func newOverlay(t *testing.T, seed int64, n int) *overlay {
 	t.Helper()
 	sched := sim.NewScheduler(seed)
 	star := netsim.NewStar(netsim.New(sched))
@@ -244,7 +243,7 @@ func newOverlay(t *testing.T, seed int64, n int, cfg Config) *overlay {
 		if err := c.Start(); err != nil {
 			t.Fatal(err)
 		}
-		d := &dhtDaemon{cfg: cfg}
+		d := &dhtDaemon{}
 		c.Spawn(d)
 		o.nodes = append(o.nodes, d.node)
 		o.conts = append(o.conts, c)
@@ -261,7 +260,7 @@ func newOverlay(t *testing.T, seed int64, n int, cfg Config) *overlay {
 }
 
 func TestJoinPutGetAcrossOverlay(t *testing.T) {
-	o := newOverlay(t, 21, 12, Config{})
+	o := newOverlay(t, 21, 12)
 	o.runFor(t, 30*sim.Second)
 
 	for i, n := range o.nodes {
@@ -306,7 +305,7 @@ func TestJoinPutGetAcrossOverlay(t *testing.T) {
 }
 
 func TestGetPathCachesRecord(t *testing.T) {
-	o := newOverlay(t, 21, 12, Config{})
+	o := newOverlay(t, 21, 12)
 	o.runFor(t, 30*sim.Second)
 
 	key := Key("cmd")
@@ -337,7 +336,7 @@ func TestGetPathCachesRecord(t *testing.T) {
 }
 
 func TestOverlaySurvivesBootstrapDeath(t *testing.T) {
-	o := newOverlay(t, 21, 12, Config{RefreshPeriod: 20 * sim.Second})
+	o := newOverlay(t, 21, 12)
 	o.runFor(t, 30*sim.Second)
 
 	key := Key("cmd")
@@ -358,7 +357,7 @@ func TestOverlaySurvivesBootstrapDeath(t *testing.T) {
 
 func TestOverlayDeterministicAcrossRuns(t *testing.T) {
 	sig := func() string {
-		o := newOverlay(t, 21, 10, Config{})
+		o := newOverlay(t, 21, 10)
 		o.runFor(t, 30*sim.Second)
 		key := Key("cmd")
 		o.nodes[2].Put(key, []byte("det"), 1, nil)

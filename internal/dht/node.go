@@ -29,39 +29,25 @@ type Host interface {
 // (the BitTorrent DHT's).
 const DefaultPort uint16 = 6881
 
-// Config tunes a node. Zero values take the defaults below.
+// Kademlia's parameters.
+const (
+	// k is the bucket size and replication factor.
+	k = 8
+	// alpha is the lookup concurrency.
+	alpha = 3
+	// rpcTimeout is how long an unanswered request waits before its
+	// peer is considered unresponsive.
+	rpcTimeout = 2 * sim.Second
+	// refreshPeriod drives the bucket-refresh ticker. Each firing
+	// refreshes one bucket chosen round-robin among non-empty
+	// candidates, keeping per-tick cost constant.
+	refreshPeriod = 120 * sim.Second
+)
+
+// Config configures a node.
 type Config struct {
 	// Port is the overlay's UDP port (default DefaultPort).
 	Port uint16
-	// K is the bucket size and replication factor (default 8).
-	K int
-	// Alpha is the lookup concurrency (default 3).
-	Alpha int
-	// RPCTimeout is how long an unanswered request waits before its
-	// peer is considered unresponsive (default 2 s).
-	RPCTimeout sim.Time
-	// RefreshPeriod drives the bucket-refresh ticker (default 120 s).
-	// Each firing refreshes one bucket chosen round-robin among
-	// non-empty candidates, keeping per-tick cost constant.
-	RefreshPeriod sim.Time
-}
-
-func (c *Config) fill() {
-	if c.Port == 0 {
-		c.Port = DefaultPort
-	}
-	if c.K <= 0 {
-		c.K = 8
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 3
-	}
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = 2 * sim.Second
-	}
-	if c.RefreshPeriod <= 0 {
-		c.RefreshPeriod = 120 * sim.Second
-	}
 }
 
 // record is one stored key/value with its freshness sequence.
@@ -116,7 +102,9 @@ type Node struct {
 
 // New builds a node; Start brings it onto the wire.
 func New(host Host, cfg Config) *Node {
-	cfg.fill()
+	if cfg.Port == 0 {
+		cfg.Port = DefaultPort
+	}
 	return &Node{
 		host:       host,
 		cfg:        cfg,
@@ -136,8 +124,8 @@ func (n *Node) Start(addr netip.Addr) error {
 	n.sock = sock
 	n.addr = netip.AddrPortFrom(addr, n.cfg.Port)
 	n.id = NodeID(n.addr)
-	n.table = NewTable(n.id, n.cfg.K)
-	n.refreshTicker = n.host.NewTicker(n.cfg.RefreshPeriod, srcRefresh, n.refreshTick)
+	n.table = NewTable(n.id, k)
+	n.refreshTicker = n.host.NewTicker(refreshPeriod, srcRefresh, n.refreshTick)
 	n.refreshTicker.Start()
 	return nil
 }
@@ -201,7 +189,7 @@ func (n *Node) send(dst netip.AddrPort, m *Message, onReply func(*Message), onTi
 	m.RPC = n.nextRPC()
 	m.Sender = n.id
 	p := &pending{onReply: onReply, onTimeout: onTimeout}
-	p.timer = n.host.Sched().Schedule(n.cfg.RPCTimeout, srcTimeout, func() {
+	p.timer = n.host.Sched().Schedule(rpcTimeout, srcTimeout, func() {
 		delete(n.pendingRPC, m.RPC)
 		n.RPCsTimedOut++
 		if p.onTimeout != nil {
@@ -261,15 +249,15 @@ func (n *Node) onDatagram(src netip.AddrPort, payload []byte, _ int) {
 // closestFor answers a lookup request: our K closest to target,
 // excluding the asker (it knows itself).
 func (n *Node) closestFor(target ID, asker ID) []Contact {
-	cs := n.table.Closest(target, n.cfg.K+1)
+	cs := n.table.Closest(target, k+1)
 	out := cs[:0]
 	for _, c := range cs {
 		if c.ID != asker {
 			out = append(out, c)
 		}
 	}
-	if len(out) > n.cfg.K {
-		out = out[:n.cfg.K]
+	if len(out) > k {
+		out = out[:k]
 	}
 	return out
 }
@@ -351,7 +339,7 @@ func (n *Node) newLookup(target ID, wantValue bool, seed []Contact, onDone func(
 	for _, c := range seed {
 		l.add(c)
 	}
-	for _, c := range n.table.Closest(target, n.cfg.K) {
+	for _, c := range n.table.Closest(target, k) {
 		l.add(c)
 	}
 	l.step()
@@ -386,7 +374,6 @@ func (l *lookup) step() {
 	if l.finished {
 		return
 	}
-	k, alpha := l.n.cfg.K, l.n.cfg.Alpha
 	// Walk the K closest non-failed entries; fire candidates.
 	considered, done := 0, 0
 	for _, e := range l.entries {
@@ -457,7 +444,7 @@ func (l *lookup) finish(res lookupResult) {
 		if e.state != lsDone {
 			continue
 		}
-		if len(res.Closest) < l.n.cfg.K {
+		if len(res.Closest) < k {
 			res.Closest = append(res.Closest, e.c)
 		}
 		if !res.HasCache {

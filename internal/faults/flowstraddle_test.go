@@ -37,7 +37,7 @@ func newFlowFaultRig(t *testing.T) *flowFaultRig {
 	w := netsim.New(sched)
 	star := netsim.NewStar(w)
 	buf := &obs.FlowBuffer{}
-	w.EnableFlows(netsim.FlowConfig{Sink: buf, IdleTimeout: 2 * sim.Second})
+	w.EnableFlows(buf)
 	src := star.AttachHost("src", 10*netsim.Mbps, sim.Millisecond, 8)
 	dst := star.AttachHost("dst", 10*netsim.Mbps, sim.Millisecond, 8)
 	if _, err := dst.BindUDP(80, nil); err != nil {
@@ -94,7 +94,7 @@ func TestFlowStraddlesLinkFlaps(t *testing.T) {
 	inj.Start()
 
 	// One continuous stream across several flap cycles. The 200ms
-	// inter-packet gap stays under the 2s idle timeout, so the flow
+	// inter-packet gap stays under the 15s idle timeout, so the flow
 	// never goes idle — it straddles every outage.
 	rig.pump(200*sim.Millisecond, 60*sim.Second, 256)
 	if err := rig.sched.Run(61 * sim.Second); err != nil {

@@ -15,6 +15,19 @@ var (
 	srcPing      = sim.NewSource("bot.ping")
 )
 
+// C&C session timing. A lost connection is re-dialed after
+// reconnectBase (Mirai retries aggressively); consecutive failures
+// back the delay off exponentially, capped at reconnectCap, and every
+// attempt adds a uniformly-random jitter in [0, reconnectBase) drawn
+// from the bot's own RNG stream — without it a C&C outage synchronizes
+// the whole fleet into a lock-step reconnect herd. A connected bot
+// pings every pingPeriod.
+const (
+	reconnectBase = 10 * sim.Second
+	reconnectCap  = 4 * reconnectBase
+	pingPeriod    = 60 * sim.Second
+)
+
 // BotConfig is baked into the bot binary by the attacker at build
 // time, exactly as Mirai's table.c encodes the C&C endpoint.
 type BotConfig struct {
@@ -23,18 +36,6 @@ type BotConfig struct {
 	// PayloadBytes is the UDP-PLAIN payload size; defaults to Mirai's
 	// 512 bytes.
 	PayloadBytes int
-	// ReconnectDelay is the base pause before re-dialing a lost C&C
-	// connection. Defaults to 10 s (Mirai retries aggressively).
-	// Consecutive failures back the delay off exponentially, capped at
-	// MaxReconnectDelay, and every attempt adds a uniformly-random
-	// jitter in [0, ReconnectDelay) drawn from the bot's own RNG
-	// stream — without it a C&C outage synchronizes the whole fleet
-	// into a lock-step reconnect herd.
-	ReconnectDelay sim.Time
-	// MaxReconnectDelay caps the backoff. Defaults to 4x ReconnectDelay.
-	MaxReconnectDelay sim.Time
-	// PingPeriod is the keepalive interval. Defaults to 60 s.
-	PingPeriod sim.Time
 	// StartJitter models host task queuing on the shared emulation
 	// machine: each bot begins flooding a uniformly-random delay in
 	// [0, StartJitter] after receiving the command. Zero starts
@@ -73,21 +74,7 @@ type Bot struct {
 var _ container.Behavior = (*Bot)(nil)
 
 // NewBot creates the behaviour.
-func NewBot(cfg BotConfig) *Bot {
-	if cfg.PayloadBytes <= 0 {
-		cfg.PayloadBytes = DefaultUDPPlainPayload
-	}
-	if cfg.ReconnectDelay <= 0 {
-		cfg.ReconnectDelay = 10 * sim.Second
-	}
-	if cfg.MaxReconnectDelay <= 0 {
-		cfg.MaxReconnectDelay = 4 * cfg.ReconnectDelay
-	}
-	if cfg.PingPeriod <= 0 {
-		cfg.PingPeriod = 60 * sim.Second
-	}
-	return &Bot{cfg: cfg}
-}
+func NewBot(cfg BotConfig) *Bot { return &Bot{cfg: cfg} }
 
 // BotFactory adapts NewBot to the binary registry; the attacker
 // registers it under the name "mirai" with the C&C address baked in.
@@ -188,14 +175,14 @@ func (b *Bot) dial() {
 // herd every bot severed by the same C&C outage into simultaneous
 // re-dials — the classic reconnect-storm bug.
 func (b *Bot) reconnectDelay() sim.Time {
-	d := b.cfg.ReconnectDelay
-	for i := 0; i < b.dialFails && d < b.cfg.MaxReconnectDelay; i++ {
+	d := reconnectBase
+	for i := 0; i < b.dialFails && d < reconnectCap; i++ {
 		d *= 2
 	}
-	if d > b.cfg.MaxReconnectDelay {
-		d = b.cfg.MaxReconnectDelay
+	if d > reconnectCap {
+		d = reconnectCap
 	}
-	return d + sim.Time(b.p.RNG().Int63n(int64(b.cfg.ReconnectDelay)))
+	return d + sim.Time(b.p.RNG().Int63n(int64(reconnectBase)))
 }
 
 func (b *Bot) scheduleReconnect() {
@@ -229,7 +216,7 @@ func (b *Bot) onConnected(c *netsim.TCPConn) {
 	_ = c.Send([]byte("arch " + b.p.Container().Arch() + "\n"))
 
 	if b.ping == nil {
-		b.ping = b.p.NewTicker(b.cfg.PingPeriod, srcPing, func() {
+		b.ping = b.p.NewTicker(pingPeriod, srcPing, func() {
 			if b.connected {
 				_ = b.conn.Send([]byte("ping\n"))
 			}

@@ -20,6 +20,11 @@ var (
 	srcReap  = sim.NewSource("cnc.reap")
 )
 
+// botTimeout drops bots whose keepalive pings stop arriving: three
+// missed pings, as in the published source. The reaper runs every
+// botTimeout/3.
+const botTimeout = 3 * pingPeriod
+
 // CNCConfig parameterizes the command-and-control server.
 type CNCConfig struct {
 	// Port defaults to CNCPort (23).
@@ -34,10 +39,6 @@ type CNCConfig struct {
 	// OnBotLost observes bot disconnections (churn makes these
 	// frequent).
 	OnBotLost func(addr netip.Addr)
-	// BotTimeout drops bots whose keepalive pings stop arriving.
-	// Defaults to 180 s (three missed 60 s pings, as in the published
-	// source).
-	BotTimeout sim.Time
 	// ReplayAttackCommand, when set, re-sends the most recent attack
 	// command — trimmed to its remaining duration — to any bot that
 	// registers while the commanded window is still open, so a Dev
@@ -93,9 +94,6 @@ func NewCNC(cfg CNCConfig) *CNC {
 	if cfg.Pass == "" {
 		cfg.Pass = "root"
 	}
-	if cfg.BotTimeout <= 0 {
-		cfg.BotTimeout = 180 * sim.Second
-	}
 	return &CNC{cfg: cfg, bots: make(map[*netsim.TCPConn]*BotRecord), trace: cfg.Obs.Tracer()}
 }
 
@@ -108,7 +106,7 @@ func (c *CNC) Start(p *container.Process) {
 	if _, err := p.ListenTCP(c.cfg.Port, c.accept); err != nil {
 		p.Logf("cnc: listen: %v", err)
 	}
-	reaper := p.NewTicker(c.cfg.BotTimeout/3, srcReap, c.reapSilentBots)
+	reaper := p.NewTicker(botTimeout/3, srcReap, c.reapSilentBots)
 	reaper.Start()
 }
 
@@ -137,7 +135,7 @@ func (c *CNC) sortedConns() []*netsim.TCPConn {
 func (c *CNC) reapSilentBots() {
 	now := c.p.Sched().Now()
 	for _, conn := range c.sortedConns() {
-		if now-c.bots[conn].LastSeen > c.cfg.BotTimeout {
+		if now-c.bots[conn].LastSeen > botTimeout {
 			conn.Abort() // close handler performs deregistration
 		}
 	}

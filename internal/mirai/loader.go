@@ -16,13 +16,15 @@ var (
 	srcRetry  = sim.NewSource("loader.retry")
 )
 
-// Loader retry defaults: a failed load is re-dialed with capped
-// exponential backoff (10 s, 20 s, 40 s, … capped at 160 s) before
-// falling back to waiting for a scanner to re-report the victim.
+// Loader retries: a failed load (dial error, or a session that dies
+// before the infection command completes) is re-dialed with capped
+// exponential backoff (10 s, 20 s, 40 s, … capped at 160 s), at most
+// maxRetries times, before falling back to waiting for a scanner to
+// re-report the victim.
 const (
-	DefaultRetryBase  = 10 * sim.Second
-	DefaultRetryCap   = 160 * sim.Second
-	DefaultMaxRetries = 6
+	retryBase  = 10 * sim.Second
+	retryCap   = 160 * sim.Second
+	maxRetries = 6
 )
 
 // LoaderConfig parameterizes the Mirai loader.
@@ -38,15 +40,6 @@ type LoaderConfig struct {
 	// cracked and the loader is not already tracking. Duplicate
 	// re-discoveries of a pending or loaded victim are not reported.
 	OnReport func(victim netip.Addr)
-
-	// RetryBase, RetryCap, and MaxRetries shape the active re-dial
-	// backoff after a failed load (dial error, or a session that dies
-	// before the infection command completes). Zero values select the
-	// defaults above; MaxRetries < 0 disables active retries entirely
-	// (the pre-backoff behaviour: wait for a scanner to re-report).
-	RetryBase  sim.Time
-	RetryCap   sim.Time
-	MaxRetries int
 }
 
 // Loader is Mirai's loading infrastructure: it accepts victim reports
@@ -83,15 +76,6 @@ func NewLoader(cfg LoaderConfig) *Loader {
 	if cfg.Port == 0 {
 		cfg.Port = ScanListenPort
 	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = DefaultRetryBase
-	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = DefaultRetryCap
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
 	return &Loader{
 		cfg:     cfg,
 		loaded:  make(map[netip.Addr]*pendingLoad),
@@ -121,21 +105,21 @@ func (l *Loader) Loaded() int { return len(l.loaded) }
 // rebooted or fault-crashed device is vulnerable all over again, and
 // the original Mirai re-recruited such devices within minutes. Because
 // the loader still knows the credentials that worked, it also
-// schedules an active re-load after RetryBase rather than waiting for
-// a scanner to re-crack the device (unless retries are disabled).
+// schedules an active re-load after retryBase rather than waiting for
+// a scanner to re-crack the device.
 func (l *Loader) Forget(victim netip.Addr) {
 	cred, ok := l.loaded[victim]
 	if !ok {
 		return
 	}
 	delete(l.loaded, victim)
-	if l.cfg.MaxRetries < 0 || l.pending[victim] != nil {
+	if l.pending[victim] != nil {
 		return
 	}
 	st := &pendingLoad{user: cred.user, pass: cred.pass}
 	l.pending[victim] = st
 	l.Reloads++
-	l.p.Sched().Schedule(l.cfg.RetryBase, srcReload, func() {
+	l.p.Sched().Schedule(retryBase, srcReload, func() {
 		if !l.p.Alive() || l.pending[victim] != st {
 			return
 		}
@@ -174,7 +158,7 @@ func (l *Loader) onReport(line string) {
 }
 
 // fail records a failed load attempt and schedules the backoff
-// re-dial. Once MaxRetries is exhausted the victim is released, so a
+// re-dial. Once maxRetries is exhausted the victim is released, so a
 // later scanner report can start over.
 func (l *Loader) fail(victim netip.Addr) {
 	st := l.pending[victim]
@@ -182,13 +166,13 @@ func (l *Loader) fail(victim netip.Addr) {
 		return
 	}
 	st.attempts++
-	if l.cfg.MaxRetries < 0 || st.attempts > l.cfg.MaxRetries {
+	if st.attempts > maxRetries {
 		delete(l.pending, victim)
 		return
 	}
-	delay := l.cfg.RetryBase << uint(st.attempts-1)
-	if delay > l.cfg.RetryCap || delay <= 0 {
-		delay = l.cfg.RetryCap
+	delay := retryBase << uint(st.attempts-1)
+	if delay > retryCap || delay <= 0 {
+		delay = retryCap
 	}
 	l.Retries++
 	l.p.Sched().Schedule(delay, srcRetry, func() {

@@ -179,19 +179,20 @@ func TestLoaderBackoffAloneInfectsOfflineVictim(t *testing.T) {
 }
 
 func TestLoaderReleasesVictimAfterRetryBudget(t *testing.T) {
-	r, l := loaderRig(t, LoaderConfig{
-		InfectionCommand: "run bot",
-		RetryBase:        sim.Second,
-		MaxRetries:       2,
-	})
+	r, l := loaderRig(t, LoaderConfig{InfectionCommand: "run bot"})
 	dead := r.star.AttachHost("empty", netsim.Mbps, sim.Millisecond, 0) // nothing on port 23
 	addr := dead.Addr4()
 	l.onReport("victim " + addr.String() + " root admin")
-	if err := r.sched.Run(sim.Minute); err != nil {
+	// Every backoff delay, plus a minute for the refused dials.
+	budget := sim.Minute
+	for i := 0; i < maxRetries; i++ {
+		budget += min(retryBase<<i, retryCap)
+	}
+	if err := r.sched.Run(budget); err != nil {
 		t.Fatal(err)
 	}
-	if l.Retries != 2 {
-		t.Fatalf("retries = %d, want exactly MaxRetries", l.Retries)
+	if l.Retries != maxRetries {
+		t.Fatalf("retries = %d, want exactly maxRetries (%d)", l.Retries, maxRetries)
 	}
 	if l.Loads != 0 || l.loaded[addr] != nil {
 		t.Fatal("unreachable victim marked loaded")
@@ -200,21 +201,5 @@ func TestLoaderReleasesVictimAfterRetryBudget(t *testing.T) {
 	// report can start over.
 	if l.pending[addr] != nil {
 		t.Fatal("victim still pending after retry budget")
-	}
-}
-
-func TestLoaderRetryDisabled(t *testing.T) {
-	r, l := loaderRig(t, LoaderConfig{InfectionCommand: "run bot", MaxRetries: -1})
-	dead := r.star.AttachHost("empty", netsim.Mbps, sim.Millisecond, 0)
-	addr := dead.Addr4()
-	l.onReport("victim " + addr.String() + " root admin")
-	if err := r.sched.Run(sim.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if l.Retries != 0 {
-		t.Fatalf("retries = %d with MaxRetries < 0", l.Retries)
-	}
-	if l.pending[addr] != nil {
-		t.Fatal("victim still pending with retries disabled")
 	}
 }

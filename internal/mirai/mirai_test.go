@@ -252,11 +252,9 @@ func TestFloodPacedAtLineRate(t *testing.T) {
 
 func TestBotReconnectsAfterChurn(t *testing.T) {
 	r := newRig(t)
-	attacker, cnc := r.spawnCNC(t, CNCConfig{BotTimeout: 20 * sim.Second})
+	attacker, cnc := r.spawnCNC(t, CNCConfig{})
 	victim, bot := r.spawnBot(t, "dev-1", BotConfig{
-		CNC:            netip.AddrPortFrom(attacker.Node().Addr4(), CNCPort),
-		ReconnectDelay: 5 * sim.Second,
-		PingPeriod:     2 * sim.Second, // fast pings so death is detected quickly
+		CNC: netip.AddrPortFrom(attacker.Node().Addr4(), CNCPort),
 	}, 500*netsim.Kbps)
 	if err := r.sched.Run(5 * sim.Second); err != nil {
 		t.Fatal(err)
@@ -264,19 +262,16 @@ func TestBotReconnectsAfterChurn(t *testing.T) {
 	if cnc.BotCount() != 1 {
 		t.Fatalf("precondition: bot count = %d", cnc.BotCount())
 	}
-	// Churn the device out for a while; pings die, connection resets.
+	// Churn the device out past the C&C's bot timeout and one reaper
+	// period; pings die, connection resets.
 	victim.Node().DefaultDevice().SetUp(false)
-	if err := r.sched.Run(2 * sim.Minute); err != nil {
-		t.Fatal(err)
-	}
+	runFor(t, r.sched, botTimeout+botTimeout/3)
 	if cnc.BotCount() != 0 {
 		t.Fatalf("dead bot still registered: %d", cnc.BotCount())
 	}
 	// Device rejoins: the bot must re-register.
 	victim.Node().DefaultDevice().SetUp(true)
-	if err := r.sched.Run(5 * sim.Minute); err != nil {
-		t.Fatal(err)
-	}
+	runFor(t, r.sched, 3*sim.Minute)
 	if cnc.BotCount() != 1 {
 		t.Fatalf("bot did not re-register after rejoin: %d", cnc.BotCount())
 	}
@@ -299,14 +294,14 @@ func TestOfflineBotMissesAttackCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim, bot := r.spawnBot(t, "dev-1", BotConfig{
-		CNC:        netip.AddrPortFrom(attacker.Node().Addr4(), CNCPort),
-		PingPeriod: 2 * sim.Second,
+		CNC: netip.AddrPortFrom(attacker.Node().Addr4(), CNCPort),
 	}, 500*netsim.Kbps)
 	if err := r.sched.Run(5 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
 	victim.Node().DefaultDevice().SetUp(false)
-	if err := r.sched.Run(sim.Minute); err != nil { // connection dies
+	// The next ping's retransmissions run out: the connection dies.
+	if err := r.sched.Run(pingPeriod + sim.Minute); err != nil {
 		t.Fatal(err)
 	}
 	cnc.LaunchAttack(AttackCommand{Method: MethodUDPPlain, Target: tserver.Addr4(), Port: 80, Duration: 10})
@@ -339,16 +334,17 @@ func TestReplayDeliversTrimmedCommandToLateBot(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim, bot := r.spawnBot(t, "dev-1", BotConfig{
-		CNC:        netip.AddrPortFrom(attacker.Node().Addr4(), CNCPort),
-		PingPeriod: 2 * sim.Second,
+		CNC: netip.AddrPortFrom(attacker.Node().Addr4(), CNCPort),
 	}, 500*netsim.Kbps)
 	if err := r.sched.Run(5 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
 	victim.Node().DefaultDevice().SetUp(false)
-	if err := r.sched.Run(sim.Minute); err != nil { // connection dies
+	// The next ping's retransmissions run out: the connection dies.
+	if err := r.sched.Run(pingPeriod + sim.Minute); err != nil {
 		t.Fatal(err)
 	}
+	launch := int64(r.sched.Now() / sim.Second)
 	cnc.LaunchAttack(AttackCommand{Method: MethodUDPPlain, Target: tserver.Addr4(), Port: 80, Duration: 120})
 	victim.Node().DefaultDevice().SetUp(true)
 	if err := r.sched.Run(10 * sim.Minute); err != nil {
@@ -365,7 +361,7 @@ func TestReplayDeliversTrimmedCommandToLateBot(t *testing.T) {
 	}
 	// The replay is trimmed: the bot rejoined well into the 120 s
 	// window, so its flood cannot have run the full duration.
-	if got := sink.Series().KbpsSeries(0, 65+125); len(got) != 0 {
+	if got := sink.Series().KbpsSeries(0, launch+125); len(got) != 0 {
 		secs := 0
 		for _, v := range got {
 			if v > 0 {

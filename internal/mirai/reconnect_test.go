@@ -23,11 +23,9 @@ func runFor(t *testing.T, s *sim.Scheduler, d sim.Time) {
 // session it ever established.
 func TestReconnectKeepsSinglePingTicker(t *testing.T) {
 	r := newRig(t)
-	attacker, cnc := r.spawnCNC(t, CNCConfig{BotTimeout: 20 * sim.Second})
+	attacker, cnc := r.spawnCNC(t, CNCConfig{})
 	victim, bot := r.spawnBot(t, "dev-1", BotConfig{
-		CNC:            netip.AddrPortFrom(attacker.Node().Addr4(), CNCPort),
-		ReconnectDelay: 5 * sim.Second,
-		PingPeriod:     2 * sim.Second,
+		CNC: netip.AddrPortFrom(attacker.Node().Addr4(), CNCPort),
 	}, 500*netsim.Kbps)
 	runFor(t, r.sched, 5*sim.Second)
 	if cnc.BotCount() != 1 {
@@ -37,8 +35,10 @@ func TestReconnectKeepsSinglePingTicker(t *testing.T) {
 	const cycles = 5
 	dev := victim.Node().DefaultDevice()
 	for i := 0; i < cycles; i++ {
+		// Down long enough for the next ping's retransmissions to run
+		// out and close the session.
 		dev.SetUp(false)
-		runFor(t, r.sched, 2*sim.Minute)
+		runFor(t, r.sched, pingPeriod+sim.Minute)
 		dev.SetUp(true)
 		runFor(t, r.sched, 3*sim.Minute)
 	}
@@ -62,21 +62,20 @@ func TestReconnectKeepsSinglePingTicker(t *testing.T) {
 // firing into a dead connection.
 func TestPingTickerStoppedWhileDisconnected(t *testing.T) {
 	r := newRig(t)
-	attacker, _ := r.spawnCNC(t, CNCConfig{BotTimeout: 20 * sim.Second})
+	attacker, _ := r.spawnCNC(t, CNCConfig{})
 	victim, bot := r.spawnBot(t, "dev-1", BotConfig{
-		CNC:            netip.AddrPortFrom(attacker.Node().Addr4(), CNCPort),
-		ReconnectDelay: 5 * sim.Minute,
-		PingPeriod:     2 * sim.Second,
+		CNC: netip.AddrPortFrom(attacker.Node().Addr4(), CNCPort),
 	}, 500*netsim.Kbps)
 	runFor(t, r.sched, 5*sim.Second)
 	if !bot.Connected() {
 		t.Fatal("precondition: bot not connected")
 	}
-	// Take the uplink down; the bot's next ping exhausts its
-	// retransmissions (~25 s) and tears the session down, and the huge
-	// ReconnectDelay leaves it parked in the disconnected state.
+	// Take the uplink down; the bot's next ping (within pingPeriod)
+	// exhausts its retransmissions (~25 s) and tears the session down,
+	// and with the uplink still down every re-dial fails, leaving it in
+	// the disconnected state.
 	victim.Node().DefaultDevice().SetUp(false)
-	runFor(t, r.sched, 1*sim.Minute)
+	runFor(t, r.sched, pingPeriod+sim.Minute)
 	if bot.Connected() {
 		t.Fatal("bot still considers the dead session connected")
 	}
@@ -93,21 +92,19 @@ func TestReconnectBackoffJitter(t *testing.T) {
 	r := newRig(t)
 	attacker, _ := r.spawnCNC(t, CNCConfig{})
 	_, bot := r.spawnBot(t, "dev-1", BotConfig{
-		CNC:            netip.AddrPortFrom(attacker.Node().Addr4(), CNCPort),
-		ReconnectDelay: 10 * sim.Second,
+		CNC: netip.AddrPortFrom(attacker.Node().Addr4(), CNCPort),
 	}, 500*netsim.Kbps)
 
-	base, max := 10*sim.Second, 40*sim.Second
 	for fails := 0; fails <= 6; fails++ {
 		bot.dialFails = fails
-		want := base << fails
-		if want > max {
-			want = max
+		want := reconnectBase << fails
+		if want > reconnectCap {
+			want = reconnectCap
 		}
 		for i := 0; i < 8; i++ {
 			d := bot.reconnectDelay()
-			if d < want || d >= want+base {
-				t.Fatalf("fails=%d draw=%d: delay %v outside [%v, %v)", fails, i, d, want, want+base)
+			if d < want || d >= want+reconnectBase {
+				t.Fatalf("fails=%d draw=%d: delay %v outside [%v, %v)", fails, i, d, want, want+reconnectBase)
 			}
 		}
 	}
@@ -125,18 +122,16 @@ func TestReconnectBackoffJitter(t *testing.T) {
 // TestReapSilentBotsAfterCrash is the process-crash coverage for
 // CNC.reapSilentBots: a bot whose process dies behind a downed link —
 // no FIN/RST ever reaches the C&C — must be deregistered once its
-// pings have been silent for BotTimeout, and the registry count must
+// pings have been silent for botTimeout, and the registry count must
 // agree with the registration/loss counters.
 func TestReapSilentBotsAfterCrash(t *testing.T) {
 	r := newRig(t)
 	lost := 0
 	attacker, cnc := r.spawnCNC(t, CNCConfig{
-		BotTimeout: 20 * sim.Second,
-		OnBotLost:  func(netip.Addr) { lost++ },
+		OnBotLost: func(netip.Addr) { lost++ },
 	})
 	victim, _ := r.spawnBot(t, "dev-1", BotConfig{
-		CNC:        netip.AddrPortFrom(attacker.Node().Addr4(), CNCPort),
-		PingPeriod: 2 * sim.Second,
+		CNC: netip.AddrPortFrom(attacker.Node().Addr4(), CNCPort),
 	}, 500*netsim.Kbps)
 	runFor(t, r.sched, 5*sim.Second)
 	if cnc.BotCount() != 1 || cnc.TotalRegistered != 1 {
@@ -152,13 +147,13 @@ func TestReapSilentBotsAfterCrash(t *testing.T) {
 	}
 	victim.Kill(procs[0].PID())
 
-	// Within BotTimeout the registry still carries the silent bot.
-	runFor(t, r.sched, 10*sim.Second)
+	// Within botTimeout the registry still carries the silent bot.
+	runFor(t, r.sched, botTimeout-10*sim.Second)
 	if cnc.BotCount() != 1 {
-		t.Fatalf("bot reaped before BotTimeout: count=%d", cnc.BotCount())
+		t.Fatalf("bot reaped before botTimeout: count=%d", cnc.BotCount())
 	}
-	// After BotTimeout (+ one reaper period of slack) it must be gone.
-	runFor(t, r.sched, 40*sim.Second)
+	// After botTimeout (+ one reaper period of slack) it must be gone.
+	runFor(t, r.sched, botTimeout/3+10*sim.Second)
 	if cnc.BotCount() != 0 {
 		t.Fatalf("silent crashed bot still registered: count=%d", cnc.BotCount())
 	}

@@ -17,6 +17,10 @@ var srcScan = sim.NewSource("scanner.probe")
 // Mirai's scanListen utility.
 const ScanListenPort = 48101
 
+// credsPerTarget bounds dictionary attempts per discovered host,
+// mirroring Mirai's randomized subset of telnetd.MiraiDictionary.
+const credsPerTarget = 6
+
 // ScanConfig parameterizes Mirai's telnet scanner — the baseline
 // recruitment vector (dictionary attacks on default credentials) the
 // paper contrasts with memory-error exploitation.
@@ -27,12 +31,6 @@ type ScanConfig struct {
 	Prefix netip.Prefix
 	// Period is the delay between scan probes. Default 2 s.
 	Period sim.Time
-	// CredsPerTarget bounds dictionary attempts per discovered host.
-	// Default 6, mirroring Mirai's randomized subset.
-	CredsPerTarget int
-	// Dictionary holds the credential list. Defaults to
-	// telnetd.MiraiDictionary.
-	Dictionary []telnetd.Cred
 	// ReportTo is the loader's scanListen endpoint.
 	ReportTo netip.AddrPort
 	// Skip lists addresses never probed — Mirai hardcodes its own
@@ -52,12 +50,6 @@ func (c *ScanConfig) skipped(a netip.Addr) bool {
 func (c *ScanConfig) normalize() {
 	if c.Period <= 0 {
 		c.Period = 2 * sim.Second
-	}
-	if c.CredsPerTarget <= 0 {
-		c.CredsPerTarget = 6
-	}
-	if len(c.Dictionary) == 0 {
-		c.Dictionary = telnetd.MiraiDictionary
 	}
 }
 
@@ -116,7 +108,7 @@ func (s *Scanner) probe() {
 		return
 	}
 	s.Probes++
-	s.tryCreds(target, s.cfg.CredsPerTarget)
+	s.tryCreds(target, credsPerTarget)
 }
 
 func (s *Scanner) pickTarget() netip.Addr {
@@ -156,7 +148,7 @@ func (s *Scanner) tryCreds(target netip.Addr, remaining int) {
 	if remaining <= 0 || !s.p.Alive() || s.done() {
 		return
 	}
-	cred := s.cfg.Dictionary[s.p.RNG().Intn(len(s.cfg.Dictionary))]
+	cred := telnetd.MiraiDictionary[s.p.RNG().Intn(len(telnetd.MiraiDictionary))]
 	s.p.DialTCP(netip.AddrPortFrom(target, 23), func(c *netsim.TCPConn, err error) {
 		if err != nil {
 			return // port closed or host absent: move on

@@ -250,11 +250,8 @@ func TestLoaderRetriesAfterFailedLoad(t *testing.T) {
 func TestScanConfigDefaults(t *testing.T) {
 	cfg := ScanConfig{}
 	cfg.normalize()
-	if cfg.Period != 2*sim.Second || cfg.CredsPerTarget != 6 {
+	if cfg.Period != 2*sim.Second {
 		t.Fatalf("defaults = %+v", cfg)
-	}
-	if len(cfg.Dictionary) == 0 {
-		t.Fatal("empty default dictionary")
 	}
 }
 

@@ -49,39 +49,14 @@ type FlowLabelRule struct {
 	Label    string
 }
 
-// Flow-table tuning defaults.
+// Flow-table timing and capacity: NetFlow v5's active and idle
+// timeouts, a once-a-second expiry sweep, and a cap on live flows.
 const (
-	DefaultFlowActiveTimeout = 60 * sim.Second
-	DefaultFlowIdleTimeout   = 15 * sim.Second
-	DefaultFlowSweepPeriod   = 1 * sim.Second
-	DefaultMaxFlows          = 1 << 16
+	flowActiveTimeout = 60 * sim.Second
+	flowIdleTimeout   = 15 * sim.Second
+	flowSweepPeriod   = 1 * sim.Second
+	maxFlows          = 1 << 16
 )
-
-// FlowConfig tunes the flow table. Zero fields take the defaults
-// above; Sink may be nil (records are then dropped as they close,
-// which still keeps the table bounded).
-type FlowConfig struct {
-	ActiveTimeout sim.Time
-	IdleTimeout   sim.Time
-	SweepPeriod   sim.Time
-	MaxFlows      int
-	Sink          *obs.FlowBuffer
-}
-
-func (c *FlowConfig) normalize() {
-	if c.ActiveTimeout <= 0 {
-		c.ActiveTimeout = DefaultFlowActiveTimeout
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = DefaultFlowIdleTimeout
-	}
-	if c.SweepPeriod <= 0 {
-		c.SweepPeriod = DefaultFlowSweepPeriod
-	}
-	if c.MaxFlows <= 0 {
-		c.MaxFlows = DefaultMaxFlows
-	}
-}
 
 // flowKey identifies a flow without pointers: both endpoints packed
 // by the table's zones, and the protocol. Unlike a pair of
@@ -108,7 +83,7 @@ type flowEntry struct {
 type FlowTableStats struct {
 	Created  uint64 // flows opened (including post-checkpoint restarts)
 	Exported uint64 // records closed, whether or not a buffer keeps them
-	Evicted  uint64 // flows force-closed by the MaxFlows cap
+	Evicted  uint64 // flows force-closed by the maxFlows cap
 }
 
 // FlowTable is the per-network flow accountant. It is not safe for
@@ -117,7 +92,7 @@ type FlowTableStats struct {
 // pack (see obs.Zones for the limit on IPv6 zones).
 type FlowTable struct {
 	sched *sim.Scheduler
-	cfg   FlowConfig
+	sink  *obs.FlowBuffer
 
 	idx      map[flowKey]int32
 	entries  []flowEntry
@@ -139,28 +114,18 @@ type FlowTable struct {
 	stats   FlowTableStats
 }
 
-// newFlowTable builds a table without a sweeper.
-func newFlowTable(sched *sim.Scheduler, cfg FlowConfig) *FlowTable {
-	return &FlowTable{
-		sched: sched,
-		cfg:   cfg,
-		idx:   make(map[flowKey]int32, cfg.MaxFlows/4),
-		zones: cfg.Sink.Zones(),
+// EnableFlows attaches flow accounting to the network, exporting each
+// closed record into sink, and starts the table's expiry sweeper on the
+// network's scheduler. sink may be nil (records are then dropped as
+// they close, which still keeps the table bounded). Call it once.
+func (w *Network) EnableFlows(sink *obs.FlowBuffer) *FlowTable {
+	ft := &FlowTable{
+		sched: w.sched,
+		sink:  sink,
+		idx:   make(map[flowKey]int32, maxFlows/4),
+		zones: sink.Zones(),
 	}
-}
-
-// EnableFlows attaches flow accounting to the network: one table,
-// with its expiry sweeper on the network's scheduler, which it
-// returns. Calling EnableFlows again replaces the previous accounting
-// (stopped and flushed).
-func (w *Network) EnableFlows(cfg FlowConfig) *FlowTable {
-	if w.flows != nil {
-		w.flows.Stop()
-		w.flows.FlushAll(w.sched.Now())
-	}
-	cfg.normalize()
-	ft := newFlowTable(w.sched, cfg)
-	ft.sweeper = sim.NewTicker(w.sched, cfg.SweepPeriod, srcFlows, ft.sweep)
+	ft.sweeper = sim.NewTicker(w.sched, flowSweepPeriod, srcFlows, ft.sweep)
 	ft.sweeper.Start()
 	w.flows = ft
 	return ft
@@ -206,11 +171,7 @@ func (ft *FlowTable) Stats() FlowTableStats { return ft.stats }
 
 // Stop halts the expiry sweeper. Pending flows stay in the table until
 // FlushAll.
-func (ft *FlowTable) Stop() {
-	if ft.sweeper != nil {
-		ft.sweeper.Stop()
-	}
-}
+func (ft *FlowTable) Stop() { ft.sweeper.Stop() }
 
 // labelFor returns the label of a new flow for pkt: 1 + the index of
 // the first rule it matches, or 0 for "benign".
@@ -241,14 +202,14 @@ func (ft *FlowTable) keyOf(pkt *Packet) flowKey {
 // in-place comparison with the hinted entry (or, when the hint misses,
 // a map lookup) plus a handful of field updates, with no allocation;
 // only a never-seen flow key pays the slab/index inserts below,
-// bounded by MaxFlows.
+// bounded by maxFlows.
 //
 // The hint is the index of the entry the node's previous packet went
 // to. It is trusted only when that entry is live and holds this
-// packet's flow: the slot may since have been recycled by a sweep,
-// evicted, or belong to a table EnableFlows replaced, and then the
-// comparison fails and the index map decides. A live entry with the
-// key is the key's only entry, so a hit is always the right flow.
+// packet's flow: the slot may since have been recycled by a sweep or
+// evicted, and then the comparison fails and the index map decides.
+// A live entry with the key is the key's only entry, so a hit is
+// always the right flow.
 //
 //simlint:hotpath
 func (ft *FlowTable) record(pkt *Packet, now sim.Time, hint *int32) {
@@ -268,7 +229,7 @@ func (ft *FlowTable) record(pkt *Packet, now sim.Time, hint *int32) {
 	if ok {
 		*hint = i
 		e := &ft.entries[i]
-		if now-e.start >= ft.cfg.ActiveTimeout {
+		if now-e.start >= flowActiveTimeout {
 			// Checkpoint: export the elapsed interval and restart the
 			// record in place.
 			ft.export(e, e.last, obs.FlowActive)
@@ -285,14 +246,14 @@ func (ft *FlowTable) record(pkt *Packet, now sim.Time, hint *int32) {
 		return
 	}
 
-	if len(ft.idx) >= ft.cfg.MaxFlows {
+	if len(ft.idx) >= maxFlows {
 		ft.evictOldest()
 	}
 	if n := len(ft.freeList); n > 0 {
 		i = ft.freeList[n-1]
 		ft.freeList = ft.freeList[:n-1]
 	} else {
-		ft.entries = append(ft.entries, flowEntry{}) //simlint:allow allocfree(first sighting of a flow key only; steady state reuses freeList slots and the slab is bounded by MaxFlows)
+		ft.entries = append(ft.entries, flowEntry{}) //simlint:allow allocfree(first sighting of a flow key only; steady state reuses freeList slots and the slab is bounded by maxFlows)
 		i = int32(len(ft.entries) - 1)
 	}
 	e := &ft.entries[i]
@@ -305,7 +266,7 @@ func (ft *FlowTable) record(pkt *Packet, now sim.Time, hint *int32) {
 	}
 	e.label = ft.labelFor(pkt)
 	e.live = true
-	ft.idx[k] = i //simlint:allow allocfree(index insert and order append run once per new flow key, bounded by MaxFlows; the established-flow path above returns before them)
+	ft.idx[k] = i //simlint:allow allocfree(index insert and order append run once per new flow key, bounded by maxFlows; the established-flow path above returns before them)
 	ft.order = append(ft.order, i)
 	ft.stats.Created++
 	*hint = i
@@ -337,7 +298,7 @@ func (ft *FlowTable) export(e *flowEntry, end sim.Time, reason string) {
 	if e.label > 0 {
 		label = ft.rules[e.label-1].Label
 	}
-	ft.cfg.Sink.Add(obs.Flow{
+	ft.sink.Add(obs.Flow{
 		StartUS: int64(e.start / sim.Microsecond), EndUS: int64(end / sim.Microsecond),
 		Packets: e.packets, Bytes: e.bytes,
 		Src: e.key.src, Dst: e.key.dst, TCPFlags: uint8(e.flags),
@@ -357,7 +318,7 @@ func (ft *FlowTable) sweep() {
 			ft.freeList = append(ft.freeList, i)
 			continue
 		}
-		if now-e.last >= ft.cfg.IdleTimeout {
+		if now-e.last >= flowIdleTimeout {
 			ft.export(e, e.last, obs.FlowIdle)
 			delete(ft.idx, e.key)
 			e.live = false

@@ -14,12 +14,11 @@ import (
 // flowStar builds a star with flow accounting into an obs.FlowBuffer,
 // plus a src host with an unbound-port UDP socket and a dst host
 // listening on port 80.
-func flowStar(t testing.TB, cfg FlowConfig) (*sim.Scheduler, *Network, *obs.FlowBuffer, *UDPSocket, netip.AddrPort) {
+func flowStar(t testing.TB) (*sim.Scheduler, *Network, *obs.FlowBuffer, *UDPSocket, netip.AddrPort) {
 	t.Helper()
 	sched, w, star := newStar(t, 1)
 	buf := &obs.FlowBuffer{}
-	cfg.Sink = buf
-	w.EnableFlows(cfg)
+	w.EnableFlows(buf)
 	src := star.AttachHost("src", 100*Mbps, sim.Millisecond, 0)
 	dst := star.AttachHost("dst", 100*Mbps, sim.Millisecond, 0)
 	if _, err := dst.BindUDP(80, nil); err != nil {
@@ -33,7 +32,7 @@ func flowStar(t testing.TB, cfg FlowConfig) (*sim.Scheduler, *Network, *obs.Flow
 }
 
 func TestFlowTableIdleExpiry(t *testing.T) {
-	sched, w, buf, sock, target := flowStar(t, FlowConfig{IdleTimeout: 2 * sim.Second})
+	sched, w, buf, sock, target := flowStar(t)
 
 	for i := 0; i < 5; i++ {
 		sock.SendPadded(target, nil, 100)
@@ -47,7 +46,7 @@ func TestFlowTableIdleExpiry(t *testing.T) {
 	lastSend := sched.Now() - 100*sim.Millisecond
 
 	// Run past the idle timeout; the sweeper closes the flow.
-	if err := sched.Run(sched.Now() + 5*sim.Second); err != nil {
+	if err := sched.Run(sched.Now() + flowIdleTimeout + 2*flowSweepPeriod); err != nil {
 		t.Fatal(err)
 	}
 	w.Flows().Stop()
@@ -82,16 +81,16 @@ func TestFlowTableIdleExpiry(t *testing.T) {
 }
 
 func TestFlowTableActiveCheckpoint(t *testing.T) {
-	sched, w, buf, sock, target := flowStar(t, FlowConfig{
-		ActiveTimeout: 3 * sim.Second,
-		IdleTimeout:   100 * sim.Second, // keep idle expiry out of the way
-	})
+	sched, w, buf, sock, target := flowStar(t)
 
-	// Send every 500ms for 10s: the flow stays continuously active, so
-	// only the active timeout can close records.
-	for i := 0; i < 20; i++ {
+	// Send every 500ms for two and a half active timeouts: the gap is
+	// far under the idle timeout, so only the active timeout can close
+	// records.
+	const gap = 500 * sim.Millisecond
+	n := int(5 * flowActiveTimeout / 2 / gap)
+	for i := 0; i < n; i++ {
 		sock.SendPadded(target, nil, 100)
-		if err := sched.Run(sched.Now() + 500*sim.Millisecond); err != nil {
+		if err := sched.Run(sched.Now() + gap); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,17 +111,17 @@ func TestFlowTableActiveCheckpoint(t *testing.T) {
 		if r.Reason != wantReason {
 			t.Fatalf("record %d reason=%q, want %q", i, r.Reason, wantReason)
 		}
-		if (r.EndUS-r.StartUS) > int64(3*sim.Second/sim.Microsecond) && r.Reason == obs.FlowActive {
+		if (r.EndUS-r.StartUS) > int64(flowActiveTimeout/sim.Microsecond) && r.Reason == obs.FlowActive {
 			t.Fatalf("checkpoint %d spans %dus > active timeout", i, r.EndUS-r.StartUS)
 		}
 	}
-	if pkts != 20 {
-		t.Fatalf("total packets across records=%d, want 20", pkts)
+	if pkts != uint64(n) {
+		t.Fatalf("total packets across records=%d, want %d", pkts, n)
 	}
 }
 
 func TestFlowTableLabelRules(t *testing.T) {
-	sched, w, buf, sock, target := flowStar(t, FlowConfig{IdleTimeout: sim.Second})
+	sched, w, buf, sock, target := flowStar(t)
 	attacker := netip.MustParseAddr("10.9.9.9")
 	w.Flows().AddLabelRule(FlowLabelRule{Addr: target.Addr(), Port: 80, Label: "attack"})
 	w.Flows().AddLabelRule(FlowLabelRule{Addr: attacker, Label: "cnc"})
@@ -139,24 +138,27 @@ func TestFlowTableLabelRules(t *testing.T) {
 	}
 }
 
-func TestFlowTableEviction(t *testing.T) {
-	sched, w, buf, sock, _ := flowStar(t, FlowConfig{
-		MaxFlows:    4,
-		IdleTimeout: 100 * sim.Second,
-		SweepPeriod: 50 * sim.Second,
-	})
-	base := netip.MustParseAddr("10.0.7.1")
+// sendToMany sends one datagram from sock to each of n consecutive
+// addresses from base, all at the current instant, so none of the n
+// flows can idle out before the caller looks at the table.
+func sendToMany(sock *UDPSocket, base netip.Addr, n int) {
 	addr := base
-	for i := 0; i < 6; i++ {
+	for i := 0; i < n; i++ {
 		sock.SendPadded(netip.AddrPortFrom(addr, 80), nil, 64)
 		addr = addr.Next()
-		if err := sched.Run(sched.Now() + sim.Millisecond); err != nil {
-			t.Fatal(err)
-		}
+	}
+}
+
+func TestFlowTableEviction(t *testing.T) {
+	sched, w, buf, sock, _ := flowStar(t)
+	base := netip.MustParseAddr("10.0.7.1")
+	sendToMany(sock, base, maxFlows+2)
+	if err := sched.Run(sched.Now() + sim.Millisecond); err != nil {
+		t.Fatal(err)
 	}
 	ft := w.Flows()
-	if ft.Active() != 4 {
-		t.Fatalf("active=%d, want 4 (capped)", ft.Active())
+	if ft.Active() != maxFlows {
+		t.Fatalf("active=%d, want %d (capped)", ft.Active(), maxFlows)
 	}
 	st := ft.Stats()
 	if st.Evicted != 2 {
@@ -165,15 +167,15 @@ func TestFlowTableEviction(t *testing.T) {
 	ft.Stop()
 	ft.FlushAll(sched.Now())
 	recs := buf.Records()
-	if len(recs) != 6 {
-		t.Fatalf("records=%d, want 6", len(recs))
+	if len(recs) != maxFlows+2 {
+		t.Fatalf("records=%d, want %d", len(recs), maxFlows+2)
 	}
 	// The two oldest flows were evicted, in creation order.
-	if recs[0].Reason != obs.FlowEvict || recs[1].Reason != obs.FlowEvict {
-		t.Fatalf("oldest records %+v, want evict reason", recs[:2])
+	if recs[0].Reason != obs.FlowEvict || recs[1].Reason != obs.FlowEvict || recs[2].Reason != obs.FlowFinal {
+		t.Fatalf("oldest records %+v, want two evict reasons", recs[:3])
 	}
-	if recs[0].Dst.Addr() != base {
-		t.Fatalf("first evicted dst=%v, want %v", recs[0].Dst.Addr(), base)
+	if recs[0].Dst.Addr() != base || recs[1].Dst.Addr() != base.Next() {
+		t.Fatalf("evicted dsts=%v %v, want %v %v", recs[0].Dst.Addr(), recs[1].Dst.Addr(), base, base.Next())
 	}
 }
 
@@ -181,15 +183,16 @@ func TestFlowTableEviction(t *testing.T) {
 // slot freed by expiry must be reusable without corrupting the
 // creation-order list.
 func TestFlowTableSlotReuseAfterSweep(t *testing.T) {
-	sched, w, buf, sock, target := flowStar(t, FlowConfig{IdleTimeout: sim.Second})
+	sched, w, buf, sock, target := flowStar(t)
+	idle := flowIdleTimeout + 2*flowSweepPeriod
 
 	sock.SendPadded(target, nil, 64)
-	if err := sched.Run(sched.Now() + 5*sim.Second); err != nil { // expires
+	if err := sched.Run(sched.Now() + idle); err != nil { // expires
 		t.Fatal(err)
 	}
 	sock.SendPadded(target, nil, 64) // same key again: new flow, reused slot
 	sock.SendPadded(netip.AddrPortFrom(target.Addr(), 81), nil, 64)
-	if err := sched.Run(sched.Now() + 5*sim.Second); err != nil {
+	if err := sched.Run(sched.Now() + idle); err != nil {
 		t.Fatal(err)
 	}
 	w.Flows().Stop()
@@ -211,7 +214,7 @@ func TestFlowTableSlotReuseAfterSweep(t *testing.T) {
 func TestFlowTableTCPFlagsAccumulate(t *testing.T) {
 	sched, w, star := newStar(t, 1)
 	buf := &obs.FlowBuffer{}
-	w.EnableFlows(FlowConfig{Sink: buf, IdleTimeout: sim.Second})
+	w.EnableFlows(buf)
 	src := star.AttachHost("src", 100*Mbps, sim.Millisecond, 0)
 	dst := star.AttachHost("dst", 100*Mbps, sim.Millisecond, 0)
 
@@ -261,7 +264,7 @@ func TestFlowTableTCPFlagsAccumulate(t *testing.T) {
 func TestFlowExportEdgeEndpoints(t *testing.T) {
 	sched, w, star := newStar(t, 1)
 	buf := &obs.FlowBuffer{}
-	w.EnableFlows(FlowConfig{Sink: buf, IdleTimeout: 2 * sim.Second})
+	w.EnableFlows(buf)
 	w.AddFlowLabelRule(FlowLabelRule{Endpoint: netip.MustParseAddrPort("192.0.2.3:7777"), Label: "attack"})
 	w.AddFlowLabelRule(FlowLabelRule{Addr: netip.MustParseAddr("fe80::3%eth0"), Label: "cnc"})
 	h := star.AttachHost("h", 100*Mbps, sim.Millisecond, 0)
@@ -309,13 +312,15 @@ func TestFlowExportEdgeEndpoints(t *testing.T) {
 	send(ProtoTCP, ap("192.0.2.2:5005"), ap("192.0.2.3:80"), FlagSYN)
 	step()
 	send(ProtoTCP, ap("192.0.2.2:5005"), ap("192.0.2.3:80"), FlagACK)
-	runTo(5 * sim.Second) // every flow idles out
+	// Every flow idles out and is swept; the late flows start at 17 s.
+	late := flowIdleTimeout + 2*flowSweepPeriod
+	runTo(late)
 	eth1()
 	fromZero()
 	step()
 	v4()
 	fromZero()
-	runTo(6 * sim.Second)
+	runTo(late + sim.Second)
 	w.Flows().Stop()
 	w.Flows().FlushAll(sched.Now())
 
@@ -339,9 +344,9 @@ func TestFlowExportEdgeEndpoints(t *testing.T) {
 500,500,udp,[fe80::2]:5003,[fe80::3]:546,1,162,0,benign,idle
 750,750,udp,invalid AddrPort,[2001:db8::3]:547,1,162,0,benign,idle
 1000,1250,tcp,192.0.2.2:5005,192.0.2.3:80,2,308,3,benign,idle
-5000000,5000000,udp,[fe80::2%eth1]:5003,[fe80::3%eth1]:546,1,162,0,benign,final
-5000000,5000250,udp,invalid AddrPort,[2001:db8::3]:547,2,324,0,benign,final
-5000250,5000250,udp,192.0.2.2:5000,192.0.2.3:7777,1,142,0,attack,final
+17000000,17000000,udp,[fe80::2%eth1]:5003,[fe80::3%eth1]:546,1,162,0,benign,final
+17000000,17000250,udp,invalid AddrPort,[2001:db8::3]:547,2,324,0,benign,final
+17000250,17000250,udp,192.0.2.2:5000,192.0.2.3:7777,1,142,0,attack,final
 `
 	wantJSONL := `{"start_us":0,"end_us":250,"proto":"udp","src":"192.0.2.2:5000","dst":"192.0.2.3:7777","packets":2,"bytes":284,"tcp_flags":0,"label":"attack","reason":"idle"}
 {"start_us":0,"end_us":250,"proto":"udp","src":"[::ffff:192.0.2.2]:5000","dst":"[::ffff:192.0.2.3]:7777","packets":2,"bytes":324,"tcp_flags":0,"label":"benign","reason":"idle"}
@@ -351,9 +356,9 @@ func TestFlowExportEdgeEndpoints(t *testing.T) {
 {"start_us":500,"end_us":500,"proto":"udp","src":"[fe80::2]:5003","dst":"[fe80::3]:546","packets":1,"bytes":162,"tcp_flags":0,"label":"benign","reason":"idle"}
 {"start_us":750,"end_us":750,"proto":"udp","src":"invalid AddrPort","dst":"[2001:db8::3]:547","packets":1,"bytes":162,"tcp_flags":0,"label":"benign","reason":"idle"}
 {"start_us":1000,"end_us":1250,"proto":"tcp","src":"192.0.2.2:5005","dst":"192.0.2.3:80","packets":2,"bytes":308,"tcp_flags":3,"label":"benign","reason":"idle"}
-{"start_us":5000000,"end_us":5000000,"proto":"udp","src":"[fe80::2%eth1]:5003","dst":"[fe80::3%eth1]:546","packets":1,"bytes":162,"tcp_flags":0,"label":"benign","reason":"final"}
-{"start_us":5000000,"end_us":5000250,"proto":"udp","src":"invalid AddrPort","dst":"[2001:db8::3]:547","packets":2,"bytes":324,"tcp_flags":0,"label":"benign","reason":"final"}
-{"start_us":5000250,"end_us":5000250,"proto":"udp","src":"192.0.2.2:5000","dst":"192.0.2.3:7777","packets":1,"bytes":142,"tcp_flags":0,"label":"attack","reason":"final"}
+{"start_us":17000000,"end_us":17000000,"proto":"udp","src":"[fe80::2%eth1]:5003","dst":"[fe80::3%eth1]:546","packets":1,"bytes":162,"tcp_flags":0,"label":"benign","reason":"final"}
+{"start_us":17000000,"end_us":17000250,"proto":"udp","src":"invalid AddrPort","dst":"[2001:db8::3]:547","packets":2,"bytes":324,"tcp_flags":0,"label":"benign","reason":"final"}
+{"start_us":17000250,"end_us":17000250,"proto":"udp","src":"192.0.2.2:5000","dst":"192.0.2.3:7777","packets":1,"bytes":142,"tcp_flags":0,"label":"attack","reason":"final"}
 `
 	wantStats := `{"flows":11,"packets":17,"bytes":2678,"labels":[{"label":"attack","flows":2,"packets":3,"bytes":426},{"label":"benign","flows":8,"packets":12,"bytes":1928},{"label":"cnc","flows":1,"packets":2,"bytes":324}]}`
 	if csv.String() != wantCSV {
@@ -415,7 +420,7 @@ func TestUDPFloodPathZeroAllocWithFlows(t *testing.T) {
 		t.Skip("simdebug sanitizer records call sites and allocates")
 	}
 	sched, w, star := newStar(t, 1)
-	w.EnableFlows(FlowConfig{Sink: &obs.FlowBuffer{}})
+	w.EnableFlows(&obs.FlowBuffer{})
 	src := star.AttachHost("src", 100*Mbps, sim.Millisecond, 0)
 	dst := star.AttachHost("dst", 100*Mbps, sim.Millisecond, 0)
 	if _, err := dst.BindUDP(80, nil); err != nil {
@@ -448,7 +453,7 @@ func TestUDPFloodPathZeroAllocWithFlows(t *testing.T) {
 func BenchmarkUDPFloodPathFlows(b *testing.B) {
 	sched, w, star := newStar(b, 1)
 	buf := &obs.FlowBuffer{}
-	w.EnableFlows(FlowConfig{Sink: buf})
+	w.EnableFlows(buf)
 	src := star.AttachHost("src", 100*Mbps, sim.Millisecond, 0)
 	dst := star.AttachHost("dst", 100*Mbps, sim.Millisecond, 0)
 	if _, err := dst.BindUDP(80, nil); err != nil {

@@ -79,12 +79,11 @@ func TestNodeTablesDropRemovedEntries(t *testing.T) {
 
 // hintStar is a star with flow accounting into a buffer, two senders
 // a and b and a receiver; x and y are two of the receiver's endpoints.
-func hintStar(t *testing.T, cfg FlowConfig) (sched *sim.Scheduler, w *Network, buf *obs.FlowBuffer, a, b *UDPSocket, x, y netip.AddrPort) {
+func hintStar(t *testing.T) (sched *sim.Scheduler, w *Network, buf *obs.FlowBuffer, a, b *UDPSocket, x, y netip.AddrPort) {
 	t.Helper()
 	sched, w, star := newStar(t, 1)
 	buf = &obs.FlowBuffer{}
-	cfg.Sink = buf
-	w.EnableFlows(cfg)
+	w.EnableFlows(buf)
 	for _, name := range []string{"a", "b"} {
 		s, err := star.AttachHost(name, 100*Mbps, sim.Millisecond, 0).BindUDP(5000, nil)
 		if err != nil {
@@ -127,10 +126,11 @@ func checkFlows(t *testing.T, buf *obs.FlowBuffer, want []string) {
 // freed and b's new flow took. The key check must send a's packet to a
 // flow of its own, not into b's.
 func TestFlowHintSlotRecycledBySweep(t *testing.T) {
-	sched, w, buf, a, b, x, y := hintStar(t, FlowConfig{IdleTimeout: sim.Second})
+	sched, w, buf, a, b, x, y := hintStar(t)
 	a.SendPadded(x, nil, 64)
-	runTo(t, sched, 5*sim.Second) // a>x goes idle; its slot returns to the free list
-	b.SendPadded(y, nil, 64)      // b>y takes the slot a's hint points at
+	// a>x goes idle; its slot returns to the free list.
+	runTo(t, sched, flowIdleTimeout+2*flowSweepPeriod)
+	b.SendPadded(y, nil, 64) // b>y takes the slot a's hint points at
 	bSrc := w.flows.zones.Pack(netip.AddrPortFrom(b.node.Addr4(), 5000))
 	if hint := a.node.flowHint; !w.flows.entries[hint].live || w.flows.entries[hint].key.src != bSrc {
 		t.Fatalf("setup: a's hint %d does not point at b's flow", hint)
@@ -143,49 +143,49 @@ func TestFlowHintSlotRecycledBySweep(t *testing.T) {
 }
 
 // TestFlowHintEvictedSlot: a's hint points at its own flow's slot after
-// the MaxFlows cap evicted that flow. The slot still holds a's key but
+// the maxFlows cap evicted that flow. The slot still holds a's key but
 // is dead, so a's next packet must open a new flow.
 func TestFlowHintEvictedSlot(t *testing.T) {
-	sched, w, buf, a, b, x, y := hintStar(t, FlowConfig{MaxFlows: 1, IdleTimeout: 100 * sim.Second, SweepPeriod: 50 * sim.Second})
+	sched, w, buf, a, b, x, _ := hintStar(t)
 	a.SendPadded(x, nil, 64)
-	b.SendPadded(y, nil, 64) // evicts a>x
-	a.SendPadded(x, nil, 64) // evicts b>y, reopens a>x
-	a.SendPadded(x, nil, 64)
-	w.Flows().Stop()
-	w.Flows().FlushAll(sched.Now())
-	ax, by := a.node.Addr4().String()+":5000>"+x.String(), b.node.Addr4().String()+":5000>"+y.String()
-	checkFlows(t, buf, []string{ax + " evict 1", by + " evict 1", ax + " final 2"})
-}
-
-// TestFlowHintReplacedTable: EnableFlows replaced the table a's hint
-// was taken in, and in the new table that index holds b's flow.
-func TestFlowHintReplacedTable(t *testing.T) {
-	sched, w, buf, a, b, x, y := hintStar(t, FlowConfig{})
-	a.SendPadded(x, nil, 64)
-	buf2 := &obs.FlowBuffer{}
-	w.EnableFlows(FlowConfig{Sink: buf2}) // flushes a>x into buf
-	b.SendPadded(y, nil, 64)              // slot 0 of the new table
-	a.SendPadded(x, nil, 64)
+	first := netip.MustParseAddr("10.0.7.1")
+	sendToMany(b, first, maxFlows-1) // fills the table
+	sendToMany(b, first.Prev(), 1)   // evicts a>x
+	a.SendPadded(x, nil, 64)         // evicts b's first flow, reopens a>x
 	a.SendPadded(x, nil, 64)
 	w.Flows().Stop()
 	w.Flows().FlushAll(sched.Now())
-	ax, by := a.node.Addr4().String()+":5000>"+x.String(), b.node.Addr4().String()+":5000>"+y.String()
-	checkFlows(t, buf, []string{ax + " final 1"})
-	checkFlows(t, buf2, []string{by + " final 1", ax + " final 2"})
+	ax, bFirst := a.node.Addr4().String()+":5000>"+x.String(), b.node.Addr4().String()+":5000>"+first.String()+":80"
+	recs := buf.Records()
+	if len(recs) != maxFlows+2 {
+		t.Fatalf("records=%d, want %d", len(recs), maxFlows+2)
+	}
+	got := flowLog([]obs.FlowRecord{recs[0], recs[1], recs[len(recs)-1]})
+	if want := []string{ax + " evict 1", bFirst + " evict 1", ax + " final 2"}; !slices.Equal(got, want) {
+		t.Errorf("first, second and last flow records:\n got %q\nwant %q", got, want)
+	}
 }
 
 // TestFlowHintCheckpoint: an active-timeout checkpoint taken on the
 // hint's fast path exports the elapsed interval and restarts the
 // record in place, in the same slot.
 func TestFlowHintCheckpoint(t *testing.T) {
-	sched, w, buf, a, _, x, _ := hintStar(t, FlowConfig{ActiveTimeout: 3 * sim.Second, IdleTimeout: 100 * sim.Second})
+	sched, w, buf, a, _, x, _ := hintStar(t)
+	// Packets every gap (under the idle timeout) up to the active
+	// timeout, the checkpoint at it, and one more after.
+	const gap = 10 * sim.Second
 	a.SendPadded(x, nil, 64)
 	hint := a.node.flowHint
-	runTo(t, sched, sim.Second)
-	a.SendPadded(x, nil, 64)
-	runTo(t, sched, 3500*sim.Millisecond)
+	pre := 1
+	for at := gap; at < flowActiveTimeout; at += gap {
+		runTo(t, sched, at)
+		a.SendPadded(x, nil, 64)
+		pre++
+	}
+	lastPre := sched.Now()
+	runTo(t, sched, flowActiveTimeout)
 	a.SendPadded(x, nil, 64) // checkpoint
-	runTo(t, sched, 4*sim.Second)
+	runTo(t, sched, flowActiveTimeout+gap/2)
 	a.SendPadded(x, nil, 64)
 	if a.node.flowHint != hint {
 		t.Errorf("hint moved from %d to %d across the checkpoint", hint, a.node.flowHint)
@@ -193,11 +193,12 @@ func TestFlowHintCheckpoint(t *testing.T) {
 	w.Flows().Stop()
 	w.Flows().FlushAll(sched.Now())
 	ax := a.node.Addr4().String() + ":5000>" + x.String()
-	checkFlows(t, buf, []string{ax + " active 2", ax + " final 2"})
+	checkFlows(t, buf, []string{fmt.Sprintf("%s active %d", ax, pre), ax + " final 2"})
 	recs := buf.Records()
-	if recs[0].StartUS != 0 || recs[0].EndUS != 1e6 || recs[1].StartUS != 3.5e6 || recs[1].EndUS != 4e6 {
-		t.Errorf("intervals = [%d,%d] [%d,%d], want [0,1s] [3.5s,4s]",
-			recs[0].StartUS, recs[0].EndUS, recs[1].StartUS, recs[1].EndUS)
+	us := func(at sim.Time) int64 { return int64(at / sim.Microsecond) }
+	if recs[0].StartUS != 0 || recs[0].EndUS != us(lastPre) || recs[1].StartUS != us(flowActiveTimeout) || recs[1].EndUS != us(flowActiveTimeout+gap/2) {
+		t.Errorf("intervals = [%d,%d] [%d,%d], want [0,%v] [%v,%v]",
+			recs[0].StartUS, recs[0].EndUS, recs[1].StartUS, recs[1].EndUS, lastPre, flowActiveTimeout, flowActiveTimeout+gap/2)
 	}
 	if st := w.Flows().Stats(); st.Created != 2 {
 		t.Errorf("created = %d, want 2 (open + restart)", st.Created)

@@ -123,7 +123,7 @@ func newBotnet(t *testing.T, seedVal int64, nBots int) *botnet {
 	bn.priv = priv
 
 	bn.seedC = mk("seed", 100*netsim.Mbps)
-	bn.seeder = NewSeeder(SeederConfig{Key: priv, RepublishPeriod: 10 * sim.Second})
+	bn.seeder = NewSeeder(SeederConfig{Key: priv})
 	bn.seedC.Spawn(bn.seeder)
 	boot := []netip.AddrPort{bn.seeder.Node().Addr()}
 

@@ -12,6 +12,10 @@ import (
 // srcRepublish labels the seeder's republish ticks.
 var srcRepublish = sim.NewSource("p2p.republish")
 
+// republishPeriod is how often the seeder re-replicates the live record
+// to the current K-closest set, healing churn holes.
+const republishPeriod = 30 * sim.Second
+
 // SeederConfig configures the botmaster's overlay presence.
 type SeederConfig struct {
 	// Key signs command records.
@@ -19,9 +23,6 @@ type SeederConfig struct {
 	// Bootstrap lists other overlay entry points (usually empty: the
 	// seeder IS the entry point).
 	Bootstrap []netip.AddrPort
-	// RepublishPeriod re-replicates the live record to the current
-	// K-closest set, healing churn holes. Default 30 s.
-	RepublishPeriod sim.Time
 	// DHT tunes the underlying node.
 	DHT dht.Config
 	// OnContact fires once per distinct peer address ever heard from —
@@ -55,9 +56,6 @@ var _ container.Behavior = (*Seeder)(nil)
 
 // NewSeeder creates the behaviour.
 func NewSeeder(cfg SeederConfig) *Seeder {
-	if cfg.RepublishPeriod <= 0 {
-		cfg.RepublishPeriod = 30 * sim.Second
-	}
 	return &Seeder{cfg: cfg, cmdKey: dht.Key(CommandChannel), seen: make(map[netip.Addr]bool)}
 }
 
@@ -89,7 +87,7 @@ func (s *Seeder) Start(p *container.Process) {
 	if len(s.cfg.Bootstrap) > 0 {
 		s.node.Join(s.cfg.Bootstrap, nil)
 	}
-	s.repub = p.NewTicker(s.cfg.RepublishPeriod, srcRepublish, s.republish)
+	s.repub = p.NewTicker(republishPeriod, srcRepublish, s.republish)
 	s.repub.Start()
 }
 
