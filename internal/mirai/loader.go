@@ -170,10 +170,7 @@ func (l *Loader) fail(victim netip.Addr) {
 		delete(l.pending, victim)
 		return
 	}
-	delay := retryBase << uint(st.attempts-1)
-	if delay > retryCap || delay <= 0 {
-		delay = retryCap
-	}
+	delay := min(retryBase<<(st.attempts-1), retryCap)
 	l.Retries++
 	l.p.Sched().Schedule(delay, srcRetry, func() {
 		if !l.p.Alive() || l.pending[victim] != st {
