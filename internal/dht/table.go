@@ -13,11 +13,14 @@ import (
 // is full, Seen reports the eviction candidate and the node layer
 // decides by pinging it (Kademlia's "old contacts are good contacts"
 // policy: a responsive oldie stays, the newcomer is dropped).
+//
+// Only the non-empty buckets are stored: a node of an N-node overlay
+// fills about log2 N of the IDBits, the nearest-range ones.
 type Table struct {
 	self    ID
 	k       int
-	buckets [IDBits][]Contact
-	used    []uint8 // indices of the non-empty buckets, ascending
+	used    []uint8     // indices of the non-empty buckets, ascending
+	buckets [][]Contact // buckets[p] is bucket used[p]; never empty
 	size    int
 }
 
@@ -28,6 +31,12 @@ func NewTable(self ID, k int) *Table {
 
 // Len reports the total number of contacts.
 func (t *Table) Len() int { return t.size }
+
+// find returns bucket idx's position in used, and whether it is
+// there; when it is not, p is where it would be inserted.
+func (t *Table) find(idx int) (p int, ok bool) {
+	return slices.BinarySearch(t.used, uint8(idx))
+}
 
 // SeenResult describes the outcome of observing a contact.
 type SeenResult int
@@ -50,7 +59,14 @@ func (t *Table) Seen(c Contact) (SeenResult, Contact) {
 	if idx < 0 {
 		return SeenSelf, Contact{}
 	}
-	b := t.buckets[idx]
+	p, ok := t.find(idx)
+	if !ok {
+		t.used = slices.Insert(t.used, p, uint8(idx))
+		t.buckets = slices.Insert(t.buckets, p, []Contact{c})
+		t.size++
+		return SeenAdded, Contact{}
+	}
+	b := t.buckets[p]
 	for i := range b {
 		if b[i].ID == c.ID {
 			// Move to tail: freshest position.
@@ -61,11 +77,7 @@ func (t *Table) Seen(c Contact) (SeenResult, Contact) {
 		}
 	}
 	if len(b) < t.k {
-		if len(b) == 0 {
-			i, _ := slices.BinarySearch(t.used, uint8(idx))
-			t.used = slices.Insert(t.used, i, uint8(idx))
-		}
-		t.buckets[idx] = append(b, c)
+		t.buckets[p] = append(b, c)
 		t.size++
 		return SeenAdded, Contact{}
 	}
@@ -79,7 +91,11 @@ func (t *Table) Evict(id ID, replacement Contact) {
 	if idx < 0 || idx != BucketIndex(t.self, replacement.ID) {
 		return
 	}
-	b := t.buckets[idx]
+	p, ok := t.find(idx)
+	if !ok {
+		return
+	}
+	b := t.buckets[p]
 	for i := range b {
 		if b[i].ID == id {
 			copy(b[i:], b[i+1:])
@@ -95,14 +111,19 @@ func (t *Table) Remove(id ID) {
 	if idx < 0 {
 		return
 	}
-	b := t.buckets[idx]
+	p, ok := t.find(idx)
+	if !ok {
+		return
+	}
+	b := t.buckets[p]
 	for i := range b {
 		if b[i].ID == id {
-			t.buckets[idx] = append(b[:i], b[i+1:]...)
 			t.size--
 			if len(b) == 1 {
-				u, _ := slices.BinarySearch(t.used, uint8(idx))
-				t.used = slices.Delete(t.used, u, u+1)
+				t.used = slices.Delete(t.used, p, p+1)
+				t.buckets = slices.Delete(t.buckets, p, p+1)
+			} else {
+				t.buckets[p] = append(b[:i], b[i+1:]...)
 			}
 			return
 		}
@@ -136,36 +157,37 @@ func (t *Table) Closest(target ID, n int) []Contact {
 	if n > len(dbuf) {
 		ds = make([]Distance, n)
 	}
-	// full merges bucket i into the window and reports whether the
-	// window is full.
-	full := func(i uint8) bool {
-		out = nearest(out, ds, target, t.buckets[i])
+	// full merges the bucket at position p of used into the window
+	// and reports whether the window is full.
+	full := func(p int) bool {
+		out = nearest(out, ds, target, t.buckets[p])
 		return len(out) == n
 	}
+	// used[:below] are the buckets below j, used[above:] those above.
 	x := t.self.XOR(target)
-	below, above := []uint8(nil), t.used
+	below, above := 0, 0
 	if j := x.top(); j >= 0 { // j < 0: target is self, every bucket is above
-		p, hit := slices.BinarySearch(t.used, uint8(j))
-		below, above = t.used[:p], t.used[p:]
+		p, hit := t.find(j)
+		below, above = p, p
 		if hit {
-			if full(uint8(j)) {
+			if full(p) {
 				return out
 			}
-			above = above[1:]
+			above++
 		}
 	}
-	for k := len(below) - 1; k >= 0; k-- {
-		if i := below[k]; x.bit(int(i)) && full(i) {
+	for p := below - 1; p >= 0; p-- {
+		if x.bit(int(t.used[p])) && full(p) {
 			return out
 		}
 	}
-	for _, i := range below {
-		if !x.bit(int(i)) && full(i) {
+	for p := 0; p < below; p++ {
+		if !x.bit(int(t.used[p])) && full(p) {
 			return out
 		}
 	}
-	for _, i := range above {
-		if full(i) {
+	for p := above; p < len(t.used); p++ {
+		if full(p) {
 			return out
 		}
 	}
@@ -173,7 +195,12 @@ func (t *Table) Closest(target ID, n int) []Contact {
 }
 
 // BucketLen reports the occupancy of bucket idx (refresh targeting).
-func (t *Table) BucketLen(idx int) int { return len(t.buckets[idx]) }
+func (t *Table) BucketLen(idx int) int {
+	if p, ok := t.find(idx); ok {
+		return len(t.buckets[p])
+	}
+	return 0
+}
 
 // nearest offers every contact of bucket to out, the sorted window of
 // the cap(out) contacts nearest target seen so far (ds[i] is out[i]'s

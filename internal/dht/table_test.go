@@ -59,12 +59,8 @@ func randomTable(rng *rand.Rand, k, ops int) *Table {
 	t := NewTable(self, k)
 	var known []Contact // every contact ever offered, for re-sightings
 	present := func(id ID) bool {
-		for _, c := range t.buckets[max(BucketIndex(self, id), 0)] {
-			if c.ID == id {
-				return true
-			}
-		}
-		return false
+		p, ok := t.find(max(BucketIndex(self, id), 0))
+		return ok && slices.ContainsFunc(t.buckets[p], func(c Contact) bool { return c.ID == id })
 	}
 	for i := 0; i < ops; i++ {
 		switch r := rng.Intn(10); {
@@ -117,16 +113,7 @@ func TestClosestMatchesSortReference(t *testing.T) {
 				targets = append(targets, c.ID)
 			}
 		}
-		size, used := 0, []uint8(nil)
-		for i := range tab.buckets {
-			if len(tab.buckets[i]) > 0 {
-				size += len(tab.buckets[i])
-				used = append(used, uint8(i))
-			}
-		}
-		if tab.Len() != size || !slices.Equal(tab.used, used) {
-			t.Fatalf("seed %d: Len %d, used %v; buckets hold %d in %v", seed, tab.Len(), tab.used, size, used)
-		}
+		checkBuckets(t, seed, tab)
 		for _, target := range targets {
 			for _, n := range []int{1, k, k + 1, tab.Len(), tab.Len() + 3} {
 				got, want := tab.Closest(target, n), refClosest(tab, target, n)
@@ -140,6 +127,39 @@ func TestClosestMatchesSortReference(t *testing.T) {
 				}
 			}
 		}
+		// Remove empties a bucket: its slice goes with its index.
+		for _, c := range slices.Clone(tab.buckets[0]) {
+			tab.Remove(c.ID)
+		}
+		checkBuckets(t, seed, tab)
+	}
+}
+
+// checkBuckets: the table holds exactly one bucket slice per index in
+// used, which ascends strictly; no slice is empty, every contact sits
+// in its own bucket, and Len counts them all.
+func checkBuckets(t *testing.T, seed int64, tab *Table) {
+	t.Helper()
+	if len(tab.buckets) != len(tab.used) {
+		t.Fatalf("seed %d: %d bucket slices for %d used indexes", seed, len(tab.buckets), len(tab.used))
+	}
+	size := 0
+	for p, b := range tab.buckets {
+		if p > 0 && tab.used[p-1] >= tab.used[p] {
+			t.Fatalf("seed %d: used %v does not ascend", seed, tab.used)
+		}
+		if len(b) == 0 {
+			t.Fatalf("seed %d: bucket %d is stored empty", seed, tab.used[p])
+		}
+		for _, c := range b {
+			if BucketIndex(tab.self, c.ID) != int(tab.used[p]) {
+				t.Fatalf("seed %d: %v stored in bucket %d, belongs in %d", seed, c.ID, tab.used[p], BucketIndex(tab.self, c.ID))
+			}
+		}
+		size += len(b)
+	}
+	if tab.Len() != size {
+		t.Fatalf("seed %d: Len %d, buckets hold %d", seed, tab.Len(), size)
 	}
 }
 
