@@ -81,6 +81,14 @@ type Network struct {
 	// Packet free list (see pool.go).
 	pp pktPool
 
+	// TCP demux (see tcp.go), one table of each for every node:
+	// connections, connections per local endpoint (so an ephemeral
+	// port is found by lookup, not by a scan over the connections),
+	// and listeners.
+	tcpConns     map[connKey]*TCPConn
+	tcpLocal     map[localKey]int
+	tcpListeners map[listenKey]*TCPListener
+
 	// Flow accounting (optional; see EnableFlows).
 	flows *FlowTable
 
@@ -91,10 +99,13 @@ type Network struct {
 // New creates an empty network driven by sched.
 func New(sched *sim.Scheduler) *Network {
 	return &Network{
-		sched:  sched,
-		byName: make(map[string]*Node),
-		next4:  1,
-		next6:  1,
+		sched:        sched,
+		byName:       make(map[string]*Node),
+		next4:        1,
+		next6:        1,
+		tcpConns:     make(map[connKey]*TCPConn),
+		tcpLocal:     make(map[localKey]int),
+		tcpListeners: make(map[listenKey]*TCPListener),
 	}
 }
 
@@ -141,7 +152,6 @@ func (w *Network) NewNode(name string) *Node {
 		sched:  w.sched,
 		routes: make(map[netip.Addr]*NetDevice),
 	}
-	n.tcp = newTCPHost(n)
 	w.nodes = append(w.nodes, n)
 	w.byName[name] = n
 	w.stats.NodesBuilt++

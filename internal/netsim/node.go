@@ -41,7 +41,6 @@ type Node struct {
 	multicast []netip.Addr
 
 	udpPorts []*UDPSocket
-	tcp      *tcpHost
 
 	// flowHint is the flow-table entry this node's last originated
 	// packet was accounted to; see FlowTable.record.
@@ -264,7 +263,7 @@ func (n *Node) deliverLocal(pkt *Packet) {
 		}
 		sock.deliver(pkt)
 	case ProtoTCP:
-		n.tcp.deliver(pkt)
+		n.deliverTCP(pkt)
 	default:
 		n.drop(DropNoListener)
 	}

@@ -36,55 +36,51 @@ var (
 // to 65535.
 const ephemeralLow = 32768
 
-type connKey struct {
-	local  netip.AddrPort
-	remote netip.AddrPort
-}
-
-type tcpHost struct {
-	node      *Node
-	listeners map[uint16]*TCPListener
-	conns     map[connKey]*TCPConn
-	// localPorts refcounts conns per local endpoint so ephemeral-port
-	// allocation is an O(1) lookup instead of a scan over the conn map
-	// — scanning was both O(n) per dial and a map-iteration order
-	// hazard on the simulation's hot path.
-	localPorts map[netip.AddrPort]int
-}
-
-func newTCPHost(n *Node) *tcpHost {
-	return &tcpHost{
-		node:       n,
-		listeners:  make(map[uint16]*TCPListener),
-		conns:      make(map[connKey]*TCPConn),
-		localPorts: make(map[netip.AddrPort]int),
+// The TCP demux tables are one per network (see Network), keyed by
+// the owning node's id, so a node holds no map of its own.
+type (
+	// connKey identifies a connection: its node and its two endpoints.
+	connKey struct {
+		node          uint32
+		local, remote netip.AddrPort
 	}
-}
+	// localKey identifies a node's local endpoint.
+	localKey struct {
+		node uint32
+		ep   netip.AddrPort
+	}
+	// listenKey identifies a node's listening port.
+	listenKey struct {
+		node uint32
+		port uint16
+	}
+)
 
 // addConn registers a connection in the demux table, keeping the
 // local-endpoint refcount in step.
-func (h *tcpHost) addConn(c *TCPConn) {
-	h.conns[c.key] = c //simlint:allow allocfree(demux-table insert runs once per accepted connection, not per segment; the SYN-flood path answers with a pooled RST and never registers a conn)
-	h.localPorts[c.key.local]++
+func (w *Network) addConn(c *TCPConn) {
+	w.tcpConns[c.key] = c //simlint:allow allocfree(demux-table insert runs once per accepted connection, not per segment; the SYN-flood path answers with a pooled RST and never registers a conn)
+	w.tcpLocal[localKey{c.key.node, c.key.local}]++
 }
 
 // removeConn is the inverse of addConn; removing an unknown key is a
 // no-op.
-func (h *tcpHost) removeConn(c *TCPConn) {
-	if _, ok := h.conns[c.key]; !ok {
+func (w *Network) removeConn(c *TCPConn) {
+	if _, ok := w.tcpConns[c.key]; !ok {
 		return
 	}
-	delete(h.conns, c.key)
-	if h.localPorts[c.key.local] <= 1 {
-		delete(h.localPorts, c.key.local)
+	delete(w.tcpConns, c.key)
+	lk := localKey{c.key.node, c.key.local}
+	if w.tcpLocal[lk] <= 1 {
+		delete(w.tcpLocal, lk)
 	} else {
-		h.localPorts[c.key.local]-- //simlint:allow allocfree(decrement of an existing key on per-connection teardown; never grows the map and never runs per segment)
+		w.tcpLocal[lk]-- //simlint:allow allocfree(decrement of an existing key on per-connection teardown; never grows the map and never runs per segment)
 	}
 }
 
 // TCPListener accepts inbound connections on a port.
 type TCPListener struct {
-	host   *tcpHost
+	node   *Node
 	port   uint16
 	accept func(*TCPConn)
 	closed bool
@@ -96,11 +92,12 @@ func (n *Node) ListenTCP(port uint16, accept func(*TCPConn)) (*TCPListener, erro
 	if port == 0 {
 		return nil, fmt.Errorf("netsim: node %s: cannot listen on port 0", n.name)
 	}
-	if _, busy := n.tcp.listeners[port]; busy {
+	lk := listenKey{n.id, port}
+	if _, busy := n.net.tcpListeners[lk]; busy {
 		return nil, fmt.Errorf("netsim: node %s: TCP port %d already listening", n.name, port)
 	}
-	l := &TCPListener{host: n.tcp, port: port, accept: accept}
-	n.tcp.listeners[port] = l
+	l := &TCPListener{node: n, port: port, accept: accept}
+	n.net.tcpListeners[lk] = l
 	return l, nil
 }
 
@@ -110,7 +107,7 @@ func (l *TCPListener) Close() {
 		return
 	}
 	l.closed = true
-	delete(l.host.listeners, l.port)
+	delete(l.node.net.tcpListeners, listenKey{l.node.id, l.port})
 }
 
 type tcpState uint8
@@ -129,7 +126,7 @@ type DialCallback func(c *TCPConn, err error)
 
 // TCPConn is one endpoint of a simulated TCP connection.
 type TCPConn struct {
-	host  *tcpHost
+	node  *Node
 	sched *sim.Scheduler
 	key   connKey
 	state tcpState
@@ -169,9 +166,9 @@ type TCPConn struct {
 func (n *Node) DialTCP(dst netip.AddrPort, cb DialCallback) *TCPConn {
 	local, ok := n.localAddrPortFor(dst.Addr())
 	c := &TCPConn{
-		host:   n.tcp,
+		node:   n,
 		sched:  n.sched,
-		key:    connKey{local: local, remote: dst},
+		key:    connKey{node: n.id, local: local, remote: dst},
 		state:  stateSynSent,
 		onDial: cb,
 	}
@@ -184,7 +181,7 @@ func (n *Node) DialTCP(dst netip.AddrPort, cb DialCallback) *TCPConn {
 	}
 	iss := uint32(n.sched.RNG().Int63())
 	c.sndUna, c.sndNxt, c.finAt = iss, iss+1, 0
-	n.tcp.addConn(c)
+	n.net.addConn(c)
 	c.sendSegment(FlagSYN, iss, 0, nil)
 	c.armRTO()
 	return c
@@ -202,7 +199,7 @@ func (n *Node) localAddrPortFor(dst netip.Addr) (ap netip.AddrPort, ok bool) {
 	}
 	for p := ephemeralLow; p <= 65535; p++ {
 		candidate := netip.AddrPortFrom(a, uint16(p))
-		if n.tcp.localPorts[candidate] == 0 {
+		if n.net.tcpLocal[localKey{n.id, candidate}] == 0 {
 			return candidate, true
 		}
 	}
@@ -255,10 +252,8 @@ func (c *TCPConn) Abort() {
 	c.teardown(ErrConnReset)
 }
 
-func (c *TCPConn) node() *Node { return c.host.node }
-
 func (c *TCPConn) sendSegment(flags TCPFlags, seq, ack uint32, payload []byte) {
-	n := c.node()
+	n := c.node
 	pkt := n.getPacket()
 	pkt.Proto = ProtoTCP
 	pkt.Src = c.key.local
@@ -380,7 +375,7 @@ func (c *TCPConn) teardown(err error) {
 	c.state = stateClosed
 	c.closedErr = err
 	c.cancelRTO()
-	c.host.removeConn(c)
+	c.node.net.removeConn(c)
 	if c.onDial != nil {
 		cb := c.onDial
 		c.onDial = nil
@@ -394,51 +389,50 @@ func (c *TCPConn) teardown(err error) {
 	}
 }
 
-// deliver is the host demultiplexer for inbound TCP segments.
-func (h *tcpHost) deliver(pkt *Packet) {
+// deliverTCP is the node's demultiplexer for inbound TCP segments.
+func (n *Node) deliverTCP(pkt *Packet) {
 	if pkt.TCP == nil {
-		h.node.drop(DropNoListener)
+		n.drop(DropNoListener)
 		return
 	}
-	key := connKey{local: pkt.Dst, remote: pkt.Src}
-	if c, ok := h.conns[key]; ok {
+	if c, ok := n.net.tcpConns[connKey{node: n.id, local: pkt.Dst, remote: pkt.Src}]; ok {
 		c.handleSegment(pkt)
 		return
 	}
 	hdr := pkt.TCP
 	if hdr.Flags&FlagSYN != 0 && hdr.Flags&FlagACK == 0 {
-		if l, ok := h.listeners[pkt.Dst.Port()]; ok && !l.closed {
-			h.acceptSyn(l, pkt)
+		if l, ok := n.net.tcpListeners[listenKey{n.id, pkt.Dst.Port()}]; ok && !l.closed {
+			n.acceptSyn(l, pkt)
 			return
 		}
 	}
 	if hdr.Flags&FlagRST == 0 {
 		// No socket: refuse.
-		h.sendRST(pkt)
+		n.sendRST(pkt)
 	}
 }
 
-func (h *tcpHost) sendRST(in *Packet) {
-	pkt := h.node.getPacket()
+func (n *Node) sendRST(in *Packet) {
+	pkt := n.getPacket()
 	pkt.Proto = ProtoTCP
 	pkt.Src = in.Dst
 	pkt.Dst = in.Src
 	pkt.SetTCP(FlagRST, in.TCP.Ack, in.TCP.Seq+1)
-	h.node.SendPacket(pkt)
+	n.SendPacket(pkt)
 }
 
-func (h *tcpHost) acceptSyn(l *TCPListener, pkt *Packet) {
+func (n *Node) acceptSyn(l *TCPListener, pkt *Packet) {
 	//simlint:allow allocfree(connection setup allocates once per accepted conn behind a listener; orphan SYNs — the flood case — take the pooled sendRST path instead)
 	c := &TCPConn{
-		host:  h,
-		sched: h.node.sched,
-		key:   connKey{local: pkt.Dst, remote: pkt.Src},
+		node:  n,
+		sched: n.sched,
+		key:   connKey{node: n.id, local: pkt.Dst, remote: pkt.Src},
 		state: stateSynRcvd,
 	}
-	iss := uint32(h.node.sched.RNG().Int63())
+	iss := uint32(n.sched.RNG().Int63())
 	c.sndUna, c.sndNxt = iss, iss+1
 	c.rcvNxt = pkt.TCP.Seq + 1
-	h.addConn(c)
+	n.net.addConn(c)
 	//simlint:allow allocfree(accept callback is bound once per accepted connection during setup, not on the per-segment path)
 	c.onDial = func(conn *TCPConn, err error) {
 		if err == nil {

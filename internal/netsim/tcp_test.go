@@ -167,7 +167,7 @@ func TestTCPDialFailsWhenEphemeralPortsRunOut(t *testing.T) {
 		}
 	}
 	for p := 32768 + 3; p <= 65535; p++ {
-		client.tcp.localPorts[netip.AddrPortFrom(client.Addr4(), uint16(p))] = 1
+		client.net.tcpLocal[localKey{client.id, netip.AddrPortFrom(client.Addr4(), uint16(p))}] = 1
 	}
 	var dialErr error
 	calls := 0
@@ -185,7 +185,7 @@ func TestTCPDialFailsWhenEphemeralPortsRunOut(t *testing.T) {
 	if err := c.Send([]byte("x")); !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("send on the failed dial: %v, want ErrConnClosed", err)
 	}
-	delete(client.tcp.localPorts, netip.AddrPortFrom(client.Addr4(), 40000))
+	delete(client.net.tcpLocal, localKey{client.id, netip.AddrPortFrom(client.Addr4(), 40000)})
 	if got := client.DialTCP(dst, nil).LocalAddr().Port(); got != 40000 {
 		t.Fatalf("dial after port 40000 was freed: local port %d, want 40000", got)
 	}
