@@ -26,9 +26,10 @@ var srcFlows = sim.NewSource("net.flows")
 //
 // The table is allocation-free in steady state and holds no pointers:
 // entries live in a flat slice recycled through a free list, keyed by
-// a flowKey of two packed obs.Endpoints, and the only hot-path map
-// operation is a lookup on that key — usually skipped, because each
-// node remembers the entry its last packet went to (see record).
+// a flowKey of the two endpoints' ids in the table's buffer, and the
+// only hot-path map operations are the lookups that build and find
+// that key — usually skipped, because each node remembers the entry
+// its last packet went to (see record).
 // Expiry is driven by the event kernel (a sweep ticker), so export
 // timing — and therefore every exported byte — is a pure function of
 // the run.
@@ -58,38 +59,45 @@ const (
 	maxFlows          = 1 << 16
 )
 
-// flowKey identifies a flow without pointers: both endpoints packed
-// by the table's zones, and the protocol. Unlike a pair of
-// netip.AddrPorts, it keeps the index map and the entries out of the
-// garbage collector's scan.
+// flowKey identifies a flow without pointers: the ids the table's
+// buffer gave both endpoints, and the protocol. Unlike a pair of
+// netip.AddrPorts, it keeps the index map out of the garbage
+// collector's scan, and the buffer stores each endpoint only once.
 type flowKey struct {
-	src, dst obs.Endpoint
+	src, dst uint32
 	proto    Protocol
 }
 
-// flowEntry is one live (or free) slot in the flat entry table.
+// flowEntry is one live (or free) slot in the flat entry table. It
+// holds its flowKey's fields flat, so flags, live and label share the
+// key's last word.
 type flowEntry struct {
-	key     flowKey
-	flags   TCPFlags
-	live    bool
-	label   uint32 // 1 + index of the first matching rule; 0 is "benign"
-	start   sim.Time
-	last    sim.Time
-	packets uint64
-	bytes   uint64
+	src, dst uint32 // endpoint ids in the table's buffer
+	proto    Protocol
+	flags    TCPFlags
+	live     bool
+	label    uint32 // 1 + index of the first matching rule; 0 is "benign"
+	start    sim.Time
+	last     sim.Time
+	packets  uint64
+	bytes    uint64
 }
+
+// key returns e's flow key.
+func (e *flowEntry) key() flowKey { return flowKey{e.src, e.dst, e.proto} }
 
 // FlowTableStats counts flow-table activity.
 type FlowTableStats struct {
 	Created  uint64 // flows opened (including post-checkpoint restarts)
-	Exported uint64 // records closed, whether or not a buffer keeps them
+	Exported uint64 // records closed into the buffer
 	Evicted  uint64 // flows force-closed by the maxFlows cap
 }
 
 // FlowTable is the per-network flow accountant. It is not safe for
 // concurrent use; like the rest of the simulator it runs on the
-// event-kernel thread. It keys flows by endpoints its buffer's Zones
-// pack (see obs.Zones for the limit on IPv6 zones).
+// event-kernel thread. It keys flows by the ids its buffer gives
+// endpoints when a flow is created (see obs.Zones for the limit on
+// IPv6 zones).
 type FlowTable struct {
 	sched *sim.Scheduler
 	sink  *obs.FlowBuffer
@@ -108,7 +116,6 @@ type FlowTable struct {
 	orderHead int
 
 	rules []FlowLabelRule
-	zones *obs.Zones
 
 	sweeper *sim.Ticker
 	stats   FlowTableStats
@@ -116,14 +123,15 @@ type FlowTable struct {
 
 // EnableFlows attaches flow accounting to the network, exporting each
 // closed record into sink, and starts the table's expiry sweeper on the
-// network's scheduler. sink may be nil (records are then dropped as
-// they close, which still keeps the table bounded). Call it once.
+// network's scheduler. sink must not be nil. Call it once.
 func (w *Network) EnableFlows(sink *obs.FlowBuffer) *FlowTable {
+	if sink == nil {
+		panic("netsim: EnableFlows needs a flow buffer")
+	}
 	ft := &FlowTable{
 		sched: w.sched,
 		sink:  sink,
-		idx:   make(map[flowKey]int32, maxFlows/4),
-		zones: sink.Zones(),
+		idx:   make(map[flowKey]int32),
 	}
 	ft.sweeper = sim.NewTicker(w.sched, flowSweepPeriod, srcFlows, ft.sweep)
 	ft.sweeper.Start()
@@ -192,17 +200,13 @@ func (ft *FlowTable) labelFor(pkt *Packet) uint32 {
 	return 0
 }
 
-// keyOf builds pkt's flow key.
-func (ft *FlowTable) keyOf(pkt *Packet) flowKey {
-	return flowKey{src: ft.zones.Pack(pkt.Src), dst: ft.zones.Pack(pkt.Dst), proto: pkt.Proto}
-}
-
 // record accounts one packet originated by a node whose flow hint is
 // *hint. This is the hot path: for an established flow it is an
 // in-place comparison with the hinted entry (or, when the hint misses,
-// a map lookup) plus a handful of field updates, with no allocation;
-// only a never-seen flow key pays the slab/index inserts below,
-// bounded by maxFlows.
+// map lookups of both endpoints' ids and of the key) plus a handful
+// of field updates, with no allocation; only a never-seen flow key
+// pays the slab/index inserts below, bounded by maxFlows, and a
+// never-seen endpoint its insert into the buffer's endpoint table.
 //
 // The hint is the index of the entry the node's previous packet went
 // to. It is trusted only when that entry is live and holds this
@@ -216,14 +220,14 @@ func (ft *FlowTable) record(pkt *Packet, now sim.Time, hint *int32) {
 	i := *hint
 	ok := false
 	if int(i) < len(ft.entries) {
-		// Compare in place — protocol, ports, then addresses — so a
-		// hint hit builds no key.
+		// Compare in place — protocol, ports, then addresses — with
+		// the endpoints the buffer stores, so a hint hit builds no key.
 		e := &ft.entries[i]
-		ok = e.live && e.key.proto == pkt.Proto && ft.zones.Holds(&e.key.src, &e.key.dst, &pkt.Src, &pkt.Dst)
+		ok = e.live && e.proto == pkt.Proto && ft.sink.Holds(e.src, e.dst, &pkt.Src, &pkt.Dst)
 	}
 	var k flowKey
 	if !ok {
-		k = ft.keyOf(pkt)
+		k = flowKey{ft.sink.EndpointID(pkt.Src), ft.sink.EndpointID(pkt.Dst), pkt.Proto}
 		i, ok = ft.idx[k]
 	}
 	if ok {
@@ -257,7 +261,7 @@ func (ft *FlowTable) record(pkt *Packet, now sim.Time, hint *int32) {
 		i = int32(len(ft.entries) - 1)
 	}
 	e := &ft.entries[i]
-	e.key = k
+	e.src, e.dst, e.proto = k.src, k.dst, k.proto
 	e.start, e.last = now, now
 	e.packets, e.bytes = 1, uint64(pkt.Size())
 	e.flags = 0
@@ -283,7 +287,7 @@ func (ft *FlowTable) evictOldest() {
 			continue
 		}
 		ft.export(e, e.last, obs.FlowEvict)
-		delete(ft.idx, e.key)
+		delete(ft.idx, e.key())
 		e.live = false
 		ft.stats.Evicted++
 		return
@@ -301,8 +305,8 @@ func (ft *FlowTable) export(e *flowEntry, end sim.Time, reason string) {
 	ft.sink.Add(obs.Flow{
 		StartUS: int64(e.start / sim.Microsecond), EndUS: int64(end / sim.Microsecond),
 		Packets: e.packets, Bytes: e.bytes,
-		Src: e.key.src, Dst: e.key.dst, TCPFlags: uint8(e.flags),
-		Proto: e.key.proto.String(), Label: label, Reason: reason,
+		Src: e.src, Dst: e.dst, TCPFlags: uint8(e.flags),
+		Proto: e.proto.String(), Label: label, Reason: reason,
 	})
 }
 
@@ -320,7 +324,7 @@ func (ft *FlowTable) sweep() {
 		}
 		if now-e.last >= flowIdleTimeout {
 			ft.export(e, e.last, obs.FlowIdle)
-			delete(ft.idx, e.key)
+			delete(ft.idx, e.key())
 			e.live = false
 			ft.freeList = append(ft.freeList, i)
 			continue

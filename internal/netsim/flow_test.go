@@ -395,12 +395,14 @@ func pointerField(typ reflect.Type) string {
 
 // TestFlowTableLayout pins the table's pointer-free layout: the
 // garbage collector never scans the entry slab or the index map, and a
-// live flow costs an 80-byte entry plus a 42-byte key in the map.
+// live flow costs a 48-byte entry plus a 12-byte key in the map (its
+// endpoints are ids in the buffer's endpoint table, each distinct one
+// stored once).
 func TestFlowTableLayout(t *testing.T) {
 	for _, c := range []struct {
 		v    any
 		size uintptr
-	}{{flowKey{}, 42}, {flowEntry{}, 80}} {
+	}{{flowKey{}, 12}, {flowEntry{}, 48}} {
 		typ := reflect.TypeOf(c.v)
 		if f := pointerField(typ); f != "" {
 			t.Errorf("%s holds a pointer in %s; the flow table must be pointer-free", typ.Name(), f)

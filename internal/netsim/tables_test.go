@@ -131,8 +131,8 @@ func TestFlowHintSlotRecycledBySweep(t *testing.T) {
 	// a>x goes idle; its slot returns to the free list.
 	runTo(t, sched, flowIdleTimeout+2*flowSweepPeriod)
 	b.SendPadded(y, nil, 64) // b>y takes the slot a's hint points at
-	bSrc := w.flows.zones.Pack(netip.AddrPortFrom(b.node.Addr4(), 5000))
-	if hint := a.node.flowHint; !w.flows.entries[hint].live || w.flows.entries[hint].key.src != bSrc {
+	bSrc := buf.EndpointID(netip.AddrPortFrom(b.node.Addr4(), 5000))
+	if hint := a.node.flowHint; !w.flows.entries[hint].live || w.flows.entries[hint].src != bSrc {
 		t.Fatalf("setup: a's hint %d does not point at b's flow", hint)
 	}
 	a.SendPadded(x, nil, 64)

@@ -12,11 +12,11 @@ const (
 )
 
 // Endpoint is a transport endpoint packed without pointers: its
-// address's 16 bytes (As16), its port and a family byte. A flow
-// table keys its flows by two of them and hands them to its
-// FlowBuffer, which stores each distinct one once, so neither the
-// table nor the dataset is scanned by the garbage collector. An
-// Endpoint means something only with the Zones that packed it.
+// address's 16 bytes (As16), its port and a family byte. A FlowBuffer
+// stores each distinct endpoint once as one, and a flow table keys
+// its flows by their ids in that table, so neither the table nor the
+// dataset is scanned by the garbage collector. An Endpoint means
+// something only with the Zones that packed it.
 type Endpoint struct {
 	addr [16]byte
 	port uint16

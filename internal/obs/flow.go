@@ -42,11 +42,11 @@ type FlowRecord struct {
 }
 
 // Flow is one closed flow as a flow table hands it to Add: a
-// FlowRecord whose endpoints the buffer's Zones packed.
+// FlowRecord whose endpoints are ids the buffer's EndpointID gave.
 type Flow struct {
 	StartUS, EndUS       int64
 	Packets, Bytes       uint64
-	Src, Dst             Endpoint
+	Src, Dst             uint32
 	TCPFlags             uint8
 	Proto, Label, Reason string
 }
@@ -85,18 +85,9 @@ type FlowBuffer struct {
 	strIDs map[string]uint16
 }
 
-// Zones returns the zones that pack the endpoints handed to Add. A
-// nil buffer keeps nothing, so it returns zones of their own.
-func (b *FlowBuffer) Zones() *Zones {
-	if b == nil {
-		return new(Zones)
-	}
-	return &b.zones
-}
-
-// Add appends f, whose endpoints b.Zones() packed. A nil buffer drops
-// it. Add panics if the buffer would hold more than 65,536 distinct
-// protocols, labels and reasons together.
+// Add appends f, whose endpoint ids b.EndpointID gave. A nil buffer
+// drops it. Add panics if the buffer would hold more than 65,536
+// distinct protocols, labels and reasons together.
 func (b *FlowBuffer) Add(f Flow) {
 	if b == nil {
 		return
@@ -107,7 +98,7 @@ func (b *FlowBuffer) Add(f Flow) {
 	b.chunks[b.n/flowChunk][b.n%flowChunk] = flowRow{
 		startUS: f.StartUS, endUS: f.EndUS,
 		packets: f.Packets, bytes: f.Bytes,
-		src: b.endpoint(f.Src), dst: b.endpoint(f.Dst),
+		src: f.Src, dst: f.Dst,
 		proto: b.str(f.Proto), label: b.str(f.Label), reason: b.str(f.Reason),
 		flags: f.TCPFlags,
 	}
@@ -131,9 +122,13 @@ func (b *FlowBuffer) str(s string) uint16 {
 	return id
 }
 
-// endpoint returns ep's id in the endpoint table, adding ep on first
-// sight.
-func (b *FlowBuffer) endpoint(ep Endpoint) uint32 {
+// EndpointID returns p's id in the endpoint table, packing p and
+// adding it on first sight. A nil buffer stores nothing and returns 0.
+func (b *FlowBuffer) EndpointID(p netip.AddrPort) uint32 {
+	if b == nil {
+		return 0
+	}
+	ep := b.zones.Pack(p)
 	if id, ok := b.epIDs[ep]; ok {
 		return id
 	}
@@ -141,9 +136,15 @@ func (b *FlowBuffer) endpoint(ep Endpoint) uint32 {
 		b.epIDs = make(map[Endpoint]uint32) //simlint:allow allocfree(once per buffer)
 	}
 	id := uint32(len(b.eps))
-	b.eps = append(b.eps, ep) //simlint:allow allocfree(first sight of an endpoint only, once per exported record at most, never per packet)
-	b.epIDs[ep] = id          //simlint:allow allocfree(first sight of an endpoint only, once per exported record at most, never per packet)
+	b.eps = append(b.eps, ep) //simlint:allow allocfree(first sight of an endpoint only, once per new flow at most, never per established-flow packet)
+	b.epIDs[ep] = id          //simlint:allow allocfree(first sight of an endpoint only, once per new flow at most, never per established-flow packet)
 	return id
+}
+
+// Holds reports whether the endpoints with ids src and dst are p and
+// q, comparing in place (see Zones.Holds). A nil buffer holds none.
+func (b *FlowBuffer) Holds(src, dst uint32, p, q *netip.AddrPort) bool {
+	return b != nil && b.zones.Holds(&b.eps[src], &b.eps[dst], p, q)
 }
 
 // row returns the i-th stored row.

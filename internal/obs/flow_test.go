@@ -16,13 +16,12 @@ func mkRec(startUS, endUS int64, label string, pkts, bytes uint64) FlowRecord {
 	}
 }
 
-// add hands r to b as a flow table would: its endpoints packed by
-// b's zones.
+// add hands r to b as a flow table would: its endpoints as ids from
+// b's endpoint table.
 func add(b *FlowBuffer, r FlowRecord) {
-	z := b.Zones()
 	b.Add(Flow{
 		StartUS: r.StartUS, EndUS: r.EndUS, Packets: r.Packets, Bytes: r.Bytes,
-		Src: z.Pack(r.Src), Dst: z.Pack(r.Dst), TCPFlags: r.TCPFlags,
+		Src: b.EndpointID(r.Src), Dst: b.EndpointID(r.Dst), TCPFlags: r.TCPFlags,
 		Proto: r.Proto, Label: r.Label, Reason: r.Reason,
 	})
 }
