@@ -110,9 +110,6 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown botnet family %q (mirai|p2p)", *botnet)
 	}
-	if *cmdWave < 0 {
-		return fmt.Errorf("command-wave must be >= 0, got %v", *cmdWave)
-	}
 	cfg.CommandWave = ddosim.Time(*cmdWave * float64(ddosim.Second))
 	if *window <= 0 {
 		return fmt.Errorf("window size must be positive, got %v", *window)

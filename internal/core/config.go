@@ -238,6 +238,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: AttackDuration must be positive, got %d", c.AttackDuration)
 	case c.PayloadBytes <= 0:
 		return fmt.Errorf("core: PayloadBytes must be positive, got %d", c.PayloadBytes)
+	case c.ConnmanQueryPeriod <= 0:
+		return fmt.Errorf("core: ConnmanQueryPeriod must be positive, got %v", c.ConnmanQueryPeriod)
+	case c.ScanPeriod <= 0:
+		return fmt.Errorf("core: ScanPeriod must be positive, got %v", c.ScanPeriod)
 	case c.SimDuration <= 0:
 		return fmt.Errorf("core: SimDuration must be positive")
 	case c.Churn != churn.None && c.Churn != churn.Static &&
@@ -255,8 +259,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: negative telemetry interval")
 	case c.Botnet != "" && c.Botnet != BotnetMirai && c.Botnet != BotnetP2P:
 		return fmt.Errorf("core: unknown botnet family %q (mirai|p2p)", c.Botnet)
-	case c.CommandWave < 0 || c.P2PPollPeriod < 0:
-		return fmt.Errorf("core: negative botnet period")
+	case c.CommandWave < 0:
+		return fmt.Errorf("core: CommandWave must not be negative, got %v", c.CommandWave)
+	case c.P2PPollPeriod < 0:
+		return fmt.Errorf("core: P2PPollPeriod must not be negative, got %v", c.P2PPollPeriod)
 	case c.Botnet == BotnetP2P && c.Vector == VectorCredentials:
 		return fmt.Errorf("core: p2p botnet supports only the memory-error vector (no scanner module)")
 	case c.Botnet == BotnetP2P && c.CommandWave > 0:

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"ddosim/internal/churn"
@@ -396,6 +397,32 @@ func TestConfigValidation(t *testing.T) {
 	cfg := DefaultConfig(10)
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
+	}
+}
+
+// TestConfigValidationNamesPeriod: Validate rejects a non-positive
+// ScanPeriod or ConnmanQueryPeriod, which the scanner and Connman
+// would otherwise replace with their own period, and a negative
+// CommandWave or P2PPollPeriod, naming the field and its value.
+func TestConfigValidationNamesPeriod(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*Config, sim.Time)
+		bad   []sim.Time
+	}{
+		{"ScanPeriod", func(c *Config, v sim.Time) { c.ScanPeriod = v }, []sim.Time{0, -5 * sim.Second}},
+		{"ConnmanQueryPeriod", func(c *Config, v sim.Time) { c.ConnmanQueryPeriod = v }, []sim.Time{0, -5 * sim.Second}},
+		{"CommandWave", func(c *Config, v sim.Time) { c.CommandWave = v }, []sim.Time{-sim.Second}},
+		{"P2PPollPeriod", func(c *Config, v sim.Time) { c.P2PPollPeriod = v }, []sim.Time{-sim.Second}},
+	} {
+		for _, v := range c.bad {
+			cfg := DefaultConfig(10)
+			c.set(&cfg, v)
+			err := cfg.Validate()
+			if want := "core: " + c.field + " "; err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), v.String()) {
+				t.Errorf("%s = %v: Validate() = %v, want an error starting %q and naming %v", c.field, v, err, want, v)
+			}
+		}
 	}
 }
 
