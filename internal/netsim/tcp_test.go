@@ -475,6 +475,72 @@ func TestTCPListenerClose(t *testing.T) {
 	}
 }
 
+// TestTCPHostsKeptApart: the network keeps one set of TCP tables for
+// every node, keyed by node, so hosts that share a listening port and
+// an ephemeral port never see each other's connections. Two hosts
+// listen on port 23 and each dials one server: both dials take port
+// 32768, each host receives only its own echo, and closing one host's
+// listener leaves the other's accepting.
+func TestTCPHostsKeptApart(t *testing.T) {
+	sched, a, server, star := tcpPair(t)
+	b := star.AttachHost("client2", 10*Mbps, sim.Millisecond, 0)
+	if _, err := server.ListenTCP(80, func(c *TCPConn) {
+		c.SetDataHandler(func(data []byte) {
+			if err := c.Send(append([]byte("echo:"), data...)); err != nil {
+				t.Errorf("server send: %v", err)
+			}
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	hosts := []*Node{a, b}
+	listeners := make([]*TCPListener, len(hosts))
+	accepted := make([]int, len(hosts))
+	got := make([]bytes.Buffer, len(hosts))
+	for i, h := range hosts {
+		l, err := h.ListenTCP(23, func(*TCPConn) { accepted[i]++ })
+		if err != nil {
+			t.Fatalf("%s: %v", h, err)
+		}
+		listeners[i] = l
+		c := h.DialTCP(netip.AddrPortFrom(server.Addr4(), 80), func(c *TCPConn, err error) {
+			if err != nil {
+				t.Errorf("%s: dial: %v", h, err)
+				return
+			}
+			c.SetDataHandler(func(data []byte) { got[i].Write(data) })
+			if err := c.Send([]byte(h.Name())); err != nil {
+				t.Errorf("%s: send: %v", h, err)
+			}
+		})
+		if port := c.LocalAddr().Port(); port != ephemeralLow {
+			t.Errorf("%s dialed from port %d, want %d", h, port, ephemeralLow)
+		}
+	}
+	runTo(t, sched, 5*sim.Second)
+	for i, h := range hosts {
+		if want := "echo:" + h.Name(); got[i].String() != want {
+			t.Errorf("%s received %q, want %q", h, got[i].String(), want)
+		}
+	}
+
+	listeners[0].Close()
+	dialErr := make([]error, len(hosts))
+	dialed := make([]bool, len(hosts))
+	for i, h := range hosts {
+		server.DialTCP(netip.AddrPortFrom(h.Addr4(), 23), func(_ *TCPConn, err error) {
+			dialErr[i], dialed[i] = err, true
+		})
+	}
+	runTo(t, sched, sim.Minute)
+	if !dialed[0] || dialErr[0] == nil || accepted[0] != 0 {
+		t.Errorf("%s after its listener closed: dial done %v, err %v, accepted %d; want refused", a, dialed[0], dialErr[0], accepted[0])
+	}
+	if !dialed[1] || dialErr[1] != nil || accepted[1] != 1 {
+		t.Errorf("%s: dial done %v, err %v, accepted %d; want one accepted connection", b, dialed[1], dialErr[1], accepted[1])
+	}
+}
+
 func TestTCPDuplicateListen(t *testing.T) {
 	_, _, server, _ := tcpPair(t)
 	if _, err := server.ListenTCP(23, func(*TCPConn) {}); err != nil {
