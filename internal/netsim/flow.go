@@ -69,8 +69,8 @@ type flowKey struct {
 }
 
 // flowEntry is one live (or free) slot in the flat entry table. It
-// holds its flowKey's fields flat, so flags, live and label share the
-// key's last word.
+// holds its flowKey's fields flat, so flags and live fill the word
+// the protocol starts, where a nested key would leave padding.
 type flowEntry struct {
 	src, dst uint32 // endpoint ids in the table's buffer
 	proto    Protocol

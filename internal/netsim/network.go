@@ -81,10 +81,10 @@ type Network struct {
 	// Packet free list (see pool.go).
 	pp pktPool
 
-	// TCP demux (see tcp.go), one table of each for every node:
-	// connections, connections per local endpoint (so an ephemeral
-	// port is found by lookup, not by a scan over the connections),
-	// and listeners.
+	// TCP demux (see tcp.go), one table of each kind for all nodes,
+	// keyed by node id: connections, connections per local endpoint
+	// (so an ephemeral port is found by lookup, not by a scan over
+	// the connections), and listeners.
 	tcpConns     map[connKey]*TCPConn
 	tcpLocal     map[localKey]int
 	tcpListeners map[listenKey]*TCPListener

@@ -15,8 +15,9 @@ type PacketTap func(at sim.Time, pkt *Packet)
 
 // Node is a simulated network endpoint or router, the counterpart of
 // ns3::Node. A node owns devices, local addresses, a host-route table
-// (sufficient for DDoSim's star topology), transport demultiplexers,
-// and optional applications.
+// (sufficient for DDoSim's star topology), its UDP sockets, and
+// optional applications; its TCP connections and listeners are in the
+// network's demux tables, keyed by the node's id.
 //
 // The address, multicast-group and UDP-socket tables are short slices
 // searched linearly — a host holds two addresses and one to three
