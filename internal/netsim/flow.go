@@ -106,12 +106,11 @@ type FlowTable struct {
 	entries  []flowEntry
 	freeList []int32
 
-	// order lists entry indexes in creation order; orderHead marks the
-	// oldest not-yet-compacted position. Dead indexes are skipped
-	// lazily and compacted away by the sweep. Entry slots are returned
-	// to freeList ONLY during compaction (sweep/FlushAll), never at
-	// deletion time — otherwise a recycled slot could alias a stale
-	// order reference onto the new tenant.
+	// order[orderHead:] lists the live entries' indexes in creation
+	// order, each once. A flow leaves it as it closes — evictOldest
+	// advances orderHead past the oldest, the sweep compacts out the
+	// ones it expires — and its slot returns to freeList then, when no
+	// order reference to it remains.
 	order     []int32
 	orderHead int
 
@@ -276,22 +275,17 @@ func (ft *FlowTable) record(pkt *Packet, now sim.Time, hint *int32) {
 	*hint = i
 }
 
-// evictOldest closes the oldest live flow to make room. The slot is
-// marked dead but not recycled (see order's comment).
+// evictOldest closes the oldest live flow to make room and frees its
+// slot.
 func (ft *FlowTable) evictOldest() {
-	for ft.orderHead < len(ft.order) {
-		i := ft.order[ft.orderHead]
-		ft.orderHead++
-		e := &ft.entries[i]
-		if !e.live {
-			continue
-		}
-		ft.export(e, e.last, obs.FlowEvict)
-		delete(ft.idx, e.key())
-		e.live = false
-		ft.stats.Evicted++
-		return
-	}
+	i := ft.order[ft.orderHead]
+	ft.orderHead++
+	e := &ft.entries[i]
+	ft.export(e, e.last, obs.FlowEvict)
+	delete(ft.idx, e.key())
+	e.live = false
+	ft.freeList = append(ft.freeList, i) //simlint:allow allocfree(one slot, which record pops at once, so the free list outgrows what a sweep left it only once; bounded by maxFlows)
+	ft.stats.Evicted++
 }
 
 // export appends one record for entry e ending at end to the table's
@@ -311,17 +305,13 @@ func (ft *FlowTable) export(e *flowEntry, end sim.Time, reason string) {
 }
 
 // sweep is the periodic expiry pass, run by the table's ticker: it
-// compacts the creation-order list (reclaiming dead slots) and closes
-// idle flows as of the table's clock.
+// closes idle flows as of the table's clock, freeing their slots, and
+// compacts the creation-order list.
 func (ft *FlowTable) sweep() {
 	now := ft.sched.Now()
 	live := ft.order[:0]
 	for _, i := range ft.order[ft.orderHead:] {
 		e := &ft.entries[i]
-		if !e.live {
-			ft.freeList = append(ft.freeList, i)
-			continue
-		}
 		if now-e.last >= flowIdleTimeout {
 			ft.export(e, e.last, obs.FlowIdle)
 			delete(ft.idx, e.key())
@@ -341,9 +331,6 @@ func (ft *FlowTable) sweep() {
 func (ft *FlowTable) FlushAll(now sim.Time) {
 	for _, i := range ft.order[ft.orderHead:] {
 		e := &ft.entries[i]
-		if !e.live {
-			continue
-		}
 		ft.export(e, e.last, obs.FlowFinal)
 		e.live = false
 	}

@@ -179,6 +179,29 @@ func TestFlowTableEviction(t *testing.T) {
 	}
 }
 
+// TestFlowTableEvictedSlotsReused pins that eviction frees the slot it
+// empties: three times the cap of flows opened at one instant leave the
+// slab at the cap after a sweep, with each live flow listed once in
+// creation order.
+func TestFlowTableEvictedSlotsReused(t *testing.T) {
+	sched, w, _, sock, _ := flowStar(t)
+	sendToMany(sock, netip.MustParseAddr("10.1.0.1"), 3*maxFlows)
+	if err := sched.Run(sched.Now() + flowSweepPeriod + sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	ft := w.Flows()
+	if st := ft.Stats(); st.Evicted != 2*maxFlows {
+		t.Fatalf("evicted=%d, want %d", st.Evicted, 2*maxFlows)
+	}
+	if len(ft.entries) != maxFlows || ft.Active() != maxFlows || len(ft.freeList) != 0 {
+		t.Fatalf("%d entries, %d live and %d free after a sweep, want %d, %d and 0",
+			len(ft.entries), ft.Active(), len(ft.freeList), maxFlows, maxFlows)
+	}
+	if n := len(ft.order) - ft.orderHead; n != maxFlows {
+		t.Fatalf("creation order lists %d flows, want %d", n, maxFlows)
+	}
+}
+
 // TestFlowTableSlotReuseAfterSweep pins the free-list discipline: a
 // slot freed by expiry must be reusable without corrupting the
 // creation-order list.

@@ -294,7 +294,7 @@ func (n *Node) drop(reason DropReason) {
 	if tr := n.net.trace; tr != nil && (reason == DropTail || reason == DropLoss) {
 		// Guarded even though Tracer is nil-safe, so an untraced flood
 		// run skips building the annotations.
-		//simlint:allow allocfree(the variadic KV array stays on this stack: Tracer.Event copies the annotations into its arena and keeps no reference, pinned by TestQueueDropEventAllocFree)
+		//simlint:allow allocfree(the variadic KV array stays on this stack: Tracer.Event stores the annotations' string ids and keeps no reference, pinned by TestQueueDropEventAllocFree)
 		tr.Event(n.sched.Now(), obs.CatNet, "queue-drop",
 			obs.KV{K: "node", V: n.name}, obs.KV{K: "reason", V: reason.String()})
 	}

@@ -143,8 +143,8 @@ func TestFlowHintSlotRecycledBySweep(t *testing.T) {
 }
 
 // TestFlowHintEvictedSlot: a's hint points at its own flow's slot after
-// the maxFlows cap evicted that flow. The slot still holds a's key but
-// is dead, so a's next packet must open a new flow.
+// the maxFlows cap evicted that flow. The evicting flow took the freed
+// slot, so a's next packet must miss the hint and open a new flow.
 func TestFlowHintEvictedSlot(t *testing.T) {
 	sched, w, buf, a, b, x, _ := hintStar(t)
 	a.SendPadded(x, nil, 64)

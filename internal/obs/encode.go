@@ -118,7 +118,7 @@ func (e *enc) id(js *strTable, id uint32) {
 // args appends `,"args":{...}` for a non-empty list of (key id, value
 // id) pairs, the way encoding/json renders the map[string]string the
 // list stands for: keys in byte order, a repeated key keeping its last
-// value. The tracer's arena is left as recorded; the sort runs over
+// value. The tracer's list is left as recorded; the sort runs over
 // indices, on the stack for the handful of annotations an entry
 // carries. The table holds each string once, so equal keys have equal
 // ids.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -86,6 +87,9 @@ func TestExportWritersStreamInBoundedWrites(t *testing.T) {
 	for _, n := range sizes {
 		sets = append(sets, exportWriters(exportFixture(n)))
 	}
+	// The process's first collection starts the runtime's GC workers,
+	// which allocate; run it here so no measurement below counts them.
+	runtime.GC()
 	for i := range sets[0] {
 		var allocs []float64
 		for j, n := range sizes {
@@ -146,25 +150,41 @@ func endpoint(s string) netip.AddrPort {
 
 // FuzzTraceExport holds every trace, flow and time-series writer to the
 // bytes of the reference encoding below, for fuzzed categories, names,
-// annotations with repeated keys, and endpoints. One string recurs as
-// category, name, key and value across events and spans, and one span
-// is left for CloseOpenSpans. The flow references render the records
-// as they were added, so a buffer that loses anything of an endpoint
-// or a string fails, and Records must give those records back.
+// annotations with repeated keys, and endpoints. The trace references
+// render the calls as a test-side model logged them, never the tracer's
+// storage. One string recurs as category, name, key and value across
+// events and spans; calls repeat, and alternate with ones that differ
+// in one string, one order or one length, so the tracer's memo of the
+// previous record both hits and misses; and one span is left for
+// CloseOpenSpans. The flow references render the records as they were
+// added, so a buffer that loses anything of an endpoint or a string
+// fails, and Records must give those records back.
 func FuzzTraceExport(f *testing.F) {
 	f.Add("phase", "deploy", "devs", "3", "10.0.0.2:4000", "10.0.0.1:9999")
 	f.Fuzz(func(t *testing.T, cat, name, key, val, src, dst string) {
-		tr := NewTracer()
-		id := tr.BeginSpan(sim.Second, cat, name, KV{key, val}, KV{val, key}, KV{key, name})
-		tr.Event(2*sim.Second, cat, name)
-		tr.Event(2*sim.Second, name, val, KV{key, cat}, KV{cat, val}, KV{key, key})
-		tr.RecordSpan(4*sim.Second, 3*sim.Second, val, key)
-		tr.EndSpan(id, 5*sim.Second)
-		tr.Event(6*sim.Second, CatNet, key, KV{name, cat})
-		tr.BeginSpan(6*sim.Second, cat, cat, KV{cat, cat}, KV{key, cat}) // left open
-		tr.Event(7*sim.Second, cat, cat, KV{cat, cat})
-		tr.RecordSpan(7*sim.Second, 8*sim.Second, key, cat, KV{cat, key}, KV{cat, cat})
-		tr.CloseOpenSpans(9 * sim.Second)
+		m := newTraceModel(0)
+		id := m.beginSpan(t, sim.Second, cat, name, KV{key, val}, KV{val, key}, KV{key, name})
+		m.event(2*sim.Second, cat, name)
+		m.event(2*sim.Second, cat, name)
+		m.event(2*sim.Second, name, cat)
+		m.event(2*sim.Second, name, val, KV{key, cat}, KV{cat, val}, KV{key, key})
+		m.event(2*sim.Second, name, val, KV{key, cat}, KV{cat, val}, KV{key, key})
+		m.event(3*sim.Second, name, val, KV{key, cat}, KV{cat, val}, KV{key, val})
+		m.event(3*sim.Second, val, name, KV{key, cat}, KV{cat, val}, KV{key, val})
+		m.recordSpan(4*sim.Second, 3*sim.Second, val, key)
+		m.endSpan(id, 5*sim.Second)
+		m.event(6*sim.Second, CatNet, key, KV{name, cat})
+		m.event(6*sim.Second, CatNet, key, KV{name, cat})
+		m.event(6*sim.Second, CatNet, key, KV{cat, name})
+		m.event(6*sim.Second, CatNet, key, KV{cat, name}, KV{cat, name})
+		m.beginSpan(t, 6*sim.Second, cat, cat, KV{cat, cat}, KV{key, cat}) // left open
+		m.event(7*sim.Second, cat, cat, KV{cat, cat})
+		m.recordSpan(7*sim.Second, 8*sim.Second, key, cat, KV{cat, key}, KV{cat, cat})
+		m.recordSpan(8*sim.Second, 9*sim.Second, key, cat, KV{cat, key}, KV{cat, cat})
+		m.recordSpan(8*sim.Second, 9*sim.Second, cat, key, KV{cat, key}, KV{cat, cat})
+		m.closeOpenSpans(9 * sim.Second)
+		m.check(t)
+		tr := m.tr
 
 		recs := []FlowRecord{
 			{StartUS: 1, EndUS: 2, Proto: cat, Src: endpoint(src), Dst: endpoint(dst),
@@ -186,8 +206,8 @@ func FuzzTraceExport(f *testing.F) {
 		w.Sample(2 * sim.Second)
 
 		want := map[string][]byte{
-			"Tracer.WriteChromeTrace": refChromeTrace(refRecords(tr)),
-			"Tracer.WriteJSONL":       refTraceJSONL(refRecords(tr)),
+			"Tracer.WriteChromeTrace": refChromeTrace(m.refs()),
+			"Tracer.WriteJSONL":       refTraceJSONL(m.refs()),
 			"FlowBuffer.WriteCSV":     refFlowCSV(recs),
 			"FlowBuffer.WriteJSONL":   refFlowJSONL(recs),
 			"Windows.WriteCSV":        refWindowsCSV(w),
@@ -226,30 +246,6 @@ func refArgMap(args []KV) map[string]string {
 		m[kv.K] = kv.V
 	}
 	return m
-}
-
-// refRecords reads a tracer's records, in order, into the reference
-// shape.
-func refRecords(t *Tracer) []refRecord {
-	var out []refRecord
-	for i := 0; i < t.n; i++ {
-		c, r := t.at(i)
-		var args []KV
-		ids := c.argIDs(r)
-		for j := 0; j < len(ids); j += 2 {
-			args = append(args, KV{t.strs[ids[j]], t.strs[ids[j+1]]})
-		}
-		rec := refRecord{
-			Type: "event", Cat: t.strs[r.cat], Name: t.strs[r.name],
-			AtUS: micros(r.start), Args: refArgMap(args),
-		}
-		if r.flags&recSpan != 0 {
-			end := micros(r.end)
-			rec.Type, rec.EndUS = "span", &end
-		}
-		out = append(out, rec)
-	}
-	return out
 }
 
 func refTraceJSONL(recs []refRecord) []byte {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"cmp"
 	"io"
 	"math"
 	"slices"
@@ -56,18 +55,16 @@ type Event struct {
 // run records about 30k spans.
 const DefaultMaxEvents = 1 << 20
 
-// record is one span or point event. A tracer stores its records in
-// emission order, and that order is the export order. A record holds no
-// pointers, so the garbage collector never scans the trace: cat and name
-// are ids in the tracer's string table, and the annotations are nargs
-// (key id, value id) pairs at args[argOff:] in the arena of the record's
-// chunk.
+// record is one span or point event, 24 bytes. A tracer stores its
+// records in emission order, and that order is the export order. A
+// record holds no pointers, so the garbage collector never scans the
+// trace: kind indexes the tracer's (category, name) pairs, and args is
+// the offset of its annotation list in the tracer's list arena.
 type record struct {
 	start, end sim.Time // an event's end is its start
-	cat, name  uint32
-	argOff     uint32
-	nargs      uint16
+	kind       uint16
 	flags      uint16
+	args       uint32
 }
 
 const (
@@ -76,33 +73,35 @@ const (
 )
 
 // chunkLen is the number of records in one chunk of a tracer: a
-// chunk's array is 32 KiB, one allocator size class.
+// chunk is 24 KiB, one allocator size class.
 const chunkLen = 1024
 
-// chunkArgs is the room a chunk's arena starts with: four ids, two
-// annotations, per record.
-const chunkArgs = 4 * chunkLen
-
-// traceChunk holds chunkLen consecutive records and the arena of their
-// (key id, value id) pairs. Only the arena of the chunk being filled
-// grows, so recording never copies an earlier record or annotation.
-type traceChunk struct {
-	recs *[chunkLen]record
-	args []uint32
-}
+// kind is a (category, name) pair as string ids.
+type kind struct{ cat, name uint32 }
 
 // Tracer records spans and events for one run. It is not safe for
 // concurrent use — the simulation kernel is single-threaded, and so is
 // the tracer. All methods are nil-safe so instrumented code can carry
 // an optional tracer without guards.
 type Tracer struct {
-	chunks []traceChunk
-	n      int // records stored; record i is chunks[i/chunkLen].recs[i%chunkLen]
+	// Records are stored in fixed chunks, so recording never copies one.
+	chunks []*[chunkLen]record
+	n      int // records stored; record i is chunks[i/chunkLen][i%chunkLen]
 
 	// The string table: each distinct category, name, key and value is
-	// stored once, and records refer to it by id.
+	// stored once, and kinds and lists refer to it by id.
 	strs []string
 	ids  map[string]uint32
+
+	// kinds holds each distinct (category, name) pair once, in order
+	// of first sight; kindIDs finds a pair's index.
+	kinds   []kind
+	kindIDs map[kind]uint16
+
+	// lists holds annotation lists as [n, k1, v1, …, kn, vn] string ids.
+	// Offset 0 is the empty list. A record whose annotations equal the
+	// previous record's shares its list.
+	lists []uint32
 
 	nevents int
 	max     int
@@ -111,7 +110,8 @@ type Tracer struct {
 
 // NewTracer returns an empty tracer with the default event cap.
 func NewTracer() *Tracer {
-	return &Tracer{max: DefaultMaxEvents, ids: make(map[string]uint32)}
+	return &Tracer{max: DefaultMaxEvents, ids: make(map[string]uint32),
+		kindIDs: make(map[kind]uint16), lists: []uint32{0}}
 }
 
 // SetMaxEvents overrides the point-event cap; n <= 0 removes it.
@@ -133,26 +133,80 @@ func (t *Tracer) intern(s string) uint32 {
 	return id
 }
 
-// add appends r with its strings interned and its annotations copied
-// into its chunk's arena, and returns its index.
+// add appends r with its kind and annotation list and returns its
+// index. The previous record is a one-entry memo: a call naming its
+// category and name, or its annotations, compared as strings, reuses its
+// kind or list. Only a miss interns strings, and only a list unlike the
+// previous one is appended.
 // args is only read, so a caller's variadic array stays on its stack.
 func (t *Tracer) add(r record, cat, name string, args []KV) int {
 	if len(args) > math.MaxUint16 {
 		panic("obs: a trace entry carries more than 65535 annotations")
 	}
-	r.cat, r.name = t.intern(cat), t.intern(name)
+	var prev *record
+	if t.n > 0 {
+		prev = t.at(t.n - 1)
+	}
+	if prev != nil && t.isKind(prev.kind, cat, name) {
+		r.kind = prev.kind
+	} else {
+		r.kind = t.kindOf(cat, name)
+	}
+	switch {
+	case len(args) == 0:
+	case prev != nil && t.isList(prev.args, args):
+		r.args = prev.args
+	default:
+		if uint64(len(t.lists)+1+2*len(args)) > math.MaxUint32 {
+			panic("obs: a trace's annotation lists hold more than 2^32 ids")
+		}
+		r.args = uint32(len(t.lists))
+		t.lists = append(t.lists, uint32(len(args))) //simlint:allow allocfree(only a list unlike the previous record's; drops at one node share one list; pointer-free)
+		for _, kv := range args {
+			t.lists = append(t.lists, t.intern(kv.K), t.intern(kv.V)) //simlint:allow allocfree(only a list unlike the previous record's; drops at one node share one list; pointer-free)
+		}
+	}
 	if t.n%chunkLen == 0 {
-		t.chunks = append(t.chunks, traceChunk{new([chunkLen]record), make([]uint32, 0, chunkArgs)}) //simlint:allow allocfree(one pointer-free chunk per 1024 records, 48 KiB with its arena; growth never copies a record; untraced runs return at the nil-receiver guard)
+		t.chunks = append(t.chunks, new([chunkLen]record)) //simlint:allow allocfree(one pointer-free 24 KiB chunk per 1024 records; growth never copies a record; untraced runs return at the nil-receiver guard)
 	}
-	c := &t.chunks[len(t.chunks)-1]
-	r.argOff, r.nargs = uint32(len(c.args)), uint16(len(args))
-	for _, kv := range args {
-		k, v := t.intern(kv.K), t.intern(kv.V)
-		c.args = append(c.args, k, v) //simlint:allow allocfree(only past two annotations per record on average; grows this chunk's arena alone, pointer-free)
-	}
-	c.recs[t.n%chunkLen] = r
+	t.chunks[t.n/chunkLen][t.n%chunkLen] = r
 	t.n++
 	return t.n - 1
+}
+
+// isKind reports whether kind k is (cat, name).
+func (t *Tracer) isKind(k uint16, cat, name string) bool {
+	p := t.kinds[k]
+	return t.strs[p.cat] == cat && t.strs[p.name] == name
+}
+
+// kindOf returns the kind of (cat, name), adding it on first sight.
+func (t *Tracer) kindOf(cat, name string) uint16 {
+	p := kind{t.intern(cat), t.intern(name)}
+	if k, ok := t.kindIDs[p]; ok {
+		return k
+	}
+	if len(t.kinds) > math.MaxUint16 {
+		panic("obs: a trace names more than 65536 category/name pairs")
+	}
+	k := uint16(len(t.kinds))
+	t.kinds = append(t.kinds, p) //simlint:allow allocfree(first sight of a category/name pair only; call sites name a fixed set)
+	t.kindIDs[p] = k             //simlint:allow allocfree(first sight of a category/name pair only; call sites name a fixed set)
+	return k
+}
+
+// isList reports whether the list at off holds args.
+func (t *Tracer) isList(off uint32, args []KV) bool {
+	ids := t.argIDs(off)
+	if len(ids) != 2*len(args) {
+		return false
+	}
+	for j, kv := range args {
+		if t.strs[ids[2*j]] != kv.K || t.strs[ids[2*j+1]] != kv.V {
+			return false
+		}
+	}
+	return true
 }
 
 // Event records a point event at simulated instant at.
@@ -184,7 +238,7 @@ func (t *Tracer) EndSpan(id SpanID, at sim.Time) {
 	if t == nil || id < 0 || int(id) >= t.n {
 		return
 	}
-	_, r := t.at(int(id))
+	r := t.at(int(id))
 	if r.flags&recOpen == 0 {
 		return
 	}
@@ -222,37 +276,33 @@ func (t *Tracer) CloseOpenSpans(at sim.Time) {
 	}
 }
 
-// at returns record i and the chunk that holds it.
-func (t *Tracer) at(i int) (*traceChunk, *record) {
-	c := &t.chunks[i/chunkLen]
-	return c, &c.recs[i%chunkLen]
+// at returns record i.
+func (t *Tracer) at(i int) *record { return &t.chunks[i/chunkLen][i%chunkLen] }
+
+// argIDs returns the (key id, value id) pairs of the list at off.
+func (t *Tracer) argIDs(off uint32) []uint32 {
+	return t.lists[off+1 : off+1+2*t.lists[off]]
 }
 
-// argIDs returns the (key id, value id) pairs of r, one of c's records.
-func (c *traceChunk) argIDs(r *record) []uint32 {
-	return c.args[r.argOff : r.argOff+2*uint32(r.nargs)]
-}
-
-// snapshot calls each for every record of one kind (recSpan or 0), in
-// record order, with its annotations rebuilt. All of their Args share
-// one backing array, allocated once.
-func (t *Tracer) snapshot(kind uint16, each func(i int, r *record, args []KV)) {
+// snapshot calls each for every span (span is recSpan) or every point
+// event (span is 0), in record order, with its annotations rebuilt. All
+// of their Args share one backing array, allocated once.
+func (t *Tracer) snapshot(span uint16, each func(i int, r *record, args []KV)) {
 	n := 0
 	for i := 0; i < t.n; i++ {
-		if _, r := t.at(i); r.flags&recSpan == kind {
-			n += int(r.nargs)
+		if r := t.at(i); r.flags&recSpan == span {
+			n += int(t.lists[r.args])
 		}
 	}
 	kvs := make([]KV, n)
 	for i := 0; i < t.n; i++ {
-		c, r := t.at(i)
-		if r.flags&recSpan != kind {
+		r := t.at(i)
+		if r.flags&recSpan != span {
 			continue
 		}
 		var args []KV
-		if r.nargs > 0 {
-			args, kvs = kvs[:r.nargs:r.nargs], kvs[r.nargs:]
-			ids := c.argIDs(r)
+		if ids := t.argIDs(r.args); len(ids) > 0 {
+			args, kvs = kvs[:len(ids)/2:len(ids)/2], kvs[len(ids)/2:]
 			for j := range args {
 				args[j] = KV{t.strs[ids[2*j]], t.strs[ids[2*j+1]]}
 			}
@@ -268,7 +318,8 @@ func (t *Tracer) Spans() []Span {
 	}
 	out := make([]Span, 0, t.n-t.nevents)
 	t.snapshot(recSpan, func(i int, r *record, args []KV) {
-		out = append(out, Span{ID: SpanID(i), Cat: t.strs[r.cat], Name: t.strs[r.name],
+		k := t.kinds[r.kind]
+		out = append(out, Span{ID: SpanID(i), Cat: t.strs[k.cat], Name: t.strs[k.name],
 			Start: r.start, End: r.end, Args: args})
 	})
 	return out
@@ -281,7 +332,8 @@ func (t *Tracer) Events() []Event {
 	}
 	out := make([]Event, 0, t.nevents)
 	t.snapshot(0, func(_ int, r *record, args []KV) {
-		out = append(out, Event{At: r.start, Cat: t.strs[r.cat], Name: t.strs[r.name], Args: args})
+		k := t.kinds[r.kind]
+		out = append(out, Event{At: r.start, Cat: t.strs[k.cat], Name: t.strs[k.name], Args: args})
 	})
 	return out
 }
@@ -302,8 +354,9 @@ func (t *Tracer) CountEvents(cat, name string) int {
 	}
 	n := 0
 	for i := 0; i < t.n; i++ {
-		_, r := t.at(i)
-		if r.flags&recSpan == 0 && (cat == "" || t.strs[r.cat] == cat) && (name == "" || t.strs[r.name] == name) {
+		r := t.at(i)
+		k := t.kinds[r.kind]
+		if r.flags&recSpan == 0 && (cat == "" || t.strs[k.cat] == cat) && (name == "" || t.strs[k.name] == name) {
 			n++
 		}
 	}
@@ -323,22 +376,23 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	e := newEnc(w)
 	js := encodeStrs(t.strs)
 	for i := 0; i < t.n; i++ {
-		c, r := t.at(i)
+		r := t.at(i)
+		k := t.kinds[r.kind]
 		if r.flags&recSpan != 0 {
 			e.raw(`{"type":"span","cat":`)
 		} else {
 			e.raw(`{"type":"event","cat":`)
 		}
-		e.id(js, r.cat)
+		e.id(js, k.cat)
 		e.raw(`,"name":`)
-		e.id(js, r.name)
+		e.id(js, k.name)
 		e.raw(`,"ts_us":`)
 		e.int(micros(r.start))
 		if r.flags&recSpan != 0 {
 			e.raw(`,"end_us":`)
 			e.int(micros(r.end))
 		}
-		e.args(js, c.argIDs(r))
+		e.args(js, t.argIDs(r.args))
 		e.raw("}\n")
 		if err := e.endRecord(); err != nil {
 			return err
@@ -363,29 +417,30 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	js := encodeStrs(t.strs)
 	e.raw("[\n")
 	for i := 0; i < t.n; i++ {
-		c, r := t.at(i)
+		r := t.at(i)
+		k := t.kinds[r.kind]
 		if i > 0 {
 			e.raw(",\n")
 		}
 		e.raw(`{"name":`)
-		e.id(js, r.name)
+		e.id(js, k.name)
 		e.raw(`,"cat":`)
-		e.id(js, r.cat)
+		e.id(js, k.cat)
 		if r.flags&recSpan != 0 {
 			e.raw(`,"ph":"X","ts":`)
 			e.int(micros(r.start))
 			e.raw(`,"dur":`)
 			e.int(micros(r.end) - micros(r.start))
 			e.raw(`,"pid":1,"tid":`)
-			e.int(int64(tid[r.cat]))
+			e.int(int64(tid[r.kind]))
 		} else {
 			e.raw(`,"ph":"i","ts":`)
 			e.int(micros(r.start))
 			e.raw(`,"pid":1,"tid":`)
-			e.int(int64(tid[r.cat]))
+			e.int(int64(tid[r.kind]))
 			e.raw(`,"s":"t"`)
 		}
-		e.args(js, c.argIDs(r))
+		e.args(js, t.argIDs(r.args))
 		e.raw("}")
 		if err := e.endRecord(); err != nil {
 			return err
@@ -398,20 +453,20 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return e.flush()
 }
 
-// tracks numbers the recorded categories from 1 in sorted order: each
-// category's Chrome track, indexed by string id.
+// tracks numbers the recorded categories from 1 in sorted order and
+// returns each kind's Chrome track. Every kind names a recorded entry,
+// so the kinds' categories are the recorded ones.
 func (t *Tracer) tracks() []int {
-	tid := make([]int, len(t.strs))
-	var cats []uint32
-	for i := 0; i < t.n; i++ {
-		if _, r := t.at(i); tid[r.cat] == 0 {
-			tid[r.cat] = -1 // seen; numbered below
-			cats = append(cats, r.cat)
-		}
+	cats := make([]string, len(t.kinds))
+	for i, k := range t.kinds {
+		cats[i] = t.strs[k.cat]
 	}
-	slices.SortFunc(cats, func(a, b uint32) int { return cmp.Compare(t.strs[a], t.strs[b]) })
-	for i, c := range cats {
-		tid[c] = i + 1
+	slices.Sort(cats)
+	cats = slices.Compact(cats)
+	tid := make([]int, len(t.kinds))
+	for i, k := range t.kinds {
+		j, _ := slices.BinarySearch(cats, t.strs[k.cat])
+		tid[i] = j + 1
 	}
 	return tid
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -101,9 +102,10 @@ func TestTracerEventCap(t *testing.T) {
 }
 
 // TestQueueDropEventAllocFree holds the drop path to its allocation
-// contract. Once a drop's strings are interned and the arenas have
-// grown, recording another drop allocates nothing, and the trace storage
-// holds no pointer for the garbage collector to scan.
+// contract. A drop like the previous one reuses its kind and list, so
+// recording it allocates nothing but its share of a chunk; the trace
+// storage holds no pointer for the garbage collector to scan, and a
+// record is 24 bytes.
 func TestQueueDropEventAllocFree(t *testing.T) {
 	tr := NewTracer()
 	tr.SetMaxEvents(0)
@@ -117,25 +119,25 @@ func TestQueueDropEventAllocFree(t *testing.T) {
 	if got := testing.AllocsPerRun(10000, drop); got > 0.01 {
 		t.Errorf("a queue drop averages %v allocations, want at most 0.01", got)
 	}
-	if f := pointerField(reflect.TypeOf(record{})); f != "" {
-		t.Errorf("record holds a pointer in %s; the trace storage must be pointer-free", f)
+	for name, typ := range map[string]reflect.Type{
+		"a chunk":        reflect.TypeOf(tr.chunks).Elem().Elem(),
+		"the kind table": reflect.TypeOf(tr.kinds).Elem(),
+		"the list arena": reflect.TypeOf(tr.lists).Elem(),
+	} {
+		if f := pointerField(typ); f != "" {
+			t.Errorf("%s holds a pointer in %s; the trace storage must be pointer-free", name, f)
+		}
 	}
-	if f := pointerField(reflect.TypeOf(traceChunk{}.recs).Elem()); f != "" {
-		t.Errorf("a chunk's record array holds a pointer in %s; the trace storage must be pointer-free", f)
-	}
-	if f := pointerField(reflect.TypeOf(traceChunk{}.args).Elem()); f != "" {
-		t.Errorf("a chunk's arena holds a pointer in %s; the trace storage must be pointer-free", f)
-	}
-	if n := unsafe.Sizeof(record{}); n > 32 {
-		t.Errorf("record is %d bytes, want at most 32", n)
+	if n := unsafe.Sizeof(record{}); n != 24 {
+		t.Errorf("record is %d bytes, want 24", n)
 	}
 }
 
 // TestTraceGrowthAllocatesOnlyWhatItStores holds recording to the
-// memory the trace keeps. A two-annotation drop stores a 32-byte record
-// and four 4-byte ids, 48 bytes, so 100,000 drops may allocate at most
-// 50 bytes each; storage that grows by copying allocates several times
-// that.
+// memory the trace keeps. A drop like the previous one stores a 24-byte
+// record and shares its list, so 100,000 drops may allocate at most 26
+// bytes each; a list per drop adds 20, and storage that grows by copying
+// allocates several times that.
 func TestTraceGrowthAllocatesOnlyWhatItStores(t *testing.T) {
 	const n = 100000
 	tr := NewTracer()
@@ -146,11 +148,52 @@ func TestTraceGrowthAllocatesOnlyWhatItStores(t *testing.T) {
 		tr.Event(sim.Time(i)*sim.Microsecond, CatNet, "queue-drop", KV{"node", "router"}, KV{"reason", "drop-tail"})
 	}
 	runtime.ReadMemStats(&after)
-	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 50 {
-		t.Errorf("recording %d drops allocated %.1f bytes per drop, want at most 50", n, per)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 26 {
+		t.Errorf("recording %d drops allocated %.1f bytes per drop, want at most 26", n, per)
 	}
 	if got := tr.CountEvents(CatNet, "queue-drop"); got != n {
 		t.Errorf("CountEvents = %d, want %d", got, n)
+	}
+}
+
+// TestKillChainSpansShareLists holds kill-chain-shaped spans to the
+// memory they keep. Each Dev's five stages are a run of spans sharing
+// one "dev" list, so a span stores a 24-byte record and a fifth of a
+// three-id list, 26.4 bytes; the list arena's growth by append adds
+// about 11 more, 37.6 in all. The bound of 40 fails a list per span
+// (96 bytes) and a 32-byte record with its own annotations (48).
+func TestKillChainSpansShareLists(t *testing.T) {
+	const devs = 20000
+	tr := NewTracer()
+	names := make([]string, devs)
+	for i := range names {
+		names[i] = fmt.Sprintf("dev-%05d", i)
+		// Intern the names first, as a run's earlier events do.
+		tr.Event(0, CatChurn, "device-up", KV{"dev", names[i]})
+	}
+	stages := []string{"scan", "load", "recruit", "register", "attack"}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, d := range names {
+		dev := KV{"dev", d}
+		for _, st := range stages {
+			tr.RecordSpan(0, sim.Time(i)*sim.Millisecond, CatKillChain, st, dev)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / (5 * devs); per > 40 {
+		t.Errorf("recording %d kill-chain spans allocated %.1f bytes per span, want at most 40", 5*devs, per)
+	}
+	spans := tr.Spans()
+	if len(spans) != 5*devs {
+		t.Fatalf("spans = %d, want %d", len(spans), 5*devs)
+	}
+	for _, i := range []int{0, 1, 4, 5, 5*devs - 1} {
+		want := Span{ID: SpanID(devs + i), Cat: CatKillChain, Name: stages[i%5],
+			End: sim.Time(i/5) * sim.Millisecond, Args: []KV{{"dev", names[i/5]}}}
+		if !reflect.DeepEqual(spans[i], want) {
+			t.Errorf("span %d = %+v, want %+v", i, spans[i], want)
+		}
 	}
 }
 
@@ -162,14 +205,154 @@ type modelEntry struct {
 	args       []KV
 }
 
+// traceModel records into a tracer and keeps, beside it, the entries
+// recorded, so that every reader and writer of the tracer is checked
+// against the calls made rather than against its own storage.
+type traceModel struct {
+	tr      *Tracer
+	max     int // the event cap; 0 removes it
+	entries []modelEntry
+	nevents int
+	dropped uint64
+}
+
+func newTraceModel(maxEvents int) *traceModel {
+	m := &traceModel{tr: NewTracer(), max: maxEvents}
+	m.tr.SetMaxEvents(maxEvents)
+	return m
+}
+
+// event records a point event and reports whether the cap kept it.
+func (m *traceModel) event(at sim.Time, cat, name string, args ...KV) bool {
+	m.tr.Event(at, cat, name, args...)
+	if m.max > 0 && m.nevents >= m.max {
+		m.dropped++
+		return false
+	}
+	m.nevents++
+	m.entries = append(m.entries, modelEntry{cat: cat, name: name, start: at, end: at, args: args})
+	return true
+}
+
+func (m *traceModel) beginSpan(t *testing.T, at sim.Time, cat, name string, args ...KV) SpanID {
+	id := m.tr.BeginSpan(at, cat, name, args...)
+	if int(id) != len(m.entries) {
+		t.Fatalf("BeginSpan returned id %d for record %d", id, len(m.entries))
+	}
+	m.entries = append(m.entries, modelEntry{span: true, open: true, cat: cat, name: name, start: at, end: at, args: args})
+	return id
+}
+
+func (m *traceModel) recordSpan(start, end sim.Time, cat, name string, args ...KV) {
+	m.tr.RecordSpan(start, end, cat, name, args...)
+	m.entries = append(m.entries, modelEntry{span: true, cat: cat, name: name, start: start, end: max(end, start), args: args})
+}
+
+func (m *traceModel) endSpan(id SpanID, at sim.Time) {
+	m.tr.EndSpan(id, at)
+	m.close(int(id), at)
+}
+
+func (m *traceModel) closeOpenSpans(at sim.Time) {
+	m.tr.CloseOpenSpans(at)
+	for i := range m.entries {
+		m.close(i, at)
+	}
+}
+
+// close ends entry i at at if it is an open span.
+func (m *traceModel) close(i int, at sim.Time) {
+	if i >= 0 && i < len(m.entries) && m.entries[i].open {
+		e := &m.entries[i]
+		e.open, e.end = false, max(at, e.start)
+	}
+}
+
+// refs renders the entries, in order, in the reference shape.
+func (m *traceModel) refs() []refRecord {
+	var out []refRecord
+	for _, e := range m.entries {
+		r := refRecord{Type: "event", Cat: e.cat, Name: e.name, AtUS: micros(e.start), Args: refArgMap(e.args)}
+		if e.span {
+			endUS := micros(e.end)
+			r.Type, r.EndUS = "span", &endUS
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// check holds both writers, Spans, Events, CountEvents and Summarize
+// to the entries recorded.
+func (m *traceModel) check(t *testing.T) {
+	t.Helper()
+	var spans []Span
+	var events []Event
+	cats, names := []string{"", "absent"}, []string{"", "absent"}
+	for i, e := range m.entries {
+		cats, names = append(cats, e.cat), append(names, e.name)
+		if e.span {
+			spans = append(spans, Span{ID: SpanID(i), Cat: e.cat, Name: e.name, Start: e.start, End: e.end, Args: e.args})
+		} else {
+			events = append(events, Event{At: e.start, Cat: e.cat, Name: e.name, Args: e.args})
+		}
+	}
+	refs := m.refs()
+	for _, wr := range []struct {
+		name  string
+		write func(io.Writer) error
+		want  []byte
+	}{
+		{"WriteChromeTrace", m.tr.WriteChromeTrace, refChromeTrace(refs)},
+		{"WriteJSONL", m.tr.WriteJSONL, refTraceJSONL(refs)},
+	} {
+		var buf bytes.Buffer
+		if err := wr.write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), wr.want) {
+			t.Errorf("%s differs from the reference encoding of what was recorded:\n got %q\nwant %q", wr.name, buf.Bytes(), wr.want)
+		}
+	}
+	if got := m.tr.Spans(); !reflect.DeepEqual(got, spans) {
+		t.Errorf("Spans() differs from the spans recorded")
+	}
+	if got := m.tr.Events(); !reflect.DeepEqual(got, events) {
+		t.Errorf("Events() differs from the events recorded")
+	}
+	slices.Sort(cats)
+	slices.Sort(names)
+	cats, names = slices.Compact(cats), slices.Compact(names)
+	for _, c := range cats {
+		for _, nm := range names {
+			want := 0
+			for _, e := range events {
+				if (c == "" || e.Cat == c) && (nm == "" || e.Name == nm) {
+					want++
+				}
+			}
+			if got := m.tr.CountEvents(c, nm); got != want {
+				t.Errorf("CountEvents(%q, %q) = %d, want %d", c, nm, got, want)
+			}
+		}
+	}
+	sum := (&Obs{Trace: m.tr}).Summarize(nil)
+	if sum.TraceSpans != len(spans) || sum.TraceEvents != m.nevents || sum.TraceDropped != m.dropped {
+		t.Errorf("Summarize = %d spans, %d events, %d dropped; want %d, %d, %d",
+			sum.TraceSpans, sum.TraceEvents, sum.TraceDropped, len(spans), m.nevents, m.dropped)
+	}
+}
+
 // TestTraceChunkBoundaries checks every reader and writer of the trace
 // against a model of what was recorded, on tracers that end one record
 // short of a chunk, at a chunk boundary, one record past it, and one
-// record into a fourth chunk. Each entry's annotations are its own, so a
-// record read through another chunk's arena shows. A span begun in the
-// first chunk ends in the last, spans left open in several chunks close
-// together, each chunk's last slot holds an entry with 300 annotations,
-// more than the arena starts with, a category first appears past the
+// record into a fourth chunk. Most entries carry annotations of their
+// own, so a record read through another's list shows. The three records
+// either side of each chunk boundary share one list of 300 annotations,
+// and mostly one kind, so the memo hits across the boundary; some
+// entries repeat the previous entry's kind with a list of their own. A
+// span begun in the first chunk ends in the last, spans left open in
+// several chunks close together, a category first appears past the
 // first chunk, and the event cap falls mid-chunk.
 func TestTraceChunkBoundaries(t *testing.T) {
 	for _, n := range []int{chunkLen - 1, chunkLen, chunkLen + 1, 3*chunkLen + 1} {
@@ -178,146 +361,66 @@ func TestTraceChunkBoundaries(t *testing.T) {
 }
 
 func checkChunkedTrace(t *testing.T, n int) {
-	tr := NewTracer()
-	maxEvents := n / 2
-	tr.SetMaxEvents(maxEvents)
-	var model []modelEntry
-	closeModel := func(id SpanID, at sim.Time) {
-		if m := &model[id]; m.open {
-			m.open = false
-			m.end = max(at, m.start)
-		}
-	}
-	end := func(id SpanID, at sim.Time) {
-		tr.EndSpan(id, at)
-		closeModel(id, at)
-	}
+	m := newTraceModel(n / 2)
 	cats, names := []string{CatNet, CatCNC, CatChurn, "late"}, []string{"a", "b", "c", "d"}
 	var long SpanID
 	var open []SpanID
-	var nevents int
-	var dropped uint64
 	capAt := -1 // the record count when the first event was dropped
-	for k := 0; len(model) < n; k++ {
+	for k := 0; len(m.entries) < n; k++ {
 		at := sim.Time(k) * sim.Millisecond
-		lastSlot := len(model)%chunkLen == chunkLen-1
+		pos := len(m.entries) % chunkLen
+		cat, name := cats[k%3], names[k%len(names)]
 		var args []KV
-		na := k % 5
-		if lastSlot {
-			na = 300
-		}
-		for a := 0; a < na; a++ {
-			args = append(args, KV{fmt.Sprintf("k%d", a), fmt.Sprintf("v%d.%d", k, a)})
-		}
-		e := modelEntry{cat: cats[k%3], name: names[k%len(names)], start: at, end: at, args: args}
-		if len(model) >= chunkLen && k%6 == 1 {
-			e.cat = cats[3]
+		switch {
+		case len(m.entries)+3 >= chunkLen && (pos >= chunkLen-3 || pos < 3):
+			b := (len(m.entries) + 3) / chunkLen
+			cat, name = cats[b%3], []string{"run", "run", "alt"}[k%3]
+			for a := 0; a < 300; a++ {
+				args = append(args, KV{fmt.Sprintf("k%d", a), fmt.Sprintf("run%d.%d", b, a)})
+			}
+		default:
+			for a := 0; a < k%5; a++ {
+				args = append(args, KV{fmt.Sprintf("k%d", a), fmt.Sprintf("v%d.%d", k, a)})
+			}
+			if last := len(m.entries) - 1; k%11 == 0 && last >= 0 {
+				cat, name = m.entries[last].cat, m.entries[last].name
+			} else if len(m.entries) >= chunkLen && k%6 == 1 {
+				cat = cats[3]
+			}
 		}
 		switch {
-		case lastSlot || k%5 == 2:
+		case pos == chunkLen-1 || k%5 == 2:
 			// Every third span ends before it starts and is clamped.
-			e.span, e.end = true, at+sim.Time(k%3-1)*sim.Second
-			tr.RecordSpan(e.start, e.end, e.cat, e.name, args...)
-			e.end = max(e.end, e.start)
+			m.recordSpan(at, at+sim.Time(k%3-1)*sim.Second, cat, name, args...)
 		case k == 1 || k%7 == 3:
-			e.span, e.open = true, true
-			id := tr.BeginSpan(at, e.cat, e.name, args...)
-			if int(id) != len(model) {
-				t.Fatalf("BeginSpan returned id %d for record %d", id, len(model))
-			}
+			id := m.beginSpan(t, at, cat, name, args...)
 			if k == 1 {
 				long = id
 			} else {
 				open = append(open, id)
 			}
 		default:
-			tr.Event(at, e.cat, e.name, args...)
-			if nevents == maxEvents {
-				dropped++
-				if capAt < 0 {
-					capAt = len(model)
-				}
-				continue
+			if !m.event(at, cat, name, args...) && capAt < 0 {
+				capAt = len(m.entries)
 			}
-			nevents++
 		}
-		model = append(model, e)
 		if k%13 == 0 && len(open) > 0 {
-			end(open[0], at)
+			m.endSpan(open[0], at)
 			open = open[1:]
 		}
 	}
 	if capAt < 0 || capAt%chunkLen == 0 {
 		t.Fatalf("the event cap fell at record %d, not mid-chunk", capAt)
 	}
-	if n >= chunkLen && len(tr.chunks[0].args) <= chunkArgs {
-		t.Fatalf("the first chunk's arena holds %d ids, not more than the %d it starts with", len(tr.chunks[0].args), chunkArgs)
+	for b := chunkLen; b < n; b += chunkLen {
+		if m.tr.at(b).args != m.tr.at(b-1).args {
+			t.Errorf("records %d and %d hold equal annotations in two lists", b-1, b)
+		}
 	}
 	last := sim.Time(n) * sim.Second
-	end(long, last)
-	tr.CloseOpenSpans(last + sim.Second)
-	for i := range model {
-		closeModel(SpanID(i), last+sim.Second)
-	}
-
-	var refs []refRecord
-	var spans []Span
-	var events []Event
-	counts := make(map[[2]string]int)
-	for i, m := range model {
-		r := refRecord{Type: "event", Cat: m.cat, Name: m.name, AtUS: micros(m.start), Args: refArgMap(m.args)}
-		if m.span {
-			endUS := micros(m.end)
-			r.Type, r.EndUS = "span", &endUS
-			spans = append(spans, Span{ID: SpanID(i), Cat: m.cat, Name: m.name, Start: m.start, End: m.end, Args: m.args})
-		} else {
-			events = append(events, Event{At: m.start, Cat: m.cat, Name: m.name, Args: m.args})
-			for _, c := range []string{"", m.cat} {
-				for _, nm := range []string{"", m.name} {
-					counts[[2]string{c, nm}]++
-				}
-			}
-		}
-		refs = append(refs, r)
-	}
-
-	if got := refRecords(tr); !reflect.DeepEqual(got, refs) {
-		t.Errorf("the stored records differ from those recorded")
-	}
-	for _, wr := range []struct {
-		name  string
-		write func(io.Writer) error
-		want  []byte
-	}{
-		{"WriteChromeTrace", tr.WriteChromeTrace, refChromeTrace(refs)},
-		{"WriteJSONL", tr.WriteJSONL, refTraceJSONL(refs)},
-	} {
-		var buf bytes.Buffer
-		if err := wr.write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), wr.want) {
-			t.Errorf("%s differs from the reference encoding of what was recorded", wr.name)
-		}
-	}
-	if got := tr.Spans(); !reflect.DeepEqual(got, spans) {
-		t.Errorf("Spans() differs from the spans recorded")
-	}
-	if got := tr.Events(); !reflect.DeepEqual(got, events) {
-		t.Errorf("Events() differs from the events recorded")
-	}
-	for _, c := range append([]string{""}, cats...) {
-		for _, nm := range append([]string{""}, names...) {
-			if got, want := tr.CountEvents(c, nm), counts[[2]string{c, nm}]; got != want {
-				t.Errorf("CountEvents(%q, %q) = %d, want %d", c, nm, got, want)
-			}
-		}
-	}
-	sum := (&Obs{Trace: tr}).Summarize(nil)
-	if sum.TraceSpans != len(spans) || sum.TraceEvents != nevents || sum.TraceDropped != dropped {
-		t.Errorf("Summarize = %d spans, %d events, %d dropped; want %d, %d, %d",
-			sum.TraceSpans, sum.TraceEvents, sum.TraceDropped, len(spans), nevents, dropped)
-	}
+	m.endSpan(long, last)
+	m.closeOpenSpans(last + sim.Second)
+	m.check(t)
 }
 
 // pointerField names the first part of typ that holds a pointer, or
