@@ -284,7 +284,7 @@ func (ft *FlowTable) evictOldest() {
 	ft.export(e, e.last, obs.FlowEvict)
 	delete(ft.idx, e.key())
 	e.live = false
-	ft.freeList = append(ft.freeList, i) //simlint:allow allocfree(one slot, which record pops at once, so the free list outgrows what a sweep left it only once; bounded by maxFlows)
+	ft.freeList = append(ft.freeList, i) //simlint:allow allocfree(record pops this slot at once, so the free list holds at most one more slot than a sweep left in it; bounded by maxFlows)
 	ft.stats.Evicted++
 }
 
