@@ -76,6 +76,11 @@ const (
 // chunk is 24 KiB, one allocator size class.
 const chunkLen = 1024
 
+// listChunk is the number of ids in one chunk of a tracer's list arena:
+// 16 KiB, one allocator size class. A list longer than that gets a
+// chunk of its own.
+const listChunk = 4096
+
 // kind is a (category, name) pair as string ids.
 type kind struct{ cat, name uint32 }
 
@@ -98,10 +103,12 @@ type Tracer struct {
 	kinds   []kind
 	kindIDs map[kind]uint16
 
-	// lists holds annotation lists as [n, k1, v1, …, kn, vn] string ids.
-	// Offset 0 is the empty list. A record whose annotations equal the
-	// previous record's shares its list.
-	lists []uint32
+	// lists holds annotation lists as [n, k1, v1, …, kn, vn] string ids,
+	// in fixed chunks so that growth never copies one. A list never spans
+	// two chunks; its offset is its chunk's index times listChunk plus its
+	// position there. Offset 0 is the empty list. A record whose
+	// annotations equal the previous record's shares its list.
+	lists [][]uint32
 
 	nevents int
 	max     int
@@ -111,7 +118,7 @@ type Tracer struct {
 // NewTracer returns an empty tracer with the default event cap.
 func NewTracer() *Tracer {
 	return &Tracer{max: DefaultMaxEvents, ids: make(map[string]uint32),
-		kindIDs: make(map[kind]uint16), lists: []uint32{0}}
+		kindIDs: make(map[kind]uint16), lists: [][]uint32{{0}}}
 }
 
 // SetMaxEvents overrides the point-event cap; n <= 0 removes it.
@@ -134,37 +141,21 @@ func (t *Tracer) intern(s string) uint32 {
 }
 
 // add appends r with its kind and annotation list and returns its
-// index. The previous record is a one-entry memo: a call naming its
-// category and name, or its annotations, compared as strings, reuses its
-// kind or list. Only a miss interns strings, and only a list unlike the
-// previous one is appended.
+// index. The previous record is a one-entry memo: a call whose
+// annotations equal its annotations, compared as strings, reuses its
+// list, and only a list unlike the previous one is stored.
 // args is only read, so a caller's variadic array stays on its stack.
 func (t *Tracer) add(r record, cat, name string, args []KV) int {
 	if len(args) > math.MaxUint16 {
 		panic("obs: a trace entry carries more than 65535 annotations")
 	}
-	var prev *record
-	if t.n > 0 {
-		prev = t.at(t.n - 1)
-	}
-	if prev != nil && t.isKind(prev.kind, cat, name) {
-		r.kind = prev.kind
-	} else {
-		r.kind = t.kindOf(cat, name)
-	}
+	r.kind = t.kindOf(cat, name)
 	switch {
 	case len(args) == 0:
-	case prev != nil && t.isList(prev.args, args):
-		r.args = prev.args
+	case t.n > 0 && t.isList(t.at(t.n-1).args, args):
+		r.args = t.at(t.n - 1).args
 	default:
-		if uint64(len(t.lists)+1+2*len(args)) > math.MaxUint32 {
-			panic("obs: a trace's annotation lists hold more than 2^32 ids")
-		}
-		r.args = uint32(len(t.lists))
-		t.lists = append(t.lists, uint32(len(args))) //simlint:allow allocfree(only a list unlike the previous record's; drops at one node share one list; pointer-free)
-		for _, kv := range args {
-			t.lists = append(t.lists, t.intern(kv.K), t.intern(kv.V)) //simlint:allow allocfree(only a list unlike the previous record's; drops at one node share one list; pointer-free)
-		}
+		r.args = t.newList(args)
 	}
 	if t.n%chunkLen == 0 {
 		t.chunks = append(t.chunks, new([chunkLen]record)) //simlint:allow allocfree(one pointer-free 24 KiB chunk per 1024 records; growth never copies a record; untraced runs return at the nil-receiver guard)
@@ -172,12 +163,6 @@ func (t *Tracer) add(r record, cat, name string, args []KV) int {
 	t.chunks[t.n/chunkLen][t.n%chunkLen] = r
 	t.n++
 	return t.n - 1
-}
-
-// isKind reports whether kind k is (cat, name).
-func (t *Tracer) isKind(k uint16, cat, name string) bool {
-	p := t.kinds[k]
-	return t.strs[p.cat] == cat && t.strs[p.name] == name
 }
 
 // kindOf returns the kind of (cat, name), adding it on first sight.
@@ -207,6 +192,25 @@ func (t *Tracer) isList(off uint32, args []KV) bool {
 		}
 	}
 	return true
+}
+
+// newList stores args as a list and returns its offset. A list that
+// does not fit in the last chunk starts a new one.
+func (t *Tracer) newList(args []KV) uint32 {
+	c := len(t.lists) - 1
+	if need := 1 + 2*len(args); len(t.lists[c])+need > cap(t.lists[c]) {
+		if c++; c > math.MaxUint32/listChunk {
+			panic("obs: a trace's annotation lists outgrow 32-bit offsets")
+		}
+		t.lists = append(t.lists, make([]uint32, 0, max(need, listChunk))) //simlint:allow allocfree(one pointer-free 16 KiB chunk per 4096 ids of lists unlike their predecessor; growth never copies a list)
+	}
+	off := uint32(c*listChunk + len(t.lists[c]))
+	l := append(t.lists[c], uint32(len(args))) //simlint:allow allocfree(the chunk was checked above to have room for the whole list, so the append never grows it)
+	for _, kv := range args {
+		l = append(l, t.intern(kv.K), t.intern(kv.V)) //simlint:allow allocfree(the chunk was checked above to have room for the whole list, so the append never grows it)
+	}
+	t.lists[c] = l
+	return off
 }
 
 // Event records a point event at simulated instant at.
@@ -281,7 +285,8 @@ func (t *Tracer) at(i int) *record { return &t.chunks[i/chunkLen][i%chunkLen] }
 
 // argIDs returns the (key id, value id) pairs of the list at off.
 func (t *Tracer) argIDs(off uint32) []uint32 {
-	return t.lists[off+1 : off+1+2*t.lists[off]]
+	l := t.lists[off/listChunk][off%listChunk:]
+	return l[1 : 1+2*l[0]]
 }
 
 // snapshot calls each for every span (span is recSpan) or every point
@@ -291,7 +296,7 @@ func (t *Tracer) snapshot(span uint16, each func(i int, r *record, args []KV)) {
 	n := 0
 	for i := 0; i < t.n; i++ {
 		if r := t.at(i); r.flags&recSpan == span {
-			n += int(t.lists[r.args])
+			n += len(t.argIDs(r.args)) / 2
 		}
 	}
 	kvs := make([]KV, n)
