@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"ddosim/ddosim"
 	"ddosim/internal/report"
@@ -54,10 +53,10 @@ func run() error {
 		asJSON    = flag.Bool("json", false, "emit JSON (with series and timeline) instead of text")
 		timeline  = flag.Bool("timeline", false, "print the full event timeline")
 		spark     = flag.Bool("sparkline", false, "print a sparkline of the per-second rate")
-		traceOut  = flag.String("trace", "", "write the run trace to this file (Chrome trace_event JSON; a .jsonl extension selects JSONL)")
+		traceOut  = flag.String("trace", "", "write the run trace to this file (Chrome trace_event JSON)")
 		promOut   = flag.String("metrics-out", "", "write a Prometheus-style metrics dump to this file")
-		flowsOut  = flag.String("flows-out", "", "write the labeled NetFlow-style flow records to this file (CSV; a .jsonl extension selects JSONL)")
-		tsOut     = flag.String("ts-out", "", "write the windowed time-series metrics to this file (CSV; a .jsonl extension selects JSONL)")
+		flowsOut  = flag.String("flows-out", "", "write the labeled NetFlow-style flow records to this file (CSV)")
+		tsOut     = flag.String("ts-out", "", "write the windowed time-series metrics to this file (CSV)")
 		window    = flag.Float64("window", 1, "time-series window size in seconds")
 		faultSpec = flag.String("faults", "", "fault-injection spec: \"intensity=0.5\" or \"kind:key=val,...;...\" (kinds: flap|loss|degrade|crash|cnc|sink)")
 		cncReplay = flag.Bool("cnc-replay", false, "C&C replays the attack order (trimmed) to bots that register during the attack window")
@@ -126,11 +125,7 @@ func run() error {
 	}
 
 	if *traceOut != "" {
-		write := sim.Obs().Trace.WriteChromeTrace
-		if strings.HasSuffix(*traceOut, ".jsonl") {
-			write = sim.Obs().Trace.WriteJSONL
-		}
-		if err := writeTo(*traceOut, write); err != nil {
+		if err := writeTo(*traceOut, sim.Obs().Trace.WriteChromeTrace); err != nil {
 			return fmt.Errorf("write trace: %w", err)
 		}
 	}
@@ -140,26 +135,18 @@ func run() error {
 		}
 	}
 	if *flowsOut != "" {
-		write := sim.Flows().WriteCSV
-		if strings.HasSuffix(*flowsOut, ".jsonl") {
-			write = sim.Flows().WriteJSONL
-		}
-		if err := writeTo(*flowsOut, write); err != nil {
+		if err := writeTo(*flowsOut, sim.Flows().WriteCSV); err != nil {
 			return fmt.Errorf("write flows: %w", err)
 		}
 	}
 	if *tsOut != "" {
-		write := sim.Windows().WriteCSV
-		if strings.HasSuffix(*tsOut, ".jsonl") {
-			write = sim.Windows().WriteJSONL
-		}
-		if err := writeTo(*tsOut, write); err != nil {
+		if err := writeTo(*tsOut, sim.Windows().WriteCSV); err != nil {
 			return fmt.Errorf("write time series: %w", err)
 		}
 	}
 
 	if *asJSON {
-		return report.FromResults(cfg, r, true).WriteJSON(os.Stdout)
+		return report.FromResults(cfg, r).WriteJSON(os.Stdout)
 	}
 	fmt.Printf("DDoSim run: %d devs, %s, %ds attack, seed %d\n\n", *devs, mode, *duration, *seed)
 	fmt.Print(r.Summary())

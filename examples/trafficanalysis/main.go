@@ -114,7 +114,7 @@ func run() error {
 		fmt.Printf("  t=%4ds  %10.1f%s\n", sec, series.KbpsSeries(sec, sec+1)[0], marker)
 	}
 	fmt.Println()
-	fmt.Println("The same labelled flow records are exportable as CSV or JSONL via")
+	fmt.Println("The same labelled flow records are exportable as CSV via")
 	fmt.Println("`ddosim -flows-out` — the dataset-generation workflow of §V-A.")
 	return nil
 }

@@ -94,11 +94,7 @@ func (a *Attacker) CNCAddr() netip.AddrPort {
 
 // SeedAddr reports the overlay bootstrap endpoint (P2P family).
 func (a *Attacker) SeedAddr() netip.AddrPort {
-	port := a.P2PBotTemplate.DHT.Port
-	if port == 0 {
-		port = dht.DefaultPort
-	}
-	return netip.AddrPortFrom(a.Container.Node().Addr4(), port)
+	return netip.AddrPortFrom(a.Container.Node().Addr4(), dht.DefaultPort)
 }
 
 // Deploy builds the attacker image, creates and starts its container,

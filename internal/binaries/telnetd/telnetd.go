@@ -52,9 +52,6 @@ const maxAttempts = 3
 type Config struct {
 	// Cred is the device's login. Zero value means StrongCred.
 	Cred Cred
-	// OnLogin observes successful logins (the experiment harness
-	// counts compromises through this).
-	OnLogin func(user string)
 }
 
 // Daemon is the telnetd process behaviour.
@@ -130,9 +127,6 @@ func (s *session) onLine(line string) {
 		if s.user == s.d.cfg.Cred.User && line == s.d.cfg.Cred.Pass {
 			s.state = 2
 			s.d.Logins++
-			if s.d.cfg.OnLogin != nil {
-				s.d.cfg.OnLogin(s.user)
-			}
 			_ = s.conn.Send([]byte("BusyBox v1.19.3 built-in shell (ash)\n$ "))
 			return
 		}

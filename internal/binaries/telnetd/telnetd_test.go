@@ -117,8 +117,7 @@ func TestWrongPasswordRetriesThenDrops(t *testing.T) {
 
 func TestStrongCredDefaultsAndCallbacks(t *testing.T) {
 	r := newRig(t)
-	logins := 0
-	c, _ := r.deploy(t, Config{OnLogin: func(string) { logins++ }})
+	c, d := r.deploy(t, Config{})
 	dst := netip.AddrPortFrom(c.Node().Addr4(), 23)
 	// The whole Mirai dictionary must fail against StrongCred.
 	for _, cred := range MiraiDictionary[:4] {
@@ -127,7 +126,7 @@ func TestStrongCredDefaultsAndCallbacks(t *testing.T) {
 	if err := r.sched.Run(2 * sim.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if logins != 0 {
+	if d.Logins != 0 {
 		t.Fatal("dictionary cracked the strong credential")
 	}
 	// And the strong credential itself works.
@@ -135,8 +134,8 @@ func TestStrongCredDefaultsAndCallbacks(t *testing.T) {
 	if err := r.sched.Run(r.sched.Now() + sim.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if logins != 1 || !strings.Contains(tr.String(), "BusyBox") {
-		t.Fatalf("strong login failed: logins=%d", logins)
+	if d.Logins != 1 || !strings.Contains(tr.String(), "BusyBox") {
+		t.Fatalf("strong login failed: logins=%d", d.Logins)
 	}
 }
 

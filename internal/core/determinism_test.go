@@ -19,7 +19,6 @@ import (
 // tests compare (and hash) these byte-for-byte.
 type artifacts struct {
 	rep    []byte // report JSON
-	jsonl  []byte // trace JSONL
 	chrome []byte // Chrome trace_event JSON
 	flows  []byte // labeled flow dataset CSV
 	ts     []byte // windowed time-series CSV
@@ -34,7 +33,6 @@ func (a artifacts) equal(t *testing.T, b artifacts, what string) {
 		x1, x2 []byte
 	}{
 		{"report JSON", a.rep, b.rep},
-		{"trace JSONL", a.jsonl, b.jsonl},
 		{"Chrome trace", a.chrome, b.chrome},
 		{"flow CSV", a.flows, b.flows},
 		{"time-series CSV", a.ts, b.ts},
@@ -129,8 +127,7 @@ func runArtifacts(cfg core.Config) (artifacts, *core.Simulation, *core.Results, 
 		dst   *[]byte
 		write func(io.Writer) error
 	}{
-		{&out.rep, report.FromResults(cfg, r, true).WriteJSON},
-		{&out.jsonl, s.Obs().Trace.WriteJSONL},
+		{&out.rep, report.FromResults(cfg, r).WriteJSON},
 		{&out.chrome, s.Obs().Trace.WriteChromeTrace},
 		{&out.flows, s.Flows().WriteCSV},
 		{&out.ts, s.Windows().WriteCSV},
@@ -147,7 +144,7 @@ func runArtifacts(cfg core.Config) (artifacts, *core.Simulation, *core.Results, 
 
 // goldenHashes holds the SHA-256 of each artifact of one pinned run.
 //
-// Every golden's report, JSONL and Chrome hashes were re-captured once
+// Every golden's report and Chrome trace hashes were re-captured once
 // when the kill-chain spans came to be built from each Dev's record at
 // the end of the run: the spans moved to the end of the trace, in fleet
 // order; a register span joined them; the exploit-success and
@@ -164,7 +161,7 @@ func runArtifacts(cfg core.Config) (artifacts, *core.Simulation, *core.Results, 
 //
 // The Prometheus dump's hash joined every golden later, captured
 // without moving any other byte.
-type goldenHashes struct{ rep, jsonl, chrome, flows, ts, prom string }
+type goldenHashes struct{ rep, chrome, flows, ts, prom string }
 
 // matchGolden reports every artifact whose hash differs from want.
 func (a artifacts) matchGolden(t *testing.T, what string, want goldenHashes) {
@@ -174,7 +171,6 @@ func (a artifacts) matchGolden(t *testing.T, what string, want goldenHashes) {
 		got        []byte
 	}{
 		{"report JSON", want.rep, a.rep},
-		{"trace JSONL", want.jsonl, a.jsonl},
 		{"Chrome trace", want.chrome, a.chrome},
 		{"flow CSV", want.flows, a.flows},
 		{"time-series CSV", want.ts, a.ts},
@@ -220,7 +216,6 @@ func TestSameSeedByteIdenticalArtifacts(t *testing.T) {
 func TestFaultFreeArtifactsMatchPrePRGolden(t *testing.T) {
 	runOnce(t, 1234).matchGolden(t, "fault-free", goldenHashes{
 		rep:    "eec8d63f66ebf2182a102f8e57087e417f7f2312e326997a7baa88df1a17c7c8",
-		jsonl:  "a2fae552d4562ba13e40fc7187f3dc1825678c896805b347a422936fcf6e1bee",
 		chrome: "78227878a9518260ffd02745ee97d2621eff3e4304e82f4871b1e23c825e9b2f",
 		flows:  "13cffc1ccdc455f2ec8b12ca56fd588684f5153b82e273c457192c0c3dc55097",
 		ts:     "1c32e115904f53dafff0228742b7945e99f4f41ef1b06541762a29653fb9161f",
@@ -255,17 +250,16 @@ func runCongested(t *testing.T) artifacts {
 func TestCongestedFaultTraceMatchesGolden(t *testing.T) {
 	a := runCongested(t)
 	for _, want := range []string{
-		`{"type":"event","cat":"net","name":"queue-drop"`,
-		`{"type":"span","cat":"fault"`,
-		`{"type":"event","cat":"fault"`,
+		`"name":"queue-drop","cat":"net","ph":"i"`,
+		`"cat":"fault","ph":"X"`,
+		`"cat":"fault","ph":"i"`,
 	} {
-		if !bytes.Contains(a.jsonl, []byte(want)) {
+		if !bytes.Contains(a.chrome, []byte(want)) {
 			t.Errorf("trace holds no %s record; the scenario no longer covers it", want)
 		}
 	}
 	a.matchGolden(t, "congested faults", goldenHashes{
 		rep:    "c2dd756541694219cfc32ecb659cb314896ffc98136086151b9bf1405afcf0c5",
-		jsonl:  "38ec717182d9f84aa61403fb534958881defa76f6a3c7b0976d50e8d5f21ef0d",
 		chrome: "e07316cf3f42cd540fd66a8b46846f4e0ac61ce3f859f9fd8a938bc832807fe4",
 		flows:  "a07eadae23b3023272cb3373fc49713ca2943ab2d58db3d89a09215929acd096",
 		ts:     "4145f39ee79e2141dbdd0a76c8eef2a3d5089743d922fcb07e8f47d5fb465774",
@@ -290,7 +284,6 @@ func TestCredentialArtifactsMatchGolden(t *testing.T) {
 	}
 	a.matchGolden(t, "credentials", goldenHashes{
 		rep:    "98dfe3f2e4338f339f1f1a4659e89c2ac7f9fbbd2e50585b89c953de24cf4cb8",
-		jsonl:  "061eba801d79fd2675f91f9e5c167bd7022504557d228ef8a5e29ba8d9a0f154",
 		chrome: "69aedd29a5151b2b9bcc4527005100ab644918b55e56c9a26092525e59916b2b",
 		flows:  "03fe995636ec6e2583f62e3602bda2365bc573e56cb5b4a4a5ccf0c7dadc97d4",
 		ts:     "887bc4c5ae4b7371417058dd597940f33822b0cb5f8406f00373ad44a4bf3701",
@@ -313,7 +306,6 @@ func TestCNCCrashArtifactsMatchGolden(t *testing.T) {
 	}{
 		{"mirai", churnConfig(1234, cncCrashFaults(t)), goldenHashes{
 			rep:    "5b0ea48b2dc4bbd0e0d27cd023de9523800e406e7b05090270d5a698c736122b",
-			jsonl:  "6f08039405b8cf1f0e28402462405d2620813f14c8f683d94427883720b5fb10",
 			chrome: "155a22b7a6fa7c5d4035b123caf99873fdb6c779a6008d81df99a3d00c662e06",
 			flows:  "bbea002b352a861610bf5f51987fab3985f76b71cc4aa1e208a1e67416030142",
 			ts:     "7a8ac0c4eb8e8dd057d6aff6dc5db28219573aa81e1acddc82d4829907f57443",
@@ -321,7 +313,6 @@ func TestCNCCrashArtifactsMatchGolden(t *testing.T) {
 		}},
 		{"p2p", p2p, goldenHashes{
 			rep:    "b589f2a485bd0768d059b912bda0d736247e61d99fa44b78759b02068692b170",
-			jsonl:  "d5ede3375c0398c28c4a505b4c17fdd5dfb5d72b35c1515292f74b6a690dd221",
 			chrome: "46d4deeeb8c63bffbfadb38f07a4617707a01724b22dc26ab8dee35406bc062d",
 			flows:  "793045f0047e09126e8dfb72cd88840f2dd5b412ca188dacec7d1a147de273b4",
 			ts:     "1a10b3ec1595ac4ca878a50966151735c33e46e5b3e0b6862a4e39adfb1665d9",

@@ -130,7 +130,6 @@ func TestP2PFaultArtifactsMatchGolden(t *testing.T) {
 	}
 	a.matchGolden(t, "p2p faults", goldenHashes{
 		rep:    "27a34d4c6c52821d6b510327202ff7f40467d83f33ebf3976e95b54c793f7cd6",
-		jsonl:  "85b8c3b67e9fbe55f58fe0174f56fd5af4a4145e74a5652e69e7060cc1dd0d32",
 		chrome: "281deabf8851489d5f06f7ed9f853c8414b96dab362a40a8c8d0fac31bb581ec",
 		flows:  "ef4e6d0575fdfee232acd46cfaa3e5a0d272308b4564a44b46d318e857d5080c",
 		ts:     "3f885b30c78233a30d7a8c96142e9350bebee9970405d593bae1f74b4d26b5f9",

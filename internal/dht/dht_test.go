@@ -201,7 +201,7 @@ type dhtDaemon struct {
 
 func (d *dhtDaemon) Name() string { return "dhtd" }
 func (d *dhtDaemon) Start(p *container.Process) {
-	d.node = New(p, Config{})
+	d.node = New(p)
 	if err := d.node.Start(p.Node().Addr4()); err != nil {
 		panic(err)
 	}

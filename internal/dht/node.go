@@ -25,8 +25,7 @@ type Host interface {
 	Logf(format string, args ...any)
 }
 
-// DefaultPort is the overlay's UDP port when Config.Port is zero
-// (the BitTorrent DHT's).
+// DefaultPort is the overlay's UDP port (the BitTorrent DHT's).
 const DefaultPort uint16 = 6881
 
 // Kademlia's parameters.
@@ -44,12 +43,6 @@ const (
 	refreshPeriod = 120 * sim.Second
 )
 
-// Config configures a node.
-type Config struct {
-	// Port is the overlay's UDP port (default DefaultPort).
-	Port uint16
-}
-
 // record is one stored key/value with its freshness sequence.
 type record struct {
 	value []byte
@@ -66,7 +59,6 @@ type pending struct {
 // Node is one Kademlia participant.
 type Node struct {
 	host Host
-	cfg  Config
 	id   ID
 	addr netip.AddrPort
 	sock *netsim.UDPSocket
@@ -100,14 +92,10 @@ type Node struct {
 	StoresHeld   int
 }
 
-// New builds a node; Start brings it onto the wire.
-func New(host Host, cfg Config) *Node {
-	if cfg.Port == 0 {
-		cfg.Port = DefaultPort
-	}
+// New builds a node; Start brings it onto the wire at DefaultPort.
+func New(host Host) *Node {
 	return &Node{
 		host:       host,
-		cfg:        cfg,
 		store:      make(map[ID]*record),
 		pendingRPC: make(map[uint32]*pending),
 		evicting:   make(map[int]bool),
@@ -117,12 +105,12 @@ func New(host Host, cfg Config) *Node {
 // Start binds the overlay socket and derives the node's ID from the
 // bound endpoint.
 func (n *Node) Start(addr netip.Addr) error {
-	sock, err := n.host.BindUDP(n.cfg.Port, n.onDatagram)
+	sock, err := n.host.BindUDP(DefaultPort, n.onDatagram)
 	if err != nil {
 		return err
 	}
 	n.sock = sock
-	n.addr = netip.AddrPortFrom(addr, n.cfg.Port)
+	n.addr = netip.AddrPortFrom(addr, DefaultPort)
 	n.id = NodeID(n.addr)
 	n.table = NewTable(n.id, k)
 	n.refreshTicker = n.host.NewTicker(refreshPeriod, srcRefresh, n.refreshTick)

@@ -1,10 +1,10 @@
 // Package epidemic implements the paper's second use case (§V-B):
 // comparing mathematical models of botnet spread against the
-// simulation. It provides SI and SIR ordinary-differential-equation
-// models integrated with fourth-order Runge-Kutta, an external-force
-// infection model matching DDoSim's scan-from-one-attacker topology,
-// and least-squares fitting of model parameters to a measured
-// infection curve.
+// simulation. It provides the SI ordinary-differential-equation model
+// and an external-force infection model matching DDoSim's
+// scan-from-one-attacker topology, both integrated with fourth-order
+// Runge-Kutta, and least-squares fitting of model parameters to a
+// measured infection curve.
 package epidemic
 
 import (
@@ -52,43 +52,6 @@ func SimulateExternal(p ExternalParams, dt, T float64) (times, infected []float6
 		return p.Lambda * s
 	}
 	return integrate(0, deriv, dt, T)
-}
-
-// SIRParams parameterizes the SIR model with recovery rate gamma
-// (e.g. devices rebooting and shedding the non-persistent Mirai).
-type SIRParams struct {
-	Beta  float64
-	Gamma float64
-	N     float64
-	I0    float64
-}
-
-// SimulateSIR integrates SIR with RK4, returning times, infected, and
-// recovered series.
-func SimulateSIR(p SIRParams, dt, T float64) (times, infected, recovered []float64) {
-	s, i, r := p.N-p.I0, p.I0, 0.0
-	t := 0.0
-	times = append(times, t)
-	infected = append(infected, i)
-	recovered = append(recovered, r)
-	dS := func(s, i float64) float64 { return -p.Beta * s * i / p.N }
-	dI := func(s, i float64) float64 { return p.Beta*s*i/p.N - p.Gamma*i }
-	dR := func(i float64) float64 { return p.Gamma * i }
-	for t < T {
-		// RK4 on the coupled system.
-		k1s, k1i, k1r := dS(s, i), dI(s, i), dR(i)
-		k2s, k2i, k2r := dS(s+dt/2*k1s, i+dt/2*k1i), dI(s+dt/2*k1s, i+dt/2*k1i), dR(i+dt/2*k1i)
-		k3s, k3i, k3r := dS(s+dt/2*k2s, i+dt/2*k2i), dI(s+dt/2*k2s, i+dt/2*k2i), dR(i+dt/2*k2i)
-		k4s, k4i, k4r := dS(s+dt*k3s, i+dt*k3i), dI(s+dt*k3s, i+dt*k3i), dR(i+dt*k3i)
-		s += dt / 6 * (k1s + 2*k2s + 2*k3s + k4s)
-		i += dt / 6 * (k1i + 2*k2i + 2*k3i + k4i)
-		r += dt / 6 * (k1r + 2*k2r + 2*k3r + k4r)
-		t += dt
-		times = append(times, t)
-		infected = append(infected, i)
-		recovered = append(recovered, r)
-	}
-	return times, infected, recovered
 }
 
 // integrate runs RK4 on a single-variable ODE di/dt = f(i).

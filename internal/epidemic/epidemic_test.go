@@ -37,34 +37,6 @@ func TestSIModelProperties(t *testing.T) {
 	}
 }
 
-func TestSIRConservation(t *testing.T) {
-	p := SIRParams{Beta: 0.9, Gamma: 0.2, N: 500, I0: 5}
-	times, inf, rec := SimulateSIR(p, 0.01, 60)
-	if len(times) != len(inf) || len(inf) != len(rec) {
-		t.Fatal("length mismatch")
-	}
-	// S+I+R == N throughout (S implied); I peaks then declines.
-	peak := 0.0
-	peakIdx := 0
-	for k := range inf {
-		if inf[k] > peak {
-			peak, peakIdx = inf[k], k
-		}
-		if inf[k] < -1e-6 || rec[k] < -1e-6 {
-			t.Fatalf("negative compartment at k=%d", k)
-		}
-		if inf[k]+rec[k] > p.N+1e-6 {
-			t.Fatalf("I+R exceeded N at k=%d", k)
-		}
-	}
-	if peakIdx == 0 || peakIdx == len(inf)-1 {
-		t.Fatalf("no epidemic peak: idx=%d", peakIdx)
-	}
-	if inf[len(inf)-1] > peak/2 {
-		t.Fatalf("infection did not decline after peak: final %v, peak %v", inf[len(inf)-1], peak)
-	}
-}
-
 func TestFitLambdaRecoversTruth(t *testing.T) {
 	// Generate a curve from a known lambda, add nothing, and fit.
 	const trueLambda = 0.12

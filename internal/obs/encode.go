@@ -58,12 +58,6 @@ func (e *enc) uint(v uint64) { e.buf = strconv.AppendUint(e.buf, v, 10) }
 // float appends v in the shortest form that round-trips ('g', -1).
 func (e *enc) float(v float64) { e.buf = strconv.AppendFloat(e.buf, v, 'g', -1, 64) }
 
-// quote appends s Go-quoted, as fmt's %q renders it.
-func (e *enc) quote(s string) { e.buf = strconv.AppendQuote(e.buf, s) }
-
-// str appends s as a JSON string.
-func (e *enc) str(s string) { e.buf = appendJSONString(e.buf, s) }
-
 // appendJSONString appends s as a JSON string, byte for byte as
 // encoding/json renders it. Printable ASCII outside encoding/json's
 // HTML-safe escapes (<, >, &) is copied between quotes; any other string

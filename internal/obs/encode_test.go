@@ -68,11 +68,8 @@ type namedWriter struct {
 func exportWriters(tr *Tracer, fb *FlowBuffer, w *Windows) []namedWriter {
 	return []namedWriter{
 		{"Tracer.WriteChromeTrace", tr.WriteChromeTrace},
-		{"Tracer.WriteJSONL", tr.WriteJSONL},
 		{"FlowBuffer.WriteCSV", fb.WriteCSV},
-		{"FlowBuffer.WriteJSONL", fb.WriteJSONL},
 		{"Windows.WriteCSV", w.WriteCSV},
-		{"Windows.WriteJSONL", w.WriteJSONL},
 	}
 }
 
@@ -207,11 +204,8 @@ func FuzzTraceExport(f *testing.F) {
 
 		want := map[string][]byte{
 			"Tracer.WriteChromeTrace": refChromeTrace(m.refs()),
-			"Tracer.WriteJSONL":       refTraceJSONL(m.refs()),
 			"FlowBuffer.WriteCSV":     refFlowCSV(recs),
-			"FlowBuffer.WriteJSONL":   refFlowJSONL(recs),
 			"Windows.WriteCSV":        refWindowsCSV(w),
-			"Windows.WriteJSONL":      refWindowsJSONL(w),
 		}
 		for _, wr := range exportWriters(tr, fb, w) {
 			var buf bytes.Buffer
@@ -228,13 +222,13 @@ func FuzzTraceExport(f *testing.F) {
 // The reference encoding: the writers as they were before the append
 // encoder, built on encoding/json and fmt.
 
+// refRecord is one recorded entry, a span when Span is set; times are
+// microseconds of simulated time.
 type refRecord struct {
-	Type  string            `json:"type"`
-	Cat   string            `json:"cat"`
-	Name  string            `json:"name"`
-	AtUS  int64             `json:"ts_us"`
-	EndUS *int64            `json:"end_us,omitempty"`
-	Args  map[string]string `json:"args,omitempty"`
+	Span        bool
+	Cat, Name   string
+	AtUS, EndUS int64
+	Args        map[string]string
 }
 
 func refArgMap(args []KV) map[string]string {
@@ -246,17 +240,6 @@ func refArgMap(args []KV) map[string]string {
 		m[kv.K] = kv.V
 	}
 	return m
-}
-
-func refTraceJSONL(recs []refRecord) []byte {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, r := range recs {
-		if err := enc.Encode(r); err != nil {
-			panic(err)
-		}
-	}
-	return buf.Bytes()
 }
 
 type refChromeEvent struct {
@@ -292,8 +275,8 @@ func refChromeTrace(recs []refRecord) []byte {
 			Name: r.Name, Cat: r.Cat, TS: r.AtUS,
 			PID: 1, TID: tid[r.Cat], Args: r.Args,
 		}
-		if r.Type == "span" {
-			dur := *r.EndUS - r.AtUS
+		if r.Span {
+			dur := r.EndUS - r.AtUS
 			ce.Phase = "X"
 			ce.Dur = &dur
 		} else {
@@ -326,36 +309,6 @@ func refFlowCSV(recs []FlowRecord) []byte {
 	return []byte(sb.String())
 }
 
-type refFlowJSON struct {
-	StartUS  int64  `json:"start_us"`
-	EndUS    int64  `json:"end_us"`
-	Proto    string `json:"proto"`
-	Src      string `json:"src"`
-	Dst      string `json:"dst"`
-	Packets  uint64 `json:"packets"`
-	Bytes    uint64 `json:"bytes"`
-	TCPFlags uint8  `json:"tcp_flags"`
-	Label    string `json:"label"`
-	Reason   string `json:"reason"`
-}
-
-func refFlowJSONL(recs []FlowRecord) []byte {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, r := range recs {
-		row := refFlowJSON{
-			StartUS: r.StartUS, EndUS: r.EndUS, Proto: r.Proto,
-			Src: r.Src.String(), Dst: r.Dst.String(),
-			Packets: r.Packets, Bytes: r.Bytes, TCPFlags: r.TCPFlags,
-			Label: r.Label, Reason: r.Reason,
-		}
-		if err := enc.Encode(row); err != nil {
-			panic(err)
-		}
-	}
-	return buf.Bytes()
-}
-
 func refFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 func refWindowsCSV(w *Windows) []byte {
@@ -373,21 +326,6 @@ func refWindowsCSV(w *Windows) []byte {
 			sb.WriteString(refFloat(v))
 		}
 		sb.WriteByte('\n')
-	}
-	return []byte(sb.String())
-}
-
-func refWindowsJSONL(w *Windows) []byte {
-	var sb strings.Builder
-	for i, row := range w.rows {
-		sb.WriteString(`{"t_s":`)
-		sb.WriteString(refFloat(w.times[i].Seconds()))
-		for j, v := range row {
-			sb.WriteByte(',')
-			fmt.Fprintf(&sb, "%q:", w.cols[j].name)
-			sb.WriteString(refFloat(v))
-		}
-		sb.WriteString("}\n")
 	}
 	return []byte(sb.String())
 }

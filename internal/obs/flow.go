@@ -67,7 +67,7 @@ type flowRow struct {
 }
 
 // FlowBuffer is the flow dataset of a run: it keeps every exported
-// record in export order and renders them as a CSV or JSONL artifact.
+// record in export order and renders them as a CSV artifact.
 // Export order is deterministic, so two same-seed runs write
 // byte-identical artifacts. Rows live in fixed-size chunks, so growth
 // never copies the dataset. All methods are nil-safe.
@@ -227,10 +227,10 @@ func (b *FlowBuffer) Stats() FlowStats {
 const FlowCSVHeader = "start_us,end_us,proto,src,dst,packets,bytes,tcp_flags,label,reason"
 
 // endpointTexts renders every endpoint's text once for one export, as
-// fmt's %s renders a netip.AddrPort, JSON-quoted when json is set. The
-// text is sized from each endpoint's family up front, so the table
-// never grows while it is built.
-func (b *FlowBuffer) endpointTexts(json bool) *strTable {
+// fmt's %s renders a netip.AddrPort. The text is sized from each
+// endpoint's family up front, so the table never grows while it is
+// built.
+func (b *FlowBuffer) endpointTexts() *strTable {
 	size := 0
 	for i := range b.eps {
 		ep := &b.eps[i]
@@ -239,27 +239,14 @@ func (b *FlowBuffer) endpointTexts(json bool) *strTable {
 			size += len("255.255.255.255:65535")
 		case famNone:
 			size += len("invalid AddrPort")
-		default: // [v6%zone]:port, each zone byte escaping to at most 6
+		default: // [v6%zone]:port
 			size += len("[ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff%]:65535")
-			size += 6 * len(b.zones.zone(ep))
-		}
-		if json {
-			size += 2
+			size += len(b.zones.zone(ep))
 		}
 	}
 	t := &strTable{blob: make([]byte, 0, size), off: make([]uint32, 1, len(b.eps)+1)}
 	for i := range b.eps {
-		p := b.zones.unpack(&b.eps[i])
-		switch {
-		case !json:
-			t.blob = appendAddrPort(t.blob, p)
-		case b.eps[i].fam >= famZoned: // only a zone can need escaping
-			t.blob = appendJSONString(t.blob, p.String())
-		default:
-			t.blob = append(t.blob, '"')
-			t.blob = appendAddrPort(t.blob, p)
-			t.blob = append(t.blob, '"')
-		}
+		t.blob = appendAddrPort(t.blob, b.zones.unpack(&b.eps[i]))
 		t.off = append(t.off, uint32(len(t.blob)))
 	}
 	return t
@@ -273,7 +260,7 @@ func (b *FlowBuffer) WriteCSV(w io.Writer) error {
 	if b == nil {
 		return e.flush()
 	}
-	eps := b.endpointTexts(false)
+	eps := b.endpointTexts()
 	for i := 0; i < b.n; i++ {
 		r := b.row(i)
 		e.int(r.startUS)
@@ -296,45 +283,6 @@ func (b *FlowBuffer) WriteCSV(w io.Writer) error {
 		e.raw(",")
 		e.raw(b.strs[r.reason])
 		e.raw("\n")
-		if err := e.endRecord(); err != nil {
-			return err
-		}
-	}
-	return e.flush()
-}
-
-// WriteJSONL renders the dataset as JSON Lines, one record per line,
-// in export order, with the CSV's columns as keys in the CSV's order.
-func (b *FlowBuffer) WriteJSONL(w io.Writer) error {
-	e := newEnc(w)
-	if b == nil {
-		return e.flush()
-	}
-	eps := b.endpointTexts(true)
-	js := encodeStrs(b.strs)
-	for i := 0; i < b.n; i++ {
-		r := b.row(i)
-		e.raw(`{"start_us":`)
-		e.int(r.startUS)
-		e.raw(`,"end_us":`)
-		e.int(r.endUS)
-		e.raw(`,"proto":`)
-		e.id(js, uint32(r.proto))
-		e.raw(`,"src":`)
-		e.id(eps, r.src)
-		e.raw(`,"dst":`)
-		e.id(eps, r.dst)
-		e.raw(`,"packets":`)
-		e.uint(r.packets)
-		e.raw(`,"bytes":`)
-		e.uint(r.bytes)
-		e.raw(`,"tcp_flags":`)
-		e.uint(uint64(r.flags))
-		e.raw(`,"label":`)
-		e.id(js, uint32(r.label))
-		e.raw(`,"reason":`)
-		e.id(js, uint32(r.reason))
-		e.raw("}\n")
 		if err := e.endRecord(); err != nil {
 			return err
 		}

@@ -80,19 +80,6 @@ func TestFlowBufferWriteCSV(t *testing.T) {
 	}
 }
 
-func TestFlowBufferWriteJSONL(t *testing.T) {
-	var b FlowBuffer
-	add(&b, mkRec(0, 10, "benign", 1, 64))
-	var sb strings.Builder
-	if err := b.WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := `{"start_us":0,"end_us":10,"proto":"udp","src":"10.0.0.2:4000","dst":"10.0.0.1:9999","packets":1,"bytes":64,"tcp_flags":0,"label":"benign","reason":"idle"}` + "\n"
-	if sb.String() != want {
-		t.Fatalf("jsonl:\n%s\nwant:\n%s", sb.String(), want)
-	}
-}
-
 func TestFlowBufferNilSafe(t *testing.T) {
 	var b *FlowBuffer
 	add(b, mkRec(0, 1, "x", 1, 1))
@@ -108,9 +95,6 @@ func TestFlowBufferNilSafe(t *testing.T) {
 	}
 	if sb.String() != FlowCSVHeader+"\n" {
 		t.Fatalf("nil csv %q", sb.String())
-	}
-	if err := b.WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -9,8 +9,8 @@
 // Two components, bundled by Obs:
 //
 //   - Tracer: typed spans and point events keyed to sim.Time,
-//     exportable as JSONL or as Chrome trace_event JSON that opens
-//     directly in chrome://tracing or Perfetto.
+//     exportable as Chrome trace_event JSON that opens directly in
+//     chrome://tracing or Perfetto.
 //   - Registry: the table of named counters and gauges a run
 //     publishes once, from the counts it kept, when it has ended,
 //     with a Prometheus-style text dump. Nothing updates a metric

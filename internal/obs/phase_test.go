@@ -52,20 +52,20 @@ func TestRecordSpanClampsAndSequences(t *testing.T) {
 	}
 	// Recorded after the event, so it must be exported after it.
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var types []string
-	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
-		var rec struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("line %q: %v", line, err)
-		}
-		types = append(types, rec.Type)
+	var entries []struct {
+		Ph string `json:"ph"`
 	}
-	if got := strings.Join(types, ","); got != "event,span" {
-		t.Fatalf("export order %s, want event,span:\n%s", got, buf.String())
+	if err := json.Unmarshal(buf.Bytes(), &entries); err != nil {
+		t.Fatal(err)
+	}
+	var phases []string
+	for _, e := range entries {
+		phases = append(phases, e.Ph)
+	}
+	if got := strings.Join(phases, ","); got != "i,X" {
+		t.Fatalf("export order %s, want i,X:\n%s", got, buf.String())
 	}
 }

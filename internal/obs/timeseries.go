@@ -15,7 +15,7 @@ type tsCol struct {
 }
 
 // Windows aggregates readings into fixed-width windows of simulated
-// time and renders them as a CSV or JSONL time-series artifact — the
+// time and renders them as a CSV time-series artifact — the
 // streaming replacement for post-hoc curve extraction. Columns are
 // registered up front; Sample(now) then snapshots every column once
 // per window, in registration order, which makes the artifact a pure
@@ -122,30 +122,6 @@ func (w *Windows) WriteCSV(out io.Writer) error {
 			e.float(v)
 		}
 		e.raw("\n")
-		if err := e.endRecord(); err != nil {
-			return err
-		}
-	}
-	return e.flush()
-}
-
-// WriteJSONL renders the time series as JSON Lines, one window per
-// line, with keys in registration order.
-func (w *Windows) WriteJSONL(out io.Writer) error {
-	if w == nil {
-		return nil
-	}
-	e := newEnc(out)
-	for i, row := range w.rows {
-		e.raw(`{"t_s":`)
-		e.float(w.times[i].Seconds())
-		for j, v := range row {
-			e.raw(",")
-			e.quote(w.cols[j].name)
-			e.raw(":")
-			e.float(v)
-		}
-		e.raw("}\n")
 		if err := e.endRecord(); err != nil {
 			return err
 		}

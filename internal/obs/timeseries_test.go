@@ -56,21 +56,6 @@ func TestWindowsReadsOncePerSampleInOrder(t *testing.T) {
 	}
 }
 
-func TestWindowsWriteJSONL(t *testing.T) {
-	w := NewWindows(sim.Second)
-	w.Column("infected", func() float64 { return 3 })
-	w.Column("rate", func() float64 { return 0.5 })
-	w.Sample(1 * sim.Second)
-	var sb strings.Builder
-	if err := w.WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := `{"t_s":0,"infected":3,"rate":0.5}` + "\n"
-	if sb.String() != want {
-		t.Fatalf("jsonl:\n%s\nwant:\n%s", sb.String(), want)
-	}
-}
-
 func TestWindowsNilSafe(t *testing.T) {
 	var w *Windows
 	w.Column("x", func() float64 { return 1 })
@@ -85,9 +70,6 @@ func TestWindowsNilSafe(t *testing.T) {
 	}
 	if sb.String() != "window_start_s\n" {
 		t.Fatalf("nil csv %q", sb.String())
-	}
-	if err := w.WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
 	}
 }
 

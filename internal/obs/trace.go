@@ -370,42 +370,6 @@ func (t *Tracer) CountEvents(cat, name string) int {
 
 func micros(t sim.Time) int64 { return int64(t / sim.Microsecond) }
 
-// WriteJSONL writes one JSON object per line, spans and events
-// interleaved in record order. A line holds "type" ("span" or "event"),
-// "cat", "name" and "ts_us"; a span adds "end_us"; an annotated entry
-// ends with "args", its keys sorted.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	e := newEnc(w)
-	js := encodeStrs(t.strs)
-	for i := 0; i < t.n; i++ {
-		r := t.at(i)
-		k := t.kinds[r.kind]
-		if r.flags&recSpan != 0 {
-			e.raw(`{"type":"span","cat":`)
-		} else {
-			e.raw(`{"type":"event","cat":`)
-		}
-		e.id(js, k.cat)
-		e.raw(`,"name":`)
-		e.id(js, k.name)
-		e.raw(`,"ts_us":`)
-		e.int(micros(r.start))
-		if r.flags&recSpan != 0 {
-			e.raw(`,"end_us":`)
-			e.int(micros(r.end))
-		}
-		e.args(js, t.argIDs(r.args))
-		e.raw("}\n")
-		if err := e.endRecord(); err != nil {
-			return err
-		}
-	}
-	return e.flush()
-}
-
 // WriteChromeTrace writes the run as Chrome trace_event JSON (catapult
 // "JSON Array Format"), loadable in chrome://tracing and Perfetto: spans
 // become "X" complete events with a "dur", point events become "i"

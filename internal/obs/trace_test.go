@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -280,18 +279,14 @@ func (m *traceModel) close(i int, at sim.Time) {
 func (m *traceModel) refs() []refRecord {
 	var out []refRecord
 	for _, e := range m.entries {
-		r := refRecord{Type: "event", Cat: e.cat, Name: e.name, AtUS: micros(e.start), Args: refArgMap(e.args)}
-		if e.span {
-			endUS := micros(e.end)
-			r.Type, r.EndUS = "span", &endUS
-		}
-		out = append(out, r)
+		out = append(out, refRecord{Span: e.span, Cat: e.cat, Name: e.name,
+			AtUS: micros(e.start), EndUS: micros(e.end), Args: refArgMap(e.args)})
 	}
 	return out
 }
 
-// check holds both writers, Spans, Events, CountEvents and Summarize
-// to the entries recorded.
+// check holds the writer, Spans, Events, CountEvents and Summarize to
+// the entries recorded.
 func (m *traceModel) check(t *testing.T) {
 	t.Helper()
 	var spans []Span
@@ -305,22 +300,12 @@ func (m *traceModel) check(t *testing.T) {
 			events = append(events, Event{At: e.start, Cat: e.cat, Name: e.name, Args: e.args})
 		}
 	}
-	refs := m.refs()
-	for _, wr := range []struct {
-		name  string
-		write func(io.Writer) error
-		want  []byte
-	}{
-		{"WriteChromeTrace", m.tr.WriteChromeTrace, refChromeTrace(refs)},
-		{"WriteJSONL", m.tr.WriteJSONL, refTraceJSONL(refs)},
-	} {
-		var buf bytes.Buffer
-		if err := wr.write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), wr.want) {
-			t.Errorf("%s differs from the reference encoding of what was recorded:\n got %q\nwant %q", wr.name, buf.Bytes(), wr.want)
-		}
+	var buf bytes.Buffer
+	if err := m.tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := refChromeTrace(m.refs()); !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("WriteChromeTrace differs from the reference encoding of what was recorded:\n got %q\nwant %q", buf.Bytes(), want)
 	}
 	if got := m.tr.Spans(); !reflect.DeepEqual(got, spans) {
 		t.Errorf("Spans() differs from the spans recorded")
@@ -478,13 +463,6 @@ func TestTracerNilSafe(t *testing.T) {
 		t.Error("nil tracer leaked state")
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("nil WriteJSONL wrote %q", buf.String())
-	}
-	buf.Reset()
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -493,12 +471,12 @@ func TestTracerNilSafe(t *testing.T) {
 	}
 }
 
-func TestWriteJSONLGolden(t *testing.T) {
+func TestWriteChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampleTracer().WriteJSONL(&buf); err != nil {
+	if err := sampleTracer().WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "trace.golden.jsonl")
+	golden := filepath.Join("testdata", "trace.golden.json")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -512,20 +490,20 @@ func TestWriteJSONLGolden(t *testing.T) {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("JSONL drifted from golden file:\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
+		t.Errorf("Chrome trace drifted from golden file:\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
 }
 
-func TestWriteJSONLDeterministic(t *testing.T) {
+func TestWriteChromeTraceDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := sampleTracer().WriteJSONL(&a); err != nil {
+	if err := sampleTracer().WriteChromeTrace(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := sampleTracer().WriteJSONL(&b); err != nil {
+	if err := sampleTracer().WriteChromeTrace(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("two identical scenarios exported different JSONL bytes")
+		t.Error("two identical scenarios exported different Chrome trace bytes")
 	}
 }
 

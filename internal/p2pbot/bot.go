@@ -31,8 +31,6 @@ type BotConfig struct {
 	// StartJitter models host task queuing before the flood starts,
 	// exactly as mirai.BotConfig.StartJitter.
 	StartJitter sim.Time
-	// DHT tunes the underlying node.
-	DHT dht.Config
 	// OnAttackStart observes each bot's first flood packet instant.
 	OnAttackStart func(addr netip.Addr)
 }
@@ -115,7 +113,7 @@ func (b *Bot) Start(p *container.Process) {
 	p.SetTitle(string(title))
 	p.SetMalware("p2p")
 
-	b.node = dht.New(p, b.cfg.DHT)
+	b.node = dht.New(p)
 	if err := b.node.Start(p.Node().Addr4()); err != nil {
 		p.Logf("p2pbot: %v", err)
 		return

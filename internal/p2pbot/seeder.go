@@ -23,8 +23,6 @@ type SeederConfig struct {
 	// Bootstrap lists other overlay entry points (usually empty: the
 	// seeder IS the entry point).
 	Bootstrap []netip.AddrPort
-	// DHT tunes the underlying node.
-	DHT dht.Config
 	// OnContact fires once per distinct peer address ever heard from —
 	// the P2P family's recruitment census, the counterpart of Mirai's
 	// CNC.OnBotRegistered.
@@ -68,7 +66,7 @@ func (s *Seeder) Node() *dht.Node { return s.node }
 // Start implements container.Behavior.
 func (s *Seeder) Start(p *container.Process) {
 	s.p = p
-	s.node = dht.New(p, s.cfg.DHT)
+	s.node = dht.New(p)
 	if err := s.node.Start(p.Node().Addr4()); err != nil {
 		p.Logf("p2p-seed: %v", err)
 		return

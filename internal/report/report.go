@@ -72,9 +72,9 @@ type Run struct {
 	Phases []obs.PhaseStat `json:"phases,omitempty"`
 }
 
-// FromResults builds the serializable view. includeDetail controls
-// whether the per-second series and the timeline are embedded.
-func FromResults(cfg core.Config, r *core.Results, includeDetail bool) Run {
+// FromResults builds the serializable view, with the per-second series
+// and the timeline embedded.
+func FromResults(cfg core.Config, r *core.Results) Run {
 	run := Run{
 		Devs:            r.DevsTotal,
 		ChurnMode:       cfg.Churn.String(),
@@ -101,18 +101,16 @@ func FromResults(cfg core.Config, r *core.Results, includeDetail bool) Run {
 		AttackMemGB:     r.Usage.AttackMemGB,
 		AttackTimeSecs:  r.Usage.AttackTimeSecs,
 		Faults:          r.Faults,
+		PerSecondKbps:   r.PerSecondKbps,
 		Obs:             r.Obs,
 		Flows:           r.Flows,
 		Phases:          r.Phases,
 	}
-	if includeDetail {
-		run.PerSecondKbps = append(run.PerSecondKbps, r.PerSecondKbps...)
-		if r.Timeline != nil {
-			for _, e := range r.Timeline.Events() {
-				run.Timeline = append(run.Timeline, Event{
-					AtSecs: e.At.Seconds(), Kind: e.Kind, Actor: e.Actor,
-				})
-			}
+	if r.Timeline != nil {
+		for _, e := range r.Timeline.Events() {
+			run.Timeline = append(run.Timeline, Event{
+				AtSecs: e.At.Seconds(), Kind: e.Kind, Actor: e.Actor,
+			})
 		}
 	}
 	return run

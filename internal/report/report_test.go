@@ -3,7 +3,6 @@ package report
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"ddosim/internal/core"
@@ -29,7 +28,7 @@ func sampleRun(t *testing.T) (core.Config, *core.Results) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	cfg, r := sampleRun(t)
-	run := FromResults(cfg, r, true)
+	run := FromResults(cfg, r)
 	var buf bytes.Buffer
 	if err := run.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -49,21 +48,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if back.ChurnMode != "no churn" || back.Vector != "memory-error" {
 		t.Fatalf("config echo = %q %q", back.ChurnMode, back.Vector)
-	}
-}
-
-func TestJSONWithoutDetail(t *testing.T) {
-	cfg, r := sampleRun(t)
-	run := FromResults(cfg, r, false)
-	if run.PerSecondKbps != nil || run.Timeline != nil {
-		t.Fatal("detail embedded despite includeDetail=false")
-	}
-	var buf bytes.Buffer
-	if err := run.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "per_second_kbps") {
-		t.Fatal("omitempty not applied")
 	}
 }
 
