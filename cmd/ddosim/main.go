@@ -110,9 +110,6 @@ func run() error {
 		return fmt.Errorf("unknown botnet family %q (mirai|p2p)", *botnet)
 	}
 	cfg.CommandWave = ddosim.Time(*cmdWave * float64(ddosim.Second))
-	if *window <= 0 {
-		return fmt.Errorf("window size must be positive, got %v", *window)
-	}
 	cfg.WindowSize = ddosim.Time(*window * float64(ddosim.Second))
 
 	sim, err := ddosim.New(cfg)
@@ -151,8 +148,7 @@ func run() error {
 	fmt.Printf("DDoSim run: %d devs, %s, %ds attack, seed %d\n\n", *devs, mode, *duration, *seed)
 	fmt.Print(r.Summary())
 	if *spark && len(r.PerSecondKbps) > 0 {
-		from := int64(r.AttackIssuedAt / ddosim.Second)
-		fmt.Printf("\nrate: %s\n", sim.Sink().Series().Sparkline(from, from+int64(*duration)))
+		fmt.Printf("\nrate: %s\n", r.Sparkline())
 	}
 	if *timeline {
 		fmt.Println("\ntimeline:")

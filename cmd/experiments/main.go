@@ -47,9 +47,6 @@ func run() error {
 	)
 	flag.Parse()
 
-	if *window < 0 {
-		return fmt.Errorf("window size must not be negative, got %v", *window)
-	}
 	opt := experiments.Options{
 		Quick:    *quick,
 		TraceDir: *traceDir,

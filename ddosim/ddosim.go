@@ -109,6 +109,9 @@ const (
 	BotnetP2P   = core.BotnetP2P
 )
 
+// Timeline is the run's event log (Results.Timeline).
+type Timeline = core.Timeline
+
 // Timeline event kinds recorded during a run.
 const (
 	EventExploitHit   = core.EventExploitHit

@@ -38,7 +38,7 @@ func TestNewExposesComponents(t *testing.T) {
 	if got := len(s.Devs()); got != 4 {
 		t.Fatalf("devs = %d", got)
 	}
-	if s.Sched() == nil || s.Network() == nil || s.Engine() == nil || s.Timeline() == nil {
+	if s.Sched() == nil || s.Network() == nil || s.Engine() == nil {
 		t.Fatal("missing infrastructure accessors")
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"ddosim/internal/defense"
 	"ddosim/internal/epidemic"
-	"ddosim/internal/metrics"
 	"ddosim/internal/netsim"
 )
 
@@ -22,9 +21,6 @@ type Sink = netsim.Sink
 // Star is the router-centric topology helper; Simulation.Star exposes
 // the live instance for attaching extra hosts.
 type Star = netsim.Star
-
-// Timeline is the run's event log.
-type Timeline = metrics.Timeline
 
 // --- Defense testing (§V-A) ---
 

@@ -46,8 +46,6 @@ func main() {
 	}
 
 	// Per-second received rate at TServer over the attack window.
-	from := int64(results.AttackIssuedAt / ddosim.Second)
-	fmt.Printf("\nTServer per-second rate (kbps): %s\n",
-		sim.Sink().Series().Sparkline(from, from+int64(cfg.AttackDuration)))
+	fmt.Printf("\nTServer per-second rate (kbps): %s\n", results.Sparkline())
 	fmt.Printf("answer to R2: %.0f%% of targeted Devs were recruited\n", 100*results.InfectionRate())
 }

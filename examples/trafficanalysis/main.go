@@ -105,13 +105,12 @@ func run() error {
 	// steady — the labeled windows an ML pipeline would train on.
 	from := int64(results.AttackIssuedAt/ddosim.Second) - 3
 	fmt.Println("per-second received rate around the attack start (kbps):")
-	series := sink.Series()
 	for sec := from; sec < from+12; sec++ {
 		marker := ""
 		if sec == from+3 {
 			marker = "  <- attack order"
 		}
-		fmt.Printf("  t=%4ds  %10.1f%s\n", sec, series.KbpsSeries(sec, sec+1)[0], marker)
+		fmt.Printf("  t=%4ds  %10.1f%s\n", sec, sink.KbpsSeries(sec, sec+1)[0], marker)
 	}
 	fmt.Println()
 	fmt.Println("The same labelled flow records are exportable as CSV via")

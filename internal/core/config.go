@@ -66,7 +66,7 @@ func (v RecruitVector) String() string {
 }
 
 // Config parameterizes one simulation run. The zero value is not
-// runnable; use Normalize (or the ddosim facade's defaults).
+// runnable; start from DefaultConfig.
 type Config struct {
 	// Seed drives every random draw in the run; equal seeds give
 	// byte-identical runs.
@@ -90,8 +90,8 @@ type Config struct {
 	// bottleneck whose saturation produces Fig. 2's concavity.
 	TServerDownlink netsim.DataRate
 
-	// Churn selects the §IV-A membership model; ChurnEpoch overrides
-	// the 20 s dynamic re-evaluation period.
+	// Churn selects the §IV-A membership model; ChurnEpoch is the
+	// dynamic model's re-evaluation period (20 s by default).
 	Churn      churn.Mode
 	ChurnEpoch sim.Time
 
@@ -179,7 +179,7 @@ type Config struct {
 	CNCReplayAttack bool
 
 	// WindowSize is the aggregation interval of the windowed
-	// time-series artifact. Zero selects 1 s.
+	// time-series artifact.
 	WindowSize sim.Time
 }
 
@@ -255,8 +255,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: CanaryFraction %v outside [0,1]", c.CanaryFraction)
 	case c.AttackMethod != "" && !mirai.KnownMethod(c.AttackMethod):
 		return fmt.Errorf("core: unknown attack method %q", c.AttackMethod)
-	case c.WindowSize < 0:
-		return fmt.Errorf("core: negative telemetry interval")
+	case c.WindowSize <= 0:
+		return fmt.Errorf("core: WindowSize must be positive, got %v", c.WindowSize)
+	case c.ChurnEpoch <= 0:
+		return fmt.Errorf("core: ChurnEpoch must be positive, got %v", c.ChurnEpoch)
 	case c.Botnet != "" && c.Botnet != BotnetMirai && c.Botnet != BotnetP2P:
 		return fmt.Errorf("core: unknown botnet family %q (mirai|p2p)", c.Botnet)
 	case c.CommandWave < 0:

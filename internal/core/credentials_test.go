@@ -76,11 +76,11 @@ func TestCredentialVectorSelfPropagates(t *testing.T) {
 		t.Fatalf("spread stalled: %d infected", r.Infected)
 	}
 	// Infection timestamps must be spread out (epidemic growth), not
-	// one burst: first and last loads well apart.
-	first, _ := r.Timeline.FirstOf(EventLoaded)
-	last, _ := r.Timeline.LastOf(EventLoaded)
-	if last.At-first.At < 2*sim.Second {
-		t.Fatalf("all infections in one burst: %v .. %v", first.At, last.At)
+	// one burst: first and last infections well apart.
+	curve := r.InfectionCurve()
+	first, last := curve.Times[0], curve.Times[len(curve.Times)-1]
+	if last-first < 2 {
+		t.Fatalf("all infections in one burst: %vs .. %vs", first, last)
 	}
 }
 

@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"ddosim/internal/epidemic"
 	"ddosim/internal/faults"
-	"ddosim/internal/metrics"
 	"ddosim/internal/netsim"
 	"ddosim/internal/obs"
 	"ddosim/internal/resources"
@@ -27,6 +27,56 @@ const (
 	// pushed the bot through a brute-forced telnet session.
 	EventLoaded = "bot-loaded"
 )
+
+// Timeline records timestamped labelled events (infections, C&C joins
+// and losses, the attack order, flood starts, churn flips, faults). It
+// is the run's one uncapped event log and keeps every repeat: a Dev
+// that rejoins, or a bot that restarts its flood at each command wave,
+// logs each time. Only the run itself writes it.
+type Timeline struct {
+	events []TimelineEvent
+}
+
+// TimelineEvent is one entry in a Timeline.
+type TimelineEvent struct {
+	At    sim.Time
+	Kind  string
+	Actor string
+}
+
+// record appends an event. Events arrive in simulation order because
+// the kernel is single-threaded.
+func (t *Timeline) record(at sim.Time, kind, actor string) {
+	t.events = append(t.events, TimelineEvent{At: at, Kind: kind, Actor: actor})
+}
+
+// Events returns a copy of all events.
+func (t *Timeline) Events() []TimelineEvent {
+	out := make([]TimelineEvent, len(t.events))
+	copy(out, t.events)
+	return out
+}
+
+// Count reports how many events of the given kind were recorded.
+func (t *Timeline) Count(kind string) int {
+	n := 0
+	for _, e := range t.events {
+		if e.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
+// FirstOf reports the earliest event of the given kind.
+func (t *Timeline) FirstOf(kind string) (TimelineEvent, bool) {
+	for _, e := range t.events {
+		if e.Kind == kind {
+			return e, true
+		}
+	}
+	return TimelineEvent{}, false
+}
 
 // Results collects everything a run measured.
 type Results struct {
@@ -79,7 +129,7 @@ type Results struct {
 	NetStats netsim.NetworkStats
 
 	// Timeline is the full event log.
-	Timeline *metrics.Timeline
+	Timeline *Timeline
 
 	// Faults counts injected faults; nil when the run declared no
 	// fault scenario.
@@ -133,6 +183,24 @@ func (r *Results) MeanPhaseSecs(phase string) (float64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// Sparkline renders PerSecondKbps, the received rate over the attack
+// window, as a coarse text plot for quick inspection.
+func (r *Results) Sparkline() string {
+	levels := []rune("▁▂▃▄▅▆▇█")
+	maxV := 0.0
+	for _, v := range r.PerSecondKbps {
+		maxV = math.Max(maxV, v)
+	}
+	if maxV == 0 {
+		return strings.Repeat("▁", len(r.PerSecondKbps))
+	}
+	var b strings.Builder
+	for _, v := range r.PerSecondKbps {
+		b.WriteRune(levels[int(v/maxV*float64(len(levels)-1))])
+	}
+	return b.String()
 }
 
 // Summary renders a human-readable report.

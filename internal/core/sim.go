@@ -17,7 +17,6 @@ import (
 	"ddosim/internal/dht"
 	"ddosim/internal/exploit"
 	"ddosim/internal/faults"
-	"ddosim/internal/metrics"
 	"ddosim/internal/mirai"
 	"ddosim/internal/netsim"
 	"ddosim/internal/obs"
@@ -93,7 +92,7 @@ type Simulation struct {
 	devs     []*Dev
 	churnCtl *churn.Controller
 	faults   *faults.Injector
-	timeline *metrics.Timeline
+	timeline Timeline
 	obs      *obs.Obs
 
 	// devByAddr finds the Dev behind an address a callback hands over.
@@ -138,12 +137,8 @@ func New(cfg Config) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.WindowSize <= 0 {
-		cfg.WindowSize = sim.Second
-	}
 	s := &Simulation{
 		cfg:       cfg,
-		timeline:  metrics.NewTimeline(),
 		obs:       obs.New(),
 		devByAddr: make(map[netip.Addr]*Dev),
 	}
@@ -174,15 +169,13 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	s.churnCtl = churn.NewController(s.sched, cfg.Churn, churnDevs)
 	s.churnCtl.Observe(s.obs)
-	if cfg.ChurnEpoch > 0 {
-		s.churnCtl.SetEpoch(cfg.ChurnEpoch)
-	}
+	s.churnCtl.SetEpoch(cfg.ChurnEpoch)
 	s.churnCtl.OnChange = func(at sim.Time, dev churn.Device, online bool) {
 		kind := EventChurnOffline
 		if online {
 			kind = EventChurnOnline
 		}
-		s.timeline.Record(at, kind, dev.Name())
+		s.timeline.record(at, kind, dev.Name())
 	}
 	if err := s.setupFaults(); err != nil {
 		return nil, err
@@ -224,7 +217,7 @@ func (s *Simulation) setupTelemetry() {
 	w.Column("bots_registered", func() float64 { return float64(s.results.BotsRegistered) })
 	w.DeltaColumn("net_tx_bytes", func() float64 { return float64(s.net.Stats().TxBytes) })
 	w.DeltaColumn("net_drops", func() float64 { return float64(s.net.Stats().Drops) })
-	w.DeltaColumn("sink_rx_bytes", func() float64 { return float64(s.sink.Series().TotalBytes()) })
+	w.DeltaColumn("sink_rx_bytes", func() float64 { return float64(s.sink.TotalBytes()) })
 	w.Column("queue_depth", func() float64 { return float64(s.sched.Pending()) })
 	// Mean command→first-flood-packet latency over the window; reading
 	// drains the accumulator (documented side effect — Windows calls
@@ -252,7 +245,7 @@ func (s *Simulation) setupFaults() error {
 		return err
 	}
 	inj.OnEvent = func(kind, actor string) {
-		s.timeline.Record(s.sched.Now(), kind, actor)
+		s.timeline.record(s.sched.Now(), kind, actor)
 	}
 	for _, dev := range s.devs {
 		dev := dev
@@ -326,10 +319,6 @@ func (s *Simulation) setupFaults() error {
 	return nil
 }
 
-// Faults exposes the fault injector (nil when the config declares no
-// scenario).
-func (s *Simulation) Faults() *faults.Injector { return s.faults }
-
 // Sched exposes the scheduler (examples drive extra behaviours with
 // it).
 func (s *Simulation) Sched() *sim.Scheduler { return s.sched }
@@ -373,18 +362,12 @@ func (s *Simulation) Devs() []*Dev {
 	return out
 }
 
-// Timeline exposes the run's event log.
-func (s *Simulation) Timeline() *metrics.Timeline { return s.timeline }
-
 // Obs exposes the run's observability bundle (tracer and metrics
 // registry).
 func (s *Simulation) Obs() *obs.Obs { return s.obs }
 
 // Flows exposes the buffered flow records exported during the run.
 func (s *Simulation) Flows() *obs.FlowBuffer { return s.flowBuf }
-
-// FlowTable exposes the network's flow accountant.
-func (s *Simulation) FlowTable() *netsim.FlowTable { return s.net.Flows() }
 
 // Windows exposes the windowed time-series metrics.
 func (s *Simulation) Windows() *obs.Windows { return s.windows }
@@ -410,7 +393,7 @@ func (s *Simulation) deployAttacker() error {
 			OnBotLost: func(addr netip.Addr) {
 				s.cncLost++
 				if dev, ok := s.devByAddr[addr]; ok {
-					s.timeline.Record(s.sched.Now(), EventBotLost, dev.name)
+					s.timeline.record(s.sched.Now(), EventBotLost, dev.name)
 				}
 			},
 		},
@@ -497,7 +480,7 @@ func (s *Simulation) noteFloodStart(addr netip.Addr) {
 		return
 	}
 	now := s.sched.Now()
-	s.timeline.Record(now, EventFloodStart, dev.name)
+	s.timeline.record(now, EventFloodStart, dev.name)
 	if s.attackIssued {
 		if dev.floodAt < 0 {
 			dev.floodAt = now
@@ -519,7 +502,7 @@ func (s *Simulation) noteJoined(addr netip.Addr) {
 		dev.registeredAt = s.sched.Now()
 		s.results.BotsRegistered++
 	}
-	s.timeline.Record(s.sched.Now(), EventBotJoined, dev.name)
+	s.timeline.record(s.sched.Now(), EventBotJoined, dev.name)
 }
 
 // infect is the infection bookkeeping both recruitment vectors run: the
@@ -531,7 +514,7 @@ func (s *Simulation) infect(dev *Dev, kind string) {
 	}
 	dev.infectedAt = s.sched.Now()
 	s.results.Infected++
-	s.timeline.Record(dev.infectedAt, kind, dev.name)
+	s.timeline.record(dev.infectedAt, kind, dev.name)
 }
 
 func (s *Simulation) deployTServer() error {
@@ -697,7 +680,7 @@ func (s *Simulation) outcomeHook(dev *Dev) func(procvm.HijackOutcome) {
 			s.infect(dev, EventExploitHit)
 		case out.Crashed():
 			s.results.Crashed++
-			s.timeline.Record(s.sched.Now(), EventExploitCrash, dev.name)
+			s.timeline.record(s.sched.Now(), EventExploitCrash, dev.name)
 			s.obs.Trace.Event(s.sched.Now(), obs.CatExploit, "exploit-crash",
 				obs.KV{K: "dev", V: dev.name}, obs.KV{K: "binary", V: string(dev.binary)})
 		}
@@ -831,7 +814,7 @@ func (s *Simulation) issueAttack() {
 		}
 	}
 	s.results.BotsAtCommand = n
-	s.timeline.Record(now, EventAttackOrder, fmt.Sprintf("%d bots", n))
+	s.timeline.record(now, EventAttackOrder, fmt.Sprintf("%d bots", n))
 	if s.faults != nil {
 		// Order-relative fault scenarios (the permanent takedown) key
 		// off this instant.
@@ -907,9 +890,9 @@ func (s *Simulation) assemble() {
 	r.NetStats = s.net.Stats()
 	r.ChurnDepartures = s.churnCtl.Departures()
 	r.ChurnRejoins = s.churnCtl.Rejoins()
-	r.SinkBytes = s.sink.Series().TotalBytes()
+	r.SinkBytes = s.sink.TotalBytes()
 	r.DistinctSources = s.sink.DistinctSources()
-	r.Timeline = s.timeline
+	r.Timeline = &s.timeline
 	if s.faults != nil {
 		st := s.faults.Stats()
 		r.Faults = &st
@@ -940,8 +923,8 @@ func (s *Simulation) assemble() {
 	if s.attackIssued {
 		from := int64(r.AttackIssuedAt / sim.Second)
 		to := from + int64(s.cfg.AttackDuration)
-		r.DReceivedKbps = s.sink.Series().AvgReceivedKbps(from, to)
-		r.PerSecondKbps = s.sink.Series().KbpsSeries(from, to)
+		r.DReceivedKbps = s.sink.AvgReceivedKbps(from, to)
+		r.PerSecondKbps = s.sink.KbpsSeries(from, to)
 		r.Usage = resources.Estimate(resources.Inputs{
 			Devs:          s.cfg.NumDevs,
 			PreAttack:     s.preSnap,

@@ -402,7 +402,8 @@ func TestConfigValidation(t *testing.T) {
 
 // TestConfigValidationNamesPeriod: Validate rejects a non-positive
 // ScanPeriod or ConnmanQueryPeriod, which the scanner and Connman
-// would otherwise replace with their own period, and a negative
+// would otherwise replace with their own period, a non-positive
+// ChurnEpoch or WindowSize, which no default replaces, and a negative
 // CommandWave or P2PPollPeriod, naming the field and its value.
 func TestConfigValidationNamesPeriod(t *testing.T) {
 	for _, c := range []struct {
@@ -414,6 +415,8 @@ func TestConfigValidationNamesPeriod(t *testing.T) {
 		{"ConnmanQueryPeriod", func(c *Config, v sim.Time) { c.ConnmanQueryPeriod = v }, []sim.Time{0, -5 * sim.Second}},
 		{"CommandWave", func(c *Config, v sim.Time) { c.CommandWave = v }, []sim.Time{-sim.Second}},
 		{"P2PPollPeriod", func(c *Config, v sim.Time) { c.P2PPollPeriod = v }, []sim.Time{-sim.Second}},
+		{"ChurnEpoch", func(c *Config, v sim.Time) { c.ChurnEpoch = v }, []sim.Time{0, -5 * sim.Second}},
+		{"WindowSize", func(c *Config, v sim.Time) { c.WindowSize = v }, []sim.Time{0, -sim.Second}},
 	} {
 		for _, v := range c.bad {
 			cfg := DefaultConfig(10)
@@ -525,6 +528,44 @@ func TestTimelineOrdering(t *testing.T) {
 	if !(firstHit.At <= firstBot.At && firstBot.At <= order.At && order.At <= flood.At) {
 		t.Fatalf("kill chain out of order: hit=%v bot=%v order=%v flood=%v",
 			firstHit.At, firstBot.At, order.At, flood.At)
+	}
+}
+
+func TestTimeline(t *testing.T) {
+	var tl Timeline
+	tl.record(1*sim.Second, EventExploitHit, "dev-1")
+	tl.record(2*sim.Second, EventExploitHit, "dev-2")
+	tl.record(3*sim.Second, EventAttackOrder, "2 bots")
+	if got := tl.Count(EventExploitHit); got != 2 {
+		t.Fatalf("Count = %d", got)
+	}
+	first, ok := tl.FirstOf(EventExploitHit)
+	if !ok || first.Actor != "dev-1" || first.At != sim.Second {
+		t.Fatalf("FirstOf = %+v ok=%v", first, ok)
+	}
+	if _, ok := tl.FirstOf(EventFloodStart); ok {
+		t.Fatal("FirstOf missing kind reported ok")
+	}
+	events := tl.Events()
+	if len(events) != 3 || events[2].Kind != EventAttackOrder {
+		t.Fatalf("Events = %+v", events)
+	}
+	events[0].Actor = "changed"
+	if first, _ := tl.FirstOf(EventExploitHit); first.Actor != "dev-1" {
+		t.Fatal("Events returned the timeline's own storage")
+	}
+}
+
+// TestResultsSparkline: one rune per second of the attack window,
+// scaled to the window's peak, and a flat line when nothing arrived.
+func TestResultsSparkline(t *testing.T) {
+	r := &Results{PerSecondKbps: make([]float64, 3)}
+	if got := r.Sparkline(); got != "▁▁▁" {
+		t.Fatalf("quiet sparkline = %q", got)
+	}
+	r.PerSecondKbps = []float64{8, 4, 0}
+	if got := r.Sparkline(); got != "█▄▁" {
+		t.Fatalf("sparkline = %q, want levels 7, 3 and 0", got)
 	}
 }
 

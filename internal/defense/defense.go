@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"strconv"
 
 	"ddosim/internal/netsim"
@@ -72,8 +73,16 @@ func (e *Extractor) Window(sec int64) FeatureVector {
 	if w == nil || w.packets == 0 {
 		return FeatureVector{}
 	}
+	// Float addition is not associative, so the terms are summed over
+	// the sorted counts: map order would move the entropy's last bits
+	// from call to call.
+	counts := make([]int, 0, len(w.bySrc))
+	for _, n := range w.bySrc { //simlint:allow maporder(collect-then-sort: the counts are sorted before they are summed)
+		counts = append(counts, n)
+	}
+	slices.Sort(counts)
 	entropy := 0.0
-	for _, n := range w.bySrc {
+	for _, n := range counts {
 		p := float64(n) / float64(w.packets)
 		entropy -= p * math.Log2(p)
 	}

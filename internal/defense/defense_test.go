@@ -126,6 +126,25 @@ func TestEntropyBounds(t *testing.T) {
 	}
 }
 
+// TestWindowEntropyDeterministic: a window's source entropy has the
+// same bits on every call. Its terms are summed in a fixed order;
+// summed in map order, one 60-source window gave several distinct
+// results over 100 calls.
+func TestWindowEntropyDeterministic(t *testing.T) {
+	w := &windowAgg{bySrc: make(map[netip.Addr]int)}
+	for i := 1; i <= 60; i++ {
+		w.bySrc[netip.AddrFrom4([4]byte{10, 0, 1, byte(i)})] = i * i
+		w.packets += i * i
+	}
+	e := &Extractor{windows: map[int64]*windowAgg{0: w}}
+	want := math.Float64bits(e.Window(0).SourceEntropy)
+	for call := 2; call <= 100; call++ {
+		if got := math.Float64bits(e.Window(0).SourceEntropy); got != want {
+			t.Fatalf("call %d: entropy bits %#x, first call %#x", call, got, want)
+		}
+	}
+}
+
 func TestConfusionMetrics(t *testing.T) {
 	c := Confusion{TP: 8, FP: 2, TN: 9, FN: 1}
 	if got := c.Accuracy(); math.Abs(got-0.85) > 1e-9 {

@@ -96,7 +96,7 @@ func writeArtifact(dir, name string, write func(io.Writer) error) error {
 // run executes cfg under the options' overrides and writes the run's
 // artifacts under <label>-s<seed>.
 func (o Options) run(cfg core.Config, label string) (*core.Simulation, *core.Results, error) {
-	if o.Window > 0 {
+	if o.Window != 0 {
 		cfg.WindowSize = o.Window
 	}
 	s, err := core.New(cfg)

@@ -139,7 +139,7 @@ func collectAllows(pkg *Package, diags *[]Diagnostic) allowIndex {
 // it never exercised.
 func (idx allowIndex) reportUnused(ran, known map[string]bool, diags *[]Diagnostic) {
 	for _, e := range idx.entries {
-		for name := range e.analyzers {
+		for name := range e.analyzers { //simlint:allow maporder(RunWith sorts every diagnostic before return)
 			var msg string
 			switch {
 			case !known[name]:

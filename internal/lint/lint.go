@@ -197,12 +197,3 @@ func (p *Package) relPath(filename string) string {
 	}
 	return filepath.ToSlash(rel)
 }
-
-// pathBase reports the last segment of an import path — the matcher
-// the maporder analyzer uses for its determinism-critical package set.
-func pathBase(importPath string) string {
-	if i := strings.LastIndexByte(importPath, '/'); i >= 0 {
-		return importPath[i+1:]
-	}
-	return importPath
-}

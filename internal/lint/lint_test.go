@@ -81,13 +81,14 @@ func TestMapOrder(t *testing.T) {
 	checkGolden(t, "maporder", []*Package{pkg}, []Analyzer{NewMapOrder()})
 }
 
-func TestMapOrderSkipsNonCriticalPackages(t *testing.T) {
+// TestMapOrderSkipsDrivers: the same fixture, placed under cmd/, keeps
+// only the reason-less annotation finding; its map ranges pass.
+func TestMapOrderSkipsDrivers(t *testing.T) {
 	l := testLoader(t)
-	pkg := loadFixture(t, l, "maporder/netsim")
-	m := &MapOrder{CriticalPkgs: map[string]bool{"someotherpkg": true}}
-	if diags := Run([]*Package{pkg}, []Analyzer{m}); len(diags) != 1 {
-		// Only the reason-less annotation remains; map ranges pass.
-		t.Errorf("non-critical package should only report the bad annotation, got %v", diags)
+	drv := *loadFixture(t, l, "maporder/netsim")
+	drv.Dir = filepath.Join(drv.Root, "cmd", "netsim")
+	if diags := Run([]*Package{&drv}, []Analyzer{NewMapOrder()}); len(diags) != 1 {
+		t.Errorf("a package under cmd/ should only report the bad annotation, got %v", diags)
 	}
 }
 

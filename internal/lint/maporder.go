@@ -6,41 +6,35 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // MapOrder flags `range` over map-typed expressions whose loop body
-// has side effects, inside the determinism-critical packages. Map
-// iteration order is randomized per run, so any observable work done
-// per iteration — a call that schedules events or draws from the
-// shared RNG, a send, an append into an outer slice — executes in a
-// different order every run and breaks same-seed reproducibility.
+// has side effects, in every package outside cmd/. Map iteration order
+// is randomized per run, so any observable work done per iteration — a
+// call that schedules events or draws from the shared RNG, a send, an
+// append into an outer slice — executes in a different order every run
+// and breaks same-seed reproducibility. The drivers under cmd/ are
+// skipped: cmd/bench measures wall time and cmd/simlint is the
+// linter's own front end.
 //
-// Order-independent loops (pure reductions, collect-then-sort) carry
-// a //simlint:allow maporder(reason) annotation instead.
-type MapOrder struct {
-	// CriticalPkgs matches the final import-path segment of packages
-	// whose event ordering feeds the deterministic kernel.
-	CriticalPkgs map[string]bool
-}
+// Order-independent loops (integer and bitwise reductions,
+// collect-then-sort) carry a //simlint:allow maporder(reason)
+// annotation instead. A float sum is not one: float addition is not
+// associative.
+type MapOrder struct{}
 
-// NewMapOrder returns the analyzer covering the packages on the
-// simulation's hot path.
-func NewMapOrder() *MapOrder {
-	return &MapOrder{CriticalPkgs: map[string]bool{
-		"sim": true, "netsim": true, "mirai": true, "churn": true,
-		"core": true, "container": true, "attacker": true, "epidemic": true,
-		"faults": true, "dht": true, "p2pbot": true,
-	}}
-}
+// NewMapOrder returns the analyzer.
+func NewMapOrder() *MapOrder { return &MapOrder{} }
 
 func (m *MapOrder) Name() string { return "maporder" }
 
 func (m *MapOrder) Doc() string {
-	return "forbid side-effecting range over maps in determinism-critical packages"
+	return "forbid side-effecting range over maps outside cmd/"
 }
 
 func (m *MapOrder) Run(pass *Pass) {
-	if !m.CriticalPkgs[pathBase(pass.Pkg.Path)] {
+	if strings.HasPrefix(pass.Pkg.relPath(pass.Pkg.Dir), "cmd/") {
 		return
 	}
 	for _, file := range pass.Pkg.Files {

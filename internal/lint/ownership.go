@@ -132,12 +132,12 @@ func (s *ownSummary) union(o *ownSummary) bool {
 		}
 	}
 	or(&s.recv, o.recv)
-	for i, m := range o.params {
+	for i, m := range o.params { //simlint:allow maporder(a bitwise OR does not depend on order)
 		v := s.params[i]
 		or(&v, m)
 		s.params[i] = v
 	}
-	for i, m := range o.results {
+	for i, m := range o.results { //simlint:allow maporder(a bitwise OR does not depend on order)
 		v := s.results[i]
 		or(&v, m)
 		s.results[i] = v
@@ -383,7 +383,7 @@ func (eng *ownEngine) analyzeUnit(u *unit, emit func(ownFinding)) *ownSummary {
 	}
 	exit := joinIn(u.g.exit)
 	if emit != nil {
-		for v, m := range exit {
+		for v, m := range exit { //simlint:allow maporder(RunWith sorts every diagnostic before return)
 			if m&stOwned == 0 || ev.deferRelease[v] {
 				continue
 			}

@@ -1,5 +1,5 @@
-// Package netsim is a simlint fixture (the directory name puts it in
-// the maporder analyzer's determinism-critical set): side-effecting
+// Package netsim is a simlint fixture (outside cmd/, so the maporder
+// analyzer checks it like every other package): side-effecting
 // map ranges it must flag, order-independent ones it must not, and
 // the //simlint:allow escape hatch in both valid and invalid forms.
 package netsim

@@ -211,7 +211,7 @@ func TestUDPPlainFloodReachesTarget(t *testing.T) {
 	// A 500 kbps uplink flooding 512-byte payloads for 10 s delivers
 	// roughly 500kbit*10 = 625 KB of payload; verify the order of
 	// magnitude (headers shave a bit).
-	total := sink.Series().TotalBytes()
+	total := sink.TotalBytes()
 	if total < 400_000 || total > 700_000 {
 		t.Fatalf("sink got %d bytes, want ~600KB", total)
 	}
@@ -361,7 +361,7 @@ func TestReplayDeliversTrimmedCommandToLateBot(t *testing.T) {
 	}
 	// The replay is trimmed: the bot rejoined well into the 120 s
 	// window, so its flood cannot have run the full duration.
-	if got := sink.Series().KbpsSeries(0, launch+125); len(got) != 0 {
+	if got := sink.KbpsSeries(0, launch+125); len(got) != 0 {
 		secs := 0
 		for _, v := range got {
 			if v > 0 {

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -599,11 +600,21 @@ func TestSinkRecordsPerSecond(t *testing.T) {
 	// The sink counts on-wire frame sizes (Eq. 2, "total size of the
 	// packets"): 500-byte payload + 42 bytes of Ether/IPv4/UDP.
 	const wire = 500 + 42
-	if got := sink.Series().BytesAt(0); got != wire {
-		t.Fatalf("second 0 bytes = %d, want %d", got, wire)
+	// Every second from 0 has a bucket; a gap second, one before the
+	// run and one after the last packet read 0.
+	for sec, want := range map[int64]uint64{-1: 0, 0: wire, 1: 0, 2: 2 * wire, 3: 0, 100: 0} {
+		if got := sink.BytesAt(sec); got != want {
+			t.Fatalf("second %d bytes = %d, want %d", sec, got, want)
+		}
 	}
-	if got := sink.Series().BytesAt(2); got != 2*wire {
-		t.Fatalf("second 2 bytes = %d, want %d", got, 2*wire)
+	if got := sink.TotalBytes(); got != 3*wire {
+		t.Fatalf("TotalBytes = %d, want %d", got, 3*wire)
+	}
+	// The rate series fills quiet seconds with zeros, on either side.
+	kbps := float64(wire) * 8 / 1000
+	want := []float64{0, kbps, 0, 2 * kbps, 0}
+	if got := sink.KbpsSeries(-1, 4); !slices.Equal(got, want) {
+		t.Fatalf("KbpsSeries(-1, 4) = %v, want %v", got, want)
 	}
 	if sink.DistinctSources() != 1 {
 		t.Fatalf("DistinctSources = %d", sink.DistinctSources())
@@ -634,8 +645,27 @@ func TestSinkAvgReceivedMatchesEq2(t *testing.T) {
 	if err := sched.Run(20 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	got := sink.Series().AvgReceivedKbps(0, 10)
-	if got < 10.0 || got > 10.5 { // +headers? payload-only: exactly 10
-		t.Fatalf("D_received = %v kbps, want ~10", got)
+	// 1250 payload bytes plus 42 of headers: 10.336 kbps on the wire.
+	const wire = 1250 + 42
+	got := sink.AvgReceivedKbps(0, 10)
+	if want := float64(10*wire) * 8 / 1000 / 10; got != want {
+		t.Fatalf("D_received = %v kbps, want %v", got, want)
+	}
+	// Quiet seconds pull the average down, as in the paper's
+	// definition, and the window is half-open: [3, 5) holds two
+	// seconds of traffic, not three.
+	for _, c := range []struct {
+		from, to int64
+		want     float64
+	}{
+		{0, 20, float64(10*wire) * 8 / 1000 / 20},
+		{3, 5, float64(2*wire) * 8 / 1000 / 2},
+		{8, 12, float64(2*wire) * 8 / 1000 / 4},
+		{5, 5, 0},
+		{6, 5, 0},
+	} {
+		if got := sink.AvgReceivedKbps(c.from, c.to); got != c.want {
+			t.Errorf("D_received over [%d, %d) = %v, want %v", c.from, c.to, got, c.want)
+		}
 	}
 }

@@ -3,28 +3,31 @@ package netsim
 import (
 	"net/netip"
 
-	"ddosim/internal/metrics"
 	"ddosim/internal/sim"
 )
 
 // Sink is the customized NS-3 sink application of §II-C: installed on
 // the TServer node, it observes every packet delivered to the node —
 // UDP floods, TCP SYN/ACK floods, anything — and logs the per-second
-// received volume for later analysis.
+// received volume for later analysis ("the received data rate at
+// TServer during one second"), which Eq. 2's D_received averages.
 //
 // Its tallies are arrays and slices, so a delivered packet hashes
-// nothing: bytes per protocol in an array indexed by Protocol, and
-// bytes per source address under the packet's origin node
+// nothing: bytes per second in a slice indexed from second 0 (sim time
+// starts at 0 and a tap sees packets in clock order, so the slice only
+// ever grows at its end), bytes per protocol in an array indexed by
+// Protocol, and bytes per source address under the packet's origin node
 // (Packet.origin). A node's first source address gets its byOrigin
 // slot; any other address it sends from (its second address family,
 // or a Src that is not its own) is tallied in other. Queries merge
 // the two, so they stay exact for any source address.
 type Sink struct {
-	node   *Node
-	series *metrics.Series
-	sock   *UDPSocket
+	node *Node
+	sock *UDPSocket
 
 	rxPackets uint64
+	rxBytes   uint64
+	perSec    []uint64 // perSec[i] is the bytes received in second i
 	byOrigin  []srcTally
 	other     []srcTally
 	byProto   [1 << 8]uint64
@@ -45,7 +48,7 @@ type srcTally struct {
 // rather than counted as local drops; all accounting happens at the
 // node tap, so non-UDP attack traffic is measured too.
 func InstallSink(node *Node, port uint16) (*Sink, error) {
-	s := &Sink{node: node, series: metrics.NewSeries()}
+	s := &Sink{node: node}
 	sock, err := node.BindUDP(port, nil)
 	if err != nil {
 		return nil, err
@@ -74,7 +77,13 @@ func (s *Sink) onPacket(at sim.Time, pkt *Packet) {
 		s.tally(o, a, uint64(n))
 	}
 	s.byProto[pkt.Proto] += uint64(n)
-	s.series.Add(at, n)
+	sec := int(at / sim.Second)
+	if sec >= len(s.perSec) {
+		//simlint:allow allocfree(once per new last second: the slice grows by amortized doubling as the run's clock advances)
+		s.perSec = append(s.perSec, make([]uint64, sec+1-len(s.perSec))...)
+	}
+	s.perSec[sec] += uint64(n)
+	s.rxBytes += uint64(n)
 }
 
 // tally adds n bytes from source address a, sent by origin node o,
@@ -125,11 +134,45 @@ func (s *Sink) MissedPackets() uint64 { return s.missed }
 // Node reports the node the sink is installed on.
 func (s *Sink) Node() *Node { return s.node }
 
-// Series exposes the per-second received-bytes series.
-func (s *Sink) Series() *metrics.Series { return s.series }
-
 // RxPackets reports how many packets the sink observed.
 func (s *Sink) RxPackets() uint64 { return s.rxPackets }
+
+// TotalBytes reports the wire bytes the sink logged over the whole run.
+func (s *Sink) TotalBytes() uint64 { return s.rxBytes }
+
+// BytesAt reports the wire bytes logged in one second (0 for a second
+// with no traffic).
+func (s *Sink) BytesAt(sec int64) uint64 {
+	if sec < 0 || sec >= int64(len(s.perSec)) {
+		return 0
+	}
+	return s.perSec[sec]
+}
+
+// KbpsSeries renders the per-second received data rate in kilobits per
+// second over [from, to), with zeros for quiet seconds.
+func (s *Sink) KbpsSeries(from, to int64) []float64 {
+	out := make([]float64, 0, to-from)
+	for sec := from; sec < to; sec++ {
+		out = append(out, float64(s.BytesAt(sec))*8/1000)
+	}
+	return out
+}
+
+// AvgReceivedKbps computes the paper's D_received (Eq. 2) over the
+// window [from, to): total kilobits received divided by the window
+// length in seconds.
+func (s *Sink) AvgReceivedKbps(from, to int64) float64 {
+	n := to - from
+	if n <= 0 {
+		return 0
+	}
+	var sum uint64
+	for sec := from; sec < to; sec++ {
+		sum += s.BytesAt(sec)
+	}
+	return float64(sum) * 8 / 1000 / float64(n)
+}
 
 // DistinctSources reports how many distinct source addresses sent
 // traffic to the sink — the number of bots observed attacking.

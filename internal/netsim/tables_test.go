@@ -267,8 +267,8 @@ func TestSinkSourcesExact(t *testing.T) {
 	}
 	runTo(t, sched, 10*sim.Second)
 
-	if sink.Series().TotalBytes() != total {
-		t.Fatalf("sink logged %d bytes of %d sent: a packet was lost", sink.Series().TotalBytes(), total)
+	if sink.TotalBytes() != total {
+		t.Fatalf("sink logged %d bytes of %d sent: a packet was lost", sink.TotalBytes(), total)
 	}
 	if got := sink.DistinctSources(); got != len(model) {
 		t.Errorf("DistinctSources = %d, want %d", got, len(model))

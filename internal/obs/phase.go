@@ -50,7 +50,7 @@ func SummarizePhases(spans []Span, cats ...string) []PhaseStat {
 		}
 	}
 	out := make([]PhaseStat, 0, len(byName))
-	for _, st := range byName {
+	for _, st := range byName { //simlint:allow maporder(collect-then-sort: phases are sorted by name before return)
 		st.MeanSecs = st.TotalSecs / float64(st.Count)
 		out = append(out, *st)
 	}

@@ -21,8 +21,7 @@ type tsCol struct {
 // per window, in registration order, which makes the artifact a pure
 // function of the run (same seed → byte-identical bytes).
 //
-// The zero value is not usable; construct with NewWindows. Methods are
-// nil-safe so instrumentation can stay unconditional.
+// The zero value is not usable; construct with NewWindows.
 type Windows struct {
 	width sim.Time
 	cols  []tsCol
@@ -39,31 +38,17 @@ func NewWindows(width sim.Time) *Windows {
 	return &Windows{width: width}
 }
 
-// Width reports the configured window width.
-func (w *Windows) Width() sim.Time {
-	if w == nil {
-		return 0
-	}
-	return w.width
-}
-
 // Column registers a gauge-style column: each window records the
 // reading at window close. The read function is called exactly once
 // per Sample, in registration order, so it may carry side effects
 // (e.g. draining a per-window accumulator).
 func (w *Windows) Column(name string, read func() float64) {
-	if w == nil {
-		return
-	}
 	w.cols = append(w.cols, tsCol{name: name, read: read})
 }
 
 // DeltaColumn registers a rate-style column over a monotone reading:
 // each window records the increase since the previous window.
 func (w *Windows) DeltaColumn(name string, read func() float64) {
-	if w == nil {
-		return
-	}
 	w.cols = append(w.cols, tsCol{name: name, read: read, delta: true})
 }
 
@@ -73,7 +58,7 @@ func (w *Windows) DeltaColumn(name string, read func() float64) {
 // so a final tail flush at run end is idempotent with the last ticker
 // fire.
 func (w *Windows) Sample(now sim.Time) {
-	if w == nil || now <= w.last {
+	if now <= w.last {
 		return
 	}
 	row := make([]float64, len(w.cols))
@@ -92,24 +77,12 @@ func (w *Windows) Sample(now sim.Time) {
 	w.last = now
 }
 
-// Rows reports the number of closed windows.
-func (w *Windows) Rows() int {
-	if w == nil {
-		return 0
-	}
-	return len(w.rows)
-}
-
 // WriteCSV renders the time series as CSV with a window_start_s column
 // followed by the registered columns. Numbers take the shortest form
 // that round-trips.
 func (w *Windows) WriteCSV(out io.Writer) error {
 	e := newEnc(out)
 	e.raw("window_start_s")
-	if w == nil {
-		e.raw("\n")
-		return e.flush()
-	}
 	for _, c := range w.cols {
 		e.raw(",")
 		e.raw(c.name)

@@ -19,8 +19,8 @@ func TestWindowsSampleAndCSV(t *testing.T) {
 	infected, sent = 5, 1800
 	w.Sample(2 * sim.Second)
 
-	if w.Rows() != 2 {
-		t.Fatalf("rows=%d", w.Rows())
+	if len(w.rows) != 2 {
+		t.Fatalf("rows=%d", len(w.rows))
 	}
 	var sb strings.Builder
 	if err := w.WriteCSV(&sb); err != nil {
@@ -39,8 +39,8 @@ func TestWindowsSampleIdempotentAtSameInstant(t *testing.T) {
 	w.Sample(1 * sim.Second)
 	w.Sample(1 * sim.Second) // tail flush colliding with ticker fire
 	w.Sample(500 * sim.Millisecond)
-	if w.Rows() != 1 || calls != 1 {
-		t.Fatalf("rows=%d calls=%d, want 1/1", w.Rows(), calls)
+	if len(w.rows) != 1 || calls != 1 {
+		t.Fatalf("rows=%d calls=%d, want 1/1", len(w.rows), calls)
 	}
 }
 
@@ -53,23 +53,6 @@ func TestWindowsReadsOncePerSampleInOrder(t *testing.T) {
 	w.Sample(2 * sim.Second)
 	if got := strings.Join(order, ""); got != "abab" {
 		t.Fatalf("read order %q", got)
-	}
-}
-
-func TestWindowsNilSafe(t *testing.T) {
-	var w *Windows
-	w.Column("x", func() float64 { return 1 })
-	w.DeltaColumn("y", func() float64 { return 1 })
-	w.Sample(sim.Second)
-	if w.Rows() != 0 || w.Width() != 0 {
-		t.Fatal("nil windows should be inert")
-	}
-	var sb strings.Builder
-	if err := w.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != "window_start_s\n" {
-		t.Fatalf("nil csv %q", sb.String())
 	}
 }
 
