@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -19,6 +20,75 @@ func feedSink(s *Sink, at sim.Time, pad int) uint64 {
 	}
 	s.onPacket(at, pkt)
 	return uint64(pkt.Size())
+}
+
+// TestSinkPerSecondBuckets: a frame counts in the second it arrives
+// in; a gap second, one before the run and one after the last frame
+// read 0, and the total holds every frame.
+func TestSinkPerSecondBuckets(t *testing.T) {
+	s := &Sink{}
+	a := feedSink(s, 500*sim.Millisecond, 100)
+	b := feedSink(s, 900*sim.Millisecond, 50)
+	c := feedSink(s, 2*sim.Second, 25)
+	for sec, want := range map[int64]uint64{-1: 0, 0: a + b, 1: 0, 2: c, 3: 0, 100: 0} {
+		if got := s.BytesAt(sec); got != want {
+			t.Fatalf("second %d bytes = %d, want %d", sec, got, want)
+		}
+	}
+	if got := s.TotalBytes(); got != a+b+c {
+		t.Fatalf("TotalBytes = %d, want %d", got, a+b+c)
+	}
+}
+
+// TestSinkKbpsSeries: the rate series has one entry per second of the
+// range and fills quiet seconds with zeros, on either side of traffic.
+func TestSinkKbpsSeries(t *testing.T) {
+	s := &Sink{}
+	if n := feedSink(s, 0, 83); n != 125 {
+		t.Fatalf("frame is %d bytes on the wire, want 125 (1 kbit)", n)
+	}
+	want := []float64{0, 1, 0, 0}
+	if got := s.KbpsSeries(-1, 3); !slices.Equal(got, want) {
+		t.Fatalf("KbpsSeries(-1, 3) = %v, want %v", got, want)
+	}
+}
+
+// TestSinkAvgReceivedKbpsEq2: Eq. 2 sums the kilobits over the window
+// and divides by its length in seconds, so quiet seconds pull the
+// average down; a zero-length or inverted window reads 0.
+func TestSinkAvgReceivedKbpsEq2(t *testing.T) {
+	s := &Sink{}
+	for sec := 0; sec < 10; sec++ {
+		if n := feedSink(s, sim.Time(sec)*sim.Second, 1208); n != 1250 {
+			t.Fatalf("frame is %d bytes on the wire, want 1250 (10 kbit)", n)
+		}
+	}
+	for _, c := range []struct {
+		from, to int64
+		want     float64
+	}{
+		{0, 10, 10},
+		{0, 20, 5},
+		{5, 5, 0},
+		{6, 5, 0},
+	} {
+		if got := s.AvgReceivedKbps(c.from, c.to); got != c.want {
+			t.Errorf("D_received over [%d, %d) = %v, want %v", c.from, c.to, got, c.want)
+		}
+	}
+}
+
+// TestSinkAvgReceivedHalfOpen: Eq. 2's window [from, to) takes the
+// bytes of second from and leaves out those of second to.
+func TestSinkAvgReceivedHalfOpen(t *testing.T) {
+	s := &Sink{}
+	a := feedSink(s, 1*sim.Second, 10)
+	b := feedSink(s, 2*sim.Second, 20)
+	feedSink(s, 3*sim.Second, 30)
+	want := float64(a+b) * 8 / 1000 / 2
+	if got := s.AvgReceivedKbps(1, 3); got != want {
+		t.Fatalf("D_received over [1, 3) = %v, want %v (seconds 1 and 2 only)", got, want)
+	}
 }
 
 // Property: Eq. 2 over any run of seconds equals its total kilobits
