@@ -13,6 +13,19 @@ import (
 
 var quickOpt = Options{Seeds: []int64{1}, Quick: true}
 
+// TestFailedJobNamesItself pins a failed sweep's error: the pool names
+// the first failed job and wraps its error once, and leaves the
+// "experiments:" prefix to the command that prints it.
+func TestFailedJobNamesItself(t *testing.T) {
+	opt := quickOpt
+	opt.Window = Window(-1)
+	_, err := Table1(opt)
+	want := "job 0: table1 devs=20: core: WindowSize must be positive, got -1.000s"
+	if err == nil || err.Error() != want {
+		t.Errorf("Table1 with a negative window returned %v, want %q", err, want)
+	}
+}
+
 func TestFig2QuickShape(t *testing.T) {
 	rows, err := Fig2(quickOpt)
 	if err != nil {

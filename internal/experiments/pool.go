@@ -44,7 +44,7 @@ func parallelMap[T any](jobs int, fn func(i int) (T, error)) ([]T, error) {
 
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("experiments: job %d: %w", i, err)
+			return nil, fmt.Errorf("job %d: %w", i, err)
 		}
 	}
 	return results, nil

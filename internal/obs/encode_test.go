@@ -151,9 +151,9 @@ func endpoint(s string) netip.AddrPort {
 // render the calls as a test-side model logged them, never the tracer's
 // storage. One string recurs as category, name, key and value across
 // events and spans; calls repeat, and alternate with ones that differ
-// in one string, one order or one length, so the tracer's memo of the
-// previous record both hits and misses; and one span is left for
-// CloseOpenSpans. The flow references render the records as they were
+// in one string, one order or one length, so repeated events form runs
+// and the tracer's memo of the previous record both hits and misses;
+// and one span is left for CloseOpenSpans. The flow references render the records as they were
 // added, so a buffer that loses anything of an endpoint or a string
 // fails, and Records must give those records back.
 func FuzzTraceExport(f *testing.F) {

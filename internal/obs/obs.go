@@ -92,7 +92,7 @@ func (o *Obs) Summarize(sched *sim.Scheduler) Summary {
 		return s
 	}
 	if o.Trace != nil {
-		s.TraceSpans = o.Trace.n - o.Trace.nevents
+		s.TraceSpans = o.Trace.nspans
 		s.TraceEvents = o.Trace.nevents
 		s.TraceDropped = o.Trace.Dropped()
 	}

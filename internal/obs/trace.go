@@ -25,7 +25,7 @@ type KV struct {
 }
 
 // SpanID identifies a span so it can be ended: the index of the span's
-// record in its tracer.
+// entry in its tracer.
 type SpanID int
 
 // Span is a named interval of simulated time (a run phase, a churn
@@ -55,13 +55,18 @@ type Event struct {
 // run records about 30k spans.
 const DefaultMaxEvents = 1 << 20
 
-// record is one span or point event, 24 bytes. A tracer stores its
-// records in emission order, and that order is the export order. A
-// record holds no pointers, so the garbage collector never scans the
-// trace: kind indexes the tracer's (category, name) pairs, and args is
-// the offset of its annotation list in the tracer's list arena.
+// record is one entry of a tracer, 24 bytes: a span, a point event, or
+// the head of a run of point events. A tracer stores its records in
+// emission order, and that order is the export order. A record holds no
+// pointers, so the garbage collector never scans the trace: kind indexes
+// the tracer's (category, name) pairs, and args is the offset of its
+// annotation list in the tracer's list arena.
+//
+// A point event's end would equal its start, so a run's head uses end
+// for the run: the number of members after the head in the high 32 bits
+// and the offset of their first time delta in the low 32.
 type record struct {
-	start, end sim.Time // an event's end is its start
+	start, end sim.Time
 	kind       uint16
 	flags      uint16
 	args       uint32
@@ -70,7 +75,17 @@ type record struct {
 const (
 	recSpan uint16 = 1 << iota // the record is a span, not a point event
 	recOpen                    // the span has not ended yet
+	recRun                     // the point event heads a run; end packs it
 )
+
+// run returns the number of members after a run's head and the offset
+// of their first delta; a lone point event has none.
+func (r *record) run() (n int, off uint32) {
+	if r.flags&recRun == 0 {
+		return 0, 0
+	}
+	return int(r.end >> 32), uint32(r.end)
+}
 
 // chunkLen is the number of records in one chunk of a tracer: a
 // chunk is 24 KiB, one allocator size class.
@@ -80,6 +95,11 @@ const chunkLen = 1024
 // 16 KiB, one allocator size class. A list longer than that gets a
 // chunk of its own.
 const listChunk = 4096
+
+// deltaChunk is the number of time deltas in one chunk of a tracer's
+// delta arena: 16 KiB, one allocator size class. A run never spans two
+// chunks, so it has at most deltaChunk members after its head.
+const deltaChunk = 4096
 
 // kind is a (category, name) pair as string ids.
 type kind struct{ cat, name uint32 }
@@ -110,7 +130,18 @@ type Tracer struct {
 	// annotations equal the previous record's shares its list.
 	lists [][]uint32
 
-	nevents int
+	// A point event whose kind and annotations equal those of the last
+	// entry, itself a point event, joins that entry's run: it stores
+	// only its nanosecond delta from the member before it, in an arena
+	// of fixed chunks that is allocated on the first run. Delta i is
+	// deltas[i/deltaChunk][i%deltaChunk]; nd deltas are stored, and last
+	// is the time of the last entry's last member.
+	deltas []*[deltaChunk]uint32
+	nd     int
+	last   sim.Time
+
+	nspans  int
+	nevents int // point events stored, run members included
 	max     int
 	dropped uint64
 }
@@ -141,14 +172,22 @@ func (t *Tracer) intern(s string) uint32 {
 }
 
 // add appends r with its kind and annotation list and returns its
-// index. The previous record is a one-entry memo: a call whose
-// annotations equal its annotations, compared as strings, reuses its
-// list, and only a list unlike the previous one is stored.
+// index, or adds a point event to the last entry's run. The previous
+// record is a one-entry memo: a call whose annotations equal its
+// annotations, compared as strings, reuses its list, and only a list
+// unlike the previous one is stored.
 // args is only read, so a caller's variadic array stays on its stack.
 func (t *Tracer) add(r record, cat, name string, args []KV) int {
 	if len(args) > math.MaxUint16 {
 		panic("obs: a trace entry carries more than 65535 annotations")
 	}
+	if r.flags == 0 && t.join(r.start, cat, name, args) {
+		return t.n - 1
+	}
+	if r.flags&recSpan != 0 {
+		t.nspans++
+	}
+	t.last = r.start
 	r.kind = t.kindOf(cat, name)
 	switch {
 	case len(args) == 0:
@@ -163,6 +202,43 @@ func (t *Tracer) add(r record, cat, name string, args []KV) int {
 	t.chunks[t.n/chunkLen][t.n%chunkLen] = r
 	t.n++
 	return t.n - 1
+}
+
+// join adds a point event at at to the last entry's run and reports
+// whether it could: the entry must be a point event whose kind and
+// annotations, compared as strings, equal the event's, so no map is
+// consulted. A gap from the run's last member that is negative or does
+// not fit 32 bits, or a run whose delta chunk is full, starts a new
+// entry instead.
+func (t *Tracer) join(at sim.Time, cat, name string, args []KV) bool {
+	if t.n == 0 {
+		return false
+	}
+	r := t.at(t.n - 1)
+	gap := at - t.last
+	if r.flags&recSpan != 0 || gap < 0 || gap > math.MaxUint32 {
+		return false
+	}
+	if k := t.kinds[r.kind]; t.strs[k.cat] != cat || t.strs[k.name] != name || !t.isList(r.args, args) {
+		return false
+	}
+	n, _ := r.run()
+	if t.nd%deltaChunk == 0 {
+		if n > 0 {
+			return false // the run fills its chunk
+		}
+		if t.nd > math.MaxUint32-deltaChunk {
+			panic("obs: a trace's run deltas outgrow 32-bit offsets")
+		}
+		t.deltas = append(t.deltas, new([deltaChunk]uint32)) //simlint:allow allocfree(one pointer-free 16 KiB chunk per 4096 events that repeat the one before them; growth never copies a delta)
+	}
+	off := t.nd - n // the run's deltas end where the arena's do
+	t.deltas[t.nd/deltaChunk][t.nd%deltaChunk] = uint32(gap)
+	t.nd++
+	r.flags |= recRun
+	r.end = sim.Time(n+1)<<32 | sim.Time(off)
+	t.last = at
+	return true
 }
 
 // kindOf returns the kind of (cat, name), adding it on first sight.
@@ -283,6 +359,11 @@ func (t *Tracer) CloseOpenSpans(at sim.Time) {
 // at returns record i.
 func (t *Tracer) at(i int) *record { return &t.chunks[i/chunkLen][i%chunkLen] }
 
+// delta returns delta i.
+func (t *Tracer) delta(i uint32) sim.Time {
+	return sim.Time(t.deltas[i/deltaChunk][i%deltaChunk])
+}
+
 // argIDs returns the (key id, value id) pairs of the list at off.
 func (t *Tracer) argIDs(off uint32) []uint32 {
 	l := t.lists[off/listChunk][off%listChunk:]
@@ -290,9 +371,11 @@ func (t *Tracer) argIDs(off uint32) []uint32 {
 }
 
 // snapshot calls each for every span (span is recSpan) or every point
-// event (span is 0), in record order, with its annotations rebuilt. All
-// of their Args share one backing array, allocated once.
-func (t *Tracer) snapshot(span uint16, each func(i int, r *record, args []KV)) {
+// event (span is 0), in record order, with its time (an event's instant,
+// a span's start) and its annotations rebuilt. All of their Args share
+// one backing array, allocated once; the members of a run share one
+// Args.
+func (t *Tracer) snapshot(span uint16, each func(i int, r *record, at sim.Time, args []KV)) {
 	n := 0
 	for i := 0; i < t.n; i++ {
 		if r := t.at(i); r.flags&recSpan == span {
@@ -312,7 +395,12 @@ func (t *Tracer) snapshot(span uint16, each func(i int, r *record, args []KV)) {
 				args[j] = KV{t.strs[ids[2*j]], t.strs[ids[2*j+1]]}
 			}
 		}
-		each(i, r, args)
+		at := r.start
+		each(i, r, at, args)
+		for m, off := r.run(); m > 0; m, off = m-1, off+1 {
+			at += t.delta(off)
+			each(i, r, at, args)
+		}
 	}
 }
 
@@ -321,8 +409,8 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	out := make([]Span, 0, t.n-t.nevents)
-	t.snapshot(recSpan, func(i int, r *record, args []KV) {
+	out := make([]Span, 0, t.nspans)
+	t.snapshot(recSpan, func(i int, r *record, _ sim.Time, args []KV) {
 		k := t.kinds[r.kind]
 		out = append(out, Span{ID: SpanID(i), Cat: t.strs[k.cat], Name: t.strs[k.name],
 			Start: r.start, End: r.end, Args: args})
@@ -331,14 +419,15 @@ func (t *Tracer) Spans() []Span {
 }
 
 // Events returns a copy of all recorded point events in record order.
+// The members of a run, events alike in all but time, share one Args.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
 	out := make([]Event, 0, t.nevents)
-	t.snapshot(0, func(_ int, r *record, args []KV) {
+	t.snapshot(0, func(_ int, r *record, at sim.Time, args []KV) {
 		k := t.kinds[r.kind]
-		out = append(out, Event{At: r.start, Cat: t.strs[k.cat], Name: t.strs[k.name], Args: args})
+		out = append(out, Event{At: at, Cat: t.strs[k.cat], Name: t.strs[k.name], Args: args})
 	})
 	return out
 }
@@ -362,7 +451,8 @@ func (t *Tracer) CountEvents(cat, name string) int {
 		r := t.at(i)
 		k := t.kinds[r.kind]
 		if r.flags&recSpan == 0 && (cat == "" || t.strs[k.cat] == cat) && (name == "" || t.strs[k.name] == name) {
-			n++
+			m, _ := r.run()
+			n += 1 + m
 		}
 	}
 	return n
@@ -375,7 +465,9 @@ func micros(t sim.Time) int64 { return int64(t / sim.Microsecond) }
 // become "X" complete events with a "dur", point events become "i"
 // instants of thread scope, and timestamps are microseconds of simulated
 // time. Each category gets its own track (tid), assigned in sorted
-// category order for determinism.
+// category order for determinism. A run's members differ only in their
+// timestamps, so the text around the head's timestamp is kept and
+// copied around each member's.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	if t == nil {
 		_, err := io.WriteString(w, "[]\n")
@@ -384,6 +476,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	tid := t.tracks()
 	e := newEnc(w)
 	js := encodeStrs(t.strs)
+	var around []byte // a run's text before its timestamp, then after it
 	e.raw("[\n")
 	for i := 0; i < t.n; i++ {
 		r := t.at(i)
@@ -391,10 +484,12 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		if i > 0 {
 			e.raw(",\n")
 		}
+		head := len(e.buf)
 		e.raw(`{"name":`)
 		e.id(js, k.name)
 		e.raw(`,"cat":`)
 		e.id(js, k.cat)
+		var ts, tail int // where a point event's timestamp starts and ends
 		if r.flags&recSpan != 0 {
 			e.raw(`,"ph":"X","ts":`)
 			e.int(micros(r.start))
@@ -404,13 +499,29 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			e.int(int64(tid[r.kind]))
 		} else {
 			e.raw(`,"ph":"i","ts":`)
+			ts = len(e.buf)
 			e.int(micros(r.start))
+			tail = len(e.buf)
 			e.raw(`,"pid":1,"tid":`)
 			e.int(int64(tid[r.kind]))
 			e.raw(`,"s":"t"`)
 		}
 		e.args(js, t.argIDs(r.args))
 		e.raw("}")
+		if n, off := r.run(); n > 0 {
+			around = append(append(around[:0], e.buf[head:ts]...), e.buf[tail:]...)
+			before, after := around[:ts-head], around[ts-head:]
+			for at := r.start; n > 0; n, off = n-1, off+1 {
+				if err := e.endRecord(); err != nil {
+					return err
+				}
+				at += t.delta(off)
+				e.raw(",\n")
+				e.buf = append(e.buf, before...)
+				e.int(micros(at))
+				e.buf = append(e.buf, after...)
+			}
+		}
 		if err := e.endRecord(); err != nil {
 			return err
 		}

@@ -101,10 +101,10 @@ func TestTracerEventCap(t *testing.T) {
 }
 
 // TestQueueDropEventAllocFree holds the drop path to its allocation
-// contract. A drop like the previous one reuses its kind and list, so
-// recording it allocates nothing but its share of a chunk; the trace
-// storage holds no pointer for the garbage collector to scan, and a
-// record is 24 bytes.
+// contract. A drop like the previous one joins its run, so recording it
+// allocates nothing but its share of a delta chunk; the trace storage
+// holds no pointer for the garbage collector to scan, and a record is
+// 24 bytes.
 func TestQueueDropEventAllocFree(t *testing.T) {
 	tr := NewTracer()
 	tr.SetMaxEvents(0)
@@ -119,9 +119,10 @@ func TestQueueDropEventAllocFree(t *testing.T) {
 		t.Errorf("a queue drop averages %v allocations, want at most 0.01", got)
 	}
 	for name, typ := range map[string]reflect.Type{
-		"a chunk":        reflect.TypeOf(tr.chunks).Elem().Elem(),
-		"the kind table": reflect.TypeOf(tr.kinds).Elem(),
-		"the list arena": reflect.TypeOf(tr.lists).Elem().Elem(),
+		"a chunk":         reflect.TypeOf(tr.chunks).Elem().Elem(),
+		"the kind table":  reflect.TypeOf(tr.kinds).Elem(),
+		"the list arena":  reflect.TypeOf(tr.lists).Elem().Elem(),
+		"the delta arena": reflect.TypeOf(tr.deltas).Elem().Elem(),
 	} {
 		if f := pointerField(typ); f != "" {
 			t.Errorf("%s holds a pointer in %s; the trace storage must be pointer-free", name, f)
@@ -133,10 +134,10 @@ func TestQueueDropEventAllocFree(t *testing.T) {
 }
 
 // TestTraceGrowthAllocatesOnlyWhatItStores holds recording to the
-// memory the trace keeps. A drop like the previous one stores a 24-byte
-// record and shares its list, so 100,000 drops may allocate at most 26
-// bytes each; a list per drop adds 20, and storage that grows by copying
-// allocates several times that.
+// memory the trace keeps. A drop like the previous one joins its run and
+// stores a 4-byte time delta, so 100,000 drops may allocate at most 5
+// bytes each; a 24-byte record per drop fails, and storage that grows
+// by copying allocates several times that.
 func TestTraceGrowthAllocatesOnlyWhatItStores(t *testing.T) {
 	const n = 100000
 	tr := NewTracer()
@@ -147,8 +148,8 @@ func TestTraceGrowthAllocatesOnlyWhatItStores(t *testing.T) {
 		tr.Event(sim.Time(i)*sim.Microsecond, CatNet, "queue-drop", KV{"node", "router"}, KV{"reason", "drop-tail"})
 	}
 	runtime.ReadMemStats(&after)
-	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 26 {
-		t.Errorf("recording %d drops allocated %.1f bytes per drop, want at most 26", n, per)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 5 {
+		t.Errorf("recording %d drops allocated %.1f bytes per drop, want at most 5", n, per)
 	}
 	if got := tr.CountEvents(CatNet, "queue-drop"); got != n {
 		t.Errorf("CountEvents = %d, want %d", got, n)
@@ -204,29 +205,48 @@ func TestKillChainSpansShareLists(t *testing.T) {
 	}
 }
 
-// modelEntry is what a test recorded into a tracer, kept beside it.
+// modelEntry is what a test recorded into a tracer, kept beside it,
+// with the index of the tracer entry that holds it.
 type modelEntry struct {
 	span, open bool
 	cat, name  string
 	start, end sim.Time
 	args       []KV
+	entry      int
 }
 
 // traceModel records into a tracer and keeps, beside it, the entries
 // recorded, so that every reader and writer of the tracer is checked
-// against the calls made rather than against its own storage.
+// against the calls made rather than against its own storage. It
+// applies the run rule to the calls: a point event joins the previous
+// entry's run when that entry is a point event with the same category,
+// name and annotations, the gap from its last member is in [0, 2^32)
+// ns, and the run's deltas have not filled their chunk.
 type traceModel struct {
 	tr      *Tracer
 	max     int // the event cap; 0 removes it
 	entries []modelEntry
 	nevents int
 	dropped uint64
+	records int // the tracer entries the run rule gives
+	members int // members after the head of the last entry's run
+	deltas  int // deltas the run rule stores
 }
 
 func newTraceModel(maxEvents int) *traceModel {
 	m := &traceModel{tr: NewTracer(), max: maxEvents}
 	m.tr.SetMaxEvents(maxEvents)
 	return m
+}
+
+// joins reports whether a point event joins the last entry's run.
+func (m *traceModel) joins(at sim.Time, cat, name string, args []KV) bool {
+	if len(m.entries) == 0 {
+		return false
+	}
+	p := m.entries[len(m.entries)-1]
+	return !p.span && p.cat == cat && p.name == name && slices.Equal(p.args, args) &&
+		at >= p.start && at-p.start < 1<<32 && (m.members == 0 || m.deltas%deltaChunk != 0)
 }
 
 // event records a point event and reports whether the cap kept it.
@@ -237,27 +257,40 @@ func (m *traceModel) event(at sim.Time, cat, name string, args ...KV) bool {
 		return false
 	}
 	m.nevents++
-	m.entries = append(m.entries, modelEntry{cat: cat, name: name, start: at, end: at, args: args})
+	if m.joins(at, cat, name, args) {
+		m.members++
+		m.deltas++
+	} else {
+		m.records++
+		m.members = 0
+	}
+	m.entries = append(m.entries, modelEntry{cat: cat, name: name, start: at, end: at, args: args, entry: m.records - 1})
 	return true
 }
 
 func (m *traceModel) beginSpan(t *testing.T, at sim.Time, cat, name string, args ...KV) SpanID {
 	id := m.tr.BeginSpan(at, cat, name, args...)
-	if int(id) != len(m.entries) {
-		t.Fatalf("BeginSpan returned id %d for record %d", id, len(m.entries))
+	if int(id) != m.records {
+		t.Fatalf("BeginSpan returned id %d for entry %d", id, m.records)
 	}
-	m.entries = append(m.entries, modelEntry{span: true, open: true, cat: cat, name: name, start: at, end: at, args: args})
+	m.records++
+	m.entries = append(m.entries, modelEntry{span: true, open: true, cat: cat, name: name, start: at, end: at, args: args, entry: int(id)})
 	return id
 }
 
 func (m *traceModel) recordSpan(start, end sim.Time, cat, name string, args ...KV) {
 	m.tr.RecordSpan(start, end, cat, name, args...)
-	m.entries = append(m.entries, modelEntry{span: true, cat: cat, name: name, start: start, end: max(end, start), args: args})
+	m.records++
+	m.entries = append(m.entries, modelEntry{span: true, cat: cat, name: name, start: start, end: max(end, start), args: args, entry: m.records - 1})
 }
 
 func (m *traceModel) endSpan(id SpanID, at sim.Time) {
 	m.tr.EndSpan(id, at)
-	m.close(int(id), at)
+	for i := range m.entries {
+		if m.entries[i].span && m.entries[i].entry == int(id) {
+			m.close(i, at)
+		}
+	}
 }
 
 func (m *traceModel) closeOpenSpans(at sim.Time) {
@@ -269,7 +302,7 @@ func (m *traceModel) closeOpenSpans(at sim.Time) {
 
 // close ends entry i at at if it is an open span.
 func (m *traceModel) close(i int, at sim.Time) {
-	if i >= 0 && i < len(m.entries) && m.entries[i].open {
+	if m.entries[i].open {
 		e := &m.entries[i]
 		e.open, e.end = false, max(at, e.start)
 	}
@@ -285,17 +318,21 @@ func (m *traceModel) refs() []refRecord {
 	return out
 }
 
-// check holds the writer, Spans, Events, CountEvents and Summarize to
-// the entries recorded.
+// check holds the tracer's entries to the run rule, and the writer,
+// Spans, Events, CountEvents and Summarize to the entries recorded.
 func (m *traceModel) check(t *testing.T) {
 	t.Helper()
+	if m.tr.n != m.records || m.tr.nd != m.deltas {
+		t.Errorf("the tracer holds %d entries and %d deltas; the run rule gives %d and %d",
+			m.tr.n, m.tr.nd, m.records, m.deltas)
+	}
 	var spans []Span
 	var events []Event
 	cats, names := []string{"", "absent"}, []string{"", "absent"}
-	for i, e := range m.entries {
+	for _, e := range m.entries {
 		cats, names = append(cats, e.cat), append(names, e.name)
 		if e.span {
-			spans = append(spans, Span{ID: SpanID(i), Cat: e.cat, Name: e.name, Start: e.start, End: e.end, Args: e.args})
+			spans = append(spans, Span{ID: SpanID(e.entry), Cat: e.cat, Name: e.name, Start: e.start, End: e.end, Args: e.args})
 		} else {
 			events = append(events, Event{At: e.start, Cat: e.cat, Name: e.name, Args: e.args})
 		}
@@ -307,10 +344,10 @@ func (m *traceModel) check(t *testing.T) {
 	if want := refChromeTrace(m.refs()); !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("WriteChromeTrace differs from the reference encoding of what was recorded:\n got %q\nwant %q", buf.Bytes(), want)
 	}
-	if got := m.tr.Spans(); !reflect.DeepEqual(got, spans) {
+	if got := m.tr.Spans(); len(got)+len(spans) > 0 && !reflect.DeepEqual(got, spans) {
 		t.Errorf("Spans() differs from the spans recorded")
 	}
-	if got := m.tr.Events(); !reflect.DeepEqual(got, events) {
+	if got := m.tr.Events(); len(got)+len(events) > 0 && !reflect.DeepEqual(got, events) {
 		t.Errorf("Events() differs from the events recorded")
 	}
 	slices.Sort(cats)
@@ -360,14 +397,14 @@ func checkChunkedTrace(t *testing.T, n int) {
 	var long SpanID
 	var open []SpanID
 	capAt := -1 // the record count when the first event was dropped
-	for k := 0; len(m.entries) < n; k++ {
+	for k := 0; m.records < n; k++ {
 		at := sim.Time(k) * sim.Millisecond
-		pos := len(m.entries) % chunkLen
+		pos := m.records % chunkLen
 		cat, name := cats[k%3], names[k%len(names)]
 		var args []KV
 		switch {
-		case len(m.entries)+3 >= chunkLen && (pos >= chunkLen-3 || pos < 3):
-			b := (len(m.entries) + 3) / chunkLen
+		case m.records+3 >= chunkLen && (pos >= chunkLen-3 || pos < 3):
+			b := (m.records + 3) / chunkLen
 			cat, name = cats[b%3], []string{"run", "run", "alt"}[k%3]
 			for a := 0; a < 300; a++ {
 				args = append(args, KV{fmt.Sprintf("k%d", a), fmt.Sprintf("run%d.%d", b, a)})
@@ -382,7 +419,7 @@ func checkChunkedTrace(t *testing.T, n int) {
 			}
 			if last := len(m.entries) - 1; k%11 == 0 && last >= 0 {
 				cat, name = m.entries[last].cat, m.entries[last].name
-			} else if len(m.entries) >= chunkLen && k%6 == 1 {
+			} else if m.records >= chunkLen && k%6 == 1 {
 				cat = cats[3]
 			}
 		}
@@ -399,7 +436,7 @@ func checkChunkedTrace(t *testing.T, n int) {
 			}
 		default:
 			if !m.event(at, cat, name, args...) && capAt < 0 {
-				capAt = len(m.entries)
+				capAt = m.records
 			}
 		}
 		if k%13 == 0 && len(open) > 0 {
@@ -429,6 +466,86 @@ func checkChunkedTrace(t *testing.T, n int) {
 	m.endSpan(long, last)
 	m.closeOpenSpans(last + sim.Second)
 	m.check(t)
+}
+
+// TestTraceRuns checks the run rule and every reader and writer of runs
+// against the model, case by case. Each case names the tracer entries
+// the rule gives, so a tracer that stopped forming runs fails too.
+func TestTraceRuns(t *testing.T) {
+	drop := []KV{{"node", "router"}, {"reason", "drop-tail"}}
+	repeat := func(m *traceModel, n int, from, step sim.Time, cat, name string, args ...KV) {
+		for i := 0; i < n; i++ {
+			m.event(from+sim.Time(i)*step, cat, name, args...)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		max     int
+		entries int
+		record  func(t *testing.T, m *traceModel)
+	}{
+		{"a run crosses a delta chunk", 0, 3, func(t *testing.T, m *traceModel) {
+			repeat(m, 100, 0, sim.Microsecond, CatNet, "queue-drop", drop...)
+			// After the first run's 99 deltas, 3,997 members of the second
+			// fill the chunk, and the next event starts a new entry.
+			repeat(m, deltaChunk+10, sim.Second, 700, CatNet, "queue-drop")
+			if len(m.tr.deltas) != 2 {
+				t.Errorf("the delta arena holds %d chunks, want 2", len(m.tr.deltas))
+			}
+		}},
+		{"gaps of 2^32-1 and 2^32 ns", 0, 2, func(t *testing.T, m *traceModel) {
+			m.event(sim.Second, CatNet, "queue-drop", drop...)
+			m.event(sim.Second+1<<32-1, CatNet, "queue-drop", drop...)
+			m.event(sim.Second+2<<32-1, CatNet, "queue-drop", drop...)
+			m.event(sim.Second+2<<32-1, CatNet, "queue-drop", drop...)
+		}},
+		{"a negative gap", 0, 3, func(t *testing.T, m *traceModel) {
+			repeat(m, 3, 5*sim.Second, sim.Millisecond, CatNet, "queue-drop", drop...)
+			m.event(4*sim.Second, CatNet, "queue-drop", drop...)
+			m.event(4*sim.Second, CatNet, "queue-drop", drop...)
+			m.event(4*sim.Second-1, CatNet, "queue-drop", drop...)
+		}},
+		{"the cap falls mid-run", 5, 3, func(t *testing.T, m *traceModel) {
+			m.event(0, CatCNC, "attack-command")
+			repeat(m, 8, sim.Second, sim.Millisecond, CatNet, "queue-drop", drop...)
+			m.recordSpan(0, sim.Second, CatPhase, "deploy")
+			m.event(2*sim.Second, CatNet, "queue-drop", drop...)
+		}},
+		{"a span or another event between runs of one kind", 0, 7, func(t *testing.T, m *traceModel) {
+			repeat(m, 3, 0, sim.Millisecond, CatNet, "queue-drop", drop...)
+			id := m.beginSpan(t, sim.Second, CatPhase, "attack")
+			repeat(m, 3, sim.Second, sim.Millisecond, CatNet, "queue-drop", drop...)
+			m.endSpan(id, 3*sim.Second)
+			repeat(m, 2, 2*sim.Second, 0, CatNet, "queue-drop", drop...)
+			m.event(2*sim.Second, CatNet, "queue-drop", KV{"node", "router"})
+			repeat(m, 2, 2*sim.Second, sim.Nanosecond, CatNet, "queue-drop", drop...)
+			m.event(3*sim.Second, CatNet, "queue-drop", KV{"node", "router"}, KV{"reason", "loss"})
+			m.event(3*sim.Second, CatNet, "link-drop", drop...)
+		}},
+		{"events without annotations", 0, 4, func(t *testing.T, m *traceModel) {
+			repeat(m, 4, 0, sim.Second, CatChurn, "device-down")
+			repeat(m, 2, 4*sim.Second, sim.Second, CatChurn, "device-up")
+			m.event(6*sim.Second, CatChurn, "device-up", KV{"dev", "dev-001"})
+			m.event(6*sim.Second, CatChurn, "device-up")
+		}},
+		{"one-member runs", 0, 6, func(t *testing.T, m *traceModel) {
+			for i := 0; i < 4; i++ {
+				m.event(sim.Time(i)*sim.Second, CatNet, []string{"a", "b"}[i%2], drop...)
+			}
+			repeat(m, 2, 4*sim.Second, sim.Microsecond, CatNet, "a", drop...)
+			repeat(m, 2, 5*sim.Second, sim.Microsecond, CatNet, "b", drop...)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newTraceModel(tc.max)
+			tc.record(t, m)
+			if m.records != tc.entries {
+				t.Errorf("the run rule gives %d entries, want %d", m.records, tc.entries)
+			}
+			m.closeOpenSpans(10 * sim.Second)
+			m.check(t)
+		})
+	}
 }
 
 // pointerField names the first part of typ that holds a pointer, or
